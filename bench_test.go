@@ -254,8 +254,8 @@ func BenchmarkFig2bSB7Scaling(b *testing.B) {
 			b.ResetTimer()
 			res := harness.RunTLSTM(rt, w)
 			b.StopTimer()
-			if res.TxCommitted > 0 {
-				b.ReportMetric(float64(res.VirtualUnits)/float64(res.TxCommitted), "vunits/tx")
+			if res.Commits > 0 {
+				b.ReportMetric(float64(res.VirtualUnits)/float64(res.Commits), "vunits/tx")
 			}
 		})
 	}
@@ -378,9 +378,9 @@ func BenchmarkAblationContentionManager(b *testing.B) {
 			b.ResetTimer()
 			res := harness.RunTLSTM(rt, w)
 			b.StopTimer()
-			if res.TxCommitted > 0 {
-				b.ReportMetric(float64(res.VirtualUnits)/float64(res.TxCommitted), "vunits/tx")
-				b.ReportMetric(float64(res.TxAborted)/float64(res.TxCommitted), "aborts/tx")
+			if res.Commits > 0 {
+				b.ReportMetric(float64(res.VirtualUnits)/float64(res.Commits), "vunits/tx")
+				b.ReportMetric(float64(res.Aborts)/float64(res.Commits), "aborts/tx")
 			}
 		})
 	}

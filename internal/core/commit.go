@@ -9,6 +9,7 @@ import (
 	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
 	"tlstm/internal/txlog"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
@@ -16,11 +17,6 @@ import (
 // commitCost is the modeled per-task commit serialization cost in work
 // units, used by the virtual-time model (DESIGN.md §3).
 const commitCost = 2
-
-// remapPeriod is how many committed transactions a thread accumulates
-// between affinity-placement rebalance checks (same cadence as the flat
-// runtimes' per-worker remap windows).
-const remapPeriod = 64
 
 // commitStep is the task's commit procedure (Alg. 3 lines 65–77): wait
 // for all past tasks of the user-thread to complete, run the gated WAR
@@ -151,7 +147,7 @@ func (t *Task) commitTransaction() {
 		}
 	}
 
-	ts := rt.clk.Tick(&t.clkProbe) // line 84
+	ts := rt.Clk.Tick(&t.clkProbe) // line 84
 
 	if failed := t.validateTxReads(scr); failed != nil { // line 85
 		scr.Restore()
@@ -168,12 +164,12 @@ func (t *Task) commitTransaction() {
 	// When several tasks wrote the same word the publishes are
 	// identical duplicates — they only cost ring slots, never
 	// correctness.
-	if mv := rt.mv; mv != nil {
+	if mv := rt.MV; mv != nil {
 		for _, task := range tx.tasks {
 			for _, e := range task.writeLog.Entries() {
 				if pre, ok := scr.Saved(e.Pair); ok {
 					for _, w := range e.Words {
-						mv.Publish(w.Addr, rt.store.LoadWord(w.Addr), pre, ts)
+						mv.Publish(w.Addr, rt.Store.LoadWord(w.Addr), pre, ts)
 					}
 				}
 			}
@@ -187,7 +183,7 @@ func (t *Task) commitTransaction() {
 	for _, task := range tx.tasks {
 		for _, e := range task.writeLog.Entries() {
 			for _, w := range e.Words {
-				rt.store.StoreWord(w.Addr, w.Val)
+				rt.Store.StoreWord(w.Addr, w.Val)
 				if t.traced {
 					// Written-word identities land on the commit task's
 					// ring, between its Validate and Commit events, so the
@@ -225,7 +221,7 @@ func (t *Task) commitTransaction() {
 	// woken waiter revalidates against post-commit state. One atomic
 	// load when nobody waits; the entries are still live (retirement
 	// happens in finishCommit).
-	if hub := rt.hub; hub.Active() {
+	if hub := rt.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		for _, task := range tx.tasks {
 			for _, e := range task.writeLog.Entries() {
@@ -393,7 +389,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		task.restartLat = txstats.Hist{}
 		thr.stats.RetryWakes += task.retryWakes
 		task.retryWakes = 0
-		cm.Committed(thr.rt.cm, &task.cmSelf)
+		cm.Committed(thr.rt.CM, &task.cmSelf)
 	}
 	thr.stats.CommitLatency.Observe(int(time.Since(t.attemptStart)))
 	thr.stats.Attempts.Observe(int(tx.txAborts.Load()) + 1)
@@ -401,17 +397,17 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		t.tr.Record(txtrace.KindCommit, ts, txWrites, 0)
 	}
 
-	// Affinity remap step: every remapPeriod commits, hand the window of
+	// Affinity remap step: every txrt.RemapPeriod commits, hand the window of
 	// conflict observations since the last check to the placement policy
 	// and adopt whatever home it decides. finishCommit is serialized per
 	// thread, so the window and countdown need no synchronization; only
 	// the home itself is shared (tasks read it on conflict paths).
 	thr.txSinceRemap++
-	if thr.txSinceRemap >= remapPeriod {
+	if thr.txSinceRemap >= txrt.RemapPeriod {
 		thr.txSinceRemap = 0
-		if thr.rt.placement.Rebalance(int(thr.id), thr.remapWindow) {
+		if thr.rt.Placement.Rebalance(int(thr.id), thr.remapWindow) {
 			old := thr.homeShard.Load()
-			home := int32(thr.rt.placement.Home(int(thr.id)))
+			home := int32(thr.rt.Placement.Home(int(thr.id)))
 			thr.homeShard.Store(home)
 			thr.stats.Remaps++
 			if t.traced {
@@ -451,7 +447,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// included — may be re-armed with new state the moment they exit.
 	for _, task := range tx.tasks {
 		for _, a := range task.frees {
-			thr.rt.alloc.Free(a)
+			thr.rt.Alloc.Free(a)
 		}
 	}
 

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +32,7 @@ import (
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/sched"
-	"tlstm/internal/txlog"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
@@ -123,59 +122,38 @@ type Config struct {
 	Mode mode.Config
 }
 
-func (c *Config) fill() {
-	if c.SpecDepth <= 0 {
-		c.SpecDepth = 4
+// shared maps the configuration onto the engine kit's option set, which
+// fills the defaults the runtimes share (clock, lock-table size, mode).
+func (c Config) shared() txrt.Config {
+	if c.CM == nil && c.PlainGreedyCM {
+		c.CM = cm.New(cm.KindGreedy)
 	}
-	if c.LockTableBits == 0 {
-		c.LockTableBits = 20
+	return txrt.Config{
+		LockTableBits: c.LockTableBits,
+		Shards:        c.Shards,
+		Affinity:      c.Affinity,
+		Padded:        c.PadLockTable,
+		Clock:         c.Clock,
+		CM:            c.CM,
+		MVDepth:       c.MVDepth,
+		Trace:         c.Trace,
+		Mode:          c.Mode,
 	}
-	if c.Clock == nil {
-		c.Clock = clock.New(clock.KindGV4)
-	}
-	if c.CM == nil {
-		if c.PlainGreedyCM {
-			c.CM = cm.New(cm.KindGreedy)
-		} else {
-			c.CM = cm.New(cm.KindTaskAware)
-		}
-	}
-	c.Mode = c.Mode.Fill()
 }
 
-// Runtime is one TLSTM instance. Independent Runtimes are fully isolated.
+// Runtime is one TLSTM instance: the engine kit's environment (word
+// store, allocator, commit clock, contention manager, version store,
+// placement, mode gate and Retry hub — the gate serializes fallback
+// entrants while speculative threads keep running, their conflict
+// ride-out loops yielding to it) plus the lock-pair table and the task
+// scheduler's geometry. Independent Runtimes are fully isolated.
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
+	txrt.Env
 	locks *locktable.Table
-
-	clk clock.Source
-	cm  cm.Policy
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, hands each task descriptor a flight-recorder
-	// ring.
-	trace *txtrace.Recorder
 
 	// stats aggregates per-thread shards, merged at Sync boundaries
 	// (see Thread.Sync); the hot path never touches it.
 	stats txstats.Aggregate[Stats, *Stats]
-
-	// placement assigns each thread a home lock-table shard and, under
-	// the affinity policy, rebinds it toward where the thread's
-	// conflicts concentrate (finishCommit's remap step).
-	placement sched.Placement
-
-	// modeCfg/gate/hub are the execution-mode ladder (Config.Mode): the
-	// gate serializes fallback entrants while speculative threads keep
-	// running (their conflict ride-out loops yield to it), and the hub
-	// parks Retry waiters until a conflicting commit rings them.
-	modeCfg mode.Config
-	gate    mode.Gate
-	hub     *mode.WaitHub
 
 	specDepth    int
 	policy       sched.Policy
@@ -191,66 +169,25 @@ type Runtime struct {
 
 // New creates a TLSTM runtime.
 func New(cfg Config) *Runtime {
-	cfg.fill()
+	if cfg.SpecDepth <= 0 {
+		cfg.SpecDepth = 4
+	}
 	if cfg.Policy == sched.Inline && cfg.SpecDepth != 1 {
 		panic(fmt.Sprintf("core: the Inline scheduling policy requires SpecDepth 1, got %d (an intermediate task of a multi-task transaction parks until its transaction commits, which would deadlock the submitting goroutine)", cfg.SpecDepth))
 	}
-	st := mem.NewStore()
 	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-		locks: locktable.New(locktable.Config{
-			Bits:   cfg.LockTableBits,
-			Shards: cfg.Shards,
-			Padded: cfg.PadLockTable,
-		}),
-		clk:          cfg.Clock,
-		cm:           cfg.CM,
-		modeCfg:      cfg.Mode,
-		hub:          mode.NewWaitHub(),
 		specDepth:    cfg.SpecDepth,
 		policy:       cfg.Policy,
 		reclaimRing:  cfg.ReclaimRing,
 		reclaimAudit: cfg.ReclaimAudit,
-		trace:        cfg.Trace,
 	}
-	if cfg.Affinity {
-		rt.placement = sched.NewAffinity(rt.locks.Shards())
-	} else {
-		rt.placement = sched.NewRoundRobin(rt.locks.Shards())
-	}
-	if cfg.MVDepth > 0 {
-		rt.mv = txlog.NewVersionedStore(cfg.MVDepth, txlog.DefaultVersionedStoreBits)
-	}
-	if rt.trace != nil {
-		// The offline opacity checker recomputes lock-table slots and
-		// picks its clock model from this metadata (txcheck).
-		rt.trace.SetMeta("core.lockbits", strconv.Itoa(cfg.LockTableBits))
-		rt.trace.SetMeta("core.clock", rt.clk.Name())
-		rt.trace.SetMeta("core.exclusive", strconv.FormatBool(rt.clk.Exclusive()))
-		rt.trace.SetMeta("core.mvdepth", strconv.Itoa(cfg.MVDepth))
-	}
+	c := rt.Init("core", mem.NewStore(), cfg.shared(), cm.KindTaskAware)
+	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Shards: c.Shards, Padded: c.Padded})
 	return rt
 }
 
-// Shards reports the lock table's shard count (1 when flat).
-func (rt *Runtime) Shards() int { return rt.locks.Shards() }
-
-// PlacementName reports the thread-placement policy ("static" or
-// "affinity").
-func (rt *Runtime) PlacementName() string { return rt.placement.Name() }
-
 // SpecDepth reports the runtime's SPECDEPTH.
 func (rt *Runtime) SpecDepth() int { return rt.specDepth }
-
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
 
 // Policy reports the runtime's scheduler spawn policy.
 func (rt *Runtime) Policy() sched.Policy { return rt.policy }
@@ -270,31 +207,9 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// CommitTS exposes the global commit timestamp (tests and stats).
-func (rt *Runtime) CommitTS() uint64 { return rt.clk.Now() }
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.cm.Name() }
-
-// ModeName reports the execution-mode policy this runtime's threads
-// ladder under.
-func (rt *Runtime) ModeName() string { return rt.modeCfg.Policy.String() }
-
 // Stats returns the runtime-global statistics aggregate: the sum of
 // every per-thread shard merged so far (threads merge at Sync).
 func (rt *Runtime) Stats() Stats { return rt.stats.Snapshot() }
-
-// Direct returns a non-transactional tm.Tx for single-threaded setup,
-// before any user-thread runs.
-func (rt *Runtime) Direct() mem.Direct {
-	return mem.Direct{Mem: rt.store, Al: rt.alloc}
-}
-
-// Allocator exposes the runtime's allocator (tests).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
 
 // NewThread creates a user-thread. A Thread must be driven by exactly
 // one goroutine (the "user-thread" itself); its speculative tasks run
@@ -311,16 +226,12 @@ func (rt *Runtime) NewThread() *Thread {
 		slots:  make([]atomic.Pointer[Task], rt.specDepth),
 		ring:   make([]*Task, rt.specDepth),
 		txRing: make([]*txState, rt.specDepth),
-		ctl:    mode.NewController(rt.modeCfg),
+		ctl:    mode.NewController(rt.ModeCfg),
 	}
-	thr.homeShard.Store(int32(rt.placement.Home(int(id))))
-	thr.tr = txtrace.Nop
-	if rt.trace != nil {
-		// Mode-ladder transitions happen on the submitting goroutine,
-		// never on a task's worker, so they get their own ring.
-		thr.tr = rt.trace.NewRing(fmt.Sprintf("core-thr%d-mode", id))
-		thr.traced = true
-	}
+	thr.homeShard.Store(int32(rt.Placement.Home(int(id))))
+	// Mode-ladder transitions happen on the submitting goroutine, never
+	// on a task's worker, so they get their own ring.
+	thr.tr, thr.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
 	for i := range thr.ring {
 		t := &Task{thr: thr, waitBeforeRestart: -1}
 		// The per-context owner-header fields are wired once for the
@@ -337,10 +248,8 @@ func (rt *Runtime) NewThread() *Thread {
 		if rt.reclaimAudit {
 			t.writeLog.Ring().OnReclaim = thr.auditReclaim
 		}
-		t.tr = txtrace.Nop
-		if rt.trace != nil {
-			t.tr = rt.trace.NewRing(fmt.Sprintf("core-thr%d-slot%d", id, i))
-			t.traced = true
+		t.tr, t.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-slot%d", id, i))
+		if t.traced {
 			// Compose the reclaim hook: OnReclaim fires on the pop path
 			// of the descriptor's own free ring, i.e. on the ring
 			// owner's worker, so recording here stays single-owner.

@@ -13,6 +13,7 @@ import (
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/xrand"
@@ -187,24 +188,6 @@ type Task struct {
 // escapes the package.
 type restartSignal struct{}
 
-// yieldQuantum is the forced-interleaving grain (see the identical
-// constant in internal/stm): tasks yield every yieldQuantum work units
-// so that cross-thread overlap — and therefore contention — exists on a
-// single-CPU simulator; inter-thread lock waits charge one quantum per
-// spin iteration.
-const yieldQuantum = 64
-
-// taskStartCost models per-task setup (descriptor, logs, counters) per
-// attempt; it matches the baseline's per-transaction constant — each
-// TLSTM task carries a full SwissTM-transaction skeleton (§3.2), which
-// is what keeps Figure 1a's speedups below the task count.
-const taskStartCost = 24
-
-// validationStride discounts validation steps: one work unit per this
-// many log entries checked (a version/pointer compare is much cheaper
-// than an instrumented load).
-const validationStride = 8
-
 // txSelfAbortDefeats is the deadlock escape hatch for policies that
 // only ever abort the requester: after this many contention-manager
 // defeats, losing once more aborts the whole user-transaction instead
@@ -217,7 +200,7 @@ const txSelfAbortDefeats = 8
 // tick charges work units and enforces the interleaving grain.
 func (t *Task) tick(units uint64) {
 	t.workAcc += units
-	if t.workAcc%yieldQuantum < units {
+	if t.workAcc%txrt.YieldQuantum < units {
 		runtime.Gosched()
 	}
 }
@@ -246,7 +229,7 @@ func (t *Task) run() {
 		tx.live.Add(-1)
 	}()
 	if t.traced {
-		t.tr.Record(txtrace.KindTxBegin, t.thr.rt.clk.Now(), uint64(t.serial.Load()), 0)
+		t.tr.Record(txtrace.KindTxBegin, t.thr.rt.Clk.Now(), uint64(t.serial.Load()), 0)
 	}
 	t.joinTx()
 	for t.attempt() {
@@ -325,7 +308,7 @@ func (t *Task) preRestartWait() {
 				t.rendezvous()
 				panic(restartSignal{})
 			}
-			t.workAcc += yieldQuantum
+			t.workAcc += txrt.YieldQuantum
 			runtime.Gosched()
 		}
 		t.waitBeforeRestart = -1
@@ -342,7 +325,7 @@ func (t *Task) preRestartWait() {
 	// transactions relaunch in lockstep and livelock.
 	if n := t.tx.txAborts.Load(); n > 0 {
 		t.cmSelf.Aborts = n
-		y := cm.AbortBackoff(t.thr.rt.cm, &t.cmSelf)
+		y := cm.AbortBackoff(t.thr.rt.CM, &t.cmSelf)
 		// Randomized relaunch jitter on top of whatever the policy
 		// returned. The txSelfAbortDefeats escalation can kill BOTH
 		// sides of a cross-thread lock cycle, and under a policy with
@@ -365,9 +348,9 @@ func (t *Task) begin() {
 	t.readHorizon.Store(t.thr.retireEpoch.Load())
 	t.abortInternal.Store(false)
 	t.lastWriter = t.thr.completedWriter.Load()
-	t.validTS = t.thr.rt.clk.Now()
+	t.validTS = t.thr.rt.Clk.Now()
 	t.mvActive = false
-	if tx := t.tx; tx.readOnly && t.thr.rt.mv != nil && !tx.mvOff.Load() {
+	if tx := t.tx; tx.readOnly && t.thr.rt.MV != nil && !tx.mvOff.Load() {
 		// Wait-free read-only mode: every task of the transaction reads
 		// at one frozen snapshot (the first beginner's clock sample), so
 		// the commit-time read-only fast path needs no validation even
@@ -382,10 +365,10 @@ func (t *Task) begin() {
 			t.checkSignals()
 			runtime.Gosched()
 		}
-		t.validTS = tx.sharedSnapshot(t.thr.rt.clk.Now())
+		t.validTS = tx.sharedSnapshot(t.thr.rt.Clk.Now())
 		t.mvActive = true
 	}
-	t.workAcc += taskStartCost
+	t.workAcc += txrt.TxStartCost
 	t.readLog.Reset()
 	t.writeLog.Reset()
 	t.allocs = t.allocs[:0]
@@ -405,7 +388,7 @@ func (t *Task) begin() {
 func (t *Task) undoAttempt() {
 	t.unwindWrites()
 	for _, a := range t.allocs {
-		t.thr.rt.alloc.Free(a)
+		t.thr.rt.Alloc.Free(a)
 	}
 	t.allocs = t.allocs[:0]
 	// The attempt's read log is dead: it will never be validated again
@@ -613,7 +596,7 @@ func (t *Task) Load(a tm.Addr) uint64 {
 func (t *Task) waitCompleted(serial int64) {
 	for t.thr.completedTask.Load() < serial {
 		t.checkSignals()
-		t.workAcc += yieldQuantum
+		t.workAcc += txrt.YieldQuantum
 		runtime.Gosched()
 	}
 }
@@ -642,7 +625,7 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 			runtime.Gosched()
 			continue
 		}
-		val := t.thr.rt.store.LoadWord(a)
+		val := t.thr.rt.Store.LoadWord(a)
 		if p.R.Load() != v1 {
 			continue
 		}
@@ -691,7 +674,7 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 		}
 		v1 := p.R.Load()
 		if v1 != locktable.Locked && v1 <= t.validTS {
-			val := t.thr.rt.store.LoadWord(a)
+			val := t.thr.rt.Store.LoadWord(a)
 			if p.R.Load() == v1 {
 				t.mvReads++
 				if t.traced {
@@ -701,7 +684,7 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 			}
 			continue
 		}
-		if val, from, ok := t.thr.rt.mv.ReadAt(a, t.validTS); ok {
+		if val, from, ok := t.thr.rt.MV.ReadAt(a, t.validTS); ok {
 			t.mvReads++
 			if t.traced {
 				// Clock carries the served version's birth stamp, not the
@@ -714,7 +697,7 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 			// A commit holds the r-lock for a bounded publish window; it
 			// may hand the version store exactly the displaced value the
 			// snapshot needs. Waiting on it costs parallel time.
-			t.workAcc += yieldQuantum
+			t.workAcc += txrt.YieldQuantum
 			runtime.Gosched()
 			continue
 		}
@@ -746,12 +729,12 @@ func (t *Task) mvFallback() {
 // extension would stay forever ahead of valid-ts and the read would
 // livelock.
 func (t *Task) extendTo(witness uint64) bool {
-	ts := t.thr.rt.clk.Observe(witness, &t.clkProbe)
+	ts := t.thr.rt.Clk.Observe(witness, &t.clkProbe)
 	for i, re := range t.readLog.Entries() {
 		if re.Version == noVersion {
 			continue
 		}
-		if i%validationStride == 0 {
+		if i%txrt.ValidationStride == 0 {
 			t.workAcc++
 		}
 		cur := re.Pair.R.Load()
@@ -790,7 +773,7 @@ func (t *Task) extendTo(witness uint64) bool {
 // committed (chain unlocked) invalidates the read.
 func (t *Task) validateTask() bool {
 	for i, re := range t.readLog.Entries() {
-		if i%validationStride == 0 {
+		if i%txrt.ValidationStride == 0 {
 			t.workAcc++
 		}
 		if t.firstPastOf(re.Pair.W.Load()) != re.FirstPast {
@@ -851,7 +834,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			t.cmSelf.Defeats = int(t.tx.cmDefeats.Load())
 			t.cmSelf.Completed = t.thr.completedTask.Load()
 			t.cmSelf.Waited = waited
-			dec := cm.Resolve(t.thr.rt.cm, &t.cmSelf, e.Owner)
+			dec := cm.Resolve(t.thr.rt.CM, &t.cmSelf, e.Owner)
 			if t.traced {
 				t.tr.Record(txtrace.KindCMDecision, t.validTS, uint64(a),
 					txtrace.CMAux(int(dec), int(cm.PointEncounter)))
@@ -861,7 +844,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 				t.noteConflict(a)
 				defeats := t.tx.cmDefeats.Add(1)
 				t.cmSelf.Aborts = uint64(defeats)
-				t.backoff = cm.AbortBackoff(t.thr.rt.cm, &t.cmSelf)
+				t.backoff = cm.AbortBackoff(t.thr.rt.CM, &t.cmSelf)
 				// A task-level restart does not release the locks held
 				// by this transaction's OTHER tasks, so a policy that
 				// never aborts owners (suicide, backoff) would leave a
@@ -891,7 +874,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// this transaction's sibling tasks, and those are exactly
 			// what the entrant can be stuck behind. Transactions already
 			// under the gate are exempt.
-			if gatePendingBreak && !t.tx.inSerial && t.thr.rt.gate.Pending() {
+			if gatePendingBreak && !t.tx.inSerial && t.thr.rt.Gate.Pending() {
 				t.noteConflict(a)
 				if t.traced {
 					t.tr.Record(txtrace.KindAbort, t.validTS, uint64(ser), txtrace.AbortCM)
@@ -902,7 +885,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// round; waiting on another thread's lock costs parallel
 			// time (about one quantum of owner progress per round).
 			waited++
-			t.workAcc += yieldQuantum
+			t.workAcc += txrt.YieldQuantum
 			runtime.Gosched()
 			continue
 		}
@@ -911,7 +894,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// in the wrong in program order; signal it to abort and
 			// wait for the chain to unwind (Alg. 2 lines 46–48).
 			e.Owner.AbortInternal.Store(true)
-			t.workAcc += yieldQuantum
+			t.workAcc += txrt.YieldQuantum
 			runtime.Gosched()
 			continue
 		}
@@ -985,7 +968,7 @@ func (t *Task) Retry() {
 	}
 	tx := t.tx
 	if tx.startSerial != tx.commitSerial {
-		cfg := &t.thr.rt.modeCfg
+		cfg := &t.thr.rt.ModeCfg
 		if t.backoff == 0 {
 			t.backoff = cfg.SpinInit
 		} else if t.backoff < cfg.SpinCell {
@@ -1001,7 +984,7 @@ func (t *Task) Retry() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
 	}
 	if fp != 0 {
-		hub := t.thr.rt.hub
+		hub := t.thr.rt.Hub
 		hub.Subscribe(&t.waiter, fp)
 		valid := true
 		for _, re := range t.readLog.Entries() {
@@ -1034,27 +1017,27 @@ func (t *Task) Retry() {
 func (t *Task) parkRetry() {
 	t.parkPending = false
 	if t.traced {
-		t.tr.Record(txtrace.KindRetryPark, t.thr.rt.clk.Now(), uint64(t.parkFP), 0)
+		t.tr.Record(txtrace.KindRetryPark, t.thr.rt.Clk.Now(), uint64(t.parkFP), 0)
 	}
 	gated := t.tx.inSerial
 	if gated {
-		t.thr.rt.gate.Exit()
+		t.thr.rt.Gate.Exit()
 	}
 	t.waiter.Park()
-	t.thr.rt.hub.Unsubscribe(&t.waiter)
+	t.thr.rt.Hub.Unsubscribe(&t.waiter)
 	if gated {
-		t.thr.rt.gate.Enter()
+		t.thr.rt.Gate.Enter()
 	}
 	t.retryWakes++
 	if t.traced {
-		t.tr.Record(txtrace.KindRetryPark, t.thr.rt.clk.Now(), uint64(t.parkFP), 1)
+		t.tr.Record(txtrace.KindRetryPark, t.thr.rt.Clk.Now(), uint64(t.parkFP), 1)
 	}
 }
 
 // Alloc implements tm.Tx; the block is reclaimed if the attempt aborts.
 func (t *Task) Alloc(n int) tm.Addr {
 	t.workAcc++
-	a := t.thr.rt.alloc.Alloc(n)
+	a := t.thr.rt.Alloc.Alloc(n)
 	t.allocs = append(t.allocs, a)
 	return a
 }

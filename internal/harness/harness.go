@@ -29,7 +29,7 @@ import (
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
-	"tlstm/internal/txstats"
+	"tlstm/internal/txrt"
 	"tlstm/internal/wtstm"
 )
 
@@ -72,89 +72,36 @@ func (w Workload) declaredRO(thread, idx int) bool {
 	return w.ReadOnly != nil && w.ReadOnly(thread, idx)
 }
 
-// Result is one configuration's measurement.
+// Result is one configuration's measurement: the run's identity and
+// configuration labels, the engine kit's shared statistics summed over
+// the run's threads (txrt.Stats — for TLSTM, Commits/Aborts are
+// committed user-transactions and whole-transaction aborts, and the
+// per-transaction histograms are per task), and the TLSTM-only counters.
 type Result struct {
 	Label        string
 	Ops          uint64
-	VirtualUnits uint64
+	VirtualUnits uint64 // the slowest thread's virtual time (threads run in parallel)
 	Wall         time.Duration
-	TxCommitted  uint64
-	TxAborted    uint64
-	TaskRestarts uint64
-	// Scheduler counters (TLSTM runs only): worker goroutines spawned
-	// across all threads — at most threads×SpecDepth for the whole run —
+
+	// Clock, CM, MV, Shards, Placement and Mode name the configuration
+	// the run used: commit-clock strategy, contention-management policy,
+	// retained version depth (0 = off), lock-table shard count (1 =
+	// flat), thread-placement policy, execution-mode policy.
+	Clock     string
+	CM        string
+	MV        int
+	Shards    int
+	Placement string
+	Mode      string
+
+	txrt.Stats
+
+	// TLSTM runs only: single-task rollbacks, worker goroutines spawned
+	// across all threads (at most threads×SpecDepth for the whole run),
 	// and task/transaction descriptors served from the recycled rings.
+	TaskRestarts     uint64
 	WorkersSpawned   uint64
 	DescriptorReuses uint64
-	// Clock is the commit-clock strategy the run used ("gv4",
-	// "deferred", "sharded", "gv7"); SnapshotExtensions and
-	// ClockCASRetries are the strategy's costs — extra snapshot
-	// revalidations and clock CAS spins — folded from the per-thread
-	// stats shards.
-	Clock              string
-	SnapshotExtensions uint64
-	ClockCASRetries    uint64
-	// CM is the contention-management policy the run used ("suicide",
-	// "backoff", "greedy", "karma", "taskaware");
-	// CMAbortsSelf counts lost conflicts (one AbortSelf decision each),
-	// CMAbortsOwner counts AbortOwner decisions — re-issued every round
-	// a requester waits for the signalled owner to concede, so it
-	// measures rounds spent winning rather than distinct conflicts —
-	// and BackoffSpins the scheduler yields the policy charged between
-	// retries; all folded from the per-thread stats shards.
-	CM            string
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims counts write-lock entries recycled from the
-	// runtimes' entry pools instead of the heap (for TLSTM, under the
-	// epoch-based quiescence horizon); HorizonStalls counts entry
-	// requests the horizon forced to allocate fresh — the measured cost
-	// of the reclamation safety rule. Folded from the per-thread stats
-	// shards.
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// Shards is the run's lock-table shard count (1 = flat) and
-	// Placement the thread-placement policy ("static" round-robin or
-	// "affinity"). CrossShardConflicts counts conflicts attributed to a
-	// shard other than the conflicting thread's home at conflict time;
-	// Remaps counts affinity home rebinds. Folded from the per-thread
-	// conflict sketches.
-	Shards              int
-	Placement           string
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// MV is the runtime's retained version depth (0 when
-	// multi-versioning is off). MVReads counts loads served on the
-	// wait-free multi-version path; MVMisses counts declared read-only
-	// transactions that left it (ring overruns, writes under a
-	// read-only declaration) and re-executed validated.
-	MV       int
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSets and WriteSets are the per-committed-transaction (per
-	// task, for TLSTM) set-size histograms folded from the runtimes'
-	// stats shards. Multi-version reads are unlogged, so a read-mostly
-	// run with mv on shows its read-set mass collapse into bucket 0.
-	ReadSets  txstats.Hist
-	WriteSets txstats.Hist
-	// RestartLatency and CommitLatency are nanosecond histograms of the
-	// time burned per aborted attempt and spent by each final successful
-	// attempt; Attempts is the attempts-per-committed-transaction
-	// distribution (1 = first-try commit). All folded from the runtimes'
-	// stats shards.
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// Mode is the run's execution-mode policy ("spec", "adaptive",
-	// "serial"); ModeFallbacks counts speculative→serialized ladder
-	// transitions, ModeRecoveries the returns to speculation, and
-	// RetryWakes the Retry parks woken by a conflicting commit. Folded
-	// from the per-thread stats shards.
-	Mode           string
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
 }
 
 // Throughput reports application operations per 1000 virtual work units
@@ -173,7 +120,7 @@ func (r Result) Throughput() float64 {
 // counts).
 func (r Result) String() string {
 	s := fmt.Sprintf("%-22s ops=%-8d tput=%8.3f vtime=%-10d txAbort=%-5d taskRestart=%-6d wall=%s",
-		r.Label, r.Ops, r.Throughput(), r.VirtualUnits, r.TxAborted, r.TaskRestarts, r.Wall.Round(time.Millisecond))
+		r.Label, r.Ops, r.Throughput(), r.VirtualUnits, r.Aborts, r.TaskRestarts, r.Wall.Round(time.Millisecond))
 	if r.WorkersSpawned > 0 || r.DescriptorReuses > 0 {
 		s += fmt.Sprintf(" workers=%-3d descReuse=%d", r.WorkersSpawned, r.DescriptorReuses)
 	}
@@ -192,7 +139,7 @@ func (r Result) String() string {
 	}
 	if r.MV > 0 || r.MVReads > 0 || r.MVMisses > 0 {
 		s += fmt.Sprintf(" mv=%d mvRead=%-7d mvMiss=%-4d rset[%s] wset[%s]",
-			r.MV, r.MVReads, r.MVMisses, r.ReadSets, r.WriteSets)
+			r.MV, r.MVReads, r.MVMisses, r.ReadSetSizes, r.WriteSetSizes)
 	}
 	if r.CommitLatency.Total() > 0 {
 		s += fmt.Sprintf(" commitLat[%s] attempts[%s]", r.CommitLatency, r.Attempts)
@@ -208,41 +155,19 @@ func (r Result) String() string {
 	return s
 }
 
-// RunSTM executes the workload on a fresh-thread pool over the SwissTM
-// baseline: each TxSeq runs as one flat transaction. Every thread runs
-// on its own stm.Worker, so statistics accumulate into unshared shards
-// (merged into the runtime aggregate at worker exit) and the hot path
-// reuses one pooled transaction descriptor per thread.
-func RunSTM(rt *stm.Runtime, w Workload) Result {
-	start := time.Now()
-	workers := make([]*stm.Worker, w.Threads)
-	for th := range workers {
-		workers[th] = rt.NewWorker()
-	}
-	var wg sync.WaitGroup
-	for th := 0; th < w.Threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			wk := workers[th]
-			for i := 0; i < w.TxPerThread; i++ {
-				seq := w.Make(th, i)
-				run := func(tx *stm.Tx) {
-					for _, body := range seq {
-						body(tx)
-					}
-				}
-				if w.declaredRO(th, i) {
-					wk.AtomicRO(run)
-				} else {
-					wk.Atomic(run)
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
+// configured is what every runtime reports about its configuration
+// (txrt.Env's accessors).
+type configured interface {
+	ClockName() string
+	CMName() string
+	MVDepth() int
+	Shards() int
+	PlacementName() string
+}
 
-	res := Result{
+// newResult starts a run's Result row.
+func newResult(w Workload, rt configured, start time.Time) Result {
+	return Result{
 		Label:     w.Name,
 		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
 		Wall:      time.Since(start),
@@ -252,59 +177,25 @@ func RunSTM(rt *stm.Runtime, w Workload) Result {
 		Shards:    rt.Shards(),
 		Placement: rt.PlacementName(),
 	}
-	for _, wk := range workers {
-		st := wk.Stats()
-		res.TxCommitted += st.Commits
-		res.TxAborted += st.Aborts
-		res.CrossShardConflicts += st.CrossShardConflicts
-		res.Remaps += st.Remaps
-		res.SnapshotExtensions += st.SnapshotExtensions
-		res.ClockCASRetries += st.ClockCASRetries
-		res.CMAbortsSelf += st.CMAbortsSelf
-		res.CMAbortsOwner += st.CMAbortsOwner
-		res.BackoffSpins += st.BackoffSpins
-		res.EntryReclaims += st.EntryReclaims
-		res.HorizonStalls += st.HorizonStalls
-		res.MVReads += st.MVReads
-		res.MVMisses += st.MVMisses
-		res.ModeFallbacks += st.ModeFallbacks
-		res.ModeRecoveries += st.ModeRecoveries
-		res.RetryWakes += st.RetryWakes
-		res.ReadSets.Merge(st.ReadSetSizes)
-		res.WriteSets.Merge(st.WriteSetSizes)
-		res.RestartLatency.Merge(st.RestartLatency)
-		res.CommitLatency.Merge(st.CommitLatency)
-		res.Attempts.Merge(st.Attempts)
-		if st.Work > res.VirtualUnits {
-			res.VirtualUnits = st.Work // threads run in parallel
-		}
-		wk.Close() // merge the shard into the runtime aggregate
-	}
-	return res
 }
 
-// flatStats is the counter set a flat (non-speculative) runtime folds
-// into a Result; see runFlat.
-type flatStats struct {
-	commits, aborts, work, extensions, clockRetries uint64
-	cmAbortsSelf, cmAbortsOwner, backoffSpins       uint64
-	entryReclaims, horizonStalls                    uint64
-	mvReads, mvMisses                               uint64
-	readSets, writeSets                             txstats.Hist
-	restartLat, commitLat, attempts                 txstats.Hist
-	crossShardConflicts, remaps                     uint64
-	modeFallbacks, modeRecoveries, retryWakes       uint64
+// flatThread is one thread of a flat-transaction runtime as runFlat
+// drives it: run executes one transaction (declared read-only or not),
+// stats returns the thread's shard once the thread is done.
+type flatThread struct {
+	run   func(body func(tm.Tx), ro bool)
+	stats func() txrt.Stats
 }
 
 // runFlat drives a flat-transaction runtime: one goroutine per thread,
-// each TxSeq concatenated into one transaction (routed through atomicRO
-// when the workload declares it read-only), per-thread statistics
-// extracted into the shared Result shape. RunTL2 and RunWTSTM are thin
-// wrappers so the fan-out/fold logic exists once.
-func runFlat[S any](w Workload, clockName, cmName string, mvDepth, shards int, placement string,
-	atomic, atomicRO func(st *S, run func(tm.Tx)), extract func(S) flatStats) Result {
+// each TxSeq concatenated into one transaction (declared read-only when
+// the workload says so), the per-thread shards folded into the Result.
+func runFlat(w Workload, rt configured, newThread func() flatThread) Result {
 	start := time.Now()
-	stats := make([]S, w.Threads)
+	threads := make([]flatThread, w.Threads)
+	for th := range threads {
+		threads[th] = newThread()
+	}
 	var wg sync.WaitGroup
 	for th := 0; th < w.Threads; th++ {
 		wg.Add(1)
@@ -312,100 +203,83 @@ func runFlat[S any](w Workload, clockName, cmName string, mvDepth, shards int, p
 			defer wg.Done()
 			for i := 0; i < w.TxPerThread; i++ {
 				seq := w.Make(th, i)
-				run := func(tx tm.Tx) {
+				threads[th].run(func(tx tm.Tx) {
 					for _, body := range seq {
 						body(tx)
 					}
-				}
-				if w.declaredRO(th, i) {
-					atomicRO(&stats[th], run)
-				} else {
-					atomic(&stats[th], run)
-				}
+				}, w.declaredRO(th, i))
 			}
 		}(th)
 	}
 	wg.Wait()
 
-	res := Result{
-		Label:     w.Name,
-		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
-		Wall:      time.Since(start),
-		Clock:     clockName,
-		CM:        cmName,
-		MV:        mvDepth,
-		Shards:    shards,
-		Placement: placement,
-	}
-	for _, s := range stats {
-		st := extract(s)
-		res.TxCommitted += st.commits
-		res.TxAborted += st.aborts
-		res.CrossShardConflicts += st.crossShardConflicts
-		res.Remaps += st.remaps
-		res.SnapshotExtensions += st.extensions
-		res.ClockCASRetries += st.clockRetries
-		res.CMAbortsSelf += st.cmAbortsSelf
-		res.CMAbortsOwner += st.cmAbortsOwner
-		res.BackoffSpins += st.backoffSpins
-		res.EntryReclaims += st.entryReclaims
-		res.HorizonStalls += st.horizonStalls
-		res.MVReads += st.mvReads
-		res.MVMisses += st.mvMisses
-		res.ModeFallbacks += st.modeFallbacks
-		res.ModeRecoveries += st.modeRecoveries
-		res.RetryWakes += st.retryWakes
-		res.ReadSets.Merge(st.readSets)
-		res.WriteSets.Merge(st.writeSets)
-		res.RestartLatency.Merge(st.restartLat)
-		res.CommitLatency.Merge(st.commitLat)
-		res.Attempts.Merge(st.attempts)
-		if st.work > res.VirtualUnits {
-			res.VirtualUnits = st.work // threads run in parallel
-		}
+	res := newResult(w, rt, start)
+	for _, t := range threads {
+		st := t.stats()
+		res.Stats.Add(st)
+		res.VirtualUnits = max(res.VirtualUnits, st.Work)
 	}
 	return res
 }
 
-// RunTL2 executes the workload on the TL2 baseline.
-func RunTL2(rt *tl2.Runtime, w Workload) Result {
-	return runFlat(w, rt.ClockName(), rt.CMName(), rt.MVDepth(), rt.Shards(), rt.PlacementName(),
-		func(st *tl2.Stats, run func(tm.Tx)) {
-			rt.Atomic(st, func(tx *tl2.Tx) { run(tx) })
-		},
-		func(st *tl2.Stats, run func(tm.Tx)) {
-			rt.AtomicRO(st, func(tx *tl2.Tx) { run(tx) })
-		},
-		func(st tl2.Stats) flatStats {
-			return flatStats{st.Commits, st.Aborts, st.Work, st.SnapshotExtensions, st.ClockCASRetries,
-				st.CMAbortsSelf, st.CMAbortsOwner, st.BackoffSpins,
-				st.EntryReclaims, st.HorizonStalls,
-				st.MVReads, st.MVMisses, st.ReadSetSizes, st.WriteSetSizes,
-				st.RestartLatency, st.CommitLatency, st.Attempts,
-				st.CrossShardConflicts, st.Remaps,
-				st.ModeFallbacks, st.ModeRecoveries, st.RetryWakes}
-		})
+// RunSTM executes the workload over the SwissTM baseline. Every thread
+// runs on its own stm.Worker, so statistics accumulate into unshared
+// shards (merged into the runtime aggregate at the end) and the hot path
+// reuses one pooled transaction descriptor per thread.
+func RunSTM(rt *stm.Runtime, w Workload) Result {
+	return runFlat(w, rt, func() flatThread {
+		wk := rt.NewWorker()
+		return flatThread{
+			run: func(body func(tm.Tx), ro bool) {
+				fn := func(tx *stm.Tx) { body(tx) }
+				if ro {
+					wk.AtomicRO(fn)
+				} else {
+					wk.Atomic(fn)
+				}
+			},
+			stats: func() txrt.Stats {
+				st := wk.Stats()
+				wk.Close() // merge the shard into the runtime aggregate
+				return st
+			},
+		}
+	})
 }
 
-// RunWTSTM executes the workload on the write-through STM.
-func RunWTSTM(rt *wtstm.Runtime, w Workload) Result {
-	return runFlat(w, rt.ClockName(), rt.CMName(), rt.MVDepth(), rt.Shards(), rt.PlacementName(),
-		func(st *wtstm.Stats, run func(tm.Tx)) {
-			rt.Atomic(st, func(tx *wtstm.Tx) { run(tx) })
-		},
-		func(st *wtstm.Stats, run func(tm.Tx)) {
-			rt.AtomicRO(st, func(tx *wtstm.Tx) { run(tx) })
-		},
-		func(st wtstm.Stats) flatStats {
-			return flatStats{st.Commits, st.Aborts, st.Work, st.SnapshotExtensions, st.ClockCASRetries,
-				st.CMAbortsSelf, st.CMAbortsOwner, st.BackoffSpins,
-				st.EntryReclaims, st.HorizonStalls,
-				st.MVReads, st.MVMisses, st.ReadSetSizes, st.WriteSetSizes,
-				st.RestartLatency, st.CommitLatency, st.Attempts,
-				st.CrossShardConflicts, st.Remaps,
-				st.ModeFallbacks, st.ModeRecoveries, st.RetryWakes}
-		})
+// shardRuntime is a flat runtime whose logical thread is the caller's
+// stats shard (tl2, wtstm); T is its transaction descriptor.
+type shardRuntime[T any] interface {
+	configured
+	Atomic(st *txrt.Stats, fn func(tx *T))
+	AtomicRO(st *txrt.Stats, fn func(tx *T))
 }
+
+func runSharded[T any, PT interface {
+	*T
+	tm.Tx
+}](rt shardRuntime[T], w Workload) Result {
+	return runFlat(w, rt, func() flatThread {
+		st := new(txrt.Stats)
+		return flatThread{
+			run: func(body func(tm.Tx), ro bool) {
+				fn := func(tx *T) { body(PT(tx)) }
+				if ro {
+					rt.AtomicRO(st, fn)
+				} else {
+					rt.Atomic(st, fn)
+				}
+			},
+			stats: func() txrt.Stats { return *st },
+		}
+	})
+}
+
+// RunTL2 executes the workload on the TL2 baseline.
+func RunTL2(rt *tl2.Runtime, w Workload) Result { return runSharded[tl2.Tx](rt, w) }
+
+// RunWTSTM executes the workload on the write-through STM.
+func RunWTSTM(rt *wtstm.Runtime, w Workload) Result { return runSharded[wtstm.Tx](rt, w) }
 
 // RunTLSTM executes the workload over TLSTM: each TxSeq element becomes
 // one speculative task. The runtime's SpecDepth must be at least the
@@ -444,45 +318,16 @@ func RunTLSTM(rt *core.Runtime, w Workload) Result {
 	}
 	wg.Wait()
 
-	res := Result{
-		Label:     w.Name,
-		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
-		Wall:      time.Since(start),
-		Clock:     rt.ClockName(),
-		CM:        rt.CMName(),
-		MV:        rt.MVDepth(),
-		Shards:    rt.Shards(),
-		Placement: rt.PlacementName(),
-	}
+	res := newResult(w, rt, start)
 	for _, thr := range threads {
 		st := thr.Stats()
-		res.TxCommitted += st.TxCommitted
-		res.TxAborted += st.TxAborted
+		res.Commits += st.TxCommitted
+		res.Aborts += st.TxAborted
+		res.Counters.Add(st.Counters)
 		res.TaskRestarts += st.TaskRestarts
-		res.CrossShardConflicts += st.CrossShardConflicts
-		res.Remaps += st.Remaps
 		res.WorkersSpawned += st.WorkersSpawned
 		res.DescriptorReuses += st.DescriptorReuses
-		res.SnapshotExtensions += st.SnapshotExtensions
-		res.ClockCASRetries += st.ClockCASRetries
-		res.CMAbortsSelf += st.CMAbortsSelf
-		res.CMAbortsOwner += st.CMAbortsOwner
-		res.BackoffSpins += st.BackoffSpins
-		res.EntryReclaims += st.EntryReclaims
-		res.HorizonStalls += st.HorizonStalls
-		res.MVReads += st.MVReads
-		res.MVMisses += st.MVMisses
-		res.ModeFallbacks += st.ModeFallbacks
-		res.ModeRecoveries += st.ModeRecoveries
-		res.RetryWakes += st.RetryWakes
-		res.ReadSets.Merge(st.ReadSetSizes)
-		res.WriteSets.Merge(st.WriteSetSizes)
-		res.RestartLatency.Merge(st.RestartLatency)
-		res.CommitLatency.Merge(st.CommitLatency)
-		res.Attempts.Merge(st.Attempts)
-		if st.VirtualTime > res.VirtualUnits {
-			res.VirtualUnits = st.VirtualTime
-		}
+		res.VirtualUnits = max(res.VirtualUnits, st.VirtualTime)
 	}
 	return res
 }

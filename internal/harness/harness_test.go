@@ -42,8 +42,8 @@ func TestRunSTMExecutesAllTransactions(t *testing.T) {
 	if got := rt.Direct().Load(a); got != 3*2*10 {
 		t.Fatalf("counter = %d, want %d", got, 3*2*10)
 	}
-	if r.TxCommitted != 30 {
-		t.Fatalf("TxCommitted = %d, want 30", r.TxCommitted)
+	if r.Commits != 30 {
+		t.Fatalf("Commits = %d, want 30", r.Commits)
 	}
 	if r.VirtualUnits == 0 || r.Throughput() <= 0 {
 		t.Fatal("virtual time not recorded")
@@ -57,8 +57,8 @@ func TestRunTLSTMExecutesAllTransactions(t *testing.T) {
 	if got := rt.Direct().Load(a); got != 2*2*8 {
 		t.Fatalf("counter = %d, want %d", got, 2*2*8)
 	}
-	if r.TxCommitted != 16 {
-		t.Fatalf("TxCommitted = %d, want 16", r.TxCommitted)
+	if r.Commits != 16 {
+		t.Fatalf("Commits = %d, want 16", r.Commits)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestRunTL2ExecutesAllTransactions(t *testing.T) {
 	if got := rt.Direct().Load(a); got != 3*2*10 {
 		t.Fatalf("counter = %d, want %d", got, 3*2*10)
 	}
-	if r.TxCommitted != 30 || r.VirtualUnits == 0 {
+	if r.Commits != 30 || r.VirtualUnits == 0 {
 		t.Fatalf("bad result: %+v", r)
 	}
 	if r.Clock != "gv4" {
@@ -84,7 +84,7 @@ func TestRunWTSTMExecutesAllTransactions(t *testing.T) {
 	if got := rt.Direct().Load(a); got != 3*2*10 {
 		t.Fatalf("counter = %d, want %d", got, 3*2*10)
 	}
-	if r.TxCommitted != 30 || r.VirtualUnits == 0 {
+	if r.Commits != 30 || r.VirtualUnits == 0 {
 		t.Fatalf("bad result: %+v", r)
 	}
 }
@@ -106,7 +106,7 @@ func TestCompareClocksMatrix(t *testing.T) {
 			t.Fatalf("duplicate label %q", r.Label)
 		}
 		labels[r.Label] = true
-		if r.TxCommitted == 0 {
+		if r.Commits == 0 {
 			t.Fatalf("%s committed nothing", r.Label)
 		}
 		if r.Clock == "" {
@@ -153,7 +153,7 @@ func TestCompareCMMatrix(t *testing.T) {
 			t.Fatalf("duplicate label %q", r.Label)
 		}
 		labels[r.Label] = true
-		if r.TxCommitted == 0 {
+		if r.Commits == 0 {
 			t.Fatalf("%s committed nothing", r.Label)
 		}
 		if r.CM == "" {
@@ -186,7 +186,7 @@ func TestCompareModesMatrix(t *testing.T) {
 			t.Fatalf("duplicate label %q", r.Label)
 		}
 		labels[r.Label] = true
-		if r.TxCommitted == 0 {
+		if r.Commits == 0 {
 			t.Fatalf("%s committed nothing", r.Label)
 		}
 		if r.Mode == "" {
@@ -339,8 +339,8 @@ func TestCompareSchedPolicies(t *testing.T) {
 		t.Fatalf("CompareSched returned %d results", len(rs))
 	}
 	pooled, inline := rs[0], rs[1]
-	if pooled.TxCommitted != 400 || inline.TxCommitted != 400 {
-		t.Fatalf("commits: pooled=%d inline=%d, want 400 each", pooled.TxCommitted, inline.TxCommitted)
+	if pooled.Commits != 400 || inline.Commits != 400 {
+		t.Fatalf("commits: pooled=%d inline=%d, want 400 each", pooled.Commits, inline.Commits)
 	}
 	if inline.WorkersSpawned != 0 {
 		t.Fatalf("inline run spawned %d workers", inline.WorkersSpawned)
@@ -372,8 +372,8 @@ func TestCompareMVMatrix(t *testing.T) {
 			t.Fatalf("duplicate label %q", r.Label)
 		}
 		labels[r.Label] = true
-		if r.TxCommitted != 2*200 {
-			t.Fatalf("%s committed %d, want 400", r.Label, r.TxCommitted)
+		if r.Commits != 2*200 {
+			t.Fatalf("%s committed %d, want 400", r.Label, r.Commits)
 		}
 		if r.MV == 0 {
 			if r.MVReads != 0 || r.MVMisses != 0 {
@@ -386,7 +386,7 @@ func TestCompareMVMatrix(t *testing.T) {
 		if !strings.Contains(r.String(), "mv=") {
 			t.Fatalf("%s: Result.String does not surface mv counters: %q", r.Label, r.String())
 		}
-		if r.ReadSets[0] == 0 {
+		if r.ReadSetSizes[0] == 0 {
 			t.Fatalf("%s: no read-only transaction landed in the empty-read-set bucket", r.Label)
 		}
 	}
@@ -418,8 +418,8 @@ func TestCompareShardsMatrix(t *testing.T) {
 			t.Fatalf("duplicate label %q", r.Label)
 		}
 		labels[r.Label] = true
-		if r.TxCommitted != 2*120 {
-			t.Fatalf("%s committed %d, want 240", r.Label, r.TxCommitted)
+		if r.Commits != 2*120 {
+			t.Fatalf("%s committed %d, want 240", r.Label, r.Commits)
 		}
 		if !strings.Contains(r.Label, fmt.Sprintf("/s%d/", r.Shards)) ||
 			!strings.HasSuffix(r.Label, "/"+r.Placement) {

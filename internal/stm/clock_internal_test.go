@@ -31,8 +31,8 @@ func TestDeferredStampRequiresExtension(t *testing.T) {
 		// The read returned, so the snapshot must now cover the stamp:
 		// the published version is ahead of the begin-time clock and is
 		// only reachable through extendTo/Observe.
-		if tx.validTS <= before && before < tx.rt.clk.Now() {
-			t.Fatalf("validTS did not advance over a pre-published stamp (validTS=%d, clock=%d)", tx.validTS, tx.rt.clk.Now())
+		if tx.validTS <= before && before < tx.rt.Clk.Now() {
+			t.Fatalf("validTS did not advance over a pre-published stamp (validTS=%d, clock=%d)", tx.validTS, tx.rt.Clk.Now())
 		}
 	})
 	if st.SnapshotExtensions == 0 {
@@ -70,7 +70,7 @@ func TestSnapshotNeverCoversFreshStamp(t *testing.T) {
 							t.Errorf("recorded version %d above validTS %d", re.Version, tx.validTS)
 						}
 					}
-					if now := rt.clk.Now(); tx.validTS > now {
+					if now := rt.Clk.Now(); tx.validTS > now {
 						t.Errorf("validTS %d ran ahead of the clock %d", tx.validTS, now)
 					}
 				})

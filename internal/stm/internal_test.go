@@ -5,6 +5,7 @@ import (
 
 	"tlstm/internal/locktable"
 	"tlstm/internal/tm"
+	"tlstm/internal/txrt"
 )
 
 // White-box tests for SwissTM's validation and locking internals.
@@ -55,7 +56,7 @@ func TestExtendFailsOnOverwrittenRead(t *testing.T) {
 			if tx.extend() {
 				t.Error("extension over an overwritten read must fail")
 			}
-			tx.rollback()
+			tx.abort(0)
 		}
 	})
 	if attempts != 2 {
@@ -147,14 +148,14 @@ func TestWorkChargesIncludeAbortedAttempts(t *testing.T) {
 		attempts++
 		tx.Load(a)
 		if attempts == 1 {
-			tx.rollback() // simulate a conflict-induced retry
+			tx.abort(0) // simulate a conflict-induced retry
 		}
 	})
 	if st.Aborts != 1 {
 		t.Fatalf("Aborts = %d, want 1", st.Aborts)
 	}
 	// Two attempts must be charged at least two tx-start costs.
-	if st.Work < 2*txStartCost {
-		t.Fatalf("Work = %d, want ≥ %d (aborted attempt must be charged)", st.Work, 2*txStartCost)
+	if st.Work < 2*txrt.TxStartCost {
+		t.Fatalf("Work = %d, want ≥ %d (aborted attempt must be charged)", st.Work, 2*txrt.TxStartCost)
 	}
 }

@@ -33,7 +33,7 @@ func TestMVReadOnlyLogsNothing(t *testing.T) {
 	if n := w.tx.writeLog.Len(); n != 0 {
 		t.Fatalf("mv read-only transaction logged %d writes, want 0", n)
 	}
-	if w.tx.extends != 0 {
-		t.Fatalf("mv read-only transaction extended %d times, want 0", w.tx.extends)
+	if w.tx.Extends != 0 {
+		t.Fatalf("mv read-only transaction extended %d times, want 0", w.tx.Extends)
 	}
 }

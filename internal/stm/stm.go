@@ -19,150 +19,69 @@
 //   - write/write conflicts go through a two-phase greedy contention
 //     manager.
 //
-// The transaction-engine bookkeeping (read/write logs, commit scratch,
-// the commit clock, stats sharding) lives in the shared infrastructure
-// packages internal/txlog, internal/clock and internal/txstats; this
-// package contributes only the SwissTM protocol itself. Hot paths are
-// allocation-free at steady state: a Worker owns a pooled transaction
-// descriptor whose logs, scratch buffers and write-lock entries are
-// reused across transactions.
+// Everything that is not the SwissTM protocol — options, statistics,
+// the retry loop, the mode ladder, Retry parking, placement — is the
+// engine kit's (internal/txrt); the logs and the commit clock come from
+// internal/txlog and internal/clock. Hot paths are allocation-free at
+// steady state: a Worker owns a pooled transaction descriptor whose
+// logs, scratch buffers and write-lock entries are reused across
+// transactions.
 package stm
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
 
-// Option configures a Runtime.
-type Option func(*config)
+// Option configures a Runtime; the shared options are the engine kit's.
+type Option = txrt.Option
 
-type config struct {
-	lockTableBits int
-	shards        int
-	affinity      bool
-	padded        bool
-	clk           clock.Source
-	pol           cm.Policy
-	mvDepth       int
-	trace         *txtrace.Recorder
-	mode          mode.Config
-}
+var (
+	WithClock        = txrt.WithClock
+	WithCM           = txrt.WithCM // default: SwissTM's two-phase greedy manager
+	WithMultiVersion = txrt.WithMultiVersion
+	WithTrace        = txrt.WithTrace
+	WithShards       = txrt.WithShards
+	WithAffinity     = txrt.WithAffinity
+	WithMode         = txrt.WithMode
+)
 
 // DefaultLockTableBits is the lock-table size (2^bits pairs) used when
 // WithLockTableBits is not given; the other runtimes' constructors and
 // the harness use it as the common geometry.
-const DefaultLockTableBits = 20
+const DefaultLockTableBits = txrt.DefaultLockTableBits
 
 // WithLockTableBits sets the lock table to 2^bits pairs.
 func WithLockTableBits(bits int) Option {
-	return func(c *config) { c.lockTableBits = bits }
-}
-
-// WithShards splits the lock table into n contiguous shards (a power of
-// two; 0 and 1 both mean the flat table). Sharding only relabels pairs
-// for conflict attribution and placement — address→pair resolution is
-// identical at every shard count.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
-// WithAffinity replaces the static round-robin thread placement with
-// the conflict-sketch affinity policy (sched.Affinity): workers are
-// periodically rebound toward the shard their aborts concentrate in.
-func WithAffinity(on bool) Option {
-	return func(c *config) { c.affinity = on }
+	return func(c *txrt.Config) { c.LockTableBits = bits }
 }
 
 // WithPaddedLockTable strides lock pairs to one per cache line
 // (locktable.Config.Padded): 4x the table memory for zero false
 // sharing between adjacent pairs.
 func WithPaddedLockTable(on bool) Option {
-	return func(c *config) { c.padded = on }
+	return func(c *txrt.Config) { c.Padded = on }
 }
 
-// WithClock selects the commit-clock strategy (internal/clock). The
-// default is the GV4 fetch-and-add clock.
-func WithClock(src clock.Source) Option {
-	return func(c *config) { c.clk = src }
-}
-
-// WithCM selects the contention-management policy (internal/cm). The
-// default is SwissTM's two-phase greedy manager; nil keeps it.
-func WithCM(pol cm.Policy) Option {
-	return func(c *config) { c.pol = pol }
-}
-
-// WithMultiVersion retains the last k displaced committed versions per
-// word (txlog.VersionedStore) and enables the wait-free read path for
-// transactions run through AtomicRO. k <= 0 disables multi-versioning
-// (the default).
-func WithMultiVersion(k int) Option {
-	return func(c *config) { c.mvDepth = k }
-}
-
-// WithTrace arms flight-recorder tracing: every Worker records its
-// transactional events into its own txtrace ring registered with rec.
-// nil (the default) keeps the no-op tracer and the zero-alloc hot path.
-func WithTrace(rec *txtrace.Recorder) Option {
-	return func(c *config) { c.trace = rec }
-}
-
-// WithMode configures the execution-mode ladder (internal/mode): each
-// Worker owns a controller that, under mode.Adaptive, falls back from
-// speculation to the runtime's serialized gate when the configured
-// contention thresholds trip, and recovers when the storm passes. The
-// default (mode.Speculative) disarms the ladder entirely.
-func WithMode(cfg mode.Config) Option {
-	return func(c *config) { c.mode = cfg }
-}
-
-// Runtime is one SwissTM instance: a word store, an allocator, a lock
-// table, the global commit clock and a contention manager. Independent
-// Runtimes are fully isolated from each other.
+// Runtime is one SwissTM instance: the engine kit's environment (word
+// store, allocator, commit clock, contention manager, ...) plus the
+// lock-pair table. Independent Runtimes are fully isolated from each
+// other.
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
+	txrt.Env
 	locks *locktable.Table
-
-	clk clock.Source
-	cm  cm.Policy
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, is the flight recorder Workers register
-	// their event rings with (WithTrace).
-	trace *txtrace.Recorder
-
-	// modeCfg is the filled ladder configuration Workers build their
-	// controllers from; gate is the serialized-fallback lock and hub
-	// the Retry/Wait registry, both runtime-global.
-	modeCfg mode.Config
-	gate    mode.Gate
-	hub     *mode.WaitHub
-
-	// placement maps workers to home lock-table shards; workers offer
-	// it their conflict-sketch windows at commit boundaries.
-	placement sched.Placement
-
-	// workerIDs hands each Worker a placement identity at creation.
-	workerIDs atomic.Int32
 
 	// stats aggregates the shards merged by Worker.Close (SNIPPETS-style
 	// per-thread stats: workers accumulate unshared, merge at exit).
@@ -175,229 +94,30 @@ type Runtime struct {
 
 // New creates a SwissTM runtime.
 func New(opts ...Option) *Runtime {
-	c := config{lockTableBits: DefaultLockTableBits}
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.clk == nil {
-		c.clk = clock.New(clock.KindGV4)
-	}
-	if c.pol == nil {
-		c.pol = cm.New(cm.KindGreedy)
-	}
-	st := mem.NewStore()
-	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-		locks: locktable.New(locktable.Config{
-			Bits:   c.lockTableBits,
-			Shards: c.shards,
-			Padded: c.padded,
-		}),
-		clk:     c.clk,
-		cm:      c.pol,
-		trace:   c.trace,
-		modeCfg: c.mode.Fill(),
-		hub:     mode.NewWaitHub(),
-	}
-	if c.affinity {
-		rt.placement = sched.NewAffinity(rt.locks.Shards())
-	} else {
-		rt.placement = sched.NewRoundRobin(rt.locks.Shards())
-	}
-	if c.mvDepth > 0 {
-		rt.mv = txlog.NewVersionedStore(c.mvDepth, txlog.DefaultVersionedStoreBits)
-	}
-	if rt.trace != nil {
-		// The opacity checker recomputes lock-table slots and gates its
-		// stamp-uniqueness checks on the clock strategy; the dump's
-		// metadata section is where it learns both.
-		rt.trace.SetMeta("stm.lockbits", strconv.Itoa(c.lockTableBits))
-		rt.trace.SetMeta("stm.clock", rt.clk.Name())
-		rt.trace.SetMeta("stm.exclusive", strconv.FormatBool(rt.clk.Exclusive()))
-		rt.trace.SetMeta("stm.mvdepth", strconv.Itoa(c.mvDepth))
-	}
+	var c txrt.Config
+	c.Apply(opts)
+	rt := &Runtime{}
+	c = rt.Init("stm", mem.NewStore(), c, cm.KindGreedy)
+	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Shards: c.Shards, Padded: c.Padded})
 	return rt
-}
-
-// Shards reports the lock table's shard count.
-func (rt *Runtime) Shards() int { return rt.locks.Shards() }
-
-// PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.placement.Name() }
-
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
-
-// CommitTS exposes the current global commit timestamp (for tests).
-func (rt *Runtime) CommitTS() uint64 { return rt.clk.Now() }
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.cm.Name() }
-
-// Allocator exposes the runtime's allocator for non-transactional setup
-// code (building initial data structures before threads start).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
-
-// Direct returns a non-transactional tm.Tx for single-threaded setup,
-// before any transaction runs.
-func (rt *Runtime) Direct() mem.Direct {
-	return mem.Direct{Mem: rt.store, Al: rt.alloc}
 }
 
 // StoreWordRaw writes a word non-transactionally. It must only be used
 // during single-threaded setup, before transactions run.
-func (rt *Runtime) StoreWordRaw(a tm.Addr, v uint64) { rt.store.StoreWord(a, v) }
+func (rt *Runtime) StoreWordRaw(a tm.Addr, v uint64) { rt.Store.StoreWord(a, v) }
 
 // LoadWordRaw reads a word non-transactionally (setup/verification only).
-func (rt *Runtime) LoadWordRaw(a tm.Addr) uint64 { return rt.store.LoadWord(a) }
+func (rt *Runtime) LoadWordRaw(a tm.Addr) uint64 { return rt.Store.LoadWord(a) }
 
-// Stats accumulates per-worker execution statistics across Atomic calls.
-// Work is in abstract work units (one unit ≈ one TM operation or one
-// validation step, aborted attempts included); the benchmark harness
-// feeds it into the virtual-time model described in DESIGN.md §3.
-type Stats struct {
-	Commits uint64
-	Aborts  uint64
-	Work    uint64
-	// SnapshotExtensions counts successful valid-ts extensions: how
-	// often a read ran past the snapshot and the read log revalidated
-	// forward instead of aborting. Pre-publishing clock strategies
-	// (deferred, sharded) trade commit-path contention for these.
-	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock
-	// operations (internal/clock.Probe), the direct measure of clock
-	// contention under each strategy.
-	ClockCASRetries uint64
-	// CMAbortsSelf counts lost write/write conflicts (one AbortSelf
-	// decision each); CMAbortsOwner counts AbortOwner decisions, one
-	// per round spent waiting for a signalled owner to concede;
-	// BackoffSpins counts the scheduler yields the policy charged
-	// between retries (internal/cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims counts write-lock entries served from the write
-	// log's pool instead of the heap. The baseline recycles entries
-	// unconditionally at attempt boundaries (no quiescence needed:
-	// validation here is version-based, not pointer-based), so
-	// HorizonStalls — requests blocked on TLSTM's reclamation horizon —
-	// is always 0; the field exists so reclamation sweeps report a
-	// uniform column across runtimes.
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// MVReads counts reads served on the multi-version wait-free path
-	// (current version within snapshot, or a retained version covering
-	// it); MVMisses counts read-only transactions that fell off that
-	// path — a version ring overrun or an undeclared write — and re-ran
-	// validated.
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSetSizes and WriteSetSizes histogram the per-committed-
-	// transaction set sizes (logged reads / locked pairs); read-only
-	// transactions on the multi-version path log nothing, so they land
-	// in bucket 0.
-	ReadSetSizes  txstats.Hist
-	WriteSetSizes txstats.Hist
-	// RestartLatency histograms attempt-start → abort deltas in
-	// nanoseconds (one observation per aborted attempt); CommitLatency
-	// histograms attempt-start → commit deltas for the final,
-	// successful attempt. Attempts histograms attempts per committed
-	// transaction (1 = committed first try).
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// ConflictSketch counts aborts and CM defeats per lock-table shard
-	// — the feedback signal the affinity placement policy consumes.
-	// CrossShardConflicts counts the subset that landed outside the
-	// worker's home shard at the time; Remaps counts placement rebinds
-	// (home-shard changes) the worker underwent.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (mid-transaction escalations included) and ModeRecoveries the
-	// returns to speculation; RetryWakes counts Retry parks woken by a
-	// conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
-}
-
-// Add folds o into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Work += o.Work
-	s.SnapshotExtensions += o.SnapshotExtensions
-	s.ClockCASRetries += o.ClockCASRetries
-	s.CMAbortsSelf += o.CMAbortsSelf
-	s.CMAbortsOwner += o.CMAbortsOwner
-	s.BackoffSpins += o.BackoffSpins
-	s.EntryReclaims += o.EntryReclaims
-	s.HorizonStalls += o.HorizonStalls
-	s.MVReads += o.MVReads
-	s.MVMisses += o.MVMisses
-	s.ReadSetSizes.Merge(o.ReadSetSizes)
-	s.WriteSetSizes.Merge(o.WriteSetSizes)
-	s.RestartLatency.Merge(o.RestartLatency)
-	s.CommitLatency.Merge(o.CommitLatency)
-	s.Attempts.Merge(o.Attempts)
-	s.ConflictSketch.Merge(o.ConflictSketch)
-	s.CrossShardConflicts += o.CrossShardConflicts
-	s.Remaps += o.Remaps
-	s.ModeFallbacks += o.ModeFallbacks
-	s.ModeRecoveries += o.ModeRecoveries
-	s.RetryWakes += o.RetryWakes
-}
+// Stats accumulates per-worker execution statistics across Atomic calls
+// (txrt.Stats; EntryReclaims counts write-lock entries served from the
+// write log's pool — the baseline recycles them unconditionally at
+// attempt boundaries, so HorizonStalls stays 0).
+type Stats = txrt.Stats
 
 // Stats returns the runtime-global aggregate: the sum of every shard
 // merged so far by Worker.Close.
 func (rt *Runtime) Stats() Stats { return rt.stats.Snapshot() }
-
-// rollbackSignal is the panic value used internally to unwind a
-// transaction attempt back to the retry loop in Atomic. It never escapes
-// the package: Atomic recovers it. (Panic/recover is the conventional
-// mechanism for non-local abort in Go STMs; user code simply re-runs.)
-type rollbackSignal struct{}
-
-// yieldQuantum is the forced-interleaving grain: a transaction yields
-// the processor every yieldQuantum work units. On the paper's hardware
-// transactions overlap in real time; on a single-CPU simulator a
-// transaction would otherwise run to completion in one scheduler slice
-// and inter-thread contention would never materialize. Waiting on
-// another thread's lock is charged one quantum per spin iteration — the
-// lock owner progresses by about one quantum per scheduler round.
-const yieldQuantum = 64
-
-// txStartCost models transaction setup (descriptor and log
-// initialization, timestamp read) in work units; TLSTM charges the same
-// constant per task, which is what bounds its achievable task-split
-// speedup (paper Fig. 1a tops out well below the task count).
-const txStartCost = 24
-
-// validationStride discounts validation steps: one work unit per this
-// many read-log entries checked. A validation step is a version
-// compare — roughly an order of magnitude cheaper than an instrumented
-// transactional load.
-const validationStride = 8
-
-// tick charges work units and enforces the interleaving grain.
-func (tx *Tx) tick(units uint64) {
-	tx.work += units
-	if tx.work%yieldQuantum < units {
-		runtime.Gosched()
-	}
-}
 
 // Tx is one transaction descriptor. It implements tm.Tx. A Tx is only
 // valid inside the function passed to Atomic and must not be retained
@@ -412,78 +132,26 @@ func (tx *Tx) tick(units uint64) {
 // attempt begins; that costs one spurious (harmless) retry and is the
 // price of an allocation-free hot path.
 type Tx struct {
+	txrt.Desc
 	rt      *Runtime
+	fn      func(tx *Tx) // the body of the transaction in flight
 	validTS uint64
 
 	// owner is the stable cross-thread header installed in this
 	// descriptor's write-lock entries. Its pointer fields are wired to
-	// the atomics below once, at Worker creation.
+	// abortTx and Desc.GreedTS once, at Worker creation.
 	owner   locktable.OwnerRef
 	abortTx atomic.Bool
-	greedTS atomic.Uint64 // greedy CM slot, persists across retries
 
 	readLog  txlog.ReadLog
 	writeLog txlog.WriteLog
 	scratch  txlog.CommitScratch
-
-	allocs []tm.Addr // fresh blocks to release on abort
-	frees  []tm.Addr // deferred frees to apply on commit
-
-	work    uint64 // work units of the current transaction (all attempts)
-	aborts  uint64
-	extends uint64 // successful snapshot extensions (all attempts)
-
-	// home is the worker's current home lock-table shard (refreshed
-	// from the placement policy at remap boundaries); sketch and
-	// crossShard attribute this transaction's aborts and CM defeats to
-	// shards, relative to home. All per-transaction, folded into the
-	// stats shard at commit.
-	home       int32
-	sketch     txstats.Sketch
-	crossShard uint64
-
-	// ro marks a transaction declared read-only (AtomicRO); mvOn is
-	// true while the current transaction runs the multi-version
-	// wait-free read path. A miss clears mvOn for the rest of the
-	// transaction and re-runs it validated — never an error.
-	ro       bool
-	mvOn     bool
-	mvReads  uint64
-	mvMisses uint64
-
-	// cmSelf is the transaction's contention-management identity: its
-	// situational fields are refreshed in place before every conflict
-	// resolution, so the conflict path never allocates. cmProbe holds
-	// the per-descriptor decision counters and backoff state.
-	cmSelf  cm.Self
-	cmProbe cm.Probe
-
-	// clkProbe accumulates clock CAS retries (and pins this descriptor
-	// to a shard under the sharded strategy); folded into the stats
-	// shard per transaction.
-	clkProbe clock.Probe
-
-	// tr is this descriptor's flight recorder (txtrace.Nop by default);
-	// traced caches tr.Enabled() so the disabled hot path costs one
-	// predicted branch instead of an interface call per operation.
-	tr     txtrace.Tracer
-	traced bool
-
-	// inSerial marks a transaction running under the runtime's
-	// serialized-fallback gate: it is exempt from the gate-pending
-	// yield in the conflict wait loop (it IS the entrant).
-	inSerial bool
-	// gateYield asks the retry loop for one SpinInit backoff: the
-	// attempt aborted itself to let a gate entrant pass.
-	gateYield bool
-	// waiter/parkPending/parkFP implement Retry: the attempt that
-	// called Retry subscribed the waiter and unwinds; the retry loop
-	// parks it before re-running.
-	waiter      mode.Waiter
-	parkPending bool
-	parkFP      uint64
-	retryAborts uint64
 }
+
+var (
+	_ tm.Tx          = (*Tx)(nil)
+	_ txrt.Algorithm = (*Tx)(nil)
+)
 
 // completedZero is a shared always-zero counter: the baseline has no
 // task pipeline, so OwnerRef progress is constant.
@@ -491,39 +159,23 @@ var completedZero atomic.Int64
 
 // Worker is one execution context — the software analogue of the
 // per-thread transaction descriptor every serious TM implementation
-// keeps. It owns a reusable Tx and an unshared statistics shard, so at
-// steady state Atomic neither allocates nor touches shared stats state.
-// A Worker must be used by one goroutine at a time.
+// keeps. It owns a reusable Tx, the thread's ladder and placement state
+// and an unshared statistics shard, so at steady state Atomic neither
+// allocates nor touches shared stats state. A Worker must be used by
+// one goroutine at a time.
 type Worker struct {
 	rt    *Runtime
 	tx    Tx
+	thr   txrt.Thread
 	stats Stats // unshared shard; merged into rt.stats by Close
-
-	// ctl is the worker's execution-mode controller (single-owner, no
-	// atomics): disarmed under mode.Speculative, it costs two branches
-	// per transaction.
-	ctl mode.Controller
-
-	// id is the worker's placement identity; remapWindow accumulates
-	// the conflict sketch since the last Rebalance offer, made every
-	// remapPeriod transactions.
-	id           int
-	remapWindow  txstats.Sketch
-	txSinceRemap int
 }
-
-// remapPeriod is how many transactions a worker commits between
-// consecutive Rebalance offers to the placement policy. Large enough
-// that the policy sees a meaningful sketch window, small enough that a
-// shifted workload re-homes within tens of microseconds of work.
-const remapPeriod = 64
 
 // NewWorker creates a worker context for this runtime.
 func (rt *Runtime) NewWorker() *Worker {
-	w := &Worker{rt: rt, id: int(rt.workerIDs.Add(1) - 1)}
-	w.ctl = mode.NewController(rt.modeCfg)
+	w := &Worker{rt: rt}
+	rt.Bind(&w.thr)
 	w.tx.rt = rt
-	w.tx.home = int32(rt.placement.Home(w.id))
+	w.tx.Init(&rt.Env, &w.tx, "stm-worker")
 	w.tx.owner = locktable.OwnerRef{
 		ThreadID:      -1,
 		CompletedTask: &completedZero,
@@ -531,14 +183,7 @@ func (rt *Runtime) NewWorker() *Worker {
 	}
 	// The baseline has no task pipeline and one transaction at a time
 	// per descriptor, so the per-transaction slots are bound once.
-	w.tx.owner.BindTx(0, &w.tx.abortTx, &w.tx.greedTS)
-	w.tx.cmSelf.Timestamp = &w.tx.greedTS
-	w.tx.cmSelf.Probe = &w.tx.cmProbe
-	w.tx.tr = txtrace.Nop
-	if rt.trace != nil {
-		w.tx.tr = rt.trace.NewRing("stm-worker")
-		w.tx.traced = true
-	}
+	w.tx.owner.BindTx(0, &w.tx.abortTx, &w.tx.GreedTS)
 	return w
 }
 
@@ -546,9 +191,7 @@ func (rt *Runtime) NewWorker() *Worker {
 // commits, and accumulates commit/abort counts and work units into the
 // worker's private stats shard. fn must be re-executable: it may run
 // several times and must not perform external side effects.
-func (w *Worker) Atomic(fn func(tx *Tx)) {
-	w.atomic(&w.stats, fn)
-}
+func (w *Worker) Atomic(fn func(tx *Tx)) { w.run(&w.stats, fn, false) }
 
 // AtomicRO runs fn as one transaction declared read-only. With
 // multi-versioning enabled (WithMultiVersion), the transaction reads
@@ -558,10 +201,12 @@ func (w *Worker) Atomic(fn func(tx *Tx)) {
 // to the validated path. If fn stores after all, the transaction
 // silently restarts in validated read-write mode — declaring wrongly
 // costs performance, never correctness.
-func (w *Worker) AtomicRO(fn func(tx *Tx)) {
-	w.tx.ro = true
-	w.atomic(&w.stats, fn)
-	w.tx.ro = false
+func (w *Worker) AtomicRO(fn func(tx *Tx)) { w.run(&w.stats, fn, true) }
+
+func (w *Worker) run(st *Stats, fn func(tx *Tx), ro bool) {
+	w.tx.fn = fn
+	w.tx.Run(&w.thr, st, ro)
+	w.tx.fn = nil
 }
 
 // Stats returns a snapshot of the worker's unshared shard.
@@ -581,297 +226,59 @@ func (w *Worker) Close() {
 //
 // This entry point borrows a pooled Worker per call; code with a
 // natural per-thread structure should create Workers directly.
-func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
-	w, _ := rt.workerPool.Get().(*Worker)
-	if w == nil {
-		w = rt.NewWorker()
-	}
-	w.atomic(st, fn)
-	rt.workerPool.Put(w)
-}
+func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) { rt.runPooled(st, fn, false) }
 
 // AtomicRO is Atomic with the transaction declared read-only (see
 // Worker.AtomicRO).
-func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
+func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) { rt.runPooled(st, fn, true) }
+
+func (rt *Runtime) runPooled(st *Stats, fn func(tx *Tx), ro bool) {
 	w, _ := rt.workerPool.Get().(*Worker)
 	if w == nil {
 		w = rt.NewWorker()
 	}
-	w.tx.ro = true
-	w.atomic(st, fn)
-	w.tx.ro = false
-	rt.workerPool.Put(w)
+	// Deferred so a panicking body still returns the worker: the driver
+	// has released its locks and the gate by the time the panic unwinds
+	// through here.
+	defer rt.workerPool.Put(w)
+	w.run(st, fn, ro)
 }
 
-// atomic is the retry loop shared by both entry points.
-func (w *Worker) atomic(st *Stats, fn func(tx *Tx)) {
-	tx := &w.tx
-	tx.greedTS.Store(0)
-	tx.cmSelf.Defeats = 0
-	tx.work = 0
-	tx.aborts = 0
-	tx.retryAborts = 0
-	tx.extends = 0
-	tx.sketch = txstats.Sketch{}
-	tx.crossShard = 0
-	tx.mvOn = tx.ro && tx.rt.mv != nil
-	tx.mvReads = 0
-	tx.mvMisses = 0
-	if tx.traced {
-		tx.tr.Record(txtrace.KindTxBegin, tx.rt.clk.Now(), 0, 0)
-	}
-	// Ladder: a serialized transaction takes the runtime gate before
-	// its first attempt (announcing itself so speculative wait loops
-	// yield) and runs the unchanged STM protocol under it — opacity by
-	// construction, serialization only against other fallback entrants.
-	serial := w.ctl.Serial()
-	if serial {
-		w.enterGate()
-	}
-	var lastAttempt time.Time
-	for {
-		if tx.parkPending {
-			w.parkRetry(st, serial)
-		}
-		lastAttempt = time.Now()
-		tx.beginAttempt()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindAttemptStart, tx.validTS, tx.aborts+1, 0)
-		}
-		if tx.attempt(fn) {
-			break
-		}
-		if st != nil {
-			st.RestartLatency.Observe(int(time.Since(lastAttempt)))
-		}
-		tx.aborts++
-		if tx.parkPending {
-			// A Retry unwound this attempt; it parks at the top of the
-			// loop — no contention backoff, no escalation pressure.
-			tx.retryAborts++
-			continue
-		}
-		if !serial && w.ctl.Escalate(int(tx.aborts-tx.retryAborts)) {
-			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
-			// move this transaction under the gate and retry there.
-			serial = true
-			if st != nil {
-				st.ModeFallbacks++
-			}
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, tx.rt.clk.Now(),
-					uint64(mode.StateSerial), uint32(mode.StateSpec))
-			}
-			w.enterGate()
-			continue
-		}
-		if tx.gateYield {
-			// We aborted to let a gate entrant pass: back off SpinInit
-			// yields so the serialized cohort gets cycles first.
-			tx.gateYield = false
-			for i := 0; i < tx.rt.modeCfg.SpinInit; i++ {
-				runtime.Gosched()
-			}
-		}
-		// Back off per policy so the conflict window is not re-entered
-		// immediately (and, on a single CPU, so the lock owner we lost
-		// to gets scheduled before we re-acquire).
-		tx.cmSelf.Aborts = tx.aborts
-		for i, n := 0, cm.AbortBackoff(tx.rt.cm, &tx.cmSelf); i < n; i++ {
-			runtime.Gosched()
-		}
-	}
-	if serial {
-		w.exitGate()
-	}
-	if fell, rec := w.ctl.OnOutcome(tx.aborts-tx.retryAborts, tx.cmSelf.Defeats > 0); fell || rec {
-		if st != nil {
-			if fell {
-				st.ModeFallbacks++
-			} else {
-				st.ModeRecoveries++
-			}
-		}
-		if tx.traced {
-			tx.tr.Record(txtrace.KindModeShift, tx.rt.clk.Now(),
-				uint64(w.ctl.State()), uint32(1-w.ctl.State()))
-		}
-	}
-	cm.Committed(tx.rt.cm, &tx.cmSelf)
-	cmSelf, cmOwner, spins := tx.cmProbe.TakeCounts()
-	reclaims, stalls := tx.writeLog.TakeReclaimCounts()
-	if st != nil {
-		st.Commits++
-		st.Aborts += tx.aborts
-		st.Work += tx.work
-		st.SnapshotExtensions += tx.extends
-		st.ClockCASRetries += tx.clkProbe.TakeRetries()
-		st.CMAbortsSelf += cmSelf
-		st.CMAbortsOwner += cmOwner
-		st.BackoffSpins += spins
-		st.EntryReclaims += reclaims
-		st.HorizonStalls += stalls
-		st.MVReads += tx.mvReads
-		st.MVMisses += tx.mvMisses
-		st.ReadSetSizes.Observe(tx.readLog.Len())
-		st.WriteSetSizes.Observe(tx.writeLog.Len())
-		st.CommitLatency.Observe(int(time.Since(lastAttempt)))
-		st.Attempts.Observe(int(tx.aborts) + 1)
-		st.ConflictSketch.Merge(tx.sketch)
-		st.CrossShardConflicts += tx.crossShard
-	}
-	w.maybeRemap(st)
-}
-
-// enterGate moves the worker's transaction under the serialized
-// fallback gate. The baseline has no speculative pipeline of its own to
-// drain — the in-flight attempt (if any) has already unwound — so
-// announcing and locking is the whole entry protocol.
-func (w *Worker) enterGate() {
-	w.rt.gate.Enter()
-	w.tx.inSerial = true
-}
-
-func (w *Worker) exitGate() {
-	w.tx.inSerial = false
-	w.rt.gate.Exit()
-}
-
-// parkRetry blocks the worker on its Retry doorbell until a
-// conflicting commit rings it. A serialized transaction releases the
-// gate across the park (parking while holding it would block every
-// fallback entrant, possibly including the very producer it waits for)
-// and re-enters afterwards.
-func (w *Worker) parkRetry(st *Stats, serial bool) {
-	tx := &w.tx
-	tx.parkPending = false
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 0)
-	}
-	if serial {
-		w.exitGate()
-	}
-	tx.waiter.Park()
-	tx.rt.hub.Unsubscribe(&tx.waiter)
-	if serial {
-		w.enterGate()
-	}
-	if st != nil {
-		st.RetryWakes++
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 1)
-	}
-}
-
-// maybeRemap is the commit-epilogue placement step: every remapPeriod
-// transactions the worker offers its conflict-sketch window to the
-// placement policy and refreshes its home shard. Runs on the worker's
-// own goroutine — the "periodic controller" is decentralized, like the
-// sharded clock's Observe reconciliation.
-func (w *Worker) maybeRemap(st *Stats) {
-	w.remapWindow.Merge(w.tx.sketch)
-	w.txSinceRemap++
-	if w.txSinceRemap < remapPeriod {
-		return
-	}
-	w.txSinceRemap = 0
-	moved := w.rt.placement.Rebalance(w.id, w.remapWindow)
-	w.remapWindow = txstats.Sketch{}
-	if moved {
-		old := w.tx.home
-		w.tx.home = int32(w.rt.placement.Home(w.id))
-		if st != nil {
-			st.Remaps++
-		}
-		if w.tx.traced {
-			w.tx.tr.Record(txtrace.KindRemap, w.rt.clk.Now(),
-				uint64(w.tx.home), uint32(old))
-		}
-	}
-}
-
-// noteConflict attributes one abort or CM defeat at address a to its
-// lock-table shard (cold path: runs only when an attempt dies).
-func (tx *Tx) noteConflict(a tm.Addr) {
-	shard := tx.rt.locks.ShardOf(a)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// noteConflictPair is noteConflict for sites that hold only the *Pair
-// recorded in a read-log entry (commit validation).
-func (tx *Tx) noteConflictPair(p *locktable.Pair) {
-	shard := tx.rt.locks.ShardOfPair(p)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// beginAttempt resets the descriptor for one attempt. Entries retired
-// by the previous attempt (or previous transaction) are detached from
-// the lock table by then, so they are recycled into the entry pool.
-func (tx *Tx) beginAttempt() {
+// Begin implements txrt.Algorithm. Entries retired by the previous
+// attempt (or previous transaction) are detached from the lock table by
+// now, so they are recycled into the entry pool.
+func (tx *Tx) Begin() uint64 {
 	tx.abortTx.Store(false)
-	tx.validTS = tx.rt.clk.Now()
-	tx.work += txStartCost
+	tx.validTS = tx.rt.Clk.Now()
 	tx.readLog.Reset()
 	tx.writeLog.Recycle()
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
+	return tx.validTS
 }
 
-// attempt runs fn once and tries to commit; it reports success and
-// converts rollbackSignal panics into a false return.
-func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, is := r.(rollbackSignal); !is {
-				// A genuine user panic: release our locks and undo
-				// speculative allocation so the rest of the system stays
-				// live, then propagate.
-				tx.releaseWrites()
-				for _, a := range tx.allocs {
-					tx.rt.alloc.Free(a)
-				}
-				panic(r)
-			}
-			ok = false
-		}
-	}()
-	fn(tx)
+// Exec implements txrt.Algorithm.
+func (tx *Tx) Exec() {
+	tx.fn(tx)
 	tx.commit()
-	return true
+	reclaims, stalls := tx.writeLog.TakeReclaimCounts()
+	tx.Reclaims += reclaims
+	tx.Stalls += stalls
 }
 
-// rollback releases every lock and undoes speculative allocation, then
-// unwinds to the retry loop.
-func (tx *Tx) rollback() {
-	tx.releaseWrites()
-	for _, a := range tx.allocs {
-		tx.rt.alloc.Free(a)
-	}
-	panic(rollbackSignal{})
-}
-
-// abort records the rollback's reason on the trace and unwinds.
-func (tx *Tx) abort(reason uint32) {
-	if tx.traced {
-		tx.tr.Record(txtrace.KindAbort, tx.validTS, 0, reason)
-	}
-	tx.rollback()
-}
-
-func (tx *Tx) releaseWrites() {
+// Release implements txrt.Algorithm: drop every w-lock the attempt
+// holds.
+func (tx *Tx) Release() {
 	for _, e := range tx.writeLog.Entries() {
 		// The baseline never stacks entries: eager W/W locking admits
 		// one writer per pair, so our entry is the head with no Prev.
 		e.Pair.W.CompareAndSwap(e, nil)
 	}
 }
+
+// SetSizes implements txrt.Algorithm (logged reads / locked pairs).
+func (tx *Tx) SetSizes() (reads, writes int) { return tx.readLog.Len(), tx.writeLog.Len() }
+
+// abort unwinds the attempt, recording reason on the trace.
+func (tx *Tx) abort(reason uint32) { tx.Abort(tx.validTS, reason) }
 
 // checkSignals aborts the attempt if another transaction's contention
 // manager asked us to.
@@ -883,10 +290,10 @@ func (tx *Tx) checkSignals() {
 
 // Load implements tm.Tx (paper §3.1; TLSTM Alg. 1 line 16 is this path).
 func (tx *Tx) Load(a tm.Addr) uint64 {
-	if tx.mvOn {
+	if tx.MVOn {
 		return tx.loadMV(a)
 	}
-	tx.tick(1)
+	tx.Tick(1)
 	p := tx.rt.locks.For(a)
 	if e := p.W.Load(); e != nil && e.Owner == &tx.owner {
 		if v, hit := e.Lookup(a); hit {
@@ -907,20 +314,20 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		val := tx.rt.store.LoadWord(a)
+		val := tx.rt.Store.LoadWord(a)
 		if p.R.Load() != v1 {
 			continue // torn read: version moved underneath us
 		}
 		if v1 > tx.validTS && !tx.extendTo(v1) {
-			tx.noteConflict(a)
+			tx.NoteConflictAt(a)
 			tx.abort(txtrace.AbortExtend)
 		}
 		if v1 > tx.validTS {
 			continue // extended, but not far enough; re-read
 		}
 		tx.readLog.Append(p, v1, nil)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 		}
 		return val
 	}
@@ -935,27 +342,27 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 // snapshot cannot be extended in place, because the reads taken so far
 // were unlogged and could not be revalidated forward.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
-	tx.tick(1)
+	tx.Tick(1)
 	p := tx.rt.locks.For(a)
 	for {
 		v1 := p.R.Load()
 		if v1 != locktable.Locked && v1 <= tx.validTS {
-			val := tx.rt.store.LoadWord(a)
+			val := tx.rt.Store.LoadWord(a)
 			if p.R.Load() == v1 {
-				tx.mvReads++
-				if tx.traced {
-					tx.tr.Record(txtrace.KindRead, v1, uint64(a), 1)
+				tx.MVReads++
+				if tx.Traced {
+					tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
 				}
 				return val
 			}
 			continue // torn read: version moved underneath us
 		}
-		if val, from, ok := tx.rt.mv.ReadAt(a, tx.validTS); ok {
-			tx.mvReads++
-			if tx.traced {
+		if val, from, ok := tx.rt.MV.ReadAt(a, tx.validTS); ok {
+			tx.MVReads++
+			if tx.Traced {
 				// Clock carries the served version's birth stamp, not the
 				// snapshot: the opacity checker needs the observed version.
-				tx.tr.Record(txtrace.KindRead, from, uint64(a), 1)
+				tx.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
 			}
 			return val
 		}
@@ -965,8 +372,8 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		tx.mvMisses++
-		tx.mvOn = false
+		tx.MVMisses++
+		tx.MVOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
 }
@@ -980,10 +387,10 @@ func (tx *Tx) extend() bool { return tx.extendTo(0) }
 // without it a deferred or sharded clock would never catch up to the
 // stamp that sent us here and the read would livelock).
 func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.clk.Observe(witness, &tx.clkProbe)
+	ts := tx.rt.Clk.Observe(witness, &tx.ClkProbe)
 	for i, re := range tx.readLog.Entries() {
-		if i%validationStride == 0 {
-			tx.work++
+		if i%txrt.ValidationStride == 0 {
+			tx.Work++
 		}
 		cur := re.Pair.R.Load()
 		if cur == re.Version {
@@ -997,15 +404,15 @@ func (tx *Tx) extendTo(witness uint64) bool {
 		// snapshot past the conflicting commit and keep running on a
 		// mixed read set until commit-time validation — the opacity
 		// violation the trace checker flagged under high contention.
-		if tx.traced {
-			tx.tr.Record(txtrace.KindExtend, ts, witness, 0)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindExtend, ts, witness, 0)
 		}
 		return false
 	}
 	if ts > tx.validTS {
-		tx.extends++
-		if tx.traced {
-			tx.tr.Record(txtrace.KindExtend, ts, witness, 1)
+		tx.Extends++
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindExtend, ts, witness, 1)
 		}
 	}
 	tx.validTS = ts
@@ -1014,15 +421,15 @@ func (tx *Tx) extendTo(witness uint64) bool {
 
 // Store implements tm.Tx: eager w-lock acquisition with redo logging.
 func (tx *Tx) Store(a tm.Addr, v uint64) {
-	if tx.mvOn {
+	if tx.MVOn {
 		// A store in a declared read-only transaction: the earlier
 		// multi-version reads were unlogged at a frozen snapshot, so the
 		// attempt cannot be upgraded in place — re-run it on the
 		// validated read-write path.
-		tx.mvOn = false
+		tx.MVOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
-	tx.tick(2)
+	tx.Tick(2)
 	p := tx.rt.locks.For(a)
 	waited := 0
 	for {
@@ -1033,37 +440,14 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				e.Update(a, v)
 				return
 			}
-			tx.cmSelf.Point = cm.PointEncounter
-			tx.cmSelf.Writes = tx.writeLog.Len()
-			tx.cmSelf.Waited = waited
-			dec := cm.Resolve(tx.rt.cm, &tx.cmSelf, e.Owner)
-			if tx.traced {
-				tx.tr.Record(txtrace.KindCMDecision, tx.validTS, uint64(a),
-					txtrace.CMAux(int(dec), int(cm.PointEncounter)))
-			}
-			switch dec {
-			case cm.AbortSelf:
-				tx.cmSelf.Defeats++
-				tx.noteConflict(a)
-				tx.abort(txtrace.AbortCM)
-			case cm.AbortOwner:
-				e.Owner.AbortTx.Load().Store(true)
-			}
-			if !tx.inSerial && tx.rt.gate.Pending() {
-				// A serialized entrant holds or awaits the gate: riding
-				// this conflict out could deadlock against it (the owner
-				// may be parked behind the same gate). Yield instead —
-				// the retry loop charges SpinInit backoff first.
-				tx.cmSelf.Defeats++
-				tx.gateYield = true
-				tx.noteConflict(a)
-				tx.abort(txtrace.AbortCM)
-			}
+			// Lose, signal the owner, or yield to a serialized gate
+			// entrant (the owner may be parked behind the same gate).
+			tx.ResolveConflict(tx.validTS, a, cm.PointEncounter, tx.writeLog.Len(), waited, e.Owner)
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting costs real parallel time (the owner
 			// progresses about one quantum per scheduler round).
 			waited++
-			tx.work += yieldQuantum
+			tx.Work += txrt.YieldQuantum
 			runtime.Gosched()
 			continue
 		}
@@ -1074,13 +458,13 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 		}
 		tx.writeLog.Release(ne) // CAS lost; recycle the unused entry
 	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindWrite, tx.validTS, uint64(a), 0)
+	if tx.Traced {
+		tx.Tr.Record(txtrace.KindWrite, tx.validTS, uint64(a), 0)
 	}
 	// Mirror of TLSTM Alg. 2 line 52: if the location moved past our
 	// snapshot, extend or die.
 	if ver := p.R.Load(); ver != locktable.Locked && ver > tx.validTS && !tx.extendTo(ver) {
-		tx.noteConflict(a)
+		tx.NoteConflictAt(a)
 		tx.abort(txtrace.AbortExtend)
 	}
 }
@@ -1099,11 +483,11 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // rings its doorbell. Retry never parks on an empty or already-stale
 // read set — those cases restart immediately.
 func (tx *Tx) Retry() {
-	if tx.mvOn {
+	if tx.MVOn {
 		// Multi-version reads are unlogged: there is nothing to
 		// fingerprint or validate. Re-run on the validated path, where
 		// the next Retry can park.
-		tx.mvOn = false
+		tx.MVOn = false
 		tx.abort(txtrace.AbortRetry)
 	}
 	var fp mode.Fingerprint
@@ -1111,8 +495,8 @@ func (tx *Tx) Retry() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
 	}
 	if fp != 0 {
-		hub := tx.rt.hub
-		hub.Subscribe(&tx.waiter, fp)
+		hub := tx.rt.Hub
+		hub.Subscribe(&tx.Waiter, fp)
 		valid := true
 		for _, re := range tx.readLog.Entries() {
 			if re.Pair.R.Load() != re.Version {
@@ -1121,26 +505,13 @@ func (tx *Tx) Retry() {
 			}
 		}
 		if valid {
-			tx.parkPending = true
-			tx.parkFP = uint64(fp)
+			tx.ParkPending = true
+			tx.ParkFP = uint64(fp)
 		} else {
-			hub.Unsubscribe(&tx.waiter)
+			hub.Unsubscribe(&tx.Waiter)
 		}
 	}
 	tx.abort(txtrace.AbortRetry)
-}
-
-// Alloc implements tm.Tx: allocation is undone if the attempt aborts.
-func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.work++
-	a := tx.rt.alloc.Alloc(n)
-	tx.allocs = append(tx.allocs, a)
-	return a
-}
-
-// Free implements tm.Tx: the release is deferred to commit.
-func (tx *Tx) Free(a tm.Addr) {
-	tx.frees = append(tx.frees, a)
 }
 
 // commit validates and publishes the transaction (paper §3.1).
@@ -1148,9 +519,9 @@ func (tx *Tx) commit() {
 	if tx.writeLog.Len() == 0 {
 		// Read-only transactions are consistent by construction at
 		// valid-ts; nothing to publish.
-		tx.applyFrees()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommit, tx.validTS, 0, 0)
+		tx.ApplyFrees()
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindCommit, tx.validTS, 0, 0)
 		}
 		return
 	}
@@ -1163,33 +534,33 @@ func (tx *Tx) commit() {
 	tx.scratch.Reset()
 	for _, e := range tx.writeLog.Entries() {
 		tx.scratch.LockPair(e.Pair)
-		tx.work++
+		tx.Work++
 	}
 
-	ts := tx.rt.clk.Tick(&tx.clkProbe)
+	ts := tx.rt.Clk.Tick(&tx.ClkProbe)
 
 	failed := tx.validateCommit()
-	if tx.traced {
+	if tx.Traced {
 		var aux uint32
 		if failed == nil {
 			aux = 1
 		}
-		tx.tr.Record(txtrace.KindValidate, ts, uint64(tx.readLog.Len()), aux)
+		tx.Tr.Record(txtrace.KindValidate, ts, uint64(tx.readLog.Len()), aux)
 	}
 	if failed != nil {
 		tx.scratch.Restore()
-		tx.noteConflictPair(failed)
+		tx.NoteConflict(tx.rt.locks.ShardOfPair(failed))
 		tx.abort(txtrace.AbortValidation)
 	}
 
 	// Feed the multi-version store while memory still holds the values
 	// this commit is about to overwrite: each written word's old value
 	// was the committed value over [displaced version, ts).
-	if mv := tx.rt.mv; mv != nil {
+	if mv := tx.rt.MV; mv != nil {
 		for _, e := range tx.writeLog.Entries() {
 			pre, _ := tx.scratch.Saved(e.Pair)
 			for _, w := range e.Words {
-				mv.Publish(w.Addr, tx.rt.store.LoadWord(w.Addr), pre, ts)
+				mv.Publish(w.Addr, tx.rt.Store.LoadWord(w.Addr), pre, ts)
 			}
 		}
 	}
@@ -1197,14 +568,14 @@ func (tx *Tx) commit() {
 	// Phase 2: publish values, then release locks with the new version.
 	for _, e := range tx.writeLog.Entries() {
 		for _, w := range e.Words {
-			tx.rt.store.StoreWord(w.Addr, w.Val)
-			if tx.traced {
+			tx.rt.Store.StoreWord(w.Addr, w.Val)
+			if tx.Traced {
 				// Written-word identities, between Validate and Commit:
 				// the opacity checker rebuilds per-slot version
 				// histories from these.
-				tx.tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
+				tx.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
 			}
-			tx.work++
+			tx.Work++
 		}
 	}
 	for _, e := range tx.writeLog.Entries() {
@@ -1214,16 +585,16 @@ func (tx *Tx) commit() {
 	// Ring Retry waiters whose read fingerprints intersect this write
 	// set. The fast path (no waiters) is one atomic load; the
 	// fingerprint is only computed when someone is parked.
-	if hub := tx.rt.hub; hub.Active() {
+	if hub := tx.rt.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		for _, e := range tx.writeLog.Entries() {
 			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(e.Pair)))
 		}
 		hub.Notify(fp)
 	}
-	tx.applyFrees()
-	if tx.traced {
-		tx.tr.Record(txtrace.KindCommit, ts, uint64(tx.writeLog.Len()), 0)
+	tx.ApplyFrees()
+	if tx.Traced {
+		tx.Tr.Record(txtrace.KindCommit, ts, uint64(tx.writeLog.Len()), 0)
 	}
 }
 
@@ -1234,8 +605,8 @@ func (tx *Tx) commit() {
 // whole read set is still consistent.
 func (tx *Tx) validateCommit() *locktable.Pair {
 	for i, re := range tx.readLog.Entries() {
-		if i%validationStride == 0 {
-			tx.work++
+		if i%txrt.ValidationStride == 0 {
+			tx.Work++
 		}
 		cur := re.Pair.R.Load()
 		if cur == re.Version {
@@ -1249,12 +620,6 @@ func (tx *Tx) validateCommit() *locktable.Pair {
 		return re.Pair
 	}
 	return nil
-}
-
-func (tx *Tx) applyFrees() {
-	for _, a := range tx.frees {
-		tx.rt.alloc.Free(a)
-	}
 }
 
 var _ tm.Tx = (*Tx)(nil)

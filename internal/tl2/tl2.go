@@ -19,212 +19,63 @@
 //     version words, so policies resolve against a nil owner and can
 //     shape only the requester's waiting, aborting and backoff.
 //
-// The engine substrate (version clock, read log, write set, held-lock
-// bookkeeping) comes from internal/clock and internal/txlog; descriptors
-// are pooled per runtime, so steady-state transactions allocate nothing.
+// This file is the TL2 protocol only: options, statistics and the
+// transaction driver are the engine kit's (internal/txrt), the logs
+// come from internal/txlog. Descriptors are pooled per runtime, so
+// steady-state transactions allocate nothing.
 package tl2
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
-	"tlstm/internal/txstats"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 )
 
-// Locked marks a versioned lock held by a committing transaction.
+// locked marks a versioned lock held by a committing transaction.
 const locked = ^uint64(0)
 
-// yieldQuantum mirrors the other runtimes' forced-interleaving grain so
-// cross-runtime virtual-time comparisons stay meaningful.
-const yieldQuantum = 64
+// Option configures a Runtime; the options are the engine kit's.
+type Option = txrt.Option
 
-const txStartCost = 24
+var (
+	WithClock        = txrt.WithClock
+	WithCM           = txrt.WithCM // default: cm.Suicide, TL2's historical self-abort-with-grace
+	WithMultiVersion = txrt.WithMultiVersion
+	WithTrace        = txrt.WithTrace
+	WithShards       = txrt.WithShards
+	WithAffinity     = txrt.WithAffinity
+	WithMode         = txrt.WithMode
+)
 
-const validationStride = 8
-
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithClock selects the commit-clock strategy (internal/clock); the
-// default is the GV4 fetch-and-add clock. Non-exclusive strategies
-// (deferred, sharded) disable TL2's "wv == rv+1 ⇒ skip validation"
-// commit shortcut, which is only sound when timestamps are unique.
-func WithClock(src clock.Source) Option {
-	return func(rt *Runtime) { rt.clk = src }
-}
-
-// WithCM selects the contention-management policy (internal/cm); the
-// default is cm.Suicide, the self-abort-with-grace behavior TL2 had
-// hardwired before the policy layer existed. nil keeps the default.
-func WithCM(pol cm.Policy) Option {
-	return func(rt *Runtime) { rt.cmPol = pol }
-}
-
-// WithMultiVersion retains the last k displaced committed versions per
-// word and enables the wait-free read path for transactions run through
-// AtomicRO. k <= 0 disables multi-versioning (the default).
-func WithMultiVersion(k int) Option {
-	return func(rt *Runtime) {
-		if k > 0 {
-			rt.mv = txlog.NewVersionedStore(k, txlog.DefaultVersionedStoreBits)
-		}
-	}
-}
-
-// WithTrace arms flight-recorder tracing: every pooled descriptor
-// records its transactional events into its own txtrace ring registered
-// with rec. nil (the default) keeps the no-op tracer.
-func WithTrace(rec *txtrace.Recorder) Option {
-	return func(rt *Runtime) { rt.trace = rec }
-}
-
-// WithShards splits the versioned-lock array into n contiguous shards
-// (a power of two; 0 and 1 both mean flat). Sharding only relabels
-// locks for conflict attribution — address→lock resolution is
-// identical at every shard count.
-func WithShards(n int) Option {
-	return func(rt *Runtime) { rt.shards = n }
-}
-
-// WithAffinity replaces the static round-robin thread placement with
-// the conflict-sketch affinity policy (sched.Affinity).
-func WithAffinity(on bool) Option {
-	return func(rt *Runtime) { rt.affinity = on }
-}
-
-// WithMode configures the execution-mode ladder (internal/mode): the
-// adaptive policy starts transactions speculative and falls back to a
-// serialized global-lock rung under sustained conflict, recovering
-// once the serialized window drains cleanly. The default keeps the
-// ladder disarmed (always speculative).
-func WithMode(cfg mode.Config) Option {
-	return func(rt *Runtime) { rt.modeCfg = cfg }
-}
-
-// Runtime is one TL2 instance.
+// Runtime is one TL2 instance: the engine kit's environment plus the
+// versioned write-lock array (each word a version or locked).
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
-
-	clk       clock.Source // global version clock
-	exclusive bool         // cached clk.Exclusive() (commit fast path)
-
-	cmPol cm.Policy // contention-management policy (conflict paths only)
-
-	locks  []atomic.Uint64  // versioned write-locks (version or locked)
-	layout locktable.Layout // address→lock→shard mapping (shared geometry)
-
-	// shards/affinity are config captured by options; placement is the
-	// resulting thread→shard policy. threadIDs hands each caller-owned
-	// Stats shard a placement identity on first use.
-	shards    int
-	affinity  bool
-	placement sched.Placement
-	threadIDs atomic.Int32
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, is the flight recorder pooled descriptors
-	// register their event rings with (WithTrace).
-	trace *txtrace.Recorder
-
-	// modeCfg/gate/hub are the execution-mode ladder (WithMode): the
-	// gate serializes fallback entrants, the hub parks Retry waiters.
-	modeCfg mode.Config
-	gate    mode.Gate
-	hub     *mode.WaitHub
-
+	txrt.Env
+	locks  []atomic.Uint64
 	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
 }
 
 // New creates a TL2 runtime with 2^bits versioned locks.
 func New(bits int, opts ...Option) *Runtime {
-	if bits <= 0 {
-		bits = 20
-	}
-	st := mem.NewStore()
-	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-	}
-	for _, o := range opts {
-		o(rt)
-	}
-	rt.modeCfg = rt.modeCfg.Fill()
-	rt.hub = mode.NewWaitHub()
-	rt.layout = locktable.NewLayout(bits, rt.shards)
-	rt.locks = make([]atomic.Uint64, rt.layout.Slots())
-	if rt.affinity {
-		rt.placement = sched.NewAffinity(rt.layout.Shards())
-	} else {
-		rt.placement = sched.NewRoundRobin(rt.layout.Shards())
-	}
-	if rt.clk == nil {
-		rt.clk = clock.New(clock.KindGV4)
-	}
-	if rt.cmPol == nil {
-		rt.cmPol = cm.New(cm.KindSuicide)
-	}
-	rt.exclusive = rt.clk.Exclusive()
-	if rt.trace != nil {
-		// The offline opacity checker recomputes lock-table slots and
-		// picks its clock model from this metadata (txcheck).
-		rt.trace.SetMeta("tl2.lockbits", strconv.Itoa(bits))
-		rt.trace.SetMeta("tl2.clock", rt.clk.Name())
-		rt.trace.SetMeta("tl2.exclusive", strconv.FormatBool(rt.exclusive))
-		mvDepth := 0
-		if rt.mv != nil {
-			mvDepth = rt.mv.K()
-		}
-		rt.trace.SetMeta("tl2.mvdepth", strconv.Itoa(mvDepth))
-	}
+	c := txrt.Config{LockTableBits: bits}
+	c.Apply(opts)
+	rt := &Runtime{}
+	rt.Init("tl2", mem.NewStore(), c, cm.KindSuicide)
+	rt.locks = make([]atomic.Uint64, rt.Layout.Slots())
 	return rt
 }
 
-// Shards reports the lock array's shard count.
-func (rt *Runtime) Shards() int { return rt.layout.Shards() }
-
-// PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.placement.Name() }
-
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.cmPol.Name() }
-
-// Direct returns the non-transactional setup handle.
-func (rt *Runtime) Direct() mem.Direct { return mem.Direct{Mem: rt.store, Al: rt.alloc} }
-
-// Allocator exposes the allocator (tests).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
-
 func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
-	return &rt.locks[rt.layout.Index(a)]
+	return &rt.locks[rt.Layout.Index(a)]
 }
 
 // lockShard recovers the shard of a lock word previously returned by
@@ -233,115 +84,24 @@ func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
 func (rt *Runtime) lockShard(l *atomic.Uint64) int {
 	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&rt.locks[0]))) /
 		unsafe.Sizeof(atomic.Uint64{})
-	return rt.layout.ShardOfIndex(uint64(idx))
+	return rt.Layout.ShardOfIndex(uint64(idx))
 }
 
-// Stats accumulates commits, aborts and work units across Atomic calls.
-type Stats struct {
-	Commits uint64
-	Aborts  uint64
-	Work    uint64
-	// SnapshotExtensions is always 0 for TL2: the algorithm aborts on a
-	// read past its read version instead of extending. The field exists
-	// so clock-strategy sweeps report a uniform column across runtimes.
-	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock
-	// operations (internal/clock.Probe).
-	ClockCASRetries uint64
-	// CMAbortsSelf counts lost conflicts (one AbortSelf decision
-	// each); CMAbortsOwner counts AbortOwner decisions against the
-	// (anonymous) owner, one per waiting round; BackoffSpins counts
-	// the scheduler yields the policy charged between retries
-	// (internal/cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims and HorizonStalls are always 0 for TL2: its write
-	// set buffers (addr, value) records in place rather than pooling
-	// lock-table entries, so there is nothing to reclaim. The fields
-	// exist so reclamation sweeps report a uniform column across
-	// runtimes.
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// MVReads counts reads served on the multi-version wait-free path;
-	// MVMisses counts read-only transactions that fell off it (ring
-	// overrun or an undeclared write) and re-ran validated. For TL2 the
-	// path also removes the read-past-rv abort for declared readers.
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSetSizes and WriteSetSizes histogram the per-committed-
-	// transaction set sizes (logged locks / buffered addresses).
-	ReadSetSizes  txstats.Hist
-	WriteSetSizes txstats.Hist
-	// RestartLatency histograms attempt-start → abort deltas in
-	// nanoseconds; CommitLatency histograms attempt-start → commit
-	// deltas for the final attempt; Attempts histograms attempts per
-	// committed transaction (1 = committed first try).
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// ConflictSketch counts aborts and CM defeats per lock-array shard;
-	// CrossShardConflicts counts the subset outside the thread's home
-	// shard; Remaps counts placement rebinds.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (mid-transaction escalations included) and ModeRecoveries the
-	// returns to speculation; RetryWakes counts Retry parks woken by a
-	// conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
-
-	// TL2 has no thread descriptor (Tx descriptors are pooled per
-	// runtime, not per caller), so the caller-owned Stats shard IS the
-	// logical thread: its placement identity lives here, assigned on
-	// the shard's first transaction and touched only by the owning
-	// goroutine — as is the execution-mode controller.
-	bound        bool
-	threadID     int32
-	home         int32
-	txSinceRemap int
-	remapWindow  txstats.Sketch
-	ctl          mode.Controller
-}
-
-// Add folds o into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Work += o.Work
-	s.SnapshotExtensions += o.SnapshotExtensions
-	s.ClockCASRetries += o.ClockCASRetries
-	s.CMAbortsSelf += o.CMAbortsSelf
-	s.CMAbortsOwner += o.CMAbortsOwner
-	s.BackoffSpins += o.BackoffSpins
-	s.EntryReclaims += o.EntryReclaims
-	s.HorizonStalls += o.HorizonStalls
-	s.MVReads += o.MVReads
-	s.MVMisses += o.MVMisses
-	s.ReadSetSizes.Merge(o.ReadSetSizes)
-	s.WriteSetSizes.Merge(o.WriteSetSizes)
-	s.RestartLatency.Merge(o.RestartLatency)
-	s.CommitLatency.Merge(o.CommitLatency)
-	s.Attempts.Merge(o.Attempts)
-	s.ConflictSketch.Merge(o.ConflictSketch)
-	s.CrossShardConflicts += o.CrossShardConflicts
-	s.Remaps += o.Remaps
-	s.ModeFallbacks += o.ModeFallbacks
-	s.ModeRecoveries += o.ModeRecoveries
-	s.RetryWakes += o.RetryWakes
-}
-
-type rollbackSignal struct{}
+// Stats accumulates commits, aborts and work units across Atomic calls
+// (txrt.Stats). TL2 has no thread descriptor, so the caller-owned shard
+// is the logical thread: use one shard per goroutine, with one runtime.
+// SnapshotExtensions, EntryReclaims and HorizonStalls stay 0 — TL2
+// aborts instead of extending and pools no lock-table entries.
+type Stats = txrt.Stats
 
 // Tx is one TL2 transaction descriptor; it implements tm.Tx. It is
 // pooled by the runtime and reused across Atomic calls: its read log,
 // write set and held-lock scratch keep their backing storage.
 type Tx struct {
+	txrt.Desc
 	rt *Runtime
-	rv uint64 // read version (clock sample at begin)
+	fn func(tx *Tx) // the body of the transaction in flight
+	rv uint64       // read version (clock sample at begin)
 
 	// readLog records only lock words: TL2 validates every read
 	// against the single read version rv, so per-entry versions would
@@ -349,71 +109,15 @@ type Tx struct {
 	readLog  txlog.LockLog
 	writeSet txlog.WriteSet
 	held     txlog.LockSet // commit-time write locks
-
-	allocs []tm.Addr
-	frees  []tm.Addr
-
-	work   uint64
-	aborts uint64
-
-	// home is the calling thread's home shard for this transaction;
-	// sketch/crossShard attribute its aborts and CM defeats to shards.
-	// Per-transaction, folded into the caller's Stats after commit.
-	home       int32
-	sketch     txstats.Sketch
-	crossShard uint64
-
-	// ro marks a transaction declared read-only (AtomicRO); mvOn is
-	// true while it runs the multi-version wait-free read path. A miss
-	// clears mvOn for the rest of the transaction and re-runs it
-	// validated — never an error.
-	ro       bool
-	mvOn     bool
-	mvReads  uint64
-	mvMisses uint64
-
-	// clkProbe accumulates clock CAS retries (and pins this descriptor
-	// to a shard under the sharded strategy).
-	clkProbe clock.Probe
-
-	// cmSelf/cmProbe are the descriptor's contention-management
-	// identity and counters (internal/cm); greedTS is the priority slot
-	// policies publish into (TL2's locks carry no owner header, so no
-	// other transaction ever reads it — it still lets priority-based
-	// policies track their own escalation state).
-	cmSelf  cm.Self
-	cmProbe cm.Probe
-	greedTS atomic.Uint64
-
-	// inSerial marks a transaction running under the ladder's
-	// serialized gate (exempt from the gate-yield wait-loop breaks);
-	// gateYield asks the retry loop for one SpinInit backoff after an
-	// abort taken to let a gate entrant pass.
-	inSerial  bool
-	gateYield bool
-
-	// waiter/parkPending/parkFP are the Retry cond-var state: Retry
-	// subscribes the read-set fingerprint and sets parkPending; the
-	// retry loop parks before the next attempt. retryAborts counts
-	// Retry unwinds, excluded from the ladder's escalation signals.
-	waiter      mode.Waiter
-	parkPending bool
-	parkFP      uint64
-	retryAborts uint64
-
-	// tr is this descriptor's flight recorder (txtrace.Nop by default);
-	// traced caches tr.Enabled() so the disabled hot path costs one
-	// predicted branch instead of an interface call per operation.
-	tr     txtrace.Tracer
-	traced bool
 }
 
-var _ tm.Tx = (*Tx)(nil)
+var (
+	_ tm.Tx          = (*Tx)(nil)
+	_ txrt.Algorithm = (*Tx)(nil)
+)
 
 // Atomic runs fn as one transaction, retrying until commit.
-func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
-	rt.run(st, fn, false)
-}
+func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) { rt.run(st, fn, false) }
 
 // AtomicRO runs fn as one transaction declared read-only. With
 // multi-versioning enabled (WithMultiVersion), the transaction reads
@@ -421,280 +125,59 @@ func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
 // skips validation, and commits unconditionally; a reader overrun by
 // more than K writers — or an undeclared store — silently re-runs the
 // transaction on the validated path.
-func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
-	rt.run(st, fn, true)
-}
+func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) { rt.run(st, fn, true) }
 
 func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx, _ := rt.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{rt: rt}
-		tx.cmSelf.Timestamp = &tx.greedTS
-		tx.cmSelf.Probe = &tx.cmProbe
-		tx.tr = txtrace.Nop
-		if rt.trace != nil {
-			tx.tr = rt.trace.NewRing("tl2-tx")
-			tx.traced = true
-		}
+		tx.Init(&rt.Env, tx, "tl2-tx")
 	}
-	tx.work = 0
-	tx.aborts = 0
-	tx.retryAborts = 0
-	tx.gateYield = false
-	tx.greedTS.Store(0)
-	tx.cmSelf.Defeats = 0
-	tx.ro = ro
-	tx.mvOn = ro && rt.mv != nil
-	tx.mvReads = 0
-	tx.mvMisses = 0
-	tx.sketch = txstats.Sketch{}
-	tx.crossShard = 0
-	tx.home = 0
-	if st != nil {
-		if !st.bound {
-			st.bound = true
-			st.threadID = rt.threadIDs.Add(1) - 1
-			st.home = int32(rt.placement.Home(int(st.threadID)))
-			st.ctl = mode.NewController(rt.modeCfg)
-		}
-		tx.home = st.home
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindTxBegin, rt.clk.Now(), 0, 0)
-	}
-	// Ladder: a serialized transaction takes the runtime gate before
-	// its first attempt (announcing itself so speculative wait loops
-	// yield) and runs the unchanged TL2 protocol under it — opacity by
-	// construction, serialization only against other fallback entrants.
-	serial := st != nil && st.ctl.Serial()
-	if serial {
-		tx.enterGate()
-	}
-	var lastAttempt time.Time
-	for {
-		if tx.parkPending {
-			tx.parkRetry(st, serial)
-		}
-		lastAttempt = time.Now()
-		tx.rv = rt.clk.Now()
-		tx.readLog.Reset()
-		tx.writeSet.Reset()
-		tx.held.Reset()
-		tx.allocs = tx.allocs[:0]
-		tx.frees = tx.frees[:0]
-		tx.work += txStartCost
-		if tx.traced {
-			tx.tr.Record(txtrace.KindAttemptStart, tx.rv, tx.aborts+1, 0)
-		}
+	tx.fn = fn
+	// Deferred so a panicking body still returns the descriptor: the
+	// driver has released its locks and the gate by the time the panic
+	// unwinds through here.
+	defer rt.put(tx)
+	tx.Run(nil, st, ro)
+}
 
-		if tx.attempt(fn) {
-			break
-		}
-		if st != nil {
-			st.RestartLatency.Observe(int(time.Since(lastAttempt)))
-		}
-		tx.aborts++
-		if tx.parkPending {
-			// A Retry unwound this attempt; it parks at the top of the
-			// loop — no contention backoff, no escalation pressure.
-			tx.retryAborts++
-			continue
-		}
-		if !serial && st != nil && st.ctl.Escalate(int(tx.aborts-tx.retryAborts)) {
-			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
-			// move this transaction under the gate and retry there.
-			serial = true
-			st.ModeFallbacks++
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, rt.clk.Now(),
-					uint64(mode.StateSerial), uint32(mode.StateSpec))
-			}
-			tx.enterGate()
-			continue
-		}
-		if tx.gateYield {
-			// We aborted to let a gate entrant pass: back off SpinInit
-			// yields so the serialized cohort gets cycles first.
-			tx.gateYield = false
-			for i := 0; i < rt.modeCfg.SpinInit; i++ {
-				runtime.Gosched()
-			}
-		}
-		tx.cmSelf.Aborts = tx.aborts
-		for i, n := 0, cm.AbortBackoff(rt.cmPol, &tx.cmSelf); i < n; i++ {
-			runtime.Gosched()
-		}
-	}
-	if serial {
-		tx.exitGate()
-	}
-	if st != nil {
-		if fell, rec := st.ctl.OnOutcome(tx.aborts-tx.retryAborts, tx.cmSelf.Defeats > 0); fell || rec {
-			if fell {
-				st.ModeFallbacks++
-			} else {
-				st.ModeRecoveries++
-			}
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, rt.clk.Now(),
-					uint64(st.ctl.State()), uint32(1-st.ctl.State()))
-			}
-		}
-	}
-	cm.Committed(rt.cmPol, &tx.cmSelf)
-	cmSelf, cmOwner, spins := tx.cmProbe.TakeCounts()
-	if st != nil {
-		st.Commits++
-		st.Aborts += tx.aborts
-		st.Work += tx.work
-		st.ClockCASRetries += tx.clkProbe.TakeRetries()
-		st.CMAbortsSelf += cmSelf
-		st.CMAbortsOwner += cmOwner
-		st.BackoffSpins += spins
-		st.MVReads += tx.mvReads
-		st.MVMisses += tx.mvMisses
-		st.ReadSetSizes.Observe(tx.readLog.Len())
-		st.WriteSetSizes.Observe(tx.writeSet.Len())
-		st.CommitLatency.Observe(int(time.Since(lastAttempt)))
-		st.Attempts.Observe(int(tx.aborts) + 1)
-		st.ConflictSketch.Merge(tx.sketch)
-		st.CrossShardConflicts += tx.crossShard
-		rt.maybeRemap(st, tx)
-	}
-	tx.ro = false
+func (rt *Runtime) put(tx *Tx) {
+	tx.fn = nil
 	rt.txPool.Put(tx)
 }
 
-// enterGate moves the transaction under the serialized rung: pending
-// is raised before the lock is contended so speculative wait loops
-// start yielding immediately.
-func (tx *Tx) enterGate() {
-	tx.inSerial = true
-	tx.rt.gate.Enter()
+// Begin implements txrt.Algorithm.
+func (tx *Tx) Begin() uint64 {
+	tx.rv = tx.rt.Clk.Now()
+	tx.readLog.Reset()
+	tx.writeSet.Reset()
+	tx.held.Reset()
+	return tx.rv
 }
 
-func (tx *Tx) exitGate() {
-	tx.rt.gate.Exit()
-	tx.inSerial = false
-}
-
-// parkRetry blocks the transaction on its Retry doorbell until a
-// conflicting commit rings it. A serialized transaction releases the
-// gate across the park (its producer may need the serialized rung) and
-// re-enters after.
-func (tx *Tx) parkRetry(st *Stats, serial bool) {
-	tx.parkPending = false
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 0)
-	}
-	if serial {
-		tx.exitGate()
-	}
-	tx.waiter.Park()
-	tx.rt.hub.Unsubscribe(&tx.waiter)
-	if serial {
-		tx.enterGate()
-	}
-	if st != nil {
-		st.RetryWakes++
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 1)
-	}
-}
-
-// remapPeriod is how many transactions a thread commits between
-// consecutive Rebalance offers to the placement policy.
-const remapPeriod = 64
-
-// maybeRemap is the commit-epilogue placement step, run on the calling
-// thread against its own Stats shard: every remapPeriod transactions
-// offer the accumulated conflict-sketch window to the placement policy
-// and refresh the shard's home.
-func (rt *Runtime) maybeRemap(st *Stats, tx *Tx) {
-	st.remapWindow.Merge(tx.sketch)
-	st.txSinceRemap++
-	if st.txSinceRemap < remapPeriod {
-		return
-	}
-	st.txSinceRemap = 0
-	moved := rt.placement.Rebalance(int(st.threadID), st.remapWindow)
-	st.remapWindow = txstats.Sketch{}
-	if moved {
-		old := st.home
-		st.home = int32(rt.placement.Home(int(st.threadID)))
-		st.Remaps++
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRemap, rt.clk.Now(), uint64(st.home), uint32(old))
-		}
-	}
-}
-
-// noteConflict attributes one abort or CM defeat at address a to its
-// lock-array shard (cold path).
-func (tx *Tx) noteConflict(a tm.Addr) {
-	shard := tx.rt.layout.ShardOf(a)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// noteConflictLock is noteConflict for sites that hold only the lock
-// word (read-set validation).
-func (tx *Tx) noteConflictLock(l *atomic.Uint64) {
-	shard := tx.rt.lockShard(l)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, is := r.(rollbackSignal); !is {
-				for _, a := range tx.allocs {
-					tx.rt.alloc.Free(a)
-				}
-				panic(r)
-			}
-			ok = false
-		}
-	}()
-	fn(tx)
+// Exec implements txrt.Algorithm.
+func (tx *Tx) Exec() {
+	tx.fn(tx)
 	tx.commit()
-	return true
 }
 
-func (tx *Tx) rollback() {
-	for _, a := range tx.allocs {
-		tx.rt.alloc.Free(a)
-	}
-	panic(rollbackSignal{})
-}
+// Release implements txrt.Algorithm: restore the write locks a failed
+// commit took (the body itself holds none).
+func (tx *Tx) Release() { tx.held.Restore() }
 
-// abort records the rollback's reason on the trace and unwinds.
-func (tx *Tx) abort(reason uint32) {
-	if tx.traced {
-		tx.tr.Record(txtrace.KindAbort, tx.rv, 0, reason)
-	}
-	tx.rollback()
-}
+// SetSizes implements txrt.Algorithm (logged locks / buffered
+// addresses).
+func (tx *Tx) SetSizes() (reads, writes int) { return tx.readLog.Len(), tx.writeSet.Len() }
 
-func (tx *Tx) tick(units uint64) {
-	tx.work += units
-	if tx.work%yieldQuantum < units {
-		runtime.Gosched()
-	}
-}
+// abort unwinds the attempt, recording reason on the trace.
+func (tx *Tx) abort(reason uint32) { tx.Abort(tx.rv, reason) }
 
 // Load implements tm.Tx: TL2's versioned read with pre/post lock checks.
 func (tx *Tx) Load(a tm.Addr) uint64 {
-	if tx.mvOn {
+	if tx.MVOn {
 		return tx.loadMV(a)
 	}
-	tx.tick(1)
+	tx.Tick(1)
 	if v, buffered := tx.writeSet.Get(a); buffered {
 		return v
 	}
@@ -707,33 +190,12 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// policy decides between riding the publish out and
 			// aborting (the Suicide default waits — the hold is short
 			// and the committer is past the point of being aborted).
-			tx.cmSelf.Point = cm.PointCommit
-			tx.cmSelf.Writes = tx.writeSet.Len()
-			tx.cmSelf.Waited = waited
-			dec := cm.Resolve(tx.rt.cmPol, &tx.cmSelf, nil)
-			if tx.traced {
-				tx.tr.Record(txtrace.KindCMDecision, tx.rv, uint64(a),
-					txtrace.CMAux(int(dec), int(cm.PointCommit)))
-			}
-			if dec == cm.AbortSelf {
-				tx.cmSelf.Defeats++
-				tx.noteConflict(a)
-				tx.abort(txtrace.AbortCM)
-			}
-			if !tx.inSerial && tx.rt.gate.Pending() {
-				// A serialized entrant holds or awaits the gate: riding
-				// this conflict out could starve it. Yield instead —
-				// the retry loop charges SpinInit backoff first.
-				tx.cmSelf.Defeats++
-				tx.gateYield = true
-				tx.noteConflict(a)
-				tx.abort(txtrace.AbortCM)
-			}
+			tx.ResolveConflict(tx.rv, a, cm.PointCommit, tx.writeSet.Len(), waited, nil)
 			waited++
 			runtime.Gosched()
 			continue
 		}
-		val := tx.rt.store.LoadWord(a)
+		val := tx.rt.Store.LoadWord(a)
 		if l.Load() != v1 {
 			continue
 		}
@@ -742,13 +204,13 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// Fold the stamp into the clock first so the retry's fresh
 			// read version covers it (pre-publishing strategies never
 			// advance on their own).
-			tx.rt.clk.Observe(v1, &tx.clkProbe)
-			tx.noteConflict(a)
+			tx.rt.Clk.Observe(v1, &tx.ClkProbe)
+			tx.NoteConflictAt(a)
 			tx.abort(txtrace.AbortValidation)
 		}
 		tx.readLog.Append(l)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 		}
 		return val
 	}
@@ -762,27 +224,27 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 // leaves this path (and re-runs validated) when the ring has been
 // overrun by more than K commits.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
-	tx.tick(1)
+	tx.Tick(1)
 	l := tx.rt.lockFor(a)
 	for {
 		v1 := l.Load()
 		if v1 != locked && v1 <= tx.rv {
-			val := tx.rt.store.LoadWord(a)
+			val := tx.rt.Store.LoadWord(a)
 			if l.Load() == v1 {
-				tx.mvReads++
-				if tx.traced {
-					tx.tr.Record(txtrace.KindRead, v1, uint64(a), 1)
+				tx.MVReads++
+				if tx.Traced {
+					tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
 				}
 				return val
 			}
 			continue // torn read: version moved underneath us
 		}
-		if val, from, ok := tx.rt.mv.ReadAt(a, tx.rv); ok {
-			tx.mvReads++
-			if tx.traced {
+		if val, from, ok := tx.rt.MV.ReadAt(a, tx.rv); ok {
+			tx.MVReads++
+			if tx.Traced {
 				// Clock carries the served version's birth stamp, not the
 				// snapshot: the opacity checker needs the observed version.
-				tx.tr.Record(txtrace.KindRead, from, uint64(a), 1)
+				tx.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
 			}
 			return val
 		}
@@ -792,25 +254,25 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 			runtime.Gosched()
 			continue
 		}
-		tx.mvMisses++
-		tx.mvOn = false
+		tx.MVMisses++
+		tx.MVOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
 }
 
 // Store implements tm.Tx: writes buffer in the write set until commit.
 func (tx *Tx) Store(a tm.Addr, v uint64) {
-	if tx.mvOn {
+	if tx.MVOn {
 		// A store in a declared read-only transaction: the earlier
 		// multi-version reads were unlogged at a frozen read version, so
 		// re-run the attempt on the validated read-write path.
-		tx.mvOn = false
+		tx.MVOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
-	tx.tick(2)
+	tx.Tick(2)
 	tx.writeSet.Put(a, v)
-	if tx.traced {
-		tx.tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
+	if tx.Traced {
+		tx.Tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
 	}
 }
 
@@ -823,10 +285,10 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // finds the waiter registered and rings its doorbell. An empty or
 // already-stale read set never parks.
 func (tx *Tx) Retry() {
-	if tx.mvOn {
+	if tx.MVOn {
 		// Multi-version reads are unlogged: nothing to fingerprint.
 		// Re-run on the validated path, where the next Retry can park.
-		tx.mvOn = false
+		tx.MVOn = false
 		tx.abort(txtrace.AbortRetry)
 	}
 	var fp mode.Fingerprint
@@ -834,8 +296,8 @@ func (tx *Tx) Retry() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(l)))
 	}
 	if fp != 0 {
-		hub := tx.rt.hub
-		hub.Subscribe(&tx.waiter, fp)
+		hub := tx.rt.Hub
+		hub.Subscribe(&tx.Waiter, fp)
 		valid := true
 		for _, l := range tx.readLog.Locks() {
 			if v := l.Load(); v == locked || v > tx.rv {
@@ -844,25 +306,14 @@ func (tx *Tx) Retry() {
 			}
 		}
 		if valid {
-			tx.parkPending = true
-			tx.parkFP = uint64(fp)
+			tx.ParkPending = true
+			tx.ParkFP = uint64(fp)
 		} else {
-			hub.Unsubscribe(&tx.waiter)
+			hub.Unsubscribe(&tx.Waiter)
 		}
 	}
 	tx.abort(txtrace.AbortRetry)
 }
-
-// Alloc implements tm.Tx.
-func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.work++
-	a := tx.rt.alloc.Alloc(n)
-	tx.allocs = append(tx.allocs, a)
-	return a
-}
-
-// Free implements tm.Tx.
-func (tx *Tx) Free(a tm.Addr) { tx.frees = append(tx.frees, a) }
 
 // commit is TL2's commit: lock the write set (in address order, to
 // avoid deadlock between committers), bump the clock, validate the read
@@ -870,9 +321,9 @@ func (tx *Tx) Free(a tm.Addr) { tx.frees = append(tx.frees, a) }
 func (tx *Tx) commit() {
 	if tx.writeSet.Len() == 0 {
 		// Read-only: already validated against rv at every read.
-		tx.applyFrees()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
+		tx.ApplyFrees()
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
 		}
 		return
 	}
@@ -891,36 +342,15 @@ func (tx *Tx) commit() {
 				// so waiting is safe; whether to wait or abort is the
 				// policy's call (the Suicide default spins a bounded
 				// commit grace, like the old inlined loop).
-				tx.cmSelf.Point = cm.PointCommit
-				tx.cmSelf.Writes = tx.writeSet.Len()
-				tx.cmSelf.Waited = waited
-				dec := cm.Resolve(tx.rt.cmPol, &tx.cmSelf, nil)
-				if tx.traced {
-					tx.tr.Record(txtrace.KindCMDecision, tx.rv, uint64(a),
-						txtrace.CMAux(int(dec), int(cm.PointCommit)))
-				}
-				if dec == cm.AbortSelf {
-					tx.cmSelf.Defeats++
-					tx.held.Restore()
-					tx.noteConflict(a)
-					tx.abort(txtrace.AbortCM)
-				}
-				if !tx.inSerial && tx.rt.gate.Pending() {
-					tx.cmSelf.Defeats++
-					tx.gateYield = true
-					tx.held.Restore()
-					tx.noteConflict(a)
-					tx.abort(txtrace.AbortCM)
-				}
+				tx.ResolveConflict(tx.rv, a, cm.PointCommit, tx.writeSet.Len(), waited, nil)
 				waited++
-				tx.work += yieldQuantum
+				tx.Work += txrt.YieldQuantum
 				runtime.Gosched()
 				continue
 			}
 			if v > tx.rv {
-				tx.held.Restore()
-				tx.rt.clk.Observe(v, &tx.clkProbe)
-				tx.noteConflict(a)
+				tx.rt.Clk.Observe(v, &tx.ClkProbe)
+				tx.NoteConflictAt(a)
 				tx.abort(txtrace.AbortConflict)
 			}
 			if l.CompareAndSwap(v, locked) {
@@ -928,83 +358,75 @@ func (tx *Tx) commit() {
 				break
 			}
 		}
-		tx.work++
+		tx.Work++
 	}
 
-	wv := tx.rt.clk.Tick(&tx.clkProbe)
+	wv := tx.rt.Clk.Tick(&tx.ClkProbe)
 
 	// Validate the read set unless nothing could have changed. The
 	// wv == rv+1 shortcut is sound only when timestamps are exclusive:
 	// a non-exclusive strategy (deferred, sharded) can hand the same wv
 	// to a concurrent writer, so "the clock moved once" no longer means
 	// "only we committed".
-	if !tx.rt.exclusive || wv != tx.rv+1 {
+	if !tx.rt.Exclusive || wv != tx.rv+1 {
 		for i, l := range tx.readLog.Locks() {
-			if i%validationStride == 0 {
-				tx.work++
+			if i%txrt.ValidationStride == 0 {
+				tx.Work++
 			}
 			v := l.Load()
 			if v == locked {
 				if !tx.held.Holds(l) {
-					if tx.traced {
-						tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
+					if tx.Traced {
+						tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 					}
-					tx.held.Restore()
-					tx.noteConflictLock(l)
+					tx.NoteConflict(tx.rt.lockShard(l))
 					tx.abort(txtrace.AbortValidation)
 				}
 				continue
 			}
 			if v > tx.rv {
-				if tx.traced {
-					tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
+				if tx.Traced {
+					tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 				}
-				tx.held.Restore()
-				tx.rt.clk.Observe(v, &tx.clkProbe)
-				tx.noteConflictLock(l)
+				tx.rt.Clk.Observe(v, &tx.ClkProbe)
+				tx.NoteConflict(tx.rt.lockShard(l))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
-		if tx.traced {
-			tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
 		}
 	}
 
 	// Feed the multi-version store while memory still holds the values
 	// this commit is about to overwrite: each written word's old value
 	// was the committed value over [displaced lock version, wv).
-	if mv := tx.rt.mv; mv != nil {
+	if mv := tx.rt.MV; mv != nil {
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
 			pre, _ := tx.held.Displaced(tx.rt.lockFor(a))
-			mv.Publish(a, tx.rt.store.LoadWord(a), pre, wv)
+			mv.Publish(a, tx.rt.Store.LoadWord(a), pre, wv)
 		})
 	}
 
 	tx.writeSet.Range(func(a tm.Addr, v uint64) {
-		tx.rt.store.StoreWord(a, v)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommitWord, wv, uint64(a), 0)
+		tx.rt.Store.StoreWord(a, v)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindCommitWord, wv, uint64(a), 0)
 		}
-		tx.work++
+		tx.Work++
 	})
 	tx.held.Publish(wv)
 	// Ring Retry waiters whose read fingerprints intersect this write
 	// set; the no-waiter fast path is one atomic load.
-	if hub := tx.rt.hub; hub.Active() {
+	if hub := tx.rt.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
 			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.lockFor(a))))
 		})
 		hub.Notify(fp)
 	}
-	tx.applyFrees()
-	if tx.traced {
-		tx.tr.Record(txtrace.KindCommit, wv, uint64(tx.writeSet.Len()), 0)
-	}
-}
-
-func (tx *Tx) applyFrees() {
-	for _, a := range tx.frees {
-		tx.rt.alloc.Free(a)
+	tx.ApplyFrees()
+	if tx.Traced {
+		tx.Tr.Record(txtrace.KindCommit, wv, uint64(tx.writeSet.Len()), 0)
 	}
 }

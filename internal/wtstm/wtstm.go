@@ -21,209 +21,71 @@
 // redo-chain traversal on read-own-write, against wasted in-place
 // writes on abort and reader-hostile eager locking.
 //
-// The engine substrate (version clock, read log, undo log, held-lock
-// bookkeeping) comes from internal/clock and internal/txlog;
-// descriptors are pooled per runtime, so steady-state transactions
-// allocate nothing.
+// This file is the write-through protocol only: options, statistics and
+// the transaction driver are the engine kit's (internal/txrt), the logs
+// come from internal/txlog. Descriptors are pooled per runtime, so
+// steady-state transactions allocate nothing.
 package wtstm
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
-	"tlstm/internal/txstats"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 )
 
+// locked marks a versioned lock held by a writing transaction.
 const locked = ^uint64(0)
 
-const (
-	yieldQuantum     = 64
-	txStartCost      = 24
-	validationStride = 8
+// Option configures a Runtime; the options are the engine kit's.
+type Option = txrt.Option
+
+var (
+	WithClock = txrt.WithClock
+	// WithCM's default is cm.Suicide — one grace yield, then self-abort.
+	// The write-through locks are anonymous version words held for whole
+	// transaction lifetimes, so policies resolve against a nil owner, and
+	// internal/cm bounds any wait-for-the-owner verdict so that two
+	// transactions eagerly holding each other's next lock cannot deadlock.
+	WithCM = txrt.WithCM
+	// WithMultiVersion is, for a write-through runtime, the difference
+	// between a reader aborting on any eagerly locked word and reading
+	// straight past it from the version ring.
+	WithMultiVersion = txrt.WithMultiVersion
+	WithTrace        = txrt.WithTrace
+	WithShards       = txrt.WithShards
+	WithAffinity     = txrt.WithAffinity
+	WithMode         = txrt.WithMode
 )
 
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithClock selects the commit-clock strategy (internal/clock); the
-// default is the GV4 fetch-and-add clock. Non-exclusive strategies
-// (deferred, sharded) disable the "wv == rv+1 ⇒ skip validation"
-// commit shortcut, which is only sound when timestamps are unique.
-func WithClock(src clock.Source) Option {
-	return func(rt *Runtime) { rt.clk = src }
-}
-
-// WithCM selects the contention-management policy (internal/cm); the
-// default is cm.Suicide — one grace yield, then self-abort — which is
-// the behavior this runtime had hardwired. The write-through locks are
-// anonymous version words held for whole transaction lifetimes, so
-// policies resolve against a nil owner: they shape the requester's
-// waiting, aborting and backoff, and internal/cm bounds any
-// wait-for-the-owner verdict so that two transactions eagerly holding
-// each other's next lock cannot deadlock. nil keeps the default.
-func WithCM(pol cm.Policy) Option {
-	return func(rt *Runtime) { rt.cmPol = pol }
-}
-
-// WithMultiVersion retains the last k displaced committed versions per
-// word and enables the wait-free read path for transactions run through
-// AtomicRO. For a write-through runtime this is the difference between
-// a reader aborting on any eagerly locked word and reading straight
-// past it from the ring. k <= 0 disables multi-versioning (the
-// default).
-func WithMultiVersion(k int) Option {
-	return func(rt *Runtime) {
-		if k > 0 {
-			rt.mv = txlog.NewVersionedStore(k, txlog.DefaultVersionedStoreBits)
-		}
-	}
-}
-
-// WithTrace attaches a flight recorder (internal/txtrace): every pooled
-// descriptor gets its own single-owner event ring and records the
-// transaction lifecycle (begin, attempts, reads, writes, validation,
-// CM decisions, aborts, commits). nil keeps tracing off — the default
-// no-op tracer compiles to a dead branch on the hot paths.
-func WithTrace(rec *txtrace.Recorder) Option {
-	return func(rt *Runtime) { rt.trace = rec }
-}
-
-// WithShards splits the versioned-lock array into n contiguous shards
-// (a power of two; 0 and 1 both mean flat). Sharding only relabels
-// locks for conflict attribution — address→lock resolution is
-// identical at every shard count.
-func WithShards(n int) Option {
-	return func(rt *Runtime) { rt.shards = n }
-}
-
-// WithAffinity replaces the static round-robin thread placement with
-// the conflict-sketch affinity policy (sched.Affinity).
-func WithAffinity(on bool) Option {
-	return func(rt *Runtime) { rt.affinity = on }
-}
-
-// WithMode configures the execution-mode ladder (internal/mode): the
-// adaptive policy starts transactions speculative and falls back to a
-// serialized global-lock rung under sustained conflict, recovering
-// once the serialized window drains cleanly. The default keeps the
-// ladder disarmed (always speculative).
-func WithMode(cfg mode.Config) Option {
-	return func(rt *Runtime) { rt.modeCfg = cfg }
-}
-
-// Runtime is one write-through STM instance.
+// Runtime is one write-through STM instance: the engine kit's
+// environment plus the versioned lock array.
 type Runtime struct {
-	store *mem.Store
-	alloc *mem.Allocator
-
-	clk       clock.Source
-	exclusive bool // cached clk.Exclusive() (commit fast path)
-
-	cmPol cm.Policy // contention-management policy (conflict paths only)
-
+	txrt.Env
 	locks  []atomic.Uint64
-	layout locktable.Layout // address→lock→shard mapping (shared geometry)
-
-	// shards/affinity are config captured by options; placement is the
-	// resulting thread→shard policy. threadIDs hands each caller-owned
-	// Stats shard a placement identity on first use.
-	shards    int
-	affinity  bool
-	placement sched.Placement
-	threadIDs atomic.Int32
-
-	// mv, when non-nil, is the multi-version word store declared
-	// read-only transactions read from without validating.
-	mv *txlog.VersionedStore
-
-	// trace, when non-nil, hands each descriptor a flight-recorder ring.
-	trace *txtrace.Recorder
-
-	// modeCfg/gate/hub are the execution-mode ladder (WithMode): the
-	// gate serializes fallback entrants, the hub parks Retry waiters.
-	modeCfg mode.Config
-	gate    mode.Gate
-	hub     *mode.WaitHub
-
 	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
 }
 
 // New creates a runtime with 2^bits versioned locks.
 func New(bits int, opts ...Option) *Runtime {
-	if bits <= 0 {
-		bits = 20
-	}
-	st := mem.NewStore()
-	rt := &Runtime{
-		store: st,
-		alloc: mem.NewAllocator(st),
-	}
-	for _, o := range opts {
-		o(rt)
-	}
-	rt.modeCfg = rt.modeCfg.Fill()
-	rt.hub = mode.NewWaitHub()
-	rt.layout = locktable.NewLayout(bits, rt.shards)
-	rt.locks = make([]atomic.Uint64, rt.layout.Slots())
-	if rt.affinity {
-		rt.placement = sched.NewAffinity(rt.layout.Shards())
-	} else {
-		rt.placement = sched.NewRoundRobin(rt.layout.Shards())
-	}
-	if rt.clk == nil {
-		rt.clk = clock.New(clock.KindGV4)
-	}
-	if rt.cmPol == nil {
-		rt.cmPol = cm.New(cm.KindSuicide)
-	}
-	rt.exclusive = rt.clk.Exclusive()
-	if rt.trace != nil {
-		// The offline opacity checker recomputes lock-table slots and
-		// picks its clock model from this metadata (txcheck).
-		rt.trace.SetMeta("wtstm.lockbits", strconv.Itoa(bits))
-		rt.trace.SetMeta("wtstm.clock", rt.clk.Name())
-		rt.trace.SetMeta("wtstm.exclusive", strconv.FormatBool(rt.exclusive))
-		rt.trace.SetMeta("wtstm.mvdepth", strconv.Itoa(rt.MVDepth()))
-	}
+	c := txrt.Config{LockTableBits: bits}
+	c.Apply(opts)
+	rt := &Runtime{}
+	rt.Init("wtstm", mem.NewStore(), c, cm.KindSuicide)
+	rt.locks = make([]atomic.Uint64, rt.Layout.Slots())
 	return rt
 }
 
-// MVDepth reports the retained version depth (0 when multi-versioning
-// is off).
-func (rt *Runtime) MVDepth() int {
-	if rt.mv == nil {
-		return 0
-	}
-	return rt.mv.K()
-}
-
-// ClockName reports the commit-clock strategy this runtime uses.
-func (rt *Runtime) ClockName() string { return rt.clk.Name() }
-
-// CMName reports the contention-management policy this runtime uses.
-func (rt *Runtime) CMName() string { return rt.cmPol.Name() }
-
-// Direct returns the non-transactional setup handle.
-func (rt *Runtime) Direct() mem.Direct { return mem.Direct{Mem: rt.store, Al: rt.alloc} }
-
-// Allocator exposes the allocator (tests).
-func (rt *Runtime) Allocator() *mem.Allocator { return rt.alloc }
-
 func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
-	return &rt.locks[rt.layout.Index(a)]
+	return &rt.locks[rt.Layout.Index(a)]
 }
 
 // lockShard recovers the shard of a lock word previously returned by
@@ -232,147 +94,29 @@ func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
 func (rt *Runtime) lockShard(l *atomic.Uint64) int {
 	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&rt.locks[0]))) /
 		unsafe.Sizeof(atomic.Uint64{})
-	return rt.layout.ShardOfIndex(uint64(idx))
+	return rt.Layout.ShardOfIndex(uint64(idx))
 }
 
-// Shards reports the lock array's shard count.
-func (rt *Runtime) Shards() int { return rt.layout.Shards() }
-
-// PlacementName reports the thread-placement policy in use.
-func (rt *Runtime) PlacementName() string { return rt.placement.Name() }
-
-// Stats accumulates commits, aborts and work units.
-type Stats struct {
-	Commits uint64
-	Aborts  uint64
-	Work    uint64
-	// SnapshotExtensions counts successful read-version extensions
-	// (this runtime extends like SwissTM rather than aborting).
-	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock
-	// operations (internal/clock.Probe).
-	ClockCASRetries uint64
-	// CMAbortsSelf counts lost conflicts (one AbortSelf decision
-	// each); CMAbortsOwner counts AbortOwner decisions against the
-	// (anonymous) owner, one per waiting round; BackoffSpins counts
-	// the scheduler yields the policy charged between retries
-	// (internal/cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
-	// EntryReclaims and HorizonStalls are always 0 for the
-	// write-through STM: it updates memory in place under versioned
-	// locks and keeps an undo log of plain records, so no lock-table
-	// entries exist to reclaim. The fields exist so reclamation sweeps
-	// report a uniform column across runtimes.
-	EntryReclaims uint64
-	HorizonStalls uint64
-	// MVReads counts reads served on the multi-version wait-free path;
-	// MVMisses counts read-only transactions that fell off it (ring
-	// overrun, a word locked by an in-flight writer with no covering
-	// version, or an undeclared write) and re-ran validated.
-	MVReads  uint64
-	MVMisses uint64
-	// ReadSetSizes and WriteSetSizes histogram the per-committed-
-	// transaction set sizes (logged reads / held locks).
-	ReadSetSizes  txstats.Hist
-	WriteSetSizes txstats.Hist
-	// RestartLatency histograms the nanoseconds burned per aborted
-	// attempt; CommitLatency the nanoseconds of each final, successful
-	// attempt; Attempts the attempts-per-committed-transaction
-	// distribution (1 = first-try commit).
-	RestartLatency txstats.Hist
-	CommitLatency  txstats.Hist
-	Attempts       txstats.Hist
-	// ConflictSketch counts aborts and CM defeats per lock-array shard;
-	// CrossShardConflicts counts the subset outside the thread's home
-	// shard; Remaps counts placement rebinds.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (mid-transaction escalations included) and ModeRecoveries the
-	// returns to speculation; RetryWakes counts Retry parks woken by a
-	// conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
-
-	// This runtime has no thread descriptor (Tx descriptors are pooled
-	// per runtime, not per caller), so the caller-owned Stats shard IS
-	// the logical thread: its placement identity lives here, assigned
-	// on the shard's first transaction and touched only by the owning
-	// goroutine — as is the execution-mode controller.
-	bound        bool
-	threadID     int32
-	home         int32
-	txSinceRemap int
-	remapWindow  txstats.Sketch
-	ctl          mode.Controller
-}
-
-// Add folds o into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Work += o.Work
-	s.SnapshotExtensions += o.SnapshotExtensions
-	s.ClockCASRetries += o.ClockCASRetries
-	s.CMAbortsSelf += o.CMAbortsSelf
-	s.CMAbortsOwner += o.CMAbortsOwner
-	s.BackoffSpins += o.BackoffSpins
-	s.EntryReclaims += o.EntryReclaims
-	s.HorizonStalls += o.HorizonStalls
-	s.MVReads += o.MVReads
-	s.MVMisses += o.MVMisses
-	s.ReadSetSizes.Merge(o.ReadSetSizes)
-	s.WriteSetSizes.Merge(o.WriteSetSizes)
-	s.RestartLatency.Merge(o.RestartLatency)
-	s.CommitLatency.Merge(o.CommitLatency)
-	s.Attempts.Merge(o.Attempts)
-	s.ConflictSketch.Merge(o.ConflictSketch)
-	s.CrossShardConflicts += o.CrossShardConflicts
-	s.Remaps += o.Remaps
-	s.ModeFallbacks += o.ModeFallbacks
-	s.ModeRecoveries += o.ModeRecoveries
-	s.RetryWakes += o.RetryWakes
-}
-
-type rollbackSignal struct{}
+// Stats accumulates commits, aborts and work units (txrt.Stats). This
+// runtime has no thread descriptor, so the caller-owned shard is the
+// logical thread: use one shard per goroutine, with one runtime.
+// EntryReclaims and HorizonStalls stay 0 — memory is updated in place
+// under versioned locks and the undo log holds plain records, so there
+// are no lock-table entries to reclaim.
+type Stats = txrt.Stats
 
 // Tx is one write-through transaction descriptor; it implements tm.Tx.
 // It is pooled by the runtime and reused across Atomic calls: its read
 // log, undo log and held-lock scratch keep their backing storage.
 type Tx struct {
+	txrt.Desc
 	rt *Runtime
+	fn func(tx *Tx) // the body of the transaction in flight
 	rv uint64
 
 	readLog txlog.VersionedReadLog
 	undo    txlog.UndoLog
 	held    txlog.LockSet
-
-	allocs []tm.Addr
-	frees  []tm.Addr
-
-	work    uint64
-	aborts  uint64
-	extends uint64
-
-	// home is the calling thread's home shard for this transaction;
-	// sketch/crossShard attribute its aborts and CM defeats to shards.
-	// Per-transaction, folded into the caller's Stats after commit.
-	home       int32
-	sketch     txstats.Sketch
-	crossShard uint64
-
-	// ro marks a transaction declared read-only (AtomicRO); mvOn is
-	// true while it runs the multi-version wait-free read path. A miss
-	// clears mvOn for the rest of the transaction and re-runs it
-	// validated — never an error.
-	ro       bool
-	mvOn     bool
-	mvReads  uint64
-	mvMisses uint64
 
 	// mvSeen dedupes undo records per address during the commit-time
 	// version publish (the undo log holds one record per Store, and only
@@ -382,49 +126,15 @@ type Tx struct {
 	// lastWrites snapshots held.Len() at commit, before Publish empties
 	// the set, for the write-set-size histogram.
 	lastWrites int
-
-	// clkProbe accumulates clock CAS retries (and pins this descriptor
-	// to a shard under the sharded strategy).
-	clkProbe clock.Probe
-
-	// cmSelf/cmProbe are the descriptor's contention-management
-	// identity and counters (internal/cm); greedTS is the priority slot
-	// policies publish into (no other transaction reads it — the locks
-	// carry no owner header — but it lets priority policies track their
-	// own escalation state).
-	cmSelf  cm.Self
-	cmProbe cm.Probe
-	greedTS atomic.Uint64
-
-	// inSerial marks a transaction running under the ladder's
-	// serialized gate (exempt from the gate-yield wait-loop breaks);
-	// gateYield asks the retry loop for one SpinInit backoff after an
-	// abort taken to let a gate entrant pass.
-	inSerial  bool
-	gateYield bool
-
-	// waiter/parkPending/parkFP are the Retry cond-var state: Retry
-	// subscribes the read-set fingerprint and sets parkPending; the
-	// retry loop parks before the next attempt. retryAborts counts
-	// Retry unwinds, excluded from the ladder's escalation signals.
-	waiter      mode.Waiter
-	parkPending bool
-	parkFP      uint64
-	retryAborts uint64
-
-	// tr is this descriptor's flight recorder (txtrace.Nop unless the
-	// runtime was built WithTrace); traced caches tr.Enabled() so the
-	// hot paths pay one predictable branch.
-	tr     txtrace.Tracer
-	traced bool
 }
 
-var _ tm.Tx = (*Tx)(nil)
+var (
+	_ tm.Tx          = (*Tx)(nil)
+	_ txrt.Algorithm = (*Tx)(nil)
+)
 
 // Atomic runs fn as one transaction, retrying until commit.
-func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
-	rt.run(st, fn, false)
-}
+func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) { rt.run(st, fn, false) }
 
 // AtomicRO runs fn as one transaction declared read-only. With
 // multi-versioning enabled (WithMultiVersion), the transaction reads
@@ -432,305 +142,71 @@ func (rt *Runtime) Atomic(st *Stats, fn func(tx *Tx)) {
 // skips validation, and commits unconditionally; a reader overrun by
 // more than K writers — or an undeclared store — silently re-runs the
 // transaction on the validated path.
-func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) {
-	rt.run(st, fn, true)
-}
+func (rt *Runtime) AtomicRO(st *Stats, fn func(tx *Tx)) { rt.run(st, fn, true) }
 
 func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	tx, _ := rt.txPool.Get().(*Tx)
 	if tx == nil {
 		tx = &Tx{rt: rt}
-		tx.cmSelf.Timestamp = &tx.greedTS
-		tx.cmSelf.Probe = &tx.cmProbe
-		tx.tr = txtrace.Nop
-		if rt.trace != nil {
-			tx.tr = rt.trace.NewRing("wtstm-tx")
-			tx.traced = true
-		}
+		tx.Init(&rt.Env, tx, "wtstm-tx")
 	}
-	tx.work = 0
-	tx.aborts = 0
-	tx.retryAborts = 0
-	tx.gateYield = false
-	tx.extends = 0
-	tx.greedTS.Store(0)
-	tx.cmSelf.Defeats = 0
-	tx.ro = ro
-	tx.mvOn = ro && rt.mv != nil
-	tx.mvReads = 0
-	tx.mvMisses = 0
-	tx.lastWrites = 0
-	tx.sketch = txstats.Sketch{}
-	tx.crossShard = 0
-	tx.home = 0
-	if st != nil {
-		if !st.bound {
-			st.bound = true
-			st.threadID = rt.threadIDs.Add(1) - 1
-			st.home = int32(rt.placement.Home(int(st.threadID)))
-			st.ctl = mode.NewController(rt.modeCfg)
-		}
-		tx.home = st.home
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindTxBegin, rt.clk.Now(), 0, 0)
-	}
-	// Ladder: a serialized transaction takes the runtime gate before
-	// its first attempt (announcing itself so speculative wait loops
-	// yield) and runs the unchanged write-through protocol under it —
-	// opacity by construction, serialization only against other
-	// fallback entrants.
-	serial := st != nil && st.ctl.Serial()
-	if serial {
-		tx.enterGate()
-	}
-	var lastAttempt time.Time
-	for {
-		if tx.parkPending {
-			tx.parkRetry(st, serial)
-		}
-		lastAttempt = time.Now()
-		tx.rv = rt.clk.Now()
-		tx.readLog.Reset()
-		tx.undo.Reset()
-		tx.held.Reset()
-		tx.allocs = tx.allocs[:0]
-		tx.frees = tx.frees[:0]
-		tx.work += txStartCost
-		if tx.traced {
-			tx.tr.Record(txtrace.KindAttemptStart, tx.rv, tx.aborts+1, 0)
-		}
+	tx.fn = fn
+	// Deferred so a panicking body still returns the descriptor: the
+	// driver has undone its writes and released its locks and the gate
+	// by the time the panic unwinds through here.
+	defer rt.put(tx)
+	tx.Run(nil, st, ro)
+}
 
-		if tx.attempt(fn) {
-			break
-		}
-		if st != nil {
-			st.RestartLatency.Observe(int(time.Since(lastAttempt)))
-		}
-		tx.aborts++
-		if tx.parkPending {
-			// A Retry unwound this attempt; it parks at the top of the
-			// loop — no contention backoff, no escalation pressure.
-			tx.retryAborts++
-			continue
-		}
-		if !serial && st != nil && st.ctl.Escalate(int(tx.aborts-tx.retryAborts)) {
-			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
-			// move this transaction under the gate and retry there.
-			serial = true
-			st.ModeFallbacks++
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, rt.clk.Now(),
-					uint64(mode.StateSerial), uint32(mode.StateSpec))
-			}
-			tx.enterGate()
-			continue
-		}
-		if tx.gateYield {
-			// We aborted to let a gate entrant pass: back off SpinInit
-			// yields so the serialized cohort gets cycles first.
-			tx.gateYield = false
-			for i := 0; i < rt.modeCfg.SpinInit; i++ {
-				runtime.Gosched()
-			}
-		}
-		tx.cmSelf.Aborts = tx.aborts
-		for i, n := 0, cm.AbortBackoff(rt.cmPol, &tx.cmSelf); i < n; i++ {
-			runtime.Gosched()
-		}
-	}
-	if serial {
-		tx.exitGate()
-	}
-	if st != nil {
-		if fell, rec := st.ctl.OnOutcome(tx.aborts-tx.retryAborts, tx.cmSelf.Defeats > 0); fell || rec {
-			if fell {
-				st.ModeFallbacks++
-			} else {
-				st.ModeRecoveries++
-			}
-			if tx.traced {
-				tx.tr.Record(txtrace.KindModeShift, rt.clk.Now(),
-					uint64(st.ctl.State()), uint32(1-st.ctl.State()))
-			}
-		}
-	}
-	cm.Committed(rt.cmPol, &tx.cmSelf)
-	cmSelf, cmOwner, spins := tx.cmProbe.TakeCounts()
-	if st != nil {
-		st.Commits++
-		st.Aborts += tx.aborts
-		st.Work += tx.work
-		st.SnapshotExtensions += tx.extends
-		st.ClockCASRetries += tx.clkProbe.TakeRetries()
-		st.CMAbortsSelf += cmSelf
-		st.CMAbortsOwner += cmOwner
-		st.BackoffSpins += spins
-		st.MVReads += tx.mvReads
-		st.MVMisses += tx.mvMisses
-		st.ReadSetSizes.Observe(tx.readLog.Len())
-		st.WriteSetSizes.Observe(tx.lastWrites)
-		st.CommitLatency.Observe(int(time.Since(lastAttempt)))
-		st.Attempts.Observe(int(tx.aborts) + 1)
-		st.ConflictSketch.Merge(tx.sketch)
-		st.CrossShardConflicts += tx.crossShard
-		rt.maybeRemap(st, tx)
-	}
-	tx.ro = false
+func (rt *Runtime) put(tx *Tx) {
+	tx.fn = nil
 	rt.txPool.Put(tx)
 }
 
-// enterGate moves the transaction under the serialized rung: pending
-// is raised before the lock is contended so speculative wait loops
-// start yielding immediately.
-func (tx *Tx) enterGate() {
-	tx.inSerial = true
-	tx.rt.gate.Enter()
+// Begin implements txrt.Algorithm.
+func (tx *Tx) Begin() uint64 {
+	tx.rv = tx.rt.Clk.Now()
+	tx.readLog.Reset()
+	tx.undo.Reset()
+	tx.held.Reset()
+	tx.lastWrites = 0
+	return tx.rv
 }
 
-func (tx *Tx) exitGate() {
-	tx.rt.gate.Exit()
-	tx.inSerial = false
-}
-
-// parkRetry blocks the transaction on its Retry doorbell until a
-// conflicting commit rings it. A serialized transaction releases the
-// gate across the park (its producer may need the serialized rung) and
-// re-enters after.
-func (tx *Tx) parkRetry(st *Stats, serial bool) {
-	tx.parkPending = false
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 0)
-	}
-	if serial {
-		tx.exitGate()
-	}
-	tx.waiter.Park()
-	tx.rt.hub.Unsubscribe(&tx.waiter)
-	if serial {
-		tx.enterGate()
-	}
-	if st != nil {
-		st.RetryWakes++
-	}
-	if tx.traced {
-		tx.tr.Record(txtrace.KindRetryPark, tx.rt.clk.Now(), tx.parkFP, 1)
-	}
-}
-
-// remapPeriod is how many transactions a thread commits between
-// consecutive Rebalance offers to the placement policy.
-const remapPeriod = 64
-
-// maybeRemap is the commit-epilogue placement step, run on the calling
-// thread against its own Stats shard: every remapPeriod transactions
-// offer the accumulated conflict-sketch window to the placement policy
-// and refresh the shard's home.
-func (rt *Runtime) maybeRemap(st *Stats, tx *Tx) {
-	st.remapWindow.Merge(tx.sketch)
-	st.txSinceRemap++
-	if st.txSinceRemap < remapPeriod {
-		return
-	}
-	st.txSinceRemap = 0
-	moved := rt.placement.Rebalance(int(st.threadID), st.remapWindow)
-	st.remapWindow = txstats.Sketch{}
-	if moved {
-		old := st.home
-		st.home = int32(rt.placement.Home(int(st.threadID)))
-		st.Remaps++
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRemap, rt.clk.Now(), uint64(st.home), uint32(old))
-		}
-	}
-}
-
-// noteConflict attributes one abort or CM defeat at address a to its
-// lock-array shard (cold path).
-func (tx *Tx) noteConflict(a tm.Addr) {
-	shard := tx.rt.layout.ShardOf(a)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-// noteConflictLock is noteConflict for sites that hold only the lock
-// word (read-set validation).
-func (tx *Tx) noteConflictLock(l *atomic.Uint64) {
-	shard := tx.rt.lockShard(l)
-	tx.sketch.Observe(shard)
-	if int32(shard) != tx.home {
-		tx.crossShard++
-	}
-}
-
-func (tx *Tx) attempt(fn func(tx *Tx)) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, is := r.(rollbackSignal); !is {
-				tx.undoAndRelease()
-				for _, a := range tx.allocs {
-					tx.rt.alloc.Free(a)
-				}
-				panic(r)
-			}
-			ok = false
-		}
-	}()
-	fn(tx)
+// Exec implements txrt.Algorithm.
+func (tx *Tx) Exec() {
+	tx.fn(tx)
 	tx.commit()
-	return true
 }
 
-// abort records the abort reason on the flight recorder, then rolls
-// back (every rollback site routes through here so traces carry the
-// cause alongside the count).
-func (tx *Tx) abort(reason uint32) {
-	if tx.traced {
-		tx.tr.Record(txtrace.KindAbort, tx.rv, 0, reason)
-	}
-	tx.rollback()
-}
+// SetSizes implements txrt.Algorithm (logged reads / held locks).
+func (tx *Tx) SetSizes() (reads, writes int) { return tx.readLog.Len(), tx.lastWrites }
 
-// rollback restores in-place writes and unwinds to the retry loop.
-func (tx *Tx) rollback() {
-	tx.undoAndRelease()
-	for _, a := range tx.allocs {
-		tx.rt.alloc.Free(a)
-	}
-	panic(rollbackSignal{})
-}
+// abort unwinds the attempt, recording reason on the trace.
+func (tx *Tx) abort(reason uint32) { tx.Abort(tx.rv, reason) }
 
-// undoAndRelease rolls the undo log back in reverse order, then
-// releases every held lock at its pre-lock version.
-func (tx *Tx) undoAndRelease() {
+// Release implements txrt.Algorithm: roll the undo log back in reverse
+// order, then release every held lock at its pre-lock version.
+func (tx *Tx) Release() {
 	recs := tx.undo.Recs()
 	for i := len(recs) - 1; i >= 0; i-- {
-		tx.rt.store.StoreWord(recs[i].Addr, recs[i].Old)
-		tx.work++
+		tx.rt.Store.StoreWord(recs[i].Addr, recs[i].Old)
+		tx.Work++
 	}
 	tx.undo.Reset()
 	tx.held.Restore()
 }
 
-func (tx *Tx) tick(units uint64) {
-	tx.work += units
-	if tx.work%yieldQuantum < units {
-		runtime.Gosched()
-	}
-}
-
 // Load implements tm.Tx.
 func (tx *Tx) Load(a tm.Addr) uint64 {
-	if tx.mvOn {
+	if tx.MVOn {
 		return tx.loadMV(a)
 	}
-	tx.tick(1)
+	tx.Tick(1)
 	l := tx.rt.lockFor(a)
 	if tx.held.Holds(l) {
 		// We hold the lock: memory already has our in-place value.
-		return tx.rt.store.LoadWord(a)
+		return tx.rt.Store.LoadWord(a)
 	}
 	waited := 0
 	for {
@@ -741,49 +217,26 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// decides between waiting the owner out and aborting (the
 			// Suicide default gives one grace yield, then dies — the
 			// owner holds the lock for its whole lifetime).
-			tx.cmSelf.Point = cm.PointEncounter
-			tx.cmSelf.Writes = tx.held.Len()
-			tx.cmSelf.Waited = waited
-			dec := cm.Resolve(tx.rt.cmPol, &tx.cmSelf, nil)
-			if tx.traced {
-				tx.tr.Record(txtrace.KindCMDecision, tx.rv, uint64(a),
-					txtrace.CMAux(int(dec), int(cm.PointEncounter)))
-			}
-			if dec == cm.AbortSelf {
-				tx.cmSelf.Defeats++
-				tx.noteConflict(a)
-				tx.abort(txtrace.AbortCM)
-			}
-			if !tx.inSerial && tx.rt.gate.Pending() {
-				// A serialized entrant holds or awaits the gate: riding
-				// this conflict out could deadlock against it (the
-				// eager lock's owner may itself be parked behind the
-				// gate). Yield instead — the retry loop charges
-				// SpinInit backoff first.
-				tx.cmSelf.Defeats++
-				tx.gateYield = true
-				tx.noteConflict(a)
-				tx.abort(txtrace.AbortCM)
-			}
+			tx.ResolveConflict(tx.rv, a, cm.PointEncounter, tx.held.Len(), waited, nil)
 			waited++
-			tx.work += yieldQuantum
+			tx.Work += txrt.YieldQuantum
 			runtime.Gosched()
 			continue
 		}
-		val := tx.rt.store.LoadWord(a)
+		val := tx.rt.Store.LoadWord(a)
 		if l.Load() != v1 {
 			continue
 		}
 		if v1 > tx.rv && !tx.extendTo(v1) {
-			tx.noteConflict(a)
+			tx.NoteConflictAt(a)
 			tx.abort(txtrace.AbortExtend)
 		}
 		if v1 > tx.rv {
 			continue
 		}
 		tx.readLog.Append(l, v1)
-		if tx.traced {
-			tx.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 		}
 		return val
 	}
@@ -801,32 +254,32 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 // ring) re-runs the whole transaction validated — the owner can hold
 // the lock arbitrarily long, so waiting here is not an option.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
-	tx.tick(1)
+	tx.Tick(1)
 	l := tx.rt.lockFor(a)
 	for {
 		v1 := l.Load()
 		if v1 != locked && v1 <= tx.rv {
-			val := tx.rt.store.LoadWord(a)
+			val := tx.rt.Store.LoadWord(a)
 			if l.Load() == v1 {
-				tx.mvReads++
-				if tx.traced {
-					tx.tr.Record(txtrace.KindRead, v1, uint64(a), 1)
+				tx.MVReads++
+				if tx.Traced {
+					tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
 				}
 				return val
 			}
 			continue // torn read: version moved underneath us
 		}
-		if val, from, ok := tx.rt.mv.ReadAt(a, tx.rv); ok {
-			tx.mvReads++
-			if tx.traced {
+		if val, from, ok := tx.rt.MV.ReadAt(a, tx.rv); ok {
+			tx.MVReads++
+			if tx.Traced {
 				// Clock carries the served version's birth stamp, not the
 				// snapshot: the opacity checker needs the observed version.
-				tx.tr.Record(txtrace.KindRead, from, uint64(a), 1)
+				tx.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
 			}
 			return val
 		}
-		tx.mvMisses++
-		tx.mvOn = false
+		tx.MVMisses++
+		tx.MVOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
 }
@@ -836,10 +289,10 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 // advance on Observe; without it the stamp that sent us here would
 // stay forever ahead of rv and the read would livelock).
 func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.clk.Observe(witness, &tx.clkProbe)
+	ts := tx.rt.Clk.Observe(witness, &tx.ClkProbe)
 	for i, re := range tx.readLog.Entries() {
-		if i%validationStride == 0 {
-			tx.work++
+		if i%txrt.ValidationStride == 0 {
+			tx.Work++
 		}
 		v := re.Lock.Load()
 		if v == re.Version {
@@ -848,15 +301,15 @@ func (tx *Tx) extendTo(witness uint64) bool {
 		if tx.held.Holds(re.Lock) {
 			continue
 		}
-		if tx.traced {
-			tx.tr.Record(txtrace.KindExtend, ts, witness, 0)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindExtend, ts, witness, 0)
 		}
 		return false
 	}
 	if ts > tx.rv {
-		tx.extends++
-		if tx.traced {
-			tx.tr.Record(txtrace.KindExtend, ts, witness, 1)
+		tx.Extends++
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindExtend, ts, witness, 1)
 		}
 	}
 	tx.rv = ts
@@ -865,14 +318,14 @@ func (tx *Tx) extendTo(witness uint64) bool {
 
 // Store implements tm.Tx: eager lock, undo log, in-place update.
 func (tx *Tx) Store(a tm.Addr, v uint64) {
-	if tx.mvOn {
+	if tx.MVOn {
 		// A store in a declared read-only transaction: the earlier
 		// multi-version reads were unlogged at a frozen read version, so
 		// re-run the attempt on the validated read-write path.
-		tx.mvOn = false
+		tx.MVOn = false
 		tx.abort(txtrace.AbortSpec)
 	}
-	tx.tick(2)
+	tx.Tick(2)
 	l := tx.rt.lockFor(a)
 	if !tx.held.Holds(l) {
 		waited := 0
@@ -882,32 +335,14 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				// Writer/writer conflict against an anonymous eager
 				// lock: the policy decides (Suicide: one grace yield,
 				// then self-abort and retry).
-				tx.cmSelf.Point = cm.PointEncounter
-				tx.cmSelf.Writes = tx.held.Len()
-				tx.cmSelf.Waited = waited
-				dec := cm.Resolve(tx.rt.cmPol, &tx.cmSelf, nil)
-				if tx.traced {
-					tx.tr.Record(txtrace.KindCMDecision, tx.rv, uint64(a),
-						txtrace.CMAux(int(dec), int(cm.PointEncounter)))
-				}
-				if dec == cm.AbortSelf {
-					tx.cmSelf.Defeats++
-					tx.noteConflict(a)
-					tx.abort(txtrace.AbortCM)
-				}
-				if !tx.inSerial && tx.rt.gate.Pending() {
-					tx.cmSelf.Defeats++
-					tx.gateYield = true
-					tx.noteConflict(a)
-					tx.abort(txtrace.AbortCM)
-				}
+				tx.ResolveConflict(tx.rv, a, cm.PointEncounter, tx.held.Len(), waited, nil)
 				waited++
-				tx.work += yieldQuantum
+				tx.Work += txrt.YieldQuantum
 				runtime.Gosched()
 				continue
 			}
 			if cur > tx.rv && !tx.extendTo(cur) {
-				tx.noteConflict(a)
+				tx.NoteConflictAt(a)
 				tx.abort(txtrace.AbortExtend)
 			}
 			if cur > tx.rv {
@@ -919,10 +354,10 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 			}
 		}
 	}
-	tx.undo.Append(a, tx.rt.store.LoadWord(a))
-	tx.rt.store.StoreWord(a, v)
-	if tx.traced {
-		tx.tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
+	tx.undo.Append(a, tx.rt.Store.LoadWord(a))
+	tx.rt.Store.StoreWord(a, v)
+	if tx.Traced {
+		tx.Tr.Record(txtrace.KindWrite, tx.rv, uint64(a), 0)
 	}
 }
 
@@ -935,10 +370,10 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // finds the waiter registered and rings its doorbell. An empty or
 // already-stale read set never parks.
 func (tx *Tx) Retry() {
-	if tx.mvOn {
+	if tx.MVOn {
 		// Multi-version reads are unlogged: nothing to fingerprint.
 		// Re-run on the validated path, where the next Retry can park.
-		tx.mvOn = false
+		tx.MVOn = false
 		tx.abort(txtrace.AbortRetry)
 	}
 	var fp mode.Fingerprint
@@ -946,8 +381,8 @@ func (tx *Tx) Retry() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Lock)))
 	}
 	if fp != 0 {
-		hub := tx.rt.hub
-		hub.Subscribe(&tx.waiter, fp)
+		hub := tx.rt.Hub
+		hub.Subscribe(&tx.Waiter, fp)
 		valid := true
 		for _, re := range tx.readLog.Entries() {
 			if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
@@ -956,72 +391,61 @@ func (tx *Tx) Retry() {
 			}
 		}
 		if valid {
-			tx.parkPending = true
-			tx.parkFP = uint64(fp)
+			tx.ParkPending = true
+			tx.ParkFP = uint64(fp)
 		} else {
-			hub.Unsubscribe(&tx.waiter)
+			hub.Unsubscribe(&tx.Waiter)
 		}
 	}
 	tx.abort(txtrace.AbortRetry)
 }
 
-// Alloc implements tm.Tx.
-func (tx *Tx) Alloc(n int) tm.Addr {
-	tx.work++
-	a := tx.rt.alloc.Alloc(n)
-	tx.allocs = append(tx.allocs, a)
-	return a
-}
-
-// Free implements tm.Tx.
-func (tx *Tx) Free(a tm.Addr) { tx.frees = append(tx.frees, a) }
-
 // commit validates reads, then publishes by releasing locks at the new
 // version — the in-place values are already in memory (no copy-back).
 func (tx *Tx) commit() {
 	if tx.held.Len() == 0 {
-		tx.applyFrees()
-		if tx.traced {
-			tx.tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
+		tx.ApplyFrees()
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
 		}
 		return
 	}
-	wv := tx.rt.clk.Tick(&tx.clkProbe)
+	wv := tx.rt.Clk.Tick(&tx.ClkProbe)
 	// The wv == rv+1 validation skip is sound only on exclusive clocks
 	// (see the TL2 commit for the argument).
-	if !tx.rt.exclusive || wv != tx.rv+1 {
+	if !tx.rt.Exclusive || wv != tx.rv+1 {
 		for i, re := range tx.readLog.Entries() {
-			if i%validationStride == 0 {
-				tx.work++
+			if i%txrt.ValidationStride == 0 {
+				tx.Work++
 			}
 			v := re.Lock.Load()
 			if v != re.Version && !tx.held.Holds(re.Lock) {
-				if tx.traced {
-					tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
+				if tx.Traced {
+					tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
 				}
-				tx.noteConflictLock(re.Lock)
+				tx.NoteConflict(tx.rt.lockShard(re.Lock))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
-		if tx.traced {
-			tx.tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
+		if tx.Traced {
+			tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
 		}
 	}
-	tx.work += uint64(tx.held.Len())
+	tx.Work += uint64(tx.held.Len())
 	// Feed the multi-version store before the undo log is dropped:
 	// memory already holds this transaction's in-place values, so the
 	// displaced committed value of each written word lives in its first
 	// undo record, valid over [displaced lock version, wv).
-	if mv := tx.rt.mv; mv != nil {
+	if mv := tx.rt.MV; mv != nil {
 		tx.publishVersions(wv)
 	}
-	if tx.traced {
+	if tx.Traced {
 		// Written-word identities for the opacity checker, taken from the
 		// undo log before it is dropped. Per-address repeats (a word this
 		// transaction overwrote more than once) are fine: the checker
 		// dedups (slot, stamp) pairs within one attempt.
 		for _, rec := range tx.undo.Recs() {
-			tx.tr.Record(txtrace.KindCommitWord, wv, uint64(rec.Addr), 0)
+			tx.Tr.Record(txtrace.KindCommitWord, wv, uint64(rec.Addr), 0)
 		}
 	}
 	// The write set's lock identities live in the undo log, which is
@@ -1030,7 +454,7 @@ func (tx *Tx) commit() {
 	// validation sees the published versions). The no-waiter fast path
 	// is one atomic load; bloom repeats per address are idempotent.
 	var notifyFP mode.Fingerprint
-	if hub := tx.rt.hub; hub.Active() {
+	if hub := tx.rt.Hub; hub.Active() {
 		for _, rec := range tx.undo.Recs() {
 			notifyFP = mode.FPAdd(notifyFP, uintptr(unsafe.Pointer(tx.rt.lockFor(rec.Addr))))
 		}
@@ -1039,11 +463,11 @@ func (tx *Tx) commit() {
 	tx.undo.Reset()
 	tx.held.Publish(wv)
 	if notifyFP != 0 {
-		tx.rt.hub.Notify(notifyFP)
+		tx.rt.Hub.Notify(notifyFP)
 	}
-	tx.applyFrees()
-	if tx.traced {
-		tx.tr.Record(txtrace.KindCommit, wv, uint64(tx.lastWrites), 0)
+	tx.ApplyFrees()
+	if tx.Traced {
+		tx.Tr.Record(txtrace.KindCommit, wv, uint64(tx.lastWrites), 0)
 	}
 }
 
@@ -1060,13 +484,7 @@ func (tx *Tx) publishVersions(wv uint64) {
 		}
 		tx.mvSeen[rec.Addr] = struct{}{}
 		pre, _ := tx.held.Displaced(tx.rt.lockFor(rec.Addr))
-		tx.rt.mv.Publish(rec.Addr, rec.Old, pre, wv)
+		tx.rt.MV.Publish(rec.Addr, rec.Old, pre, wv)
 	}
 	clear(tx.mvSeen)
-}
-
-func (tx *Tx) applyFrees() {
-	for _, a := range tx.frees {
-		tx.rt.alloc.Free(a)
-	}
 }
