@@ -65,7 +65,7 @@ func run() int {
 	threads := flag.Int("threads", 3, "user-threads")
 	depth := flag.Int("depth", 3, "SPECDEPTH / tasks per transaction")
 	accounts := flag.Int("accounts", 64, "shared accounts")
-	schedMode := flag.String("sched", "pooled", `scheduling policy: "pooled" or "inline" (inline requires -depth 1)`)
+	schedMode := flag.String("sched", "pooled", `scheduling policy: "pooled" or "inline" (the soak drives threads through Atomic, which runs the head task on the caller either way; inline only changes what Submit does)`)
 	clockName := flag.String("clock", "gv4", `commit-clock strategy: "gv4", "deferred", "sharded" or "gv7"`)
 	clockCmp := flag.Bool("clocks", false, "run the invariant-checked clock-strategy sweep (all strategies × all runtimes) instead of the soak; -seconds scales the transaction count")
 	cmName := flag.String("cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (task-aware)`)

@@ -49,26 +49,40 @@ func BenchmarkTaskLoadStoreWarmed(b *testing.B) {
 
 const benchAddrs = 8
 
-// BenchmarkThreadCommitSmallTx measures a whole single-task writer
-// transaction — Submit, pooled dispatch, commit, Wait — on one thread.
-// With descriptors, handles, completion waits and (via the quiescence
-// rings) write-lock entries all recycled, allocs/op must be 0.
-func BenchmarkThreadCommitSmallTx(b *testing.B) {
-	rt := New(Config{SpecDepth: 2})
+// benchSmallTx times one whole single-task writer transaction per
+// iteration — prepare, dispatch, commit — on one warmed thread; run is
+// the entry under test. With descriptors, handles, completion waits and
+// (via the quiescence rings) write-lock entries all recycled, allocs/op
+// must be 0 on every variant.
+func benchSmallTx(b *testing.B, cfg Config, run func(*Thread, TaskFunc)) {
+	rt := New(cfg)
 	defer rt.Close()
 	thr := rt.NewThread()
 	d := rt.Direct()
 	a := d.Alloc(1)
 	body := func(t *Task) { t.Store(a, t.Load(a)+1) }
-	_ = thr.Atomic(body)
+	run(thr, body)
 	thr.Sync()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = thr.Atomic(body)
+		run(thr, body)
 	}
 	b.StopTimer()
 	thr.Sync()
+}
+
+func atomicTx(thr *Thread, body TaskFunc) { _ = thr.Atomic(body) }
+
+func submitWaitTx(thr *Thread, body TaskFunc) {
+	h, _ := thr.Submit(body)
+	h.Wait()
+}
+
+// BenchmarkThreadCommitSmallTx is the one-task Atomic: the task runs on
+// the calling goroutine, no worker is involved.
+func BenchmarkThreadCommitSmallTx(b *testing.B) {
+	benchSmallTx(b, Config{SpecDepth: 2}, atomicTx)
 }
 
 // BenchmarkThreadCommitSmallTxAdaptive is the same transaction with
@@ -77,43 +91,23 @@ func BenchmarkThreadCommitSmallTx(b *testing.B) {
 // the window poll — rides the existing counters, so arming it must not
 // cost an allocation: allocs/op stays 0.
 func BenchmarkThreadCommitSmallTxAdaptive(b *testing.B) {
-	rt := New(Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Adaptive}})
-	defer rt.Close()
-	thr := rt.NewThread()
-	d := rt.Direct()
-	a := d.Alloc(1)
-	body := func(t *Task) { t.Store(a, t.Load(a)+1) }
-	_ = thr.Atomic(body)
-	thr.Sync()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = thr.Atomic(body)
-	}
-	b.StopTimer()
-	thr.Sync()
+	benchSmallTx(b, Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Adaptive}}, atomicTx)
 }
 
-// BenchmarkThreadCommitSmallTxInline is the same transaction under the
-// Inline scheduling policy (SpecDepth 1): no worker hand-off, the task
-// body runs on the submitting goroutine. The gap to the Pooled variant
-// is the per-task cost of the wake/park protocol.
+// BenchmarkThreadCommitSmallTxInline reaches the same caller-run path
+// through Submit under the Inline scheduling policy (SpecDepth 1); it
+// shares every instruction with the Atomic variant, so the two must
+// agree — in ns/op and in 0 allocs/op.
 func BenchmarkThreadCommitSmallTxInline(b *testing.B) {
-	rt := New(Config{SpecDepth: 1, Policy: sched.Inline})
-	defer rt.Close()
-	thr := rt.NewThread()
-	d := rt.Direct()
-	a := d.Alloc(1)
-	body := func(t *Task) { t.Store(a, t.Load(a)+1) }
-	_ = thr.Atomic(body)
-	thr.Sync()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = thr.Atomic(body)
-	}
-	b.StopTimer()
-	thr.Sync()
+	benchSmallTx(b, Config{SpecDepth: 1, Policy: sched.Inline}, submitWaitTx)
+}
+
+// BenchmarkThreadCommitSmallTxShipped is Submit+Wait under the default
+// policy: the task crosses to a worker and the commit wakes the
+// submitter back. The gap to BenchmarkThreadCommitSmallTx is the price
+// of the two hand-offs Atomic no longer pays.
+func BenchmarkThreadCommitSmallTxShipped(b *testing.B) {
+	benchSmallTx(b, Config{SpecDepth: 2}, submitWaitTx)
 }
 
 // BenchmarkThreadCommitReadOnlyTx measures a whole single-task

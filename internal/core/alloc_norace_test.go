@@ -12,9 +12,10 @@ import (
 	"tlstm/internal/txtrace"
 )
 
-// Zero-allocation and zero-spawn assertions for the pooled scheduler
+// Zero-allocation and zero-spawn assertions for the scheduler
 // (mirroring internal/stm/alloc_norace_test.go): a warmed TLSTM
-// Submit+Wait round-trip must neither allocate nor spawn a goroutine.
+// Submit+Wait round-trip must neither allocate nor spawn a goroutine,
+// and a warmed one-task Atomic must not even own a worker.
 // (!race: AllocsPerRun and goroutine counting are not meaningful under
 // the race detector's instrumentation.)
 
@@ -165,9 +166,9 @@ func TestWriterTxZeroAllocModeArmed(t *testing.T) {
 }
 
 // TestSubmitSpawnsNoGoroutines asserts the worker pool is long-lived:
-// after warm-up, a burst of transactions leaves the process goroutine
+// after warm-up, a burst of submissions leaves the process goroutine
 // count unchanged — Submit dispatches to parked workers instead of
-// spawning.
+// spawning, and a Submit-only stream owns exactly one worker per slot.
 func TestSubmitSpawnsNoGoroutines(t *testing.T) {
 	rt := New(Config{SpecDepth: 3})
 	defer rt.Close()
@@ -176,46 +177,60 @@ func TestSubmitSpawnsNoGoroutines(t *testing.T) {
 	a := d.Alloc(1)
 	var sink uint64
 	body := func(tk *Task) { sink += tk.Load(a) }
-	for i := 0; i < 10; i++ { // warm: all three workers spawned
-		_ = thr.Atomic(body)
+	for i := 0; i < 10; i++ { // warm: every slot's worker spawned
+		submitWaitTx(thr, body)
 	}
 	thr.Sync()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 500; i++ {
-		_ = thr.Atomic(body)
+		submitWaitTx(thr, body)
 	}
 	thr.Sync()
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines grew %d → %d across 500 warmed transactions; Submit must not spawn", before, after)
 	}
 	st := thr.Stats()
-	if st.WorkersSpawned != 3 {
-		t.Fatalf("WorkersSpawned = %d, want 3 (one per SpecDepth slot, spawned once)", st.WorkersSpawned)
+	if st.WorkersSpawned != uint64(rt.SpecDepth()) {
+		t.Fatalf("WorkersSpawned = %d, want %d (one per SpecDepth slot, spawned once)", st.WorkersSpawned, rt.SpecDepth())
 	}
 	if st.DescriptorReuses == 0 {
 		t.Fatal("DescriptorReuses = 0 after 510 transactions on a depth-3 ring")
 	}
 }
 
-// TestInlinePolicyZeroAllocAndZeroWorkers asserts the depth-1 fast
-// path: Inline runs the task body on the submitting goroutine — no
-// workers at all — and stays allocation-free for read-only work.
-func TestInlinePolicyZeroAllocAndZeroWorkers(t *testing.T) {
-	rt := New(Config{SpecDepth: 1, Policy: sched.Inline})
-	defer rt.Close()
-	thr := rt.NewThread()
-	d := rt.Direct()
-	a := d.Alloc(1)
-	var sink uint64
-	body := func(tk *Task) { sink += tk.Load(a) }
-	_ = thr.Atomic(body) // warm
-	thr.Sync()
-	if got := testing.AllocsPerRun(200, func() { _ = thr.Atomic(body) }); got != 0 {
-		t.Fatalf("warmed Inline Atomic allocates %.1f objects/op, want 0", got)
-	}
-	thr.Sync()
-	if st := thr.Stats(); st.WorkersSpawned != 0 {
-		t.Fatalf("WorkersSpawned = %d under Inline, want 0", st.WorkersSpawned)
+// TestAtomicOneTaskZeroAllocAndZeroWorkers asserts the head-on-caller
+// path: a one-task Atomic runs its body on the calling goroutine — no
+// worker, no bell, no latch wait — and stays allocation-free, writer
+// transactions included. Both policies share this one path (Inline only
+// makes Submit take it too), so neither may allocate or spawn.
+func TestAtomicOneTaskZeroAllocAndZeroWorkers(t *testing.T) {
+	for _, policy := range []sched.Policy{sched.Pooled, sched.Inline} {
+		rt := New(Config{SpecDepth: 2, Policy: policy})
+		thr := rt.NewThread()
+		d := rt.Direct()
+		a := d.Alloc(1)
+		body := func(tk *Task) { tk.Store(a, tk.Load(a)+1) }
+		for i := 0; i < 2*rt.SpecDepth(); i++ {
+			_ = thr.Atomic(body) // warm: one retired entry per descriptor ring
+		}
+		goroutines := runtime.NumGoroutine()
+		if got := testing.AllocsPerRun(200, func() { _ = thr.Atomic(body) }); got != 0 {
+			t.Fatalf("%v: warmed one-task Atomic allocates %.1f objects/op, want 0", policy, got)
+		}
+		if policy == sched.Inline {
+			if _, err := thr.Submit(body); err != nil { // Submit is Atomic under Inline
+				t.Fatal(err)
+			}
+		}
+		thr.Sync()
+		if st := thr.Stats(); st.WorkersSpawned != 0 || st.DescriptorReuses == 0 {
+			t.Fatalf("%v: WorkersSpawned = %d, DescriptorReuses = %d; want 0 workers and recycled descriptors",
+				policy, st.WorkersSpawned, st.DescriptorReuses)
+		}
+		if now := runtime.NumGoroutine(); now > goroutines {
+			t.Fatalf("%v: goroutines grew %d → %d under one-task Atomic", policy, goroutines, now)
+		}
+		rt.Close()
 	}
 }
 

@@ -332,10 +332,10 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	thr.stats.Work += work
 	thr.stats.VirtualTime += finish
 
-	// Execution-mode ladder signals: finishCommit runs on a worker while
-	// the controller is submitter-owned, so the outcome flows through
-	// the thread's signal atomics and the submitter folds the deltas
-	// into its controller at the next submission boundary.
+	// Execution-mode ladder signals: finishCommit usually runs on a
+	// worker while the controller is submitter-owned, so the outcome
+	// flows through the thread's signal atomics and the submitter folds
+	// the deltas into its controller at the next submission boundary.
 	thr.ctlCommits.Add(1)
 	// Aborts fold at abort time (cleanupTx), so a storm registers while
 	// it is happening; only the commit and defeat outcomes fold here.
@@ -382,9 +382,9 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		thr.stats.WriteSetSizes.Observe(task.writeLog.Len())
 		txWrites += uint64(task.writeLog.Len())
 		// Rolled-back attempt latencies fold like the probes above —
-		// accumulated by each task's own worker, read here after the
-		// tasks have completed (intermediate tasks are parked until the
-		// completedTask store below).
+		// accumulated by whichever goroutine ran each task, read here
+		// after the tasks have completed (intermediate tasks are parked
+		// until the completedTask store below).
 		thr.stats.RestartLatency.Merge(task.restartLat)
 		task.restartLat = txstats.Hist{}
 		thr.stats.RetryWakes += task.retryWakes

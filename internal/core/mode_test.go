@@ -51,8 +51,8 @@ func TestAdaptiveLadderFallbackAndRecovery(t *testing.T) {
 
 // TestModeConformance runs the same hot-word mix under every rung —
 // always-speculative, forced adaptive oscillation, and always-serial —
-// plus the inline rung (adaptive at SpecDepth 1) and requires identical
-// final state.
+// plus the forced ladder at SpecDepth 1 and requires identical final
+// state.
 func TestModeConformance(t *testing.T) {
 	run := func(depth int, mc mode.Config) []uint64 {
 		rt := New(Config{SpecDepth: depth, LockTableBits: 12, Mode: mc})
@@ -91,92 +91,71 @@ func TestModeConformance(t *testing.T) {
 	spec := run(2, mode.Config{Policy: mode.Speculative})
 	adaptive := run(2, forcedLadder())
 	serial := run(2, mode.Config{Policy: mode.Serial})
-	inline := run(1, forcedLadder())
+	depth1 := run(1, forcedLadder())
 	for i := range spec {
-		if adaptive[i] != spec[i] || serial[i] != spec[i] || inline[i] != spec[i] {
-			t.Fatalf("rung divergence at word %d: spec=%v adaptive=%v serial=%v inline=%v",
-				i, spec, adaptive, serial, inline)
+		if adaptive[i] != spec[i] || serial[i] != spec[i] || depth1[i] != spec[i] {
+			t.Fatalf("rung divergence at word %d: spec=%v adaptive=%v serial=%v depth1=%v",
+				i, spec, adaptive, serial, depth1)
 		}
-	}
-}
-
-// TestInlineRungRunsOnSubmitter checks that an armed ladder at
-// SpecDepth 1 executes single-task transactions without waking a pool
-// worker.
-func TestInlineRungRunsOnSubmitter(t *testing.T) {
-	rt := New(Config{SpecDepth: 1, LockTableBits: 12,
-		Mode: mode.Config{Policy: mode.Adaptive}})
-	thr := rt.NewThread()
-	d := rt.Direct()
-	a := d.Alloc(1)
-	for i := 0; i < 10; i++ {
-		if err := thr.Atomic(func(tk *Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	thr.Sync()
-	st := thr.Stats()
-	if st.WorkersSpawned != 0 {
-		t.Fatalf("inline rung spawned %d workers", st.WorkersSpawned)
-	}
-	if st.TxCommitted != 10 {
-		t.Fatalf("TxCommitted = %d", st.TxCommitted)
-	}
-	if got := d.Load(a); got != 10 {
-		t.Fatalf("counter = %d, want 10", got)
-	}
-	if st.DescriptorReuses == 0 {
-		t.Fatalf("inline runs must still count descriptor reuse: %+v", st)
 	}
 }
 
 // TestRetryProducerConsumer parks a single-task consumer on its
-// predicate and wakes it with a conflicting producer commit.
+// predicate and wakes it with a conflicting producer commit. The
+// consumer's task runs on the goroutine that called Atomic, so that is
+// where it parks; under the serialized rung the park must release the
+// gate from there, or the (equally serialized) producer never gets in.
 func TestRetryProducerConsumer(t *testing.T) {
-	rt := New(Config{SpecDepth: 2, LockTableBits: 12})
-	d := rt.Direct()
-	cell := d.Alloc(1)
-	out := d.Alloc(1)
+	for _, pol := range []mode.Policy{mode.Speculative, mode.Serial} {
+		rt := New(Config{SpecDepth: 2, LockTableBits: 12, Mode: mode.Config{Policy: pol}})
+		d := rt.Direct()
+		cell := d.Alloc(1)
+		out := d.Alloc(1)
 
-	consumer := rt.NewThread()
-	producer := rt.NewThread()
+		consumer := rt.NewThread()
+		producer := rt.NewThread()
 
-	done := make(chan error, 1)
-	go func() {
-		done <- consumer.Atomic(func(tk *Task) {
-			v := tk.Load(cell)
-			if v == 0 {
-				tk.Retry()
-			}
-			tk.Store(out, v)
-		})
-	}()
+		done := make(chan error, 1)
+		go func() {
+			done <- consumer.Atomic(func(tk *Task) {
+				v := tk.Load(cell)
+				if v == 0 {
+					tk.Retry()
+				}
+				tk.Store(out, v)
+			})
+		}()
 
-	time.Sleep(20 * time.Millisecond) // let the consumer park
-	if err := producer.Atomic(func(tk *Task) { tk.Store(cell, 42) }); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case err := <-done:
-		if err != nil {
+		time.Sleep(20 * time.Millisecond) // let the consumer park
+		if err := producer.Atomic(func(tk *Task) { tk.Store(cell, 42) }); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("consumer never woke from Retry park")
+
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("mode %v: consumer never woke from Retry park", pol)
+		}
+		consumer.Sync()
+		if got := d.Load(out); got != 42 {
+			t.Fatalf("mode %v: consumer stored %d, want 42", pol, got)
+		}
+		st := consumer.Stats()
+		if st.RetryWakes == 0 {
+			t.Fatalf("mode %v: expected a doorbell wake, got %+v", pol, st)
+		}
+		if st.RestartRetry == 0 {
+			t.Fatalf("mode %v: Retry unwind not attributed: %+v", pol, st)
+		}
+		if st.WorkersSpawned != 0 {
+			t.Fatalf("mode %v: a one-task Atomic parked on a worker: %+v", pol, st)
+		}
+		producer.Sync()
+		rt.Close()
 	}
-	consumer.Sync()
-	if got := d.Load(out); got != 42 {
-		t.Fatalf("consumer stored %d, want 42", got)
-	}
-	st := consumer.Stats()
-	if st.RetryWakes == 0 {
-		t.Fatalf("expected a doorbell wake, got %+v", st)
-	}
-	if st.RestartRetry == 0 {
-		t.Fatalf("Retry unwind not attributed: %+v", st)
-	}
-	producer.Sync()
 }
 
 // TestRetryMultiTaskRespins checks the multi-task form: an intermediate

@@ -72,14 +72,12 @@ type Config struct {
 	// paper's task-aware policy over two-phase greedy (or bare greedy
 	// under PlainGreedyCM).
 	CM cm.Policy
-	// Policy selects the scheduler's spawn policy (internal/sched):
-	// sched.Pooled (the zero value, default) dispatches tasks to each
-	// thread's ring of long-lived workers; sched.Inline runs task
-	// bodies on the submitting goroutine and requires SpecDepth 1 —
-	// with no intra-thread speculation to overlap, the hand-off to a
-	// worker is pure overhead, and an intermediate task of a multi-task
-	// transaction would deadlock its own submitter. New panics on an
-	// Inline policy with SpecDepth > 1.
+	// Policy selects what Submit does (internal/sched). Atomic always
+	// runs a transaction's first task on the calling goroutine and the
+	// speculative tail on the thread's workers; under sched.Pooled (the
+	// zero value, default) Submit ships every task to a worker and
+	// returns before the commit, so transactions pipeline; under
+	// sched.Inline every Submit behaves like Atomic.
 	Policy sched.Policy
 	// Clock selects the commit-clock strategy (internal/clock): the
 	// GV4 fetch-and-add clock (default), the GV5-style deferred clock,
@@ -113,9 +111,8 @@ type Config struct {
 	// no-op tracer compiles to a dead branch on the hot paths.
 	Trace *txtrace.Recorder
 	// Mode configures the execution-mode ladder (internal/mode): under
-	// the adaptive policy each thread starts transactions in the
-	// cheapest viable mode (inline sequential at SpecDepth 1, pooled
-	// speculative otherwise) and falls back to a serialized global-lock
+	// the adaptive policy each thread runs transactions speculatively
+	// and falls back to a serialized global-lock
 	// rung when its commit window turns abort-heavy, recovering after a
 	// clean serialized window. The zero value keeps the ladder disarmed
 	// (always speculative).
@@ -172,9 +169,6 @@ func New(cfg Config) *Runtime {
 	if cfg.SpecDepth <= 0 {
 		cfg.SpecDepth = 4
 	}
-	if cfg.Policy == sched.Inline && cfg.SpecDepth != 1 {
-		panic(fmt.Sprintf("core: the Inline scheduling policy requires SpecDepth 1, got %d (an intermediate task of a multi-task transaction parks until its transaction commits, which would deadlock the submitting goroutine)", cfg.SpecDepth))
-	}
 	rt := &Runtime{
 		specDepth:    cfg.SpecDepth,
 		policy:       cfg.Policy,
@@ -212,11 +206,12 @@ func (rt *Runtime) Close() {
 func (rt *Runtime) Stats() Stats { return rt.stats.Snapshot() }
 
 // NewThread creates a user-thread. A Thread must be driven by exactly
-// one goroutine (the "user-thread" itself); its speculative tasks run
-// on the thread's scheduler pool: a ring of SPECDEPTH recycled task
-// descriptors executed by SPECDEPTH long-lived workers (spawned lazily
-// on first use, drained by Runtime.Close). Creating a thread allocates
-// its rings once; steady-state Submits allocate nothing.
+// one goroutine (the "user-thread" itself), which also runs the first
+// task of every Atomic; its other tasks run on the thread's scheduler
+// pool: a ring of SPECDEPTH recycled task descriptors executed by up to
+// SPECDEPTH long-lived workers (spawned lazily on first use, drained by
+// Runtime.Close). Creating a thread allocates its rings once;
+// steady-state submissions allocate nothing.
 func (rt *Runtime) NewThread() *Thread {
 	id := rt.nextThreadID.Add(1) - 1
 	thr := &Thread{
@@ -229,8 +224,8 @@ func (rt *Runtime) NewThread() *Thread {
 		ctl:    mode.NewController(rt.ModeCfg),
 	}
 	thr.homeShard.Store(int32(rt.Placement.Home(int(id))))
-	// Mode-ladder transitions happen on the submitting goroutine, never
-	// on a task's worker, so they get their own ring.
+	// Mode-ladder transitions happen on the submitting goroutine between
+	// transactions, so they get their own ring.
 	thr.tr, thr.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
 	for i := range thr.ring {
 		t := &Task{thr: thr, waitBeforeRestart: -1}

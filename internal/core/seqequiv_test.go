@@ -247,3 +247,64 @@ func taskFor(ops []seqOp, base tm.Addr) TaskFunc {
 		}
 	}
 }
+
+// TestSeqEquivHotChains is the directed regression for the read path's
+// gate order: one thread, three-task transactions chaining transfers
+// over four hot words, so nearly every read is served from a past task's
+// redo chain while another past task is about to stack on the same pair.
+// Load used to re-resolve the chain first and run the WAR gate second;
+// a past writer that stacked and completed in between was folded into
+// lastWriter before the read was logged, and the stale value was never
+// compared again. Before the fix this diverged from the sequential model
+// in most runs (there is no other thread: every lost update is
+// intra-thread).
+func TestSeqEquivHotChains(t *testing.T) {
+	const (
+		tasks    = 3
+		accounts = 4
+		txs      = 5000
+		initial  = 1_000_000
+	)
+	rt := New(Config{SpecDepth: tasks, LockTableBits: 12})
+	defer rt.Close()
+	thr := rt.NewThread()
+	d := rt.Direct()
+	base := d.Alloc(accounts)
+	var model [accounts]uint64
+	for i := range model {
+		model[i] = initial
+		d.Store(base+tm.Addr(i), initial)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < txs; i++ {
+		var idx [tasks + 1]int
+		for j := range idx {
+			idx[j] = rng.Intn(accounts)
+		}
+		amt := uint64(rng.Intn(100))
+		var fns [tasks]TaskFunc
+		for j := range fns {
+			fi, ti := idx[j], idx[j+1]
+			from, to := base+tm.Addr(fi), base+tm.Addr(ti)
+			fns[j] = func(tk *Task) {
+				if f := tk.Load(from); from != to && f >= amt {
+					tk.Store(from, f-amt)
+					tk.Store(to, tk.Load(to)+amt)
+				}
+			}
+			if fi != ti && model[fi] >= amt {
+				model[fi] -= amt
+				model[ti] += amt
+			}
+		}
+		if err := thr.Atomic(fns[:]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	thr.Sync()
+	for i, want := range model {
+		if got := d.Load(base + tm.Addr(i)); got != want {
+			t.Fatalf("account %d = %d, sequential model says %d", i, got, want)
+		}
+	}
+}

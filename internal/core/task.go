@@ -42,7 +42,7 @@ type Task struct {
 
 	// serial is the task's program-order serial for the current
 	// incarnation. It is atomic because the abort machinery reads it
-	// from other workers while the submitting goroutine may be
+	// from other goroutines while the submitting goroutine may be
 	// re-arming the descriptor; everyone else reads it after the arm
 	// that published it.
 	serial    atomic.Int64
@@ -67,7 +67,7 @@ type Task struct {
 	// readHorizon may still be held by that task as a FirstPast marker,
 	// so it must not be recycled yet. The quiescence gate makes such a
 	// recycle impossible; the ReclaimAudit checker reads this field from
-	// other workers to prove it, hence the atomic.
+	// other goroutines to prove it, hence the atomic.
 	readHorizon atomic.Int64
 
 	// ---- per-incarnation state (reset by Submit and begin) ----
@@ -119,7 +119,7 @@ type Task struct {
 
 	// jitterRng is the xorshift state behind the randomized relaunch
 	// jitter of whole-transaction aborts (see preRestartWait); lazily
-	// seeded, private to the descriptor's worker.
+	// seeded, private to whichever goroutine is running the descriptor.
 	jitterRng uint64
 
 	// waitBeforeRestart, when ≥ 0, is a completed-task serial the next
@@ -138,10 +138,11 @@ type Task struct {
 
 	// tr is this descriptor's flight recorder (txtrace.Nop unless the
 	// runtime was configured with a Trace recorder); traced caches
-	// tr.Enabled() so the hot paths pay one predictable branch. The
-	// descriptor is always executed by the same scheduler slot's worker
-	// (or the submitting goroutine under Inline), so the ring stays
-	// single-owner across incarnations.
+	// tr.Enabled() so the hot paths pay one predictable branch. One
+	// incarnation runs on the slot's worker, the next perhaps on the
+	// submitting goroutine (the head of an Atomic); the ring, like the
+	// logs and the free ring, stays single-owner because a descriptor
+	// changes hands only across the scheduler's WaitIdle and Arm edges.
 	tr     txtrace.Tracer
 	traced bool
 
@@ -209,8 +210,8 @@ func (t *Task) slot() *atomic.Pointer[Task] {
 	return &t.thr.slots[t.serial.Load()%int64(t.thr.depth)]
 }
 
-// run executes one task incarnation on its scheduler slot's worker (or
-// on the submitting goroutine under the Inline policy): join the
+// run executes one task incarnation, on its scheduler slot's worker or
+// — the head of an Atomic — on the submitting goroutine: join the
 // transaction, then execute attempts until the enclosing
 // user-transaction commits, then retire the descriptor. The final
 // tx.live decrement is this incarnation's last access to the
@@ -219,11 +220,11 @@ func (t *Task) run() {
 	tx := t.tx
 	// Retire via defer so a genuine-bug panic propagating out of
 	// attempt still leaves the descriptor machinery consistent: on a
-	// pooled worker the panic then crashes the process (as the old
-	// goroutine-per-task spawn did), but under the Inline policy it
-	// surfaces in the submitting goroutine, where application code may
-	// recover — the runtime must wedge loudly (that transaction never
-	// commits) rather than corrupt its rings.
+	// worker the panic then crashes the process (as the old
+	// goroutine-per-task spawn did), but a head task's surfaces in the
+	// submitting goroutine, where application code may recover — the
+	// runtime must wedge loudly (that transaction never commits) rather
+	// than corrupt its rings.
 	defer func() {
 		t.slot().Store(nil)
 		tx.live.Add(-1)
@@ -559,14 +560,21 @@ func (t *Task) Load(a tm.Addr) uint64 {
 		// Wait until the past writer completes; reading from running
 		// tasks would force validating intermediate values (§3.3).
 		t.waitCompleted(firstPast.Serial)
+
+		// WAR validation gate (Alg. 1 line 13) — before the re-resolve,
+		// not after it: the gate folds every writer completed so far into
+		// lastWriter, and this read is not in the log yet. A past writer
+		// that stacked here and completed between a re-resolve and the
+		// gate's sample would never be compared against this read, and
+		// the stale value would survive every later validation.
+		t.maybeValidate()
 		// Re-resolve: a running past task may have pushed a newer entry
-		// (or an abort may have unwound the chain) while we waited.
+		// (or an abort may have unwound the chain) while we waited. A
+		// writer stacking after this check completes after the gate's
+		// sample, so a later gate sees it.
 		if t.firstPastOf(p.W.Load()) != firstPast {
 			continue
 		}
-
-		// WAR validation gate (Alg. 1 line 13).
-		t.maybeValidate()
 
 		// The chain below firstPast holds strictly older, completed
 		// entries; the newest one covering a supplies the value. If none
@@ -1012,8 +1020,8 @@ func (t *Task) Retry() {
 // fallback entrant behind a predicate only a speculative committer can
 // change — and retaken before the re-execution. Cross-goroutine
 // Exit/Enter is sound: the gate's mutex is not owner-tracked, and the
-// submitting goroutine is itself blocked on this transaction's latch
-// for the whole window.
+// submitting goroutine is itself inside this transaction — running its
+// head or blocked on its latch — for the whole window.
 func (t *Task) parkRetry() {
 	t.parkPending = false
 	if t.traced {

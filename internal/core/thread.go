@@ -21,12 +21,17 @@ import (
 // Scheduling (internal/sched): a Thread owns a ring of SPECDEPTH
 // recycled task descriptors, a ring of SPECDEPTH recycled transaction
 // descriptors, and a scheduler pool of SPECDEPTH long-lived worker
-// goroutines (spawned lazily, drained by Runtime.Close). Submit writes
-// into descriptors that have retired and arms their slots; it allocates
-// nothing and spawns nothing at steady state. Serial numbers are never
-// reused, so they double as the generation stamps that make waiting on
-// recycled state ABA-safe: handles and completion waits are keyed on
-// serials, never on descriptor identity.
+// goroutines (spawned lazily, drained by Runtime.Close). A submission
+// writes into descriptors that have retired; it allocates nothing and
+// spawns nothing at steady state. Atomic runs the transaction's first —
+// least speculative — task on the calling goroutine and arms only the
+// tail on workers; Submit arms every task and returns. A descriptor may
+// thus be run by a worker in one incarnation and by the submitter in the
+// next; it changes hands only across the scheduler's idle store /
+// WaitIdle and Arm / armed-load edges. Serial numbers are never reused,
+// so they double as the generation stamps that make waiting on recycled
+// state ABA-safe: handles and completion waits are keyed on serials,
+// never on descriptor identity.
 type Thread struct {
 	rt    *Runtime
 	id    int32
@@ -83,7 +88,6 @@ type Thread struct {
 	chainMu sync.Mutex
 
 	nextSerial int64 // owned by the submitting goroutine
-	inlineRuns int64 // inline-rung executions (submitter-owned; see submit)
 
 	// homeShard is the thread's current home lock-table shard under the
 	// runtime's placement policy. Tasks read it from their workers while
@@ -113,9 +117,9 @@ type Thread struct {
 
 	// ctl is the thread's execution-mode ladder controller
 	// (Config.Mode), owned by the submitting goroutine. Its signals
-	// arrive through the atomics below: finishCommit runs on a worker,
-	// so it bumps ctlCommits/ctlAborts/ctlDefeats there, and submit
-	// feeds the controller the deltas against the seen* snapshots
+	// arrive through the atomics below: finishCommit usually runs on a
+	// worker, so it bumps ctlCommits/ctlAborts/ctlDefeats there, and
+	// submit feeds the controller the deltas against the seen* snapshots
 	// (submitter-owned) at each submission boundary.
 	ctl                                  mode.Controller
 	ctlCommits                           atomic.Uint64
@@ -124,8 +128,8 @@ type Thread struct {
 	seenCommits, seenAborts, seenDefeats uint64
 
 	// tr records the thread-level ladder events (KindModeShift) on a
-	// dedicated ring: mode shifts happen on the submitting goroutine,
-	// not on any task's worker, so they must not share a task ring.
+	// dedicated ring: mode shifts happen on the submitting goroutine
+	// between transactions, so they must not share a task ring.
 	tr     txtrace.Tracer
 	traced bool
 }
@@ -133,7 +137,7 @@ type Thread struct {
 // ID reports the thread's identifier within its runtime.
 func (thr *Thread) ID() int32 { return thr.id }
 
-// runSlot is the pool's run hook: execute slot i's armed descriptor.
+// runSlot is the pool's run hook: execute slot i's prepared descriptor.
 func (thr *Thread) runSlot(i int) { thr.ring[i].run() }
 
 // TxHandle tracks one submitted user-transaction. It is a plain value
@@ -161,15 +165,16 @@ func (h TxHandle) Wait() { h.thr.txDone.Wait(h.commit) }
 // speculate while this one is still active (paper §1: "TLSTM can even be
 // more optimistic and speculatively execute future transactions").
 //
-// Submit recycles descriptors and dispatches to long-lived workers; at
-// steady state it performs no allocation and spawns no goroutine. Under
-// the Inline scheduling policy (SpecDepth 1 only) the task body runs on
-// the calling goroutine and Submit returns after the commit.
+// Submit recycles descriptors and dispatches every task to a long-lived
+// worker; at steady state it performs no allocation and spawns no
+// goroutine. Under the Inline scheduling policy Submit behaves like
+// Atomic: the first task runs on the calling goroutine and Submit
+// returns after the commit.
 //
 // Submit returns an error only for invalid arity; conflicts are handled
 // internally by re-execution.
 func (thr *Thread) Submit(fns ...TaskFunc) (TxHandle, error) {
-	return thr.submit(false, fns...)
+	return thr.submit(false, thr.rt.policy == sched.Inline, fns...)
 }
 
 // SubmitRO is Submit for a user-transaction the caller declares
@@ -185,10 +190,14 @@ func (thr *Thread) Submit(fns ...TaskFunc) (TxHandle, error) {
 // So declaring a transaction read-only is a hint, never a correctness
 // obligation. Without multi-versioning SubmitRO is identical to Submit.
 func (thr *Thread) SubmitRO(fns ...TaskFunc) (TxHandle, error) {
-	return thr.submit(true, fns...)
+	return thr.submit(true, thr.rt.policy == sched.Inline, fns...)
 }
 
-func (thr *Thread) submit(ro bool, fns ...TaskFunc) (TxHandle, error) {
+// submit prepares one user-transaction's descriptors and dispatches its
+// tasks. With headHere the program-order-first task runs on the calling
+// goroutine once the speculative tail is armed, and submit returns after
+// the transaction has committed; otherwise every task goes to a worker.
+func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) {
 	if err := thr.rt.validateArity(len(fns)); err != nil {
 		return TxHandle{}, err
 	}
@@ -269,20 +278,10 @@ func (thr *Thread) submit(ro bool, fns ...TaskFunc) (TxHandle, error) {
 		}
 		thr.rt.Gate.Enter()
 		// Deferred, so a body panic that surfaces in this goroutine (the
-		// Inline policy runs bodies here) wedges only this thread's
+		// head task's body runs here) wedges only this thread's
 		// transaction, not every later serialized transaction.
 		defer thr.rt.Gate.Exit()
 	}
-
-	// Inline rung: at SpecDepth 1 with the ladder armed, a single-task
-	// speculative transaction runs on the submitting goroutine itself —
-	// the cheapest viable mode, no worker handoff or wakeup. The
-	// WaitIdle in the arm loop makes the submitter the descriptor's
-	// owner, so executing it here keeps every per-descriptor structure
-	// (logs, free ring, trace ring) single-owner; the slot simply stays
-	// idle for the next occupant.
-	inline := !serial && thr.depth == 1 && len(fns) == 1 &&
-		thr.rt.policy == sched.Pooled && thr.ctl.Armed()
 
 	for i, fn := range fns {
 		serial := start + int64(i)
@@ -293,10 +292,9 @@ func (thr *Thread) submit(ro bool, fns ...TaskFunc) (TxHandle, error) {
 		// scheduler's idle state is the retirement signal; once it is
 		// observed the submitter owns the descriptor.
 		thr.pool.WaitIdle(s)
-		if thr.pool.Generation(s) > 0 || thr.inlineRuns > 0 {
+		if thr.pool.Generation(s) > 0 {
 			// The scheduler's generation stamp is the source of truth
-			// for descriptor reuse: any slot armed before is recycled.
-			// Inline runs bypass Arm, so they are counted separately.
+			// for descriptor reuse: any slot run before is recycled.
 			thr.stats.DescriptorReuses++
 		}
 		t := thr.ring[s]
@@ -320,14 +318,24 @@ func (thr *Thread) submit(ro bool, fns ...TaskFunc) (TxHandle, error) {
 		t.cmSelf.Start = start
 		thr.slots[s].Store(t)
 		tx.armed.Add(1)
-		if inline {
-			thr.inlineRuns++
-			thr.runSlot(s)
-		} else if thr.pool.Arm(s) {
+		if headHere && i == 0 {
+			// The head is prepared first (cleanupTx sweeps the armed
+			// prefix of tx.tasks) but dispatched last: arming the
+			// speculative tail before running it overlaps the workers'
+			// wake latency with the head's body.
+			continue
+		}
+		if thr.pool.Arm(s) {
 			thr.stats.WorkersSpawned++
 		}
 	}
-	if serial {
+	if headHere {
+		// The WaitIdle above made this goroutine the head descriptor's
+		// owner, so its logs, free ring and trace ring stay single-owner.
+		// The head returns only after the txDone publish (finishCommit,
+		// or the intermediate commit wait): no latch wait, no wake-back.
+		thr.pool.RunHere(int(start % depth))
+	} else if serial {
 		thr.txDone.Wait(commit)
 	}
 	return TxHandle{thr: thr, commit: commit}, nil
@@ -365,25 +373,25 @@ func (thr *Thread) pollMode() {
 }
 
 // Atomic runs one user-transaction decomposed into the given tasks and
-// waits for it to commit.
+// returns once it has committed. The first task — the transaction's
+// least speculative one — executes on the calling goroutine; tasks 2..n
+// speculate on the thread's workers. A one-task Atomic therefore costs
+// no hand-off at all, and an n-task one n−1 hand-offs and no wake-back.
+//
+// A genuine body panic (consistent reads) in the first task reaches the
+// Atomic caller and leaves the Thread wedged; in a later task it crashes
+// the process from its worker (package tlstm, "Scheduling and worker
+// lifecycle", says what a recovering caller is left with).
 func (thr *Thread) Atomic(fns ...TaskFunc) error {
-	h, err := thr.Submit(fns...)
-	if err != nil {
-		return err
-	}
-	h.Wait()
-	return nil
+	_, err := thr.submit(false, true, fns...)
+	return err
 }
 
 // AtomicRO is Atomic for a declared read-only transaction (see
 // SubmitRO).
 func (thr *Thread) AtomicRO(fns ...TaskFunc) error {
-	h, err := thr.SubmitRO(fns...)
-	if err != nil {
-		return err
-	}
-	h.Wait()
-	return nil
+	_, err := thr.submit(true, true, fns...)
+	return err
 }
 
 // Sync waits until every submitted user-transaction has committed and

@@ -335,9 +335,11 @@ func RunTLSTM(rt *core.Runtime, w Workload) Result {
 // CompareSched runs one identical depth-1 counter workload under each
 // scheduling policy (sched.Pooled and sched.Inline) and reports both
 // measurements. Virtual time is policy-independent by construction —
-// the same work units are charged either way — so the interesting
-// column is Wall: the per-task cost of the worker wake/park protocol
-// against running the body on the submitting goroutine.
+// the same work units are charged either way. The policies differ only
+// in what Submit does; the harness drives threads through Atomic, which
+// runs a one-task transaction on the calling goroutine under both, so
+// the Wall columns should agree too: the sweep is the check that the
+// two policies really share one dispatch path.
 func CompareSched(threads, txPerThread int) []Result {
 	mk := func(policy sched.Policy, label string) Result {
 		rt := core.New(core.Config{SpecDepth: 1, Policy: policy})

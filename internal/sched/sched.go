@@ -16,7 +16,11 @@
 //     has already been prepared in place); the slot's worker runs it
 //     and parks again. Workers park on a one-token doorbell channel
 //     after a short spin, so an idle thread costs nothing and a busy
-//     one never pays a futex round-trip per task.
+//     one never pays a futex round-trip per task. The submitter may
+//     instead run an idle slot's descriptor itself (RunHere): that is
+//     how a transaction's least-speculative head task stays on the
+//     goroutine that holds its inputs, and a one-task transaction pays
+//     no hand-off at all.
 //
 //   - Latch: a reusable, sequence-numbered completion latch that
 //     replaces the per-transaction `done` channel. Completions publish
@@ -25,17 +29,18 @@
 //     wait is immune to the ABA hazard that recycling descriptors
 //     introduces everywhere pointer identity used to be the token.
 //
-//   - Policy: the pluggable spawn policy. Pooled (the default)
-//     dispatches to the worker ring; Inline runs the task body on the
-//     submitting goroutine — the fast path for SPECDEPTH-1 runtimes,
-//     where there is no intra-thread speculation to overlap and a
-//     worker hand-off would be pure overhead. Having both behind one
-//     switch lets the harness compare scheduling modes on identical
-//     workloads.
+//   - Policy: what an asynchronous submission does. Pooled (the
+//     default) arms every task on the worker ring and returns, so
+//     submissions pipeline; Inline makes every submission synchronous —
+//     head on the submitter, tail on the workers. The pool has no policy
+//     branch: choosing Arm or RunHere per task is its owner's job.
 //
-// A Pool is owned by a single submitting goroutine: Arm and WaitIdle
-// must only be called from it. Close may be called from any goroutine
-// once the owner has quiesced.
+// A Pool is owned by a single submitting goroutine: Arm, RunHere and
+// WaitIdle must only be called from it. A slot's descriptor may be run
+// by its worker in one generation and by the owner in the next; it
+// changes hands only across the idle store / WaitIdle acquire and the
+// Arm release / worker's armed load. Close may be called from any
+// goroutine once the owner has quiesced.
 package sched
 
 import (
@@ -47,20 +52,20 @@ import (
 	"sync/atomic"
 )
 
-// Policy selects how speculative tasks are dispatched to execution.
+// Policy selects what an asynchronous submission (core's Submit) does;
+// the synchronous entry (Atomic) always runs the head on the caller.
 type Policy int
 
 const (
-	// Pooled dispatches each task to a ring of long-lived worker
-	// goroutines (one per slot, spawned lazily on first use). This is
-	// the default: tasks of one user-thread execute concurrently with
-	// each other and with the submitting goroutine.
+	// Pooled dispatches every task of a submission to the ring of
+	// long-lived worker goroutines (one per slot, spawned lazily on
+	// first use) and returns. This is the default: transactions of one
+	// user-thread pipeline with each other and with the submitter.
 	Pooled Policy = iota
-	// Inline runs each task synchronously on the submitting goroutine.
-	// Only sound when at most one task is active at a time (SPECDEPTH
-	// 1): an intermediate task of a multi-task transaction parks until
-	// its transaction commits, which would deadlock the submitter.
-	// internal/core enforces that restriction.
+	// Inline makes every submission synchronous: the transaction's
+	// first task runs on the submitting goroutine, the rest on workers,
+	// and the submission returns after the commit. At SPECDEPTH 1 no
+	// worker is ever spawned.
 	Inline
 )
 
@@ -77,7 +82,8 @@ func (p Policy) String() string {
 }
 
 // slot states. A slot cycles idle → armed (submitter) → idle (worker,
-// after the run function returns).
+// after the run function returns); it stays idle while the submitter
+// runs it itself.
 const (
 	slotIdle uint32 = iota
 	slotArmed
@@ -96,12 +102,13 @@ type slot struct {
 	// publishes the descriptor prepared for this slot (release); the
 	// worker's load observes it (acquire).
 	state atomic.Uint32
-	// gen counts arms of this slot: the slot's descriptor-generation
-	// stamp. Generation 1 is the first use; every later generation is a
-	// descriptor reuse. Written by the submitter only.
+	// gen counts runs of this slot (Arm or RunHere): the slot's
+	// descriptor-generation stamp. Generation 1 is the first use; every
+	// later generation is a descriptor reuse. Written by the submitter
+	// only.
 	gen uint64
 	// spawned records whether this slot's worker goroutine exists.
-	// Written by the submitter only (Pooled arms are submitter-owned).
+	// Written by the submitter only.
 	spawned bool
 	// bell is the worker's parking doorbell: one token, sent by the
 	// submitter after arming, closed by Close. Spurious tokens are
@@ -110,11 +117,10 @@ type slot struct {
 }
 
 // Pool is the per-thread scheduler instance: a ring of slots and their
-// workers, plus the spawn policy.
+// workers.
 type Pool struct {
-	policy Policy
-	run    func(slot int)
-	slots  []slot
+	run   func(slot int)
+	slots []slot
 
 	closed  atomic.Bool
 	workers sync.WaitGroup
@@ -129,15 +135,16 @@ type Pool struct {
 	label string
 }
 
-// New creates a pool of n execution slots whose armed descriptors are
-// executed by run(slot). run is invoked on a worker goroutine under the
-// Pooled policy and on the arming goroutine under Inline. A panic out
-// of run is the caller's contract violation: on a worker it crashes the
-// process (as a crashed spawned goroutine would have before pooling);
-// under Inline it propagates to the armer with the slot restored to
-// idle.
-func New(n int, policy Policy, run func(slot int)) *Pool {
-	p := &Pool{policy: policy, run: run, slots: make([]slot, n)}
+// New creates a pool of n execution slots whose prepared descriptors
+// are executed by run(slot): on the slot's worker goroutine after Arm,
+// on the calling goroutine in RunHere. A panic out of run is the
+// caller's contract violation: on a worker it crashes the process (as a
+// crashed spawned goroutine would have before pooling); out of RunHere
+// it propagates to the owner, the slot idle as it was throughout. The
+// policy is the owner's business and ignored here; the parameter stays
+// because bench/ constructs pools with it.
+func New(n int, _ Policy, run func(slot int)) *Pool {
+	p := &Pool{run: run, slots: make([]slot, n)}
 	for i := range p.slots {
 		p.slots[i].bell = make(chan struct{}, 1)
 	}
@@ -151,29 +158,17 @@ func New(n int, policy Policy, run func(slot int)) *Pool {
 // spawns unlabeled workers.
 func (p *Pool) SetLabel(name string) { p.label = name }
 
-// Policy reports the pool's spawn policy.
-func (p *Pool) Policy() Policy { return p.policy }
-
 // Slots reports the ring size.
 func (p *Pool) Slots() int { return len(p.slots) }
 
-// Arm hands slot i's prepared descriptor to its worker (Pooled) or runs
-// it in place (Inline). The slot must be idle — the caller observes
-// that through WaitIdle — and the descriptor must be fully initialized
-// before Arm: the armed store is the publication point. It reports
-// whether a new worker goroutine was spawned by this call.
+// Arm hands slot i's prepared descriptor to its worker. The slot must
+// be idle — the caller observes that through WaitIdle — and the
+// descriptor must be fully initialized before Arm: the armed store is
+// the publication point. It reports whether a new worker goroutine was
+// spawned by this call.
 func (p *Pool) Arm(i int) (spawnedWorker bool) {
 	s := &p.slots[i]
 	s.gen++
-	if p.policy == Inline {
-		s.state.Store(slotArmed)
-		// Restore idle via defer: if the run function panics into the
-		// arming goroutine and the application recovers, the slot must
-		// not stay armed forever.
-		defer s.state.Store(slotIdle)
-		p.run(i)
-		return false
-	}
 	if !s.spawned {
 		s.spawned = true
 		p.spawnedCount++
@@ -192,6 +187,16 @@ func (p *Pool) Arm(i int) (spawnedWorker bool) {
 	return spawnedWorker
 }
 
+// RunHere runs slot i's prepared descriptor on the calling (owner)
+// goroutine and stamps the generation like Arm. The slot must be idle,
+// as for Arm, and stays idle: its worker, if one exists, keeps sleeping,
+// and the WaitIdle that preceded the call is the acquire that handed the
+// descriptor over from whichever goroutine ran it last.
+func (p *Pool) RunHere(i int) {
+	p.slots[i].gen++
+	p.run(i)
+}
+
 // WaitIdle blocks until slot i's previous task has finished (its run
 // function returned). The returning worker's idle store is the release
 // that makes every write of the finished task visible to the caller.
@@ -202,7 +207,7 @@ func (p *Pool) WaitIdle(i int) {
 	}
 }
 
-// Generation reports how many times slot i has been armed. Generations
+// Generation reports how many times slot i has been run. Generations
 // are the scheduler's descriptor-reuse stamps: serial numbers handed to
 // slot i are gen, gen+ring, gen+2·ring, … so a generation uniquely
 // names one descriptor incarnation.

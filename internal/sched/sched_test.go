@@ -85,7 +85,7 @@ func TestPoolRunsArmedSlotsOnWorkers(t *testing.T) {
 		ran[i].Add(1)
 	})
 	defer p.Close()
-	if p.Policy() != Pooled || p.Slots() != slots {
+	if p.Slots() != slots {
 		t.Fatal("pool identity")
 	}
 	for round := 0; round < 50; round++ {
@@ -108,24 +108,37 @@ func TestPoolRunsArmedSlotsOnWorkers(t *testing.T) {
 	}
 }
 
-func TestPoolInlineRunsSynchronously(t *testing.T) {
-	var depth int
-	p := New(1, Inline, func(i int) {
-		depth++ // no synchronization: must run on the arming goroutine
-	})
+// RunHere runs the slot on the calling goroutine, stamps the generation
+// like Arm, spawns nothing — and when the slot already has a worker
+// (alternating Arm and RunHere is the Submit-then-Atomic hand-off) the
+// worker must not run the descriptor a second time.
+func TestPoolRunHereIsSynchronousAndAlternatesWithArm(t *testing.T) {
+	var runs int // no synchronization: the race detector checks the hand-off edges
+	p := New(1, Pooled, func(i int) { runs++ })
+	defer p.Close()
 	for i := 0; i < 10; i++ {
 		p.WaitIdle(0)
-		if spawned := p.Arm(0); spawned {
-			t.Fatal("Inline must not spawn workers")
-		}
-		if depth != i+1 {
-			t.Fatalf("Arm returned before inline run: depth=%d", depth)
+		p.RunHere(0)
+		if runs != i+1 {
+			t.Fatalf("RunHere returned before the run: runs=%d", runs)
 		}
 	}
 	if p.WorkersSpawned() != 0 {
-		t.Fatalf("WorkersSpawned = %d under Inline", p.WorkersSpawned())
+		t.Fatalf("WorkersSpawned = %d after RunHere only", p.WorkersSpawned())
 	}
-	p.Close()
+	for i := 0; i < 100; i++ {
+		p.WaitIdle(0)
+		p.Arm(0)
+		p.WaitIdle(0)
+		p.RunHere(0)
+	}
+	p.WaitIdle(0)
+	if runs != 210 || p.Generation(0) != 210 {
+		t.Fatalf("runs = %d, generation = %d, want 210 each", runs, p.Generation(0))
+	}
+	if p.WorkersSpawned() != 1 {
+		t.Fatalf("WorkersSpawned = %d, want 1", p.WorkersSpawned())
+	}
 }
 
 func TestPoolCloseDrainsAndJoins(t *testing.T) {
@@ -177,11 +190,11 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// A panic out of an Inline run must restore the slot to idle on its way
-// to the armer, so a recovering application does not wedge the ring.
-func TestPoolInlinePanicRestoresIdle(t *testing.T) {
+// A panic out of RunHere propagates to the caller and leaves the slot
+// idle, so a recovering application does not wedge the ring.
+func TestPoolRunHerePanicLeavesSlotIdle(t *testing.T) {
 	boom := true
-	p := New(1, Inline, func(i int) {
+	p := New(1, Pooled, func(i int) {
 		if boom {
 			panic("task body bug")
 		}
@@ -190,14 +203,14 @@ func TestPoolInlinePanicRestoresIdle(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panic must propagate to the armer")
+				t.Fatal("panic must propagate to the caller")
 			}
 		}()
-		p.Arm(0)
+		p.RunHere(0)
 	}()
 	p.WaitIdle(0) // must not spin forever
 	boom = false
-	p.Arm(0) // slot must be re-armable
+	p.Arm(0) // slot must be armable
 	p.WaitIdle(0)
 	if p.Generation(0) != 2 {
 		t.Fatalf("Generation = %d, want 2", p.Generation(0))

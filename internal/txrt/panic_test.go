@@ -172,30 +172,41 @@ func TestUserPanicLeavesNoReadOnlyDeclaration(t *testing.T) {
 	}
 }
 
-// TestCoreUserPanicReleasesGate is the same scenario against TLSTM. A
-// genuine body panic on a pooled worker goroutine takes the process
-// down, so the recoverable case is the Inline scheduling policy, where
-// it surfaces in the submitting goroutine: that thread's transaction
-// never commits (the thread is wedged, by design), but the runtime's
-// gate must be free for every other thread.
+// TestCoreUserPanicReleasesGate is the same scenario against TLSTM.
+// Atomic runs a transaction's first task on the submitting goroutine,
+// so under either scheduling policy a genuine body panic there surfaces
+// in the caller with its value intact (a later task's, on a worker,
+// still takes the process down). That thread's transaction never
+// commits — the thread is wedged, by design — but its slot is retired,
+// its locks are undone and the runtime's gate is free, so every other
+// thread runs on, speculative or serialized.
 func TestCoreUserPanicReleasesGate(t *testing.T) {
-	rt := core.New(core.Config{SpecDepth: 1, Policy: sched.Inline, Mode: mode.Config{Policy: mode.Serial}})
-	a := rt.Direct().Alloc(1)
-	first, second := rt.NewThread(), rt.NewThread()
-	if !panics(func() {
-		_ = first.Atomic(func(tk *core.Task) {
-			tk.Store(a, 1)
-			panic("boom")
-		})
-	}) {
-		t.Fatal("the body's panic did not reach the submitter")
-	}
-	within(t, "a second thread's serialized transaction", func() {
-		if err := second.Atomic(func(tk *core.Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
-			t.Error(err)
+	for _, policy := range []sched.Policy{sched.Pooled, sched.Inline} {
+		for _, mc := range []mode.Config{{Policy: mode.Speculative}, {Policy: mode.Serial}} {
+			t.Run(policy.String()+"/"+mc.Policy.String(), func(t *testing.T) {
+				rt := core.New(core.Config{SpecDepth: 2, Policy: policy, Mode: mc})
+				a := rt.Direct().Alloc(1)
+				first, second := rt.NewThread(), rt.NewThread()
+				if !panics(func() {
+					_ = first.Atomic(func(tk *core.Task) {
+						tk.Store(a, 1)
+						panic("boom")
+					})
+				}) {
+					t.Fatal("the body's panic did not reach the submitter")
+				}
+				within(t, "a second thread's transaction", func() {
+					if err := second.Atomic(func(tk *core.Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
+						t.Error(err)
+					}
+				})
+				if got := rt.Direct().Load(a); got != 1 {
+					t.Fatalf("word = %d, want 1 (the panicked store undone, the second thread's increment applied)", got)
+				}
+				// A one-task transaction never reached a worker, so
+				// nothing is left running behind the wedged thread.
+				within(t, "Close", rt.Close)
+			})
 		}
-	})
-	if got := rt.Direct().Load(a); got != 1 {
-		t.Fatalf("word = %d, want 1 (the panicked store undone, the second thread's increment applied)", got)
 	}
 }

@@ -227,11 +227,15 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 		if l.Load() != v1 {
 			continue
 		}
-		if v1 > tx.rv && !tx.extendTo(v1) {
-			tx.NoteConflictAt(a)
-			tx.abort(txtrace.AbortExtend)
-		}
 		if v1 > tx.rv {
+			// Extend, then read again: the extension may move rv past a
+			// commit that landed after val was sampled, and a later Store
+			// to this word would lock it at that newer version and exempt
+			// the stale read from commit validation (a lost update).
+			if !tx.extendTo(v1) {
+				tx.NoteConflictAt(a)
+				tx.abort(txtrace.AbortExtend)
+			}
 			continue
 		}
 		tx.readLog.Append(l, v1)

@@ -189,3 +189,29 @@ func TestBankInvariant(t *testing.T) {
 		t.Fatalf("sum = %d, want %d", sum, accounts*initial)
 	}
 }
+
+// Two writers on one counter: a Load that found the word's version ahead
+// of its snapshot used to extend the snapshot and then return the value
+// it had sampled *before* extending. A commit landing in between moved
+// the word again; the following Store locked it at that newer version,
+// which exempted the stale read from commit validation, and the other
+// writer's increment was lost. Load now reads again after extending.
+func TestLoadRereadsAfterExtension(t *testing.T) {
+	rt := New(14)
+	a := rt.Direct().Alloc(1)
+	const writers, per = 2, 100_000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				rt.Atomic(nil, func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+			}
+		}()
+	}
+	wg.Wait()
+	if got := rt.Direct().Load(a); got != writers*per {
+		t.Fatalf("counter = %d, want %d (lost updates)", got, writers*per)
+	}
+}

@@ -31,20 +31,40 @@
 // Task bodies must be re-executable: speculation may run them several
 // times, so they must not have external side effects.
 //
-// # Worker lifecycle
+// # Scheduling and worker lifecycle
 //
-// Speculative tasks do not get fresh goroutines: each Thread owns a
-// ring of SpecDepth recycled task descriptors executed by SpecDepth
-// long-lived worker goroutines (internal/sched), spawned lazily on the
-// thread's first Submits and parked between tasks. At steady state a
-// Submit therefore allocates nothing and spawns nothing; Stats reports
-// the totals as WorkersSpawned and DescriptorReuses. The lifecycle is:
-// NewThread creates the rings, Submit/Atomic dispatch onto them, Sync
-// quiesces a thread (workers stay parked, ready for more), and
-// Runtime.Close — after every thread has Synced — drains and joins all
-// workers. Submitting after Close panics. Under Config.Policy ==
-// SchedInline (SpecDepth 1 only) there are no workers at all: task
-// bodies run on the submitting goroutine and Submit returns committed.
+// Atomic dispatches the way speculative multithreading is meant to: the
+// transaction's program-order-first task — the least speculative one —
+// runs on the calling goroutine, the one that holds its inputs, and only
+// the speculative tail (tasks 2..n) is shipped to other goroutines.
+// Those are not fresh goroutines either: each Thread owns a ring of
+// SpecDepth recycled task descriptors and up to SpecDepth long-lived
+// workers (internal/sched), spawned lazily the first time a slot is
+// shipped and parked between tasks. A one-task Atomic therefore never
+// touches a worker at all, an n-task one pays n−1 hand-offs and no
+// wake-back, and at steady state nothing is allocated or spawned; Stats
+// reports the totals as WorkersSpawned and DescriptorReuses.
+//
+// Submit is the pipelining entry: it ships every task to a worker and
+// returns before the commit, so with SpecDepth larger than the task
+// count the next transaction's tasks speculate while this one is still
+// active. Under Config.Policy == SchedInline every Submit behaves like
+// Atomic instead (at SpecDepth 1 such a runtime has no workers at all).
+//
+// The lifecycle is: NewThread creates the rings, Atomic/Submit dispatch
+// onto them, Sync quiesces a thread (workers stay parked, ready for
+// more), and Runtime.Close — after every thread has Synced — drains and
+// joins all workers. Submitting after Close panics.
+//
+// A task body that panics on consistent reads is a bug in the body. In
+// the first task of an Atomic the panic reaches the caller with its
+// value intact; in any shipped task it crashes the process from the
+// worker, like any crashed goroutine. Recovering it leaves that Thread
+// wedged: the panicked transaction never commits, so nothing submitted
+// on the thread after it does, and the tail tasks of a multi-task
+// transaction stay parked on their workers (Close then does not return).
+// The panicked task's writes are undone, its slot is retired and the
+// serialized gate is released, so every other Thread runs on.
 //
 // # Waiting on transactions
 //
@@ -108,8 +128,8 @@ type (
 	// entry-reclamation counters EntryReclaims and HorizonStalls, and
 	// the placement counters CrossShardConflicts and Remaps.
 	Stats = core.Stats
-	// SchedPolicy selects how speculative tasks are dispatched; see
-	// Config.Policy and the worker-lifecycle package docs.
+	// SchedPolicy selects what Submit does; see Config.Policy and the
+	// scheduling section of the package docs.
 	SchedPolicy = sched.Policy
 
 	// ClockSource is a commit-clock strategy for Config.Clock (and
@@ -205,12 +225,14 @@ func ParseMode(name string) (ModePolicy, error) { return mode.Parse(name) }
 
 // Scheduling policies for Config.Policy.
 const (
-	// SchedPooled dispatches tasks to each thread's ring of long-lived
-	// worker goroutines (the default; zero value).
+	// SchedPooled makes Submit ship every task to the thread's ring of
+	// long-lived worker goroutines and return before the commit (the
+	// default; zero value). Atomic is unaffected: head on the caller,
+	// speculative tail on the workers.
 	SchedPooled = sched.Pooled
-	// SchedInline runs task bodies on the submitting goroutine; it
-	// requires SpecDepth 1 (New panics otherwise) and is the fast path
-	// when there is no intra-thread speculation to overlap.
+	// SchedInline makes every Submit behave like Atomic: synchronous,
+	// first task on the submitting goroutine. No pipelining; at
+	// SpecDepth 1, no workers at all.
 	SchedInline = sched.Inline
 )
 

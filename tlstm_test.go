@@ -215,23 +215,32 @@ func TestMultipleThreadsViaFacade(t *testing.T) {
 	}
 }
 
-// The scheduler surface: Close drains worker pools, the Inline policy
-// runs depth-1 transactions on the caller, and the scheduler counters
-// reach the public Stats.
+// The scheduler surface: Close drains worker pools, Atomic runs the
+// head task on the caller (so does Submit under the Inline policy), and
+// the scheduler counters reach the public Stats.
 func TestSchedulerFacade(t *testing.T) {
 	rt := tlstm.New(tlstm.Config{SpecDepth: 2})
 	d := rt.Direct()
 	a := d.Alloc(1)
 	thr := rt.NewThread()
+	inc := func(tk *tlstm.Task) { tk.Store(a, tk.Load(a)+1) }
 	for i := 0; i < 5; i++ {
-		if err := thr.Atomic(func(tk *tlstm.Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
+		if err := thr.Atomic(inc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	thr.Sync()
-	st := thr.Stats()
-	if st.WorkersSpawned == 0 || st.DescriptorReuses == 0 {
-		t.Fatalf("scheduler counters missing from public Stats: %+v", st)
+	// One-task Atomics run on this goroutine: descriptors recycle, no
+	// worker exists yet. A two-task one ships its tail to a worker.
+	if st := thr.Stats(); st.WorkersSpawned != 0 || st.DescriptorReuses == 0 {
+		t.Fatalf("one-task Atomic stream: workers=%d reuses=%d, want 0 workers and recycled descriptors", st.WorkersSpawned, st.DescriptorReuses)
+	}
+	if err := thr.Atomic(inc, inc); err != nil {
+		t.Fatal(err)
+	}
+	thr.Sync()
+	if st := thr.Stats(); st.WorkersSpawned == 0 || st.WorkersSpawned > 2 {
+		t.Fatalf("WorkersSpawned = %d after a two-task Atomic, want in [1, SpecDepth]", st.WorkersSpawned)
 	}
 	rt.Close()
 	rt.Close() // idempotent
