@@ -203,3 +203,29 @@ func BenchmarkSubmitPipelined(b *testing.B) {
 	b.StopTimer()
 	thr.Sync()
 }
+
+// loadCommittedWords is the read set of BenchmarkLoadCommitted, here and
+// in internal/stm: both run tm.SumWords over this many words.
+const loadCommittedWords = 512
+
+// BenchmarkLoadCommitted prices the committed-read fast lane: one
+// one-task Atomic of 512 loads of unlocked words (tm.SumWords, the body
+// internal/stm's benchmark of the same name runs), so ns/op ÷ 512 is
+// comparable per access across the two runtimes. allocs/op must be 0.
+func BenchmarkLoadCommitted(b *testing.B) {
+	rt := New(Config{SpecDepth: 2})
+	defer rt.Close()
+	thr := rt.NewThread()
+	base := rt.Direct().Alloc(loadCommittedWords)
+	var sink uint64
+	body := func(t *Task) { sink += tm.SumWords(t, base, loadCommittedWords) }
+	_ = thr.Atomic(body) // grow the read log
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = thr.Atomic(body)
+	}
+	b.StopTimer()
+	thr.Sync()
+	_ = sink
+}

@@ -9,7 +9,6 @@ import (
 
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
-	"tlstm/internal/txcheck"
 	"tlstm/internal/txtrace"
 )
 
@@ -201,28 +200,7 @@ func TestSubmitAtomicHandOff(t *testing.T) {
 		if want := uint64(threads * rounds * 6); sum != want {
 			t.Fatalf("depth %d: sum = %d, want %d", depth, sum, want)
 		}
-		var buf bytes.Buffer
-		if err := rec.Dump(&buf); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := txtrace.ReadTrace(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("depth %d: trace invalid: %v", depth, err)
-		}
-		rep, err := txcheck.Check(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("depth %d: ring %q seq %d: %s: %s", depth, v.Ring, v.Seq, v.Code, v.Msg)
-		}
-		if !rep.Complete() || rep.TxsChecked == 0 {
-			t.Fatalf("depth %d: oracle verdict partial or empty (dropped=%d txs=%d)",
-				depth, rep.DroppedEvents, rep.TxsChecked)
-		}
+		checkDump(t, rec)
 	}
 }
 

@@ -228,7 +228,7 @@ func (rt *Runtime) NewThread() *Thread {
 	// transactions, so they get their own ring.
 	thr.tr, thr.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
 	for i := range thr.ring {
-		t := &Task{thr: thr, waitBeforeRestart: -1}
+		t := &Task{thr: thr, locks: rt.locks, store: rt.Store, waitBeforeRestart: -1}
 		// The per-context owner-header fields are wired once for the
 		// descriptor's whole pooled lifetime; the per-transaction slots
 		// are re-bound by every Submit (locktable.OwnerRef.BindTx).

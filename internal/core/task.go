@@ -10,6 +10,7 @@ import (
 	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
+	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
@@ -163,6 +164,15 @@ type Task struct {
 	parkPending bool
 	parkFP      mode.Fingerprint
 	retryWakes  uint64
+
+	// locks and store are the runtime's lock table and word store, cached
+	// so the access path resolves an address without walking thr.rt (the
+	// thread's id is at hand in ownerRef.ThreadID). They sit last so the
+	// fields other threads read (serial, ownerRef, abortInternal) keep
+	// their cache lines: placed ahead of them they cost bank_hot 3.6 % of
+	// its p50 latency over eight runs, here 0.5 %.
+	locks *locktable.Table
+	store *mem.Store
 }
 
 // Read entries are txlog.ReadEntry at lock-pair granularity (SwissTM's
@@ -198,13 +208,9 @@ type restartSignal struct{}
 // would otherwise never break).
 const txSelfAbortDefeats = 8
 
-// tick charges work units and enforces the interleaving grain.
-func (t *Task) tick(units uint64) {
-	t.workAcc += units
-	if t.workAcc%txrt.YieldQuantum < units {
-		runtime.Gosched()
-	}
-}
+// tick charges work units to the virtual-time model. It makes no
+// scheduler call: a conflict-free task keeps its processor.
+func (t *Task) tick(units uint64) { t.workAcc += units }
 
 func (t *Task) slot() *atomic.Pointer[Task] {
 	return &t.thr.slots[t.serial.Load()%int64(t.thr.depth)]
@@ -296,7 +302,7 @@ func (t *Task) attempt() (restart bool) {
 
 // preRestartWait delays a restart while the condition that rolled us
 // back clears (see waitBeforeRestart and backoff). The wait is charged
-// one quantum per spin round: it is real serialization — the past
+// WaitRoundCost per spin round: it is real serialization — the past
 // writer we conflicted with is executing during it — and it is exactly
 // what makes the paper's write traversals "execute almost serially".
 func (t *Task) preRestartWait() {
@@ -309,7 +315,7 @@ func (t *Task) preRestartWait() {
 				t.rendezvous()
 				panic(restartSignal{})
 			}
-			t.workAcc += txrt.YieldQuantum
+			t.workAcc += txrt.WaitRoundCost
 			runtime.Gosched()
 		}
 		t.waitBeforeRestart = -1
@@ -520,13 +526,40 @@ func (t *Task) firstPastOf(head *locktable.WEntry) *locktable.WEntry {
 	return nil
 }
 
-// Load implements tm.Tx: the read-word procedure of Alg. 1.
+// Load implements tm.Tx: the read-word procedure of Alg. 1. The common
+// case — the pair unlocked or held by another user-thread, no abort
+// signal raised, a stable version the snapshot already covers — is
+// SwissTM's committed read (Alg. 1 line 16) and is served here with one
+// signal poll and no call. Everything else goes to loadSlow, which also
+// handles that case: the lane is a shortcut into it, not a second copy of
+// the extension or chain logic.
 func (t *Task) Load(a tm.Addr) uint64 {
 	if t.mvActive {
 		return t.loadMV(a)
 	}
 	t.tick(1)
-	p := t.thr.rt.locks.For(a)
+	p := t.locks.For(a)
+	if head := p.W.Load(); (head == nil || head.Owner.ThreadID != t.ownerRef.ThreadID) &&
+		!t.abortInternal.Load() && !t.tx.abortTx.Load() {
+		// Locked is above every snapshot, so one compare covers both.
+		if v1 := p.R.Load(); v1 <= t.validTS {
+			val := t.store.LoadWord(a)
+			if p.R.Load() == v1 {
+				t.readLog.Append(p, v1, nil)
+				if t.traced {
+					t.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+				}
+				return val
+			}
+		}
+	}
+	return t.loadSlow(p, a)
+}
+
+// loadSlow is the full read-word procedure: own-thread redo chains, a
+// pair a committer holds Locked, a version ahead of the snapshot, raised
+// abort signals.
+func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 	ser := t.serial.Load()
 	for {
 		t.checkSignals()
@@ -535,7 +568,7 @@ func (t *Task) Load(a tm.Addr) uint64 {
 			// Unlocked or locked by another user-thread: read the
 			// committed value from memory (redo logging keeps it
 			// intact until the writer commits) — Alg. 1 line 16.
-			return t.loadCommitted(p, a)
+			return t.loadCommittedRecording(p, a, nil)
 		}
 
 		// Locked by my user-thread: locate my own buffered value or the
@@ -598,13 +631,13 @@ func (t *Task) Load(a tm.Addr) uint64 {
 
 // waitCompleted blocks until the thread's completed-task counter reaches
 // serial, honouring abort signals (which panic out via checkSignals).
-// The wait is charged one quantum per round: reading a running past
+// The wait is charged WaitRoundCost per round: reading a running past
 // writer's location serializes this task behind it (paper §3.3,
 // "Reading"), and that serialization must appear in virtual time.
 func (t *Task) waitCompleted(serial int64) {
 	for t.thr.completedTask.Load() < serial {
 		t.checkSignals()
-		t.workAcc += txrt.YieldQuantum
+		t.workAcc += txrt.WaitRoundCost
 		runtime.Gosched()
 	}
 }
@@ -623,8 +656,10 @@ func (t *Task) maybeValidate() {
 	t.lastWriter = cw
 }
 
-// loadCommittedRecording reads the committed value of a and records the
-// read with the given firstPast chain identity.
+// loadCommittedRecording reads the committed value of a — the plain
+// SwissTM read path — and records the read with the given firstPast
+// chain identity, the WAR bookkeeping for the case where our thread
+// later write-locks the pair.
 func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *locktable.WEntry) uint64 {
 	for {
 		t.checkSignals()
@@ -650,12 +685,6 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 		}
 		return val
 	}
-}
-
-// loadCommitted is the plain SwissTM read path, with WAR bookkeeping for
-// the case where our thread later write-locks the pair.
-func (t *Task) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
-	return t.loadCommittedRecording(p, a, nil)
 }
 
 // loadMV is the wait-free read path of a declared read-only
@@ -705,7 +734,7 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 			// A commit holds the r-lock for a bounded publish window; it
 			// may hand the version store exactly the displaced value the
 			// snapshot needs. Waiting on it costs parallel time.
-			t.workAcc += txrt.YieldQuantum
+			t.workAcc += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}
@@ -800,7 +829,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 		t.mvFallback()
 	}
 	t.tick(2)
-	p := t.thr.rt.locks.For(a)
+	p := t.locks.For(a)
 	ser := t.serial.Load()
 	waited := 0
 	for {
@@ -891,9 +920,9 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			}
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting on another thread's lock costs parallel
-			// time (about one quantum of owner progress per round).
+			// time (about WaitRoundCost of owner progress per round).
 			waited++
-			t.workAcc += txrt.YieldQuantum
+			t.workAcc += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}
@@ -902,7 +931,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// in the wrong in program order; signal it to abort and
 			// wait for the chain to unwind (Alg. 2 lines 46–48).
 			e.Owner.AbortInternal.Store(true)
-			t.workAcc += txrt.YieldQuantum
+			t.workAcc += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}

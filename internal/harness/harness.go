@@ -13,10 +13,16 @@
 // virtual duration is the maximum per-thread virtual time. Conflicts
 // and rollbacks lengthen virtual time exactly where they lengthen the
 // paper's wall time. Wall-clock numbers are also recorded.
+//
+// The runtimes only count: their access paths never yield the
+// processor. Transactions overlap when they run on different CPUs; the
+// contention sweeps below, which must contend on one CPU too, yield
+// inside their transaction bodies instead.
 package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -451,13 +457,8 @@ func CompareClocks(threads, txPerThread int) []Result {
 }
 
 // cmSweepFill is the number of private filler reads each CompareCM
-// transaction performs while holding the hot word's write lock. The
-// filler pushes every transaction past the yield quantum, so on the
-// single-CPU simulator transactions genuinely overlap — and because
-// eager runtimes take the hot lock before the filler, the lock is held
-// across a scheduler slice and every other thread's increment runs
-// into it: exactly the sustained write/write conflict the contention
-// managers exist to resolve.
+// transaction performs after the hot-word store: the work an eager
+// runtime does while holding the hot word's write lock.
 const cmSweepFill = 48
 
 // cmSweepAlloc is the number of words a CompareCM runtime must
@@ -466,9 +467,15 @@ const cmSweepFill = 48
 func cmSweepAlloc(threads int) int { return 1 + threads + threads*cmSweepFill }
 
 // cmSweepWorkload is the CompareCM workload: every transaction
-// increments one shared hot word (taking its write lock first), reads
-// its thread's filler region while holding it, and increments the
-// thread's private counter (so every transaction is a committer).
+// increments one shared hot word (taking its write lock first), yields,
+// reads its thread's filler region, and increments the thread's private
+// counter (so every transaction is a committer). The engines never yield
+// on their own, so the yield after the hot store is what makes the
+// transactions overlap on any CPU count: an eager runtime holds the hot
+// lock across a scheduler round and every other thread's increment runs
+// into it — the sustained write/write conflict the contention managers
+// exist to resolve — and a lazy one reads the hot word a round before it
+// commits.
 func cmSweepWorkload(name string, base tm.Addr, threads, txPerThread int) Workload {
 	return Workload{
 		Name:        name,
@@ -481,10 +488,8 @@ func cmSweepWorkload(name string, base tm.Addr, threads, txPerThread int) Worklo
 			fill := base + 1 + tm.Addr(threads) + tm.Addr(thread*cmSweepFill)
 			return TxSeq{func(tx tm.Tx) {
 				tx.Store(hot, tx.Load(hot)+1)
-				var sink uint64
-				for j := 0; j < cmSweepFill; j++ {
-					sink += tx.Load(fill + tm.Addr(j))
-				}
+				runtime.Gosched()
+				sink := tm.SumWords(tx, fill, cmSweepFill)
 				tx.Store(mine, tx.Load(mine)+1+sink)
 			}}
 		},
@@ -606,10 +611,9 @@ func CompareModes(threads, txPerThread int) []Result {
 const mvSweepWords = 32
 
 // mvScanPasses is how many times a read-only scan traverses the
-// accounts. The scan must outlast the yield quantum (see the runtimes'
-// forced-interleaving grain) so writers commit mid-scan: that is what
-// makes the validated path pay for extensions, revalidations and
-// (TL2) aborts that the wait-free path never performs.
+// accounts, yielding between passes so writers commit mid-scan on any
+// CPU count: that is what makes the validated path pay for extensions,
+// revalidations and (TL2) aborts that the wait-free path never performs.
 const mvScanPasses = 4
 
 // readMostlyWorkload is the CompareMV workload at a given read/write
@@ -637,9 +641,10 @@ func readMostlyWorkload(name string, base tm.Addr, threads, txPerThread, writerE
 			return TxSeq{func(tx tm.Tx) {
 				var sum uint64
 				for p := 0; p < mvScanPasses; p++ {
-					for j := 0; j < mvSweepWords; j++ {
-						sum += tx.Load(base + tm.Addr(j))
+					if p > 0 {
+						runtime.Gosched()
 					}
+					sum += tm.SumWords(tx, base, mvSweepWords)
 				}
 				if sum != 0 {
 					panic(fmt.Sprintf("harness: mv sweep scan saw inconsistent snapshot (sum=%d, want 0)", sum))
@@ -715,9 +720,8 @@ func CompareMV(threads, txPerThread int) []Result {
 }
 
 // shardSweepFill is the number of private filler reads each hot-word
-// CompareShards transaction performs while holding the hot word's write
-// lock (same role as cmSweepFill: push transactions past the yield
-// quantum so they genuinely overlap on the single-CPU simulator).
+// CompareShards transaction performs after the hot-word store (same role
+// as cmSweepFill).
 const shardSweepFill = 48
 
 // shardSweepAlloc is the number of words a CompareShards runtime
@@ -746,8 +750,9 @@ func hotWordFor(base tm.Addr, layout locktable.Layout) tm.Addr {
 
 // shardSweepWorkload is the hot-word CompareShards workload: every
 // transaction increments one shared hot word chosen to live in shard 0,
-// reads its thread's filler region while holding the lock, and
-// increments the thread's private counter. All contention lands in one
+// yields while holding its lock (as cmSweepWorkload does, and for the
+// same reason), reads its thread's filler region and increments the
+// thread's private counter. All contention lands in one
 // shard, which is the configuration sharding is about: under static
 // round-robin placement every thread homed elsewhere counts each
 // conflict as cross-shard, and the affinity policy should migrate every
@@ -763,10 +768,8 @@ func shardSweepWorkload(name string, hot, counters, fillers tm.Addr, threads, tx
 			fill := fillers + tm.Addr(thread*shardSweepFill)
 			return TxSeq{func(tx tm.Tx) {
 				tx.Store(hot, tx.Load(hot)+1)
-				var sink uint64
-				for j := 0; j < shardSweepFill; j++ {
-					sink += tx.Load(fill + tm.Addr(j))
-				}
+				runtime.Gosched()
+				sink := tm.SumWords(tx, fill, shardSweepFill)
 				tx.Store(mine, tx.Load(mine)+1+sink)
 			}}
 		},

@@ -114,3 +114,27 @@ func BenchmarkRuntimeAtomicPooled(b *testing.B) {
 		rt.Atomic(nil, body)
 	}
 }
+
+// loadCommittedWords is the read set of BenchmarkLoadCommitted, here and
+// in internal/core: both run tm.SumWords over this many words.
+const loadCommittedWords = 512
+
+// BenchmarkLoadCommitted prices the committed-read path: one read-only
+// transaction of 512 loads of unlocked words (tm.SumWords, the body
+// internal/core's benchmark of the same name runs as a one-task
+// Atomic), so ns/op ÷ 512 is comparable per access across the two
+// runtimes. allocs/op must be 0.
+func BenchmarkLoadCommitted(b *testing.B) {
+	rt := stm.New()
+	base := rt.Direct().Alloc(loadCommittedWords)
+	w := rt.NewWorker()
+	var sink uint64
+	body := func(tx *stm.Tx) { sink += tm.SumWords(tx, base, loadCommittedWords) }
+	w.Atomic(body) // grow the read log
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Atomic(body)
+	}
+	_ = sink
+}

@@ -445,9 +445,9 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 			tx.ResolveConflict(tx.validTS, a, cm.PointEncounter, tx.writeLog.Len(), waited, e.Owner)
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting costs real parallel time (the owner
-			// progresses about one quantum per scheduler round).
+			// progresses about WaitRoundCost per scheduler round).
 			waited++
-			tx.Work += txrt.YieldQuantum
+			tx.Work += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}

@@ -344,7 +344,7 @@ func (tx *Tx) commit() {
 				// commit grace, like the old inlined loop).
 				tx.ResolveConflict(tx.rv, a, cm.PointCommit, tx.writeSet.Len(), waited, nil)
 				waited++
-				tx.Work += txrt.YieldQuantum
+				tx.Work += txrt.WaitRoundCost
 				runtime.Gosched()
 				continue
 			}

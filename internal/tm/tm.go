@@ -68,3 +68,14 @@ func StoreBool(t Tx, a Addr, b bool) {
 		t.Store(a, 0)
 	}
 }
+
+// SumWords loads the n consecutive words starting at base and returns
+// their wrapping sum: the plain committed-read scan the harness's
+// read-mostly audit and the runtimes' per-access benchmarks share.
+func SumWords(t Tx, base Addr, n int) uint64 {
+	var sum uint64
+	for i := 0; i < n; i++ {
+		sum += t.Load(base + Addr(i))
+	}
+	return sum
+}

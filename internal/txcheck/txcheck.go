@@ -2,7 +2,9 @@
 // TXTRACE2 flight-recorder dump (txtrace.ReadTrace), reconstructs every
 // transaction attempt — committed, aborted, and unresolved — from the
 // per-context rings, rebuilds per-lock-slot version histories from the
-// committed transactions' written-word events, and decides opacity via
+// written-word events (a committed transaction's publish, and the
+// write-through runtime's abort-time lock release, which re-stamps the
+// slots it held without changing their values), and decides opacity via
 // the linearizability reduction (Armstrong/Dongol/Doherty, PAPERS.md):
 //
 //   - Every attempt's read set {(slot_i, v_i)} — where v_i is the
@@ -329,9 +331,9 @@ func Check(t *txtrace.Trace) (*Report, error) {
 
 	rep := &Report{}
 
-	// Rebuild per-slot version histories from committed attempts; under
-	// an exclusive clock, flag duplicate (slot, stamp) pairs written by
-	// distinct transactions.
+	// Rebuild per-slot version histories from the attempts' written-word
+	// events; under an exclusive clock, flag duplicate (slot, stamp)
+	// pairs written by distinct transactions.
 	for _, name := range order {
 		ns := byNS[name]
 		type stampSrc struct {
@@ -342,9 +344,10 @@ func Check(t *txtrace.Trace) (*Report, error) {
 		for _, rp := range ns.rings {
 			for ai := range rp.attempts {
 				at := &rp.attempts[ai]
-				if !at.committed {
-					continue
-				}
+				// Not only committed attempts: the write-through runtime
+				// releases an aborted attempt's locks at a fresh stamp (its
+				// value unchanged), and an attempt cut off mid-publish has
+				// stamped what it recorded. Either stamp can be observed.
 				for slot, stamp := range at.writes {
 					key := [2]uint64{slot, stamp}
 					if first, dup := seen[key]; dup {

@@ -148,6 +148,25 @@ func TestMutationPhantomVersion(t *testing.T) {
 	wantViolation(t, rep, CodePhantomVersion)
 }
 
+func TestAbortReleaseStampIsHistory(t *testing.T) {
+	// The write-through runtime releases an aborted attempt's locks at a
+	// fresh stamp, recorded as written-word events before the abort
+	// event. A later read that observes that stamp is not a phantom, and
+	// the stamp bounds the older version's lifetime like any other: X@5
+	// died at 7, so a snapshot holding it cannot also hold Y@9.
+	b := newTraceBuilder(gv4Meta())
+	b.newRing("stm-worker-0").
+		begin().commit(5, addrX).
+		begin().ev(txtrace.KindCommitWord, 7, addrX, 0).abort().
+		begin().commit(9, addrY)
+	b.newRing("stm-worker-1").begin().read(addrX, 7).read(addrY, 9).ev(txtrace.KindCommit, 9, 0, 0)
+	if rep := mustCheck(t, b.t); !rep.Ok() {
+		t.Fatalf("read of an abort-release stamp flagged: %v", rep.Violations)
+	}
+	b.newRing("stm-worker-2").begin().read(addrX, 5).read(addrY, 9).abort()
+	wantViolation(t, mustCheck(t, b.t), CodeEmptyInterval)
+}
+
 func TestMutationDuplicateStamp(t *testing.T) {
 	// Two distinct transactions committed X at stamp 5. gv4's
 	// fetch-and-add hands out unique stamps, so a correct run cannot

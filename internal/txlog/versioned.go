@@ -105,7 +105,10 @@ func (ls *LockSet) Displaced(l *atomic.Uint64) (uint64, bool) {
 func (ls *LockSet) Len() int { return len(ls.held) }
 
 // Restore releases every held lock at its displaced version (abort) and
-// empties the set.
+// empties the set. Sound only for a holder that wrote nothing in place
+// while it held the locks (TL2); one that did must release at a fresh
+// stamp through Publish, or a reader bracketing a dirty value between two
+// samples of the same version would accept it (wtstm).
 func (ls *LockSet) Restore() {
 	for _, h := range ls.held {
 		h.Lock.Store(h.Version)

@@ -302,15 +302,16 @@ func (d *Desc) attempt() (ok bool) {
 	return true
 }
 
-// Abort records the reason on the trace (snap is the attempt's current
-// snapshot), releases the attempt's locks and speculative allocations,
-// and unwinds to the retry loop.
+// Abort releases the attempt's locks and speculative allocations,
+// records the reason on the trace (snap is the attempt's current
+// snapshot) and unwinds to the retry loop. The abort event closes the
+// attempt on the trace, so it follows whatever Release records.
 func (d *Desc) Abort(snap uint64, reason uint32) {
+	d.alg.Release()
+	d.freeAllocs()
 	if d.Traced {
 		d.Tr.Record(txtrace.KindAbort, snap, 0, reason)
 	}
-	d.alg.Release()
-	d.freeAllocs()
 	panic(rollback{})
 }
 
@@ -357,13 +358,9 @@ func (d *Desc) NoteConflict(shard int) {
 // NoteConflictAt is NoteConflict for the shard of address a.
 func (d *Desc) NoteConflictAt(a tm.Addr) { d.NoteConflict(d.env.Layout.ShardOf(a)) }
 
-// Tick charges work units and enforces the interleaving grain.
-func (d *Desc) Tick(units uint64) {
-	d.Work += units
-	if d.Work%YieldQuantum < units {
-		runtime.Gosched()
-	}
-}
+// Tick charges work units to the virtual-time model. It makes no
+// scheduler call: a conflict-free transaction keeps its processor.
+func (d *Desc) Tick(units uint64) { d.Work += units }
 
 // Alloc implements tm.Tx: allocation is undone if the attempt aborts.
 func (d *Desc) Alloc(n int) tm.Addr {

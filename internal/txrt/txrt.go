@@ -46,14 +46,13 @@ import (
 // The virtual-time model's constants, shared so cross-runtime
 // comparisons in work units stay meaningful.
 const (
-	// YieldQuantum is the forced-interleaving grain: a transaction
-	// yields the processor every YieldQuantum work units. On the paper's
-	// hardware transactions overlap in real time; on a small simulator a
-	// transaction would otherwise finish inside one scheduler slice and
-	// contention would never materialize. Waiting on another thread's
-	// lock is charged one quantum per spin — the owner progresses by
-	// about one quantum per scheduler round.
-	YieldQuantum = 64
+	// WaitRoundCost is the work charged per round of a wait loop: while
+	// a transaction spins on another's lock (or a task on its past
+	// writer) the owner progresses by about this much. It is accounting
+	// only. The access path makes no scheduler call — transactions
+	// overlap because they run on different CPUs, or because a workload's
+	// own body yields.
+	WaitRoundCost = 64
 	// TxStartCost models per-attempt setup (descriptor and log
 	// initialization, timestamp read). TLSTM charges it per task, which
 	// bounds its task-split speedup (paper Fig. 1a).

@@ -186,15 +186,31 @@ func (tx *Tx) SetSizes() (reads, writes int) { return tx.readLog.Len(), tx.lastW
 func (tx *Tx) abort(reason uint32) { tx.Abort(tx.rv, reason) }
 
 // Release implements txrt.Algorithm: roll the undo log back in reverse
-// order, then release every held lock at its pre-lock version.
+// order, then release every held lock at a fresh clock tick (TinySTM's
+// abort increment) — never at its pre-lock version. A reader's Load
+// brackets the word read with two samples of the lock; restoring version
+// v would let one that sampled v before the lock was taken and again
+// after this release accept the dirty in-place value it read in between.
+// The tick is above v (the writer's snapshot covered v before it locked,
+// contract T1), so that reader's second sample differs and it re-reads.
 func (tx *Tx) Release() {
 	recs := tx.undo.Recs()
 	for i := len(recs) - 1; i >= 0; i-- {
 		tx.rt.Store.StoreWord(recs[i].Addr, recs[i].Old)
 		tx.Work++
 	}
+	if tx.held.Len() > 0 {
+		wv := tx.rt.Clk.Tick(&tx.ClkProbe)
+		if tx.Traced {
+			// The stamp enters the slots' version histories like a
+			// commit's: a later read may observe it.
+			for _, rec := range recs {
+				tx.Tr.Record(txtrace.KindCommitWord, wv, uint64(rec.Addr), 0)
+			}
+		}
+		tx.held.Publish(wv)
+	}
 	tx.undo.Reset()
-	tx.held.Restore()
 }
 
 // Load implements tm.Tx.
@@ -219,7 +235,7 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// owner holds the lock for its whole lifetime).
 			tx.ResolveConflict(tx.rv, a, cm.PointEncounter, tx.held.Len(), waited, nil)
 			waited++
-			tx.Work += txrt.YieldQuantum
+			tx.Work += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}
@@ -341,7 +357,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				// then self-abort and retry).
 				tx.ResolveConflict(tx.rv, a, cm.PointEncounter, tx.held.Len(), waited, nil)
 				waited++
-				tx.Work += txrt.YieldQuantum
+				tx.Work += txrt.WaitRoundCost
 				runtime.Gosched()
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 
 	"tlstm/internal/rbtree"
 	"tlstm/internal/tm"
+	"tlstm/internal/txtrace"
 )
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -214,4 +215,65 @@ func TestLoadRereadsAfterExtension(t *testing.T) {
 	if got := rt.Direct().Load(a); got != writers*per {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, writers*per)
 	}
+}
+
+// The directed interleaving behind the abort increment. A Load brackets
+// its word read with two samples of the lock and accepts the value when
+// they agree, so with the steps
+//
+//  1. reader samples the lock: version v
+//  2. writer locks the word and stores a dirty value in place; reader
+//     reads the dirty value
+//  3. writer aborts: undoes the store, releases the lock; reader samples
+//     the lock again
+//
+// a release at the pre-lock version v makes step 3 agree with step 1 and
+// the reader accepts a value no transaction committed. The reader's
+// three steps are taken by hand here (a real Load cannot be paused
+// between them); the writer is a real transaction.
+func TestAbortedWriterReleasesAtFreshVersion(t *testing.T) {
+	rt := New(14)
+	d := rt.Direct()
+	a := d.Alloc(1)
+	rt.Atomic(nil, func(tx *Tx) { tx.Store(a, 42) })
+	l := rt.lockFor(a)
+
+	v1 := l.Load() // step 1
+	wrote, read, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		first := true
+		rt.Atomic(nil, func(tx *Tx) {
+			if !first {
+				return // the retry after the abort has nothing to do
+			}
+			first = false
+			tx.Store(a, 99) // step 2
+			close(wrote)
+			<-read
+			tx.abort(txtrace.AbortCM) // step 3
+		})
+	}()
+	<-wrote
+	if l.Load() != locked {
+		t.Fatal("writer does not hold the word's lock after its store")
+	}
+	val := rt.Store.LoadWord(a)
+	close(read)
+	<-done
+	v2 := l.Load()
+
+	if val != 99 {
+		t.Fatalf("reader saw %d between its two samples, want the dirty 99: the interleaving did not happen", val)
+	}
+	if v2 == locked || v2 == v1 {
+		t.Fatalf("lock reads %d after the abort and %d before the writer locked it: a Load bracketing the dirty value would accept it", v2, v1)
+	}
+	// The release stamp is an ordinary version: a fresh reader extends to
+	// it and sees the undone value.
+	rt.Atomic(nil, func(tx *Tx) {
+		if got := tx.Load(a); got != 42 {
+			t.Errorf("value after the aborted write = %d, want 42", got)
+		}
+	})
 }
