@@ -44,7 +44,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "use reduced transaction counts")
 	headline := flag.Bool("headline", false, "print the paper's §4 headline ratios (computed from Figure 2b)")
 	check := flag.Bool("check", false, "regenerate all figures and verify the paper's qualitative claims; exit non-zero on violation")
-	schedCmp := flag.Bool("sched", false, "compare the pooled and inline scheduling policies on a depth-1 workload (both run Atomic's head task on the caller, so wall and virtual time should agree)")
 	clockName := flag.String("clock", "gv4", `commit-clock strategy for figure/headline runs: "gv4", "deferred", "sharded" or "gv7"`)
 	clockCmp := flag.Bool("clocks", false, "sweep all commit-clock strategies across all four runtimes on a write-heavy workload (throughput, abort rate, snapshot extensions and clock CAS retries per strategy)")
 	cmName := flag.String("cm", "default", `contention-management policy for figure/headline runs: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
@@ -193,17 +192,6 @@ func run() int {
 	}
 	if *headline {
 		printHeadline(sc)
-		return 0
-	}
-	if *schedCmp {
-		txs := 200_000
-		if *quick {
-			txs = 20_000
-		}
-		fmt.Println("## Scheduling-policy comparison (SpecDepth 1, per-thread counters)")
-		for _, r := range harness.CompareSched(2, txs) {
-			fmt.Println(r)
-		}
 		return 0
 	}
 	if *check {

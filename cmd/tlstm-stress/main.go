@@ -43,7 +43,6 @@ import (
 	"tlstm/internal/core"
 	"tlstm/internal/harness"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
 	"tlstm/internal/txcheck"
 	"tlstm/internal/txmetrics"
@@ -65,7 +64,6 @@ func run() int {
 	threads := flag.Int("threads", 3, "user-threads")
 	depth := flag.Int("depth", 3, "SPECDEPTH / tasks per transaction")
 	accounts := flag.Int("accounts", 64, "shared accounts")
-	schedMode := flag.String("sched", "pooled", `scheduling policy: "pooled" or "inline" (the soak drives threads through Atomic, which runs the head task on the caller either way; inline only changes what Submit does)`)
 	clockName := flag.String("clock", "gv4", `commit-clock strategy: "gv4", "deferred", "sharded" or "gv7"`)
 	clockCmp := flag.Bool("clocks", false, "run the invariant-checked clock-strategy sweep (all strategies × all runtimes) instead of the soak; -seconds scales the transaction count")
 	cmName := flag.String("cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (task-aware)`)
@@ -160,10 +158,6 @@ func run() int {
 		return 0
 	}
 
-	policy := sched.Pooled
-	if *schedMode == "inline" {
-		policy = sched.Inline
-	}
 	kind, err := clock.Parse(*clockName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlstm-stress: %v\n", err)
@@ -194,7 +188,7 @@ func run() int {
 		}
 	}
 	rt := core.New(core.Config{
-		SpecDepth: *depth, Policy: policy, Clock: clock.New(kind), CM: cm.New(cmKind),
+		SpecDepth: *depth, Clock: clock.New(kind), CM: cm.New(cmKind),
 		ReclaimRing: *reclaimRing, ReclaimAudit: *reclaimAudit, MVDepth: *mvDepth,
 		Shards: *shards, Affinity: *affinity,
 		Mode:  mode.Config{Policy: modePol},

@@ -81,28 +81,23 @@ func removeEntryLocked(e *locktable.WEntry) {
 // rendezvous coordinates a whole-transaction abort (paper §3.2,
 // "Transaction abort"): every task of the user-transaction parks here;
 // the last one to arrive unwinds the transaction's speculative state and
-// opens a new round; everyone then restarts.
+// opens a new round; everyone then restarts. A task may also arrive
+// after the round already finished (it read the abort flag just before
+// it was cleared); it then simply returns and its caller restarts it,
+// which is harmless.
 //
-// A task may also arrive after the round already finished (it read the
-// abort flag just before it was cleared); it then simply returns and its
-// caller restarts it, which is harmless.
-func (t *Task) rendezvous() {
-	t.rendezvousMayCommit(false)
-}
-
-// rendezvousMayCommit is rendezvous with an escape hatch for the one
-// caller that needs it, the intermediate-task commit wait. There — and
-// only there — the abort flag can be raised after the commit-task has
-// passed its final validation: the round then can never complete (the
-// commit-task finishes without ever acking) and the signal is
-// necessarily spurious, e.g. a stale cross-thread reader of a recycled
-// descriptor's owner header aborting a transaction that was already
-// done. With allowCommit, a parked task watches the thread's committed
-// latch and reports true once its transaction commits, so its caller
-// exits the commit wait normally instead of parking forever. Every
-// other call site runs before the task has completed, so its
-// transaction cannot commit under it and allowCommit is false.
-func (t *Task) rendezvousMayCommit(allowCommit bool) (committed bool) {
+// allowCommit is the escape hatch for the one caller that needs it, the
+// intermediate-task commit wait. There — and only there — the abort flag
+// can be raised after the commit-task has passed its final validation:
+// the round then can never complete (the commit-task finishes without
+// ever acking) and the signal is necessarily spurious, e.g. a stale
+// cross-thread reader of a recycled descriptor's owner header aborting a
+// transaction that was already done. With allowCommit, a parked task
+// watches the thread's committed latch and reports true once its
+// transaction commits, so its caller exits the commit wait normally
+// instead of parking forever. Every other call site runs before the task
+// has completed, so its transaction cannot commit under it.
+func (t *Task) rendezvous(allowCommit bool) (committed bool) {
 	tx := t.tx
 
 	tx.mu.Lock()

@@ -94,14 +94,6 @@ func BenchmarkThreadCommitSmallTxAdaptive(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Adaptive}}, atomicTx)
 }
 
-// BenchmarkThreadCommitSmallTxInline reaches the same caller-run path
-// through Submit under the Inline scheduling policy (SpecDepth 1); it
-// shares every instruction with the Atomic variant, so the two must
-// agree — in ns/op and in 0 allocs/op.
-func BenchmarkThreadCommitSmallTxInline(b *testing.B) {
-	benchSmallTx(b, Config{SpecDepth: 1, Policy: sched.Inline}, submitWaitTx)
-}
-
 // BenchmarkThreadCommitSmallTxShipped is Submit+Wait under the default
 // policy: the task crosses to a worker and the commit wakes the
 // submitter back. The gap to BenchmarkThreadCommitSmallTx is the price

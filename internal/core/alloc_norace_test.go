@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
 	"tlstm/internal/txtrace"
 )
@@ -201,36 +200,28 @@ func TestSubmitSpawnsNoGoroutines(t *testing.T) {
 // TestAtomicOneTaskZeroAllocAndZeroWorkers asserts the head-on-caller
 // path: a one-task Atomic runs its body on the calling goroutine — no
 // worker, no bell, no latch wait — and stays allocation-free, writer
-// transactions included. Both policies share this one path (Inline only
-// makes Submit take it too), so neither may allocate or spawn.
+// transactions included.
 func TestAtomicOneTaskZeroAllocAndZeroWorkers(t *testing.T) {
-	for _, policy := range []sched.Policy{sched.Pooled, sched.Inline} {
-		rt := New(Config{SpecDepth: 2, Policy: policy})
-		thr := rt.NewThread()
-		d := rt.Direct()
-		a := d.Alloc(1)
-		body := func(tk *Task) { tk.Store(a, tk.Load(a)+1) }
-		for i := 0; i < 2*rt.SpecDepth(); i++ {
-			_ = thr.Atomic(body) // warm: one retired entry per descriptor ring
-		}
-		goroutines := runtime.NumGoroutine()
-		if got := testing.AllocsPerRun(200, func() { _ = thr.Atomic(body) }); got != 0 {
-			t.Fatalf("%v: warmed one-task Atomic allocates %.1f objects/op, want 0", policy, got)
-		}
-		if policy == sched.Inline {
-			if _, err := thr.Submit(body); err != nil { // Submit is Atomic under Inline
-				t.Fatal(err)
-			}
-		}
-		thr.Sync()
-		if st := thr.Stats(); st.WorkersSpawned != 0 || st.DescriptorReuses == 0 {
-			t.Fatalf("%v: WorkersSpawned = %d, DescriptorReuses = %d; want 0 workers and recycled descriptors",
-				policy, st.WorkersSpawned, st.DescriptorReuses)
-		}
-		if now := runtime.NumGoroutine(); now > goroutines {
-			t.Fatalf("%v: goroutines grew %d → %d under one-task Atomic", policy, goroutines, now)
-		}
-		rt.Close()
+	rt := New(Config{SpecDepth: 2})
+	defer rt.Close()
+	thr := rt.NewThread()
+	d := rt.Direct()
+	a := d.Alloc(1)
+	body := func(tk *Task) { tk.Store(a, tk.Load(a)+1) }
+	for i := 0; i < 2*rt.SpecDepth(); i++ {
+		_ = thr.Atomic(body) // warm: one retired entry per descriptor ring
+	}
+	goroutines := runtime.NumGoroutine()
+	if got := testing.AllocsPerRun(200, func() { _ = thr.Atomic(body) }); got != 0 {
+		t.Fatalf("warmed one-task Atomic allocates %.1f objects/op, want 0", got)
+	}
+	thr.Sync()
+	if st := thr.Stats(); st.WorkersSpawned != 0 || st.DescriptorReuses == 0 {
+		t.Fatalf("WorkersSpawned = %d, DescriptorReuses = %d; want 0 workers and recycled descriptors",
+			st.WorkersSpawned, st.DescriptorReuses)
+	}
+	if now := runtime.NumGoroutine(); now > goroutines {
+		t.Fatalf("goroutines grew %d → %d under one-task Atomic", goroutines, now)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 	"unsafe"
 
 	"tlstm/internal/cm"
@@ -10,7 +9,6 @@ import (
 	"tlstm/internal/mode"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
-	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
 
@@ -65,16 +63,14 @@ func (t *Task) commitStep() {
 		thr.completedTask.Store(ser)
 		for thr.txDone.Seq() < t.tx.commitSerial {
 			if t.tx.abortTx.Load() {
-				if t.rendezvousMayCommit(true) {
+				if t.rendezvous(true) {
 					// The signal arrived after the commit-task passed
 					// its last validation: the transaction committed
 					// and the "abort" was spurious (see
-					// rendezvousMayCommit). Exit the wait normally.
+					// rendezvous). Exit the wait normally.
 					return
 				}
-				if t.traced {
-					t.tr.Record(txtrace.KindAbort, t.validTS, uint64(ser), txtrace.AbortSignal)
-				}
+				t.traceAbort(txtrace.AbortSignal)
 				panic(restartSignal{})
 			}
 			runtime.Gosched()
@@ -116,9 +112,7 @@ func (t *Task) commitTransaction() {
 		}
 		if !sameTS {
 			if failed := t.validateTxReads(nil); failed != nil {
-				t.noteConflictPair(failed)
-				t.recordTxValidate(t.validTS, false)
-				t.abortOwnTx()
+				t.failTxValidation(failed, t.validTS)
 			}
 		}
 		t.finishCommit(0, false)
@@ -128,9 +122,7 @@ func (t *Task) commitTransaction() {
 	// Optimistic pre-lock validation (line 78): cheaper to discover a
 	// doomed transaction before acquiring r-locks.
 	if failed := t.validateTxReads(nil); failed != nil {
-		t.noteConflictPair(failed)
-		t.recordTxValidate(t.validTS, false)
-		t.abortOwnTx()
+		t.failTxValidation(failed, t.validTS)
 	}
 
 	// Lock the r-locks of every written pair, remembering displaced
@@ -142,18 +134,16 @@ func (t *Task) commitTransaction() {
 	for _, task := range tx.tasks {
 		for _, e := range task.writeLog.Entries() {
 			if scr.LockPair(e.Pair) {
-				t.workAcc++
+				t.Work++
 			}
 		}
 	}
 
-	ts := rt.Clk.Tick(&t.clkProbe) // line 84
+	ts := rt.Clk.Tick(&t.ClkProbe) // line 84
 
 	if failed := t.validateTxReads(scr); failed != nil { // line 85
 		scr.Restore()
-		t.noteConflictPair(failed)
-		t.recordTxValidate(ts, false)
-		t.abortOwnTx()
+		t.failTxValidation(failed, ts)
 	}
 	t.recordTxValidate(ts, true)
 
@@ -184,15 +174,15 @@ func (t *Task) commitTransaction() {
 		for _, e := range task.writeLog.Entries() {
 			for _, w := range e.Words {
 				rt.Store.StoreWord(w.Addr, w.Val)
-				if t.traced {
+				if t.Traced {
 					// Written-word identities land on the commit task's
 					// ring, between its Validate and Commit events, so the
 					// opacity checker can rebuild per-slot version
 					// histories. Same-word repeats across tasks dedup
 					// offline.
-					t.tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
+					t.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
 				}
-				t.workAcc++
+				t.Work++
 			}
 		}
 	}
@@ -247,7 +237,7 @@ func (t *Task) validateTxReads(scr *txlog.CommitScratch) *locktable.Pair {
 				continue // speculative read; validated intra-thread
 			}
 			if i%8 == 0 {
-				t.workAcc++
+				t.Work++
 			}
 			cur := re.Pair.R.Load()
 			if cur == re.Version {
@@ -265,11 +255,9 @@ func (t *Task) validateTxReads(scr *txlog.CommitScratch) *locktable.Pair {
 }
 
 // recordTxValidate records a commit-time whole-transaction validation
-// pass on the commit-task's flight recorder — and, on failure, the
-// validation abort that inevitably follows (every failing caller aborts
-// the transaction next).
+// pass on the commit-task's flight recorder.
 func (t *Task) recordTxValidate(clock uint64, ok bool) {
-	if !t.traced {
+	if !t.Traced {
 		return
 	}
 	var n uint64
@@ -280,17 +268,29 @@ func (t *Task) recordTxValidate(clock uint64, ok bool) {
 	if ok {
 		aux = 1
 	}
-	t.tr.Record(txtrace.KindValidate, clock, n, aux)
-	if !ok {
-		t.tr.Record(txtrace.KindAbort, clock, uint64(t.serial.Load()), txtrace.AbortValidation)
-	}
+	t.Tr.Record(txtrace.KindValidate, clock, n, aux)
 }
 
-// abortOwnTx aborts this task's entire user-transaction: commit-time
-// inter-thread conflict (§3.2, "Transaction abort").
-func (t *Task) abortOwnTx() {
+// failTxValidation aborts the user-transaction after a failed
+// commit-time validation of pair p at clock.
+func (t *Task) failTxValidation(p *locktable.Pair, clock uint64) {
+	t.NoteConflict(t.locks.ShardOfPair(p))
+	t.recordTxValidate(clock, false)
+	t.abortOwnTx(txtrace.AbortValidation)
+}
+
+// abortOwnTx aborts this task's entire user-transaction for reason
+// (§3.2, "Transaction abort").
+func (t *Task) abortOwnTx(reason uint32) {
 	t.tx.abortTx.Store(true)
-	t.rendezvous()
+	t.abortRound(reason)
+}
+
+// abortRound records reason, joins the transaction's abort rendezvous
+// and restarts the attempt.
+func (t *Task) abortRound(reason uint32) {
+	t.traceAbort(reason)
+	t.rendezvous(false)
 	panic(restartSignal{})
 }
 
@@ -305,32 +305,30 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// Virtual-time model: tasks start together; task k finishes at
 	// max(own work, finish of task k−1) + commit cost (serialized
 	// commits). See DESIGN.md §3.
-	var finish, work uint64
+	var finish uint64
 	for _, task := range tx.tasks {
-		w := task.workAcc
-		work += w
-		if w > finish {
-			finish = w
-		}
-		finish += commitCost
+		finish = max(finish, task.Work) + commitCost
 	}
 
 	// Fold into the thread's unshared stats shard. This must happen
 	// BEFORE completedTask is advanced: that store is what releases the
 	// next transaction's commit-task, so folding first keeps
 	// finishCommit invocations strictly serialized per thread — the
-	// shard needs no mutex (SNIPPETS-style per-thread stats).
-	thr.stats.TxCommitted++
-	thr.stats.TxAborted += tx.txAborts.Load()
-	thr.stats.TaskRestarts += tx.taskRestarts.Load()
-	thr.stats.RestartWAR += tx.restartKind[restartWAR].Load()
-	thr.stats.RestartWAW += tx.restartKind[restartWAW].Load()
-	thr.stats.RestartExtend += tx.restartKind[restartExtend].Load()
-	thr.stats.RestartCM += tx.restartKind[restartCM].Load()
-	thr.stats.RestartSandbox += tx.restartKind[restartSandbox].Load()
-	thr.stats.RestartRetry += tx.restartKind[restartRetry].Load()
-	thr.stats.Work += work
-	thr.stats.VirtualTime += finish
+	// shard needs no mutex (SNIPPETS-style per-thread stats). The same
+	// order makes reading the other tasks' descriptors here unraced:
+	// intermediate tasks are parked until the txDone publish below, and
+	// their next incarnation's accesses are ordered after it.
+	st := &thr.stats
+	st.TxCommitted++
+	st.TxAborted += tx.txAborts.Load()
+	st.TaskRestarts += tx.taskRestarts.Load()
+	st.RestartWAR += tx.restartKind[restartWAR].Load()
+	st.RestartWAW += tx.restartKind[restartWAW].Load()
+	st.RestartExtend += tx.restartKind[restartExtend].Load()
+	st.RestartCM += tx.restartKind[restartCM].Load()
+	st.RestartSandbox += tx.restartKind[restartSandbox].Load()
+	st.RestartRetry += tx.restartKind[restartRetry].Load()
+	st.VirtualTime += finish
 
 	// Execution-mode ladder signals: finishCommit usually runs on a
 	// worker while the controller is submitter-owned, so the outcome
@@ -343,78 +341,43 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		thr.ctlDefeats.Add(1)
 	}
 
-	// Clock- and contention-probe counters fold (and clear) per task
-	// under the same serialization that protects workAcc: intermediate
-	// tasks are parked until the completedTask store below, and their
-	// next incarnation's accesses are ordered after it. The policy's
-	// commit bookkeeping runs per task for the same reason each task
-	// has its own probe: Karma's account lives in the probe, and an
-	// intermediate task's lost work must be settled at its
-	// transaction's commit too, or the carry would outlive the
-	// transaction and inflate that descriptor's priority forever.
+	// Every task is what a SwissTM transaction was (§3.2), so each folds
+	// like one through the kit: set sizes (read before RetireCommitted
+	// empties the write logs below), attempts and latencies are per task.
+	// The policy's commit bookkeeping is per task too — Karma's account
+	// lives in each task's probe, and an intermediate task's lost work
+	// must be settled at its transaction's commit. Deferred frees take
+	// effect here, before the completedTask store below releases the
+	// intermediate tasks' descriptors for re-arming.
 	var txWrites uint64
 	for _, task := range tx.tasks {
-		thr.stats.SnapshotExtensions += task.extends
-		task.extends = 0
-		thr.stats.ClockCASRetries += task.clkProbe.TakeRetries()
-		cmSelf, cmOwner, spins := task.cmProbe.TakeCounts()
-		thr.stats.CMAbortsSelf += cmSelf
-		thr.stats.CMAbortsOwner += cmOwner
-		thr.stats.BackoffSpins += spins
-		reclaims, stalls := task.writeLog.TakeReclaimCounts()
-		thr.stats.EntryReclaims += reclaims
-		thr.stats.HorizonStalls += stalls
-		thr.stats.MVReads += task.mvReads
-		task.mvReads = 0
-		thr.stats.MVMisses += task.mvMisses
-		task.mvMisses = 0
-		// Conflict-sketch fold: into the thread shard for reporting and
-		// into the remap window the placement step below consumes.
-		thr.stats.ConflictSketch.Merge(task.sketch)
-		thr.stats.CrossShardConflicts += task.crossShard
-		thr.remapWindow.Merge(task.sketch)
-		task.sketch = txstats.Sketch{}
-		task.crossShard = 0
-		// Set-size histograms: read before RetireCommitted empties the
-		// write logs below. A wait-free read-only task logs nothing, so
-		// the multi-version fast path shows up as read-set size 0.
-		thr.stats.ReadSetSizes.Observe(task.readLog.Len())
-		thr.stats.WriteSetSizes.Observe(task.writeLog.Len())
+		task.Reclaims, task.Stalls = task.writeLog.TakeReclaimCounts()
 		txWrites += uint64(task.writeLog.Len())
-		// Rolled-back attempt latencies fold like the probes above —
-		// accumulated by whichever goroutine ran each task, read here
-		// after the tasks have completed (intermediate tasks are parked
-		// until the completedTask store below).
-		thr.stats.RestartLatency.Merge(task.restartLat)
-		task.restartLat = txstats.Hist{}
-		thr.stats.RetryWakes += task.retryWakes
-		task.retryWakes = 0
-		cm.Committed(thr.rt.CM, &task.cmSelf)
+		task.Fold(&st.Counters, task.readLog.Len(), task.writeLog.Len())
+		cm.Committed(thr.rt.CM, &task.CMSelf)
+		task.ApplyFrees()
 	}
-	thr.stats.CommitLatency.Observe(int(time.Since(t.attemptStart)))
-	thr.stats.Attempts.Observe(int(tx.txAborts.Load()) + 1)
-	if t.traced {
-		t.tr.Record(txtrace.KindCommit, ts, txWrites, 0)
+	if t.Traced {
+		t.Tr.Record(txtrace.KindCommit, ts, txWrites, 0)
 	}
 
-	// Affinity remap step: every txrt.RemapPeriod commits, hand the window of
-	// conflict observations since the last check to the placement policy
-	// and adopt whatever home it decides. finishCommit is serialized per
-	// thread, so the window and countdown need no synchronization; only
-	// the home itself is shared (tasks read it on conflict paths).
+	// Affinity remap step: every txrt.RemapPeriod commits, hand the
+	// conflicts sketched since the last check to the placement policy
+	// and adopt whatever home it decides (submit snapshots it into each
+	// task it arms).
 	thr.txSinceRemap++
 	if thr.txSinceRemap >= txrt.RemapPeriod {
 		thr.txSinceRemap = 0
-		if thr.rt.Placement.Rebalance(int(thr.id), thr.remapWindow) {
+		if thr.rt.Placement.Rebalance(int(thr.id), st.ConflictSketch.Minus(thr.remapBase)) {
 			old := thr.homeShard.Load()
 			home := int32(thr.rt.Placement.Home(int(thr.id)))
 			thr.homeShard.Store(home)
-			thr.stats.Remaps++
-			if t.traced {
-				t.tr.Record(txtrace.KindRemap, ts, uint64(home), uint32(old))
+			st.Remaps++
+			if t.Traced {
+				t.Tr.Record(txtrace.KindRemap, ts, uint64(home), uint32(old))
 			}
 		}
-		thr.remapWindow = txstats.Sketch{}
+		thr.remapBase = st.ConflictSketch
 	}
 
 	// Retire the transaction's write-lock entries into their
@@ -437,17 +400,6 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		horizon := thr.txDone.Seq()
 		for _, task := range tx.tasks {
 			task.writeLog.RetireCommitted(&thr.commitScratch, at, epoch, horizon)
-		}
-	}
-
-	// Deferred frees of every task take effect now that the
-	// transaction's writes are durable. This, too, must precede the
-	// completedTask store: that store releases the transaction's
-	// intermediate tasks, whose recycled descriptors — frees slices
-	// included — may be re-armed with new state the moment they exit.
-	for _, task := range tx.tasks {
-		for _, a := range task.frees {
-			thr.rt.Alloc.Free(a)
 		}
 	}
 

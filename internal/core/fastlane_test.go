@@ -25,7 +25,7 @@ import (
 type slowTx struct{ *Task }
 
 func (s slowTx) Load(a tm.Addr) uint64 {
-	s.tick(1)
+	s.Tick(1)
 	return s.loadSlow(s.locks.For(a), a)
 }
 

@@ -72,13 +72,6 @@ type Config struct {
 	// paper's task-aware policy over two-phase greedy (or bare greedy
 	// under PlainGreedyCM).
 	CM cm.Policy
-	// Policy selects what Submit does (internal/sched). Atomic always
-	// runs a transaction's first task on the calling goroutine and the
-	// speculative tail on the thread's workers; under sched.Pooled (the
-	// zero value, default) Submit ships every task to a worker and
-	// returns before the commit, so transactions pipeline; under
-	// sched.Inline every Submit behaves like Atomic.
-	Policy sched.Policy
 	// Clock selects the commit-clock strategy (internal/clock): the
 	// GV4 fetch-and-add clock (default), the GV5-style deferred clock,
 	// or the sharded clock. nil means GV4.
@@ -153,7 +146,6 @@ type Runtime struct {
 	stats txstats.Aggregate[Stats, *Stats]
 
 	specDepth    int
-	policy       sched.Policy
 	reclaimRing  int
 	reclaimAudit bool
 	nextThreadID atomic.Int32
@@ -171,7 +163,6 @@ func New(cfg Config) *Runtime {
 	}
 	rt := &Runtime{
 		specDepth:    cfg.SpecDepth,
-		policy:       cfg.Policy,
 		reclaimRing:  cfg.ReclaimRing,
 		reclaimAudit: cfg.ReclaimAudit,
 	}
@@ -182,9 +173,6 @@ func New(cfg Config) *Runtime {
 
 // SpecDepth reports the runtime's SPECDEPTH.
 func (rt *Runtime) SpecDepth() int { return rt.specDepth }
-
-// Policy reports the runtime's scheduler spawn policy.
-func (rt *Runtime) Policy() sched.Policy { return rt.policy }
 
 // Close drains every thread's scheduler pool: armed tasks finish, the
 // long-lived worker goroutines exit and are joined. Call it when the
@@ -229,13 +217,14 @@ func (rt *Runtime) NewThread() *Thread {
 	thr.tr, thr.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
 	for i := range thr.ring {
 		t := &Task{thr: thr, locks: rt.locks, store: rt.Store, waitBeforeRestart: -1}
-		// The per-context owner-header fields are wired once for the
-		// descriptor's whole pooled lifetime; the per-transaction slots
-		// are re-bound by every Submit (locktable.OwnerRef.BindTx).
+		// The kit half (CM probe, flight recorder) and the per-context
+		// owner-header fields are wired once for the descriptor's whole
+		// pooled lifetime; the per-transaction slots are re-bound by every
+		// Submit (locktable.OwnerRef.BindTx).
+		t.Init(&rt.Env, nil, fmt.Sprintf("core-thr%d-slot%d", id, i))
 		t.ownerRef.ThreadID = id
 		t.ownerRef.CompletedTask = &thr.completedTask
 		t.ownerRef.AbortInternal = &t.abortInternal
-		t.cmSelf.Probe = &t.cmProbe
 		// Entry-reclamation wiring: no live read log yet, ring bound
 		// and audit hook fixed for the descriptor's whole lifetime.
 		t.readHorizon.Store(horizonDead)
@@ -243,12 +232,11 @@ func (rt *Runtime) NewThread() *Thread {
 		if rt.reclaimAudit {
 			t.writeLog.Ring().OnReclaim = thr.auditReclaim
 		}
-		t.tr, t.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-slot%d", id, i))
-		if t.traced {
+		if t.Traced {
 			// Compose the reclaim hook: OnReclaim fires on the pop path
 			// of the descriptor's own free ring, i.e. on the ring
 			// owner's worker, so recording here stays single-owner.
-			tr, audit := t.tr, t.writeLog.Ring().OnReclaim
+			tr, audit := t.Tr, t.writeLog.Ring().OnReclaim
 			t.writeLog.Ring().OnReclaim = func(at, epoch int64) {
 				tr.Record(txtrace.KindReclaim, uint64(epoch), uint64(at), uint32(epoch))
 				if audit != nil {
@@ -261,7 +249,7 @@ func (rt *Runtime) NewThread() *Thread {
 	for i := range thr.txRing {
 		thr.txRing[i] = &txState{thr: thr}
 	}
-	thr.pool = sched.New(rt.specDepth, rt.policy, thr.runSlot)
+	thr.pool = sched.New(rt.specDepth, sched.Pooled, thr.runSlot)
 	thr.pool.SetLabel(fmt.Sprintf("tlstm-thr%d", id))
 	rt.threadsMu.Lock()
 	rt.threads = append(rt.threads, thr)

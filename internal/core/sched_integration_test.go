@@ -6,13 +6,12 @@ import (
 	"testing"
 	"time"
 
-	"tlstm/internal/sched"
 	"tlstm/internal/tm"
 )
 
 // Integration tests for the scheduler: worker lifecycle, descriptor
-// recycling under aborts, and the Inline policy's semantics. The
-// head-on-caller dispatch itself is covered in headcaller_test.go.
+// recycling under aborts, depth-1 rings. The head-on-caller dispatch
+// itself is covered in headcaller_test.go.
 
 func TestRuntimeCloseDrainsWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -83,24 +82,22 @@ func TestSchedulerCountersAccumulate(t *testing.T) {
 	}
 }
 
-func TestInlinePolicySerialEquivalence(t *testing.T) {
-	rt := New(Config{SpecDepth: 1, Policy: sched.Inline})
+// A SpecDepth-1 ring is one descriptor, reused by every transaction:
+// Atomic runs each on the caller, returns only after its commit, and
+// never spawns a worker.
+func TestAtomicDepthOneSerialEquivalence(t *testing.T) {
+	rt := New(Config{SpecDepth: 1})
 	defer rt.Close()
-	if rt.Policy() != sched.Inline {
-		t.Fatal("Policy accessor")
-	}
 	thr := rt.NewThread()
 	d := rt.Direct()
 	a := d.Alloc(1)
 	for i := 0; i < 50; i++ {
-		h, err := thr.Submit(func(tk *Task) { tk.Store(a, tk.Load(a)+1) })
-		if err != nil {
+		if err := thr.Atomic(func(tk *Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
 			t.Fatal(err)
 		}
-		if thr.txDone.Seq() < h.commit {
-			t.Fatal("Submit under Inline returned before the commit")
+		if thr.txDone.Seq() < thr.nextSerial {
+			t.Fatal("Atomic returned before the commit")
 		}
-		h.Wait()
 	}
 	thr.Sync()
 	if d.Load(a) != 50 {
@@ -111,11 +108,11 @@ func TestInlinePolicySerialEquivalence(t *testing.T) {
 	}
 }
 
-// Inline still participates in inter-thread contention management:
-// conflicting threads — one inline, one pooled — must both make
-// progress and preserve atomicity.
-func TestInlinePolicyInterThreadConflicts(t *testing.T) {
-	rt := New(Config{SpecDepth: 1, Policy: sched.Inline})
+// Depth-1 threads still take part in inter-thread contention
+// management: conflicting threads must all make progress and preserve
+// atomicity.
+func TestAtomicDepthOneInterThreadConflicts(t *testing.T) {
+	rt := New(Config{SpecDepth: 1})
 	defer rt.Close()
 	d := rt.Direct()
 	a := d.Alloc(1)
@@ -135,33 +132,6 @@ func TestInlinePolicyInterThreadConflicts(t *testing.T) {
 	wg.Wait()
 	if got := d.Load(a); got != threads*txs {
 		t.Fatalf("counter = %d, want %d", got, threads*txs)
-	}
-}
-
-// Inline is no longer tied to SpecDepth 1: every Submit behaves like
-// Atomic — head here, tail on workers, committed on return.
-func TestInlinePolicyDeeperRings(t *testing.T) {
-	rt := New(Config{SpecDepth: 3, Policy: sched.Inline})
-	defer rt.Close()
-	thr := rt.NewThread()
-	d := rt.Direct()
-	a := d.Alloc(1)
-	inc := func(tk *Task) { tk.Store(a, tk.Load(a)+1) }
-	for i := 0; i < 40; i++ {
-		h, err := thr.Submit(inc, inc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if thr.txDone.Seq() < h.commit {
-			t.Fatal("Submit under Inline returned before the commit")
-		}
-	}
-	thr.Sync()
-	if got := d.Load(a); got != 80 {
-		t.Fatalf("counter = %d, want 80", got)
-	}
-	if st := thr.Stats(); st.WorkersSpawned < 1 || st.WorkersSpawned > 3 {
-		t.Fatalf("WorkersSpawned = %d, want in [1, 3]", st.WorkersSpawned)
 	}
 }
 
@@ -244,7 +214,7 @@ func TestRecyclingSurvivesAbortStorm(t *testing.T) {
 // headers (a stale cross-thread reader re-pointed onto a live tx) —
 // must never wedge a thread. In particular a signal landing after the
 // commit-task's final validation once parked the intermediate tasks in
-// an abort rendezvous that could never complete; rendezvousMayCommit's
+// an abort rendezvous that could never complete; rendezvous's
 // committed-escape is the fix under test. The adversary sprays the
 // abort flags of every transaction descriptor in pulses while real
 // transactions stream underneath.

@@ -4,10 +4,8 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
@@ -15,7 +13,6 @@ import (
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
-	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/xrand"
 )
@@ -26,16 +23,23 @@ import (
 // purely by redo-chain identity (validateTask).
 const noVersion = txlog.NoVersion
 
-// Task is one speculative task (paper §2): the unit of speculative
-// execution, implementing tm.Tx for its body. What used to be a SwissTM
-// transaction is a task in TLSTM (§3.2).
+// Task is one speculative task (paper §2), implementing tm.Tx for its
+// body. What used to be a SwissTM transaction is a task in TLSTM
+// (§3.2), so the descriptor embeds the engine kit's txrt.Desc as stm.Tx
+// does: work and probe counters, CM identity, multi-version counters,
+// conflict sketch, Alloc/Free, the Retry park and the stats fold, all
+// per incarnation (reset by Submit, folded by finishCommit). What stays
+// here is TLS-specific: the serial, the cross-thread owner header and
+// abort signal, the redo-chain logs and the restart waits; core never
+// calls Desc.Run.
 //
 // Task descriptors are recycled: descriptor i of a thread's ring runs
 // every serial congruent to i+1 modulo SPECDEPTH, re-initialized in
-// place by Submit once the previous incarnation has retired. Serials
-// are never reused, which is what keeps identity checks on recycled
-// descriptors sound: "this entry is mine" is (owner pointer, serial),
-// never the owner pointer alone.
+// place by Submit once the previous incarnation has retired; it changes
+// hands (worker or submitter) only across the scheduler's WaitIdle and
+// Arm edges. Serials are never reused, which keeps identity checks on
+// recycled descriptors sound: "this entry is mine" is (owner pointer,
+// serial), never the owner pointer alone.
 type Task struct {
 	thr *Thread
 	tx  *txState
@@ -71,6 +75,8 @@ type Task struct {
 	// other goroutines to prove it, hence the atomic.
 	readHorizon atomic.Int64
 
+	txrt.Desc
+
 	// ---- per-incarnation state (reset by Submit and begin) ----
 
 	validTS    uint64
@@ -78,45 +84,6 @@ type Task struct {
 
 	readLog  txlog.ReadLog
 	writeLog txlog.WriteLog
-
-	allocs []tm.Addr
-	frees  []tm.Addr
-
-	workAcc uint64 // work units across all attempts (virtual-time model)
-
-	// extends counts successful snapshot extensions and clkProbe
-	// accumulates clock CAS retries (both across all attempts of the
-	// current incarnation, like workAcc); finishCommit folds them into
-	// the thread's stats shard and clears them under the same
-	// serialization argument that protects workAcc. The probe's shard
-	// pinning (sharded clock strategy) survives folding, so a recycled
-	// descriptor keeps its shard affinity.
-	extends  uint64
-	clkProbe clock.Probe
-
-	// mvActive marks an attempt on the multi-version wait-free read
-	// path (declared read-only transaction, multi-versioning on, no
-	// fallback latched yet); begin recomputes it per attempt. mvReads
-	// and mvMisses accumulate across attempts of the incarnation and
-	// fold into the thread's shard in finishCommit, like extends.
-	mvActive bool
-	mvReads  uint64
-	mvMisses uint64
-
-	// sketch histograms this incarnation's conflicts by lock-table
-	// shard and crossShard counts those outside the thread's home shard
-	// at conflict time; both accumulate across attempts and fold into
-	// the thread's shard in finishCommit, like mvReads.
-	sketch     txstats.Sketch
-	crossShard uint64
-
-	// cmSelf is the task's contention-management identity (its
-	// situational fields are refreshed in place before every Resolve,
-	// so the conflict path never allocates); cmProbe carries the
-	// decision counters and backoff/karma state, folded into the
-	// thread's stats shard by finishCommit like clkProbe.
-	cmSelf  cm.Self
-	cmProbe cm.Probe
 
 	// jitterRng is the xorshift state behind the randomized relaunch
 	// jitter of whole-transaction aborts (see preRestartWait); lazily
@@ -136,34 +103,6 @@ type Task struct {
 	// backoff is the adaptive yield count applied before a restart that
 	// followed an inter-thread contention-manager defeat.
 	backoff int
-
-	// tr is this descriptor's flight recorder (txtrace.Nop unless the
-	// runtime was configured with a Trace recorder); traced caches
-	// tr.Enabled() so the hot paths pay one predictable branch. One
-	// incarnation runs on the slot's worker, the next perhaps on the
-	// submitting goroutine (the head of an Atomic); the ring, like the
-	// logs and the free ring, stays single-owner because a descriptor
-	// changes hands only across the scheduler's WaitIdle and Arm edges.
-	tr     txtrace.Tracer
-	traced bool
-
-	// attemptStart stamps the start of the current attempt; restartLat
-	// accumulates the latency of this descriptor's rolled-back attempts
-	// until finishCommit folds it into the thread shard (under the same
-	// serialization that protects workAcc).
-	attemptStart time.Time
-	restartLat   txstats.Hist
-
-	// Retry/Wait cond-var state: Retry subscribes the waiter on the
-	// attempt's read-set fingerprint and sets parkPending; the next
-	// attempt parks on the doorbell before re-executing (after the
-	// rollback released the attempt's locks). retryWakes accumulates
-	// doorbell wakes across the incarnation and folds in finishCommit
-	// like the probes.
-	waiter      mode.Waiter
-	parkPending bool
-	parkFP      mode.Fingerprint
-	retryWakes  uint64
 
 	// locks and store are the runtime's lock table and word store, cached
 	// so the access path resolves an address without walking thr.rt (the
@@ -208,14 +147,6 @@ type restartSignal struct{}
 // would otherwise never break).
 const txSelfAbortDefeats = 8
 
-// tick charges work units to the virtual-time model. It makes no
-// scheduler call: a conflict-free task keeps its processor.
-func (t *Task) tick(units uint64) { t.workAcc += units }
-
-func (t *Task) slot() *atomic.Pointer[Task] {
-	return &t.thr.slots[t.serial.Load()%int64(t.thr.depth)]
-}
-
 // run executes one task incarnation, on its scheduler slot's worker or
 // — the head of an Atomic — on the submitting goroutine: join the
 // transaction, then execute attempts until the enclosing
@@ -232,11 +163,11 @@ func (t *Task) run() {
 	// runtime must wedge loudly (that transaction never commits) rather
 	// than corrupt its rings.
 	defer func() {
-		t.slot().Store(nil)
+		t.thr.slots[t.serial.Load()%int64(t.thr.depth)].Store(nil)
 		tx.live.Add(-1)
 	}()
-	if t.traced {
-		t.tr.Record(txtrace.KindTxBegin, t.thr.rt.Clk.Now(), uint64(t.serial.Load()), 0)
+	if t.Traced {
+		t.Tr.Record(txtrace.KindTxBegin, t.thr.rt.Clk.Now(), uint64(t.serial.Load()), 0)
 	}
 	t.joinTx()
 	for t.attempt() {
@@ -252,13 +183,16 @@ func (t *Task) joinTx() {
 	tx.participants++
 	tx.mu.Unlock()
 	if tx.abortTx.Load() {
-		t.rendezvous()
+		t.rendezvous(false)
 	}
 }
 
 // attempt runs the body once; it reports whether the task must restart.
 func (t *Task) attempt() (restart bool) {
-	t.attemptStart = time.Now()
+	if t.ParkPending {
+		t.ParkRetry()
+	}
+	t.StartAttempt()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -266,7 +200,7 @@ func (t *Task) attempt() (restart bool) {
 		}
 		if _, is := r.(restartSignal); is {
 			t.undoAttempt()
-			t.restartLat.Observe(int(time.Since(t.attemptStart)))
+			t.Restarted()
 			restart = true
 			return
 		}
@@ -276,12 +210,8 @@ func (t *Task) attempt() (restart bool) {
 		// bug; release our state and propagate.
 		if !t.consistent() {
 			t.undoAttempt()
-			t.tx.taskRestarts.Add(1)
-			t.tx.restartKind[restartSandbox].Add(1)
-			if t.traced {
-				t.tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), txtrace.AbortSpec)
-			}
-			t.restartLat.Observe(int(time.Since(t.attemptStart)))
+			t.noteRestart(restartSandbox)
+			t.Restarted()
 			restart = true
 			return
 		}
@@ -289,9 +219,6 @@ func (t *Task) attempt() (restart bool) {
 		panic(r)
 	}()
 
-	if t.parkPending {
-		t.parkRetry()
-	}
 	t.preRestartWait()
 	t.begin()
 	t.fn(t)
@@ -309,13 +236,9 @@ func (t *Task) preRestartWait() {
 	if w := t.waitBeforeRestart; w >= 0 {
 		for t.thr.completedTask.Load() < w {
 			if t.tx.abortTx.Load() {
-				if t.traced {
-					t.tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), txtrace.AbortSignal)
-				}
-				t.rendezvous()
-				panic(restartSignal{})
+				t.abortRound(txtrace.AbortSignal)
 			}
-			t.workAcc += txrt.WaitRoundCost
+			t.Work += txrt.WaitRoundCost
 			runtime.Gosched()
 		}
 		t.waitBeforeRestart = -1
@@ -331,8 +254,8 @@ func (t *Task) preRestartWait() {
 	// depend on randomized spacing here, or the mutually-killed
 	// transactions relaunch in lockstep and livelock.
 	if n := t.tx.txAborts.Load(); n > 0 {
-		t.cmSelf.Aborts = n
-		y := cm.AbortBackoff(t.thr.rt.CM, &t.cmSelf)
+		t.CMSelf.Aborts = n
+		y := cm.AbortBackoff(t.thr.rt.CM, &t.CMSelf)
 		// Randomized relaunch jitter on top of whatever the policy
 		// returned. The txSelfAbortDefeats escalation can kill BOTH
 		// sides of a cross-thread lock cycle, and under a policy with
@@ -356,7 +279,7 @@ func (t *Task) begin() {
 	t.abortInternal.Store(false)
 	t.lastWriter = t.thr.completedWriter.Load()
 	t.validTS = t.thr.rt.Clk.Now()
-	t.mvActive = false
+	t.MVOn = false
 	if tx := t.tx; tx.readOnly && t.thr.rt.MV != nil && !tx.mvOff.Load() {
 		// Wait-free read-only mode: every task of the transaction reads
 		// at one frozen snapshot (the first beginner's clock sample), so
@@ -373,19 +296,17 @@ func (t *Task) begin() {
 			runtime.Gosched()
 		}
 		t.validTS = tx.sharedSnapshot(t.thr.rt.Clk.Now())
-		t.mvActive = true
+		t.MVOn = true
 	}
-	t.workAcc += txrt.TxStartCost
+	t.Work += txrt.TxStartCost
 	t.readLog.Reset()
 	t.writeLog.Reset()
-	t.allocs = t.allocs[:0]
-	t.frees = t.frees[:0]
-	if t.traced {
+	if t.Traced {
 		aux := uint32(0)
-		if t.mvActive {
+		if t.MVOn {
 			aux = 1
 		}
-		t.tr.Record(txtrace.KindAttemptStart, t.validTS, uint64(t.serial.Load()), aux)
+		t.Tr.Record(txtrace.KindAttemptStart, t.validTS, uint64(t.serial.Load()), aux)
 	}
 }
 
@@ -394,10 +315,7 @@ func (t *Task) begin() {
 // abort already unwound our entries.
 func (t *Task) undoAttempt() {
 	t.unwindWrites()
-	for _, a := range t.allocs {
-		t.thr.rt.Alloc.Free(a)
-	}
-	t.allocs = t.allocs[:0]
+	t.ReleaseAllocs()
 	// The attempt's read log is dead: it will never be validated again
 	// (consistent() runs before undoAttempt in the sandbox path, and a
 	// restart resets the log before reading). Close the liveness window
@@ -457,36 +375,24 @@ var restartAbortCode = [numRestartKinds]uint32{
 	restartRetry:   txtrace.AbortRetry,
 }
 
-// noteConflict attributes one conflict to the lock-table shard of the
-// contended address: observed in the task's sketch (the affinity
-// placement's input) and counted as cross-shard when it lies outside
-// the thread's current home. Called only on cold abort/defeat paths.
-func (t *Task) noteConflict(a tm.Addr) {
-	shard := t.thr.rt.locks.ShardOf(a)
-	t.sketch.Observe(shard)
-	if int32(shard) != t.thr.homeShard.Load() {
-		t.crossShard++
-	}
-}
-
-// noteConflictPair is noteConflict for sites that hold only the lock
-// pair (commit-time validation walks log entries, not addresses).
-func (t *Task) noteConflictPair(p *locktable.Pair) {
-	shard := t.thr.rt.locks.ShardOfPair(p)
-	t.sketch.Observe(shard)
-	if int32(shard) != t.thr.homeShard.Load() {
-		t.crossShard++
-	}
-}
-
 // rollbackTask aborts just this task and restarts it, recording why.
 func (t *Task) rollbackTask(kind restartKind) {
+	t.noteRestart(kind)
+	panic(restartSignal{})
+}
+
+// noteRestart counts and traces a single-task rollback of kind.
+func (t *Task) noteRestart(kind restartKind) {
 	t.tx.taskRestarts.Add(1)
 	t.tx.restartKind[kind].Add(1)
-	if t.traced {
-		t.tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), restartAbortCode[kind])
+	t.traceAbort(restartAbortCode[kind])
+}
+
+// traceAbort records the end of the current attempt for reason.
+func (t *Task) traceAbort(reason uint32) {
+	if t.Traced {
+		t.Tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), reason)
 	}
-	panic(restartSignal{})
 }
 
 // checkSignals honours both abort signals at a safe point (every loop in
@@ -501,11 +407,7 @@ func (t *Task) checkSignals() {
 		t.rollbackTask(restartWAW)
 	}
 	if t.tx.abortTx.Load() {
-		if t.traced {
-			t.tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), txtrace.AbortSignal)
-		}
-		t.rendezvous()
-		panic(restartSignal{})
+		t.abortRound(txtrace.AbortSignal)
 	}
 }
 
@@ -534,10 +436,10 @@ func (t *Task) firstPastOf(head *locktable.WEntry) *locktable.WEntry {
 // handles that case: the lane is a shortcut into it, not a second copy of
 // the extension or chain logic.
 func (t *Task) Load(a tm.Addr) uint64 {
-	if t.mvActive {
+	if t.MVOn {
 		return t.loadMV(a)
 	}
-	t.tick(1)
+	t.Tick(1)
 	p := t.locks.For(a)
 	if head := p.W.Load(); (head == nil || head.Owner.ThreadID != t.ownerRef.ThreadID) &&
 		!t.abortInternal.Load() && !t.tx.abortTx.Load() {
@@ -546,8 +448,8 @@ func (t *Task) Load(a tm.Addr) uint64 {
 			val := t.store.LoadWord(a)
 			if p.R.Load() == v1 {
 				t.readLog.Append(p, v1, nil)
-				if t.traced {
-					t.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+				if t.Traced {
+					t.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 				}
 				return val
 			}
@@ -616,11 +518,11 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 		for e := firstPast; e != nil; e = e.Prev.Load() {
 			if v, hit := e.Lookup(a); hit {
 				t.readLog.Append(p, noVersion, firstPast)
-				t.workAcc++
-				if t.traced {
+				t.Work++
+				if t.Traced {
 					// Aux 2: speculative read served from a past task's
 					// redo chain (no committed version to carry).
-					t.tr.Record(txtrace.KindRead, 0, uint64(a), 2)
+					t.Tr.Record(txtrace.KindRead, 0, uint64(a), 2)
 				}
 				return v
 			}
@@ -637,7 +539,7 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 func (t *Task) waitCompleted(serial int64) {
 	for t.thr.completedTask.Load() < serial {
 		t.checkSignals()
-		t.workAcc += txrt.WaitRoundCost
+		t.Work += txrt.WaitRoundCost
 		runtime.Gosched()
 	}
 }
@@ -673,15 +575,15 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 			continue
 		}
 		if v1 > t.validTS && !t.extendTo(v1) {
-			t.noteConflict(a)
+			t.NoteConflictAt(a)
 			t.rollbackTask(restartExtend)
 		}
 		if v1 > t.validTS {
 			continue
 		}
 		t.readLog.Append(p, v1, firstPast)
-		if t.traced {
-			t.tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		if t.Traced {
+			t.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
 		}
 		return val
 	}
@@ -697,7 +599,7 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 // exits besides a value are the whole-transaction fallback
 // (mvFallback) and the abort signals every read path polls.
 func (t *Task) loadMV(a tm.Addr) uint64 {
-	t.tick(1)
+	t.Tick(1)
 	p := t.thr.rt.locks.For(a)
 	for {
 		t.checkSignals()
@@ -713,20 +615,20 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 		if v1 != locktable.Locked && v1 <= t.validTS {
 			val := t.thr.rt.Store.LoadWord(a)
 			if p.R.Load() == v1 {
-				t.mvReads++
-				if t.traced {
-					t.tr.Record(txtrace.KindRead, v1, uint64(a), 1)
+				t.MVReads++
+				if t.Traced {
+					t.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
 				}
 				return val
 			}
 			continue
 		}
 		if val, from, ok := t.thr.rt.MV.ReadAt(a, t.validTS); ok {
-			t.mvReads++
-			if t.traced {
+			t.MVReads++
+			if t.Traced {
 				// Clock carries the served version's birth stamp, not the
 				// snapshot: the opacity checker needs the observed version.
-				t.tr.Record(txtrace.KindRead, from, uint64(a), 1)
+				t.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
 			}
 			return val
 		}
@@ -734,7 +636,7 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 			// A commit holds the r-lock for a bounded publish window; it
 			// may hand the version store exactly the displaced value the
 			// snapshot needs. Waiting on it costs parallel time.
-			t.workAcc += txrt.WaitRoundCost
+			t.Work += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}
@@ -751,12 +653,9 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 // logged, so no per-task restart could revalidate them against a moved
 // snapshot.
 func (t *Task) mvFallback() {
-	t.mvMisses++
+	t.MVMisses++
 	t.tx.mvOff.Store(true)
-	if t.traced {
-		t.tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), txtrace.AbortSpec)
-	}
-	t.abortOwnTx()
+	t.abortOwnTx(txtrace.AbortSpec)
 }
 
 // extendTo revalidates the read log and advances valid-ts (SwissTM's
@@ -766,13 +665,13 @@ func (t *Task) mvFallback() {
 // extension would stay forever ahead of valid-ts and the read would
 // livelock.
 func (t *Task) extendTo(witness uint64) bool {
-	ts := t.thr.rt.Clk.Observe(witness, &t.clkProbe)
+	ts := t.thr.rt.Clk.Observe(witness, &t.ClkProbe)
 	for i, re := range t.readLog.Entries() {
 		if re.Version == noVersion {
 			continue
 		}
 		if i%txrt.ValidationStride == 0 {
-			t.workAcc++
+			t.Work++
 		}
 		cur := re.Pair.R.Load()
 		if cur == re.Version {
@@ -788,15 +687,15 @@ func (t *Task) extendTo(witness uint64) bool {
 		// exemption let such zombies run on a mixed read set until
 		// commit-time validation, which the trace-based opacity
 		// checker flagged under high contention.
-		if t.traced {
-			t.tr.Record(txtrace.KindExtend, ts, witness, 0)
+		if t.Traced {
+			t.Tr.Record(txtrace.KindExtend, ts, witness, 0)
 		}
 		return false
 	}
 	if ts > t.validTS {
-		t.extends++
-		if t.traced {
-			t.tr.Record(txtrace.KindExtend, ts, witness, 1)
+		t.Extends++
+		if t.Traced {
+			t.Tr.Record(txtrace.KindExtend, ts, witness, 1)
 		}
 	}
 	t.validTS = ts
@@ -811,7 +710,7 @@ func (t *Task) extendTo(witness uint64) bool {
 func (t *Task) validateTask() bool {
 	for i, re := range t.readLog.Entries() {
 		if i%txrt.ValidationStride == 0 {
-			t.workAcc++
+			t.Work++
 		}
 		if t.firstPastOf(re.Pair.W.Load()) != re.FirstPast {
 			return false
@@ -822,13 +721,13 @@ func (t *Task) validateTask() bool {
 
 // Store implements tm.Tx: the write-word procedure of Alg. 2.
 func (t *Task) Store(a tm.Addr, v uint64) {
-	if t.mvActive {
+	if t.MVOn {
 		// A write under a read-only declaration: the declaration was
 		// wrong (or conservative). Re-execute the transaction validated;
 		// correctness never depended on the caller's hint.
 		t.mvFallback()
 	}
-	t.tick(2)
+	t.Tick(2)
 	p := t.locks.For(a)
 	ser := t.serial.Load()
 	waited := 0
@@ -846,8 +745,8 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			ne := t.newEntry(p, a, v, ser)
 			if p.W.CompareAndSwap(nil, ne) {
 				t.writeLog.Append(ne)
-				if t.traced {
-					t.tr.Record(txtrace.KindWrite, t.validTS, uint64(a), 0)
+				if t.Traced {
+					t.Tr.Record(txtrace.KindWrite, t.validTS, uint64(a), 0)
 				}
 				break
 			}
@@ -866,22 +765,22 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// back (Alg. 2 line 42); if the owner loses, its whole
 			// user-transaction is signalled to abort and we wait for
 			// the lock to be released.
-			t.cmSelf.Point = cm.PointEncounter
-			t.cmSelf.Writes = t.writeLog.Len()
-			t.cmSelf.Defeats = int(t.tx.cmDefeats.Load())
-			t.cmSelf.Completed = t.thr.completedTask.Load()
-			t.cmSelf.Waited = waited
-			dec := cm.Resolve(t.thr.rt.CM, &t.cmSelf, e.Owner)
-			if t.traced {
-				t.tr.Record(txtrace.KindCMDecision, t.validTS, uint64(a),
+			t.CMSelf.Point = cm.PointEncounter
+			t.CMSelf.Writes = t.writeLog.Len()
+			t.CMSelf.Defeats = int(t.tx.cmDefeats.Load())
+			t.CMSelf.Completed = t.thr.completedTask.Load()
+			t.CMSelf.Waited = waited
+			dec := cm.Resolve(t.thr.rt.CM, &t.CMSelf, e.Owner)
+			if t.Traced {
+				t.Tr.Record(txtrace.KindCMDecision, t.validTS, uint64(a),
 					txtrace.CMAux(int(dec), int(cm.PointEncounter)))
 			}
 			switch dec {
 			case cm.AbortSelf:
-				t.noteConflict(a)
+				t.NoteConflictAt(a)
 				defeats := t.tx.cmDefeats.Add(1)
-				t.cmSelf.Aborts = uint64(defeats)
-				t.backoff = cm.AbortBackoff(t.thr.rt.CM, &t.cmSelf)
+				t.CMSelf.Aborts = uint64(defeats)
+				t.backoff = cm.AbortBackoff(t.thr.rt.CM, &t.CMSelf)
 				// A task-level restart does not release the locks held
 				// by this transaction's OTHER tasks, so a policy that
 				// never aborts owners (suicide, backoff) would leave a
@@ -893,10 +792,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 				// task-aware, karma) break cycles long before this
 				// bound is reached.
 				if defeats%txSelfAbortDefeats == 0 {
-					if t.traced {
-						t.tr.Record(txtrace.KindAbort, t.validTS, uint64(ser), txtrace.AbortCM)
-					}
-					t.abortOwnTx()
+					t.abortOwnTx(txtrace.AbortCM)
 				}
 				t.rollbackTask(restartCM)
 			case cm.AbortOwner:
@@ -911,18 +807,15 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// this transaction's sibling tasks, and those are exactly
 			// what the entrant can be stuck behind. Transactions already
 			// under the gate are exempt.
-			if gatePendingBreak && !t.tx.inSerial && t.thr.rt.Gate.Pending() {
-				t.noteConflict(a)
-				if t.traced {
-					t.tr.Record(txtrace.KindAbort, t.validTS, uint64(ser), txtrace.AbortCM)
-				}
-				t.abortOwnTx()
+			if gatePendingBreak && !t.InSerial && t.thr.rt.Gate.Pending() {
+				t.NoteConflictAt(a)
+				t.abortOwnTx(txtrace.AbortCM)
 			}
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting on another thread's lock costs parallel
 			// time (about WaitRoundCost of owner progress per round).
 			waited++
-			t.workAcc += txrt.WaitRoundCost
+			t.Work += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}
@@ -931,7 +824,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// in the wrong in program order; signal it to abort and
 			// wait for the chain to unwind (Alg. 2 lines 46–48).
 			e.Owner.AbortInternal.Store(true)
-			t.workAcc += txrt.WaitRoundCost
+			t.Work += txrt.WaitRoundCost
 			runtime.Gosched()
 			continue
 		}
@@ -941,7 +834,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 		// 44–45). If it completed, we stack a new entry on the
 		// location's redo log (lines 49–51).
 		if t.thr.completedTask.Load() < e.Serial {
-			t.noteConflict(a)
+			t.NoteConflictAt(a)
 			t.waitBeforeRestart = e.Serial
 			t.rollbackTask(restartWAW)
 		}
@@ -949,8 +842,8 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 		ne.Prev.Store(e)
 		if p.W.CompareAndSwap(e, ne) {
 			t.writeLog.Append(ne)
-			if t.traced {
-				t.tr.Record(txtrace.KindWrite, t.validTS, uint64(a), 0)
+			if t.Traced {
+				t.Tr.Record(txtrace.KindWrite, t.validTS, uint64(a), 0)
 			}
 			break
 		}
@@ -962,7 +855,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 	// displaces, so locations never regress under pre-publishing
 	// strategies.
 	if ver := p.R.Load(); ver != locktable.Locked && ver > t.validTS && !t.extendTo(ver) {
-		t.noteConflict(a)
+		t.NoteConflictAt(a)
 		t.rollbackTask(restartExtend)
 	}
 	t.maybeValidate()
@@ -984,21 +877,14 @@ var gatePendingBreak = true
 
 // Retry implements the transactional cond-var wait: the caller's
 // predicate over its reads failed, so abandon the attempt and block
-// until a conflicting commit changes something the attempt read. The
-// task subscribes a fingerprint over its read-set's lock pairs, then
-// revalidates — if the reads are already stale the wake may have
-// happened before the subscription, so the re-execution proceeds
-// immediately; otherwise the next attempt parks on the doorbell first
-// (after this attempt's rollback has released its locks and, under the
-// serialized rung, the gate).
-//
-// Only a single-task transaction may park: a parked intermediate task
-// would strand the locks its sibling tasks hold (and cannot observe the
-// abort signals that resolve such stand-offs). Multi-task transactions
-// therefore respin with exponential backoff instead — the predicate is
-// re-checked from scratch each round.
+// until a conflicting commit changes something the attempt read
+// (txrt.Desc.ArmPark; the park runs before the next attempt, after this
+// one's rollback released its locks). Only a single-task transaction
+// may park: a parked intermediate task would strand the locks its
+// sibling tasks hold, so multi-task transactions respin with
+// exponential backoff instead, re-checking the predicate each round.
 func (t *Task) Retry() {
-	if t.mvActive {
+	if t.MVOn {
 		// Wait-free reads are unlogged: there is no read set to
 		// fingerprint or revalidate. Re-execute validated.
 		t.mvFallback()
@@ -1006,82 +892,22 @@ func (t *Task) Retry() {
 	tx := t.tx
 	if tx.startSerial != tx.commitSerial {
 		cfg := &t.thr.rt.ModeCfg
-		if t.backoff == 0 {
-			t.backoff = cfg.SpinInit
-		} else if t.backoff < cfg.SpinCell {
-			t.backoff *= cfg.SpinFactor
-			if t.backoff > cfg.SpinCell {
-				t.backoff = cfg.SpinCell
-			}
-		}
+		t.backoff = min(max(t.backoff*cfg.SpinFactor, cfg.SpinInit), cfg.SpinCell)
 		t.rollbackTask(restartRetry)
 	}
 	var fp mode.Fingerprint
 	for _, re := range t.readLog.Entries() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
 	}
-	if fp != 0 {
-		hub := t.thr.rt.Hub
-		hub.Subscribe(&t.waiter, fp)
-		valid := true
+	t.ArmPark(fp, func() bool {
 		for _, re := range t.readLog.Entries() {
-			if re.Version == noVersion {
-				continue
-			}
-			if re.Pair.R.Load() != re.Version {
-				valid = false
-				break
+			if re.Version != noVersion && re.Pair.R.Load() != re.Version {
+				return false
 			}
 		}
-		if valid {
-			t.parkPending = true
-			t.parkFP = fp
-		} else {
-			hub.Unsubscribe(&t.waiter)
-		}
-	}
+		return true
+	})
 	t.rollbackTask(restartRetry)
-}
-
-// parkRetry blocks the task on its Retry doorbell until a conflicting
-// commit rings it (see Retry). Under the serialized rung the gate is
-// released across the park — holding it would stall every other
-// fallback entrant behind a predicate only a speculative committer can
-// change — and retaken before the re-execution. Cross-goroutine
-// Exit/Enter is sound: the gate's mutex is not owner-tracked, and the
-// submitting goroutine is itself inside this transaction — running its
-// head or blocked on its latch — for the whole window.
-func (t *Task) parkRetry() {
-	t.parkPending = false
-	if t.traced {
-		t.tr.Record(txtrace.KindRetryPark, t.thr.rt.Clk.Now(), uint64(t.parkFP), 0)
-	}
-	gated := t.tx.inSerial
-	if gated {
-		t.thr.rt.Gate.Exit()
-	}
-	t.waiter.Park()
-	t.thr.rt.Hub.Unsubscribe(&t.waiter)
-	if gated {
-		t.thr.rt.Gate.Enter()
-	}
-	t.retryWakes++
-	if t.traced {
-		t.tr.Record(txtrace.KindRetryPark, t.thr.rt.Clk.Now(), uint64(t.parkFP), 1)
-	}
-}
-
-// Alloc implements tm.Tx; the block is reclaimed if the attempt aborts.
-func (t *Task) Alloc(n int) tm.Addr {
-	t.workAcc++
-	a := t.thr.rt.Alloc.Alloc(n)
-	t.allocs = append(t.allocs, a)
-	return a
-}
-
-// Free implements tm.Tx; the release applies at transaction commit.
-func (t *Task) Free(a tm.Addr) {
-	t.frees = append(t.frees, a)
 }
 
 // Serial reports the task's program-order serial within its user-thread

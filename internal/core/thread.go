@@ -90,12 +90,13 @@ type Thread struct {
 	nextSerial int64 // owned by the submitting goroutine
 
 	// homeShard is the thread's current home lock-table shard under the
-	// runtime's placement policy. Tasks read it from their workers while
-	// finishCommit's remap step may rebind it, hence the atomic; the
-	// remap bookkeeping below it (window, countdown) is written only by
-	// finishCommit, serialized per thread like stats.
+	// runtime's placement policy. submit snapshots it into every task it
+	// arms while finishCommit's remap step (often on a worker) may rebind
+	// it, hence the atomic; the remap bookkeeping below it — the stats
+	// shard's conflict sketch at the last remap, and the countdown — is
+	// written only by finishCommit, serialized per thread like stats.
 	homeShard    atomic.Int32
-	remapWindow  txstats.Sketch
+	remapBase    txstats.Sketch
 	txSinceRemap int
 
 	// stats is the thread's unshared statistics shard (SNIPPETS-style
@@ -167,14 +168,12 @@ func (h TxHandle) Wait() { h.thr.txDone.Wait(h.commit) }
 //
 // Submit recycles descriptors and dispatches every task to a long-lived
 // worker; at steady state it performs no allocation and spawns no
-// goroutine. Under the Inline scheduling policy Submit behaves like
-// Atomic: the first task runs on the calling goroutine and Submit
-// returns after the commit.
+// goroutine.
 //
 // Submit returns an error only for invalid arity; conflicts are handled
 // internally by re-execution.
 func (thr *Thread) Submit(fns ...TaskFunc) (TxHandle, error) {
-	return thr.submit(false, thr.rt.policy == sched.Inline, fns...)
+	return thr.submit(false, false, fns...)
 }
 
 // SubmitRO is Submit for a user-transaction the caller declares
@@ -190,7 +189,7 @@ func (thr *Thread) Submit(fns ...TaskFunc) (TxHandle, error) {
 // So declaring a transaction read-only is a hint, never a correctness
 // obligation. Without multi-versioning SubmitRO is identical to Submit.
 func (thr *Thread) SubmitRO(fns ...TaskFunc) (TxHandle, error) {
-	return thr.submit(true, thr.rt.policy == sched.Inline, fns...)
+	return thr.submit(true, false, fns...)
 }
 
 // submit prepares one user-transaction's descriptors and dispatches its
@@ -232,12 +231,11 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	if thr.ctl.Armed() {
 		thr.pollMode()
 	}
-	serial := thr.ctl.Serial()
+	gated := thr.ctl.Serial()
 
 	tx.startSerial = start
 	tx.commitSerial = commit
 	tx.readOnly = ro
-	tx.inSerial = serial
 	tx.mvOff.Store(false)
 	tx.snapshot.Store(mvSnapUnset)
 	tx.gen = 0
@@ -263,7 +261,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		tx.tasks = append(tx.tasks, thr.ring[(start+int64(i))%depth])
 	}
 
-	if serial {
+	if gated {
 		// Serialized-fallback rung: drain this thread's own in-flight
 		// speculation first (no mixed-mode commits — every transaction
 		// of this thread either finished before the gate was taken or
@@ -304,18 +302,16 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		t.tryCommit = i == len(fns)-1
 		t.waitBeforeRestart = -1
 		t.backoff = 0
-		t.workAcc = 0
+		t.Reset(thr.homeShard.Load())
+		t.InSerial = gated
 		t.abortInternal.Store(false)
 		t.readLog.Reset()
 		t.writeLog.Reset()
-		t.allocs = t.allocs[:0]
-		t.frees = t.frees[:0]
 		t.ownerRef.BindTx(start, &tx.abortTx, &tx.greedTS)
 		// The task's CM identity follows the descriptor onto the new
-		// transaction: priority slot, start serial, and the defeat
-		// count accumulated by this transaction so far.
-		t.cmSelf.Timestamp = &tx.greedTS
-		t.cmSelf.Start = start
+		// transaction: priority slot and start serial.
+		t.CMSelf.Timestamp = &tx.greedTS
+		t.CMSelf.Start = start
 		thr.slots[s].Store(t)
 		tx.armed.Add(1)
 		if headHere && i == 0 {
@@ -335,7 +331,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		// The head returns only after the txDone publish (finishCommit,
 		// or the intermediate commit wait): no latch wait, no wake-back.
 		thr.pool.RunHere(int(start % depth))
-	} else if serial {
+	} else if gated {
 		thr.txDone.Wait(commit)
 	}
 	return TxHandle{thr: thr, commit: commit}, nil
@@ -421,10 +417,10 @@ func (thr *Thread) Stats() Stats {
 }
 
 // Stats aggregates per-thread execution statistics: the TLS-specific
-// counters below plus the engine kit's shared Counters (txrt), which
-// count the same things for every runtime — here per task where the
-// flat runtimes count per transaction (set sizes, restart latency), and
-// with Attempts counting whole-transaction abort rounds + 1.
+// counters below plus the engine kit's shared Counters (txrt), folded
+// per task by txrt.Desc.Fold where the flat runtimes fold per
+// transaction — set sizes, latencies and Attempts (the task's attempts)
+// are per task; a one-task transaction counts exactly as a flat one.
 type Stats struct {
 	// TxCommitted counts committed user-transactions.
 	TxCommitted uint64
@@ -554,14 +550,6 @@ type txState struct {
 	// to their slots. The decrement in Task.run is each task's final
 	// access to this state; Submit reuses the descriptor only at zero.
 	live atomic.Int32
-
-	// inSerial marks a transaction running under the serialized-fallback
-	// gate (submit holds the gate across its whole lifetime). Tasks read
-	// it to exempt themselves from the gate-yield break in conflict
-	// ride-out loops and to release the gate across a Retry park. Plain
-	// field: written by submit before arming, read by this transaction's
-	// own tasks after the arm that published the descriptor.
-	inSerial bool
 
 	// Multi-version read-only state (SubmitRO with Config.MVDepth > 0).
 	// readOnly is the caller's declaration, set by submit. snapshot is

@@ -31,7 +31,6 @@ import (
 	"tlstm/internal/core"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
@@ -336,37 +335,6 @@ func RunTLSTM(rt *core.Runtime, w Workload) Result {
 		res.VirtualUnits = max(res.VirtualUnits, st.VirtualTime)
 	}
 	return res
-}
-
-// CompareSched runs one identical depth-1 counter workload under each
-// scheduling policy (sched.Pooled and sched.Inline) and reports both
-// measurements. Virtual time is policy-independent by construction —
-// the same work units are charged either way. The policies differ only
-// in what Submit does; the harness drives threads through Atomic, which
-// runs a one-task transaction on the calling goroutine under both, so
-// the Wall columns should agree too: the sweep is the check that the
-// two policies really share one dispatch path.
-func CompareSched(threads, txPerThread int) []Result {
-	mk := func(policy sched.Policy, label string) Result {
-		rt := core.New(core.Config{SpecDepth: 1, Policy: policy})
-		defer rt.Close()
-		base := rt.Direct().Alloc(threads)
-		w := Workload{
-			Name:        label,
-			Threads:     threads,
-			TxPerThread: txPerThread,
-			OpsPerTx:    1,
-			Make: func(thread, idx int) TxSeq {
-				a := base + tm.Addr(thread)
-				return TxSeq{func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) }}
-			},
-		}
-		return RunTLSTM(rt, w)
-	}
-	return []Result{
-		mk(sched.Pooled, fmt.Sprintf("TLSTM-%d-1-pooled", threads)),
-		mk(sched.Inline, fmt.Sprintf("TLSTM-%d-1-inline", threads)),
-	}
 }
 
 // clockSweepWorkload is the CompareClocks workload: write-heavy with a

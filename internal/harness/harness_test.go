@@ -330,29 +330,6 @@ func TestResultSurfacesSchedulerCounters(t *testing.T) {
 	}
 }
 
-// CompareSched runs the same workload under both scheduling policies;
-// both must commit everything and agree on virtual time (the policies
-// charge identical work units). The harness drives threads through
-// Atomic, whose one-task transactions run on the caller under either
-// policy: neither run may own a worker.
-func TestCompareSchedPolicies(t *testing.T) {
-	rs := CompareSched(2, 200)
-	if len(rs) != 2 {
-		t.Fatalf("CompareSched returned %d results", len(rs))
-	}
-	pooled, inline := rs[0], rs[1]
-	if pooled.Commits != 400 || inline.Commits != 400 {
-		t.Fatalf("commits: pooled=%d inline=%d, want 400 each", pooled.Commits, inline.Commits)
-	}
-	if pooled.WorkersSpawned != 0 || inline.WorkersSpawned != 0 {
-		t.Fatalf("one-task Atomic streams spawned workers: pooled=%d inline=%d", pooled.WorkersSpawned, inline.WorkersSpawned)
-	}
-	if pooled.VirtualUnits != inline.VirtualUnits {
-		t.Fatalf("virtual time must be policy-independent: pooled=%d inline=%d",
-			pooled.VirtualUnits, inline.VirtualUnits)
-	}
-}
-
 // CompareMV must cover the depth × runtime × mix matrix, commit
 // everything (every read-only scan asserts its snapshot's account
 // total in-body, and each run's end state is invariant-checked), and

@@ -29,12 +29,6 @@
 //     wait is immune to the ABA hazard that recycling descriptors
 //     introduces everywhere pointer identity used to be the token.
 //
-//   - Policy: what an asynchronous submission does. Pooled (the
-//     default) arms every task on the worker ring and returns, so
-//     submissions pipeline; Inline makes every submission synchronous —
-//     head on the submitter, tail on the workers. The pool has no policy
-//     branch: choosing Arm or RunHere per task is its owner's job.
-//
 // A Pool is owned by a single submitting goroutine: Arm, RunHere and
 // WaitIdle must only be called from it. A slot's descriptor may be run
 // by its worker in one generation and by the owner in the next; it
@@ -52,34 +46,13 @@ import (
 	"sync/atomic"
 )
 
-// Policy selects what an asynchronous submission (core's Submit) does;
-// the synchronous entry (Atomic) always runs the head on the caller.
+// Policy, Pooled and New's ignored Policy parameter stay only because
+// bench/layers.go calls sched.New(1, sched.Pooled, …): a pool has one
+// dispatch path, and choosing Arm or RunHere per task is its owner's job.
 type Policy int
 
-const (
-	// Pooled dispatches every task of a submission to the ring of
-	// long-lived worker goroutines (one per slot, spawned lazily on
-	// first use) and returns. This is the default: transactions of one
-	// user-thread pipeline with each other and with the submitter.
-	Pooled Policy = iota
-	// Inline makes every submission synchronous: the transaction's
-	// first task runs on the submitting goroutine, the rest on workers,
-	// and the submission returns after the commit. At SPECDEPTH 1 no
-	// worker is ever spawned.
-	Inline
-)
-
-// String names the policy for flags and labels.
-func (p Policy) String() string {
-	switch p {
-	case Pooled:
-		return "pooled"
-	case Inline:
-		return "inline"
-	default:
-		return "unknown"
-	}
-}
+// Pooled is the only Policy.
+const Pooled Policy = 0
 
 // slot states. A slot cycles idle → armed (submitter) → idle (worker,
 // after the run function returns); it stays idle while the submitter
@@ -141,8 +114,7 @@ type Pool struct {
 // caller's contract violation: on a worker it crashes the process (as a
 // crashed spawned goroutine would have before pooling); out of RunHere
 // it propagates to the owner, the slot idle as it was throughout. The
-// policy is the owner's business and ignored here; the parameter stays
-// because bench/ constructs pools with it.
+// Policy is ignored (see Policy).
 func New(n int, _ Policy, run func(slot int)) *Pool {
 	p := &Pool{run: run, slots: make([]slot, n)}
 	for i := range p.slots {

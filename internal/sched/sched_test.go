@@ -184,12 +184,6 @@ func TestPoolLazySpawn(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if Pooled.String() != "pooled" || Inline.String() != "inline" || Policy(9).String() != "unknown" {
-		t.Fatal("Policy.String")
-	}
-}
-
 // A panic out of RunHere propagates to the caller and leaves the slot
 // idle, so a recovering application does not wedge the ring.
 func TestPoolRunHerePanicLeavesSlotIdle(t *testing.T) {

@@ -473,15 +473,8 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // transaction whose predicate over transactional reads is not yet
 // satisfied calls Retry to abandon the attempt and block until a
 // conflicting commit — one whose write set intersects this attempt's
-// read set — publishes, then re-runs from the top. fn observes a new
-// snapshot on each wake, so the predicate is simply re-evaluated.
-//
-// The lost-wakeup guard: the waiter subscribes its read-set
-// fingerprint first, then re-validates the read log. A commit that
-// published before the subscription is caught by the validation (no
-// park); one that publishes after it finds the waiter registered and
-// rings its doorbell. Retry never parks on an empty or already-stale
-// read set — those cases restart immediately.
+// read set — publishes (txrt.Desc.ArmPark), then re-runs from the top
+// against a new snapshot, so the predicate is simply re-evaluated.
 func (tx *Tx) Retry() {
 	if tx.MVOn {
 		// Multi-version reads are unlogged: there is nothing to
@@ -494,23 +487,14 @@ func (tx *Tx) Retry() {
 	for _, re := range tx.readLog.Entries() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
 	}
-	if fp != 0 {
-		hub := tx.rt.Hub
-		hub.Subscribe(&tx.Waiter, fp)
-		valid := true
+	tx.ArmPark(fp, func() bool {
 		for _, re := range tx.readLog.Entries() {
 			if re.Pair.R.Load() != re.Version {
-				valid = false
-				break
+				return false
 			}
 		}
-		if valid {
-			tx.ParkPending = true
-			tx.ParkFP = uint64(fp)
-		} else {
-			hub.Unsubscribe(&tx.Waiter)
-		}
-	}
+		return true
+	})
 	tx.abort(txtrace.AbortRetry)
 }
 

@@ -278,12 +278,8 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 
 // Retry is the transactional cond-var wait: abandon this attempt and
 // block until a commit whose write set intersects this attempt's read
-// set publishes, then re-run fn against a fresh snapshot. The waiter
-// subscribes its read-set fingerprint first, then re-validates the
-// read log — a commit that published before the subscription fails the
-// validation (immediate re-run, no park); one that publishes after it
-// finds the waiter registered and rings its doorbell. An empty or
-// already-stale read set never parks.
+// set publishes (txrt.Desc.ArmPark), then re-run fn against a fresh
+// snapshot.
 func (tx *Tx) Retry() {
 	if tx.MVOn {
 		// Multi-version reads are unlogged: nothing to fingerprint.
@@ -295,23 +291,14 @@ func (tx *Tx) Retry() {
 	for _, l := range tx.readLog.Locks() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(l)))
 	}
-	if fp != 0 {
-		hub := tx.rt.Hub
-		hub.Subscribe(&tx.Waiter, fp)
-		valid := true
+	tx.ArmPark(fp, func() bool {
 		for _, l := range tx.readLog.Locks() {
 			if v := l.Load(); v == locked || v > tx.rv {
-				valid = false
-				break
+				return false
 			}
 		}
-		if valid {
-			tx.ParkPending = true
-			tx.ParkFP = uint64(fp)
-		} else {
-			hub.Unsubscribe(&tx.Waiter)
-		}
-	}
+		return true
+	})
 	tx.abort(txtrace.AbortRetry)
 }
 

@@ -2,8 +2,10 @@ package txmetrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"tlstm/internal/txstats"
@@ -87,13 +89,19 @@ func TestDeltaLine(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers TestServeExportsExpvar's runs: expvar names are
+// process-global and Publish panics on a repeat, so every run (-count)
+// publishes under its own.
+var expvarRuns atomic.Int32
+
 func TestServeExportsExpvar(t *testing.T) {
+	name := fmt.Sprintf("tlstm-test-%d", expvarRuns.Add(1))
 	p := New()
 	commits := uint64(3)
 	var h txstats.Hist
 	h.Observe(1)
 	p.AddSource("core", testSource(&commits, &h))
-	p.Publish("tlstm-test") // unique per process; this test registers it once
+	p.Publish(name)
 
 	addr, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -113,8 +121,8 @@ func TestServeExportsExpvar(t *testing.T) {
 		t.Fatalf("invalid /debug/vars JSON: %v\n%s", err, body)
 	}
 	var snap map[string]any
-	if err := json.Unmarshal(vars["tlstm-test"], &snap); err != nil {
-		t.Fatalf("tlstm-test var missing or invalid: %v", err)
+	if err := json.Unmarshal(vars[name], &snap); err != nil {
+		t.Fatalf("%s var missing or invalid: %v", name, err)
 	}
 	if got := snap["core.commits"].(float64); got != 3 {
 		t.Fatalf("exported core.commits = %v, want 3", got)

@@ -59,11 +59,11 @@ func (e *Env) Bind(t *Thread) {
 	t.ctl = mode.NewController(e.ModeCfg)
 }
 
-// Desc is the driver's half of a transaction descriptor; a runtime's Tx
-// embeds it next to the algorithm's own logs. Exported fields are the
-// ones algorithm code reads or writes on its access and commit paths;
-// the rest is the driver's. A Desc is reused across attempts and
-// transactions and must be used by one goroutine at a time.
+// Desc is the engine kit's half of a transaction descriptor, embedded
+// by stm.Tx, tl2.Tx, wtstm.Tx and core.Task. Exported fields are the ones
+// algorithm code reads or writes on its access and commit paths; the
+// rest is the kit's. A Desc is reused across attempts and transactions
+// and must be used by one goroutine at a time.
 type Desc struct {
 	env *Env
 	alg Algorithm
@@ -103,12 +103,12 @@ type Desc struct {
 	// attempt aborted itself to let a gate entrant pass.
 	gateYield bool
 
-	// Waiter/ParkPending/ParkFP are the Retry cond-var state: Retry
-	// subscribes the read-set fingerprint and sets ParkPending, the
-	// retry loop parks before the next attempt.
-	Waiter      mode.Waiter
+	// ParkPending: ArmPark subscribed waiter on parkFP, and the retry
+	// loop parks (ParkRetry) before the next attempt.
 	ParkPending bool
-	ParkFP      uint64
+	parkFP      uint64
+	waiter      mode.Waiter
+	retryWakes  uint64
 
 	// Tr is the descriptor's flight recorder (txtrace.Nop by default);
 	// Traced caches Tr.Enabled() so the disabled hot path costs one
@@ -119,14 +119,18 @@ type Desc struct {
 	allocs []tm.Addr // fresh blocks to release on abort
 	frees  []tm.Addr // deferred frees to apply on commit
 
-	aborts      uint64
-	retryAborts uint64 // Retry unwinds, excluded from the ladder's signals
+	attemptStart time.Time
+	aborts       uint64 // rolled-back attempts of this transaction
+	retryAborts  uint64 // Retry unwinds, excluded from the ladder's signals
 
-	// home is the thread's home shard for this transaction; sketch and
-	// crossShard attribute its aborts and CM defeats to shards.
+	// home is the thread's home shard for this transaction. Only a dead
+	// attempt writes crossShard, sketch (its aborts and CM defeats by
+	// shard) and restartLat, so they are folded and cleared only when
+	// aborts is non-zero.
 	home       int32
-	sketch     txstats.Sketch
 	crossShard uint64
+	sketch     txstats.Sketch
+	restartLat txstats.Hist
 }
 
 // Init wires the descriptor to its runtime and algorithm, once, at
@@ -152,19 +156,13 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 	if thr != nil && !thr.bound {
 		env.Bind(thr)
 	}
-	d.Work, d.Extends, d.Reclaims, d.Stalls = 0, 0, 0, 0
-	d.aborts, d.retryAborts = 0, 0
-	d.gateYield = false
-	d.GreedTS.Store(0)
-	d.CMSelf.Defeats = 0
-	d.MVOn = ro && env.MV != nil
-	d.MVReads, d.MVMisses = 0, 0
-	d.sketch = txstats.Sketch{}
-	d.crossShard = 0
-	d.home = 0
+	var home int32
 	if thr != nil {
-		d.home = thr.home
+		home = thr.home
 	}
+	d.Reset(home)
+	d.GreedTS.Store(0)
+	d.MVOn = ro && env.MV != nil
 	if d.Traced {
 		d.Tr.Record(txtrace.KindTxBegin, env.Clk.Now(), 0, 0)
 	}
@@ -176,15 +174,12 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 	if serial {
 		d.enterGate()
 	}
-	var lastAttempt time.Time
 	for {
 		if d.ParkPending {
-			d.parkRetry(st)
+			d.ParkRetry()
 		}
-		lastAttempt = time.Now()
+		d.StartAttempt()
 		snap := d.alg.Begin()
-		d.allocs = d.allocs[:0]
-		d.frees = d.frees[:0]
 		d.Work += TxStartCost
 		if d.Traced {
 			d.Tr.Record(txtrace.KindAttemptStart, snap, d.aborts+1, 0)
@@ -192,10 +187,7 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 		if d.attempt() {
 			break
 		}
-		if st != nil {
-			st.RestartLatency.Observe(int(time.Since(lastAttempt)))
-		}
-		d.aborts++
+		d.Restarted()
 		if d.ParkPending {
 			// A Retry unwound this attempt; it parks at the top of the
 			// loop — no contention backoff, no escalation pressure.
@@ -251,29 +243,13 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 		}
 	}
 	cm.Committed(env.CM, &d.CMSelf)
-	cmSelf, cmOwner, spins := d.cmProbe.TakeCounts()
 	if st != nil {
 		reads, writes := d.alg.SetSizes()
 		st.Commits++
 		st.Aborts += d.aborts
-		st.Work += d.Work
-		st.SnapshotExtensions += d.Extends
-		st.ClockCASRetries += d.ClkProbe.TakeRetries()
-		st.CMAbortsSelf += cmSelf
-		st.CMAbortsOwner += cmOwner
-		st.BackoffSpins += spins
-		st.EntryReclaims += d.Reclaims
-		st.HorizonStalls += d.Stalls
-		st.MVReads += d.MVReads
-		st.MVMisses += d.MVMisses
-		st.ReadSetSizes.Observe(reads)
-		st.WriteSetSizes.Observe(writes)
-		st.CommitLatency.Observe(int(time.Since(lastAttempt)))
-		st.Attempts.Observe(int(d.aborts) + 1)
-		if d.aborts != 0 { // only an attempt that dies writes the sketch
-			st.ConflictSketch.Merge(d.sketch)
-			st.CrossShardConflicts += d.crossShard
-		}
+		d.Fold(&st.Counters, reads, writes)
+	} else {
+		d.cmProbe.TakeCounts() // nothing records them; clear for the next transaction
 	}
 	if thr != nil {
 		d.maybeRemap(thr, st)
@@ -289,7 +265,7 @@ func (d *Desc) attempt() (ok bool) {
 		if r := recover(); r != nil {
 			if _, is := r.(rollback); !is {
 				d.alg.Release()
-				d.freeAllocs()
+				d.ReleaseAllocs()
 				if d.InSerial {
 					d.exitGate()
 				}
@@ -308,7 +284,7 @@ func (d *Desc) attempt() (ok bool) {
 // attempt on the trace, so it follows whatever Release records.
 func (d *Desc) Abort(snap uint64, reason uint32) {
 	d.alg.Release()
-	d.freeAllocs()
+	d.ReleaseAllocs()
 	if d.Traced {
 		d.Tr.Record(txtrace.KindAbort, snap, 0, reason)
 	}
@@ -380,10 +356,13 @@ func (d *Desc) ApplyFrees() {
 	}
 }
 
-func (d *Desc) freeAllocs() {
+// ReleaseAllocs returns the attempt's fresh blocks to the allocator: the
+// attempt is dead.
+func (d *Desc) ReleaseAllocs() {
 	for _, a := range d.allocs {
 		d.env.Alloc.Free(a)
 	}
+	d.allocs = d.allocs[:0]
 }
 
 // enterGate moves the transaction under the serialized rung. A flat
@@ -400,30 +379,103 @@ func (d *Desc) exitGate() {
 	d.env.Gate.Exit()
 }
 
-// parkRetry blocks on the Retry doorbell until a conflicting commit
+// ArmPark is Retry's shared half: subscribe the read-set fingerprint fp,
+// then revalidate the read set (valid). That order is the lost-wakeup
+// argument: a commit published before the subscription fails valid (no
+// park), one published after it rings the registered waiter. An empty
+// (fp 0) or stale read set never parks. The caller unwinds next.
+func (d *Desc) ArmPark(fp mode.Fingerprint, valid func() bool) {
+	if fp == 0 {
+		return
+	}
+	d.env.Hub.Subscribe(&d.waiter, fp)
+	if valid() {
+		d.ParkPending = true
+		d.parkFP = uint64(fp)
+	} else {
+		d.env.Hub.Unsubscribe(&d.waiter)
+	}
+}
+
+// ParkRetry blocks on the Retry doorbell until a conflicting commit
 // rings it. A serialized transaction releases the gate across the park
-// (parking while holding it would block every fallback entrant,
-// possibly including the very producer it waits for) and re-enters
-// afterwards.
-func (d *Desc) parkRetry(st *Stats) {
+// (holding it would block every fallback entrant, perhaps the very
+// producer it waits for) and re-enters afterwards; the gate is not
+// owner-tracked, so another goroutine of the transaction may park.
+func (d *Desc) ParkRetry() {
 	d.ParkPending = false
 	if d.Traced {
-		d.Tr.Record(txtrace.KindRetryPark, d.env.Clk.Now(), d.ParkFP, 0)
+		d.Tr.Record(txtrace.KindRetryPark, d.env.Clk.Now(), d.parkFP, 0)
 	}
 	serial := d.InSerial
 	if serial {
 		d.exitGate()
 	}
-	d.Waiter.Park()
-	d.env.Hub.Unsubscribe(&d.Waiter)
+	d.waiter.Park()
+	d.env.Hub.Unsubscribe(&d.waiter)
 	if serial {
 		d.enterGate()
 	}
-	if st != nil {
-		st.RetryWakes++
-	}
+	d.retryWakes++
 	if d.Traced {
-		d.Tr.Record(txtrace.KindRetryPark, d.env.Clk.Now(), d.ParkFP, 1)
+		d.Tr.Record(txtrace.KindRetryPark, d.env.Clk.Now(), d.parkFP, 1)
+	}
+}
+
+// Reset starts a transaction: it clears what Fold reads and records the
+// thread's home shard.
+func (d *Desc) Reset(home int32) {
+	if d.aborts != 0 {
+		d.crossShard = 0
+		d.sketch = txstats.Sketch{}
+		d.restartLat = txstats.Hist{}
+	}
+	d.Work, d.Extends, d.Reclaims, d.Stalls = 0, 0, 0, 0
+	d.MVReads, d.MVMisses, d.retryWakes = 0, 0, 0
+	d.aborts, d.retryAborts = 0, 0
+	d.gateYield = false
+	d.CMSelf.Defeats = 0
+	d.home = home
+}
+
+// StartAttempt stamps the start of an attempt and forgets the previous
+// attempt's allocations and frees (released or dropped by its abort).
+func (d *Desc) StartAttempt() {
+	d.attemptStart = time.Now()
+	d.allocs = d.allocs[:0]
+	d.frees = d.frees[:0]
+}
+
+// Restarted records a rolled-back attempt and its latency.
+func (d *Desc) Restarted() {
+	d.restartLat.Observe(int(time.Since(d.attemptStart)))
+	d.aborts++
+}
+
+// Fold adds the committed transaction's descriptor counters to c, with
+// reads/writes its committed set sizes. The flat runtimes fold once per
+// transaction; core folds every task of a committed transaction.
+func (d *Desc) Fold(c *Counters, reads, writes int) {
+	c.Work += d.Work
+	c.SnapshotExtensions += d.Extends
+	c.ClockCASRetries += d.ClkProbe.TakeRetries()
+	self, owner, spins := d.cmProbe.TakeCounts()
+	c.CMAbortsSelf += self
+	c.CMAbortsOwner += owner
+	c.BackoffSpins += spins
+	c.EntryReclaims += d.Reclaims
+	c.HorizonStalls += d.Stalls
+	c.MVReads += d.MVReads
+	c.MVMisses += d.MVMisses
+	c.RetryWakes += d.retryWakes
+	c.ReadSetSizes.Observe(reads)
+	c.WriteSetSizes.Observe(writes)
+	c.CommitLatency.Observe(int(time.Since(d.attemptStart)))
+	c.Attempts.Observe(int(d.aborts) + 1)
+	if d.aborts != 0 {
+		c.RestartLatency.Merge(d.restartLat)
+		c.ConflictSketch.Merge(d.sketch)
+		c.CrossShardConflicts += d.crossShard
 	}
 }
 

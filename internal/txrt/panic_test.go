@@ -6,7 +6,6 @@ import (
 
 	"tlstm/internal/core"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
@@ -174,39 +173,37 @@ func TestUserPanicLeavesNoReadOnlyDeclaration(t *testing.T) {
 
 // TestCoreUserPanicReleasesGate is the same scenario against TLSTM.
 // Atomic runs a transaction's first task on the submitting goroutine,
-// so under either scheduling policy a genuine body panic there surfaces
-// in the caller with its value intact (a later task's, on a worker,
-// still takes the process down). That thread's transaction never
-// commits — the thread is wedged, by design — but its slot is retired,
-// its locks are undone and the runtime's gate is free, so every other
-// thread runs on, speculative or serialized.
+// so a genuine body panic there surfaces in the caller with its value
+// intact (a later task's, on a worker, still takes the process down).
+// That thread's transaction never commits — the thread is wedged, by
+// design — but its slot is retired, its locks are undone and the
+// runtime's gate is free, so every other thread runs on, speculative
+// or serialized.
 func TestCoreUserPanicReleasesGate(t *testing.T) {
-	for _, policy := range []sched.Policy{sched.Pooled, sched.Inline} {
-		for _, mc := range []mode.Config{{Policy: mode.Speculative}, {Policy: mode.Serial}} {
-			t.Run(policy.String()+"/"+mc.Policy.String(), func(t *testing.T) {
-				rt := core.New(core.Config{SpecDepth: 2, Policy: policy, Mode: mc})
-				a := rt.Direct().Alloc(1)
-				first, second := rt.NewThread(), rt.NewThread()
-				if !panics(func() {
-					_ = first.Atomic(func(tk *core.Task) {
-						tk.Store(a, 1)
-						panic("boom")
-					})
-				}) {
-					t.Fatal("the body's panic did not reach the submitter")
-				}
-				within(t, "a second thread's transaction", func() {
-					if err := second.Atomic(func(tk *core.Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
-						t.Error(err)
-					}
+	for _, mc := range []mode.Config{{Policy: mode.Speculative}, {Policy: mode.Serial}} {
+		t.Run(mc.Policy.String(), func(t *testing.T) {
+			rt := core.New(core.Config{SpecDepth: 2, Mode: mc})
+			a := rt.Direct().Alloc(1)
+			first, second := rt.NewThread(), rt.NewThread()
+			if !panics(func() {
+				_ = first.Atomic(func(tk *core.Task) {
+					tk.Store(a, 1)
+					panic("boom")
 				})
-				if got := rt.Direct().Load(a); got != 1 {
-					t.Fatalf("word = %d, want 1 (the panicked store undone, the second thread's increment applied)", got)
+			}) {
+				t.Fatal("the body's panic did not reach the submitter")
+			}
+			within(t, "a second thread's transaction", func() {
+				if err := second.Atomic(func(tk *core.Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
+					t.Error(err)
 				}
-				// A one-task transaction never reached a worker, so
-				// nothing is left running behind the wedged thread.
-				within(t, "Close", rt.Close)
 			})
-		}
+			if got := rt.Direct().Load(a); got != 1 {
+				t.Fatalf("word = %d, want 1 (the panicked store undone, the second thread's increment applied)", got)
+			}
+			// A one-task transaction never reached a worker, so nothing
+			// is left running behind the wedged thread.
+			within(t, "Close", rt.Close)
+		})
 	}
 }

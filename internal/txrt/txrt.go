@@ -9,24 +9,28 @@
 //     runtime-wide state built from it — memory, commit clock,
 //     contention manager, version store, placement, mode gate, Retry hub
 //     (this file);
-//   - Desc / Thread / Algorithm: the flat-transaction driver (driver.go).
+//   - Desc / Thread / Algorithm: the transaction descriptor and the
+//     flat-transaction driver (driver.go).
 //
-// What a flat runtime must supply, as concrete methods on its own *Tx
-// (which embeds Desc and implements tm.Tx):
+// A flat runtime's *Tx embeds Desc, implements tm.Tx, and supplies:
 //
 //	Begin() uint64     per-attempt reset; samples and returns the snapshot
 //	Exec()             run the user body, then commit
 //	Release()          drop held locks / undo in-place writes (abort, panic)
 //	SetSizes()         the committed attempt's read- and write-set sizes
 //	Load, Store, Retry the algorithm's access path; it aborts through
-//	                   Desc.Abort / Desc.ResolveConflict and charges work
-//	                   through Desc.Tick
+//	                   Desc.Abort / Desc.ResolveConflict, charges work
+//	                   through Desc.Tick and arms Retry with Desc.ArmPark
 //
-// The driver calls the first four through the Algorithm interface once
-// per attempt; nothing on the per-access path crosses an interface.
-// Everything else — retry loop, latency observation, mode ladder and
-// gate, Retry parking, CM backoff, placement remap, conflict-sketch
-// attribution, the stats fold, user-panic cleanup — is the driver's.
+// Desc.Run calls the first four through the Algorithm interface once
+// per attempt and owns everything else: retry loop, mode ladder and
+// gate, Retry parking, CM backoff, placement remap, user-panic cleanup
+// and the stats fold (Desc.Fold).
+//
+// TLSTM's core.Task embeds Desc too — counters, CM identity, conflict
+// sketch, Alloc/Free, ArmPark/ParkRetry, Fold — but never calls Run: its
+// attempt loop, abort rendezvous, commit order and mode signals are
+// TLS-specific, and it drives Reset/StartAttempt/Restarted itself.
 package txrt
 
 import (

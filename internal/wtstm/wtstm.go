@@ -383,12 +383,8 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 
 // Retry is the transactional cond-var wait: abandon this attempt and
 // block until a commit whose write set intersects this attempt's read
-// set publishes, then re-run fn against a fresh snapshot. The waiter
-// subscribes its read-set fingerprint first, then re-validates the
-// read log — a commit that published before the subscription fails the
-// validation (immediate re-run, no park); one that publishes after it
-// finds the waiter registered and rings its doorbell. An empty or
-// already-stale read set never parks.
+// set publishes (txrt.Desc.ArmPark), then re-run fn against a fresh
+// snapshot.
 func (tx *Tx) Retry() {
 	if tx.MVOn {
 		// Multi-version reads are unlogged: nothing to fingerprint.
@@ -400,23 +396,14 @@ func (tx *Tx) Retry() {
 	for _, re := range tx.readLog.Entries() {
 		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Lock)))
 	}
-	if fp != 0 {
-		hub := tx.rt.Hub
-		hub.Subscribe(&tx.Waiter, fp)
-		valid := true
+	tx.ArmPark(fp, func() bool {
 		for _, re := range tx.readLog.Entries() {
 			if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
-				valid = false
-				break
+				return false
 			}
 		}
-		if valid {
-			tx.ParkPending = true
-			tx.ParkFP = uint64(fp)
-		} else {
-			hub.Unsubscribe(&tx.Waiter)
-		}
-	}
+		return true
+	})
 	tx.abort(txtrace.AbortRetry)
 }
 

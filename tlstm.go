@@ -48,8 +48,7 @@
 // Submit is the pipelining entry: it ships every task to a worker and
 // returns before the commit, so with SpecDepth larger than the task
 // count the next transaction's tasks speculate while this one is still
-// active. Under Config.Policy == SchedInline every Submit behaves like
-// Atomic instead (at SpecDepth 1 such a runtime has no workers at all).
+// active.
 //
 // The lifecycle is: NewThread creates the rings, Atomic/Submit dispatch
 // onto them, Sync quiesces a thread (workers stay parked, ready for
@@ -91,7 +90,6 @@ import (
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/rbtree"
-	"tlstm/internal/sched"
 	"tlstm/internal/stm"
 	"tlstm/internal/tm"
 	"tlstm/internal/tmhash"
@@ -128,10 +126,6 @@ type (
 	// entry-reclamation counters EntryReclaims and HorizonStalls, and
 	// the placement counters CrossShardConflicts and Remaps.
 	Stats = core.Stats
-	// SchedPolicy selects what Submit does; see Config.Policy and the
-	// scheduling section of the package docs.
-	SchedPolicy = sched.Policy
-
 	// ClockSource is a commit-clock strategy for Config.Clock (and
 	// NewBaselineWithClock): how the global commit timestamp is
 	// maintained. See NewClock for the built-in strategies.
@@ -222,19 +216,6 @@ const (
 // ParseMode parses an execution-mode policy name: "spec" (or ""),
 // "adaptive" or "serial".
 func ParseMode(name string) (ModePolicy, error) { return mode.Parse(name) }
-
-// Scheduling policies for Config.Policy.
-const (
-	// SchedPooled makes Submit ship every task to the thread's ring of
-	// long-lived worker goroutines and return before the commit (the
-	// default; zero value). Atomic is unaffected: head on the caller,
-	// speculative tail on the workers.
-	SchedPooled = sched.Pooled
-	// SchedInline makes every Submit behave like Atomic: synchronous,
-	// first task on the submitting goroutine. No pipelining; at
-	// SpecDepth 1, no workers at all.
-	SchedInline = sched.Inline
-)
 
 // New creates a TLSTM runtime.
 func New(cfg Config) *Runtime { return core.New(cfg) }

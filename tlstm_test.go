@@ -216,12 +216,12 @@ func TestMultipleThreadsViaFacade(t *testing.T) {
 }
 
 // The scheduler surface: Close drains worker pools, Atomic runs the
-// head task on the caller (so does Submit under the Inline policy), and
-// the scheduler counters reach the public Stats.
+// head task on the caller, Submit's handle waits idempotently, and the
+// scheduler counters reach the public Stats.
 func TestSchedulerFacade(t *testing.T) {
 	rt := tlstm.New(tlstm.Config{SpecDepth: 2})
 	d := rt.Direct()
-	a := d.Alloc(1)
+	a, b := d.Alloc(1), d.Alloc(1)
 	thr := rt.NewThread()
 	inc := func(tk *tlstm.Task) { tk.Store(a, tk.Load(a)+1) }
 	for i := 0; i < 5; i++ {
@@ -242,27 +242,16 @@ func TestSchedulerFacade(t *testing.T) {
 	if st := thr.Stats(); st.WorkersSpawned == 0 || st.WorkersSpawned > 2 {
 		t.Fatalf("WorkersSpawned = %d after a two-task Atomic, want in [1, SpecDepth]", st.WorkersSpawned)
 	}
-	rt.Close()
-	rt.Close() // idempotent
-
-	ir := tlstm.New(tlstm.Config{SpecDepth: 1, Policy: tlstm.SchedInline})
-	defer ir.Close()
-	if ir.Policy() != tlstm.SchedInline {
-		t.Fatalf("Policy = %v, want %v", ir.Policy(), tlstm.SchedInline)
-	}
-	ithr := ir.NewThread()
-	b := ir.Direct().Alloc(1)
-	h, err := ithr.Submit(func(tk *tlstm.Task) { tk.Store(b, 7) })
+	h, err := thr.Submit(func(tk *tlstm.Task) { tk.Store(b, 7) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Wait()
 	h.Wait() // idempotent: serial-keyed, not channel-keyed
-	ithr.Sync()
-	if got := ir.Direct().Load(b); got != 7 {
-		t.Fatalf("inline store = %d, want 7", got)
+	thr.Sync()
+	if got := d.Load(b); got != 7 {
+		t.Fatalf("submitted store = %d, want 7", got)
 	}
-	if st := ithr.Stats(); st.WorkersSpawned != 0 {
-		t.Fatalf("inline policy spawned %d workers", st.WorkersSpawned)
-	}
+	rt.Close()
+	rt.Close() // idempotent
 }
