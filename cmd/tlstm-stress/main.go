@@ -339,7 +339,16 @@ func run() int {
 						}
 					}
 				}
-				if err := thr.Atomic(fns...); err != nil {
+				// Half the transfers go through Submit, which always ships
+				// every task: Atomic fuses short transfers into one task, and
+				// the soak must keep exercising intra-thread speculation.
+				if r.next()%2 == 0 {
+					h, err := thr.Submit(fns...)
+					if err != nil {
+						panic(err)
+					}
+					h.Wait()
+				} else if err := thr.Atomic(fns...); err != nil {
 					panic(err)
 				}
 			}
@@ -407,8 +416,8 @@ func run() int {
 		sum += d.Load(base + tm.Addr(i))
 	}
 	want := uint64(*accounts) * initial
-	fmt.Printf("committed=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d clock=%s ext=%d clkRetry=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d shards=%d place=%s xshard=%d remap=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
-		total.TxCommitted, total.TxAborted, total.TaskRestarts, total.Work,
+	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d clock=%s ext=%d clkRetry=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d shards=%d place=%s xshard=%d remap=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
+		total.TxCommitted, total.TxFused, total.TxAborted, total.TaskRestarts, total.Work,
 		total.WorkersSpawned, total.DescriptorReuses,
 		rt.ClockName(), total.SnapshotExtensions, total.ClockCASRetries,
 		rt.CMName(), total.CMAbortsSelf, total.CMAbortsOwner, total.BackoffSpins,

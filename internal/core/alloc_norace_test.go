@@ -91,16 +91,52 @@ func TestAtomicMultiTaskZeroAllocWarmed(t *testing.T) {
 	var sink uint64
 	f1 := func(tk *Task) { sink += tk.Load(a) }
 	f2 := func(tk *Task) { sink += tk.Load(a) }
-	_ = thr.Atomic(f1, f2) // warm
+	_ = thr.shipAtomic(f1, f2) // warm
 	thr.Sync()
 	if got := testing.AllocsPerRun(200, func() {
-		if err := thr.Atomic(f1, f2); err != nil {
+		if err := thr.shipAtomic(f1, f2); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Fatalf("warmed two-task Atomic allocates %.1f objects/op, want 0", got)
 	}
 	thr.Sync()
+	if st := thr.Stats(); st.TxFused != 0 {
+		t.Fatalf("TxFused = %d: the shipped path was not the one measured", st.TxFused)
+	}
+}
+
+// TestAtomicFusedZeroAlloc is the fused path's floor: once the spawn
+// decision has fused a stream of short two-body writer transactions, one
+// more runs both bodies on the caller without touching the heap — the
+// bodies are copied into the thread's slice and the fused task was bound
+// at NewThread.
+func TestAtomicFusedZeroAlloc(t *testing.T) {
+	rt := New(Config{SpecDepth: 2})
+	defer rt.Close()
+	thr := rt.NewThread()
+	d := rt.Direct()
+	a, b := d.Alloc(1), d.Alloc(1)
+	f1 := func(tk *Task) { tk.Store(a, tk.Load(a)+1) }
+	f2 := func(tk *Task) { tk.Store(b, tk.Load(b)+tk.Load(a)) }
+	for i := 0; i < 4*rt.SpecDepth(); i++ {
+		_ = thr.Atomic(f1, f2) // warm: fuse, one retired entry per descriptor ring
+	}
+	thr.Sync()
+	before := thr.Stats()
+	got := testing.AllocsPerRun(200, func() {
+		if err := thr.Atomic(f1, f2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	thr.Sync()
+	if got != 0 {
+		t.Fatalf("warmed fused two-body Atomic allocates %.1f objects/op, want 0", got)
+	}
+	if st := thr.Stats().Minus(before); st.TxFused != st.TxCommitted || st.TxFused == 0 || st.WorkersSpawned != 0 {
+		t.Fatalf("TxFused = %d of %d commits, %d workers spawned: the fused path was not the one measured",
+			st.TxFused, st.TxCommitted, st.WorkersSpawned)
+	}
 }
 
 // TestWriterTxZeroAllocWarmed pins the writer-transaction floor at

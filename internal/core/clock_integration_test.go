@@ -60,9 +60,13 @@ func TestClockStrategiesTransferAtomicity(t *testing.T) {
 								}
 							}
 						}
-						if err := thr.Atomic(fns...); err != nil {
+						// Submit ships every task, whatever the spawn
+						// decision would make of these short transfers.
+						h, err := thr.Submit(fns...)
+						if err != nil {
 							panic(err)
 						}
+						h.Wait()
 					}
 					thr.Sync()
 				}(uint64(w + 1))

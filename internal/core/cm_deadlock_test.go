@@ -46,7 +46,7 @@ func TestCrossThreadLockCycleTerminatesPerPolicy(t *testing.T) {
 					}
 				}
 				for i := 0; i < txPerThread; i++ {
-					if err := thr.Atomic(touch(first), touch(second)); err != nil {
+					if err := thr.shipAtomic(touch(first), touch(second)); err != nil {
 						t.Error(err)
 						break
 					}

@@ -22,7 +22,7 @@ func TestSpeculativeReadThroughNonCoveringEntry(t *testing.T) {
 
 	thr := rt.NewThread()
 	var got uint64
-	err := thr.Atomic(
+	err := thr.shipAtomic(
 		func(tk *Task) { tk.Store(a, 1) }, // locks the shared pair
 		func(tk *Task) { got = tk.Load(b) },
 	)
@@ -50,7 +50,7 @@ func TestCollidingWritesAcrossTasks(t *testing.T) {
 	}
 
 	thr := rt.NewThread()
-	err := thr.Atomic(
+	err := thr.shipAtomic(
 		func(tk *Task) { tk.Store(a, 11) },
 		func(tk *Task) { tk.Store(b, 22) },
 	)
@@ -91,7 +91,7 @@ func TestCollidingRMWSequence(t *testing.T) {
 func thrAtomic3(rt *Runtime, a, b tm.Addr) error {
 	thr := rt.NewThread()
 	defer thr.Sync()
-	return thr.Atomic(
+	return thr.shipAtomic(
 		func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 		func(tk *Task) { tk.Store(b, tk.Load(b)+1) },
 		func(tk *Task) { tk.Store(b, tk.Load(b)+1) },

@@ -350,7 +350,10 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// effect here, before the completedTask store below releases the
 	// intermediate tasks' descriptors for re-arming.
 	var txWrites uint64
+	var sum, most int
 	for _, task := range tx.tasks {
+		n := task.readLog.Len() + task.writeLog.Len()
+		sum, most = sum+n, max(most, n)
 		task.Reclaims, task.Stalls = task.writeLog.TakeReclaimCounts()
 		txWrites += uint64(task.writeLog.Len())
 		task.Fold(&st.Counters, task.readLog.Len(), task.writeLog.Len())
@@ -359,6 +362,18 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	}
 	if t.Traced {
 		t.Tr.Record(txtrace.KindCommit, ts, txWrites, 0)
+	}
+
+	// Spawn-decision signal (shipOverlap): a multi-task or fused commit
+	// moves the thread's average overlap toward this transaction's.
+	if tx.fused {
+		st.TxFused++
+	} else {
+		tx.overlap = sum - most
+	}
+	if len(tx.tasks) > 1 || tx.fused {
+		avg := thr.overlap.Load()
+		thr.overlap.Store(avg + (int64(tx.overlap)-avg)>>overlapShift)
 	}
 
 	// Affinity remap step: every txrt.RemapPeriod commits, hand the

@@ -58,7 +58,7 @@ func TestTaskReadsPastTaskWrite(t *testing.T) {
 	a = d.Alloc(1)
 
 	var got uint64
-	err := thr.Atomic(
+	err := thr.shipAtomic(
 		func(tk *Task) { tk.Store(a, 42) },
 		func(tk *Task) { got = tk.Load(a) },
 	)
@@ -82,7 +82,7 @@ func TestIntraThreadWAWLastTaskWins(t *testing.T) {
 	a := d.Alloc(1)
 
 	for i := 0; i < 20; i++ {
-		err := thr.Atomic(
+		err := thr.shipAtomic(
 			func(tk *Task) { tk.Store(a, 1) },
 			func(tk *Task) { tk.Store(a, 2) },
 			func(tk *Task) { tk.Store(a, 3) },
@@ -107,7 +107,7 @@ func TestTaskChainIncrement(t *testing.T) {
 
 	inc := func(tk *Task) { tk.Store(a, tk.Load(a)+1) }
 	for i := 0; i < 25; i++ {
-		if err := thr.Atomic(inc, inc, inc, inc); err != nil {
+		if err := thr.shipAtomic(inc, inc, inc, inc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestBankInvariantWithFlagWord(t *testing.T) {
 				from := tm.Addr(next() % accounts)
 				to := tm.Addr(next() % accounts)
 				amt := next() % 5
-				_ = thr.Atomic(
+				_ = thr.shipAtomic(
 					func(tk *Task) {
 						f := tk.Load(base + from)
 						if from != to && f >= amt {
@@ -274,7 +274,7 @@ func TestSnapshotInvariantMultiTask(t *testing.T) {
 	violations := 0
 	for i := 0; i < 300; i++ {
 		var vx, vy uint64
-		_ = reader.Atomic(
+		_ = reader.shipAtomic(
 			func(tk *Task) { vx = tk.Load(x) },
 			func(tk *Task) { vy = tk.Load(y) },
 		)
@@ -299,7 +299,7 @@ func TestAllocReclaimedOnTaskRollback(t *testing.T) {
 	// Create intra-thread WAR conflicts so tasks roll back while holding
 	// fresh allocations.
 	for i := 0; i < 30; i++ {
-		_ = thr.Atomic(
+		_ = thr.shipAtomic(
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 			func(tk *Task) {
 				blk := tk.Alloc(4)

@@ -29,7 +29,7 @@ func TestSandboxRestartsInconsistentPanic(t *testing.T) {
 	// must convert that into a restart, and the committed execution
 	// must be consistent.
 	for i := 0; i < 40; i++ {
-		err := thr.Atomic(
+		err := thr.shipAtomic(
 			func(tk *Task) {
 				tk.Store(ptr, uint64(tm.NilAddr))
 				tk.Store(ptr, uint64(tgt))

@@ -130,7 +130,7 @@ func TestFastLaneReadLogEqualsSlowPath(t *testing.T) {
 		// Two tasks: the tail reads what the head wrote (the redo chain)
 		// beside committed words. A body may run more than once; its last
 		// run is the one that committed.
-		if err := thr.Atomic(
+		if err := thr.shipAtomic(
 			func(tk *Task) {
 				tx := via(tk)
 				for i := 0; i < 4; i++ {

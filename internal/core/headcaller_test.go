@@ -81,7 +81,7 @@ func TestAtomicMultiTaskHeadOnCallerTailOnWorkers(t *testing.T) {
 			}
 		}
 		d.Store(a, 1)
-		if err := thr.Atomic(step(0), step(1), step(2)); err != nil {
+		if err := thr.shipAtomic(step(0), step(1), step(2)); err != nil {
 			t.Fatal(err)
 		}
 		if ran[0] != me {
@@ -180,7 +180,7 @@ func TestSubmitAtomicHandOff(t *testing.T) {
 					if _, err := thr.Submit(inc(i+2), inc(i+3)); err != nil {
 						t.Error(err)
 					}
-					if err := thr.Atomic(inc(i), inc(i+1)); err != nil {
+					if err := thr.shipAtomic(inc(i), inc(i+1)); err != nil {
 						t.Error(err)
 					}
 					if err := thr.AtomicRO(func(tk *Task) { tk.Load(base) }); err != nil {
@@ -206,8 +206,9 @@ func TestSubmitAtomicHandOff(t *testing.T) {
 
 // A genuine body panic in a caller-run head surfaces in the Atomic
 // caller with its value intact, and leaves the descriptor machinery
-// consistent: slot retired, transaction descriptor released. The thread
-// itself is wedged (that transaction never commits), as documented.
+// consistent: slot retired, transaction descriptor released, and the
+// one-task transaction's serial retired as an empty commit, so the thread
+// runs on (spawn_test.go covers the next transaction).
 func TestHeadPanicRetiresSlot(t *testing.T) {
 	rt := newRT(2)
 	thr := rt.NewThread()
@@ -232,7 +233,10 @@ func TestHeadPanicRetiresSlot(t *testing.T) {
 	if live := thr.txRing[0].live.Load(); live != 0 {
 		t.Fatalf("tx.live = %d after the panic, want 0", live)
 	}
-	if rt.Direct().Load(a) != 0 || thr.txDone.Seq() != 0 {
+	if rt.Direct().Load(a) != 0 || thr.stats.TxCommitted != 0 {
 		t.Fatal("the panicked transaction left an effect")
+	}
+	if thr.txDone.Seq() != 1 {
+		t.Fatalf("committed frontier = %d after the panic, want 1 (serial retired)", thr.txDone.Seq())
 	}
 }

@@ -76,7 +76,7 @@ func TestLitmusFrontierOrdersCompletedTask(t *testing.T) {
 		fns[j] = func(tk *Task) { tk.Store(addr, tk.Load(addr)+1) }
 	}
 	for i := 0; i < txs; i++ {
-		if err := thr.Atomic(fns...); err != nil {
+		if err := thr.shipAtomic(fns...); err != nil {
 			t.Fatalf("tx %d: %v", i, err)
 		}
 	}

@@ -158,9 +158,10 @@ func TestRetryProducerConsumer(t *testing.T) {
 	}
 }
 
-// TestRetryMultiTaskRespins checks the multi-task form: an intermediate
-// task cannot park (it would strand its siblings' locks), so Retry
-// respins with backoff until the predicate flips.
+// TestRetryMultiTaskRespins checks the shipped multi-task form: an
+// intermediate task cannot park (it would strand its siblings' locks), so
+// Retry respins with backoff until the predicate flips. (A fused one is a
+// single task and parks: TestFusedRetryParks.)
 func TestRetryMultiTaskRespins(t *testing.T) {
 	rt := New(Config{SpecDepth: 2, LockTableBits: 12})
 	d := rt.Direct()
@@ -172,7 +173,7 @@ func TestRetryMultiTaskRespins(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- consumer.Atomic(
+		done <- consumer.shipAtomic(
 			func(tk *Task) {
 				v := tk.Load(cell)
 				if v == 0 {

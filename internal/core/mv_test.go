@@ -47,7 +47,7 @@ func TestAtomicROMVSoak(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := reader.AtomicRO(scan, scan); err != nil {
+		if err := reader.shipAtomicRO(scan, scan); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestAtomicROMVStoreFallsBack(t *testing.T) {
 	d.Store(a, 5)
 
 	thr := rt.NewThread()
-	if err := thr.AtomicRO(
+	if err := thr.shipAtomicRO(
 		func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 		func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 	); err != nil {

@@ -73,7 +73,7 @@ func TestReclaimQuiescenceInvariant(t *testing.T) {
 							}
 						}
 					}
-					if err := thr.Atomic(fns...); err != nil {
+					if err := thr.shipAtomic(fns...); err != nil {
 						t.Error(err)
 						return
 					}

@@ -26,7 +26,7 @@ func TestRuntimeCloseDrainsWorkers(t *testing.T) {
 		go func(thr *Thread) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				_ = thr.Atomic(
+				_ = thr.shipAtomic(
 					func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 					func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 				)
@@ -57,7 +57,7 @@ func TestSchedulerCountersAccumulate(t *testing.T) {
 	a := d.Alloc(1)
 	const txs = 25
 	for i := 0; i < txs; i++ {
-		_ = thr.Atomic(
+		_ = thr.shipAtomic(
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 		)
@@ -191,7 +191,7 @@ func TestRecyclingSurvivesAbortStorm(t *testing.T) {
 			for i := 0; i < txs; i++ {
 				x := base + tm.Addr(next()%words)
 				y := base + tm.Addr(next()%words)
-				_ = thr.Atomic(
+				_ = thr.shipAtomic(
 					func(tk *Task) { tk.Store(x, tk.Load(x)+1) },
 					func(tk *Task) { _ = tk.Load(y) },
 					func(tk *Task) { tk.Store(y, tk.Load(y)+1) },
@@ -245,7 +245,7 @@ func TestSpuriousAbortSignalsNeverWedge(t *testing.T) {
 
 	const txs = 150
 	for i := 0; i < txs; i++ {
-		_ = thr.Atomic(
+		_ = thr.shipAtomic(
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 		)

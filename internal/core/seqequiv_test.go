@@ -58,7 +58,7 @@ func runSpeculative(t *testing.T, ops []seqOp, cuts []int, depth int) [seqWords]
 			}
 		})
 	}
-	if err := thr.Atomic(fns...); err != nil {
+	if err := thr.shipAtomic(fns...); err != nil {
 		t.Fatalf("Atomic: %v", err)
 	}
 	thr.Sync()
@@ -297,7 +297,7 @@ func TestSeqEquivHotChains(t *testing.T) {
 				model[ti] += amt
 			}
 		}
-		if err := thr.Atomic(fns[:]...); err != nil {
+		if err := thr.shipAtomic(fns[:]...); err != nil {
 			t.Fatal(err)
 		}
 	}

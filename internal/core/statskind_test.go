@@ -15,7 +15,7 @@ func TestRestartKindsSumToTotal(t *testing.T) {
 
 	// WAW-heavy workload: three tasks writing the same word.
 	for i := 0; i < 20; i++ {
-		_ = thr.Atomic(
+		_ = thr.shipAtomic(
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
 			func(tk *Task) { tk.Store(a, tk.Load(a)+1) },
@@ -45,7 +45,7 @@ func TestRestartKindWARAttribution(t *testing.T) {
 	// it commits a WAR restart when task 1's write completes.
 	var total Stats
 	for i := 0; i < 50; i++ {
-		_ = thr.Atomic(
+		_ = thr.shipAtomic(
 			func(tk *Task) { tk.Store(a, uint64(i+1)) },
 			func(tk *Task) { _ = tk.Load(a) },
 		)

@@ -160,8 +160,8 @@ func (t *Task) run() {
 	// worker the panic then crashes the process (as the old
 	// goroutine-per-task spawn did), but a head task's surfaces in the
 	// submitting goroutine, where application code may recover — the
-	// runtime must wedge loudly (that transaction never commits) rather
-	// than corrupt its rings.
+	// runtime must not corrupt its rings (attempt retires a one-task
+	// transaction's serial; a multi-task one wedges loudly).
 	defer func() {
 		t.thr.slots[t.serial.Load()%int64(t.thr.depth)].Store(nil)
 		tx.live.Add(-1)
@@ -216,6 +216,15 @@ func (t *Task) attempt() (restart bool) {
 			return
 		}
 		t.undoAttempt()
+		if tx := t.tx; tx.startSerial == tx.commitSerial {
+			// No sibling holds state: once the earlier transactions have
+			// committed, retire the serial as an empty commit.
+			for t.thr.txDone.Seq() < tx.startSerial-1 {
+				runtime.Gosched()
+			}
+			t.thr.completedTask.Store(tx.commitSerial)
+			t.thr.txDone.Publish(tx.commitSerial)
+		}
 		panic(r)
 	}()
 
@@ -880,9 +889,10 @@ var gatePendingBreak = true
 // until a conflicting commit changes something the attempt read
 // (txrt.Desc.ArmPark; the park runs before the next attempt, after this
 // one's rollback released its locks). Only a single-task transaction
-// may park: a parked intermediate task would strand the locks its
-// sibling tasks hold, so multi-task transactions respin with
-// exponential backoff instead, re-checking the predicate each round.
+// (a fused Atomic is one) may park: a parked intermediate task would
+// strand the locks its sibling tasks hold, so multi-task transactions
+// respin with exponential backoff instead, re-checking the predicate
+// each round.
 func (t *Task) Retry() {
 	if t.MVOn {
 		// Wait-free reads are unlogged: there is no read set to

@@ -25,7 +25,8 @@ import (
 // writes into descriptors that have retired; it allocates nothing and
 // spawns nothing at steady state. Atomic runs the transaction's first —
 // least speculative — task on the calling goroutine and arms only the
-// tail on workers; Submit arms every task and returns. A descriptor may
+// tail on workers (or, when shipping does not pay, runs every body there
+// as one task); Submit arms every task and returns. A descriptor may
 // thus be run by a worker in one incarnation and by the submitter in the
 // next; it changes hands only across the scheduler's idle store /
 // WaitIdle and Arm / armed-load edges. Serial numbers are never reused,
@@ -133,6 +134,38 @@ type Thread struct {
 	// between transactions, so they must not share a task ring.
 	tr     txtrace.Tracer
 	traced bool
+
+	// Spawn decision (shipOverlap): overlap is the average finishCommit
+	// folds and submit reads; fusedFns and fusedRun are a fused
+	// transaction's bodies and its one task (runFused, bound once).
+	overlap  atomic.Int64
+	fusedFns []TaskFunc
+	fusedRun [1]TaskFunc
+}
+
+// shipOverlap is the spawn decision's threshold: Atomic ships the tail of
+// a multi-task transaction only while the thread's average overlap — per
+// committed transaction, the log entries (reads + writes) of all its
+// tasks minus those of the largest — is at least this; otherwise it runs
+// the bodies in program order as one caller-run task (TLSTM-1). A
+// hand-off costs about 0.9 µs, some 90 committed accesses. overlapShift
+// is the average's weight: each transaction moves it 1/8 of the way.
+const (
+	shipOverlap  = 128
+	overlapShift = 3
+)
+
+// runFused is a fused transaction's one body: the declared bodies in
+// program order on one task, whose log lengths after each body give the
+// overlap the shipped transaction would have had.
+func (thr *Thread) runFused(t *Task) {
+	var sum, most, mark int
+	for _, fn := range thr.fusedFns {
+		fn(t)
+		n := t.readLog.Len() + t.writeLog.Len()
+		sum, most, mark = sum+n-mark, max(most, n-mark), n
+	}
+	t.tx.overlap = sum - most
 }
 
 // ID reports the thread's identifier within its runtime.
@@ -200,6 +233,11 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	if err := thr.rt.validateArity(len(fns)); err != nil {
 		return TxHandle{}, err
 	}
+	fused := headHere && len(fns) > 1 && thr.overlap.Load() < shipOverlap
+	if fused {
+		thr.fusedFns = append(thr.fusedFns[:0], fns...)
+		fns = thr.fusedRun[:]
+	}
 	start := thr.nextSerial + 1
 	commit := thr.nextSerial + int64(len(fns))
 	thr.nextSerial = commit
@@ -236,6 +274,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	tx.startSerial = start
 	tx.commitSerial = commit
 	tx.readOnly = ro
+	tx.fused = fused
 	tx.mvOff.Store(false)
 	tx.snapshot.Store(mvSnapUnset)
 	tx.gen = 0
@@ -371,20 +410,22 @@ func (thr *Thread) pollMode() {
 // Atomic runs one user-transaction decomposed into the given tasks and
 // returns once it has committed. The first task — the transaction's
 // least speculative one — executes on the calling goroutine; tasks 2..n
-// speculate on the thread's workers. A one-task Atomic therefore costs
-// no hand-off at all, and an n-task one n−1 hand-offs and no wake-back.
+// speculate on the thread's workers, n−1 hand-offs and no wake-back.
+// When the thread's recent transactions were too short for a hand-off to
+// pay (shipOverlap), the bodies instead run in program order as one task
+// on the caller, fused: one serial, and a Retry that parks.
 //
-// A genuine body panic (consistent reads) in the first task reaches the
-// Atomic caller and leaves the Thread wedged; in a later task it crashes
-// the process from its worker (package tlstm, "Scheduling and worker
-// lifecycle", says what a recovering caller is left with).
+// A genuine body panic (consistent reads) in a caller-run task reaches
+// the caller: a one-task or fused transaction leaves no effect and the
+// Thread runs on, a shipped one wedges it; in a shipped task the panic
+// crashes the process (package tlstm, "Scheduling and worker lifecycle").
 func (thr *Thread) Atomic(fns ...TaskFunc) error {
 	_, err := thr.submit(false, true, fns...)
 	return err
 }
 
-// AtomicRO is Atomic for a declared read-only transaction (see
-// SubmitRO).
+// AtomicRO is Atomic, spawn decision included, for a declared read-only
+// transaction (see SubmitRO; its unlogged wait-free reads add no overlap).
 func (thr *Thread) AtomicRO(fns ...TaskFunc) error {
 	_, err := thr.submit(true, true, fns...)
 	return err
@@ -420,10 +461,13 @@ func (thr *Thread) Stats() Stats {
 // counters below plus the engine kit's shared Counters (txrt), folded
 // per task by txrt.Desc.Fold where the flat runtimes fold per
 // transaction — set sizes, latencies and Attempts (the task's attempts)
-// are per task; a one-task transaction counts exactly as a flat one.
+// are per task; a one-task transaction counts exactly as a flat one, and
+// so does a fused one (its Attempts and set sizes are its one task's).
 type Stats struct {
 	// TxCommitted counts committed user-transactions.
 	TxCommitted uint64
+	// TxFused counts those Atomic ran fused: all bodies as one task.
+	TxFused uint64
 	// TxAborted counts whole-transaction aborts (inter-thread conflicts
 	// detected at commit, and contention-manager victims).
 	TxAborted uint64
@@ -471,6 +515,7 @@ type Stats struct {
 // Add folds o into s.
 func (s *Stats) Add(o Stats) {
 	s.TxCommitted += o.TxCommitted
+	s.TxFused += o.TxFused
 	s.TxAborted += o.TxAborted
 	s.TaskRestarts += o.TaskRestarts
 	s.RestartWAR += o.RestartWAR
@@ -491,6 +536,7 @@ func (s *Stats) Add(o Stats) {
 func (s Stats) Minus(o Stats) Stats {
 	return Stats{
 		TxCommitted:      s.TxCommitted - o.TxCommitted,
+		TxFused:          s.TxFused - o.TxFused,
 		TxAborted:        s.TxAborted - o.TxAborted,
 		TaskRestarts:     s.TaskRestarts - o.TaskRestarts,
 		RestartWAR:       s.RestartWAR - o.RestartWAR,
@@ -566,6 +612,9 @@ type txState struct {
 	readOnly bool
 	mvOff    atomic.Bool
 	snapshot atomic.Uint64
+
+	fused   bool // Atomic runs it as one task (runFused)
+	overlap int  // spawn-decision sample: runFused or finishCommit sets it
 }
 
 // mvSnapUnset marks a transaction whose frozen snapshot has not been

@@ -45,6 +45,17 @@
 // wake-back, and at steady state nothing is allocated or spawned; Stats
 // reports the totals as WorkersSpawned and DescriptorReuses.
 //
+// Speculation only pays when tasks are longer than a hand-off, so
+// Atomic decides per thread whether to ship at all. Each committed
+// multi-task transaction measures its overlap — the log entries (reads
+// plus writes) of all its tasks minus those of the largest — into a
+// moving average; while that average is below 128 entries (about the
+// 0.9 µs a hand-off costs), Atomic runs the bodies fused, in program
+// order as one task on the caller (the paper's TLSTM-1), and
+// Stats.TxFused counts it. A thread starts out shipping, tiny-task
+// streams fuse after one transaction, and a stream that grows ships
+// again within a few. The decision is per thread, not per task index.
+//
 // Submit is the pipelining entry: it ships every task to a worker and
 // returns before the commit, so with SpecDepth larger than the task
 // count the next transaction's tasks speculate while this one is still
@@ -56,14 +67,16 @@
 // joins all workers. Submitting after Close panics.
 //
 // A task body that panics on consistent reads is a bug in the body. In
-// the first task of an Atomic the panic reaches the caller with its
+// a caller-run task of an Atomic the panic reaches the caller with its
 // value intact; in any shipped task it crashes the process from the
-// worker, like any crashed goroutine. Recovering it leaves that Thread
-// wedged: the panicked transaction never commits, so nothing submitted
-// on the thread after it does, and the tail tasks of a multi-task
-// transaction stay parked on their workers (Close then does not return).
-// The panicked task's writes are undone, its slot is retired and the
-// serialized gate is released, so every other Thread runs on.
+// worker, like any crashed goroutine. The panicked task's writes are
+// undone, its slot is retired and the serialized gate is released, so
+// every other Thread runs on. A one-task or fused transaction is then
+// retired as an empty commit and its own Thread runs on too. The head of
+// a shipped transaction leaves its Thread wedged: the panicked
+// transaction never commits, so nothing submitted on the thread after it
+// does, and its tail tasks stay parked on their workers (Close then does
+// not return).
 //
 // # Waiting on transactions
 //
@@ -122,7 +135,7 @@ type (
 	// Wait contract.
 	TxHandle = core.TxHandle
 	// Stats aggregates per-thread execution statistics, including the
-	// scheduler counters WorkersSpawned and DescriptorReuses, the
+	// scheduler counters WorkersSpawned, DescriptorReuses and TxFused, the
 	// entry-reclamation counters EntryReclaims and HorizonStalls, and
 	// the placement counters CrossShardConflicts and Remaps.
 	Stats = core.Stats
