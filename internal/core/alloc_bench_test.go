@@ -102,6 +102,44 @@ func BenchmarkThreadCommitSmallTxShipped(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2}, submitWaitTx)
 }
 
+// BenchmarkThreadCommitSmallTxFused is bank_hot's transaction on one
+// thread: two bodies moving an amount along a three-account path, the
+// second reading what the first wrote. Its overlap is far below
+// shipOverlap, so after warm-up Atomic runs both bodies fused as one
+// caller-run task. allocs/op must be 0.
+func BenchmarkThreadCommitSmallTxFused(b *testing.B) {
+	rt := New(Config{SpecDepth: 2})
+	defer rt.Close()
+	thr := rt.NewThread()
+	d := rt.Direct()
+	acct := d.Alloc(3)
+	d.Store(acct, 1<<40)
+	move := func(from, to tm.Addr) TaskFunc {
+		return func(t *Task) {
+			if f := t.Load(from); f > 0 {
+				t.Store(from, f-1)
+				t.Store(to, t.Load(to)+1)
+			}
+		}
+	}
+	f1, f2 := move(acct, acct+1), move(acct+1, acct+2)
+	for i := 0; i < 4*rt.SpecDepth(); i++ {
+		_ = thr.Atomic(f1, f2) // warm: fuse, one retired entry per descriptor ring
+	}
+	thr.Sync()
+	before := thr.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = thr.Atomic(f1, f2)
+	}
+	b.StopTimer()
+	thr.Sync()
+	if st := thr.Stats().Minus(before); st.TxFused != st.TxCommitted {
+		b.Fatalf("TxFused = %d of %d commits: the fused path was not the one measured", st.TxFused, st.TxCommitted)
+	}
+}
+
 // BenchmarkThreadCommitReadOnlyTx measures a whole single-task
 // read-only transaction round-trip. No write-lock entry is created, so
 // a warmed round-trip must be 0 allocs/op — the pooled scheduler's

@@ -171,6 +171,37 @@ func TestWriterTxZeroAllocWarmed(t *testing.T) {
 	}
 }
 
+// TestWriterTxZeroAllocAboveScanMax is the writer floor for a commit too
+// large for the commit scratch's linear scan: 128 written pairs (4× the
+// txlog scanMax) put LockPair/Saved/Released on the pair→position map,
+// which Reset clears but keeps, so a warmed commit still allocates
+// nothing.
+func TestWriterTxZeroAllocAboveScanMax(t *testing.T) {
+	const words = 128
+	rt := New(Config{SpecDepth: 2})
+	defer rt.Close()
+	thr := rt.NewThread()
+	base := rt.Direct().Alloc(words)
+	body := func(tk *Task) {
+		for i := tm.Addr(0); i < words; i++ {
+			tk.Store(base+i, tk.Load(base+i)+1)
+		}
+	}
+	for i := 0; i < 2*rt.SpecDepth(); i++ {
+		_ = thr.Atomic(body) // warm: entries, logs and the scratch's map
+	}
+	thr.Sync()
+	got := testing.AllocsPerRun(50, func() {
+		if err := thr.Atomic(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	thr.Sync()
+	if got != 0 {
+		t.Fatalf("warmed %d-pair writer Atomic allocates %.1f objects/op, want 0", words, got)
+	}
+}
+
 // TestWriterTxZeroAllocModeArmed repeats the writer floor with the
 // execution-mode controller armed: the adaptive ladder's escalation
 // checks, outcome folds and window polls must ride the existing

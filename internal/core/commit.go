@@ -334,7 +334,11 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// worker while the controller is submitter-owned, so the outcome
 	// flows through the thread's signal atomics and the submitter folds
 	// the deltas into its controller at the next submission boundary.
-	thr.ctlCommits.Add(1)
+	// Only an armed controller is polled, so only then is the commit
+	// counted.
+	if thr.ctl.Armed() {
+		thr.ctlCommits.Add(1)
+	}
 	// Aborts fold at abort time (cleanupTx), so a storm registers while
 	// it is happening; only the commit and defeat outcomes fold here.
 	if tx.cmDefeats.Load() > 0 {

@@ -275,20 +275,38 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	tx.commitSerial = commit
 	tx.readOnly = ro
 	tx.fused = fused
-	tx.mvOff.Store(false)
-	tx.snapshot.Store(mvSnapUnset)
 	tx.gen = 0
 	tx.acks = 0
 	tx.participants = 0
 	tx.cleaning = false
-	tx.abortTx.Store(false)
-	tx.greedTS.Store(0)
-	tx.txAborts.Store(0)
-	tx.taskRestarts.Store(0)
-	for k := range tx.restartKind {
-		tx.restartKind[k].Store(0)
+	// Reset only what the previous incarnation set (a load is a MOV, a
+	// store an XCHG). A foreign CM's abortTx.Store(true) racing the check
+	// ends as it would racing a store; noteRestart bumps taskRestarts
+	// with every restartKind.
+	if tx.mvOff.Load() {
+		tx.mvOff.Store(false)
 	}
-	tx.cmDefeats.Store(0)
+	if tx.snapshot.Load() != mvSnapUnset {
+		tx.snapshot.Store(mvSnapUnset)
+	}
+	if tx.abortTx.Load() {
+		tx.abortTx.Store(false)
+	}
+	if tx.greedTS.Load() != 0 {
+		tx.greedTS.Store(0)
+	}
+	if tx.txAborts.Load() != 0 {
+		tx.txAborts.Store(0)
+	}
+	if tx.taskRestarts.Load() != 0 {
+		tx.taskRestarts.Store(0)
+		for k := range tx.restartKind {
+			tx.restartKind[k].Store(0)
+		}
+	}
+	if tx.cmDefeats.Load() != 0 {
+		tx.cmDefeats.Store(0)
+	}
 	tx.armed.Store(0)
 	tx.live.Store(int32(len(fns)))
 	// The descriptor for serial s is always ring[s%depth], so the task

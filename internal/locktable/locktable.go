@@ -156,13 +156,19 @@ type OwnerRef struct {
 
 // BindTx re-points the per-transaction fields at a new transaction's
 // signal slots: the single mutation a recycled descriptor performs on
-// its header. All three stores are atomic, so cross-thread readers
+// its header. All three fields are atomic, so cross-thread readers
 // holding stale entries never race — they just observe the new
-// transaction (and may abort it spuriously, which is safe).
+// transaction (and may abort it spuriously, which is safe). A pointer
+// is stored only when it changed: a descriptor recycled onto the same
+// slots (a one-task stream cycles them in step) skips two XCHGs.
 func (o *OwnerRef) BindTx(startSerial int64, abortTx *atomic.Bool, timestamp *atomic.Uint64) {
 	o.StartSerial.Store(startSerial)
-	o.AbortTx.Store(abortTx)
-	o.Timestamp.Store(timestamp)
+	if o.AbortTx.Load() != abortTx {
+		o.AbortTx.Store(abortTx)
+	}
+	if o.Timestamp.Load() != timestamp {
+		o.Timestamp.Store(timestamp)
+	}
 }
 
 // FreeRing is a pool of retired write-lock entries recycled under a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tlstm/internal/stm"
+	"tlstm/internal/tm"
 )
 
 // Zero-allocation assertions for the SwissTM hot paths. They live
@@ -60,6 +61,25 @@ func TestWorkerAtomicROMultiVersionZeroAlloc(t *testing.T) {
 		t.Fatalf("warmed mv read-only Atomic (with interleaved writer) allocates %.1f objects/op, want 0", n)
 	}
 	_ = sink
+}
+
+// TestWorkerAtomicZeroAllocAboveScanMax: a warmed writer commit of 128
+// pairs (4× the txlog scanMax) runs the commit scratch on its map index
+// and still allocates nothing.
+func TestWorkerAtomicZeroAllocAboveScanMax(t *testing.T) {
+	const words = 128
+	rt := stm.New()
+	base := rt.Direct().Alloc(words)
+	w := rt.NewWorker()
+	body := func(tx *stm.Tx) {
+		for i := tm.Addr(0); i < words; i++ {
+			tx.Store(base+i, tx.Load(base+i)+1)
+		}
+	}
+	w.Atomic(body) // warm: logs, entry pool and the scratch's map
+	if n := testing.AllocsPerRun(50, func() { w.Atomic(body) }); n != 0 {
+		t.Fatalf("warmed %d-pair writer Atomic allocates %.1f objects/op, want 0", words, n)
+	}
 }
 
 func TestRuntimeAtomicPooledZeroAlloc(t *testing.T) {

@@ -10,7 +10,8 @@
 // performs its read/write/commit work without allocating. Before this
 // package, each runtime re-implemented this bookkeeping privately and
 // the commit paths allocated fresh scratch (a saved-versions slice and
-// a pair→version map) on every writer commit.
+// a pair→version map) on every writer commit. Nor does a small commit
+// hash: CommitScratch builds its map only past scanMax pairs.
 //
 // Two families of primitives exist because the runtimes use two lock
 // representations:
@@ -190,13 +191,17 @@ func (wl *WriteLog) Len() int { return len(wl.entries) }
 // pair→version map the runtimes used to allocate; Reset retains all
 // backing storage, so a warmed committer does not allocate.
 //
+// A locked pair is found by a linear scan of pairs while the commit
+// holds at most scanMax of them; only a larger commit builds (and its
+// Reset clears) the pair→position map.
+//
 // A CommitScratch belongs to one committing context at a time (one
 // SwissTM transaction descriptor, or one TLSTM thread — whose
 // transaction commits are serialized).
 type CommitScratch struct {
 	pairs []*locktable.Pair
 	saved []uint64
-	index map[*locktable.Pair]int32
+	index map[*locktable.Pair]int32 // populated iff len(pairs) > scanMax
 
 	// released marks, per locked pair, whether the commit's release
 	// loop actually dropped the pair's redo chain (it leaves the chain
@@ -206,48 +211,74 @@ type CommitScratch struct {
 	released []bool
 }
 
+// scanMax is the largest commit CommitScratch indexes by linear scan,
+// set at the crossover BenchmarkCommitScratch shows (2-vCPU Xeon, Go
+// 1.24): a scan-only scratch costs 0.6/1.3/2.0/3.7 µs per commit of
+// 16/24/32/40 pairs, a map-only one 1.2/1.9/2.4/3.1 µs.
+const scanMax = 32
+
 // Reset empties the scratch, keeping its backing storage.
 func (cs *CommitScratch) Reset() {
+	if len(cs.pairs) > scanMax {
+		clear(cs.index)
+	}
 	cs.pairs = cs.pairs[:0]
 	cs.saved = cs.saved[:0]
 	cs.released = cs.released[:0]
-	clear(cs.index)
+}
+
+// find returns p's position in pairs, if this commit locked it.
+func (cs *CommitScratch) find(p *locktable.Pair) (int, bool) {
+	if len(cs.pairs) > scanMax {
+		i, ok := cs.index[p]
+		return int(i), ok
+	}
+	for i, q := range cs.pairs {
+		if q == p {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // LockPair r-locks p (installing the Locked sentinel) and records the
 // displaced version, unless this commit already holds p. It reports
 // whether the pair was newly locked.
 func (cs *CommitScratch) LockPair(p *locktable.Pair) bool {
-	if _, dup := cs.index[p]; dup {
+	if _, dup := cs.find(p); dup {
 		return false
 	}
-	if cs.index == nil {
-		cs.index = make(map[*locktable.Pair]int32, 16)
-	}
-	cs.index[p] = int32(len(cs.pairs))
 	cs.pairs = append(cs.pairs, p)
 	cs.saved = append(cs.saved, p.R.Swap(locktable.Locked))
 	cs.released = append(cs.released, false)
+	if n := len(cs.pairs); n > scanMax {
+		if cs.index == nil {
+			cs.index = make(map[*locktable.Pair]int32, 4*scanMax)
+		}
+		for i := len(cs.index); i < n; i++ { // first time past scanMax: every pair
+			cs.index[cs.pairs[i]] = int32(i)
+		}
+	}
 	return true
 }
 
 // MarkReleased records that the commit's release loop dropped p's redo
 // chain, detaching every entry of this transaction installed under p.
 func (cs *CommitScratch) MarkReleased(p *locktable.Pair) {
-	if i, ok := cs.index[p]; ok {
+	if i, ok := cs.find(p); ok {
 		cs.released[i] = true
 	}
 }
 
 // Released reports whether p's chain was dropped by this commit.
 func (cs *CommitScratch) Released(p *locktable.Pair) bool {
-	i, ok := cs.index[p]
+	i, ok := cs.find(p)
 	return ok && cs.released[i]
 }
 
 // Saved returns the version displaced from p, if this commit locked it.
 func (cs *CommitScratch) Saved(p *locktable.Pair) (uint64, bool) {
-	i, ok := cs.index[p]
+	i, ok := cs.find(p)
 	if !ok {
 		return 0, false
 	}

@@ -68,42 +68,162 @@ func TestWriteLogReleaseReturnsLoserToPool(t *testing.T) {
 	}
 }
 
+// distinctPairs returns n distinct pairs of tbl, in address order.
+func distinctPairs(tbl *locktable.Table, n int) []*locktable.Pair {
+	seen := make(map[*locktable.Pair]bool, n)
+	ps := make([]*locktable.Pair, 0, n)
+	for a := tm.Addr(1); len(ps) < n; a++ {
+		if p := tbl.For(a); !seen[p] {
+			seen[p] = true
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// TestCommitScratchLockRestorePublish runs the scratch's whole contract
+// on both sides of the scan/map switch: commits of 1, scanMax−1, scanMax,
+// scanMax+1 and 4·scanMax pairs, each pair offered twice.
 func TestCommitScratchLockRestorePublish(t *testing.T) {
-	tbl := locktable.NewTable(8)
-	p1, p2 := tbl.For(1), tbl.For(2)
-	p1.R.Store(5)
-	p2.R.Store(9)
+	tbl := locktable.NewTable(12)
+	for _, n := range []int{1, scanMax - 1, scanMax, scanMax + 1, 4 * scanMax} {
+		all := distinctPairs(tbl, n+1)
+		ps, outside := all[:n], all[n]
+		for i, p := range all {
+			p.R.Store(uint64(100 + i))
+		}
 
+		var cs CommitScratch
+		for i, p := range ps {
+			if !cs.LockPair(p) {
+				t.Fatalf("n=%d: first LockPair of pair %d must report newly locked", n, i)
+			}
+			if cs.LockPair(ps[i/2]) {
+				t.Fatalf("n=%d: duplicate LockPair of pair %d (after %d locked) must report already locked", n, i/2, i+1)
+			}
+		}
+		if cs.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, cs.Len())
+		}
+		for i, p := range cs.Pairs() {
+			if p != ps[i] {
+				t.Fatalf("n=%d: Pairs()[%d] is not the %d-th locked pair: Pairs must keep locking order", n, i, i)
+			}
+		}
+		for i, p := range ps {
+			if p.R.Load() != locktable.Locked {
+				t.Fatalf("n=%d: LockPair must install the Locked sentinel (pair %d)", n, i)
+			}
+			if v, ok := cs.Saved(p); !ok || v != uint64(100+i) {
+				t.Fatalf("n=%d: Saved(pair %d) = %d,%v want %d,true", n, i, v, ok, 100+i)
+			}
+		}
+		if _, ok := cs.Saved(outside); ok {
+			t.Fatalf("n=%d: Saved must miss on pairs this commit did not lock", n)
+		}
+
+		for i := 0; i < n; i += 2 {
+			cs.MarkReleased(ps[i])
+		}
+		cs.MarkReleased(outside) // not held: no effect
+		for i, p := range ps {
+			if cs.Released(p) != (i%2 == 0) {
+				t.Fatalf("n=%d: Released(pair %d) = %v", n, i, !(i%2 == 0))
+			}
+		}
+		if cs.Released(outside) {
+			t.Fatalf("n=%d: Released must miss on pairs this commit did not lock", n)
+		}
+
+		cs.Restore()
+		for i, p := range all {
+			if p.R.Load() != uint64(100+i) {
+				t.Fatalf("n=%d: after Restore pair %d holds %d, want %d", n, i, p.R.Load(), 100+i)
+			}
+		}
+
+		cs.Reset()
+		cs.LockPair(ps[n-1])
+		for _, p := range cs.Pairs() {
+			p.R.Store(42)
+		}
+		for i, p := range all {
+			want := uint64(100 + i)
+			if i == n-1 {
+				want = 42
+			}
+			if p.R.Load() != want {
+				t.Fatalf("n=%d: publish via Pairs must touch exactly the locked pairs (pair %d = %d)", n, i, p.R.Load())
+			}
+		}
+	}
+}
+
+// TestCommitScratchResetDropsStaleIndex: a commit that outgrew the scan
+// leaves a populated map behind; after Reset a small commit must never
+// be answered from it, and the next large commit must rebuild it against
+// its own positions.
+func TestCommitScratchResetDropsStaleIndex(t *testing.T) {
+	tbl := locktable.NewTable(12)
+	big := distinctPairs(tbl, 4*scanMax)
+	for i, p := range big {
+		p.R.Store(uint64(100 + i))
+	}
 	var cs CommitScratch
-	if !cs.LockPair(p1) || !cs.LockPair(p2) {
-		t.Fatal("first LockPair per pair must report newly locked")
+	for _, p := range big {
+		cs.LockPair(p)
 	}
-	if cs.LockPair(p1) {
-		t.Fatal("duplicate LockPair must report already locked")
+	for _, p := range big {
+		cs.MarkReleased(p)
 	}
-	if p1.R.Load() != locktable.Locked || p2.R.Load() != locktable.Locked {
-		t.Fatal("LockPair must install the Locked sentinel")
-	}
-	if v, ok := cs.Saved(p1); !ok || v != 5 {
-		t.Fatalf("Saved(p1) = %d,%v want 5,true", v, ok)
-	}
-	if _, ok := cs.Saved(tbl.For(3)); ok {
-		t.Fatal("Saved must miss on pairs this commit did not lock")
-	}
-
 	cs.Restore()
-	if p1.R.Load() != 5 || p2.R.Load() != 9 {
-		t.Fatal("Restore must put displaced versions back")
-	}
 
 	cs.Reset()
-	cs.LockPair(p1)
-	for _, p := range cs.Pairs() {
-		p.R.Store(42)
+	for _, p := range []*locktable.Pair{big[3], big[0]} {
+		if !cs.LockPair(p) {
+			t.Fatal("after Reset, a pair of the previous commit must lock anew")
+		}
 	}
-	if p1.R.Load() != 42 || p2.R.Load() != 9 {
-		t.Fatal("publish via Pairs must touch exactly the locked pairs")
+	if v, ok := cs.Saved(big[0]); !ok || v != 100 {
+		t.Fatalf("Saved(big[0]) = %d,%v want 100,true", v, ok)
 	}
+	if cs.Released(big[3]) || cs.Released(big[0]) {
+		t.Fatal("Released must start false in a new commit")
+	}
+	for i, p := range big[4:] {
+		if _, ok := cs.Saved(p); ok || cs.Released(p) {
+			t.Fatalf("pair %d of the previous commit answered from a stale index", i+4)
+		}
+	}
+	cs.Restore()
+
+	// Large again, half the pairs in reverse order: positions differ from
+	// the first commit's and the other half must stay unknown.
+	cs.Reset()
+	half := big[:2*scanMax]
+	for i := len(half) - 1; i >= 0; i-- {
+		if !cs.LockPair(half[i]) {
+			t.Fatalf("LockPair(big[%d]) must report newly locked", i)
+		}
+	}
+	if cs.LockPair(half[0]) {
+		t.Fatal("duplicate LockPair must hit the rebuilt index")
+	}
+	cs.MarkReleased(half[1])
+	for i, p := range half {
+		if v, ok := cs.Saved(p); !ok || v != uint64(100+i) {
+			t.Fatalf("Saved(big[%d]) = %d,%v want %d,true", i, v, ok, 100+i)
+		}
+		if cs.Released(p) != (i == 1) {
+			t.Fatalf("Released(big[%d]) = %v", i, i != 1)
+		}
+	}
+	for i, p := range big[len(half):] {
+		if _, ok := cs.Saved(p); ok {
+			t.Fatalf("pair %d not in this commit answered from a stale index", len(half)+i)
+		}
+	}
+	cs.Restore()
 }
 
 func TestReadLogAppendReset(t *testing.T) {
