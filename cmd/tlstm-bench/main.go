@@ -1,6 +1,7 @@
 // Command tlstm-bench regenerates the paper's evaluation figures
 // (Middleware'12, Figures 1a, 1b, 2a, 2b) and the headline comparison
-// numbers, printing each as an aligned text table.
+// numbers, printing each as an aligned text table, and runs the
+// one-setting-at-a-time sweeps across all four runtimes.
 //
 // Usage:
 //
@@ -9,17 +10,13 @@
 //	tlstm-bench -quick          # reduced transaction counts
 //	tlstm-bench -headline       # §4 headline numbers (from Fig2b data)
 //	tlstm-bench -clock deferred # figures under the GV5-style clock
-//	tlstm-bench -clocks         # clock-strategy sweep across runtimes
 //	tlstm-bench -cm karma       # figures under the Karma contention manager
-//	tlstm-bench -cms            # contention-policy sweep across runtimes
 //	tlstm-bench -mode adaptive  # figures under the adaptive execution-mode ladder
-//	tlstm-bench -modes          # execution-mode sweep (karma conflict storm)
 //	tlstm-bench -mv 2           # figures with 2 retained versions per word
-//	tlstm-bench -mvs            # multi-version depth sweep (read-mostly mixes)
-//	tlstm-bench -mvs -json out.json  # ... also persisted as JSON
 //	tlstm-bench -shards 4       # figures with a 4-shard lock table
 //	tlstm-bench -shards 4 -affinity  # ... plus conflict-sketch thread placement
-//	tlstm-bench -shardss        # shard-count sweep (hot-word and 90/10 mixes)
+//	tlstm-bench -sweep cm       # one sweep: clock, cm, mode, mv or shards
+//	tlstm-bench -sweep mv -json out.json  # ... also persisted as JSON
 package main
 
 import (
@@ -28,63 +25,69 @@ import (
 	"fmt"
 	"os"
 
-	"tlstm/internal/clock"
-	"tlstm/internal/cm"
 	"tlstm/internal/harness"
-	"tlstm/internal/mode"
-	"tlstm/internal/txtrace"
+	"tlstm/internal/runflags"
 )
 
 func main() {
 	os.Exit(run())
 }
 
+// sweepThreads is the thread count of every -sweep run.
+const sweepThreads = 4
+
 func run() int {
 	fig := flag.String("fig", "all", `figure to regenerate: "1a", "1b", "2a", "2b" or "all"`)
 	quick := flag.Bool("quick", false, "use reduced transaction counts")
 	headline := flag.Bool("headline", false, "print the paper's §4 headline ratios (computed from Figure 2b)")
 	check := flag.Bool("check", false, "regenerate all figures and verify the paper's qualitative claims; exit non-zero on violation")
-	clockName := flag.String("clock", "gv4", `commit-clock strategy for figure/headline runs: "gv4", "deferred", "sharded" or "gv7"`)
-	clockCmp := flag.Bool("clocks", false, "sweep all commit-clock strategies across all four runtimes on a write-heavy workload (throughput, abort rate, snapshot extensions and clock CAS retries per strategy)")
-	cmName := flag.String("cm", "default", `contention-management policy for figure/headline runs: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
-	cmCmp := flag.Bool("cms", false, "sweep all contention-management policies across all four runtimes on a write-contended workload (throughput, abort rate and policy decision counters per policy)")
-	modeName := flag.String("mode", "spec", `execution-mode policy for figure/headline runs: "spec" (always speculative), "adaptive" (ladder with serialized fallback) or "serial"`)
-	modeCmp := flag.Bool("modes", false, "sweep all execution-mode policies across all four runtimes on the karma conflict storm (throughput, abort rate and ladder fallback/recovery counters per policy)")
-	mvDepth := flag.Int("mv", 0, "retained version depth for figure/headline runs (0 disables multi-versioning)")
-	mvCmp := flag.Bool("mvs", false, "sweep retained version depths K=0..3 across all four runtimes on read-mostly workloads at 90/10 and 99/1 mixes (throughput, aborts, wait-free reads and fallback misses per depth)")
-	shards := flag.Int("shards", 0, "lock-table shard count for figure/headline runs (a power of two; 0 or 1 keeps the flat table)")
-	affinity := flag.Bool("affinity", false, "replace static round-robin thread placement with the conflict-sketch affinity policy (only meaningful with -shards > 1)")
-	shardCmp := flag.Bool("shardss", false, "sweep lock-table shard counts N=1,2,4,8 (plus an affinity leg at each N>1) across all four runtimes on hot-word and 90/10 mixes (throughput, aborts, cross-shard conflicts and remaps per geometry)")
-	jsonPath := flag.String("json", "", "with -mvs or -shardss: also write the sweep results as JSON to this file")
-	format := flag.String("format", "table", `output format: "table" or "csv"`)
-	traceFile := flag.String("trace", "", "arm the flight recorder in every runtime the figures build and write the binary trace dump (TXTRACE1) here on exit; inspect with tlstm-trace")
+	jsonPath := flag.String("json", "", "with -sweep: also write the sweep results as JSON to this file")
+	format := flag.String("format", "table", `figure output format: "table" or "csv"`)
+	rf := runflags.Register(flag.CommandLine,
+		runflags.Rule{Flag: "fig", Scope: runflags.NoSweep, Values: []string{"1a", "1b", "2a", "2b", "all"}},
+		runflags.Rule{Flag: "headline", Scope: runflags.NoSweep},
+		runflags.Rule{Flag: "check", Scope: runflags.NoSweep},
+		runflags.Rule{Flag: "format", Scope: runflags.NoSweep, Values: []string{"table", "csv"}},
+		runflags.Rule{Flag: "json", Scope: runflags.SweepOnly})
 	flag.Parse()
 
 	// Fail fast on malformed flags instead of clamping or misbehaving
 	// several minutes into a figure run.
-	if *mvDepth < 0 {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: -mv %d: retained version depth cannot be negative\n", *mvDepth)
+	set, err := rf.Settings()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
 		return 2
 	}
-	if *shards < 0 || (*shards > 1 && *shards&(*shards-1) != 0) {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: -shards %d: shard count must be a power of two\n", *shards)
-		return 2
-	}
-	if *affinity && *shards <= 1 {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: -affinity requires -shards > 1 (a flat lock table has nowhere to place threads)\n")
-		return 2
+
+	if sw, ok := harness.Sweeps[rf.Sweep]; ok {
+		txs := sw.Tx
+		if *quick {
+			txs /= 10
+		}
+		fmt.Printf("## %s (all runtimes, %d threads, %d tx/thread)\n", sw.Title, sweepThreads, txs)
+		results := sw.Run(sweepThreads, txs)
+		for _, r := range results {
+			fmt.Println(r)
+		}
+		if *jsonPath != "" {
+			if err := writeJSON(*jsonPath, rf.Sweep, sweepThreads, txs, results); err != nil {
+				fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
+				return 1
+			}
+		}
+		return 0
 	}
 
 	sc := harness.DefaultScale()
 	if *quick {
 		sc = harness.QuickScale()
 	}
-	if *traceFile != "" {
-		sc.Trace = txtrace.NewRecorder(0)
+	sc.Settings = set
+	if rf.Trace != "" {
 		defer func() {
 			// Figure runs join every worker/thread before returning, so
 			// all ring owners are quiesced by the time we get here.
-			f, err := os.Create(*traceFile)
+			f, err := os.Create(rf.Trace)
 			if err == nil {
 				err = sc.Trace.Dump(f)
 				if cerr := f.Close(); err == nil {
@@ -96,99 +99,8 @@ func run() int {
 				return
 			}
 			fmt.Printf("trace: %d rings, %d events, %d dropped -> %s\n",
-				len(sc.Trace.Rings()), sc.Trace.Events(), sc.Trace.Drops(), *traceFile)
+				len(sc.Trace.Rings()), sc.Trace.Events(), sc.Trace.Drops(), rf.Trace)
 		}()
-	}
-	kind, err := clock.Parse(*clockName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-		return 2
-	}
-	sc.Clock = kind
-	cmKind, err := cm.Parse(*cmName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-		return 2
-	}
-	sc.CM = cmKind
-	modePol, err := mode.Parse(*modeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-		return 2
-	}
-	sc.Mode = mode.Config{Policy: modePol}
-	sc.MV = *mvDepth
-	sc.Shards = *shards
-	sc.Affinity = *affinity
-
-	if *shardCmp {
-		threads, txs := 4, 5_000
-		if *quick {
-			txs = 500
-		}
-		fmt.Printf("## Lock-table shard sweep (hot-word and 90/10 mixes, %d threads, %d tx/thread)\n", threads, txs)
-		results := harness.CompareShards(threads, txs)
-		for _, r := range results {
-			fmt.Println(r)
-		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, "shards", threads, txs, results); err != nil {
-				fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	if *mvCmp {
-		threads, txs := 4, 10_000
-		if *quick {
-			txs = 1_000
-		}
-		fmt.Printf("## Multi-version depth sweep (read-mostly, %d threads, %d tx/thread)\n", threads, txs)
-		results := harness.CompareMV(threads, txs)
-		for _, r := range results {
-			fmt.Println(r)
-		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, "mv", threads, txs, results); err != nil {
-				fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	if *clockCmp {
-		txs := 50_000
-		if *quick {
-			txs = 5_000
-		}
-		fmt.Println("## Commit-clock strategy comparison (write-heavy, 4 threads, all runtimes)")
-		for _, r := range harness.CompareClocks(4, txs) {
-			fmt.Println(r)
-		}
-		return 0
-	}
-	if *cmCmp {
-		txs := 20_000
-		if *quick {
-			txs = 2_000
-		}
-		fmt.Println("## Contention-management policy comparison (write-contended, 4 threads, all runtimes)")
-		for _, r := range harness.CompareCM(4, txs) {
-			fmt.Println(r)
-		}
-		return 0
-	}
-	if *modeCmp {
-		txs := 20_000
-		if *quick {
-			txs = 2_000
-		}
-		fmt.Println("## Execution-mode policy comparison (karma conflict storm, 4 threads, all runtimes)")
-		for _, r := range harness.CompareModes(4, txs) {
-			fmt.Println(r)
-		}
-		return 0
 	}
 	if *headline {
 		printHeadline(sc)
@@ -208,7 +120,6 @@ func run() int {
 		{"2a", harness.Fig2a},
 		{"2b", harness.Fig2b},
 	}
-	ran := 0
 	for _, j := range jobs {
 		if *fig != "all" && *fig != j.name {
 			continue
@@ -219,11 +130,6 @@ func run() int {
 		} else {
 			fmt.Println(f.Format())
 		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "tlstm-bench: unknown figure %q\n", *fig)
-		return 2
 	}
 	return 0
 }

@@ -8,26 +8,23 @@
 //     transfers over a shared account array preserve the global total.
 //
 // It is meant for long soak runs: tlstm-stress -seconds 60 -threads 4.
-// The soak runs under any commit-clock strategy (-clock deferred) and
-// any contention-management policy (-cm karma); -clocks swaps the soak
-// for the invariant-checked clock-strategy sweep across all four
-// runtimes (harness.CompareClocks), and -cms for the policy sweep
-// (harness.CompareCM). -mode adaptive arms the execution-mode ladder
-// (speculative until sustained conflict, then a serialized global-lock
-// rung, recovering once the storm passes); -modes swaps the soak for
-// the invariant-checked mode sweep (harness.CompareModes). Entry reclamation can be forced aggressive
-// (-reclaim 1: single-slot quiescence rings, recycling on almost every
-// commit) and audited (-audit: every recycle re-verifies the
-// quiescence invariant and panics on violation). -mv K retains K
-// committed versions per word and -romix P makes P% of the soak's
-// transactions declared read-only full-array scans, each asserting the
-// exact preserved total at its snapshot — the strongest cheap check of
-// the wait-free multi-version read path; -mvs swaps the soak for the
-// invariant-checked depth sweep across all four runtimes
-// (harness.CompareMV). The soak's lock table can be sharded (-shards 4)
-// with optional conflict-sketch thread placement (-affinity); -shardss
-// swaps the soak for the invariant-checked shard-count sweep across all
-// four runtimes (harness.CompareShards).
+// The soak runs under any commit-clock strategy (-clock deferred),
+// contention-management policy (-cm karma) and execution-mode policy
+// (-mode adaptive arms the ladder: speculative until sustained
+// conflict, then a serialized global-lock rung, recovering once the
+// storm passes). Entry reclamation can be forced aggressive (-reclaim 1:
+// single-slot quiescence rings, recycling on almost every commit) and
+// audited (-audit: every recycle re-verifies the quiescence invariant
+// and panics on violation). -mv K retains K committed versions per word
+// and -romix P makes P% of the soak's transactions declared read-only
+// full-array scans, each asserting the exact preserved total at its
+// snapshot — the strongest cheap check of the wait-free multi-version
+// read path. The soak's lock table can be sharded (-shards 4) with
+// optional conflict-sketch thread placement (-affinity).
+//
+// -sweep <axis> (clock, cm, mode, mv or shards) swaps the soak for that
+// invariant-checked sweep across all four runtimes (harness.Sweeps);
+// -seconds N runs N times the sweep's quick size per thread.
 package main
 
 import (
@@ -38,11 +35,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tlstm/internal/clock"
-	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/harness"
-	"tlstm/internal/mode"
+	"tlstm/internal/runflags"
 	"tlstm/internal/tm"
 	"tlstm/internal/txcheck"
 	"tlstm/internal/txmetrics"
@@ -64,136 +59,60 @@ func run() int {
 	threads := flag.Int("threads", 3, "user-threads")
 	depth := flag.Int("depth", 3, "SPECDEPTH / tasks per transaction")
 	accounts := flag.Int("accounts", 64, "shared accounts")
-	clockName := flag.String("clock", "gv4", `commit-clock strategy: "gv4", "deferred", "sharded" or "gv7"`)
-	clockCmp := flag.Bool("clocks", false, "run the invariant-checked clock-strategy sweep (all strategies × all runtimes) instead of the soak; -seconds scales the transaction count")
-	cmName := flag.String("cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (task-aware)`)
-	cmCmp := flag.Bool("cms", false, "run the invariant-checked contention-policy sweep (all policies × all runtimes) instead of the soak; -seconds scales the transaction count")
-	modeName := flag.String("mode", "spec", `execution-mode policy: "spec" (always speculative), "adaptive" (ladder with serialized fallback under sustained conflict) or "serial"`)
-	modeCmp := flag.Bool("modes", false, "run the invariant-checked execution-mode sweep (all policies × all runtimes, karma conflict storm) instead of the soak; -seconds scales the transaction count")
 	reclaimRing := flag.Int("reclaim", 0, "cap each descriptor's quiescence ring of retired write-lock entries (0 = unbounded; 1 = aggressive, recycling exercised on almost every commit)")
 	reclaimAudit := flag.Bool("audit", false, "enable the entry-reclamation invariant checker: every recycle re-verifies the quiescence horizon against all live task attempts (panics on violation)")
-	mvDepth := flag.Int("mv", 0, "retained version depth for the soak runtime (0 disables multi-versioning)")
-	mvCmp := flag.Bool("mvs", false, "run the invariant-checked multi-version depth sweep (K=0..3 × all runtimes, read-mostly mixes) instead of the soak; -seconds scales the transaction count")
 	roMix := flag.Int("romix", 0, "percent of soak transactions that are declared read-only scans: each task sums every account at the transaction's snapshot and requires the exact preserved total")
-	shards := flag.Int("shards", 0, "lock-table shard count for the soak runtime (a power of two; 0 or 1 keeps the flat table)")
-	affinity := flag.Bool("affinity", false, "replace static round-robin thread placement with the conflict-sketch affinity policy (only meaningful with -shards > 1)")
-	shardCmp := flag.Bool("shardss", false, "run the invariant-checked lock-table shard-count sweep (N=1,2,4,8 plus affinity legs × all runtimes, hot-word and 90/10 mixes) instead of the soak; -seconds scales the transaction count")
-	traceFile := flag.String("trace", "", "arm the flight recorder and write the binary trace dump (TXTRACE2) to this file when the soak ends; inspect with tlstm-trace")
 	check := flag.Bool("check", false, "arm the flight recorder (even without -trace) and run the offline opacity checker (internal/txcheck) on the recorded trace at soak exit; fails the run on any violation")
 	metricsAddr := flag.String("metrics", "", "serve live metrics over HTTP on this address (/debug/vars, /debug/pprof) and print one-line stat deltas every 2s; threads sync their stats shards periodically so the feed is live")
+	soak := func(name string) runflags.Rule { return runflags.Rule{Flag: name, Scope: runflags.NoSweep} }
+	rf := runflags.Register(flag.CommandLine, soak("depth"), soak("accounts"), soak("reclaim"),
+		soak("audit"), soak("romix"), soak("check"), soak("metrics"))
 	flag.Parse()
 
 	// Fail fast on malformed flags: every one of these used to be
 	// swallowed (clamped, ignored, or deferred to a panic mid-soak), so a
 	// typo cost a full soak run before anyone noticed.
-	if *roMix < 0 || *roMix > 100 {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: -romix %d: must be a percentage in 0..100\n", *roMix)
+	set, err := rf.Settings()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlstm-stress: %v\n", err)
 		return 2
 	}
-	if *mvDepth < 0 {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: -mv %d: retained version depth cannot be negative\n", *mvDepth)
+	if *roMix < 0 || *roMix > 100 {
+		fmt.Fprintf(os.Stderr, "tlstm-stress: -romix %d: must be a percentage in 0..100\n", *roMix)
 		return 2
 	}
 	if *reclaimRing < 0 {
 		fmt.Fprintf(os.Stderr, "tlstm-stress: -reclaim %d: ring cap cannot be negative\n", *reclaimRing)
 		return 2
 	}
-	if *shards < 0 || (*shards > 1 && *shards&(*shards-1) != 0) {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: -shards %d: shard count must be a power of two\n", *shards)
-		return 2
-	}
-	if *affinity && *shards <= 1 {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: -affinity requires -shards > 1 (a flat lock table has nowhere to place threads)\n")
-		return 2
-	}
 
-	if *shardCmp {
-		txs := 2_000 * *seconds
-		fmt.Printf("## Lock-table shard sweep (%d threads, %d tx/thread)\n", *threads, txs)
-		for _, r := range harness.CompareShards(*threads, txs) {
+	if sw, ok := harness.Sweeps[rf.Sweep]; ok {
+		txs := sw.Tx / 10 * *seconds
+		fmt.Printf("## %s (all runtimes, %d threads, %d tx/thread)\n", sw.Title, *threads, txs)
+		for _, r := range sw.Run(*threads, txs) {
 			fmt.Println(r)
 		}
-		fmt.Println("OK: all geometry/runtime end states verified")
+		fmt.Println("OK: every sweep row's end state verified")
 		return 0
 	}
 
-	if *mvCmp {
-		txs := 5_000 * *seconds
-		fmt.Printf("## Multi-version depth sweep (%d threads, %d tx/thread)\n", *threads, txs)
-		for _, r := range harness.CompareMV(*threads, txs) {
-			fmt.Println(r)
-		}
-		fmt.Println("OK: all depth/runtime snapshots and end states verified")
-		return 0
+	if set.Trace == nil && *check {
+		set.Trace = txtrace.NewRecorder(0)
 	}
-
-	if *clockCmp {
-		// ~10k transactions per thread per requested second: a short,
-		// deterministic stand-in for the soak that still runs every
-		// strategy on every runtime with end-state invariant checks.
-		txs := 10_000 * *seconds
-		fmt.Printf("## Commit-clock strategy sweep (%d threads, %d tx/thread)\n", *threads, txs)
-		for _, r := range harness.CompareClocks(*threads, txs) {
-			fmt.Println(r)
-		}
-		fmt.Println("OK: all strategy/runtime end states verified")
-		return 0
-	}
-	if *cmCmp {
-		txs := 5_000 * *seconds
-		fmt.Printf("## Contention-management policy sweep (%d threads, %d tx/thread)\n", *threads, txs)
-		for _, r := range harness.CompareCM(*threads, txs) {
-			fmt.Println(r)
-		}
-		fmt.Println("OK: all policy/runtime end states verified")
-		return 0
-	}
-	if *modeCmp {
-		txs := 5_000 * *seconds
-		fmt.Printf("## Execution-mode policy sweep (%d threads, %d tx/thread)\n", *threads, txs)
-		for _, r := range harness.CompareModes(*threads, txs) {
-			fmt.Println(r)
-		}
-		fmt.Println("OK: all mode/runtime end states verified")
-		return 0
-	}
-
-	kind, err := clock.Parse(*clockName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: %v\n", err)
-		return 2
-	}
-	cmKind, err := cm.Parse(*cmName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: %v\n", err)
-		return 2
-	}
-	modePol, err := mode.Parse(*modeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlstm-stress: %v\n", err)
-		return 2
-	}
-	var rec *txtrace.Recorder
+	rec := set.Trace
 	var traceOut *os.File
-	if *traceFile != "" || *check {
-		rec = txtrace.NewRecorder(0)
-	}
-	if *traceFile != "" {
+	if rf.Trace != "" {
 		// Create the dump file before the soak: an unwritable -trace path
 		// fails here in a millisecond instead of after the whole run.
-		traceOut, err = os.Create(*traceFile)
+		traceOut, err = os.Create(rf.Trace)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tlstm-stress: -trace: %v\n", err)
 			return 2
 		}
 	}
-	rt := core.New(core.Config{
-		SpecDepth: *depth, Clock: clock.New(kind), CM: cm.New(cmKind),
-		ReclaimRing: *reclaimRing, ReclaimAudit: *reclaimAudit, MVDepth: *mvDepth,
-		Shards: *shards, Affinity: *affinity,
-		Mode:  mode.Config{Policy: modePol},
-		Trace: rec,
-	})
+	cfg := harness.CoreConfig(set.Config(), *depth)
+	cfg.ReclaimRing, cfg.ReclaimAudit = *reclaimRing, *reclaimAudit
+	rt := core.New(cfg)
 	defer rt.Close()
 
 	// checkReport holds the opacity checker's verdicts once -check has
@@ -377,7 +296,7 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("trace: %d rings, %d events, %d dropped -> %s\n",
-			len(rec.Rings()), rec.Events(), rec.Drops(), *traceFile)
+			len(rec.Rings()), rec.Events(), rec.Drops(), rf.Trace)
 	}
 
 	if *check {

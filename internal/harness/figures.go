@@ -11,6 +11,7 @@ import (
 	"tlstm/internal/sb7"
 	"tlstm/internal/stm"
 	"tlstm/internal/tm"
+	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/vacation"
 )
@@ -18,7 +19,7 @@ import (
 // Scale is the run configuration shared by every figure: it trades run
 // time for measurement stability (the number of transactions per thread
 // in every figure is multiplied by the Tx fields) and selects the
-// commit-clock strategy the runtimes are built with.
+// runtime settings every figure's runtimes are built with.
 type Scale struct {
 	// Fig1aTx is transactions per point for the red-black-tree figure.
 	Fig1aTx int
@@ -26,34 +27,7 @@ type Scale struct {
 	Fig1bTx int
 	// SB7Tx is traversal transactions per thread for Figures 2a/2b.
 	SB7Tx int
-	// Clock is the commit-clock strategy every runtime in the figures
-	// uses (cmd/tlstm-bench -clock); the zero value is GV4.
-	Clock clock.Kind
-	// CM is the contention-management policy every runtime in the
-	// figures uses (cmd/tlstm-bench -cm); the zero value keeps each
-	// runtime's own default (greedy for SwissTM, task-aware for TLSTM).
-	CM cm.Kind
-	// MV is the retained version depth every runtime in the figures is
-	// built with (cmd/tlstm-bench -mv); 0 disables multi-versioning.
-	// Figure workloads only benefit where they declare transactions
-	// read-only, but building the stores is harmless everywhere.
-	MV int
-	// Trace, when non-nil, arms the flight recorder in every runtime the
-	// figures build (cmd/tlstm-bench -trace). All points of a run share
-	// one recorder; rings are labeled per runtime thread.
-	Trace *txtrace.Recorder
-	// Shards is the lock-table shard count every runtime in the figures
-	// is built with (cmd/tlstm-bench -shards); 0 or 1 keeps the flat
-	// single-shard layout.
-	Shards int
-	// Affinity selects the conflict-sketch placement policy instead of
-	// the static round-robin one (cmd/tlstm-bench -affinity); it only
-	// matters with Shards > 1.
-	Affinity bool
-	// Mode is the execution-mode ladder config every runtime in the
-	// figures is built with (cmd/tlstm-bench -mode); the zero value is
-	// always-speculative.
-	Mode mode.Config
+	Settings
 }
 
 // DefaultScale is used by the CLI and benches.
@@ -62,21 +36,66 @@ func DefaultScale() Scale { return Scale{Fig1aTx: 300, Fig1bTx: 60, SB7Tx: 24} }
 // QuickScale keeps unit-test runs fast.
 func QuickScale() Scale { return Scale{Fig1aTx: 40, Fig1bTx: 8, SB7Tx: 4} }
 
-// newSTM builds a SwissTM runtime with the configured clock strategy
-// and contention-management policy.
-func (sc Scale) newSTM() *stm.Runtime {
-	return stm.New(stm.WithClock(clock.New(sc.Clock)), stm.WithCM(cm.New(sc.CM)),
-		stm.WithMultiVersion(sc.MV), stm.WithTrace(sc.Trace),
-		stm.WithShards(sc.Shards), stm.WithAffinity(sc.Affinity),
-		stm.WithMode(sc.Mode))
+// Settings selects the runtime configuration of a figure or soak run.
+// It holds kinds, not instances: Config builds fresh clock and
+// contention-manager instances for every runtime, because policies hold
+// per-runtime state and must not be shared (cm.New). The zero value is
+// each runtime's default configuration.
+type Settings struct {
+	// Clock is the commit-clock strategy; the zero value is GV4.
+	Clock clock.Kind
+	// CM is the contention-management policy; the zero value keeps each
+	// runtime's own default (greedy for SwissTM, task-aware for TLSTM).
+	CM cm.Kind
+	// Mode is the execution-mode policy; the zero value is
+	// always-speculative.
+	Mode mode.Policy
+	// MV is the retained version depth; 0 disables multi-versioning.
+	// Figure workloads only benefit where they declare transactions
+	// read-only, but building the stores is harmless everywhere.
+	MV int
+	// Shards is the lock-table shard count (a power of two); 0 or 1
+	// keeps the flat single-shard layout.
+	Shards int
+	// Affinity selects the conflict-sketch placement policy instead of
+	// the static round-robin one; it needs Shards > 1.
+	Affinity bool
+	// Trace, when non-nil, arms the flight recorder in every runtime
+	// built from these settings; rings are labeled per runtime thread.
+	Trace *txtrace.Recorder
 }
 
-// newTLSTM builds a TLSTM runtime with the configured clock strategy
-// and contention-management policy.
-func (sc Scale) newTLSTM(depth int) *core.Runtime {
-	return core.New(core.Config{SpecDepth: depth, Clock: clock.New(sc.Clock), CM: cm.New(sc.CM),
-		MVDepth: sc.MV, Trace: sc.Trace, Shards: sc.Shards, Affinity: sc.Affinity,
-		Mode: sc.Mode})
+// Validate rejects settings no runtime can be built with.
+func (s Settings) Validate() error {
+	switch {
+	case s.MV < 0:
+		return fmt.Errorf("retained version depth %d cannot be negative", s.MV)
+	case s.Shards < 0 || s.Shards&(s.Shards-1) != 0:
+		return fmt.Errorf("shard count %d must be a power of two", s.Shards)
+	case s.Affinity && s.Shards <= 1:
+		return fmt.Errorf("affinity placement needs more than one shard (a flat lock table has nowhere to place threads)")
+	}
+	return nil
+}
+
+// Config returns a fresh runtime configuration for one runtime.
+func (s Settings) Config() txrt.Config {
+	return txrt.Config{
+		Clock: clock.New(s.Clock), CM: cm.New(s.CM), Mode: mode.Config{Policy: s.Mode},
+		MVDepth: s.MV, Shards: s.Shards, Affinity: s.Affinity, Trace: s.Trace,
+	}
+}
+
+// withConfig is the flat runtimes' option that installs all of c.
+func withConfig(c txrt.Config) txrt.Option { return func(o *txrt.Config) { *o = c } }
+
+// CoreConfig maps a runtime configuration onto TLSTM's, with the given
+// SpecDepth; the TLSTM-only fields are left at their defaults.
+func CoreConfig(c txrt.Config, depth int) core.Config {
+	return core.Config{
+		SpecDepth: depth, LockTableBits: c.LockTableBits, Shards: c.Shards, Affinity: c.Affinity,
+		PadLockTable: c.Padded, Clock: c.Clock, CM: c.CM, MVDepth: c.MVDepth, Trace: c.Trace, Mode: c.Mode,
+	}
 }
 
 func mix64(x uint64) uint64 {
@@ -152,12 +171,12 @@ func Fig1a(sc Scale) Figure {
 		Series: []Series{{Name: "TLSTM-2"}, {Name: "TLSTM-4"}},
 	}
 	for _, n := range Fig1aOpCounts {
-		base := sc.newSTM()
+		base := stm.New(withConfig(sc.Config()))
 		baseTree := fig1aTree(base.Direct())
 		rBase := RunSTM(base, rbWorkload(baseTree, "SwissTM", n, 1, sc.Fig1aTx))
 
 		for si, tasks := range []int{2, 4} {
-			rt := sc.newTLSTM(tasks)
+			rt := core.New(CoreConfig(sc.Config(), tasks))
 			tr := fig1aTree(rt.Direct())
 			r := RunTLSTM(rt, rbWorkload(tr, fmt.Sprintf("TLSTM-%d", tasks), n, tasks, sc.Fig1aTx))
 			rt.Close() // drain this point's worker pools
@@ -235,7 +254,7 @@ func Fig1b(sc Scale) Figure {
 		t1.Name = "TLSTM-1-" + mode.tag
 		t2.Name = "TLSTM-2-" + mode.tag
 		for _, clients := range Fig1bClients {
-			base := sc.newSTM()
+			base := stm.New(withConfig(sc.Config()))
 			mBase := vacation.NewManager(base.Direct(), 1024)
 			vacation.Populate(base.Direct(), mBase, p)
 			rBase := RunSTM(base, vacationWorkload(mBase, p, sw.Name, clients, 1, sc.Fig1bTx))
@@ -243,7 +262,7 @@ func Fig1b(sc Scale) Figure {
 			sw.Y = append(sw.Y, rBase.Throughput())
 
 			for tasks, series := range map[int]*Series{1: &t1, 2: &t2} {
-				rt := sc.newTLSTM(tasks)
+				rt := core.New(CoreConfig(sc.Config(), tasks))
 				m := vacation.NewManager(rt.Direct(), 1024)
 				vacation.Populate(rt.Direct(), m, p)
 				r := RunTLSTM(rt, vacationWorkload(m, p, series.Name, clients, tasks, sc.Fig1bTx))
@@ -309,18 +328,18 @@ func Fig2a(sc Scale) Figure {
 			fig.Series[si].Y = append(fig.Series[si].Y, y)
 		}
 
-		base1 := sc.newSTM()
+		base1 := stm.New(withConfig(sc.Config()))
 		b1, err := sb7.Build(base1.Direct(), sb7.Default())
 		must(err)
 		addPoint(0, RunSTM(base1, sb7Workload(b1, "SwissTM-1", 1, 1, sc.SB7Tx, pct)).Throughput())
 
-		rt := sc.newTLSTM(3)
+		rt := core.New(CoreConfig(sc.Config(), 3))
 		bt, err := sb7.Build(rt.Direct(), sb7.Default())
 		must(err)
 		addPoint(1, RunTLSTM(rt, sb7Workload(bt, "TLSTM-1-3", 1, 3, sc.SB7Tx, pct)).Throughput())
 		rt.Close()
 
-		base3 := sc.newSTM()
+		base3 := stm.New(withConfig(sc.Config()))
 		b3, err := sb7.Build(base3.Direct(), sb7.Default())
 		must(err)
 		addPoint(2, RunSTM(base3, sb7Workload(b3, "SwissTM-3", 3, 1, sc.SB7Tx, pct)).Throughput())
@@ -364,12 +383,12 @@ func Fig2b(sc Scale) Figure {
 		for wi, wl := range Fig2bWorkloads {
 			var y float64
 			if c.tasks == 0 {
-				rt := sc.newSTM()
+				rt := stm.New(withConfig(sc.Config()))
 				b, err := sb7.Build(rt.Direct(), sb7.Default())
 				must(err)
 				y = RunSTM(rt, sb7Workload(b, c.name, c.threads, 1, sc.SB7Tx, wl.PctRead)).Throughput()
 			} else {
-				rt := sc.newTLSTM(c.tasks)
+				rt := core.New(CoreConfig(sc.Config(), c.tasks))
 				b, err := sb7.Build(rt.Direct(), sb7.Default())
 				must(err)
 				y = RunTLSTM(rt, sb7Workload(b, c.name, c.threads, c.tasks, sc.SB7Tx, wl.PctRead)).Throughput()

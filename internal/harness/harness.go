@@ -16,20 +16,17 @@
 //
 // The runtimes only count: their access paths never yield the
 // processor. Transactions overlap when they run on different CPUs; the
-// contention sweeps below, which must contend on one CPU too, yield
+// contention sweeps (sweep.go), which must contend on one CPU too, yield
 // inside their transaction bodies instead.
 package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"tlstm/internal/clock"
-	"tlstm/internal/cm"
 	"tlstm/internal/core"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
@@ -168,6 +165,7 @@ type configured interface {
 	MVDepth() int
 	Shards() int
 	PlacementName() string
+	ModeName() string
 }
 
 // newResult starts a run's Result row.
@@ -181,6 +179,7 @@ func newResult(w Workload, rt configured, start time.Time) Result {
 		MV:        rt.MVDepth(),
 		Shards:    rt.Shards(),
 		Placement: rt.PlacementName(),
+		Mode:      rt.ModeName(),
 	}
 }
 
@@ -335,541 +334,6 @@ func RunTLSTM(rt *core.Runtime, w Workload) Result {
 		res.VirtualUnits = max(res.VirtualUnits, st.VirtualTime)
 	}
 	return res
-}
-
-// clockSweepWorkload is the CompareClocks workload: write-heavy with a
-// shared hot word. Every transaction reads the hot word and increments
-// the thread's private counter; every fourth also increments the hot
-// word. The private writes make every transaction a committer (commit
-// clock pressure); the shared reads force each thread to keep meeting
-// other threads' fresh stamps (snapshot-extension pressure). Both sides
-// of the strategy trade-off are therefore exercised at once.
-func clockSweepWorkload(name string, base tm.Addr, threads, txPerThread int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    2,
-		Make: func(thread, idx int) TxSeq {
-			hot := base
-			mine := base + 1 + tm.Addr(thread)
-			shared := idx%4 == 0
-			return TxSeq{func(tx tm.Tx) {
-				h := tx.Load(hot)
-				tx.Store(mine, tx.Load(mine)+1)
-				if shared {
-					tx.Store(hot, h+1)
-				}
-			}}
-		},
-	}
-}
-
-// checkClockSweep verifies the sweep's end state: with the workload
-// above, the hot word must hold the exact number of hot increments and
-// each private counter its thread's transaction count — a cheap
-// atomicity check that runs under every strategy.
-func checkClockSweep(load func(tm.Addr) uint64, base tm.Addr, threads, txPerThread int) {
-	hotWant := uint64(threads * ((txPerThread + 3) / 4))
-	if got := load(base); got != hotWant {
-		panic(fmt.Sprintf("harness: clock sweep hot counter = %d, want %d (atomicity violated)", got, hotWant))
-	}
-	for th := 0; th < threads; th++ {
-		if got := load(base + 1 + tm.Addr(th)); got != uint64(txPerThread) {
-			panic(fmt.Sprintf("harness: clock sweep thread %d counter = %d, want %d", th, got, txPerThread))
-		}
-	}
-}
-
-// CompareClocks runs one identical write-heavy workload on all four
-// runtimes under each commit-clock strategy (gv4, deferred, sharded)
-// and reports every measurement: throughput, abort rate, snapshot
-// extensions and clock CAS retries per strategy, across the whole
-// runtime matrix at once. Each run's end state is invariant-checked, so
-// the sweep doubles as a cross-runtime atomicity test for the
-// strategies.
-func CompareClocks(threads, txPerThread int) []Result {
-	var out []Result
-	for _, kind := range clock.Kinds() {
-		{
-			rt := stm.New(stm.WithClock(clock.New(kind)))
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("SwissTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunSTM(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := tl2.New(20, tl2.WithClock(clock.New(kind)))
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("TL2/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTL2(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := wtstm.New(20, wtstm.WithClock(clock.New(kind)))
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("wtstm/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunWTSTM(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, Clock: clock.New(kind)})
-			base := rt.Direct().Alloc(threads + 1)
-			w := clockSweepWorkload("TLSTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTLSTM(rt, w))
-			checkClockSweep(rt.Direct().Load, base, threads, txPerThread)
-			rt.Close()
-		}
-	}
-	return out
-}
-
-// cmSweepFill is the number of private filler reads each CompareCM
-// transaction performs after the hot-word store: the work an eager
-// runtime does while holding the hot word's write lock.
-const cmSweepFill = 48
-
-// cmSweepAlloc is the number of words a CompareCM runtime must
-// allocate: the hot word, one private counter per thread, and each
-// thread's filler region.
-func cmSweepAlloc(threads int) int { return 1 + threads + threads*cmSweepFill }
-
-// cmSweepWorkload is the CompareCM workload: every transaction
-// increments one shared hot word (taking its write lock first), yields,
-// reads its thread's filler region, and increments the thread's private
-// counter (so every transaction is a committer). The engines never yield
-// on their own, so the yield after the hot store is what makes the
-// transactions overlap on any CPU count: an eager runtime holds the hot
-// lock across a scheduler round and every other thread's increment runs
-// into it — the sustained write/write conflict the contention managers
-// exist to resolve — and a lazy one reads the hot word a round before it
-// commits.
-func cmSweepWorkload(name string, base tm.Addr, threads, txPerThread int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    2,
-		Make: func(thread, idx int) TxSeq {
-			hot := base
-			mine := base + 1 + tm.Addr(thread)
-			fill := base + 1 + tm.Addr(threads) + tm.Addr(thread*cmSweepFill)
-			return TxSeq{func(tx tm.Tx) {
-				tx.Store(hot, tx.Load(hot)+1)
-				runtime.Gosched()
-				sink := tm.SumWords(tx, fill, cmSweepFill)
-				tx.Store(mine, tx.Load(mine)+1+sink)
-			}}
-		},
-	}
-}
-
-// checkCMSweep verifies the sweep's end state: the hot word must hold
-// exactly one increment per transaction and each private counter its
-// thread's transaction count — a cross-runtime atomicity check that
-// runs under every policy, so a policy that drops, doubles or tears an
-// update is caught by the sweep itself.
-func checkCMSweep(load func(tm.Addr) uint64, base tm.Addr, threads, txPerThread int) {
-	if got, want := load(base), uint64(threads*txPerThread); got != want {
-		panic(fmt.Sprintf("harness: cm sweep hot counter = %d, want %d (atomicity violated)", got, want))
-	}
-	for th := 0; th < threads; th++ {
-		if got := load(base + 1 + tm.Addr(th)); got != uint64(txPerThread) {
-			panic(fmt.Sprintf("harness: cm sweep thread %d counter = %d, want %d", th, got, txPerThread))
-		}
-	}
-}
-
-// CompareCM runs one identical write-contended workload on all four
-// runtimes under each contention-management policy (suicide, backoff,
-// greedy, karma, taskaware) and reports every measurement: throughput,
-// abort rate, and the policy's decision counters (conflicts resolved
-// against the requester and against the owner, backoff yields charged).
-// Each run's end state is invariant-checked, so the sweep doubles as a
-// cross-runtime atomicity test for the policies.
-func CompareCM(threads, txPerThread int) []Result {
-	var out []Result
-	for _, kind := range cm.Kinds() {
-		{
-			rt := stm.New(stm.WithCM(cm.New(kind)))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("SwissTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunSTM(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := tl2.New(20, tl2.WithCM(cm.New(kind)))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TL2/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTL2(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := wtstm.New(20, wtstm.WithCM(cm.New(kind)))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("wtstm/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunWTSTM(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, CM: cm.New(kind)})
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TLSTM/"+kind.String(), base, threads, txPerThread)
-			out = append(out, RunTLSTM(rt, w))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-			rt.Close()
-		}
-	}
-	return out
-}
-
-// CompareModes runs the CompareCM conflict storm (karma contention
-// management, one hot word) on all four runtimes under each execution
-// mode policy — always-speculative, the adaptive ladder, and
-// always-serialized — and reports throughput, abort rate and the
-// ladder's fallback/recovery counters per policy. The storm is exactly
-// the workload the serialized rung exists for, so the sweep measures
-// what fallback buys (and what the serial rung costs when contention is
-// absent the ladder still pays nothing: it only engages on pressure).
-// Each run's end state is invariant-checked.
-func CompareModes(threads, txPerThread int) []Result {
-	var out []Result
-	tag := func(r Result, pol mode.Policy) Result {
-		r.Mode = pol.String()
-		return r
-	}
-	for _, pol := range mode.Policies() {
-		mc := mode.Config{Policy: pol}
-		{
-			rt := stm.New(stm.WithCM(cm.New(cm.KindKarma)), stm.WithMode(mc))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("SwissTM/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunSTM(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := tl2.New(20, tl2.WithCM(cm.New(cm.KindKarma)), tl2.WithMode(mc))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TL2/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunTL2(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := wtstm.New(20, wtstm.WithCM(cm.New(cm.KindKarma)), wtstm.WithMode(mc))
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("wtstm/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunWTSTM(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, CM: cm.New(cm.KindKarma), Mode: mc})
-			base := rt.Direct().Alloc(cmSweepAlloc(threads))
-			w := cmSweepWorkload("TLSTM/"+pol.String(), base, threads, txPerThread)
-			out = append(out, tag(RunTLSTM(rt, w), pol))
-			checkCMSweep(rt.Direct().Load, base, threads, txPerThread)
-			rt.Close()
-		}
-	}
-	return out
-}
-
-// mvSweepWords is the number of shared accounts the CompareMV workload
-// scans: large enough that a read-only transaction's validated read set
-// is worth eliding, small enough that writers keep every account warm.
-const mvSweepWords = 32
-
-// mvScanPasses is how many times a read-only scan traverses the
-// accounts, yielding between passes so writers commit mid-scan on any
-// CPU count: that is what makes the validated path pay for extensions,
-// revalidations and (TL2) aborts that the wait-free path never performs.
-const mvScanPasses = 4
-
-// readMostlyWorkload is the CompareMV workload at a given read/write
-// mix: one transaction in writerEvery is a writer that transfers one
-// unit between two accounts (total preserved), the rest are declared
-// read-only scans summing every account. Because transfers conserve the
-// (wrapping) total, any consistent snapshot sums to zero — each scan
-// asserts it, so every multi-version read is checked against tearing
-// and too-new values, not just the end state.
-func readMostlyWorkload(name string, base tm.Addr, threads, txPerThread, writerEvery int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    1,
-		Make: func(thread, idx int) TxSeq {
-			if idx%writerEvery == 0 {
-				src := (thread*7 + idx) % mvSweepWords
-				dst := (src + 1 + idx%(mvSweepWords-1)) % mvSweepWords
-				return TxSeq{func(tx tm.Tx) {
-					tx.Store(base+tm.Addr(src), tx.Load(base+tm.Addr(src))-1)
-					tx.Store(base+tm.Addr(dst), tx.Load(base+tm.Addr(dst))+1)
-				}}
-			}
-			return TxSeq{func(tx tm.Tx) {
-				var sum uint64
-				for p := 0; p < mvScanPasses; p++ {
-					if p > 0 {
-						runtime.Gosched()
-					}
-					sum += tm.SumWords(tx, base, mvSweepWords)
-				}
-				if sum != 0 {
-					panic(fmt.Sprintf("harness: mv sweep scan saw inconsistent snapshot (sum=%d, want 0)", sum))
-				}
-			}}
-		},
-		ReadOnly: func(thread, idx int) bool { return idx%writerEvery != 0 },
-	}
-}
-
-// checkMVSweep verifies the sweep's end state: transfers conserve the
-// wrapping account total, so the final sum must be zero.
-func checkMVSweep(load func(tm.Addr) uint64, base tm.Addr) {
-	var sum uint64
-	for j := 0; j < mvSweepWords; j++ {
-		sum += load(base + tm.Addr(j))
-	}
-	if sum != 0 {
-		panic(fmt.Sprintf("harness: mv sweep end state sum = %d, want 0 (atomicity violated)", sum))
-	}
-}
-
-// CompareMV runs the read-mostly account-scan workload on all four
-// runtimes at two read/write mixes (90/10 and 99/1) across retained
-// version depths K = 0 (multi-versioning off: every scan validates and
-// extends) through 3, and reports every measurement: throughput, abort
-// and extension counts, wait-free reads and fallback misses per depth.
-// Both the per-scan snapshot assertion and each run's end-state check
-// make the sweep a cross-runtime consistency test for the version
-// store.
-func CompareMV(threads, txPerThread int) []Result {
-	var out []Result
-	for _, mix := range []struct {
-		tag         string
-		writerEvery int
-	}{{"90-10", 10}, {"99-1", 100}} {
-		for k := 0; k <= 3; k++ {
-			label := func(rtName string) string {
-				return fmt.Sprintf("%s/%s/mv%d", rtName, mix.tag, k)
-			}
-			{
-				rt := stm.New(stm.WithMultiVersion(k))
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("SwissTM"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunSTM(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-			}
-			{
-				rt := tl2.New(20, tl2.WithMultiVersion(k))
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("TL2"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunTL2(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-			}
-			{
-				rt := wtstm.New(20, wtstm.WithMultiVersion(k))
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("wtstm"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunWTSTM(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-			}
-			{
-				rt := core.New(core.Config{SpecDepth: 2, MVDepth: k})
-				base := rt.Direct().Alloc(mvSweepWords)
-				w := readMostlyWorkload(label("TLSTM"), base, threads, txPerThread, mix.writerEvery)
-				out = append(out, RunTLSTM(rt, w))
-				checkMVSweep(rt.Direct().Load, base)
-				rt.Close()
-			}
-		}
-	}
-	return out
-}
-
-// shardSweepFill is the number of private filler reads each hot-word
-// CompareShards transaction performs after the hot-word store (same role
-// as cmSweepFill).
-const shardSweepFill = 48
-
-// shardSweepAlloc is the number of words a CompareShards runtime
-// allocates: a probe region the hot word is picked from, one private
-// counter per thread, and each thread's filler region.
-func shardSweepAlloc(threads int) int {
-	return shardProbeWords + threads + threads*shardSweepFill
-}
-
-// shardProbeWords sizes the region scanned for a hot word that maps to
-// shard 0. The Fibonacci index spreads any address range about evenly
-// across shards, so a few hundred candidates always contain one.
-const shardProbeWords = 512
-
-// hotWordFor returns the first address in [base, base+shardProbeWords)
-// the layout maps to shard 0, so the sweep's contention concentrates in
-// one known shard regardless of the shard count.
-func hotWordFor(base tm.Addr, layout locktable.Layout) tm.Addr {
-	for off := 0; off < shardProbeWords; off++ {
-		if layout.ShardOf(base+tm.Addr(off)) == 0 {
-			return base + tm.Addr(off)
-		}
-	}
-	return base
-}
-
-// shardSweepWorkload is the hot-word CompareShards workload: every
-// transaction increments one shared hot word chosen to live in shard 0,
-// yields while holding its lock (as cmSweepWorkload does, and for the
-// same reason), reads its thread's filler region and increments the
-// thread's private counter. All contention lands in one
-// shard, which is the configuration sharding is about: under static
-// round-robin placement every thread homed elsewhere counts each
-// conflict as cross-shard, and the affinity policy should migrate every
-// thread's home onto the hot shard and drive that counter down.
-func shardSweepWorkload(name string, hot, counters, fillers tm.Addr, threads, txPerThread int) Workload {
-	return Workload{
-		Name:        name,
-		Threads:     threads,
-		TxPerThread: txPerThread,
-		OpsPerTx:    2,
-		Make: func(thread, idx int) TxSeq {
-			mine := counters + tm.Addr(thread)
-			fill := fillers + tm.Addr(thread*shardSweepFill)
-			return TxSeq{func(tx tm.Tx) {
-				tx.Store(hot, tx.Load(hot)+1)
-				runtime.Gosched()
-				sink := tm.SumWords(tx, fill, shardSweepFill)
-				tx.Store(mine, tx.Load(mine)+1+sink)
-			}}
-		},
-	}
-}
-
-// checkShardSweep verifies the hot-word sweep's end state (one hot
-// increment per transaction, one private increment per thread
-// transaction), so the sweep doubles as an atomicity check across shard
-// counts and placement policies.
-func checkShardSweep(load func(tm.Addr) uint64, hot, counters tm.Addr, threads, txPerThread int) {
-	if got, want := load(hot), uint64(threads*txPerThread); got != want {
-		panic(fmt.Sprintf("harness: shard sweep hot counter = %d, want %d (atomicity violated)", got, want))
-	}
-	for th := 0; th < threads; th++ {
-		if got := load(counters + tm.Addr(th)); got != uint64(txPerThread) {
-			panic(fmt.Sprintf("harness: shard sweep thread %d counter = %d, want %d", th, got, txPerThread))
-		}
-	}
-}
-
-// ShardCounts is the lock-table geometry CompareShards sweeps.
-var ShardCounts = []int{1, 2, 4, 8}
-
-// CompareShards sweeps lock-table shard counts (1 = flat) across all
-// four runtimes and two contention mixes — the hot-word mix above,
-// whose conflicts concentrate in one shard, and the diffuse 90/10
-// read-mostly account mix — and, at every sharded count, runs both
-// placement policies. The rows to read against each other: at N >= 2
-// the hot-word affinity legs should show Remaps > 0 and materially
-// fewer CrossShardConflicts than their static twins (threads migrate
-// onto the hot shard), while the diffuse mix's affinity legs should
-// show no remaps at all (no shard dominates a window); N = 1 is the
-// degenerate flat layout whose throughput bounds the sharding overhead.
-// Every run's end state is invariant-checked.
-func CompareShards(threads, txPerThread int) []Result {
-	var out []Result
-	type leg struct {
-		shards   int
-		affinity bool
-	}
-	var legs []leg
-	for _, n := range ShardCounts {
-		legs = append(legs, leg{n, false})
-		if n > 1 {
-			legs = append(legs, leg{n, true})
-		}
-	}
-	label := func(rtName, mix string, l leg) string {
-		p := "static"
-		if l.affinity {
-			p = "affinity"
-		}
-		return fmt.Sprintf("%s/%s/s%d/%s", rtName, mix, l.shards, p)
-	}
-	for _, l := range legs {
-		layout := locktable.NewLayout(stm.DefaultLockTableBits, l.shards)
-		hotRun := func(rtName string, direct func() (tm.Addr, func(tm.Addr) uint64), run func(Workload) Result) {
-			base, load := direct()
-			hot := hotWordFor(base, layout)
-			counters := base + tm.Addr(shardProbeWords)
-			fillers := counters + tm.Addr(threads)
-			w := shardSweepWorkload(label(rtName, "hot", l), hot, counters, fillers, threads, txPerThread)
-			out = append(out, run(w))
-			checkShardSweep(load, hot, counters, threads, txPerThread)
-		}
-		mixRun := func(rtName string, direct func() (tm.Addr, func(tm.Addr) uint64), run func(Workload) Result) {
-			base, load := direct()
-			w := readMostlyWorkload(label(rtName, "90-10", l), base, threads, txPerThread, 10)
-			out = append(out, run(w))
-			checkMVSweep(load, base)
-		}
-		{
-			rt := stm.New(stm.WithShards(l.shards), stm.WithAffinity(l.affinity))
-			hotRun("SwissTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunSTM(rt, w) })
-			rt2 := stm.New(stm.WithShards(l.shards), stm.WithAffinity(l.affinity))
-			mixRun("SwissTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunSTM(rt2, w) })
-		}
-		{
-			rt := tl2.New(stm.DefaultLockTableBits, tl2.WithShards(l.shards), tl2.WithAffinity(l.affinity))
-			hotRun("TL2",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunTL2(rt, w) })
-			rt2 := tl2.New(stm.DefaultLockTableBits, tl2.WithShards(l.shards), tl2.WithAffinity(l.affinity))
-			mixRun("TL2",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunTL2(rt2, w) })
-		}
-		{
-			rt := wtstm.New(stm.DefaultLockTableBits, wtstm.WithShards(l.shards), wtstm.WithAffinity(l.affinity))
-			hotRun("wtstm",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunWTSTM(rt, w) })
-			rt2 := wtstm.New(stm.DefaultLockTableBits, wtstm.WithShards(l.shards), wtstm.WithAffinity(l.affinity))
-			mixRun("wtstm",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunWTSTM(rt2, w) })
-		}
-		{
-			rt := core.New(core.Config{SpecDepth: 1, Shards: l.shards, Affinity: l.affinity})
-			hotRun("TLSTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt.Direct().Alloc(shardSweepAlloc(threads)), rt.Direct().Load
-				},
-				func(w Workload) Result { return RunTLSTM(rt, w) })
-			rt.Close()
-			rt2 := core.New(core.Config{SpecDepth: 1, Shards: l.shards, Affinity: l.affinity})
-			mixRun("TLSTM",
-				func() (tm.Addr, func(tm.Addr) uint64) {
-					return rt2.Direct().Alloc(mvSweepWords), rt2.Direct().Load
-				},
-				func(w Workload) Result { return RunTLSTM(rt2, w) })
-			rt2.Close()
-		}
-	}
-	return out
 }
 
 // Series is one plotted line: label plus (x, throughput) points.

@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"tlstm/internal/clock"
-	"tlstm/internal/cm"
 	"tlstm/internal/core"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
 	"tlstm/internal/sb7"
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
+	"tlstm/internal/txrt"
 	"tlstm/internal/wtstm"
 )
 
@@ -47,6 +46,9 @@ func TestRunSTMExecutesAllTransactions(t *testing.T) {
 	}
 	if r.VirtualUnits == 0 || r.Throughput() <= 0 {
 		t.Fatal("virtual time not recorded")
+	}
+	if r.Mode != mode.Speculative.String() {
+		t.Fatalf("Mode = %q, want the runtime's %q", r.Mode, mode.Speculative)
 	}
 }
 
@@ -86,115 +88,6 @@ func TestRunWTSTMExecutesAllTransactions(t *testing.T) {
 	}
 	if r.Commits != 30 || r.VirtualUnits == 0 {
 		t.Fatalf("bad result: %+v", r)
-	}
-}
-
-// CompareClocks must cover the full strategy × runtime matrix, commit
-// everything (the sweep invariant-checks its own end state), and show
-// the strategy trade-off in the stats: pre-publishing strategies
-// produce snapshot extensions (or extra aborts on TL2, which cannot
-// extend) where GV4 produces none of either on this disjoint-write
-// workload.
-func TestCompareClocksMatrix(t *testing.T) {
-	rs := CompareClocks(2, 120)
-	if want := len(clock.Kinds()) * 4; len(rs) != want {
-		t.Fatalf("CompareClocks returned %d results, want %d (%d strategies × 4 runtimes)", len(rs), want, len(clock.Kinds()))
-	}
-	labels := map[string]bool{}
-	for _, r := range rs {
-		if labels[r.Label] {
-			t.Fatalf("duplicate label %q", r.Label)
-		}
-		labels[r.Label] = true
-		if r.Commits == 0 {
-			t.Fatalf("%s committed nothing", r.Label)
-		}
-		if r.Clock == "" {
-			t.Fatalf("%s has no clock label", r.Label)
-		}
-		if !strings.HasSuffix(r.Label, "/"+r.Clock) {
-			t.Fatalf("label %q does not carry its clock %q", r.Label, r.Clock)
-		}
-	}
-	// The deferred SwissTM run must pay in snapshot extensions; the GV4
-	// runs must not retry any clock CAS (GV4 ticks are fetch-and-add).
-	var deferredExt, gv4Retries uint64
-	for _, r := range rs {
-		if r.Clock == clock.KindDeferred.String() && strings.HasPrefix(r.Label, "SwissTM") {
-			deferredExt += r.SnapshotExtensions
-		}
-		if r.Clock == clock.KindGV4.String() {
-			gv4Retries += r.ClockCASRetries
-		}
-	}
-	if deferredExt == 0 {
-		t.Fatal("deferred SwissTM run shows no snapshot extensions: the strategy's cost is not being measured")
-	}
-	if gv4Retries != 0 {
-		t.Fatalf("GV4 runs report %d clock CAS retries, want 0", gv4Retries)
-	}
-}
-
-// CompareCM must cover the full policy × runtime matrix, commit
-// everything (the sweep invariant-checks its own end state), label each
-// run with its policy, and actually exercise the contention managers:
-// across the sweep, conflicts must have been resolved (decisions or
-// backoff charged) — a sweep with zero CM activity would compare
-// nothing.
-func TestCompareCMMatrix(t *testing.T) {
-	rs := CompareCM(2, 150)
-	if want := len(cm.Kinds()) * 4; len(rs) != want {
-		t.Fatalf("CompareCM returned %d results, want %d (%d policies × 4 runtimes)", len(rs), want, len(cm.Kinds()))
-	}
-	labels := map[string]bool{}
-	var decisions, spins uint64
-	for _, r := range rs {
-		if labels[r.Label] {
-			t.Fatalf("duplicate label %q", r.Label)
-		}
-		labels[r.Label] = true
-		if r.Commits == 0 {
-			t.Fatalf("%s committed nothing", r.Label)
-		}
-		if r.CM == "" {
-			t.Fatalf("%s has no policy label", r.Label)
-		}
-		if !strings.HasSuffix(r.Label, "/"+r.CM) {
-			t.Fatalf("label %q does not carry its policy %q", r.Label, r.CM)
-		}
-		decisions += r.CMAbortsSelf + r.CMAbortsOwner
-		spins += r.BackoffSpins
-	}
-	if decisions == 0 && spins == 0 {
-		t.Fatal("sweep produced no contention-manager activity: the workload is not contended")
-	}
-}
-
-// CompareModes must cover the full policy × runtime matrix, commit
-// everything (the sweep invariant-checks its own end state), label each
-// run with its mode policy, and the adaptive rows must keep the ladder
-// counters wired through: the per-policy Mode label is what the report
-// keys on.
-func TestCompareModesMatrix(t *testing.T) {
-	rs := CompareModes(2, 150)
-	if want := len(mode.Policies()) * 4; len(rs) != want {
-		t.Fatalf("CompareModes returned %d results, want %d (%d policies × 4 runtimes)", len(rs), want, len(mode.Policies()))
-	}
-	labels := map[string]bool{}
-	for _, r := range rs {
-		if labels[r.Label] {
-			t.Fatalf("duplicate label %q", r.Label)
-		}
-		labels[r.Label] = true
-		if r.Commits == 0 {
-			t.Fatalf("%s committed nothing", r.Label)
-		}
-		if r.Mode == "" {
-			t.Fatalf("%s has no mode label", r.Label)
-		}
-		if !strings.HasSuffix(r.Label, "/"+r.Mode) {
-			t.Fatalf("label %q does not carry its mode %q", r.Label, r.Mode)
-		}
 	}
 }
 
@@ -330,81 +223,174 @@ func TestResultSurfacesSchedulerCounters(t *testing.T) {
 	}
 }
 
-// CompareMV must cover the depth × runtime × mix matrix, commit
-// everything (every read-only scan asserts its snapshot's account
-// total in-body, and each run's end state is invariant-checked), and
-// actually engage the wait-free path: depth-0 runs report no mv reads,
-// every positive depth reports some, and read-only transactions on the
-// mv path land in the read-set histogram's zero bucket.
-func TestCompareMVMatrix(t *testing.T) {
-	rs := CompareMV(2, 200)
-	if want := 2 * 4 * 4; len(rs) != want {
-		t.Fatalf("CompareMV returned %d results, want %d (2 mixes × 4 depths × 4 runtimes)", len(rs), want)
-	}
-	labels := map[string]bool{}
-	var mvReadsOn uint64
-	for _, r := range rs {
-		if labels[r.Label] {
-			t.Fatalf("duplicate label %q", r.Label)
-		}
-		labels[r.Label] = true
-		if r.Commits != 2*200 {
-			t.Fatalf("%s committed %d, want 400", r.Label, r.Commits)
-		}
-		if r.MV == 0 {
-			if r.MVReads != 0 || r.MVMisses != 0 {
-				t.Fatalf("%s: mv counters moved with multi-versioning off: %d/%d",
-					r.Label, r.MVReads, r.MVMisses)
-			}
-			continue
-		}
-		mvReadsOn += r.MVReads
-		if !strings.Contains(r.String(), "mv=") {
-			t.Fatalf("%s: Result.String does not surface mv counters: %q", r.Label, r.String())
-		}
-		if r.ReadSetSizes[0] == 0 {
-			t.Fatalf("%s: no read-only transaction landed in the empty-read-set bucket", r.Label)
+// labelsOf lists the sweep's row labels, one engine per column: the
+// four engines' labels for each "mix/leg" (or leg) suffix in order.
+func labelsOf(suffixes ...string) []string {
+	var out []string
+	for _, sfx := range suffixes {
+		for _, e := range []string{"SwissTM", "TL2", "wtstm", "TLSTM"} {
+			out = append(out, e+"/"+sfx)
 		}
 	}
-	if mvReadsOn == 0 {
-		t.Fatal("no run with multi-versioning on served a single wait-free read")
-	}
+	return out
 }
 
-// CompareShards must cover the shard-count × placement × mix × runtime
-// matrix, commit everything (each leg's end state is invariant-checked
-// inside the sweep itself), and keep the flat degenerate case clean: at
-// one shard every conflict is by definition in the only (home) shard,
-// so N=1 rows must report zero cross-shard conflicts and zero remaps.
-func TestCompareShardsMatrix(t *testing.T) {
-	rs := CompareShards(2, 120)
-	legs := 0
-	for _, n := range ShardCounts {
-		legs++
-		if n > 1 {
-			legs++
-		}
-	}
-	if want := legs * 2 * 4; len(rs) != want {
-		t.Fatalf("CompareShards returned %d results, want %d (%d legs × 2 mixes × 4 runtimes)", len(rs), want, legs)
-	}
-	labels := map[string]bool{}
-	for _, r := range rs {
-		if labels[r.Label] {
-			t.Fatalf("duplicate label %q", r.Label)
-		}
-		labels[r.Label] = true
-		if r.Commits != 2*120 {
-			t.Fatalf("%s committed %d, want 240", r.Label, r.Commits)
-		}
-		if !strings.Contains(r.Label, fmt.Sprintf("/s%d/", r.Shards)) ||
-			!strings.HasSuffix(r.Label, "/"+r.Placement) {
-			t.Fatalf("label %q does not carry shards=%d placement=%q", r.Label, r.Shards, r.Placement)
-		}
-		if r.Shards == 1 && (r.CrossShardConflicts != 0 || r.Remaps != 0) {
-			t.Fatalf("%s: flat table reports cross-shard activity: xshard=%d remap=%d",
-				r.Label, r.CrossShardConflicts, r.Remaps)
-		}
+// Every sweep must produce exactly its row labels (the same set the
+// five per-axis sweeps produced before they became one table), commit
+// every transaction (each row's end state is also invariant-checked
+// inside the runner), carry its leg's setting in the row's own
+// configuration labels, and show the activity its axis exists to
+// measure.
+func TestSweepMatrix(t *testing.T) {
+	const threads = 2
+	for _, tc := range []struct {
+		axis   string
+		tx     int
+		labels []string
+		row    func(t *testing.T, r Result)
+		sweep  func(t *testing.T, rs []Result)
+	}{
+		{
+			axis:   "clock",
+			tx:     120,
+			labels: labelsOf("gv4", "deferred", "sharded", "gv7"),
+			row: func(t *testing.T, r Result) {
+				if !strings.HasSuffix(r.Label, "/"+r.Clock) {
+					t.Errorf("label %q does not carry its clock %q", r.Label, r.Clock)
+				}
+			},
+			// The deferred SwissTM run must pay in snapshot extensions; the GV4
+			// runs must not retry any clock CAS (GV4 ticks are fetch-and-add).
+			sweep: func(t *testing.T, rs []Result) {
+				var deferredExt, gv4Retries uint64
+				for _, r := range rs {
+					if r.Clock == clock.KindDeferred.String() && strings.HasPrefix(r.Label, "SwissTM") {
+						deferredExt += r.SnapshotExtensions
+					}
+					if r.Clock == clock.KindGV4.String() {
+						gv4Retries += r.ClockCASRetries
+					}
+				}
+				if deferredExt == 0 {
+					t.Error("deferred SwissTM run shows no snapshot extensions: the strategy's cost is not being measured")
+				}
+				if gv4Retries != 0 {
+					t.Errorf("GV4 runs report %d clock CAS retries, want 0", gv4Retries)
+				}
+			},
+		},
+		{
+			axis:   "cm",
+			tx:     150,
+			labels: labelsOf("suicide", "backoff", "greedy", "karma", "taskaware"),
+			row: func(t *testing.T, r Result) {
+				if !strings.HasSuffix(r.Label, "/"+r.CM) {
+					t.Errorf("label %q does not carry its policy %q", r.Label, r.CM)
+				}
+			},
+			// A sweep with zero contention-manager activity would compare
+			// nothing.
+			sweep: func(t *testing.T, rs []Result) {
+				var activity uint64
+				for _, r := range rs {
+					activity += r.CMAbortsSelf + r.CMAbortsOwner + r.BackoffSpins
+				}
+				if activity == 0 {
+					t.Error("sweep produced no contention-manager activity: the workload is not contended")
+				}
+			},
+		},
+		{
+			axis:   "mode",
+			tx:     150,
+			labels: labelsOf("spec", "adaptive", "serial"),
+			row: func(t *testing.T, r Result) {
+				if !strings.HasSuffix(r.Label, "/"+r.Mode) {
+					t.Errorf("label %q does not carry its mode %q", r.Label, r.Mode)
+				}
+			},
+		},
+		{
+			axis: "mv",
+			tx:   200,
+			labels: labelsOf("90-10/mv0", "90-10/mv1", "90-10/mv2", "90-10/mv3",
+				"99-1/mv0", "99-1/mv1", "99-1/mv2", "99-1/mv3"),
+			// Depth-0 runs report no mv reads, and read-only transactions on
+			// the mv path land in the read-set histogram's zero bucket.
+			row: func(t *testing.T, r Result) {
+				if !strings.HasSuffix(r.Label, fmt.Sprintf("/mv%d", r.MV)) {
+					t.Errorf("label %q does not carry its depth %d", r.Label, r.MV)
+				}
+				if r.MV == 0 {
+					if r.MVReads != 0 || r.MVMisses != 0 {
+						t.Errorf("%s: mv counters moved with multi-versioning off: %d/%d", r.Label, r.MVReads, r.MVMisses)
+					}
+					return
+				}
+				if !strings.Contains(r.String(), "mv=") {
+					t.Errorf("%s: Result.String does not surface mv counters: %q", r.Label, r.String())
+				}
+				if r.ReadSetSizes[0] == 0 {
+					t.Errorf("%s: no read-only transaction landed in the empty-read-set bucket", r.Label)
+				}
+			},
+			sweep: func(t *testing.T, rs []Result) {
+				var mvReads uint64
+				for _, r := range rs {
+					if r.MV > 0 {
+						mvReads += r.MVReads
+					}
+				}
+				if mvReads == 0 {
+					t.Error("no run with multi-versioning on served a single wait-free read")
+				}
+			},
+		},
+		{
+			axis: "shards",
+			tx:   120,
+			labels: labelsOf("hot/s1/static", "hot/s2/static", "hot/s2/affinity", "hot/s4/static",
+				"hot/s4/affinity", "hot/s8/static", "hot/s8/affinity",
+				"90-10/s1/static", "90-10/s2/static", "90-10/s2/affinity", "90-10/s4/static",
+				"90-10/s4/affinity", "90-10/s8/static", "90-10/s8/affinity"),
+			// At one shard every conflict is by definition in the only (home)
+			// shard, so N=1 rows must report zero cross-shard conflicts and
+			// zero remaps.
+			row: func(t *testing.T, r Result) {
+				if !strings.Contains(r.Label, fmt.Sprintf("/s%d/", r.Shards)) ||
+					!strings.HasSuffix(r.Label, "/"+r.Placement) {
+					t.Errorf("label %q does not carry shards=%d placement=%q", r.Label, r.Shards, r.Placement)
+				}
+				if r.Shards == 1 && (r.CrossShardConflicts != 0 || r.Remaps != 0) {
+					t.Errorf("%s: flat table reports cross-shard activity: xshard=%d remap=%d",
+						r.Label, r.CrossShardConflicts, r.Remaps)
+				}
+			},
+		},
+	} {
+		t.Run(tc.axis, func(t *testing.T) {
+			s, ok := Sweeps[tc.axis]
+			if !ok {
+				t.Fatalf("no sweep for axis %q", tc.axis)
+			}
+			rs := s.Run(threads, tc.tx)
+			var got []string
+			for _, r := range rs {
+				got = append(got, r.Label)
+			}
+			if strings.Join(got, " ") != strings.Join(tc.labels, " ") {
+				t.Fatalf("sweep rows:\n got %v\nwant %v", got, tc.labels)
+			}
+			for _, r := range rs {
+				if r.Commits != threads*uint64(tc.tx) {
+					t.Errorf("%s committed %d, want %d", r.Label, r.Commits, threads*tc.tx)
+				}
+				tc.row(t, r)
+			}
+			if tc.sweep != nil {
+				tc.sweep(t, rs)
+			}
+		})
 	}
 }
 
@@ -415,20 +401,14 @@ func TestCompareShardsMatrix(t *testing.T) {
 // size where each thread sees several remap windows.
 func TestAffinityReducesCrossShardConflictsHotWord(t *testing.T) {
 	const threads, txPerThread, shards = 6, 600, 4
-	layout := locktable.NewLayout(stm.DefaultLockTableBits, shards)
+	m := counterMix("hot", true)
 	leg := func(affinity bool) Result {
-		rt := stm.New(stm.WithShards(shards), stm.WithAffinity(affinity))
-		base := rt.Direct().Alloc(shardSweepAlloc(threads))
-		hot := hotWordFor(base, layout)
-		counters := base + tm.Addr(shardProbeWords)
-		fillers := counters + tm.Addr(threads)
-		name := "static"
-		if affinity {
-			name = "affinity"
-		}
-		w := shardSweepWorkload(name, hot, counters, fillers, threads, txPerThread)
+		c := txrt.Config{Shards: shards, Affinity: affinity}
+		rt := stm.New(withConfig(c))
+		w, check := m.build(rt.Direct(), c, threads, txPerThread)
+		w.Threads, w.TxPerThread = threads, txPerThread
 		r := RunSTM(rt, w)
-		checkShardSweep(rt.Direct().Load, hot, counters, threads, txPerThread)
+		check(rt.Direct())
 		return r
 	}
 	static := leg(false)
