@@ -324,3 +324,53 @@ func TestTracedWriterTxZeroAllocWarmed(t *testing.T) {
 		t.Fatal("recorder captured no events; the zero-alloc result would be vacuous")
 	}
 }
+
+// TestAtomicROMultiVersionZeroAlloc: a warmed declared read-only
+// transaction on the multi-version path allocates nothing, on both arms
+// of the probe (txrt.Desc.ReadMV) — the first word from memory, the
+// rest from the version ring after another thread commits in the middle
+// of the scan.
+func TestAtomicROMultiVersionZeroAlloc(t *testing.T) {
+	rt := New(Config{SpecDepth: 2, MVDepth: 2})
+	defer rt.Close()
+	reader, writer := rt.NewThread(), rt.NewThread()
+	d := rt.Direct()
+	addrs := make([]tm.Addr, 8)
+	for i := range addrs {
+		addrs[i] = d.Alloc(1)
+	}
+	var sink uint64
+	inc := func(tk *Task) {
+		for _, a := range addrs {
+			tk.Store(a, tk.Load(a)+1)
+		}
+	}
+	scan := func(tk *Task) {
+		sink += tk.Load(addrs[0])
+		if err := writer.Atomic(inc); err != nil {
+			t.Error(err)
+		}
+		for _, a := range addrs[1:] {
+			sink += tk.Load(a)
+		}
+	}
+	const runs = 200
+	for i := 0; i < 2*rt.SpecDepth(); i++ {
+		_ = reader.AtomicRO(scan) // warm both threads' descriptor rings
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := reader.AtomicRO(scan); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warmed multi-version AtomicRO allocates %.1f objects/op, want 0", n)
+	}
+	reader.Sync()
+	writer.Sync()
+	// Scans: the warm-ups, AllocsPerRun's own, then runs.
+	st := reader.Stats()
+	if want := uint64(len(addrs)) * uint64(2*rt.SpecDepth()+1+runs); st.MVReads != want || st.MVMisses != 0 {
+		t.Fatalf("MVReads=%d MVMisses=%d, want %d and 0: the scans left the multi-version path", st.MVReads, st.MVMisses, want)
+	}
+	_ = sink
+}

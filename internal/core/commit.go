@@ -232,23 +232,8 @@ func (t *Task) commitTransaction() {
 // displaced version.
 func (t *Task) validateTxReads(scr *txlog.CommitScratch) *locktable.Pair {
 	for _, task := range t.tx.tasks {
-		for i, re := range task.readLog.Entries() {
-			if re.Version == noVersion {
-				continue // speculative read; validated intra-thread
-			}
-			if i%8 == 0 {
-				t.Work++
-			}
-			cur := re.Pair.R.Load()
-			if cur == re.Version {
-				continue
-			}
-			if cur == locktable.Locked && scr != nil {
-				if pre, ours := scr.Saved(re.Pair); ours && pre == re.Version {
-					continue
-				}
-			}
-			return re.Pair
+		if failed := t.ValidateReads(&task.readLog, scr); failed != nil {
+			return failed
 		}
 	}
 	return nil
@@ -257,18 +242,13 @@ func (t *Task) validateTxReads(scr *txlog.CommitScratch) *locktable.Pair {
 // recordTxValidate records a commit-time whole-transaction validation
 // pass on the commit-task's flight recorder.
 func (t *Task) recordTxValidate(clock uint64, ok bool) {
-	if !t.Traced {
-		return
+	if t.Traced {
+		n := 0
+		for _, task := range t.tx.tasks {
+			n += task.readLog.Len()
+		}
+		t.TraceValidate(clock, n, ok)
 	}
-	var n uint64
-	for _, task := range t.tx.tasks {
-		n += uint64(task.readLog.Len())
-	}
-	aux := uint32(0)
-	if ok {
-		aux = 1
-	}
-	t.Tr.Record(txtrace.KindValidate, clock, n, aux)
 }
 
 // failTxValidation aborts the user-transaction after a failed

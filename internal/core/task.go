@@ -4,24 +4,16 @@ import (
 	"math"
 	"runtime"
 	"sync/atomic"
-	"unsafe"
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
-	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 	"tlstm/internal/xrand"
 )
-
-// noVersion marks read-log entries whose value came from a speculative
-// (intra-thread) source rather than committed state: they carry no
-// committed version to validate inter-thread; their validity is tracked
-// purely by redo-chain identity (validateTask).
-const noVersion = txlog.NoVersion
 
 // Task is one speculative task (paper §2), implementing tm.Tx for its
 // body. What used to be a SwissTM transaction is a task in TLSTM
@@ -117,7 +109,7 @@ type Task struct {
 // Read entries are txlog.ReadEntry at lock-pair granularity (SwissTM's
 // conflict granularity).
 //
-// Version is the committed version observed (noVersion for reads served
+// Version is the committed version observed (txlog.NoVersion for reads served
 // from a redo-log chain). FirstPast is the newest redo-chain entry from
 // a past task of this thread at read time (nil if none): validateTask
 // recomputes it and requires pointer identity, which subsumes the
@@ -338,26 +330,12 @@ func (t *Task) undoAttempt() {
 const horizonDead = int64(math.MaxInt64)
 
 // consistent reports whether the attempt's reads are still valid (used
-// to distinguish speculation-induced panics from real bugs).
-func (t *Task) consistent() bool {
-	if !t.validateTask() {
-		return false
-	}
-	for _, re := range t.readLog.Entries() {
-		if re.Version == noVersion {
-			continue
-		}
-		// Same rule as extendTo: a moved version on a pair we
-		// write-lock still means the read predates a conflicting
-		// commit, so the attempt is a zombie — classify it as
-		// inconsistent and restart rather than surface its panic.
-		cur := re.Pair.R.Load()
-		if cur != re.Version {
-			return false
-		}
-	}
-	return true
-}
+// to distinguish speculation-induced panics from real bugs). Same rule
+// as txrt.Desc.Extend: a moved version on a pair we write-lock still
+// means the read predates a conflicting commit, so the attempt is a
+// zombie — classify it as inconsistent and restart rather than surface
+// its panic.
+func (t *Task) consistent() bool { return t.validateTask() && t.readLog.Unchanged() }
 
 // restartKind classifies single-task rollbacks for Stats.
 type restartKind int
@@ -526,7 +504,7 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 		// recorded for inter-thread validation).
 		for e := firstPast; e != nil; e = e.Prev.Load() {
 			if v, hit := e.Lookup(a); hit {
-				t.readLog.Append(p, noVersion, firstPast)
+				t.readLog.Append(p, txlog.NoVersion, firstPast)
 				t.Work++
 				if t.Traced {
 					// Aux 2: speculative read served from a past task's
@@ -583,7 +561,7 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 		if p.R.Load() != v1 {
 			continue
 		}
-		if v1 > t.validTS && !t.extendTo(v1) {
+		if v1 > t.validTS && !t.Extend(&t.readLog, &t.validTS, v1) {
 			t.NoteConflictAt(a)
 			t.rollbackTask(restartExtend)
 		}
@@ -599,14 +577,11 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 }
 
 // loadMV is the wait-free read path of a declared read-only
-// transaction with multi-versioning on: resolve a against the
-// transaction's frozen snapshot without appending to the read log. The
-// word's current value serves when its pair's version is at most the
-// snapshot; otherwise the version store supplies the displaced value
-// whose validity interval covers the snapshot. Neither case needs
-// validation or extension — the snapshot never moves — so the only
-// exits besides a value are the whole-transaction fallback
-// (mvFallback) and the abort signals every read path polls.
+// transaction with multi-versioning on: txrt.Desc.ReadMV at the
+// transaction's frozen snapshot. The snapshot never moves, so nothing
+// is logged, validated or extended; the only exits besides a value are
+// the whole-transaction fallback (mvFallback) and the abort signals
+// every read path polls.
 func (t *Task) loadMV(a tm.Addr) uint64 {
 	t.Tick(1)
 	p := t.thr.rt.locks.For(a)
@@ -620,38 +595,20 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 			// redo chains are read through.
 			t.mvFallback()
 		}
-		v1 := p.R.Load()
-		if v1 != locktable.Locked && v1 <= t.validTS {
-			val := t.thr.rt.Store.LoadWord(a)
-			if p.R.Load() == v1 {
-				t.MVReads++
-				if t.Traced {
-					t.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
-				}
-				return val
-			}
-			continue
-		}
-		if val, from, ok := t.thr.rt.MV.ReadAt(a, t.validTS); ok {
-			t.MVReads++
-			if t.Traced {
-				// Clock carries the served version's birth stamp, not the
-				// snapshot: the opacity checker needs the observed version.
-				t.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
-			}
+		val, seen, ok := t.ReadMV(&p.R, a, t.validTS)
+		if ok {
 			return val
 		}
-		if v1 == locktable.Locked {
-			// A commit holds the r-lock for a bounded publish window; it
-			// may hand the version store exactly the displaced value the
-			// snapshot needs. Waiting on it costs parallel time.
-			t.Work += txrt.WaitRoundCost
-			runtime.Gosched()
-			continue
+		if seen != locktable.Locked {
+			// Committed past the snapshot and the ring holds no version
+			// old enough: overrun by more than MVDepth later commits.
+			t.mvFallback()
 		}
-		// Committed past the snapshot and the ring holds no version old
-		// enough: overrun by more than MVDepth later commits.
-		t.mvFallback()
+		// A commit holds the r-lock for a bounded publish window; it
+		// may hand the version store exactly the displaced value the
+		// snapshot needs. Waiting on it costs parallel time.
+		t.Work += txrt.WaitRoundCost
+		runtime.Gosched()
 	}
 }
 
@@ -665,50 +622,6 @@ func (t *Task) mvFallback() {
 	t.MVMisses++
 	t.tx.mvOff.Store(true)
 	t.abortOwnTx(txtrace.AbortSpec)
-}
-
-// extendTo revalidates the read log and advances valid-ts (SwissTM's
-// lazy snapshot extension), after asking the clock to cover the
-// witnessed stamp: pre-publishing strategies (deferred, sharded) only
-// advance on Observe, and without it the stamp that triggered the
-// extension would stay forever ahead of valid-ts and the read would
-// livelock.
-func (t *Task) extendTo(witness uint64) bool {
-	ts := t.thr.rt.Clk.Observe(witness, &t.ClkProbe)
-	for i, re := range t.readLog.Entries() {
-		if re.Version == noVersion {
-			continue
-		}
-		if i%txrt.ValidationStride == 0 {
-			t.Work++
-		}
-		cur := re.Pair.R.Load()
-		if cur == re.Version {
-			continue
-		}
-		// Pairs this task write-locks are deliberately NOT exempt:
-		// holding the chain freezes the r-lock against other threads,
-		// but the version may have moved between our read and our
-		// acquisition (a foreign commit while the pair was free), and
-		// under pipelining an earlier transaction of our own thread
-		// may publish a pair our entry sits on. Either way the read's
-		// snapshot no longer covers the extension target — the
-		// exemption let such zombies run on a mixed read set until
-		// commit-time validation, which the trace-based opacity
-		// checker flagged under high contention.
-		if t.Traced {
-			t.Tr.Record(txtrace.KindExtend, ts, witness, 0)
-		}
-		return false
-	}
-	if ts > t.validTS {
-		t.Extends++
-		if t.Traced {
-			t.Tr.Record(txtrace.KindExtend, ts, witness, 1)
-		}
-	}
-	t.validTS = ts
-	return true
 }
 
 // validateTask is Alg. 1 lines 17–31 at pair granularity: for every
@@ -863,7 +776,8 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 	// this transaction's eventual commit stamp exceeds every version it
 	// displaces, so locations never regress under pre-publishing
 	// strategies.
-	if ver := p.R.Load(); ver != locktable.Locked && ver > t.validTS && !t.extendTo(ver) {
+	if ver := p.R.Load(); ver != locktable.Locked && ver > t.validTS &&
+		!t.Extend(&t.readLog, &t.validTS, ver) {
 		t.NoteConflictAt(a)
 		t.rollbackTask(restartExtend)
 	}
@@ -905,18 +819,7 @@ func (t *Task) Retry() {
 		t.backoff = min(max(t.backoff*cfg.SpinFactor, cfg.SpinInit), cfg.SpinCell)
 		t.rollbackTask(restartRetry)
 	}
-	var fp mode.Fingerprint
-	for _, re := range t.readLog.Entries() {
-		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
-	}
-	t.ArmPark(fp, func() bool {
-		for _, re := range t.readLog.Entries() {
-			if re.Version != noVersion && re.Pair.R.Load() != re.Version {
-				return false
-			}
-		}
-		return true
-	})
+	t.ArmParkReads(&t.readLog)
 	t.rollbackTask(restartRetry)
 }
 

@@ -1,5 +1,6 @@
 // Package locktable implements SwissTM's global lock table, shared by the
-// baseline STM and the TLSTM runtime.
+// baseline STM and the TLSTM runtime, and the versioned-lock array of
+// the TL2 and write-through runtimes (VersionLocks).
 //
 // Every word address maps to a pair of locks:
 //
@@ -322,9 +323,9 @@ func (r *FreeRing) TakeCounts() (reclaims, stalls uint64) {
 const fibMult = 0x9e3779b97f4a7c15
 
 // Layout is the pure address→slot→shard mapping of a sharded lock
-// table, separated from Pair storage so the version-lock runtimes
-// (tl2, wtstm) can share the exact same sharded geometry over their
-// bare lock-word arrays. A Layout is immutable after construction; the
+// table, separated from the lock storage so Table (pairs) and
+// VersionLocks (the bare lock words of tl2 and wtstm) share the exact
+// same sharded geometry. A Layout is immutable after construction; the
 // mapping never changes at runtime (affinity remaps move threads, not
 // addresses — see internal/sched.Placement).
 //
@@ -439,9 +440,36 @@ func (t *Table) For(a tm.Addr) *Pair {
 // the reverse mapping recovers the shard by pointer arithmetic within
 // the table's single contiguous allocation.
 func (t *Table) ShardOfPair(p *Pair) int {
-	off := (uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(&t.pairs[0]))) /
-		unsafe.Sizeof(Pair{})
-	return t.ShardOfIndex(uint64(off) / t.stride)
+	return t.ShardOfIndex(offsetOf(t.pairs, p) / t.stride)
+}
+
+// offsetOf is the position of *p within s's contiguous backing array.
+func offsetOf[T any](s []T, p *T) uint64 {
+	return uint64((uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(&s[0]))) / unsafe.Sizeof(s[0]))
+}
+
+// VersionLocks is the lock storage of the version-lock runtimes (tl2,
+// wtstm): one bare versioned lock per slot of a Layout, holding a
+// version number or Locked. The zero value is unusable; build it with
+// NewVersionLocks over the runtime's Layout.
+type VersionLocks struct {
+	lay   Layout
+	words []atomic.Uint64
+}
+
+// NewVersionLocks allocates one versioned lock per slot of lay.
+func NewVersionLocks(lay Layout) VersionLocks {
+	return VersionLocks{lay: lay, words: make([]atomic.Uint64, lay.Slots())}
+}
+
+// For returns the versioned lock covering address a.
+func (v *VersionLocks) For(a tm.Addr) *atomic.Uint64 { return &v.words[v.lay.Index(a)] }
+
+// ShardOf reports the shard of a lock previously returned by For (the
+// VersionLocks counterpart of Table.ShardOfPair: read logs hold only
+// the lock pointer, not the address).
+func (v *VersionLocks) ShardOf(l *atomic.Uint64) int {
+	return v.lay.ShardOfIndex(offsetOf(v.words, l))
 }
 
 // Padded reports whether pairs are strided to one per cache line.

@@ -30,7 +30,7 @@ func TestDeferredStampRequiresExtension(t *testing.T) {
 		}
 		// The read returned, so the snapshot must now cover the stamp:
 		// the published version is ahead of the begin-time clock and is
-		// only reachable through extendTo/Observe.
+		// only reachable through Extend/Observe.
 		if tx.validTS <= before && before < tx.rt.Clk.Now() {
 			t.Fatalf("validTS did not advance over a pre-published stamp (validTS=%d, clock=%d)", tx.validTS, tx.rt.Clk.Now())
 		}

@@ -25,7 +25,7 @@ func TestExtendAdvancesValidTS(t *testing.T) {
 			close(done)
 		}()
 		<-done
-		if !tx.extend() {
+		if !tx.Extend(&tx.readLog, &tx.validTS, 0) {
 			t.Error("extension over a disjoint commit must succeed")
 		}
 		if tx.validTS <= before {
@@ -53,7 +53,7 @@ func TestExtendFailsOnOverwrittenRead(t *testing.T) {
 				close(done)
 			}()
 			<-done
-			if tx.extend() {
+			if tx.Extend(&tx.readLog, &tx.validTS, 0) {
 				t.Error("extension over an overwritten read must fail")
 			}
 			tx.abort(0)

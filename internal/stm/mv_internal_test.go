@@ -9,7 +9,7 @@ import (
 // TestMVReadOnlyLogsNothing pins the "zero validation-loop iterations"
 // half of the wait-free claim from inside the package: a committed
 // multi-version read-only transaction has an empty read log (there is
-// nothing for validate/extendTo to iterate) and an empty write log.
+// nothing for validation or extension to iterate) and an empty write log.
 func TestMVReadOnlyLogsNothing(t *testing.T) {
 	rt := New(WithMultiVersion(2))
 	d := rt.Direct()

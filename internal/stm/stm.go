@@ -318,7 +318,7 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 		if p.R.Load() != v1 {
 			continue // torn read: version moved underneath us
 		}
-		if v1 > tx.validTS && !tx.extendTo(v1) {
+		if v1 > tx.validTS && !tx.Extend(&tx.readLog, &tx.validTS, v1) {
 			tx.NoteConflictAt(a)
 			tx.abort(txtrace.AbortExtend)
 		}
@@ -334,100 +334,29 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 }
 
 // loadMV is the wait-free read path of a declared read-only transaction
-// under multi-versioning: serve the newest version with timestamp <=
-// the frozen snapshot — from memory when the current version qualifies,
-// else from the version ring — logging nothing and never validating. A
-// ring overrun (more than K commits displaced the version the snapshot
-// needs) re-runs the whole transaction on the validated path: the
-// snapshot cannot be extended in place, because the reads taken so far
-// were unlogged and could not be revalidated forward.
+// under multi-versioning (txrt.Desc.ReadMV at the frozen snapshot). A
+// committer holding the pair Locked is waited out: its displaced
+// version lands in the ring. A ring overrun re-runs the whole
+// transaction validated.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
 	tx.Tick(1)
 	p := tx.rt.locks.For(a)
 	for {
-		v1 := p.R.Load()
-		if v1 != locktable.Locked && v1 <= tx.validTS {
-			val := tx.rt.Store.LoadWord(a)
-			if p.R.Load() == v1 {
-				tx.MVReads++
-				if tx.Traced {
-					tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
-				}
-				return val
-			}
-			continue // torn read: version moved underneath us
-		}
-		if val, from, ok := tx.rt.MV.ReadAt(a, tx.validTS); ok {
-			tx.MVReads++
-			if tx.Traced {
-				// Clock carries the served version's birth stamp, not the
-				// snapshot: the opacity checker needs the observed version.
-				tx.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
-			}
+		val, seen, ok := tx.ReadMV(&p.R, a, tx.validTS)
+		if ok {
 			return val
 		}
-		if v1 == locktable.Locked {
-			// A committer is publishing this pair; its displaced version
-			// lands in the ring, so wait out the brief lock and retry.
-			runtime.Gosched()
-			continue
+		if seen != locktable.Locked {
+			tx.ExitMV(tx.validTS, txtrace.AbortSpec)
 		}
-		tx.MVMisses++
-		tx.MVOn = false
-		tx.abort(txtrace.AbortSpec)
+		runtime.Gosched()
 	}
-}
-
-// extend implements lazy snapshot extension: revalidate the read log at
-// the current commit timestamp and advance valid-ts on success.
-func (tx *Tx) extend() bool { return tx.extendTo(0) }
-
-// extendTo is extend with a witnessed stamp: the clock is first asked
-// to cover `witness` (pre-publishing strategies advance on Observe —
-// without it a deferred or sharded clock would never catch up to the
-// stamp that sent us here and the read would livelock).
-func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.Clk.Observe(witness, &tx.ClkProbe)
-	for i, re := range tx.readLog.Entries() {
-		if i%txrt.ValidationStride == 0 {
-			tx.Work++
-		}
-		cur := re.Pair.R.Load()
-		if cur == re.Version {
-			continue
-		}
-		// No exemption for pairs whose w-lock we hold: owning the
-		// w-lock freezes the r-lock from acquisition onward, but the
-		// version may have moved between our read and our acquisition
-		// (another transaction committed the pair while it was free).
-		// Skipping the check here let exactly that zombie extend its
-		// snapshot past the conflicting commit and keep running on a
-		// mixed read set until commit-time validation — the opacity
-		// violation the trace checker flagged under high contention.
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindExtend, ts, witness, 0)
-		}
-		return false
-	}
-	if ts > tx.validTS {
-		tx.Extends++
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindExtend, ts, witness, 1)
-		}
-	}
-	tx.validTS = ts
-	return true
 }
 
 // Store implements tm.Tx: eager w-lock acquisition with redo logging.
 func (tx *Tx) Store(a tm.Addr, v uint64) {
 	if tx.MVOn {
-		// A store in a declared read-only transaction: the earlier
-		// multi-version reads were unlogged at a frozen snapshot, so the
-		// attempt cannot be upgraded in place — re-run it on the
-		// validated read-write path.
-		tx.MVOn = false
-		tx.abort(txtrace.AbortSpec)
+		tx.ExitMV(tx.validTS, txtrace.AbortSpec) // undeclared store
 	}
 	tx.Tick(2)
 	p := tx.rt.locks.For(a)
@@ -463,7 +392,8 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 	}
 	// Mirror of TLSTM Alg. 2 line 52: if the location moved past our
 	// snapshot, extend or die.
-	if ver := p.R.Load(); ver != locktable.Locked && ver > tx.validTS && !tx.extendTo(ver) {
+	if ver := p.R.Load(); ver != locktable.Locked && ver > tx.validTS &&
+		!tx.Extend(&tx.readLog, &tx.validTS, ver) {
 		tx.NoteConflictAt(a)
 		tx.abort(txtrace.AbortExtend)
 	}
@@ -477,24 +407,9 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // against a new snapshot, so the predicate is simply re-evaluated.
 func (tx *Tx) Retry() {
 	if tx.MVOn {
-		// Multi-version reads are unlogged: there is nothing to
-		// fingerprint or validate. Re-run on the validated path, where
-		// the next Retry can park.
-		tx.MVOn = false
-		tx.abort(txtrace.AbortRetry)
+		tx.ExitMV(tx.validTS, txtrace.AbortRetry) // the validated re-run parks
 	}
-	var fp mode.Fingerprint
-	for _, re := range tx.readLog.Entries() {
-		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
-	}
-	tx.ArmPark(fp, func() bool {
-		for _, re := range tx.readLog.Entries() {
-			if re.Pair.R.Load() != re.Version {
-				return false
-			}
-		}
-		return true
-	})
+	tx.ArmParkReads(&tx.readLog)
 	tx.abort(txtrace.AbortRetry)
 }
 
@@ -503,10 +418,7 @@ func (tx *Tx) commit() {
 	if tx.writeLog.Len() == 0 {
 		// Read-only transactions are consistent by construction at
 		// valid-ts; nothing to publish.
-		tx.ApplyFrees()
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindCommit, tx.validTS, 0, 0)
-		}
+		tx.Committed(tx.validTS, 0)
 		return
 	}
 	tx.checkSignals()
@@ -523,14 +435,10 @@ func (tx *Tx) commit() {
 
 	ts := tx.rt.Clk.Tick(&tx.ClkProbe)
 
-	failed := tx.validateCommit()
-	if tx.Traced {
-		var aux uint32
-		if failed == nil {
-			aux = 1
-		}
-		tx.Tr.Record(txtrace.KindValidate, ts, uint64(tx.readLog.Len()), aux)
-	}
+	// Pairs this commit r-locked compare against the version they had
+	// when we locked them.
+	failed := tx.ValidateReads(&tx.readLog, &tx.scratch)
+	tx.TraceValidate(ts, tx.readLog.Len(), failed == nil)
 	if failed != nil {
 		tx.scratch.Restore()
 		tx.NoteConflict(tx.rt.locks.ShardOfPair(failed))
@@ -576,34 +484,7 @@ func (tx *Tx) commit() {
 		}
 		hub.Notify(fp)
 	}
-	tx.ApplyFrees()
-	if tx.Traced {
-		tx.Tr.Record(txtrace.KindCommit, ts, uint64(tx.writeLog.Len()), 0)
-	}
-}
-
-// validateCommit re-checks the read log; pairs this commit holds
-// r-locked compare against the version they had when we locked them
-// (the commit scratch remembers exactly that). It returns the first
-// pair that fails validation (for shard attribution), or nil when the
-// whole read set is still consistent.
-func (tx *Tx) validateCommit() *locktable.Pair {
-	for i, re := range tx.readLog.Entries() {
-		if i%txrt.ValidationStride == 0 {
-			tx.Work++
-		}
-		cur := re.Pair.R.Load()
-		if cur == re.Version {
-			continue
-		}
-		if cur == locktable.Locked {
-			if pre, ours := tx.scratch.Saved(re.Pair); ours && pre == re.Version {
-				continue
-			}
-		}
-		return re.Pair
-	}
-	return nil
+	tx.Committed(ts, tx.writeLog.Len())
 }
 
 var _ tm.Tx = (*Tx)(nil)

@@ -28,10 +28,10 @@ package tl2
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"tlstm/internal/cm"
+	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
@@ -39,9 +39,6 @@ import (
 	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 )
-
-// locked marks a versioned lock held by a committing transaction.
-const locked = ^uint64(0)
 
 // Option configures a Runtime; the options are the engine kit's.
 type Option = txrt.Option
@@ -60,7 +57,7 @@ var (
 // versioned write-lock array (each word a version or locked).
 type Runtime struct {
 	txrt.Env
-	locks  []atomic.Uint64
+	locks  locktable.VersionLocks
 	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
 }
 
@@ -70,21 +67,8 @@ func New(bits int, opts ...Option) *Runtime {
 	c.Apply(opts)
 	rt := &Runtime{}
 	rt.Init("tl2", mem.NewStore(), c, cm.KindSuicide)
-	rt.locks = make([]atomic.Uint64, rt.Layout.Slots())
+	rt.locks = locktable.NewVersionLocks(rt.Layout)
 	return rt
-}
-
-func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
-	return &rt.locks[rt.Layout.Index(a)]
-}
-
-// lockShard recovers the shard of a lock word previously returned by
-// lockFor, by pointer arithmetic within the contiguous lock array
-// (read-set validation holds only the lock pointer, not the address).
-func (rt *Runtime) lockShard(l *atomic.Uint64) int {
-	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&rt.locks[0]))) /
-		unsafe.Sizeof(atomic.Uint64{})
-	return rt.Layout.ShardOfIndex(uint64(idx))
 }
 
 // Stats accumulates commits, aborts and work units across Atomic calls
@@ -181,11 +165,11 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 	if v, buffered := tx.writeSet.Get(a); buffered {
 		return v
 	}
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	waited := 0
 	for {
 		v1 := l.Load()
-		if v1 == locked {
+		if v1 == locktable.Locked {
 			// Locked by a committing transaction mid-publish: the
 			// policy decides between riding the publish out and
 			// aborting (the Suicide default waits — the hold is short
@@ -217,57 +201,30 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 }
 
 // loadMV is the wait-free read path of a declared read-only transaction
-// under multi-versioning: serve the newest version with timestamp <=
-// the frozen read version — from memory when the current version
-// qualifies, else from the version ring — logging nothing. Where
-// baseline TL2 aborts on any read past rv, a declared reader only
-// leaves this path (and re-runs validated) when the ring has been
-// overrun by more than K commits.
+// under multi-versioning (txrt.Desc.ReadMV at the frozen read version).
+// Where baseline TL2 aborts on any read past rv, a declared reader waits
+// out a committer's brief hold (its displaced version lands in the
+// ring) and only leaves this path, re-running validated, when the ring
+// has been overrun by more than K commits.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
 	tx.Tick(1)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	for {
-		v1 := l.Load()
-		if v1 != locked && v1 <= tx.rv {
-			val := tx.rt.Store.LoadWord(a)
-			if l.Load() == v1 {
-				tx.MVReads++
-				if tx.Traced {
-					tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
-				}
-				return val
-			}
-			continue // torn read: version moved underneath us
-		}
-		if val, from, ok := tx.rt.MV.ReadAt(a, tx.rv); ok {
-			tx.MVReads++
-			if tx.Traced {
-				// Clock carries the served version's birth stamp, not the
-				// snapshot: the opacity checker needs the observed version.
-				tx.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
-			}
+		val, seen, ok := tx.ReadMV(l, a, tx.rv)
+		if ok {
 			return val
 		}
-		if v1 == locked {
-			// A committer is publishing this lock; its displaced version
-			// lands in the ring, so wait out the brief hold and retry.
-			runtime.Gosched()
-			continue
+		if seen != locktable.Locked {
+			tx.ExitMV(tx.rv, txtrace.AbortSpec)
 		}
-		tx.MVMisses++
-		tx.MVOn = false
-		tx.abort(txtrace.AbortSpec)
+		runtime.Gosched()
 	}
 }
 
 // Store implements tm.Tx: writes buffer in the write set until commit.
 func (tx *Tx) Store(a tm.Addr, v uint64) {
 	if tx.MVOn {
-		// A store in a declared read-only transaction: the earlier
-		// multi-version reads were unlogged at a frozen read version, so
-		// re-run the attempt on the validated read-write path.
-		tx.MVOn = false
-		tx.abort(txtrace.AbortSpec)
+		tx.ExitMV(tx.rv, txtrace.AbortSpec) // undeclared store
 	}
 	tx.Tick(2)
 	tx.writeSet.Put(a, v)
@@ -282,10 +239,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // snapshot.
 func (tx *Tx) Retry() {
 	if tx.MVOn {
-		// Multi-version reads are unlogged: nothing to fingerprint.
-		// Re-run on the validated path, where the next Retry can park.
-		tx.MVOn = false
-		tx.abort(txtrace.AbortRetry)
+		tx.ExitMV(tx.rv, txtrace.AbortRetry) // the validated re-run parks
 	}
 	var fp mode.Fingerprint
 	for _, l := range tx.readLog.Locks() {
@@ -293,7 +247,7 @@ func (tx *Tx) Retry() {
 	}
 	tx.ArmPark(fp, func() bool {
 		for _, l := range tx.readLog.Locks() {
-			if v := l.Load(); v == locked || v > tx.rv {
+			if v := l.Load(); v == locktable.Locked || v > tx.rv {
 				return false
 			}
 		}
@@ -308,22 +262,19 @@ func (tx *Tx) Retry() {
 func (tx *Tx) commit() {
 	if tx.writeSet.Len() == 0 {
 		// Read-only: already validated against rv at every read.
-		tx.ApplyFrees()
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
-		}
+		tx.Committed(tx.rv, 0)
 		return
 	}
 
 	for _, a := range tx.writeSet.SortedAddrs() {
-		l := tx.rt.lockFor(a)
+		l := tx.rt.locks.For(a)
 		if tx.held.Holds(l) {
 			continue
 		}
 		waited := 0
 		for {
 			v := l.Load()
-			if v == locked {
+			if v == locktable.Locked {
 				// A competing committer holds this lock. Address-order
 				// acquisition rules out committer/committer deadlock,
 				// so waiting is safe; whether to wait or abort is the
@@ -340,7 +291,7 @@ func (tx *Tx) commit() {
 				tx.NoteConflictAt(a)
 				tx.abort(txtrace.AbortConflict)
 			}
-			if l.CompareAndSwap(v, locked) {
+			if l.CompareAndSwap(v, locktable.Locked) {
 				tx.held.Add(l, v)
 				break
 			}
@@ -360,29 +311,18 @@ func (tx *Tx) commit() {
 			if i%txrt.ValidationStride == 0 {
 				tx.Work++
 			}
-			v := l.Load()
-			if v == locked {
-				if !tx.held.Holds(l) {
-					if tx.Traced {
-						tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
-					}
-					tx.NoteConflict(tx.rt.lockShard(l))
-					tx.abort(txtrace.AbortValidation)
+			// Locked is above every read version; a lock this commit
+			// holds is the one exemption.
+			if v := l.Load(); v > tx.rv && (v != locktable.Locked || !tx.held.Holds(l)) {
+				tx.TraceValidate(wv, tx.readLog.Len(), false)
+				if v != locktable.Locked {
+					tx.rt.Clk.Observe(v, &tx.ClkProbe)
 				}
-				continue
-			}
-			if v > tx.rv {
-				if tx.Traced {
-					tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
-				}
-				tx.rt.Clk.Observe(v, &tx.ClkProbe)
-				tx.NoteConflict(tx.rt.lockShard(l))
+				tx.NoteConflict(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
-		}
+		tx.TraceValidate(wv, tx.readLog.Len(), true)
 	}
 
 	// Feed the multi-version store while memory still holds the values
@@ -390,7 +330,7 @@ func (tx *Tx) commit() {
 	// was the committed value over [displaced lock version, wv).
 	if mv := tx.rt.MV; mv != nil {
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
-			pre, _ := tx.held.Displaced(tx.rt.lockFor(a))
+			pre, _ := tx.held.Displaced(tx.rt.locks.For(a))
 			mv.Publish(a, tx.rt.Store.LoadWord(a), pre, wv)
 		})
 	}
@@ -408,12 +348,9 @@ func (tx *Tx) commit() {
 	if hub := tx.rt.Hub; hub.Active() {
 		var fp mode.Fingerprint
 		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
-			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.lockFor(a))))
+			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.locks.For(a))))
 		})
 		hub.Notify(fp)
 	}
-	tx.ApplyFrees()
-	if tx.Traced {
-		tx.Tr.Record(txtrace.KindCommit, wv, uint64(tx.writeSet.Len()), 0)
-	}
+	tx.Committed(wv, tx.writeSet.Len())
 }

@@ -70,6 +70,19 @@ func (rl *ReadLog) Entries() []ReadEntry { return rl.entries }
 // Len reports the number of recorded reads.
 func (rl *ReadLog) Len() int { return len(rl.entries) }
 
+// Unchanged reports whether every committed read still finds its pair at
+// the version read (a read served from a redo chain, NoVersion, has
+// none). It charges no work: the validation the virtual-time model
+// charges is txrt.Desc.ValidateReads.
+func (rl *ReadLog) Unchanged() bool {
+	for _, re := range rl.entries {
+		if re.Version != NoVersion && re.Pair.R.Load() != re.Version {
+			return false
+		}
+	}
+	return true
+}
+
 // WriteLog is a transaction's (or task's) ordered set of write-lock
 // entries, with a pool of retired entries (locktable.FreeRing).
 //

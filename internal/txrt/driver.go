@@ -356,6 +356,15 @@ func (d *Desc) ApplyFrees() {
 	}
 }
 
+// Committed closes a committed attempt: it applies the deferred frees
+// and records the commit at ts, with its write-set size, on the trace.
+func (d *Desc) Committed(ts uint64, writes int) {
+	d.ApplyFrees()
+	if d.Traced {
+		d.Tr.Record(txtrace.KindCommit, ts, uint64(writes), 0)
+	}
+}
+
 // ReleaseAllocs returns the attempt's fresh blocks to the allocator: the
 // attempt is dead.
 func (d *Desc) ReleaseAllocs() {

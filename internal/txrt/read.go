@@ -1,0 +1,158 @@
+package txrt
+
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"tlstm/internal/locktable"
+	"tlstm/internal/mode"
+	"tlstm/internal/tm"
+	"tlstm/internal/txlog"
+	"tlstm/internal/txtrace"
+)
+
+// The read side every runtime shares: the multi-version probe and exit
+// of a declared read-only transaction (all four runtimes), and SwissTM's
+// snapshot extension and commit-time read validation over a pair read
+// log (stm, core). The callers keep what differs between them: how to
+// wait on a Locked version, how to abort, and core's own-thread chain
+// check.
+
+// ReadMV serves word a at snapshot snap on the multi-version wait-free
+// path, logging nothing and never validating. ver is a's version word
+// (a pair's r-lock or a bare versioned lock, locktable.Locked while a
+// committer holds it). The current value serves when ver is at most
+// snap and stable around the plain memory read; otherwise the version
+// store supplies the displaced value whose validity interval covers
+// snap. On a hit it counts one MVReads and traces the version served.
+//
+// When neither serves, ok is false and seen is the version found: Locked
+// means a committer is publishing the word and may hand the ring exactly
+// the version snap needs (the caller's wait policy decides); anything
+// else is a ring overrun, and the caller leaves the path (ExitMV).
+func (d *Desc) ReadMV(ver *atomic.Uint64, a tm.Addr, snap uint64) (val, seen uint64, ok bool) {
+	for {
+		seen = ver.Load()
+		if seen != locktable.Locked && seen <= snap {
+			val = d.env.Store.LoadWord(a)
+			if ver.Load() != seen {
+				continue // torn read: version moved underneath us
+			}
+		} else if v, from, hit := d.env.MV.ReadAt(a, snap); hit {
+			val, seen = v, from
+		} else {
+			return 0, seen, false
+		}
+		d.MVReads++
+		if d.Traced {
+			// Clock carries the served version's birth stamp, not the
+			// snapshot: the opacity checker needs the observed version.
+			d.Tr.Record(txtrace.KindRead, seen, uint64(a), 1)
+		}
+		return val, seen, true
+	}
+}
+
+// ExitMV leaves the multi-version path for the rest of the transaction
+// and aborts the attempt (snap is its snapshot), so the re-run reads
+// validated: on a ring overrun, on a store, and on Retry. The attempt
+// cannot be moved in place, because its reads so far were unlogged at
+// a frozen snapshot and cannot be revalidated forward or fingerprinted.
+// Each exit counts one MVMisses.
+func (d *Desc) ExitMV(snap uint64, reason uint32) {
+	d.MVMisses++
+	d.MVOn = false
+	d.Abort(snap, reason)
+}
+
+// Extend is SwissTM's lazy snapshot extension over a pair read log
+// (ExtendWith, revalidating rl).
+//
+// Pairs the caller write-locks get no exemption: holding the w-lock
+// freezes the r-lock against other committers, but the version may have
+// moved between the read and the acquisition (and under TLSTM's
+// pipelining an earlier transaction of the same thread may publish a
+// pair the task's entry sits on). Either way the snapshot no longer
+// covers the read, and the exemption let such a zombie extend past the
+// conflicting commit and run on a mixed read set until commit-time
+// validation — the opacity violation the trace checker flagged under
+// high contention.
+func (d *Desc) Extend(rl *txlog.ReadLog, snap *uint64, witness uint64) bool {
+	return d.ExtendWith(snap, witness, func() bool { return d.ValidateReads(rl, nil) == nil })
+}
+
+// ExtendWith is the snapshot-extension protocol around a read-set check:
+// ask the clock to cover witness, run valid and, on success, advance
+// *snap to the clock's time. Pre-publishing clocks (deferred, sharded)
+// only advance on Observe; without it the stamp that sent the caller
+// here would stay ahead of *snap forever and the read would livelock.
+func (d *Desc) ExtendWith(snap *uint64, witness uint64, valid func() bool) bool {
+	ts := d.env.Clk.Observe(witness, &d.ClkProbe)
+	if !valid() {
+		if d.Traced {
+			d.Tr.Record(txtrace.KindExtend, ts, witness, 0)
+		}
+		return false
+	}
+	if ts > *snap {
+		d.Extends++
+		if d.Traced {
+			d.Tr.Record(txtrace.KindExtend, ts, witness, 1)
+		}
+	}
+	*snap = ts
+	return true
+}
+
+// ValidateReads checks every committed read of rl against its pair's
+// current version and returns the first pair that moved (for shard
+// attribution), or nil when the reads still hold. Reads served from a
+// redo chain (txlog.NoVersion) are validated intra-thread, not here.
+// scr, when non-nil, is the caller's commit scratch: a pair it r-locked
+// compares against the version the commit displaced from it. The work
+// charge is one unit per ValidationStride entries.
+func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) *locktable.Pair {
+	for i, re := range rl.Entries() {
+		if re.Version == txlog.NoVersion {
+			continue
+		}
+		if i%ValidationStride == 0 {
+			d.Work++
+		}
+		cur := re.Pair.R.Load()
+		if cur == re.Version {
+			continue
+		}
+		if cur == locktable.Locked && scr != nil {
+			if pre, ours := scr.Saved(re.Pair); ours && pre == re.Version {
+				continue
+			}
+		}
+		return re.Pair
+	}
+	return nil
+}
+
+// TraceValidate records a commit-time read validation of n reads at
+// clock ts and its verdict.
+func (d *Desc) TraceValidate(ts uint64, n int, ok bool) {
+	if d.Traced {
+		var aux uint32
+		if ok {
+			aux = 1
+		}
+		d.Tr.Record(txtrace.KindValidate, ts, uint64(n), aux)
+	}
+}
+
+// ArmParkReads is Retry's park over a pair read log (stm, core): the
+// fingerprint is the pairs read, the revalidation their committed
+// versions (reads served from a redo chain carry none). The caller
+// unwinds next.
+func (d *Desc) ArmParkReads(rl *txlog.ReadLog) {
+	var fp mode.Fingerprint
+	for _, re := range rl.Entries() {
+		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
+	}
+	d.ArmPark(fp, rl.Unchanged)
+}

@@ -33,7 +33,10 @@ type Counters struct {
 	HorizonStalls uint64
 	// MVReads counts reads served on the multi-version wait-free path;
 	// MVMisses counts declared read-only transactions that fell off it
-	// (ring overrun or an undeclared write) and re-ran validated.
+	// (ring overrun, an undeclared write, or a Retry, whose unlogged
+	// reads leave nothing to park on) and re-ran validated — one per
+	// exit, the same in all four runtimes (Desc.ExitMV; core's
+	// mvFallback).
 	MVReads  uint64
 	MVMisses uint64
 	// ReadSetSizes and WriteSetSizes histogram the set sizes at commit

@@ -10,7 +10,10 @@
 //     contention manager, version store, placement, mode gate, Retry hub
 //     (this file);
 //   - Desc / Thread / Algorithm: the transaction descriptor and the
-//     flat-transaction driver (driver.go).
+//     flat-transaction driver (driver.go);
+//   - the shared read side: the multi-version probe and exit (ReadMV,
+//     ExitMV), SwissTM's snapshot extension (Extend) and commit-time
+//     read validation (ValidateReads) (read.go).
 //
 // A flat runtime's *Tx embeds Desc, implements tm.Tx, and supplies:
 //
@@ -20,7 +23,8 @@
 //	SetSizes()         the committed attempt's read- and write-set sizes
 //	Load, Store, Retry the algorithm's access path; it aborts through
 //	                   Desc.Abort / Desc.ResolveConflict, charges work
-//	                   through Desc.Tick and arms Retry with Desc.ArmPark
+//	                   through Desc.Tick, arms Retry with Desc.ArmPark
+//	                   and reads multi-versioned through Desc.ReadMV
 //
 // Desc.Run calls the first four through the Algorithm interface once
 // per attempt and owns everything else: retry loop, mode ladder and

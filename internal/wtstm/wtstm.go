@@ -34,6 +34,7 @@ import (
 	"unsafe"
 
 	"tlstm/internal/cm"
+	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
@@ -41,9 +42,6 @@ import (
 	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 )
-
-// locked marks a versioned lock held by a writing transaction.
-const locked = ^uint64(0)
 
 // Option configures a Runtime; the options are the engine kit's.
 type Option = txrt.Option
@@ -70,7 +68,7 @@ var (
 // environment plus the versioned lock array.
 type Runtime struct {
 	txrt.Env
-	locks  []atomic.Uint64
+	locks  locktable.VersionLocks
 	txPool sync.Pool // *Tx descriptors, reused across Atomic calls
 }
 
@@ -80,21 +78,8 @@ func New(bits int, opts ...Option) *Runtime {
 	c.Apply(opts)
 	rt := &Runtime{}
 	rt.Init("wtstm", mem.NewStore(), c, cm.KindSuicide)
-	rt.locks = make([]atomic.Uint64, rt.Layout.Slots())
+	rt.locks = locktable.NewVersionLocks(rt.Layout)
 	return rt
-}
-
-func (rt *Runtime) lockFor(a tm.Addr) *atomic.Uint64 {
-	return &rt.locks[rt.Layout.Index(a)]
-}
-
-// lockShard recovers the shard of a lock word previously returned by
-// lockFor, by pointer arithmetic within the contiguous lock array
-// (read-set validation holds only the lock pointer, not the address).
-func (rt *Runtime) lockShard(l *atomic.Uint64) int {
-	idx := (uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(&rt.locks[0]))) /
-		unsafe.Sizeof(atomic.Uint64{})
-	return rt.Layout.ShardOfIndex(uint64(idx))
 }
 
 // Stats accumulates commits, aborts and work units (txrt.Stats). This
@@ -219,7 +204,7 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 		return tx.loadMV(a)
 	}
 	tx.Tick(1)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	if tx.held.Holds(l) {
 		// We hold the lock: memory already has our in-place value.
 		return tx.rt.Store.LoadWord(a)
@@ -227,7 +212,7 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 	waited := 0
 	for {
 		v1 := l.Load()
-		if v1 == locked {
+		if v1 == locktable.Locked {
 			// Uncommitted in-place data from another transaction: a
 			// write-through design cannot read around it. The policy
 			// decides between waiting the owner out and aborting (the
@@ -263,95 +248,58 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 }
 
 // loadMV is the wait-free read path of a declared read-only transaction
-// under multi-versioning: serve the newest version with timestamp <=
-// the frozen read version — from memory when the current version
-// qualifies, else from the version ring — logging nothing and never
-// consulting the contention manager. For this write-through runtime the
-// ring is what lets a reader pass a word another transaction holds
-// eagerly locked for its whole lifetime: memory holds uncommitted
-// in-place data, but the last committed versions are retained. A miss
-// (ring overrun, or a locked word whose committed value predates the
-// ring) re-runs the whole transaction validated — the owner can hold
-// the lock arbitrarily long, so waiting here is not an option.
+// under multi-versioning (txrt.Desc.ReadMV at the frozen read version),
+// never consulting the contention manager. For this write-through
+// runtime the ring is what lets a reader pass a word another
+// transaction holds eagerly locked for its whole lifetime: memory holds
+// uncommitted in-place data, but the last committed versions are
+// retained. A miss (ring overrun, or a locked word whose committed
+// value predates the ring) re-runs the whole transaction validated —
+// the owner can hold the lock arbitrarily long, so waiting here is not
+// an option.
 func (tx *Tx) loadMV(a tm.Addr) uint64 {
 	tx.Tick(1)
-	l := tx.rt.lockFor(a)
-	for {
-		v1 := l.Load()
-		if v1 != locked && v1 <= tx.rv {
-			val := tx.rt.Store.LoadWord(a)
-			if l.Load() == v1 {
-				tx.MVReads++
-				if tx.Traced {
-					tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 1)
-				}
-				return val
-			}
-			continue // torn read: version moved underneath us
-		}
-		if val, from, ok := tx.rt.MV.ReadAt(a, tx.rv); ok {
-			tx.MVReads++
-			if tx.Traced {
-				// Clock carries the served version's birth stamp, not the
-				// snapshot: the opacity checker needs the observed version.
-				tx.Tr.Record(txtrace.KindRead, from, uint64(a), 1)
-			}
-			return val
-		}
-		tx.MVMisses++
-		tx.MVOn = false
-		tx.abort(txtrace.AbortSpec)
+	val, _, ok := tx.ReadMV(tx.rt.locks.For(a), a, tx.rv)
+	if !ok {
+		tx.ExitMV(tx.rv, txtrace.AbortSpec)
 	}
+	return val
 }
 
-// extendTo revalidates the read log and advances rv after asking the
-// clock to cover the witnessed stamp (pre-publishing strategies only
-// advance on Observe; without it the stamp that sent us here would
-// stay forever ahead of rv and the read would livelock).
+// extendTo is the snapshot extension (txrt.Desc.ExtendWith) over the
+// lock log. Unlike SwissTM's it exempts the locks this transaction
+// holds: a held lock reads Locked, not the version read.
 func (tx *Tx) extendTo(witness uint64) bool {
-	ts := tx.rt.Clk.Observe(witness, &tx.ClkProbe)
+	return tx.ExtendWith(&tx.rv, witness, func() bool { return tx.staleRead() == nil })
+}
+
+// staleRead returns the first logged lock whose version moved since the
+// read and that this transaction does not hold, or nil when every read
+// still holds. The work charge is one unit per ValidationStride entries.
+func (tx *Tx) staleRead() *atomic.Uint64 {
 	for i, re := range tx.readLog.Entries() {
 		if i%txrt.ValidationStride == 0 {
 			tx.Work++
 		}
-		v := re.Lock.Load()
-		if v == re.Version {
-			continue
-		}
-		if tx.held.Holds(re.Lock) {
-			continue
-		}
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindExtend, ts, witness, 0)
-		}
-		return false
-	}
-	if ts > tx.rv {
-		tx.Extends++
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindExtend, ts, witness, 1)
+		if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
+			return re.Lock
 		}
 	}
-	tx.rv = ts
-	return true
+	return nil
 }
 
 // Store implements tm.Tx: eager lock, undo log, in-place update.
 func (tx *Tx) Store(a tm.Addr, v uint64) {
 	if tx.MVOn {
-		// A store in a declared read-only transaction: the earlier
-		// multi-version reads were unlogged at a frozen read version, so
-		// re-run the attempt on the validated read-write path.
-		tx.MVOn = false
-		tx.abort(txtrace.AbortSpec)
+		tx.ExitMV(tx.rv, txtrace.AbortSpec) // undeclared store
 	}
 	tx.Tick(2)
-	l := tx.rt.lockFor(a)
+	l := tx.rt.locks.For(a)
 	if !tx.held.Holds(l) {
 		waited := 0
 		for {
 			cur := l.Load()
-			if cur == locked {
+			if cur == locktable.Locked {
 				// Writer/writer conflict against an anonymous eager
 				// lock: the policy decides (Suicide: one grace yield,
 				// then self-abort and retry).
@@ -368,7 +316,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 			if cur > tx.rv {
 				continue
 			}
-			if l.CompareAndSwap(cur, locked) {
+			if l.CompareAndSwap(cur, locktable.Locked) {
 				tx.held.Add(l, cur)
 				break
 			}
@@ -387,10 +335,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 // snapshot.
 func (tx *Tx) Retry() {
 	if tx.MVOn {
-		// Multi-version reads are unlogged: nothing to fingerprint.
-		// Re-run on the validated path, where the next Retry can park.
-		tx.MVOn = false
-		tx.abort(txtrace.AbortRetry)
+		tx.ExitMV(tx.rv, txtrace.AbortRetry) // the validated re-run parks
 	}
 	var fp mode.Fingerprint
 	for _, re := range tx.readLog.Entries() {
@@ -411,32 +356,19 @@ func (tx *Tx) Retry() {
 // version — the in-place values are already in memory (no copy-back).
 func (tx *Tx) commit() {
 	if tx.held.Len() == 0 {
-		tx.ApplyFrees()
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindCommit, tx.rv, 0, 0)
-		}
+		tx.Committed(tx.rv, 0)
 		return
 	}
 	wv := tx.rt.Clk.Tick(&tx.ClkProbe)
 	// The wv == rv+1 validation skip is sound only on exclusive clocks
 	// (see the TL2 commit for the argument).
 	if !tx.rt.Exclusive || wv != tx.rv+1 {
-		for i, re := range tx.readLog.Entries() {
-			if i%txrt.ValidationStride == 0 {
-				tx.Work++
-			}
-			v := re.Lock.Load()
-			if v != re.Version && !tx.held.Holds(re.Lock) {
-				if tx.Traced {
-					tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 0)
-				}
-				tx.NoteConflict(tx.rt.lockShard(re.Lock))
-				tx.abort(txtrace.AbortValidation)
-			}
+		if l := tx.staleRead(); l != nil {
+			tx.TraceValidate(wv, tx.readLog.Len(), false)
+			tx.NoteConflict(tx.rt.locks.ShardOf(l))
+			tx.abort(txtrace.AbortValidation)
 		}
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindValidate, wv, uint64(tx.readLog.Len()), 1)
-		}
+		tx.TraceValidate(wv, tx.readLog.Len(), true)
 	}
 	tx.Work += uint64(tx.held.Len())
 	// Feed the multi-version store before the undo log is dropped:
@@ -463,7 +395,7 @@ func (tx *Tx) commit() {
 	var notifyFP mode.Fingerprint
 	if hub := tx.rt.Hub; hub.Active() {
 		for _, rec := range tx.undo.Recs() {
-			notifyFP = mode.FPAdd(notifyFP, uintptr(unsafe.Pointer(tx.rt.lockFor(rec.Addr))))
+			notifyFP = mode.FPAdd(notifyFP, uintptr(unsafe.Pointer(tx.rt.locks.For(rec.Addr))))
 		}
 	}
 	tx.lastWrites = tx.held.Len()
@@ -472,10 +404,7 @@ func (tx *Tx) commit() {
 	if notifyFP != 0 {
 		tx.rt.Hub.Notify(notifyFP)
 	}
-	tx.ApplyFrees()
-	if tx.Traced {
-		tx.Tr.Record(txtrace.KindCommit, wv, uint64(tx.lastWrites), 0)
-	}
+	tx.Committed(wv, tx.lastWrites)
 }
 
 // publishVersions walks the undo log in append order, keeping the first
@@ -490,7 +419,7 @@ func (tx *Tx) publishVersions(wv uint64) {
 			continue
 		}
 		tx.mvSeen[rec.Addr] = struct{}{}
-		pre, _ := tx.held.Displaced(tx.rt.lockFor(rec.Addr))
+		pre, _ := tx.held.Displaced(tx.rt.locks.For(rec.Addr))
 		tx.rt.MV.Publish(rec.Addr, rec.Old, pre, wv)
 	}
 	clear(tx.mvSeen)

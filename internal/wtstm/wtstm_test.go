@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"tlstm/internal/locktable"
 	"tlstm/internal/rbtree"
 	"tlstm/internal/tm"
 	"tlstm/internal/txtrace"
@@ -236,7 +237,7 @@ func TestAbortedWriterReleasesAtFreshVersion(t *testing.T) {
 	d := rt.Direct()
 	a := d.Alloc(1)
 	rt.Atomic(nil, func(tx *Tx) { tx.Store(a, 42) })
-	l := rt.lockFor(a)
+	l := rt.locks.For(a)
 
 	v1 := l.Load() // step 1
 	wrote, read, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -255,7 +256,7 @@ func TestAbortedWriterReleasesAtFreshVersion(t *testing.T) {
 		})
 	}()
 	<-wrote
-	if l.Load() != locked {
+	if l.Load() != locktable.Locked {
 		t.Fatal("writer does not hold the word's lock after its store")
 	}
 	val := rt.Store.LoadWord(a)
@@ -266,7 +267,7 @@ func TestAbortedWriterReleasesAtFreshVersion(t *testing.T) {
 	if val != 99 {
 		t.Fatalf("reader saw %d between its two samples, want the dirty 99: the interleaving did not happen", val)
 	}
-	if v2 == locked || v2 == v1 {
+	if v2 == locktable.Locked || v2 == v1 {
 		t.Fatalf("lock reads %d after the abort and %d before the writer locked it: a Load bracketing the dirty value would accept it", v2, v1)
 	}
 	// The release stamp is an ordinary version: a fresh reader extends to
