@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"tlstm"
+	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/harness"
 	"tlstm/internal/rbtree"
@@ -353,13 +354,13 @@ func BenchmarkTxCommitWrite(b *testing.B) {
 // contention (paper §3.2 motivates task-awareness with the deadlock
 // example; this measures the throughput side).
 func BenchmarkAblationContentionManager(b *testing.B) {
-	for _, plain := range []bool{false, true} {
+	for _, kind := range []cm.Kind{cm.KindTaskAware, cm.KindGreedy} {
 		name := "task-aware"
-		if plain {
+		if kind == cm.KindGreedy {
 			name = "plain-greedy"
 		}
 		b.Run(name, func(b *testing.B) {
-			rt := core.New(core.Config{SpecDepth: 2, PlainGreedyCM: plain})
+			rt := core.New(core.Config{SpecDepth: 2, CM: cm.New(kind)})
 			d := rt.Direct()
 			const accounts = 8
 			base := d.Alloc(accounts)

@@ -2,13 +2,10 @@ package core
 
 import (
 	"runtime"
-	"unsafe"
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
-	"tlstm/internal/mode"
 	"tlstm/internal/txlog"
-	"tlstm/internal/txrt"
 	"tlstm/internal/txtrace"
 )
 
@@ -198,7 +195,7 @@ func (t *Task) commitTransaction() {
 	for _, p := range scr.Pairs() {
 		p.R.Store(ts)
 		h := p.W.Load()
-		if h != nil && h.Owner.ThreadID == thr.id &&
+		if h != nil && h.Owner.ThreadID == thr.ID() &&
 			h.Serial >= tx.startSerial && h.Serial <= tx.commitSerial {
 			if p.W.CompareAndSwap(h, nil) {
 				scr.MarkReleased(p)
@@ -212,13 +209,7 @@ func (t *Task) commitTransaction() {
 	// load when nobody waits; the entries are still live (retirement
 	// happens in finishCommit).
 	if hub := rt.Hub; hub.Active() {
-		var fp mode.Fingerprint
-		for _, task := range tx.tasks {
-			for _, e := range task.writeLog.Entries() {
-				fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(e.Pair)))
-			}
-		}
-		hub.Notify(fp)
+		hub.Notify(scr.Fingerprint())
 	}
 
 	t.finishCommit(ts, true)
@@ -316,7 +307,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// the deltas into its controller at the next submission boundary.
 	// Only an armed controller is polled, so only then is the commit
 	// counted.
-	if thr.ctl.Armed() {
+	if thr.kit.Armed() {
 		thr.ctlCommits.Add(1)
 	}
 	// Aborts fold at abort time (cleanupTx), so a storm registers while
@@ -341,6 +332,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		task.Reclaims, task.Stalls = task.writeLog.TakeReclaimCounts()
 		txWrites += uint64(task.writeLog.Len())
 		task.Fold(&st.Counters, task.readLog.Len(), task.writeLog.Len())
+		thr.kit.Conflicts(&task.Desc)
 		cm.Committed(thr.rt.CM, &task.CMSelf)
 		task.ApplyFrees()
 	}
@@ -360,24 +352,9 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		thr.overlap.Store(avg + (int64(tx.overlap)-avg)>>overlapShift)
 	}
 
-	// Affinity remap step: every txrt.RemapPeriod commits, hand the
-	// conflicts sketched since the last check to the placement policy
-	// and adopt whatever home it decides (submit snapshots it into each
-	// task it arms).
-	thr.txSinceRemap++
-	if thr.txSinceRemap >= txrt.RemapPeriod {
-		thr.txSinceRemap = 0
-		if thr.rt.Placement.Rebalance(int(thr.id), st.ConflictSketch.Minus(thr.remapBase)) {
-			old := thr.homeShard.Load()
-			home := int32(thr.rt.Placement.Home(int(thr.id)))
-			thr.homeShard.Store(home)
-			st.Remaps++
-			if t.Traced {
-				t.Tr.Record(txtrace.KindRemap, ts, uint64(home), uint32(old))
-			}
-		}
-		thr.remapBase = st.ConflictSketch
-	}
+	// Affinity remap step (txrt.Thread.Remap): every RemapPeriod commits
+	// the sketched conflicts may re-home the thread.
+	thr.kit.Remap(&st.Counters, t.Tr)
 
 	// Retire the transaction's write-lock entries into their
 	// descriptors' free rings (entry lifecycle: armed → committed →

@@ -86,7 +86,7 @@ func TestFirstPastOfSelection(t *testing.T) {
 	tx := &txState{thr: thr, startSerial: 3, commitSerial: 3}
 	task := &Task{thr: thr, tx: tx, waitBeforeRestart: -1}
 	task.serial.Store(3)
-	task.ownerRef.ThreadID = thr.id
+	task.ownerRef.ThreadID = thr.ID()
 
 	tbl := locktable.NewTable(8)
 	p := tbl.For(7)
@@ -95,14 +95,14 @@ func TestFirstPastOfSelection(t *testing.T) {
 		e := &locktable.WEntry{Serial: serial, Pair: p, Owner: owner}
 		return e
 	}
-	other := &locktable.OwnerRef{ThreadID: thr.id}
+	other := &locktable.OwnerRef{ThreadID: thr.ID()}
 
 	// nil chain → nil.
 	if task.firstPastOf(nil) != nil {
 		t.Fatal("nil chain must yield nil")
 	}
 	// Other thread's chain → nil.
-	foreign := &locktable.OwnerRef{ThreadID: thr.id + 1}
+	foreign := &locktable.OwnerRef{ThreadID: thr.ID() + 1}
 	if task.firstPastOf(mk(1, foreign)) != nil {
 		t.Fatal("foreign chain must yield nil")
 	}

@@ -67,14 +67,14 @@ func (thr *Thread) auditReclaim(at, epoch int64) {
 	if f := thr.txDone.Seq(); f < at {
 		panic(fmt.Sprintf(
 			"core: reclaim audit: entry with retirement serial %d recycled at committed frontier %d (thread %d)",
-			at, f, thr.id))
+			at, f, thr.ID()))
 	}
 	for i := range thr.slots {
 		if p := thr.slots[i].Load(); p != nil {
 			if h := p.readHorizon.Load(); h < epoch {
 				panic(fmt.Sprintf(
 					"core: reclaim audit: entry with retirement epoch %d recycled while task serial %d is mid-attempt with read horizon %d (thread %d)",
-					epoch, p.serial.Load(), h, thr.id))
+					epoch, p.serial.Load(), h, thr.ID()))
 			}
 		}
 	}

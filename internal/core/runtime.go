@@ -60,17 +60,9 @@ type Config struct {
 	// PadLockTable spreads lock pairs one per cache line
 	// (locktable.PadStride) to trade memory for false-sharing isolation.
 	PadLockTable bool
-	// PlainGreedyCM disables the task-aware inter-thread contention
-	// policy and falls back to bare two-phase greedy. The paper argues
-	// task-awareness is necessary to avoid inter-thread deadlocks and
-	// favour transactions likely to finish (§3.2); this switch exists
-	// for the ablation benchmark that quantifies it. It is shorthand
-	// for CM: cm.New(cm.KindGreedy) and is ignored when CM is set.
-	PlainGreedyCM bool
 	// CM selects the contention-management policy (internal/cm) that
 	// resolves inter-thread write/write conflicts. nil means the
-	// paper's task-aware policy over two-phase greedy (or bare greedy
-	// under PlainGreedyCM).
+	// paper's task-aware policy over two-phase greedy.
 	CM cm.Policy
 	// Clock selects the commit-clock strategy (internal/clock): the
 	// GV4 fetch-and-add clock (default), the GV5-style deferred clock,
@@ -115,9 +107,6 @@ type Config struct {
 // shared maps the configuration onto the engine kit's option set, which
 // fills the defaults the runtimes share (clock, lock-table size, mode).
 func (c Config) shared() txrt.Config {
-	if c.CM == nil && c.PlainGreedyCM {
-		c.CM = cm.New(cm.KindGreedy)
-	}
 	return txrt.Config{
 		LockTableBits: c.LockTableBits,
 		Shards:        c.Shards,
@@ -148,7 +137,6 @@ type Runtime struct {
 	specDepth    int
 	reclaimRing  int
 	reclaimAudit bool
-	nextThreadID atomic.Int32
 
 	// threadsMu guards the registry of threads whose scheduler pools
 	// Close drains.
@@ -201,20 +189,18 @@ func (rt *Runtime) Stats() Stats { return rt.stats.Snapshot() }
 // Runtime.Close). Creating a thread allocates its rings once;
 // steady-state submissions allocate nothing.
 func (rt *Runtime) NewThread() *Thread {
-	id := rt.nextThreadID.Add(1) - 1
 	thr := &Thread{
 		rt:     rt,
-		id:     id,
 		depth:  rt.specDepth,
 		slots:  make([]atomic.Pointer[Task], rt.specDepth),
 		ring:   make([]*Task, rt.specDepth),
 		txRing: make([]*txState, rt.specDepth),
-		ctl:    mode.NewController(rt.ModeCfg),
 	}
-	thr.homeShard.Store(int32(rt.Placement.Home(int(id))))
+	rt.Bind(&thr.kit)
+	id := thr.ID()
 	// Mode-ladder transitions happen on the submitting goroutine between
 	// transactions, so they get their own ring.
-	thr.tr, thr.traced = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
+	thr.tr, _ = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
 	for i := range thr.ring {
 		t := &Task{thr: thr, locks: rt.locks, store: rt.Store, waitBeforeRestart: -1}
 		// The kit half (CM probe, flight recorder) and the per-context

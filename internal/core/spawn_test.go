@@ -37,7 +37,7 @@ func (thr *Thread) shipAtomicRO(fns ...TaskFunc) error {
 // in the ship state) and runs every later one fused on the caller; two
 // contending threads still end where the sequential model says.
 func TestSpawnTinyTransactionsFuse(t *testing.T) {
-	rec := txtrace.NewRecorder(1 << 14)
+	rec := txtrace.NewRecorder(1 << 16)
 	rt := New(Config{SpecDepth: 2, LockTableBits: 12, Trace: rec})
 	d := rt.Direct()
 	shared := d.Alloc(1)

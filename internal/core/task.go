@@ -403,7 +403,7 @@ func (t *Task) checkSignals() {
 // entries are skipped). It returns nil when the pair is unlocked or held
 // by another thread.
 func (t *Task) firstPastOf(head *locktable.WEntry) *locktable.WEntry {
-	if head == nil || head.Owner.ThreadID != t.thr.id {
+	if head == nil || head.Owner.ThreadID != t.thr.ID() {
 		return nil
 	}
 	ser := t.serial.Load()
@@ -453,7 +453,7 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 	for {
 		t.checkSignals()
 		head := p.W.Load()
-		if head == nil || head.Owner.ThreadID != t.thr.id {
+		if head == nil || head.Owner.ThreadID != t.thr.ID() {
 			// Unlocked or locked by another user-thread: read the
 			// committed value from memory (redo logging keeps it
 			// intact until the writer commits) — Alg. 1 line 16.
@@ -680,25 +680,17 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			e.Update(a, v)
 			return
 		}
-		if e.Owner.ThreadID != t.thr.id {
+		if e.Owner.ThreadID != t.thr.ID() {
 			// Write-locked by another user-thread: inter-thread
 			// contention management (Alg. 2 lines 41–43, 54–64 under the
 			// default task-aware policy). If we lose, this task rolls
 			// back (Alg. 2 line 42); if the owner loses, its whole
 			// user-transaction is signalled to abort and we wait for
 			// the lock to be released.
-			t.CMSelf.Point = cm.PointEncounter
-			t.CMSelf.Writes = t.writeLog.Len()
 			t.CMSelf.Defeats = int(t.tx.cmDefeats.Load())
 			t.CMSelf.Completed = t.thr.completedTask.Load()
-			t.CMSelf.Waited = waited
-			dec := cm.Resolve(t.thr.rt.CM, &t.CMSelf, e.Owner)
-			if t.Traced {
-				t.Tr.Record(txtrace.KindCMDecision, t.validTS, uint64(a),
-					txtrace.CMAux(int(dec), int(cm.PointEncounter)))
-			}
-			switch dec {
-			case cm.AbortSelf:
+			lost, yield := t.Contend(t.validTS, a, cm.PointEncounter, t.writeLog.Len(), waited, e.Owner)
+			if lost {
 				t.NoteConflictAt(a)
 				defeats := t.tx.cmDefeats.Add(1)
 				t.CMSelf.Aborts = uint64(defeats)
@@ -717,8 +709,6 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 					t.abortOwnTx(txtrace.AbortCM)
 				}
 				t.rollbackTask(restartCM)
-			case cm.AbortOwner:
-				e.Owner.AbortTx.Load().Store(true)
 			}
 			// A serialized-fallback entrant is draining: riding the
 			// conflict out here can deadlock — the entrant waits for
@@ -728,8 +718,8 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// just the task: a task restart cannot release locks held by
 			// this transaction's sibling tasks, and those are exactly
 			// what the entrant can be stuck behind. Transactions already
-			// under the gate are exempt.
-			if gatePendingBreak && !t.InSerial && t.thr.rt.Gate.Pending() {
+			// under the gate are exempt (Contend does not report them).
+			if yield && gatePendingBreak {
 				t.NoteConflictAt(a)
 				t.abortOwnTx(txtrace.AbortCM)
 			}

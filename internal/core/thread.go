@@ -5,11 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tlstm/internal/mode"
 	"tlstm/internal/sched"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
-	"tlstm/internal/txstats"
 	"tlstm/internal/txtrace"
 )
 
@@ -35,8 +33,15 @@ import (
 // never on descriptor identity.
 type Thread struct {
 	rt    *Runtime
-	id    int32
 	depth int
+
+	// kit is the thread's identity, ladder and placement state
+	// (txrt.Thread), split by owner: the ladder half (the controller,
+	// fed by pollMode) is the submitting goroutine's; the placement half
+	// (Conflicts, Remap) is finishCommit's, often on a worker, serialized
+	// per thread like stats. Both read the home shard: Remap rebinds it,
+	// submit snapshots it into every task it arms (Desc.Reset).
+	kit txrt.Thread
 
 	// completedTask and completedWriter are the serials of the last
 	// completed task and last completed writer task (paper §3.3, task
@@ -90,16 +95,6 @@ type Thread struct {
 
 	nextSerial int64 // owned by the submitting goroutine
 
-	// homeShard is the thread's current home lock-table shard under the
-	// runtime's placement policy. submit snapshots it into every task it
-	// arms while finishCommit's remap step (often on a worker) may rebind
-	// it, hence the atomic; the remap bookkeeping below it — the stats
-	// shard's conflict sketch at the last remap, and the countdown — is
-	// written only by finishCommit, serialized per thread like stats.
-	homeShard    atomic.Int32
-	remapBase    txstats.Sketch
-	txSinceRemap int
-
 	// stats is the thread's unshared statistics shard (SNIPPETS-style
 	// per-thread counters). Transaction counters are written only by
 	// finishCommit, whose invocations are serialized per thread by the
@@ -117,13 +112,10 @@ type Thread struct {
 	// writer commits allocate nothing at steady state.
 	commitScratch txlog.CommitScratch
 
-	// ctl is the thread's execution-mode ladder controller
-	// (Config.Mode), owned by the submitting goroutine. Its signals
-	// arrive through the atomics below: finishCommit usually runs on a
-	// worker, so it bumps ctlCommits/ctlAborts/ctlDefeats there, and
-	// submit feeds the controller the deltas against the seen* snapshots
-	// (submitter-owned) at each submission boundary.
-	ctl                                  mode.Controller
+	// The ladder's signals: finishCommit and cleanupTx usually run on a
+	// worker, so they bump ctlCommits/ctlAborts/ctlDefeats there, and
+	// pollMode feeds the deltas against the seen* snapshots
+	// (submitter-owned) to kit's controller at each submission boundary.
 	ctlCommits                           atomic.Uint64
 	ctlAborts                            atomic.Uint64
 	ctlDefeats                           atomic.Uint64
@@ -132,8 +124,7 @@ type Thread struct {
 	// tr records the thread-level ladder events (KindModeShift) on a
 	// dedicated ring: mode shifts happen on the submitting goroutine
 	// between transactions, so they must not share a task ring.
-	tr     txtrace.Tracer
-	traced bool
+	tr txtrace.Tracer
 
 	// Spawn decision (shipOverlap): overlap is the average finishCommit
 	// folds and submit reads; fusedFns and fusedRun are a fused
@@ -169,7 +160,7 @@ func (thr *Thread) runFused(t *Task) {
 }
 
 // ID reports the thread's identifier within its runtime.
-func (thr *Thread) ID() int32 { return thr.id }
+func (thr *Thread) ID() int32 { return thr.kit.ID() }
 
 // runSlot is the pool's run hook: execute slot i's prepared descriptor.
 func (thr *Thread) runSlot(i int) { thr.ring[i].run() }
@@ -257,7 +248,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		// keep feeding the controller while we stall, so the fallback
 		// decision below is made on the storm's live signals rather than
 		// whatever was known when the stall started.
-		if thr.ctl.Armed() {
+		if thr.kit.Armed() {
 			thr.pollMode()
 		}
 		runtime.Gosched()
@@ -266,10 +257,10 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	// Execution-mode ladder (Config.Mode): fold the outcome signals
 	// accumulated by finishCommit/cleanupTx since the last submission
 	// into the controller, then pick this transaction's rung.
-	if thr.ctl.Armed() {
+	if thr.kit.Armed() {
 		thr.pollMode()
 	}
-	gated := thr.ctl.Serial()
+	gated := thr.kit.Serial()
 
 	tx.startSerial = start
 	tx.commitSerial = commit
@@ -359,7 +350,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		t.tryCommit = i == len(fns)-1
 		t.waitBeforeRestart = -1
 		t.backoff = 0
-		t.Reset(thr.homeShard.Load())
+		t.Reset(&thr.kit)
 		t.InSerial = gated
 		t.abortInternal.Store(false)
 		t.readLog.Reset()
@@ -395,34 +386,13 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 }
 
 // pollMode feeds the mode controller the commit/abort/defeat deltas
-// since the last submission and folds any rung transition into the
-// thread's stats shard (ModeFallbacks/ModeRecoveries are
-// submitter-written fields, disjoint from finishCommit's — see the
-// Stats contract above).
+// since the last submission (the kit's ladder feed folds a transition
+// into ModeFallbacks/ModeRecoveries, submitter-written fields disjoint
+// from finishCommit's — see the Stats contract above).
 func (thr *Thread) pollMode() {
-	c := thr.ctlCommits.Load()
-	a := thr.ctlAborts.Load()
-	d := thr.ctlDefeats.Load()
-	dc, da, dd := c-thr.seenCommits, a-thr.seenAborts, d-thr.seenDefeats
-	if dc == 0 && da == 0 && dd == 0 {
-		return
-	}
+	c, a, d := thr.ctlCommits.Load(), thr.ctlAborts.Load(), thr.ctlDefeats.Load()
+	thr.kit.Feed(c-thr.seenCommits, a-thr.seenAborts, d-thr.seenDefeats, &thr.stats.Counters, thr.tr)
 	thr.seenCommits, thr.seenAborts, thr.seenDefeats = c, a, d
-	fell, recovered := thr.ctl.OnWindow(dc, da, dd)
-	if fell {
-		thr.stats.ModeFallbacks++
-		if thr.traced {
-			thr.tr.Record(txtrace.KindModeShift, thr.rt.Clk.Now(),
-				uint64(mode.StateSerial), uint32(mode.StateSpec))
-		}
-	}
-	if recovered {
-		thr.stats.ModeRecoveries++
-		if thr.traced {
-			thr.tr.Record(txtrace.KindModeShift, thr.rt.Clk.Now(),
-				uint64(mode.StateSpec), uint32(mode.StateSerial))
-		}
-	}
 }
 
 // Atomic runs one user-transaction decomposed into the given tasks and

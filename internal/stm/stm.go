@@ -32,12 +32,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
-	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
@@ -478,11 +476,7 @@ func (tx *Tx) commit() {
 	// set. The fast path (no waiters) is one atomic load; the
 	// fingerprint is only computed when someone is parked.
 	if hub := tx.rt.Hub; hub.Active() {
-		var fp mode.Fingerprint
-		for _, e := range tx.writeLog.Entries() {
-			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(e.Pair)))
-		}
-		hub.Notify(fp)
+		hub.Notify(tx.scratch.Fingerprint())
 	}
 	tx.Committed(ts, tx.writeLog.Len())
 }

@@ -28,7 +28,6 @@ package tl2
 import (
 	"runtime"
 	"sync"
-	"unsafe"
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
@@ -241,11 +240,7 @@ func (tx *Tx) Retry() {
 	if tx.MVOn {
 		tx.ExitMV(tx.rv, txtrace.AbortRetry) // the validated re-run parks
 	}
-	var fp mode.Fingerprint
-	for _, l := range tx.readLog.Locks() {
-		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(l)))
-	}
-	tx.ArmPark(fp, func() bool {
+	tx.ArmPark(tx.readLog.Fingerprint(), func() bool {
 		for _, l := range tx.readLog.Locks() {
 			if v := l.Load(); v == locktable.Locked || v > tx.rv {
 				return false
@@ -342,15 +337,17 @@ func (tx *Tx) commit() {
 		}
 		tx.Work++
 	})
+	// Ring Retry waiters whose read fingerprints intersect this write set
+	// once the locks are released at wv. Publish empties the held set, so
+	// fingerprint first: a waiter subscribing after the Active check finds
+	// these locks Locked or moved and does not park.
+	var fp mode.Fingerprint
+	if tx.rt.Hub.Active() {
+		fp = tx.held.Fingerprint()
+	}
 	tx.held.Publish(wv)
-	// Ring Retry waiters whose read fingerprints intersect this write
-	// set; the no-waiter fast path is one atomic load.
-	if hub := tx.rt.Hub; hub.Active() {
-		var fp mode.Fingerprint
-		tx.writeSet.Range(func(a tm.Addr, _ uint64) {
-			fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(tx.rt.locks.For(a))))
-		})
-		hub.Notify(fp)
+	if fp != 0 {
+		tx.rt.Hub.Notify(fp)
 	}
 	tx.Committed(wv, tx.writeSet.Len())
 }

@@ -26,8 +26,10 @@ package txlog
 
 import (
 	"math"
+	"unsafe"
 
 	"tlstm/internal/locktable"
+	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 )
 
@@ -69,6 +71,15 @@ func (rl *ReadLog) Entries() []ReadEntry { return rl.entries }
 
 // Len reports the number of recorded reads.
 func (rl *ReadLog) Len() int { return len(rl.entries) }
+
+// Fingerprint is the Retry fingerprint of the pairs read, hashed like a
+// commit's CommitScratch.Fingerprint.
+func (rl *ReadLog) Fingerprint() (fp mode.Fingerprint) {
+	for _, re := range rl.entries {
+		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
+	}
+	return fp
+}
 
 // Unchanged reports whether every committed read still finds its pair at
 // the version read (a read served from a redo chain, NoVersion, has
@@ -311,3 +322,14 @@ func (cs *CommitScratch) Pairs() []*locktable.Pair { return cs.pairs }
 
 // Len reports the number of locked pairs.
 func (cs *CommitScratch) Len() int { return len(cs.pairs) }
+
+// Fingerprint is the Retry fingerprint of the pairs this commit locked.
+func (cs *CommitScratch) Fingerprint() mode.Fingerprint { return fingerprint(cs.pairs) }
+
+// fingerprint folds the identities of ps into a Retry fingerprint.
+func fingerprint[T any](ps []*T) (fp mode.Fingerprint) {
+	for _, p := range ps {
+		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(p)))
+	}
+	return fp
+}

@@ -3,7 +3,9 @@ package txlog
 import (
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
+	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 )
 
@@ -35,6 +37,17 @@ func (rl *VersionedReadLog) Entries() []VersionedRead { return rl.entries }
 // Len reports the number of recorded reads.
 func (rl *VersionedReadLog) Len() int { return len(rl.entries) }
 
+// Fingerprint is the Retry fingerprint of the lock words read, hashed
+// like a commit's LockSet.Fingerprint.
+func (rl *VersionedReadLog) Fingerprint() mode.Fingerprint { return lockFingerprint(rl.entries) }
+
+func lockFingerprint(vs []VersionedRead) (fp mode.Fingerprint) {
+	for _, v := range vs {
+		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(v.Lock)))
+	}
+	return fp
+}
+
 // LockLog is a read log that records only the lock words observed, for
 // runtimes whose validation compares every lock against a single read
 // version rather than per-entry versions (TL2: any version above rv, or
@@ -57,6 +70,9 @@ func (ll *LockLog) Locks() []*atomic.Uint64 { return ll.locks }
 
 // Len reports the number of recorded locks.
 func (ll *LockLog) Len() int { return len(ll.locks) }
+
+// Fingerprint is the Retry fingerprint of the lock words read.
+func (ll *LockLog) Fingerprint() mode.Fingerprint { return fingerprint(ll.locks) }
 
 // LockSet tracks the versioned locks a transaction holds, with the
 // version each acquisition displaced, plus a membership index for O(1)
@@ -103,6 +119,10 @@ func (ls *LockSet) Displaced(l *atomic.Uint64) (uint64, bool) {
 
 // Len reports the number of held locks.
 func (ls *LockSet) Len() int { return len(ls.held) }
+
+// Fingerprint is the Retry fingerprint of the locks held: a commit's
+// write set. Take it before Publish empties the set.
+func (ls *LockSet) Fingerprint() mode.Fingerprint { return lockFingerprint(ls.held) }
 
 // Restore releases every held lock at its displaced version (abort) and
 // empties the set. Sound only for a holder that wrote nothing in place

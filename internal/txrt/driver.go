@@ -37,15 +37,19 @@ type Algorithm interface {
 // the retry loop. It never escapes Run.
 type rollback struct{}
 
-// Thread is one logical thread's ladder and placement state: the mode
-// controller, the placement identity and home shard, and the
+// Thread is one logical thread's identity, ladder and placement state:
+// its placement identity and home shard, the mode controller, and the
 // conflict-sketch window offered to the placement policy every
-// RemapPeriod transactions. stm.Worker owns one; for tl2 and wtstm it
-// lives in the caller's Stats shard. Single-owner, no atomics.
+// RemapPeriod transactions. stm.Worker and core.Thread own one; for tl2
+// and wtstm it lives in the caller's Stats shard. The ladder half
+// (Serial, Feed) belongs to the goroutine that starts transactions, the
+// placement half (Conflicts, Remap) to the one that commits them,
+// serialized per thread. Only core splits them (a worker commits while
+// the submitter owns the controller), so Home is atomic.
 type Thread struct {
-	bound        bool
+	env          *Env
 	id           int32
-	home         int32
+	home         int32 // sync/atomic: a Stats shard holding a Thread is copied
 	txSinceRemap int
 	remapWindow  txstats.Sketch
 	ctl          mode.Controller
@@ -53,10 +57,72 @@ type Thread struct {
 
 // Bind gives t its placement identity and mode controller.
 func (e *Env) Bind(t *Thread) {
-	t.bound = true
+	t.env = e
 	t.id = e.threadIDs.Add(1) - 1
 	t.home = int32(e.Placement.Home(int(t.id)))
 	t.ctl = mode.NewController(e.ModeCfg)
+}
+
+// ID reports the thread's placement identity; Home its home shard,
+// which any goroutine may read.
+func (t *Thread) ID() int32   { return t.id }
+func (t *Thread) Home() int32 { return atomic.LoadInt32(&t.home) }
+
+// Armed reports whether the adaptive ladder is active; Serial whether
+// the next transaction runs under the gate.
+func (t *Thread) Armed() bool  { return t.ctl.Armed() }
+func (t *Thread) Serial() bool { return t.ctl.Serial() }
+
+// Feed is the ladder feed: it hands the controller a window of
+// committed transactions, aborts and CM-defeated transactions, and
+// folds a transition into c (nil counts nothing) and onto tr.
+func (t *Thread) Feed(commits, aborts, defeats uint64, c *Counters, tr txtrace.Tracer) {
+	if fell, rec := t.ctl.OnWindow(commits, aborts, defeats); fell || rec {
+		t.shifted(fell, c, tr)
+	}
+}
+
+// shifted counts a ladder transition (a fallback when fell, else a
+// recovery) in c and records it on tr (KindModeShift).
+func (t *Thread) shifted(fell bool, c *Counters, tr txtrace.Tracer) {
+	switch {
+	case c == nil:
+	case fell:
+		c.ModeFallbacks++
+	default:
+		c.ModeRecoveries++
+	}
+	to := t.ctl.State()
+	tr.Record(txtrace.KindModeShift, t.env.Clk.Now(), uint64(to), uint32(1-to))
+}
+
+// Conflicts adds a committed descriptor's dead-attempt conflict sketch
+// (empty unless an attempt aborted) to the thread's remap window.
+func (t *Thread) Conflicts(d *Desc) {
+	if d.aborts != 0 {
+		t.remapWindow.Merge(d.sketch)
+	}
+}
+
+// Remap is the placement remap step, once per committed transaction
+// after its descriptors' Conflicts: every RemapPeriod transactions it
+// offers the window to the placement policy and adopts the home it
+// decides, counting a move in c and recording it on tr (KindRemap).
+func (t *Thread) Remap(c *Counters, tr txtrace.Tracer) {
+	t.txSinceRemap++
+	if t.txSinceRemap < RemapPeriod {
+		return
+	}
+	t.txSinceRemap = 0
+	if t.env.Placement.Rebalance(int(t.id), t.remapWindow) {
+		home := int32(t.env.Placement.Home(int(t.id)))
+		old := atomic.SwapInt32(&t.home, home)
+		if c != nil {
+			c.Remaps++
+		}
+		tr.Record(txtrace.KindRemap, t.env.Clk.Now(), uint64(home), uint32(old))
+	}
+	t.remapWindow = txstats.Sketch{}
 }
 
 // Desc is the engine kit's half of a transaction descriptor, embedded
@@ -150,17 +216,17 @@ func (d *Desc) Init(env *Env, alg Algorithm, ring string) {
 // transaction read-only.
 func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 	env := d.env
-	if thr == nil && st != nil {
-		thr = &st.thr
+	var c *Counters
+	if st != nil {
+		c = &st.Counters
+		if thr == nil {
+			thr = &st.thr
+		}
 	}
-	if thr != nil && !thr.bound {
+	if thr != nil && thr.env == nil {
 		env.Bind(thr)
 	}
-	var home int32
-	if thr != nil {
-		home = thr.home
-	}
-	d.Reset(home)
+	d.Reset(thr)
 	d.GreedTS.Store(0)
 	d.MVOn = ro && env.MV != nil
 	if d.Traced {
@@ -197,14 +263,8 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 		if !serial && thr != nil && thr.ctl.Escalate(int(d.aborts-d.retryAborts)) {
 			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
 			// move this transaction under the gate and retry there.
+			thr.shifted(true, c, d.Tr)
 			serial = true
-			if st != nil {
-				st.ModeFallbacks++
-			}
-			if d.Traced {
-				d.Tr.Record(txtrace.KindModeShift, env.Clk.Now(),
-					uint64(mode.StateSerial), uint32(mode.StateSpec))
-			}
 			d.enterGate()
 			continue
 		}
@@ -227,21 +287,6 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 	if serial {
 		d.exitGate()
 	}
-	if thr != nil {
-		if fell, rec := thr.ctl.OnOutcome(d.aborts-d.retryAborts, d.CMSelf.Defeats > 0); fell || rec {
-			if st != nil {
-				if fell {
-					st.ModeFallbacks++
-				} else {
-					st.ModeRecoveries++
-				}
-			}
-			if d.Traced {
-				d.Tr.Record(txtrace.KindModeShift, env.Clk.Now(),
-					uint64(thr.ctl.State()), uint32(1-thr.ctl.State()))
-			}
-		}
-	}
 	cm.Committed(env.CM, &d.CMSelf)
 	if st != nil {
 		reads, writes := d.alg.SetSizes()
@@ -252,7 +297,9 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 		d.cmProbe.TakeCounts() // nothing records them; clear for the next transaction
 	}
 	if thr != nil {
-		d.maybeRemap(thr, st)
+		thr.Feed(1, d.aborts-d.retryAborts, min(uint64(d.CMSelf.Defeats), 1), c, d.Tr)
+		thr.Conflicts(d)
+		thr.Remap(c, d.Tr)
 	}
 }
 
@@ -291,14 +338,14 @@ func (d *Desc) Abort(snap uint64, reason uint32) {
 	panic(rollback{})
 }
 
-// ResolveConflict runs one round of a lock conflict at address a
-// through the contention manager: it aborts the attempt on an AbortSelf
-// verdict, signals owner on AbortOwner, and yields to a serialized gate
-// entrant rather than riding the conflict out against it (the lock's
-// owner may itself be parked behind the gate). When it returns the
-// caller waits one round and looks again. owner is nil for anonymous
-// version locks.
-func (d *Desc) ResolveConflict(snap uint64, a tm.Addr, point cm.Point, writes, waited int, owner *locktable.OwnerRef) {
+// Contend is the contention manager's front half for one round of a
+// lock conflict at address a: resolve it through the policy, trace the
+// verdict (snap is the attempt's snapshot), signal owner (nil for
+// anonymous version locks) on AbortOwner. It reports an AbortSelf
+// verdict (lost) or else whether to yield to a serialized gate entrant
+// rather than ride the conflict out against it (the lock's owner may
+// itself be parked behind the gate). The reaction is the caller's.
+func (d *Desc) Contend(snap uint64, a tm.Addr, point cm.Point, writes, waited int, owner *locktable.OwnerRef) (lost, yield bool) {
 	d.CMSelf.Point = point
 	d.CMSelf.Writes = writes
 	d.CMSelf.Waited = waited
@@ -306,17 +353,20 @@ func (d *Desc) ResolveConflict(snap uint64, a tm.Addr, point cm.Point, writes, w
 	if d.Traced {
 		d.Tr.Record(txtrace.KindCMDecision, snap, uint64(a), txtrace.CMAux(int(dec), int(point)))
 	}
-	switch dec {
-	case cm.AbortSelf:
-		d.CMSelf.Defeats++
-		d.NoteConflictAt(a)
-		d.Abort(snap, txtrace.AbortCM)
-	case cm.AbortOwner:
+	if dec == cm.AbortOwner {
 		owner.AbortTx.Load().Store(true)
 	}
-	if !d.InSerial && d.env.Gate.Pending() {
+	lost = dec == cm.AbortSelf
+	return lost, !lost && !d.InSerial && d.env.Gate.Pending()
+}
+
+// ResolveConflict is Contend plus the flat reaction: a lost conflict or
+// a gate yield aborts the attempt (a yield backs off SpinInit first).
+// When it returns the caller waits one round and looks again.
+func (d *Desc) ResolveConflict(snap uint64, a tm.Addr, point cm.Point, writes, waited int, owner *locktable.OwnerRef) {
+	if lost, yield := d.Contend(snap, a, point, writes, waited, owner); lost || yield {
 		d.CMSelf.Defeats++
-		d.gateYield = true
+		d.gateYield = yield
 		d.NoteConflictAt(a)
 		d.Abort(snap, txtrace.AbortCM)
 	}
@@ -431,9 +481,9 @@ func (d *Desc) ParkRetry() {
 	}
 }
 
-// Reset starts a transaction: it clears what Fold reads and records the
-// thread's home shard.
-func (d *Desc) Reset(home int32) {
+// Reset starts a transaction on thr (nil: no placement): it clears
+// what Fold reads and records the thread's home shard.
+func (d *Desc) Reset(thr *Thread) {
 	if d.aborts != 0 {
 		d.crossShard = 0
 		d.sketch = txstats.Sketch{}
@@ -444,7 +494,10 @@ func (d *Desc) Reset(home int32) {
 	d.aborts, d.retryAborts = 0, 0
 	d.gateYield = false
 	d.CMSelf.Defeats = 0
-	d.home = home
+	d.home = 0
+	if thr != nil {
+		d.home = thr.Home()
+	}
 }
 
 // StartAttempt stamps the start of an attempt and forgets the previous
@@ -485,32 +538,5 @@ func (d *Desc) Fold(c *Counters, reads, writes int) {
 		c.RestartLatency.Merge(d.restartLat)
 		c.ConflictSketch.Merge(d.sketch)
 		c.CrossShardConflicts += d.crossShard
-	}
-}
-
-// maybeRemap is the commit-epilogue placement step, run on the thread's
-// own goroutine: every RemapPeriod transactions it offers the
-// accumulated conflict-sketch window to the placement policy and
-// refreshes the thread's home shard.
-func (d *Desc) maybeRemap(thr *Thread, st *Stats) {
-	if d.aborts != 0 {
-		thr.remapWindow.Merge(d.sketch)
-	}
-	thr.txSinceRemap++
-	if thr.txSinceRemap < RemapPeriod {
-		return
-	}
-	thr.txSinceRemap = 0
-	moved := d.env.Placement.Rebalance(int(thr.id), thr.remapWindow)
-	thr.remapWindow = txstats.Sketch{}
-	if moved {
-		old := thr.home
-		thr.home = int32(d.env.Placement.Home(int(thr.id)))
-		if st != nil {
-			st.Remaps++
-		}
-		if d.Traced {
-			d.Tr.Record(txtrace.KindRemap, d.env.Clk.Now(), uint64(thr.home), uint32(old))
-		}
 	}
 }

@@ -2,10 +2,8 @@ package txrt
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"tlstm/internal/locktable"
-	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txtrace"
@@ -149,10 +147,4 @@ func (d *Desc) TraceValidate(ts uint64, n int, ok bool) {
 // fingerprint is the pairs read, the revalidation their committed
 // versions (reads served from a redo chain carry none). The caller
 // unwinds next.
-func (d *Desc) ArmParkReads(rl *txlog.ReadLog) {
-	var fp mode.Fingerprint
-	for _, re := range rl.Entries() {
-		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Pair)))
-	}
-	d.ArmPark(fp, rl.Unchanged)
-}
+func (d *Desc) ArmParkReads(rl *txlog.ReadLog) { d.ArmPark(rl.Fingerprint(), rl.Unchanged) }

@@ -9,7 +9,8 @@
 //     runtime-wide state built from it — memory, commit clock,
 //     contention manager, version store, placement, mode gate, Retry hub
 //     (this file);
-//   - Desc / Thread / Algorithm: the transaction descriptor and the
+//   - Desc / Thread / Algorithm: the transaction descriptor, the
+//     thread's identity, ladder and placement state, and the
 //     flat-transaction driver (driver.go);
 //   - the shared read side: the multi-version probe and exit (ReadMV,
 //     ExitMV), SwissTM's snapshot extension (Extend) and commit-time
@@ -31,10 +32,12 @@
 // gate, Retry parking, CM backoff, placement remap, user-panic cleanup
 // and the stats fold (Desc.Fold).
 //
-// TLSTM's core.Task embeds Desc too — counters, CM identity, conflict
-// sketch, Alloc/Free, ArmPark/ParkRetry, Fold — but never calls Run: its
-// attempt loop, abort rendezvous, commit order and mode signals are
-// TLS-specific, and it drives Reset/StartAttempt/Restarted itself.
+// TLSTM's core is on the kit too: core.Task embeds Desc (counters, the
+// CM front half Contend, conflict sketch, Alloc/Free, ArmPark/ParkRetry,
+// Fold) and core.Thread holds a Thread (identity, ladder feed, placement
+// remap), but it never calls Run: its attempt loop, abort rendezvous,
+// commit order and the cross-goroutine hand-off of its ladder signals
+// are TLS-specific, and it drives Reset/StartAttempt/Restarted itself.
 package txrt
 
 import (

@@ -143,8 +143,13 @@ func (rec *Recorder) Dump(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxLabelLen bounds label allocations when parsing untrusted input.
-const maxLabelLen = 1 << 16
+// maxLabelLen bounds label allocations when parsing untrusted input;
+// eventCapHint bounds the event capacity a ring header's count may
+// pre-allocate (a longer ring grows by append as its events arrive).
+const (
+	maxLabelLen  = 1 << 16
+	eventCapHint = 1 << 12
+)
 
 // ReadTrace deserializes a dump produced by Recorder.Dump.
 func ReadTrace(r io.Reader) (*Trace, error) {
@@ -167,9 +172,12 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if _, err := io.ReadFull(br, mc[:]); err != nil {
 			return nil, fmt.Errorf("txtrace: reading meta count: %w", err)
 		}
+		// The count is untrusted: it sizes nothing up front (a 32-bit
+		// hint alone would ask for hundreds of GB), and a count the
+		// stream cannot back runs into EOF below.
 		metaCount := binary.LittleEndian.Uint32(mc[:])
 		if metaCount > 0 {
-			tr.Meta = make(map[string]string, metaCount)
+			tr.Meta = make(map[string]string)
 		}
 		for i := uint32(0); i < metaCount; i++ {
 			key, err := readLenString(br)
@@ -206,7 +214,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		}
 		rd.Drops = binary.LittleEndian.Uint64(rc[0:])
 		count := binary.LittleEndian.Uint64(rc[8:])
-		rd.Events = make([]Event, 0, min64(count, 1<<20))
+		rd.Events = make([]Event, 0, min(count, eventCapHint))
 		for j := uint64(0); j < count; j++ {
 			if _, err := io.ReadFull(br, scratch[:]); err != nil {
 				return nil, fmt.Errorf("txtrace: ring %d event %d: %w", i, j, err)
@@ -240,13 +248,6 @@ func readLenString(br *bufio.Reader) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Validate checks the structural invariants a sound dump must have:

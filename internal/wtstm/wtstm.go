@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
@@ -337,11 +336,7 @@ func (tx *Tx) Retry() {
 	if tx.MVOn {
 		tx.ExitMV(tx.rv, txtrace.AbortRetry) // the validated re-run parks
 	}
-	var fp mode.Fingerprint
-	for _, re := range tx.readLog.Entries() {
-		fp = mode.FPAdd(fp, uintptr(unsafe.Pointer(re.Lock)))
-	}
-	tx.ArmPark(fp, func() bool {
+	tx.ArmPark(tx.readLog.Fingerprint(), func() bool {
 		for _, re := range tx.readLog.Entries() {
 			if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
 				return false
@@ -387,16 +382,13 @@ func (tx *Tx) commit() {
 			tx.Tr.Record(txtrace.KindCommitWord, wv, uint64(rec.Addr), 0)
 		}
 	}
-	// The write set's lock identities live in the undo log, which is
-	// dropped before Publish: fingerprint Retry waiters now, ring them
-	// after the locks are released at wv (so a woken waiter's
+	// Publish empties the held set: fingerprint Retry waiters now, ring
+	// them after the locks are released at wv (so a woken waiter's
 	// validation sees the published versions). The no-waiter fast path
-	// is one atomic load; bloom repeats per address are idempotent.
+	// is one atomic load.
 	var notifyFP mode.Fingerprint
-	if hub := tx.rt.Hub; hub.Active() {
-		for _, rec := range tx.undo.Recs() {
-			notifyFP = mode.FPAdd(notifyFP, uintptr(unsafe.Pointer(tx.rt.locks.For(rec.Addr))))
-		}
+	if tx.rt.Hub.Active() {
+		notifyFP = tx.held.Fingerprint()
 	}
 	tx.lastWrites = tx.held.Len()
 	tx.undo.Reset()
