@@ -125,42 +125,65 @@ func runOnTLSTM(prog [][]diffOp, depth int, split bool, kind clock.Kind, pol cm.
 }
 
 func runOnTLSTMCfg(prog [][]diffOp, split bool, cfg core.Config) [diffWords]uint64 {
+	return runOnTLSTMVia(prog, split, false, cfg)
+}
+
+// runOnTLSTMVia runs prog on one TLSTM thread, each transaction handed
+// over by submitTLSTM. Through Atomic a split program ships its first
+// transaction (a thread starts in the ship state) and fuses the rest,
+// whose bodies are far too short to pay for a hand-off: the leg panics
+// if no transaction ran fused.
+func runOnTLSTMVia(prog [][]diffOp, split, viaAtomic bool, cfg core.Config) [diffWords]uint64 {
 	rt := core.New(cfg)
 	defer rt.Close() // drain the pooled workers; difftests build many runtimes
-	depth := cfg.SpecDepth
 	base := rt.Direct().Alloc(diffWords)
 	thr := rt.NewThread()
 	for _, ops := range prog {
-		var fns []core.TaskFunc
-		if split && len(ops) > 1 && depth > 1 {
-			mid := len(ops) / 2
-			first, second := ops[:mid], ops[mid:]
-			fns = []core.TaskFunc{
-				func(tk *core.Task) {
-					for _, op := range first {
-						applyOp(tk, base, op)
-					}
-				},
-				func(tk *core.Task) {
-					for _, op := range second {
-						applyOp(tk, base, op)
-					}
-				},
-			}
-		} else {
-			ops := ops
-			fns = []core.TaskFunc{func(tk *core.Task) {
-				for _, op := range ops {
-					applyOp(tk, base, op)
-				}
-			}}
-		}
-		if _, err := thr.Submit(fns...); err != nil {
-			panic(err)
-		}
+		submitTLSTM(thr, viaAtomic, false, tlstmTasks(ops, base, split && cfg.SpecDepth > 1)...)
 	}
 	thr.Sync()
+	if fusable := viaAtomic && split && cfg.SpecDepth > 1 && len(prog) > 1; fusable && thr.Stats().TxFused == 0 {
+		panic("an Atomic leg of a split program fused no transaction")
+	}
 	return snapshot(rt.Direct(), base)
+}
+
+// tlstmTasks is one transaction as TLSTM tasks: its two halves when
+// split (and it has two ops to split), else one body.
+func tlstmTasks(ops []diffOp, base tm.Addr, split bool) []core.TaskFunc {
+	body := func(ops []diffOp) core.TaskFunc {
+		return func(tk *core.Task) {
+			for _, op := range ops {
+				applyOp(tk, base, op)
+			}
+		}
+	}
+	if split && len(ops) > 1 {
+		mid := len(ops) / 2
+		return []core.TaskFunc{body(ops[:mid]), body(ops[mid:])}
+	}
+	return []core.TaskFunc{body(ops)}
+}
+
+// submitTLSTM hands one transaction (ro: declared read-only) to thr:
+// through Submit, every task pipelined onto the workers; or through
+// Atomic (viaAtomic), where a one-body or fused transaction runs solo on
+// the caller and a shipped one runs its head there.
+func submitTLSTM(thr *core.Thread, viaAtomic, ro bool, fns ...core.TaskFunc) {
+	var err error
+	switch {
+	case viaAtomic && ro:
+		err = thr.AtomicRO(fns...)
+	case viaAtomic:
+		err = thr.Atomic(fns...)
+	case ro:
+		_, err = thr.SubmitRO(fns...)
+	default:
+		_, err = thr.Submit(fns...)
+	}
+	if err != nil {
+		panic(err)
+	}
 }
 
 // The multi-version leg interleaves a declared read-only audit scan
@@ -240,55 +263,28 @@ func runOnWriteThroughMV(prog [][]diffOp) ([diffWords]uint64, []uint64) {
 	return snapshot(rt.Direct(), base), sums
 }
 
-// runOnTLSTMMV pipelines the program through a depth-2 TLSTM thread
-// with MVDepth 1, a read-only scan submitted after every write
-// transaction. Scans overlap in-flight writers here, so the wait-free
-// path's own-thread hazard check (pending redo chains force a validated
-// fallback) is exercised, not just the quiet case.
-func runOnTLSTMMV(prog [][]diffOp, split bool) ([diffWords]uint64, []uint64) {
+// runOnTLSTMMV runs the program on a depth-2 TLSTM thread with
+// MVDepth 1, a read-only scan after every write transaction. Submitted
+// (pipelined), scans overlap in-flight writers, so the wait-free path's
+// own-thread hazard check (pending redo chains force a validated
+// fallback) is exercised, not just the quiet case; through Atomic they
+// run solo, on the kit's multi-version path.
+func runOnTLSTMMV(prog [][]diffOp, split, viaAtomic bool) ([diffWords]uint64, []uint64) {
 	rt := core.New(core.Config{SpecDepth: 2, LockTableBits: 14, MVDepth: 1})
 	defer rt.Close()
 	base := rt.Direct().Alloc(diffWords)
 	thr := rt.NewThread()
 	sums := make([]uint64, len(prog))
 	for i, ops := range prog {
-		var fns []core.TaskFunc
-		if split && len(ops) > 1 {
-			mid := len(ops) / 2
-			first, second := ops[:mid], ops[mid:]
-			fns = []core.TaskFunc{
-				func(tk *core.Task) {
-					for _, op := range first {
-						applyOp(tk, base, op)
-					}
-				},
-				func(tk *core.Task) {
-					for _, op := range second {
-						applyOp(tk, base, op)
-					}
-				},
-			}
-		} else {
-			ops := ops
-			fns = []core.TaskFunc{func(tk *core.Task) {
-				for _, op := range ops {
-					applyOp(tk, base, op)
-				}
-			}}
-		}
-		if _, err := thr.Submit(fns...); err != nil {
-			panic(err)
-		}
+		submitTLSTM(thr, viaAtomic, false, tlstmTasks(ops, base, split)...)
 		i := i
-		if _, err := thr.SubmitRO(func(tk *core.Task) {
+		submitTLSTM(thr, viaAtomic, true, func(tk *core.Task) {
 			var s uint64
 			for j := 0; j < diffWords; j++ {
 				s += tk.Load(base + tm.Addr(j))
 			}
 			sums[i] = s
-		}); err != nil {
-			panic(err)
-		}
+		})
 	}
 	thr.Sync()
 	return snapshot(rt.Direct(), base), sums
@@ -320,8 +316,10 @@ func TestDifferentialMultiVersion(t *testing.T) {
 		got, sums = runOnWriteThroughMV(prog)
 		check("write-through", got, sums)
 		for _, split := range []bool{false, true} {
-			got, sums = runOnTLSTMMV(prog, split)
-			check(fmt.Sprintf("TLSTM(split=%v)", split), got, sums)
+			for _, viaAtomic := range []bool{false, true} {
+				got, sums = runOnTLSTMMV(prog, split, viaAtomic)
+				check(fmt.Sprintf("TLSTM(split=%v, atomic=%v)", split, viaAtomic), got, sums)
+			}
 		}
 	}
 }
@@ -430,6 +428,14 @@ func TestDifferentialRuntimes(t *testing.T) {
 				for _, depth := range []int{2, 4} {
 					if got := runOnTLSTM(prog, depth, true, kind, cm.KindDefault); got != want {
 						t.Fatalf("seed %d: TLSTM/%v depth %d (split) diverges\n got: %v\nwant: %v", seed, kind, depth, got, want)
+					}
+				}
+				// Through Atomic: one-task transactions run solo; split
+				// ones ship once and then run their two bodies fused.
+				for _, split := range []bool{false, true} {
+					cfg := core.Config{SpecDepth: 2, LockTableBits: 14, Clock: clock.New(kind)}
+					if got := runOnTLSTMVia(prog, split, true, cfg); got != want {
+						t.Fatalf("seed %d: TLSTM/%v Atomic (split=%v) diverges\n got: %v\nwant: %v", seed, kind, split, got, want)
 					}
 				}
 			}
@@ -636,6 +642,14 @@ func TestDifferentialTracing(t *testing.T) {
 			cfg := core.Config{SpecDepth: 2, LockTableBits: 14, Trace: rec}
 			got := runOnTLSTMCfg(prog, true, cfg)
 			check("TLSTM", got, rec)
+		}
+		// Through Atomic: solo one-task transactions, and split ones that
+		// ship once and then run fused.
+		for _, split := range []bool{false, true} {
+			rec := txtrace.NewRecorder(1 << 10)
+			cfg := core.Config{SpecDepth: 2, LockTableBits: 14, Trace: rec}
+			got := runOnTLSTMVia(prog, split, true, cfg)
+			check(fmt.Sprintf("TLSTM Atomic (split=%v)", split), got, rec)
 		}
 	}
 }

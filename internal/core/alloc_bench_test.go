@@ -79,8 +79,10 @@ func submitWaitTx(thr *Thread, body TaskFunc) {
 	h.Wait()
 }
 
-// BenchmarkThreadCommitSmallTx is the one-task Atomic: the task runs on
-// the calling goroutine, no worker is involved.
+// BenchmarkThreadCommitSmallTx is the one-task Atomic: TLSTM-1, run on
+// the thread's solo task on the calling goroutine through the kit's
+// driver and flat commit — no worker, serial, ring slot or latch. Its
+// reference is stm's BenchmarkRuntimeAtomicPooled.
 func BenchmarkThreadCommitSmallTx(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2}, atomicTx)
 }
@@ -97,7 +99,9 @@ func BenchmarkThreadCommitSmallTxAdaptive(b *testing.B) {
 // BenchmarkThreadCommitSmallTxShipped is Submit+Wait under the default
 // policy: the task crosses to a worker and the commit wakes the
 // submitter back. The gap to BenchmarkThreadCommitSmallTx is the price
-// of the two hand-offs Atomic no longer pays.
+// of the two hand-offs and the pipeline machinery (serial, ring slot,
+// rendezvous, retire epoch, latch publish) a one-task Atomic no longer
+// pays; this is the benchmark that keeps the ring path allocation-free.
 func BenchmarkThreadCommitSmallTxShipped(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2}, submitWaitTx)
 }
@@ -105,8 +109,8 @@ func BenchmarkThreadCommitSmallTxShipped(b *testing.B) {
 // BenchmarkThreadCommitSmallTxFused is bank_hot's transaction on one
 // thread: two bodies moving an amount along a three-account path, the
 // second reading what the first wrote. Its overlap is far below
-// shipOverlap, so after warm-up Atomic runs both bodies fused as one
-// caller-run task. allocs/op must be 0.
+// shipOverlap, so after warm-up Atomic runs both bodies fused on the
+// solo task. allocs/op must be 0.
 func BenchmarkThreadCommitSmallTxFused(b *testing.B) {
 	rt := New(Config{SpecDepth: 2})
 	defer rt.Close()

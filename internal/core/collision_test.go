@@ -6,6 +6,25 @@ import (
 	"tlstm/internal/tm"
 )
 
+// collidingPair returns a fresh word a and a word b ≠ a of a fresh block
+// that shares a's lock pair. Layout.Index is a Fibonacci hash, so no
+// fixed stride collides; on a 16-pair table a 256-word block holds about
+// 16 candidates. Finding none is a failure, not a skip.
+func collidingPair(t *testing.T, rt *Runtime) (a, b tm.Addr) {
+	t.Helper()
+	d := rt.Direct()
+	a = d.Alloc(1)
+	const n = 256
+	block := d.Alloc(n)
+	for b = block; b < block+n; b++ {
+		if rt.locks.For(b) == rt.locks.For(a) {
+			return a, b
+		}
+	}
+	t.Fatalf("no word of a %d-word block shares a's lock pair", n)
+	return 0, 0
+}
+
 // Lock-pair collisions on the speculative read path: a future task
 // reading address B while a past task wrote address A of the same pair
 // must fall through the redo chain to B's committed value, and the
@@ -13,11 +32,7 @@ import (
 func TestSpeculativeReadThroughNonCoveringEntry(t *testing.T) {
 	rt := New(Config{SpecDepth: 2, LockTableBits: 4}) // 16 pairs
 	d := rt.Direct()
-	a := d.Alloc(1)
-	b := a + 16 // same pair (stride = table size)
-	if rt.locks.For(a) != rt.locks.For(b) {
-		t.Skip("allocator layout changed; addresses no longer collide")
-	}
+	a, b := collidingPair(t, rt)
 	d.Store(b, 77)
 
 	thr := rt.NewThread()
@@ -43,11 +58,7 @@ func TestSpeculativeReadThroughNonCoveringEntry(t *testing.T) {
 func TestCollidingWritesAcrossTasks(t *testing.T) {
 	rt := New(Config{SpecDepth: 2, LockTableBits: 4})
 	d := rt.Direct()
-	a := d.Alloc(1)
-	b := a + 16
-	if rt.locks.For(a) != rt.locks.For(b) {
-		t.Skip("allocator layout changed; addresses no longer collide")
-	}
+	a, b := collidingPair(t, rt)
 
 	thr := rt.NewThread()
 	err := thr.shipAtomic(
@@ -72,11 +83,7 @@ func TestCollidingWritesAcrossTasks(t *testing.T) {
 func TestCollidingRMWSequence(t *testing.T) {
 	rt := New(Config{SpecDepth: 3, LockTableBits: 4})
 	d := rt.Direct()
-	a := d.Alloc(1)
-	b := a + 16
-	if rt.locks.For(a) != rt.locks.For(b) {
-		t.Skip("allocator layout changed; addresses no longer collide")
-	}
+	a, b := collidingPair(t, rt)
 	for i := 0; i < 15; i++ {
 		err := thrAtomic3(rt, a, b)
 		if err != nil {
@@ -96,4 +103,34 @@ func thrAtomic3(rt *Runtime, a, b tm.Addr) error {
 		func(tk *Task) { tk.Store(b, tk.Load(b)+1) },
 		func(tk *Task) { tk.Store(b, tk.Load(b)+1) },
 	)
+}
+
+// The solo task's own entry on a colliding pair does not cover the other
+// word: a one-task Atomic that stores a and then loads b reads b's
+// committed value, logs it, and still validates at commit (the pair is
+// r-locked by the commit itself).
+func TestSoloLoadThroughOwnNonCoveringEntry(t *testing.T) {
+	rt := New(Config{SpecDepth: 2, LockTableBits: 4})
+	d := rt.Direct()
+	a, b := collidingPair(t, rt)
+	d.Store(b, 77)
+
+	thr := rt.NewThread()
+	var got uint64
+	if err := thr.Atomic(func(tk *Task) {
+		tk.Store(a, 1)
+		got = tk.Load(b)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	thr.Sync()
+	if got != 77 {
+		t.Fatalf("read through own non-covering entry = %d, want 77", got)
+	}
+	if d.Load(a) != 1 || d.Load(b) != 77 || rt.locks.For(a).W.Load() != nil {
+		t.Fatal("committed state wrong (or the pair still locked) after the collision transaction")
+	}
+	if st := thr.Stats(); st.TxCommitted != 1 || st.TxAborted != 0 || st.TaskRestarts != 0 || st.WorkersSpawned != 0 {
+		t.Fatalf("stats = %+v, want one solo commit at the first attempt", st)
+	}
 }

@@ -258,8 +258,13 @@ func (t *Task) abortOwnTx(reason uint32) {
 }
 
 // abortRound records reason, joins the transaction's abort rendezvous
-// and restarts the attempt.
+// and restarts the attempt. The solo task has no rendezvous to join: its
+// abort is the kit's.
 func (t *Task) abortRound(reason uint32) {
+	if t.solo {
+		t.tx.txAborts.Add(1)
+		t.Abort(t.validTS, reason)
+	}
 	t.traceAbort(reason)
 	t.rendezvous(false)
 	panic(restartSignal{})
@@ -291,14 +296,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// their next incarnation's accesses are ordered after it.
 	st := &thr.stats
 	st.TxCommitted++
-	st.TxAborted += tx.txAborts.Load()
-	st.TaskRestarts += tx.taskRestarts.Load()
-	st.RestartWAR += tx.restartKind[restartWAR].Load()
-	st.RestartWAW += tx.restartKind[restartWAW].Load()
-	st.RestartExtend += tx.restartKind[restartExtend].Load()
-	st.RestartCM += tx.restartKind[restartCM].Load()
-	st.RestartSandbox += tx.restartKind[restartSandbox].Load()
-	st.RestartRetry += tx.restartKind[restartRetry].Load()
+	tx.foldOutcome(st)
 	st.VirtualTime += finish
 
 	// Execution-mode ladder signals: finishCommit usually runs on a
@@ -340,16 +338,10 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		t.Tr.Record(txtrace.KindCommit, ts, txWrites, 0)
 	}
 
-	// Spawn-decision signal (shipOverlap): a multi-task or fused commit
-	// moves the thread's average overlap toward this transaction's.
-	if tx.fused {
-		st.TxFused++
-	} else {
-		tx.overlap = sum - most
-	}
-	if len(tx.tasks) > 1 || tx.fused {
-		avg := thr.overlap.Load()
-		thr.overlap.Store(avg + (int64(tx.overlap)-avg)>>overlapShift)
+	// Spawn-decision signal (shipOverlap): a multi-task commit moves the
+	// thread's average overlap toward this transaction's.
+	if len(tx.tasks) > 1 {
+		thr.noteOverlap(sum - most)
 	}
 
 	// Affinity remap step (txrt.Thread.Remap): every RemapPeriod commits

@@ -72,17 +72,24 @@ func TestDirtyTxSlotResetsOnReuse(t *testing.T) {
 	}
 
 	// Reuse: transactions alternate between the two slots, so every
-	// other one below lands on the dirty slot. The declared read-only
+	// other one below lands on the dirty slot (a one-task Atomic runs on
+	// the solo task, so these are submitted). The declared read-only
 	// ones must run wait-free (mvOff cleared) and the second must read
 	// at a fresh snapshot: a stale one would be served w's pre-image
 	// from the version ring.
 	var mvOn [2]bool
 	var seen uint64
+	wait := func(h TxHandle, err error) error {
+		if err == nil {
+			h.Wait()
+		}
+		return err
+	}
 	txs := []func() error{
-		func() error { return thr.Atomic(func(tk *Task) { tk.Store(y, tk.Load(y)+1) }) },
-		func() error { return thr.AtomicRO(func(tk *Task) { mvOn[0] = tk.MVOn; seen = tk.Load(w) }) },
-		func() error { return thr.Atomic(func(tk *Task) { tk.Store(w, 2) }) },
-		func() error { return thr.AtomicRO(func(tk *Task) { mvOn[1] = tk.MVOn; seen = tk.Load(w) }) },
+		func() error { return wait(thr.Submit(func(tk *Task) { tk.Store(y, tk.Load(y)+1) })) },
+		func() error { return wait(thr.SubmitRO(func(tk *Task) { mvOn[0] = tk.MVOn; seen = tk.Load(w) })) },
+		func() error { return wait(thr.Submit(func(tk *Task) { tk.Store(w, 2) })) },
+		func() error { return wait(thr.SubmitRO(func(tk *Task) { mvOn[1] = tk.MVOn; seen = tk.Load(w) })) },
 	}
 	for i, tx := range txs {
 		if onDirty := thr.txRing[thr.txSeq%depth] == slot; onDirty != (i%2 == 1) {

@@ -204,11 +204,12 @@ func TestSubmitAtomicHandOff(t *testing.T) {
 	}
 }
 
-// A genuine body panic in a caller-run head surfaces in the Atomic
-// caller with its value intact, and leaves the descriptor machinery
-// consistent: slot retired, transaction descriptor released, and the
-// one-task transaction's serial retired as an empty commit, so the thread
-// runs on (spawn_test.go covers the next transaction).
+// A genuine body panic in a one-task Atomic surfaces in the caller with
+// its value intact, and leaves the descriptor machinery consistent: the
+// solo task held no slot and no transaction descriptor, its entry is
+// unlinked, and the transaction took no serial, so the pipeline owes
+// nothing and the thread runs on (spawn_test.go covers the next
+// transaction).
 func TestHeadPanicRetiresSlot(t *testing.T) {
 	rt := newRT(2)
 	thr := rt.NewThread()
@@ -233,10 +234,10 @@ func TestHeadPanicRetiresSlot(t *testing.T) {
 	if live := thr.txRing[0].live.Load(); live != 0 {
 		t.Fatalf("tx.live = %d after the panic, want 0", live)
 	}
-	if rt.Direct().Load(a) != 0 || thr.stats.TxCommitted != 0 {
+	if rt.Direct().Load(a) != 0 || thr.stats.TxCommitted != 0 || rt.locks.For(a).W.Load() != nil {
 		t.Fatal("the panicked transaction left an effect")
 	}
-	if thr.txDone.Seq() != 1 {
-		t.Fatalf("committed frontier = %d after the panic, want 1 (serial retired)", thr.txDone.Seq())
+	if thr.txDone.Seq() != thr.nextSerial {
+		t.Fatalf("committed frontier = %d after the panic, want %d (nothing owed)", thr.txDone.Seq(), thr.nextSerial)
 	}
 }

@@ -235,10 +235,10 @@ func (rt *Runtime) NewThread() *Thread {
 	for i := range thr.txRing {
 		thr.txRing[i] = &txState{thr: thr}
 	}
-	// Start in the ship state; bind the fused body once (no per-call alloc).
+	thr.solo = thr.newSolo()
+	// Start in the ship state.
 	thr.overlap.Store(shipOverlap)
 	thr.fusedFns = make([]TaskFunc, 0, rt.specDepth)
-	thr.fusedRun[0] = thr.runFused
 	thr.pool = sched.New(rt.specDepth, sched.Pooled, thr.runSlot)
 	thr.pool.SetLabel(fmt.Sprintf("tlstm-thr%d", id))
 	rt.threadsMu.Lock()

@@ -22,8 +22,12 @@ import (
 // conflict sketch, Alloc/Free, the Retry park and the stats fold, all
 // per incarnation (reset by Submit, folded by finishCommit). What stays
 // here is TLS-specific: the serial, the cross-thread owner header and
-// abort signal, the redo-chain logs and the restart waits; core never
-// calls Desc.Run.
+// abort signal, the redo-chain logs and the restart waits.
+//
+// A thread's ring tasks run their own attempt loop (run). Its solo task
+// — the one an Atomic that does not ship runs on — is driven by the kit
+// instead (txrt.Desc.RunOn, solo.go): the same Load and Store, but its
+// rollbacks unwind through Desc.Abort to the kit's retry loop (unwind).
 //
 // Task descriptors are recycled: descriptor i of a thread's ring runs
 // every serial congruent to i+1 modulo SPECDEPTH, re-initialized in
@@ -44,6 +48,7 @@ type Task struct {
 	// that published it.
 	serial    atomic.Int64
 	tryCommit bool
+	solo      bool // the thread's solo task (runSolo), for its whole life
 
 	// ownerRef is the stable cross-thread header installed in this
 	// task's write-log entries; see locktable.OwnerRef. Its
@@ -150,10 +155,9 @@ func (t *Task) run() {
 	// Retire via defer so a genuine-bug panic propagating out of
 	// attempt still leaves the descriptor machinery consistent: on a
 	// worker the panic then crashes the process (as the old
-	// goroutine-per-task spawn did), but a head task's surfaces in the
-	// submitting goroutine, where application code may recover — the
-	// runtime must not corrupt its rings (attempt retires a one-task
-	// transaction's serial; a multi-task one wedges loudly).
+	// goroutine-per-task spawn did), but a shipped head's surfaces in
+	// the submitting goroutine, where application code may recover — the
+	// runtime must not corrupt its rings (the transaction wedges loudly).
 	defer func() {
 		t.thr.slots[t.serial.Load()%int64(t.thr.depth)].Store(nil)
 		tx.live.Add(-1)
@@ -203,20 +207,12 @@ func (t *Task) attempt() (restart bool) {
 		if !t.consistent() {
 			t.undoAttempt()
 			t.noteRestart(restartSandbox)
+			t.traceAbort(restartAbortCode[restartSandbox])
 			t.Restarted()
 			restart = true
 			return
 		}
 		t.undoAttempt()
-		if tx := t.tx; tx.startSerial == tx.commitSerial {
-			// No sibling holds state: once the earlier transactions have
-			// committed, retire the serial as an empty commit.
-			for t.thr.txDone.Seq() < tx.startSerial-1 {
-				runtime.Gosched()
-			}
-			t.thr.completedTask.Store(tx.commitSerial)
-			t.thr.txDone.Publish(tx.commitSerial)
-		}
 		panic(r)
 	}()
 
@@ -365,14 +361,24 @@ var restartAbortCode = [numRestartKinds]uint32{
 // rollbackTask aborts just this task and restarts it, recording why.
 func (t *Task) rollbackTask(kind restartKind) {
 	t.noteRestart(kind)
-	panic(restartSignal{})
+	t.unwind(restartAbortCode[kind])
 }
 
-// noteRestart counts and traces a single-task rollback of kind.
+// noteRestart counts a single-task rollback of kind.
 func (t *Task) noteRestart(kind restartKind) {
 	t.tx.taskRestarts.Add(1)
 	t.tx.restartKind[kind].Add(1)
-	t.traceAbort(restartAbortCode[kind])
+}
+
+// unwind ends the attempt for reason: a ring task's back to its run loop,
+// the solo task's through the kit (Desc.Abort releases its entries and
+// allocations and traces the abort).
+func (t *Task) unwind(reason uint32) {
+	if t.solo {
+		t.Abort(t.validTS, reason)
+	}
+	t.traceAbort(reason)
+	panic(restartSignal{})
 }
 
 // traceAbort records the end of the current attempt for reason.
@@ -561,11 +567,14 @@ func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *l
 		if p.R.Load() != v1 {
 			continue
 		}
-		if v1 > t.validTS && !t.Extend(&t.readLog, &t.validTS, v1) {
-			t.NoteConflictAt(a)
-			t.rollbackTask(restartExtend)
-		}
 		if v1 > t.validTS {
+			if !t.Extend(&t.readLog, &t.validTS, v1) {
+				t.NoteConflictAt(a)
+				t.rollbackTask(restartExtend)
+			}
+			// Re-read at the extended snapshot: the extension validated
+			// the logged reads, not this one, and a commit between the
+			// read and the extension may have displaced it.
 			continue
 		}
 		t.readLog.Append(p, v1, firstPast)
@@ -619,6 +628,11 @@ func (t *Task) loadMV(a tm.Addr) uint64 {
 // logged, so no per-task restart could revalidate them against a moved
 // snapshot.
 func (t *Task) mvFallback() {
+	if t.solo {
+		// The kit's exit: the driver re-runs the transaction validated.
+		t.tx.txAborts.Add(1)
+		t.ExitMV(t.validTS, txtrace.AbortSpec)
+	}
 	t.MVMisses++
 	t.tx.mvOff.Store(true)
 	t.abortOwnTx(txtrace.AbortSpec)
@@ -693,6 +707,12 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			if lost {
 				t.NoteConflictAt(a)
 				defeats := t.tx.cmDefeats.Add(1)
+				if t.solo {
+					// The restart releases every lock the transaction
+					// holds, and the driver backs off per policy.
+					t.CMSelf.Defeats = int(defeats)
+					t.rollbackTask(restartCM)
+				}
 				t.CMSelf.Aborts = uint64(defeats)
 				t.backoff = cm.AbortBackoff(t.thr.rt.CM, &t.CMSelf)
 				// A task-level restart does not release the locks held
@@ -777,8 +797,12 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 // newEntry produces a write-lock entry for installation, recycling a
 // retired one when the thread's committed-transaction frontier
 // (sched.Latch txDone — the horizon every reuse is gated on) has passed
-// its retirement serial.
+// its retirement serial. The solo task's entries need no horizon: no
+// other task of the thread runs beside it to hold one.
 func (t *Task) newEntry(p *locktable.Pair, a tm.Addr, v uint64, ser int64) *locktable.WEntry {
+	if t.solo {
+		return t.writeLog.NewEntry(&t.ownerRef, ser, p, a, v)
+	}
 	return t.writeLog.NewEntryAt(&t.ownerRef, ser, p, a, v, t.thr.txDone.Seq())
 }
 

@@ -21,26 +21,31 @@ import (
 // descriptors, and a scheduler pool of SPECDEPTH long-lived worker
 // goroutines (spawned lazily, drained by Runtime.Close). A submission
 // writes into descriptors that have retired; it allocates nothing and
-// spawns nothing at steady state. Atomic runs the transaction's first —
-// least speculative — task on the calling goroutine and arms only the
-// tail on workers (or, when shipping does not pay, runs every body there
-// as one task); Submit arms every task and returns. A descriptor may
-// thus be run by a worker in one incarnation and by the submitter in the
-// next; it changes hands only across the scheduler's idle store /
-// WaitIdle and Arm / armed-load edges. Serial numbers are never reused,
-// so they double as the generation stamps that make waiting on recycled
-// state ABA-safe: handles and completion waits are keyed on serials,
-// never on descriptor identity.
+// spawns nothing at steady state. Submit arms every task and returns.
+// An Atomic that ships runs the transaction's first — least speculative
+// — task on the calling goroutine and arms only the tail on workers, so
+// a ring descriptor may be run by a worker in one incarnation and by the
+// submitter in the next; it changes hands only across the scheduler's
+// idle store / WaitIdle and Arm / armed-load edges. Serial numbers are
+// never reused, so they double as the generation stamps that make
+// waiting on recycled state ABA-safe: handles and completion waits are
+// keyed on serials, never on descriptor identity.
+//
+// An Atomic that does not ship (one body, or bodies the spawn decision
+// fuses) touches none of that: it runs on the thread's solo task, the
+// paper's TLSTM-1, through the engine kit's flat driver (runSolo).
 type Thread struct {
 	rt    *Runtime
 	depth int
 
 	// kit is the thread's identity, ladder and placement state
 	// (txrt.Thread), split by owner: the ladder half (the controller,
-	// fed by pollMode) is the submitting goroutine's; the placement half
-	// (Conflicts, Remap) is finishCommit's, often on a worker, serialized
-	// per thread like stats. Both read the home shard: Remap rebinds it,
-	// submit snapshots it into every task it arms (Desc.Reset).
+	// fed by pollMode and by the solo driver) is the submitting
+	// goroutine's; the placement half (Conflicts, Remap) is the
+	// committer's — finishCommit's, often on a worker, or the solo
+	// driver's — serialized per thread like stats. Both read the home
+	// shard: Remap rebinds it, every transaction snapshots it into its
+	// tasks (Desc.Reset).
 	kit txrt.Thread
 
 	// completedTask and completedWriter are the serials of the last
@@ -107,9 +112,10 @@ type Thread struct {
 	synced Stats
 
 	// commitScratch holds the commit-time r-lock bookkeeping of this
-	// thread's transaction commits. Commit-tasks are serialized per
-	// thread (see stats above), so one scratch per thread suffices and
-	// writer commits allocate nothing at steady state.
+	// thread's transaction commits, ring and solo. Commits are
+	// serialized per thread (see stats above; a solo transaction starts
+	// after the pipeline drained), so one scratch per thread suffices
+	// and writer commits allocate nothing at steady state.
 	commitScratch txlog.CommitScratch
 
 	// The ladder's signals: finishCommit and cleanupTx usually run on a
@@ -126,37 +132,37 @@ type Thread struct {
 	// between transactions, so they must not share a task ring.
 	tr txtrace.Tracer
 
-	// Spawn decision (shipOverlap): overlap is the average finishCommit
-	// folds and submit reads; fusedFns and fusedRun are a fused
-	// transaction's bodies and its one task (runFused, bound once).
-	overlap  atomic.Int64
-	fusedFns []TaskFunc
-	fusedRun [1]TaskFunc
+	// Spawn decision (shipOverlap): overlap is the average committed
+	// multi-task and fused transactions fold (noteOverlap) and Atomic
+	// reads; fusedFns are a fused transaction's bodies and fusedOverlap
+	// the overlap its last attempt measured (runFused).
+	overlap      atomic.Int64
+	fusedFns     []TaskFunc
+	fusedOverlap int
+
+	// solo is the task an Atomic that does not ship runs on (runSolo):
+	// submitter-owned, never in slots, bound to soloTx.
+	solo   *Task
+	soloTx txState
 }
 
 // shipOverlap is the spawn decision's threshold: Atomic ships the tail of
 // a multi-task transaction only while the thread's average overlap — per
 // committed transaction, the log entries (reads + writes) of all its
 // tasks minus those of the largest — is at least this; otherwise it runs
-// the bodies in program order as one caller-run task (TLSTM-1). A
-// hand-off costs about 0.9 µs, some 90 committed accesses. overlapShift
-// is the average's weight: each transaction moves it 1/8 of the way.
+// the bodies in program order as one solo task (TLSTM-1). A hand-off
+// costs about 0.9 µs, some 90 committed accesses. overlapShift is the
+// average's weight: each transaction moves it 1/8 of the way.
 const (
 	shipOverlap  = 128
 	overlapShift = 3
 )
 
-// runFused is a fused transaction's one body: the declared bodies in
-// program order on one task, whose log lengths after each body give the
-// overlap the shipped transaction would have had.
-func (thr *Thread) runFused(t *Task) {
-	var sum, most, mark int
-	for _, fn := range thr.fusedFns {
-		fn(t)
-		n := t.readLog.Len() + t.writeLog.Len()
-		sum, most, mark = sum+n-mark, max(most, n-mark), n
-	}
-	t.tx.overlap = sum - most
+// noteOverlap moves the thread's average overlap toward a committed
+// multi-task or fused transaction's.
+func (thr *Thread) noteOverlap(n int) {
+	avg := thr.overlap.Load()
+	thr.overlap.Store(avg + (int64(n)-avg)>>overlapShift)
 }
 
 // ID reports the thread's identifier within its runtime.
@@ -217,17 +223,13 @@ func (thr *Thread) SubmitRO(fns ...TaskFunc) (TxHandle, error) {
 }
 
 // submit prepares one user-transaction's descriptors and dispatches its
-// tasks. With headHere the program-order-first task runs on the calling
-// goroutine once the speculative tail is armed, and submit returns after
-// the transaction has committed; otherwise every task goes to a worker.
+// tasks. With headHere (a shipping Atomic) the program-order-first task
+// runs on the calling goroutine once the speculative tail is armed, and
+// submit returns after the transaction has committed; otherwise every
+// task goes to a worker.
 func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) {
 	if err := thr.rt.validateArity(len(fns)); err != nil {
 		return TxHandle{}, err
-	}
-	fused := headHere && len(fns) > 1 && thr.overlap.Load() < shipOverlap
-	if fused {
-		thr.fusedFns = append(thr.fusedFns[:0], fns...)
-		fns = thr.fusedRun[:]
 	}
 	start := thr.nextSerial + 1
 	commit := thr.nextSerial + int64(len(fns))
@@ -265,7 +267,6 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	tx.startSerial = start
 	tx.commitSerial = commit
 	tx.readOnly = ro
-	tx.fused = fused
 	tx.gen = 0
 	tx.acks = 0
 	tx.participants = 0
@@ -286,18 +287,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	if tx.greedTS.Load() != 0 {
 		tx.greedTS.Store(0)
 	}
-	if tx.txAborts.Load() != 0 {
-		tx.txAborts.Store(0)
-	}
-	if tx.taskRestarts.Load() != 0 {
-		tx.taskRestarts.Store(0)
-		for k := range tx.restartKind {
-			tx.restartKind[k].Store(0)
-		}
-	}
-	if tx.cmDefeats.Load() != 0 {
-		tx.cmDefeats.Store(0)
-	}
+	tx.clearOutcome()
 	tx.armed.Store(0)
 	tx.live.Store(int32(len(fns)))
 	// The descriptor for serial s is always ring[s%depth], so the task
@@ -323,8 +313,8 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 			thr.pool.WaitIdle(i)
 		}
 		thr.rt.Gate.Enter()
-		// Deferred, so a body panic that surfaces in this goroutine (the
-		// head task's body runs here) wedges only this thread's
+		// Deferred, so a body panic that surfaces in this goroutine (a
+		// shipped head's body runs here) wedges only this thread's
 		// transaction, not every later serialized transaction.
 		defer thr.rt.Gate.Exit()
 	}
@@ -396,27 +386,39 @@ func (thr *Thread) pollMode() {
 }
 
 // Atomic runs one user-transaction decomposed into the given tasks and
-// returns once it has committed. The first task — the transaction's
-// least speculative one — executes on the calling goroutine; tasks 2..n
-// speculate on the thread's workers, n−1 hand-offs and no wake-back.
-// When the thread's recent transactions were too short for a hand-off to
-// pay (shipOverlap), the bodies instead run in program order as one task
-// on the caller, fused: one serial, and a Retry that parks.
+// returns once it has committed. When the thread's recent transactions
+// were long enough for a hand-off to pay (shipOverlap), a multi-task
+// transaction ships: its first task — the least speculative one —
+// executes on the calling goroutine and tasks 2..n speculate on the
+// thread's workers, n−1 hand-offs and no wake-back. Every other Atomic —
+// one body, or bodies too short to ship, which then run fused in program
+// order as one task — runs on the caller as the paper's TLSTM-1: SwissTM
+// on the thread's solo task, after the thread's earlier Submits have
+// committed, with no serial, ring slot, rendezvous or completion latch
+// (runSolo).
 //
-// A genuine body panic (consistent reads) in a caller-run task reaches
-// the caller: a one-task or fused transaction leaves no effect and the
-// Thread runs on, a shipped one wedges it; in a shipped task the panic
-// crashes the process (package tlstm, "Scheduling and worker lifecycle").
-func (thr *Thread) Atomic(fns ...TaskFunc) error {
-	_, err := thr.submit(false, true, fns...)
-	return err
-}
+// A genuine body panic (consistent reads) in a caller-run body reaches
+// the caller: a solo transaction leaves no effect and the Thread runs on,
+// a shipped head wedges it; in a shipped task the panic crashes the
+// process (package tlstm, "Scheduling and worker lifecycle").
+func (thr *Thread) Atomic(fns ...TaskFunc) error { return thr.atomic(false, fns) }
 
 // AtomicRO is Atomic, spawn decision included, for a declared read-only
 // transaction (see SubmitRO; its unlogged wait-free reads add no overlap).
-func (thr *Thread) AtomicRO(fns ...TaskFunc) error {
-	_, err := thr.submit(true, true, fns...)
-	return err
+func (thr *Thread) AtomicRO(fns ...TaskFunc) error { return thr.atomic(true, fns) }
+
+// atomic is the spawn decision: ship a multi-task transaction while the
+// thread's average overlap pays for the hand-offs, run it solo otherwise.
+func (thr *Thread) atomic(ro bool, fns []TaskFunc) error {
+	if len(fns) > 1 && thr.overlap.Load() >= shipOverlap {
+		_, err := thr.submit(ro, true, fns...)
+		return err
+	}
+	if err := thr.rt.validateArity(len(fns)); err != nil {
+		return err
+	}
+	thr.runSolo(ro, fns)
+	return nil
 }
 
 // Sync waits until every submitted user-transaction has committed and
@@ -489,7 +491,8 @@ type Stats struct {
 	WorkersSpawned uint64
 	// DescriptorReuses counts task and transaction descriptors served
 	// from the recycled rings instead of freshly allocated — the
-	// steady-state case for every Submit after warm-up.
+	// steady-state case for every Submit after warm-up — plus one per
+	// transaction run on the thread's solo task (runSolo).
 	DescriptorReuses uint64
 
 	// Counters: EntryReclaims is the steady-state case for every writer
@@ -600,9 +603,38 @@ type txState struct {
 	readOnly bool
 	mvOff    atomic.Bool
 	snapshot atomic.Uint64
+}
 
-	fused   bool // Atomic runs it as one task (runFused)
-	overlap int  // spawn-decision sample: runFused or finishCommit sets it
+// clearOutcome zeroes the outcome counters before the descriptor's next
+// transaction, touching only those the previous one set (a load is a
+// MOV, a store an XCHG; noteRestart bumps taskRestarts with every
+// restartKind).
+func (tx *txState) clearOutcome() {
+	if tx.txAborts.Load() != 0 {
+		tx.txAborts.Store(0)
+	}
+	if tx.taskRestarts.Load() != 0 {
+		tx.taskRestarts.Store(0)
+		for k := range tx.restartKind {
+			tx.restartKind[k].Store(0)
+		}
+	}
+	if tx.cmDefeats.Load() != 0 {
+		tx.cmDefeats.Store(0)
+	}
+}
+
+// foldOutcome adds the committed transaction's abort rounds and task
+// restarts, by kind, to st.
+func (tx *txState) foldOutcome(st *Stats) {
+	st.TxAborted += tx.txAborts.Load()
+	st.TaskRestarts += tx.taskRestarts.Load()
+	st.RestartWAR += tx.restartKind[restartWAR].Load()
+	st.RestartWAW += tx.restartKind[restartWAW].Load()
+	st.RestartExtend += tx.restartKind[restartExtend].Load()
+	st.RestartCM += tx.restartKind[restartCM].Load()
+	st.RestartSandbox += tx.restartKind[restartSandbox].Load()
+	st.RestartRetry += tx.restartKind[restartRetry].Load()
 }
 
 // mvSnapUnset marks a transaction whose frozen snapshot has not been

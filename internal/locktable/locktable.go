@@ -83,7 +83,9 @@ func NewEntry(owner *OwnerRef, serial int64, p *Pair, a tm.Addr, v uint64) *WEnt
 func (e *WEntry) Seed(serial int64, p *Pair, a tm.Addr, v uint64) {
 	e.Serial = serial
 	e.Pair = p
-	e.Prev.Store(nil)
+	if e.Prev.Load() != nil { // a load is a MOV, a store an XCHG
+		e.Prev.Store(nil)
+	}
 	e.Words = append(e.buf[:0], WordVal{Addr: a, Val: v})
 }
 
@@ -240,7 +242,9 @@ func (r *FreeRing) SetCap(n int) { r.cap = n }
 // Put returns an entry that was never published (or whose quiescence
 // the caller has already established) straight to the free tier.
 func (r *FreeRing) Put(e *WEntry) {
-	e.Prev.Store(nil) // unpublished: no reader can hold it; drop the chain link
+	if e.Prev.Load() != nil { // drop the chain link (Seed clears it again)
+		e.Prev.Store(nil)
+	}
 	r.free = append(r.free, e)
 }
 

@@ -121,9 +121,17 @@ func TestCollisionSharedPairValues(t *testing.T) {
 	rt := New(WithLockTableBits(4)) // 16 pairs
 	d := rt.Direct()
 	a := d.Alloc(1)
-	b := a + 16 // same pair by construction (stride = table size)
-	if rt.locks.For(a) != rt.locks.For(b) {
-		t.Skip("allocator layout changed; addresses no longer collide")
+	// Layout.Index is a Fibonacci hash, so no fixed stride collides:
+	// search a fresh block for a word sharing a's pair.
+	const n = 256
+	block, b := d.Alloc(n), tm.Addr(0)
+	for c := block; c < block+n && b == 0; c++ {
+		if rt.locks.For(c) == rt.locks.For(a) {
+			b = c
+		}
+	}
+	if b == 0 {
+		t.Fatalf("no word of a %d-word block shares a's lock pair", n)
 	}
 	rt.Atomic(nil, func(tx *Tx) {
 		tx.Store(a, 1)

@@ -253,13 +253,17 @@ func (tx *Tx) Begin() uint64 {
 	return tx.validTS
 }
 
-// Exec implements txrt.Algorithm.
+// Exec implements txrt.Algorithm: the body, then the kit's flat commit
+// (txrt.Desc.Commit).
 func (tx *Tx) Exec() {
 	tx.fn(tx)
-	tx.commit()
-	reclaims, stalls := tx.writeLog.TakeReclaimCounts()
-	tx.Reclaims += reclaims
-	tx.Stalls += stalls
+	if tx.writeLog.Len() != 0 {
+		tx.checkSignals()
+	}
+	if failed := tx.Commit(&tx.readLog, &tx.writeLog, &tx.scratch, tx.validTS); failed != nil {
+		tx.NoteConflict(tx.rt.locks.ShardOfPair(failed))
+		tx.abort(txtrace.AbortValidation)
+	}
 }
 
 // Release implements txrt.Algorithm: drop every w-lock the attempt
@@ -316,12 +320,15 @@ func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
 		if p.R.Load() != v1 {
 			continue // torn read: version moved underneath us
 		}
-		if v1 > tx.validTS && !tx.Extend(&tx.readLog, &tx.validTS, v1) {
-			tx.NoteConflictAt(a)
-			tx.abort(txtrace.AbortExtend)
-		}
 		if v1 > tx.validTS {
-			continue // extended, but not far enough; re-read
+			if !tx.Extend(&tx.readLog, &tx.validTS, v1) {
+				tx.NoteConflictAt(a)
+				tx.abort(txtrace.AbortExtend)
+			}
+			// Re-read at the extended snapshot: the extension validated
+			// the logged reads, not this one, and a commit between the
+			// read and the extension may have displaced it.
+			continue
 		}
 		tx.readLog.Append(p, v1, nil)
 		if tx.Traced {
@@ -409,76 +416,6 @@ func (tx *Tx) Retry() {
 	}
 	tx.ArmParkReads(&tx.readLog)
 	tx.abort(txtrace.AbortRetry)
-}
-
-// commit validates and publishes the transaction (paper §3.1).
-func (tx *Tx) commit() {
-	if tx.writeLog.Len() == 0 {
-		// Read-only transactions are consistent by construction at
-		// valid-ts; nothing to publish.
-		tx.Committed(tx.validTS, 0)
-		return
-	}
-	tx.checkSignals()
-
-	// Phase 1: lock the r-locks of written pairs, remembering the
-	// versions we displace so a failed validation can restore them.
-	// Eager W/W locking guarantees one entry per pair, so every
-	// LockPair is a fresh acquisition.
-	tx.scratch.Reset()
-	for _, e := range tx.writeLog.Entries() {
-		tx.scratch.LockPair(e.Pair)
-		tx.Work++
-	}
-
-	ts := tx.rt.Clk.Tick(&tx.ClkProbe)
-
-	// Pairs this commit r-locked compare against the version they had
-	// when we locked them.
-	failed := tx.ValidateReads(&tx.readLog, &tx.scratch)
-	tx.TraceValidate(ts, tx.readLog.Len(), failed == nil)
-	if failed != nil {
-		tx.scratch.Restore()
-		tx.NoteConflict(tx.rt.locks.ShardOfPair(failed))
-		tx.abort(txtrace.AbortValidation)
-	}
-
-	// Feed the multi-version store while memory still holds the values
-	// this commit is about to overwrite: each written word's old value
-	// was the committed value over [displaced version, ts).
-	if mv := tx.rt.MV; mv != nil {
-		for _, e := range tx.writeLog.Entries() {
-			pre, _ := tx.scratch.Saved(e.Pair)
-			for _, w := range e.Words {
-				mv.Publish(w.Addr, tx.rt.Store.LoadWord(w.Addr), pre, ts)
-			}
-		}
-	}
-
-	// Phase 2: publish values, then release locks with the new version.
-	for _, e := range tx.writeLog.Entries() {
-		for _, w := range e.Words {
-			tx.rt.Store.StoreWord(w.Addr, w.Val)
-			if tx.Traced {
-				// Written-word identities, between Validate and Commit:
-				// the opacity checker rebuilds per-slot version
-				// histories from these.
-				tx.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
-			}
-			tx.Work++
-		}
-	}
-	for _, e := range tx.writeLog.Entries() {
-		e.Pair.R.Store(ts)
-		e.Pair.W.CompareAndSwap(e, nil)
-	}
-	// Ring Retry waiters whose read fingerprints intersect this write
-	// set. The fast path (no waiters) is one atomic load; the
-	// fingerprint is only computed when someone is parked.
-	if hub := tx.rt.Hub; hub.Active() {
-		hub.Notify(tx.scratch.Fingerprint())
-	}
-	tx.Committed(ts, tx.writeLog.Len())
 }
 
 var _ tm.Tx = (*Tx)(nil)

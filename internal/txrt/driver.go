@@ -215,19 +215,30 @@ func (d *Desc) Init(env *Env, alg Algorithm, ring string) {
 // ladder is disarmed and nothing is recorded. ro declares the
 // transaction read-only.
 func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
-	env := d.env
-	var c *Counters
-	if st != nil {
-		c = &st.Counters
-		if thr == nil {
-			thr = &st.thr
-		}
+	if st == nil {
+		d.RunOn(thr, nil, ro)
+		return
 	}
+	if thr == nil {
+		thr = &st.thr
+	}
+	d.RunOn(thr, &st.Counters, ro)
+	st.Commits++
+	st.Aborts += d.aborts
+}
+
+// RunOn is Run folding the descriptor into c (nil records nothing) and
+// leaving the outcome counts to the caller: core runs a transaction that
+// does not ship through it and counts commits and aborts its own way.
+func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
+	env := d.env
 	if thr != nil && thr.env == nil {
 		env.Bind(thr)
 	}
 	d.Reset(thr)
-	d.GreedTS.Store(0)
+	if d.GreedTS.Load() != 0 { // a load is a MOV, a store an XCHG
+		d.GreedTS.Store(0)
+	}
 	d.MVOn = ro && env.MV != nil
 	if d.Traced {
 		d.Tr.Record(txtrace.KindTxBegin, env.Clk.Now(), 0, 0)
@@ -288,11 +299,9 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 		d.exitGate()
 	}
 	cm.Committed(env.CM, &d.CMSelf)
-	if st != nil {
+	if c != nil {
 		reads, writes := d.alg.SetSizes()
-		st.Commits++
-		st.Aborts += d.aborts
-		d.Fold(&st.Counters, reads, writes)
+		d.Fold(c, reads, writes)
 	} else {
 		d.cmProbe.TakeCounts() // nothing records them; clear for the next transaction
 	}

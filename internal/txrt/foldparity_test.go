@@ -17,10 +17,12 @@ import (
 	"tlstm/internal/txstats"
 )
 
-// The fold-parity regression: one directed scenario, run on a one-task
-// core Atomic and on stm, must fold the per-transaction counters both
-// runtimes share into the same values — a one-task TLSTM transaction is
-// a SwissTM transaction, and both fold through txrt.Desc.Fold.
+// The fold-parity regression: one directed scenario, run on stm and on
+// both of core's paths for a one-task transaction — Atomic (the solo
+// task, on the kit's driver) and Submit+Wait (the task ring) — must fold
+// the per-transaction counters the runtimes share into the same values:
+// a one-task TLSTM transaction is a SwissTM transaction, and all three
+// fold through txrt.Desc.Fold.
 
 type retryTx interface {
 	tm.Tx
@@ -37,14 +39,50 @@ type parityRuntime struct {
 	helper           func(body func(retryTx))
 	counters         func() txrt.Counters
 	close            func()
+
+	// core only: the thread's modeled virtual time, and its committed
+	// transactions (each one task, so each adds its Work plus core's
+	// commitCost).
+	virtual func() (vt, commits uint64)
+}
+
+// coreCommitCost is core's per-task commit cost in the virtual-time model.
+const coreCommitCost = 2
+
+// coreRow is one of core's paths as the scenario drives it, run and
+// runRO being the measured thread's entries.
+func coreRow(name string, c *core.Runtime, run, runRO func(*core.Thread, core.TaskFunc)) parityRuntime {
+	ct, ch := c.NewThread(), c.NewThread()
+	return parityRuntime{
+		name: name, direct: c.Direct(),
+		atomic:   func(body func(retryTx)) { run(ct, func(tk *core.Task) { body(tk) }) },
+		atomicRO: func(body func(retryTx)) { runRO(ct, func(tk *core.Task) { body(tk) }) },
+		helper:   func(body func(retryTx)) { _ = ch.Atomic(func(tk *core.Task) { body(tk) }) },
+		counters: func() txrt.Counters { ct.Sync(); return ct.Stats().Counters },
+		close:    func() { ch.Sync(); c.Close() },
+		virtual: func() (uint64, uint64) {
+			ct.Sync()
+			st := ct.Stats()
+			return st.VirtualTime, st.TxCommitted
+		},
+	}
 }
 
 func parityRuntimes(pol func() cm.Policy) []parityRuntime {
 	const mvDepth = 2
 	s := stm.New(stm.WithMultiVersion(mvDepth), stm.WithCM(pol()))
 	sm, sh := s.NewWorker(), s.NewWorker()
-	c := core.New(core.Config{SpecDepth: 2, MVDepth: mvDepth, CM: pol()})
-	ct, ch := c.NewThread(), c.NewThread()
+	newCore := func() *core.Runtime { return core.New(core.Config{SpecDepth: 2, MVDepth: mvDepth, CM: pol()}) }
+	submitWait := func(ro bool) func(*core.Thread, core.TaskFunc) {
+		return func(thr *core.Thread, fn core.TaskFunc) {
+			submit := thr.Submit
+			if ro {
+				submit = thr.SubmitRO
+			}
+			h, _ := submit(fn)
+			h.Wait()
+		}
+	}
 	return []parityRuntime{
 		{
 			name: "stm", direct: s.Direct(),
@@ -54,14 +92,10 @@ func parityRuntimes(pol func() cm.Policy) []parityRuntime {
 			counters: func() txrt.Counters { return sm.Stats().Counters },
 			close:    func() { sm.Close(); sh.Close() },
 		},
-		{
-			name: "core", direct: c.Direct(),
-			atomic:   func(body func(retryTx)) { _ = ct.Atomic(func(tk *core.Task) { body(tk) }) },
-			atomicRO: func(body func(retryTx)) { _ = ct.AtomicRO(func(tk *core.Task) { body(tk) }) },
-			helper:   func(body func(retryTx)) { _ = ch.Atomic(func(tk *core.Task) { body(tk) }) },
-			counters: func() txrt.Counters { ct.Sync(); return ct.Stats().Counters },
-			close:    func() { ch.Sync(); c.Close() },
-		},
+		coreRow("core", newCore(),
+			func(thr *core.Thread, fn core.TaskFunc) { _ = thr.Atomic(fn) },
+			func(thr *core.Thread, fn core.TaskFunc) { _ = thr.AtomicRO(fn) }),
+		coreRow("core-ring", newCore(), submitWait(false), submitWait(true)),
 	}
 }
 
@@ -170,6 +204,12 @@ func TestFoldParityCoreAndSTM(t *testing.T) {
 		<-hdone
 
 		got[i] = rt.counters()
+		if rt.virtual != nil {
+			if vt, commits := rt.virtual(); vt != got[i].Work+coreCommitCost*commits {
+				t.Errorf("%s: VirtualTime %d over %d one-task transactions of %d work units, want work + %d per transaction",
+					rt.name, vt, commits, got[i].Work, coreCommitCost)
+			}
+		}
 		rt.close()
 	}
 
@@ -190,9 +230,11 @@ func TestFoldParityCoreAndSTM(t *testing.T) {
 			t.Errorf("%s: Attempts [%s], want [%s]", name, c.Attempts, attempts)
 		}
 	}
-	s, k := got[0], got[1]
-	if s.RetryWakes != k.RetryWakes || s.MVReads != k.MVReads || s.MVMisses != k.MVMisses ||
-		s.CMAbortsSelf != k.CMAbortsSelf || s.ConflictSketch != k.ConflictSketch || s.Attempts != k.Attempts {
-		t.Errorf("folds disagree:\n stm  %+v\n core %+v", s, k)
+	s := got[0]
+	for i, k := range got[1:] {
+		if s.RetryWakes != k.RetryWakes || s.MVReads != k.MVReads || s.MVMisses != k.MVMisses ||
+			s.CMAbortsSelf != k.CMAbortsSelf || s.ConflictSketch != k.ConflictSketch || s.Attempts != k.Attempts {
+			t.Errorf("folds disagree:\n stm  %+v\n %s %+v", s, rts[i+1].name, k)
+		}
 	}
 }

@@ -171,14 +171,14 @@ func TestUserPanicLeavesNoReadOnlyDeclaration(t *testing.T) {
 	}
 }
 
-// TestCoreUserPanicReleasesGate is the same scenario against TLSTM.
-// Atomic runs a transaction's first task on the submitting goroutine,
-// so a genuine body panic there surfaces in the caller with its value
-// intact (a later task's, on a worker, still takes the process down).
-// That thread's transaction never commits — the thread is wedged, by
-// design — but its slot is retired, its locks are undone and the
-// runtime's gate is free, so every other thread runs on, speculative
-// or serialized.
+// TestCoreUserPanicReleasesGate is the same scenario against TLSTM. A
+// one-task Atomic runs on the thread's solo task on the submitting
+// goroutine, through this driver, so a genuine body panic there surfaces
+// in the caller with its value intact (a shipped task's, on a worker,
+// still takes the process down). The panicked transaction leaves no
+// effect: its locks are undone and the runtime's gate is free, so every
+// other thread runs on, speculative or serialized — and so does the
+// panicked thread itself (core's spawn_test.go covers it in more shapes).
 func TestCoreUserPanicReleasesGate(t *testing.T) {
 	for _, mc := range []mode.Config{{Policy: mode.Speculative}, {Policy: mode.Serial}} {
 		t.Run(mc.Policy.String(), func(t *testing.T) {
@@ -198,11 +198,16 @@ func TestCoreUserPanicReleasesGate(t *testing.T) {
 					t.Error(err)
 				}
 			})
-			if got := rt.Direct().Load(a); got != 1 {
-				t.Fatalf("word = %d, want 1 (the panicked store undone, the second thread's increment applied)", got)
+			within(t, "the panicked thread's next transaction", func() {
+				if err := first.Atomic(func(tk *core.Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
+					t.Error(err)
+				}
+			})
+			if got := rt.Direct().Load(a); got != 2 {
+				t.Fatalf("word = %d, want 2 (the panicked store undone, both threads' increments applied)", got)
 			}
-			// A one-task transaction never reached a worker, so nothing
-			// is left running behind the wedged thread.
+			// A one-task transaction never reaches a worker, so nothing
+			// is left running behind either thread.
 			within(t, "Close", rt.Close)
 		})
 	}

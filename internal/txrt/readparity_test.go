@@ -15,7 +15,7 @@ import (
 // and the Retry park, are the engine kit's, so every directed scenario
 // below must fold the same read-side counters on all four runtimes.
 
-// readSideRuntimes is parityRuntimes (stm, core) plus tl2 and wtstm,
+// readSideRuntimes is parityRuntimes (stm, core solo, core ring) plus tl2 and wtstm,
 // each with the runtime's default contention manager and a version
 // ring of depth 2.
 func readSideRuntimes() []parityRuntime {

@@ -14,7 +14,8 @@
 //     flat-transaction driver (driver.go);
 //   - the shared read side: the multi-version probe and exit (ReadMV,
 //     ExitMV), SwissTM's snapshot extension (Extend) and commit-time
-//     read validation (ValidateReads) (read.go).
+//     read validation (ValidateReads) (read.go);
+//   - SwissTM's flat commit over a pair lock table (Commit, commit.go).
 //
 // A flat runtime's *Tx embeds Desc, implements tm.Tx, and supplies:
 //
@@ -35,9 +36,12 @@
 // TLSTM's core is on the kit too: core.Task embeds Desc (counters, the
 // CM front half Contend, conflict sketch, Alloc/Free, ArmPark/ParkRetry,
 // Fold) and core.Thread holds a Thread (identity, ladder feed, placement
-// remap), but it never calls Run: its attempt loop, abort rendezvous,
-// commit order and the cross-goroutine hand-off of its ladder signals
-// are TLS-specific, and it drives Reset/StartAttempt/Restarted itself.
+// remap). A transaction that does not ship — one task, or bodies fused
+// into one — runs on the thread's solo task through RunOn and Commit,
+// exactly as stm runs one (TLSTM-1 is SwissTM). A shipped or submitted
+// one keeps core's own attempt loop, abort rendezvous, commit order and
+// cross-goroutine hand-off of its ladder signals, which are TLS-specific;
+// there core drives Reset/StartAttempt/Restarted itself.
 package txrt
 
 import (

@@ -33,17 +33,17 @@
 //
 // # Scheduling and worker lifecycle
 //
-// Atomic dispatches the way speculative multithreading is meant to: the
-// transaction's program-order-first task — the least speculative one —
-// runs on the calling goroutine, the one that holds its inputs, and only
-// the speculative tail (tasks 2..n) is shipped to other goroutines.
-// Those are not fresh goroutines either: each Thread owns a ring of
-// SpecDepth recycled task descriptors and up to SpecDepth long-lived
-// workers (internal/sched), spawned lazily the first time a slot is
-// shipped and parked between tasks. A one-task Atomic therefore never
-// touches a worker at all, an n-task one pays n−1 hand-offs and no
-// wake-back, and at steady state nothing is allocated or spawned; Stats
-// reports the totals as WorkersSpawned and DescriptorReuses.
+// Atomic dispatches the way speculative multithreading is meant to, when
+// speculation pays: the transaction's program-order-first task — the
+// least speculative one — runs on the calling goroutine, the one that
+// holds its inputs, and only the speculative tail (tasks 2..n) is
+// shipped to other goroutines. Those are not fresh goroutines either:
+// each Thread owns a ring of SpecDepth recycled task descriptors and up
+// to SpecDepth long-lived workers (internal/sched), spawned lazily the
+// first time a slot is shipped and parked between tasks. A shipped
+// n-task Atomic pays n−1 hand-offs and no wake-back, and at steady state
+// nothing is allocated or spawned; Stats reports the totals as
+// WorkersSpawned and DescriptorReuses.
 //
 // Speculation only pays when tasks are longer than a hand-off, so
 // Atomic decides per thread whether to ship at all. Each committed
@@ -51,10 +51,18 @@
 // plus writes) of all its tasks minus those of the largest — into a
 // moving average; while that average is below 128 entries (about the
 // 0.9 µs a hand-off costs), Atomic runs the bodies fused, in program
-// order as one task on the caller (the paper's TLSTM-1), and
-// Stats.TxFused counts it. A thread starts out shipping, tiny-task
-// streams fuse after one transaction, and a stream that grows ships
-// again within a few. The decision is per thread, not per task index.
+// order as one task, and Stats.TxFused counts it. A thread starts out
+// shipping, tiny-task streams fuse after one transaction, and a stream
+// that grows ships again within a few. The decision is per thread, not
+// per task index.
+//
+// A transaction that does not ship — one task, or fused bodies — is the
+// paper's TLSTM-1, and runs as SwissTM runs one: on the calling
+// goroutine, on the Thread's one solo task, through the same retry loop
+// and flat commit as the SwissTM baseline (internal/txrt). It waits for
+// the Thread's earlier Submits to commit first, then pays no serial,
+// ring slot, worker, abort rendezvous or completion latch; it counts one
+// DescriptorReuses.
 //
 // Submit is the pipelining entry: it ships every task to a worker and
 // returns before the commit, so with SpecDepth larger than the task
@@ -67,16 +75,15 @@
 // joins all workers. Submitting after Close panics.
 //
 // A task body that panics on consistent reads is a bug in the body. In
-// a caller-run task of an Atomic the panic reaches the caller with its
-// value intact; in any shipped task it crashes the process from the
+// a body an Atomic runs on the caller the panic reaches the caller with
+// its value intact; in any shipped task it crashes the process from the
 // worker, like any crashed goroutine. The panicked task's writes are
-// undone, its slot is retired and the serialized gate is released, so
-// every other Thread runs on. A one-task or fused transaction is then
-// retired as an empty commit and its own Thread runs on too. The head of
-// a shipped transaction leaves its Thread wedged: the panicked
-// transaction never commits, so nothing submitted on the thread after it
-// does, and its tail tasks stay parked on their workers (Close then does
-// not return).
+// undone and the serialized gate is released, so every other Thread runs
+// on. A solo (one-task or fused) transaction then leaves no trace and
+// its own Thread runs on too. The head of a shipped transaction leaves
+// its Thread wedged: the panicked transaction never commits, so nothing
+// submitted on the thread after it does, and its tail tasks stay parked
+// on their workers (Close then does not return).
 //
 // # Waiting on transactions
 //
