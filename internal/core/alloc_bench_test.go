@@ -81,7 +81,7 @@ func submitWaitTx(thr *Thread, body TaskFunc) {
 
 // BenchmarkThreadCommitSmallTx is the one-task Atomic: TLSTM-1, run on
 // the thread's solo task on the calling goroutine through the kit's
-// driver and flat commit — no worker, serial, ring slot or latch. Its
+// driver and commit — no worker, serial, ring slot or latch. Its
 // reference is stm's BenchmarkRuntimeAtomicPooled.
 func BenchmarkThreadCommitSmallTx(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2}, atomicTx)
@@ -104,6 +104,18 @@ func BenchmarkThreadCommitSmallTxAdaptive(b *testing.B) {
 // pays; this is the benchmark that keeps the ring path allocation-free.
 func BenchmarkThreadCommitSmallTxShipped(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2}, submitWaitTx)
+}
+
+// BenchmarkThreadCommitShippedSharedPair is Submit+Wait of two tasks
+// that both increment one word: the second reads the first's value from
+// the redo chain and stacks its own entry on it, and the ring commit
+// locks the pair once, publishes both values in program order and drops
+// the chain at the second task's entry, its head. allocs/op must be 0.
+func BenchmarkThreadCommitShippedSharedPair(b *testing.B) {
+	benchSmallTx(b, Config{SpecDepth: 2}, func(thr *Thread, body TaskFunc) {
+		h, _ := thr.Submit(body, body)
+		h.Wait()
+	})
 }
 
 // BenchmarkThreadCommitSmallTxFused is bank_hot's transaction on one

@@ -5,7 +5,6 @@ import (
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
-	"tlstm/internal/txlog"
 	"tlstm/internal/txtrace"
 )
 
@@ -79,174 +78,59 @@ func (t *Task) commitStep() {
 }
 
 // commitTransaction is the commit-task's user-transaction commit
-// (Alg. 3 lines 78–94): it considers the read and write logs of every
-// task of the transaction, locks and publishes all buffered writes, and
-// finally signals completion of the whole transaction.
+// (Alg. 3 lines 78–94). The commit itself is SwissTM's over every task's
+// logs (commitLogs); what is TLS-specific is the read-only check below
+// and finishCommit's completion of the whole transaction.
 func (t *Task) commitTransaction() {
 	tx := t.tx
-	thr := t.thr
-	rt := thr.rt
-
-	writeTx := false
 	for _, task := range tx.tasks {
 		if task.writeLog.Len() > 0 {
-			writeTx = true
+			t.finishCommit(t.commitLogs(true), true)
+			return
+		}
+	}
+	// Read-only transaction: tasks may have completed at different
+	// logical times; if their valid-ts values diverge the union of their
+	// reads must be revalidated, otherwise commit is free (§3.3,
+	// "Commit").
+	for _, task := range tx.tasks {
+		if task.validTS != t.validTS {
+			if failed := t.ValidateLogs(tx.logs, nil); failed != nil {
+				t.failTxValidation(failed, t.validTS)
+			}
 			break
 		}
 	}
-
-	if !writeTx {
-		// Read-only transaction: tasks may have completed at different
-		// logical times; if their valid-ts values diverge the union of
-		// their reads must be revalidated, otherwise commit is free
-		// (§3.3, "Commit").
-		sameTS := true
-		for _, task := range tx.tasks {
-			if task.validTS != t.validTS {
-				sameTS = false
-				break
-			}
-		}
-		if !sameTS {
-			if failed := t.validateTxReads(nil); failed != nil {
-				t.failTxValidation(failed, t.validTS)
-			}
-		}
-		t.finishCommit(0, false)
-		return
-	}
-
-	// Optimistic pre-lock validation (line 78): cheaper to discover a
-	// doomed transaction before acquiring r-locks.
-	if failed := t.validateTxReads(nil); failed != nil {
-		t.failTxValidation(failed, t.validTS)
-	}
-
-	// Lock the r-locks of every written pair, remembering displaced
-	// versions for restoration on failure (lines 81–83). Several tasks
-	// may have written the same pair; lock it once. The scratch is
-	// thread-owned and reused, so steady-state commits do not allocate.
-	scr := &thr.commitScratch
-	scr.Reset()
-	for _, task := range tx.tasks {
-		for _, e := range task.writeLog.Entries() {
-			if scr.LockPair(e.Pair) {
-				t.Work++
-			}
-		}
-	}
-
-	ts := rt.Clk.Tick(&t.ClkProbe) // line 84
-
-	if failed := t.validateTxReads(scr); failed != nil { // line 85
-		scr.Restore()
-		t.failTxValidation(failed, ts)
-	}
-	t.recordTxValidate(ts, true)
-
-	// Feed the multi-version store while memory still holds the
-	// pre-images this commit is about to overwrite: each written word's
-	// current committed value was valid over [displaced r-lock version,
-	// ts), exactly the interval stamp a VersionedStore entry carries.
-	// When several tasks wrote the same word the publishes are
-	// identical duplicates — they only cost ring slots, never
-	// correctness.
-	if mv := rt.MV; mv != nil {
-		for _, task := range tx.tasks {
-			for _, e := range task.writeLog.Entries() {
-				if pre, ok := scr.Saved(e.Pair); ok {
-					for _, w := range e.Words {
-						mv.Publish(w.Addr, rt.Store.LoadWord(w.Addr), pre, ts)
-					}
-				}
-			}
-		}
-	}
-
-	// Publish every task's buffered writes in serial order, so that when
-	// several tasks wrote the same word the latest in program order wins
-	// (lines 87–89; tx.tasks is already serial-ordered and each write
-	// log is in program order).
-	for _, task := range tx.tasks {
-		for _, e := range task.writeLog.Entries() {
-			for _, w := range e.Words {
-				rt.Store.StoreWord(w.Addr, w.Val)
-				if t.Traced {
-					// Written-word identities land on the commit task's
-					// ring, between its Validate and Commit events, so the
-					// opacity checker can rebuild per-slot version
-					// histories. Same-word repeats across tasks dedup
-					// offline.
-					t.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
-				}
-				t.Work++
-			}
-		}
-	}
-
-	// Release: publish the new version, then drop the redo chain if its
-	// head belongs to this transaction (lines 90–92). If a task of a
-	// future transaction already stacked an entry on top, the chain
-	// stays; the committed entries below it now mirror memory, and the
-	// future transaction's own commit or abort will unwind them. Pairs
-	// whose chain we actually dropped are marked in the scratch: only
-	// their entries are detached, so only they retire into the free
-	// rings (finishCommit); entries left chained are dropped to the GC.
-	for _, p := range scr.Pairs() {
-		p.R.Store(ts)
-		h := p.W.Load()
-		if h != nil && h.Owner.ThreadID == thr.ID() &&
-			h.Serial >= tx.startSerial && h.Serial <= tx.commitSerial {
-			if p.W.CompareAndSwap(h, nil) {
-				scr.MarkReleased(p)
-			}
-		}
-	}
-
-	// Ring the Retry doorbells of waiters whose read sets intersect this
-	// commit's writes — after the versions above are published, so a
-	// woken waiter revalidates against post-commit state. One atomic
-	// load when nobody waits; the entries are still live (retirement
-	// happens in finishCommit).
-	if hub := rt.Hub; hub.Active() {
-		hub.Notify(scr.Fingerprint())
-	}
-
-	t.finishCommit(ts, true)
+	t.finishCommit(0, false)
 }
 
-// validateTxReads validates the committed reads of every task of the
-// transaction against current r-lock versions, returning the first
-// failing pair (nil when every read is valid — the pair feeds the
-// conflict sketch). Pairs r-locked by this commit (recorded in scr;
-// nil during the optimistic pre-lock pass) compare against their
-// displaced version.
-func (t *Task) validateTxReads(scr *txlog.CommitScratch) *locktable.Pair {
-	for _, task := range t.tx.tasks {
-		if failed := t.ValidateReads(&task.readLog, scr); failed != nil {
-			return failed
+// commitLogs commits the transaction's logs — a ring transaction's or
+// the solo task's — through the kit's commit, over the thread-owned
+// scratch so steady-state commits do not allocate, and returns the commit
+// timestamp. A writer first runs the optimistic pre-lock validation
+// (Alg. 3 line 78), which finds a doomed transaction before it takes
+// r-locks. Either failed validation aborts the transaction.
+func (t *Task) commitLogs(writer bool) uint64 {
+	logs := t.tx.logs
+	if writer {
+		if failed := t.ValidateLogs(logs, nil); failed != nil {
+			t.failTxValidation(failed, t.validTS)
 		}
 	}
-	return nil
-}
-
-// recordTxValidate records a commit-time whole-transaction validation
-// pass on the commit-task's flight recorder.
-func (t *Task) recordTxValidate(clock uint64, ok bool) {
-	if t.Traced {
-		n := 0
-		for _, task := range t.tx.tasks {
-			n += task.readLog.Len()
-		}
-		t.TraceValidate(clock, n, ok)
+	ts, failed := t.Commit(logs, &t.thr.commitScratch, t.validTS)
+	if failed != nil {
+		// Commit traced the failed validation.
+		t.NoteConflict(t.locks.ShardOfPair(failed))
+		t.abortOwnTx(txtrace.AbortValidation)
 	}
+	return ts
 }
 
 // failTxValidation aborts the user-transaction after a failed
 // commit-time validation of pair p at clock.
 func (t *Task) failTxValidation(p *locktable.Pair, clock uint64) {
 	t.NoteConflict(t.locks.ShardOfPair(p))
-	t.recordTxValidate(clock, false)
+	t.TraceValidateLogs(clock, t.tx.logs, false)
 	t.abortOwnTx(txtrace.AbortValidation)
 }
 
@@ -327,7 +211,9 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	for _, task := range tx.tasks {
 		n := task.readLog.Len() + task.writeLog.Len()
 		sum, most = sum+n, max(most, n)
-		task.Reclaims, task.Stalls = task.writeLog.TakeReclaimCounts()
+		// A writer commit took the pools' counts; a read-only one did not.
+		reclaims, stalls := task.writeLog.TakeReclaimCounts()
+		task.Reclaims, task.Stalls = task.Reclaims+reclaims, task.Stalls+stalls
 		txWrites += uint64(task.writeLog.Len())
 		task.Fold(&st.Counters, task.readLog.Len(), task.writeLog.Len())
 		thr.kit.Conflicts(&task.Desc)
@@ -350,12 +236,12 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 
 	// Retire the transaction's write-lock entries into their
 	// descriptors' free rings (entry lifecycle: armed → committed →
-	// retired → quiescent → reused). The chains were dropped by the
-	// release loop above, so the entries are detached; tasks whose
-	// attempts could still hold one as a FirstPast marker are exactly
-	// those armed by now, and every serial armed at any moment is at
-	// most the committed frontier plus SPECDEPTH — hence the retirement
-	// serial below, which reuse waits for. The epoch bump must follow
+	// retired → quiescent → reused). The commit's release dropped the
+	// chains (txlog.CommitScratch.Release), so the entries are detached;
+	// tasks whose attempts could still hold one as a FirstPast marker
+	// are exactly those armed by now, and every serial armed at any
+	// moment is at most the committed frontier plus SPECDEPTH — hence the
+	// retirement serial below, which reuse waits for. The epoch bump must follow
 	// the detach and precede this transaction's txDone publish so tasks
 	// arming after the frontier passes observe it (the audit's
 	// happens-before edge). Intermediate tasks of this transaction are

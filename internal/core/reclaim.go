@@ -15,9 +15,10 @@ import "fmt"
 // Entry lifecycle:
 //
 //	armed      the owning task installed the entry in a redo chain
-//	committed  the transaction published its writes; the release loop
-//	           dropped the chain (or left it to a future stacker, in
-//	           which case the entry is abandoned to the GC instead)
+//	committed  the transaction published its writes; the commit's
+//	           release dropped the chain (or left it to a future
+//	           stacker, in which case the entry is abandoned to the GC
+//	           instead)
 //	retired    the entry sits in its descriptor's free ring, stamped
 //	           with retirement serial = committed frontier + SPECDEPTH
 //	quiescent  the frontier passed the stamp: every task whose attempt

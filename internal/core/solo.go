@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"tlstm/internal/txrt"
-	"tlstm/internal/txtrace"
 )
 
 // solo is the txrt.Algorithm of a thread's solo task: TLSTM-1, a
 // transaction that does not ship, run by the kit's driver the way stm
 // runs a SwissTM transaction (Thread.runSolo). The body's Load and Store
-// are the ring tasks' (Task); only the attempt boundaries differ — a
-// SwissTM begin, the kit's flat commit, and an abort that unwinds through
-// Desc.Abort rather than a rendezvous.
+// are the ring tasks' (Task), and so is the commit (commitLogs); only the
+// attempt boundaries differ — a SwissTM begin, no commit order to wait
+// on, and an abort that unwinds through Desc.Abort rather than a
+// rendezvous.
 type solo Task
 
 var _ txrt.Algorithm = (*solo)(nil)
@@ -31,16 +31,17 @@ func (thr *Thread) newSolo() *Task {
 	t.readHorizon.Store(horizonDead)
 	tx.thr = thr
 	tx.tasks = []*Task{t}
+	tx.logs = []txrt.Logs{{Read: &t.readLog, Write: &t.writeLog}}
 	return t
 }
 
 // runSolo runs a transaction that does not ship on the thread's solo
 // task, through the engine kit's driver (txrt.Desc.RunOn over the
-// Algorithm below): SwissTM's retry loop, ladder, backoff and flat
-// commit. It first drains the thread's own pipeline, so no task of
-// an earlier Submit runs beside the solo task: its entries are then the
-// heads of their chains, no sibling can hold one as a FirstPast marker,
-// and they recycle SwissTM-style. It takes no serial: the solo task
+// Algorithm below): SwissTM's retry loop, ladder, backoff and commit.
+// It first drains the thread's own pipeline, so no task of an earlier
+// Submit runs beside the solo task: its entries are then the heads of
+// their chains, no sibling can hold one as a FirstPast marker, and they
+// recycle SwissTM-style. It takes no serial: the solo task
 // carries the one after every serial issued, so the entries earlier
 // transactions left chained are past ones, and nothing of the solo
 // transaction outlives it in a chain. The fold is finishCommit's for a
@@ -111,24 +112,16 @@ func (s *solo) Begin() uint64 {
 	return t.validTS
 }
 
-// Exec implements txrt.Algorithm: the body, then the kit's flat commit
-// (txrt.Desc.Commit) over the thread's commit scratch. A writer first
-// runs the optimistic pre-lock validation of Alg. 3 line 78, as a ring
-// commit does, so a transaction costs the same work — and virtual time
-// — on both paths.
+// Exec implements txrt.Algorithm: the body, then the commit a ring
+// transaction runs (commitLogs, the writer's pre-lock validation
+// included), so a transaction costs the same work — and virtual time —
+// on both paths.
 func (s *solo) Exec() {
 	t := (*Task)(s)
 	t.fn(t)
 	t.checkSignals()
-	if t.writeLog.Len() != 0 {
-		if failed := t.ValidateReads(&t.readLog, nil); failed != nil {
-			t.failTxValidation(failed, t.validTS)
-		}
-	}
-	if failed := t.Commit(&t.readLog, &t.writeLog, &t.thr.commitScratch, t.validTS); failed != nil {
-		t.NoteConflict(t.locks.ShardOfPair(failed))
-		t.abortOwnTx(txtrace.AbortValidation)
-	}
+	writes := t.writeLog.Len()
+	t.Committed(t.commitLogs(writes != 0), writes)
 }
 
 // Release implements txrt.Algorithm: unlink the attempt's entries. Each

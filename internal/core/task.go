@@ -456,6 +456,7 @@ func (t *Task) Load(a tm.Addr) uint64 {
 // abort signals.
 func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 	ser := t.serial.Load()
+	var firstPast *locktable.WEntry // newest past entry the read records
 	for {
 		t.checkSignals()
 		head := p.W.Load()
@@ -463,7 +464,7 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 			// Unlocked or locked by another user-thread: read the
 			// committed value from memory (redo logging keeps it
 			// intact until the writer commits) — Alg. 1 line 16.
-			return t.loadCommittedRecording(p, a, nil)
+			break
 		}
 
 		// Locked by my user-thread: locate my own buffered value or the
@@ -477,17 +478,15 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 			}
 			e = e.Prev.Load()
 		}
-		firstPast := e // newest past entry, nil if none
-
-		if firstPast == nil {
+		if e == nil {
 			// Only our own / future entries, none covering a: the
 			// committed value still stands.
-			return t.loadCommittedRecording(p, a, nil)
+			break
 		}
 
 		// Wait until the past writer completes; reading from running
 		// tasks would force validating intermediate values (§3.3).
-		t.waitCompleted(firstPast.Serial)
+		t.waitCompleted(e.Serial)
 
 		// WAR validation gate (Alg. 1 line 13) — before the re-resolve,
 		// not after it: the gate folds every writer completed so far into
@@ -500,17 +499,17 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 		// (or an abort may have unwound the chain) while we waited. A
 		// writer stacking after this check completes after the gate's
 		// sample, so a later gate sees it.
-		if t.firstPastOf(p.W.Load()) != firstPast {
+		if t.firstPastOf(p.W.Load()) != e {
 			continue
 		}
 
-		// The chain below firstPast holds strictly older, completed
-		// entries; the newest one covering a supplies the value. If none
-		// covers a, the committed value stands (and its version must be
-		// recorded for inter-thread validation).
-		for e := firstPast; e != nil; e = e.Prev.Load() {
-			if v, hit := e.Lookup(a); hit {
-				t.readLog.Append(p, txlog.NoVersion, firstPast)
+		// The chain below e holds strictly older, completed entries; the
+		// newest one covering a supplies the value. If none covers a,
+		// the committed value stands (and its version must be recorded,
+		// with e as the WAR marker, for inter-thread validation).
+		for c := e; c != nil; c = c.Prev.Load() {
+			if v, hit := c.Lookup(a); hit {
+				t.readLog.Append(p, txlog.NoVersion, e)
 				t.Work++
 				if t.Traced {
 					// Aux 2: speculative read served from a past task's
@@ -520,8 +519,14 @@ func (t *Task) loadSlow(p *locktable.Pair, a tm.Addr) uint64 {
 				return v
 			}
 		}
-		return t.loadCommittedRecording(p, a, firstPast)
+		firstPast = e
+		break
 	}
+	val, ok := t.ReadCommitted(p, a, &t.readLog, &t.validTS, firstPast)
+	if !ok {
+		t.rollbackTask(restartExtend)
+	}
+	return val
 }
 
 // waitCompleted blocks until the thread's completed-task counter reaches
@@ -549,40 +554,6 @@ func (t *Task) maybeValidate() {
 		t.rollbackTask(restartWAR)
 	}
 	t.lastWriter = cw
-}
-
-// loadCommittedRecording reads the committed value of a — the plain
-// SwissTM read path — and records the read with the given firstPast
-// chain identity, the WAR bookkeeping for the case where our thread
-// later write-locks the pair.
-func (t *Task) loadCommittedRecording(p *locktable.Pair, a tm.Addr, firstPast *locktable.WEntry) uint64 {
-	for {
-		t.checkSignals()
-		v1 := p.R.Load()
-		if v1 == locktable.Locked {
-			runtime.Gosched()
-			continue
-		}
-		val := t.thr.rt.Store.LoadWord(a)
-		if p.R.Load() != v1 {
-			continue
-		}
-		if v1 > t.validTS {
-			if !t.Extend(&t.readLog, &t.validTS, v1) {
-				t.NoteConflictAt(a)
-				t.rollbackTask(restartExtend)
-			}
-			// Re-read at the extended snapshot: the extension validated
-			// the logged reads, not this one, and a commit between the
-			// read and the extension may have displaced it.
-			continue
-		}
-		t.readLog.Append(p, v1, firstPast)
-		if t.Traced {
-			t.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
-		}
-		return val
-	}
 }
 
 // loadMV is the wait-free read path of a declared read-only
@@ -781,14 +752,8 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 		}
 		t.writeLog.Release(ne) // never published; immediately reusable
 	}
-	// Post-write checks (Alg. 2 lines 52–53). Passing the witnessed
-	// version into the extension matters beyond liveness: it guarantees
-	// this transaction's eventual commit stamp exceeds every version it
-	// displaces, so locations never regress under pre-publishing
-	// strategies.
-	if ver := p.R.Load(); ver != locktable.Locked && ver > t.validTS &&
-		!t.Extend(&t.readLog, &t.validTS, ver) {
-		t.NoteConflictAt(a)
+	// Post-write checks (Alg. 2 lines 52–53).
+	if !t.CoverWrite(p, a, &t.readLog, &t.validTS) {
 		t.rollbackTask(restartExtend)
 	}
 	t.maybeValidate()

@@ -294,9 +294,11 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	// list is known before any slot frees up. Descriptors still running
 	// a previous incarnation are not touched through this slice until
 	// tx.armed covers them (see cleanupTx).
-	tx.tasks = tx.tasks[:0]
+	tx.tasks, tx.logs = tx.tasks[:0], tx.logs[:0]
 	for i := range fns {
-		tx.tasks = append(tx.tasks, thr.ring[(start+int64(i))%depth])
+		t := thr.ring[(start+int64(i))%depth]
+		tx.tasks = append(tx.tasks, t)
+		tx.logs = append(tx.logs, txrt.Logs{Read: &t.readLog, Write: &t.writeLog})
 	}
 
 	if gated {
@@ -551,6 +553,7 @@ type txState struct {
 	startSerial  int64
 	commitSerial int64
 	tasks        []*Task
+	logs         []txrt.Logs // tasks' read and write logs, for the commit
 
 	// greedTS is the transaction's greedy CM timestamp, shared by all
 	// tasks and persisting across transaction retries so long

@@ -344,12 +344,16 @@ type Layout struct {
 	shards     int
 }
 
+// MinBits and MaxBits bound a table's log2 slot count.
+const MinBits, MaxBits = 4, 28
+
 // NewLayout builds the mapping for a table of 2^bits slots split into
-// shards contiguous regions. shards must be a power of two (0 and 1
-// both mean unsharded) no larger than the slot count.
+// shards contiguous regions. bits must lie in [MinBits, MaxBits], and
+// shards must be a power of two (0 and 1 both mean unsharded) no larger
+// than the slot count.
 func NewLayout(bits, shards int) Layout {
-	if bits < 4 || bits > 28 {
-		panic("locktable: bits out of range [4,28]")
+	if bits < MinBits || bits > MaxBits {
+		panic("locktable: bits out of range [MinBits,MaxBits]")
 	}
 	if shards <= 0 {
 		shards = 1
@@ -396,7 +400,7 @@ const PadStride = 4
 // Config selects a table geometry. The zero value of Shards and Padded
 // gives the historical flat, unpadded layout.
 type Config struct {
-	// Bits is the log2 of the slot count, in [4, 28].
+	// Bits is the log2 of the slot count, in [MinBits, MaxBits].
 	Bits int
 	// Shards is the power-of-two shard count (0 or 1 = unsharded).
 	Shards int

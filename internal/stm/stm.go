@@ -253,17 +253,19 @@ func (tx *Tx) Begin() uint64 {
 	return tx.validTS
 }
 
-// Exec implements txrt.Algorithm: the body, then the kit's flat commit
-// (txrt.Desc.Commit).
+// Exec implements txrt.Algorithm: the body, then the kit's commit
+// (txrt.Desc.Commit) over the transaction's one pair of logs.
 func (tx *Tx) Exec() {
 	tx.fn(tx)
 	if tx.writeLog.Len() != 0 {
 		tx.checkSignals()
 	}
-	if failed := tx.Commit(&tx.readLog, &tx.writeLog, &tx.scratch, tx.validTS); failed != nil {
+	ts, failed := tx.Commit([]txrt.Logs{{Read: &tx.readLog, Write: &tx.writeLog}}, &tx.scratch, tx.validTS)
+	if failed != nil {
 		tx.NoteConflict(tx.rt.locks.ShardOfPair(failed))
 		tx.abort(txtrace.AbortValidation)
 	}
+	tx.Committed(ts, tx.writeLog.Len())
 }
 
 // Release implements txrt.Algorithm: drop every w-lock the attempt
@@ -304,38 +306,12 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 		// Lock-pair collision: we own the pair but never wrote this
 		// address; its committed value is still in memory.
 	}
-	return tx.loadCommitted(p, a)
-}
-
-func (tx *Tx) loadCommitted(p *locktable.Pair, a tm.Addr) uint64 {
-	for {
-		tx.checkSignals()
-		v1 := p.R.Load()
-		if v1 == locktable.Locked {
-			// A committer is publishing this location; wait it out.
-			runtime.Gosched()
-			continue
-		}
-		val := tx.rt.Store.LoadWord(a)
-		if p.R.Load() != v1 {
-			continue // torn read: version moved underneath us
-		}
-		if v1 > tx.validTS {
-			if !tx.Extend(&tx.readLog, &tx.validTS, v1) {
-				tx.NoteConflictAt(a)
-				tx.abort(txtrace.AbortExtend)
-			}
-			// Re-read at the extended snapshot: the extension validated
-			// the logged reads, not this one, and a commit between the
-			// read and the extension may have displaced it.
-			continue
-		}
-		tx.readLog.Append(p, v1, nil)
-		if tx.Traced {
-			tx.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
-		}
-		return val
+	tx.checkSignals()
+	val, ok := tx.ReadCommitted(p, a, &tx.readLog, &tx.validTS, nil)
+	if !ok {
+		tx.abort(txtrace.AbortExtend)
 	}
+	return val
 }
 
 // loadMV is the wait-free read path of a declared read-only transaction
@@ -395,11 +371,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 	if tx.Traced {
 		tx.Tr.Record(txtrace.KindWrite, tx.validTS, uint64(a), 0)
 	}
-	// Mirror of TLSTM Alg. 2 line 52: if the location moved past our
-	// snapshot, extend or die.
-	if ver := p.R.Load(); ver != locktable.Locked && ver > tx.validTS &&
-		!tx.Extend(&tx.readLog, &tx.validTS, ver) {
-		tx.NoteConflictAt(a)
+	if !tx.CoverWrite(p, a, &tx.readLog, &tx.validTS) {
 		tx.abort(txtrace.AbortExtend)
 	}
 }

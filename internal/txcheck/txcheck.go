@@ -300,6 +300,9 @@ func Check(t *txtrace.Trace) (*Report, error) {
 				return nil, fmt.Errorf("txcheck: ring %d (%s): no %q metadata in trace (runtime not armed with this recorder?)", rd.ID, rd.Label, name+".lockbits")
 			}
 			bits, err := strconv.Atoi(bitsStr)
+			if err == nil && (bits < locktable.MinBits || bits > locktable.MaxBits) {
+				err = fmt.Errorf("outside [%d,%d]", locktable.MinBits, locktable.MaxBits)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("txcheck: bad %s.lockbits %q: %v", name, bitsStr, err)
 			}

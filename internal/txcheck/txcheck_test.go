@@ -281,14 +281,29 @@ func TestRejectsRingWithUnknownNamespace(t *testing.T) {
 	}
 }
 
-// TestRoundTripThroughDump drives the real recorder end to end: meta
-// registration, ring recording, TXTRACE2 serialization, and a complete
-// clean verdict out the other side.
-func TestRoundTripThroughDump(t *testing.T) {
+// TestRejectsLockBitsOutOfRange: the lock-table geometry comes from the
+// dump, so a value the lock table cannot be built with is an error like a
+// non-numeric one, never a panic.
+func TestRejectsLockBitsOutOfRange(t *testing.T) {
+	for _, bits := range []string{"99", "3", "-1", "x"} {
+		meta := gv4Meta()
+		meta["stm.lockbits"] = bits
+		b := newTraceBuilder(meta)
+		b.newRing("stm-worker").begin().commit(1, addrX)
+		if _, err := Check(b.t); err == nil || !strings.Contains(err.Error(), "stm.lockbits") {
+			t.Fatalf("lockbits %q: err = %v, want a bad stm.lockbits error", bits, err)
+		}
+	}
+}
+
+// recordedDump serializes a one-transaction stm trace through the real
+// recorder, its lockbits metadata set to bits.
+func recordedDump(tb testing.TB, bits string) []byte {
 	rec := txtrace.NewRecorder(256)
 	for k, v := range gv4Meta() {
 		rec.SetMeta(k, v)
 	}
+	rec.SetMeta("stm.lockbits", bits)
 	r := rec.NewRing("stm-worker-0")
 	r.Record(txtrace.KindTxBegin, 0, 0, 0)
 	r.Record(txtrace.KindAttemptStart, 0, 1, 0)
@@ -298,9 +313,16 @@ func TestRoundTripThroughDump(t *testing.T) {
 
 	var buf bytes.Buffer
 	if err := rec.Dump(&buf); err != nil {
-		t.Fatalf("Dump: %v", err)
+		tb.Fatalf("Dump: %v", err)
 	}
-	tr, err := txtrace.ReadTrace(&buf)
+	return buf.Bytes()
+}
+
+// TestRoundTripThroughDump drives the real recorder end to end: meta
+// registration, ring recording, TXTRACE2 serialization, and a complete
+// clean verdict out the other side.
+func TestRoundTripThroughDump(t *testing.T) {
+	tr, err := txtrace.ReadTrace(bytes.NewReader(recordedDump(t, "16")))
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}

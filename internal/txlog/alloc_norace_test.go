@@ -19,10 +19,11 @@ func TestWarmedPrimitivesZeroAlloc(t *testing.T) {
 
 	var cs CommitScratch
 	pairs := []*locktable.Pair{tbl.For(1), tbl.For(2), tbl.For(3)}
+	heads := headEntries(pairs)
 	warm := func() {
 		cs.Reset()
-		for _, p := range pairs {
-			cs.LockPair(p)
+		for _, e := range heads {
+			cs.LockPair(e)
 		}
 		for _, p := range pairs {
 			if _, ok := cs.Saved(p); !ok {

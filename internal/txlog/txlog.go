@@ -152,9 +152,9 @@ func (wl *WriteLog) Retire(at, epoch, horizon int64) {
 // RetireCommitted is Retire for the commit path, where not every entry
 // is guaranteed detached: a task of a future transaction may have
 // stacked its own entry on top of a written pair, in which case the
-// commit's release loop leaves that chain — committed entries included
-// — in place (they now mirror memory). Only entries whose pair the
-// commit actually released (scr.Released) are queued for reuse; the
+// commit's Release leaves that chain — committed entries included — in
+// place (they now mirror memory). Only entries whose pair the commit
+// actually released (scr.Released) are queued for reuse; the
 // still-chained remainder is dropped to the GC, exactly as the
 // pre-reclamation runtime dropped every entry.
 func (wl *WriteLog) RetireCommitted(scr *CommitScratch, at, epoch, horizon int64) {
@@ -227,12 +227,12 @@ type CommitScratch struct {
 	saved []uint64
 	index map[*locktable.Pair]int32 // populated iff len(pairs) > scanMax
 
-	// released marks, per locked pair, whether the commit's release
-	// loop actually dropped the pair's redo chain (it leaves the chain
-	// when a future task has stacked an entry on top). Entry
-	// reclamation consults it: only entries on released pairs are
-	// detached and may be queued for reuse (WriteLog.RetireCommitted).
-	released []bool
+	// tops holds, per locked pair, the commit's newest entry on it —
+	// the one its redo chain must still be headed by for Release to drop
+	// the chain — and is cleared when Release does. Entry reclamation
+	// consults it: only entries on released pairs are detached and may
+	// be queued for reuse (WriteLog.RetireCommitted).
+	tops []*locktable.WEntry
 }
 
 // scanMax is the largest commit CommitScratch indexes by linear scan,
@@ -248,7 +248,7 @@ func (cs *CommitScratch) Reset() {
 	}
 	cs.pairs = cs.pairs[:0]
 	cs.saved = cs.saved[:0]
-	cs.released = cs.released[:0]
+	cs.tops = cs.tops[:0]
 }
 
 // find returns p's position in pairs, if this commit locked it.
@@ -265,16 +265,20 @@ func (cs *CommitScratch) find(p *locktable.Pair) (int, bool) {
 	return 0, false
 }
 
-// LockPair r-locks p (installing the Locked sentinel) and records the
-// displaced version, unless this commit already holds p. It reports
-// whether the pair was newly locked.
-func (cs *CommitScratch) LockPair(p *locktable.Pair) bool {
-	if _, dup := cs.find(p); dup {
+// LockPair r-locks e's pair (installing the Locked sentinel) and records
+// the displaced version, unless this commit already holds the pair. The
+// caller offers its entries in program order, so e becomes the commit's
+// newest entry on the pair either way. It reports whether the pair was
+// newly locked.
+func (cs *CommitScratch) LockPair(e *locktable.WEntry) bool {
+	p := e.Pair
+	if i, dup := cs.find(p); dup {
+		cs.tops[i] = e
 		return false
 	}
 	cs.pairs = append(cs.pairs, p)
 	cs.saved = append(cs.saved, p.R.Swap(locktable.Locked))
-	cs.released = append(cs.released, false)
+	cs.tops = append(cs.tops, e)
 	if n := len(cs.pairs); n > scanMax {
 		if cs.index == nil {
 			cs.index = make(map[*locktable.Pair]int32, 4*scanMax)
@@ -286,18 +290,25 @@ func (cs *CommitScratch) LockPair(p *locktable.Pair) bool {
 	return true
 }
 
-// MarkReleased records that the commit's release loop dropped p's redo
-// chain, detaching every entry of this transaction installed under p.
-func (cs *CommitScratch) MarkReleased(p *locktable.Pair) {
-	if i, ok := cs.find(p); ok {
-		cs.released[i] = true
+// Release publishes version ts on every locked pair and drops each
+// pair's redo chain whose head is still the commit's newest entry on it,
+// detaching every entry the commit installed there. A chain a later
+// transaction has stacked an entry on stays: the committed entries below
+// it now mirror memory, and that transaction's own commit or abort
+// unwinds them.
+func (cs *CommitScratch) Release(ts uint64) {
+	for i, p := range cs.pairs {
+		p.R.Store(ts)
+		if p.W.CompareAndSwap(cs.tops[i], nil) {
+			cs.tops[i] = nil
+		}
 	}
 }
 
-// Released reports whether p's chain was dropped by this commit.
+// Released reports whether this commit's Release dropped p's chain.
 func (cs *CommitScratch) Released(p *locktable.Pair) bool {
 	i, ok := cs.find(p)
-	return ok && cs.released[i]
+	return ok && cs.tops[i] == nil
 }
 
 // Saved returns the version displaced from p, if this commit locked it.

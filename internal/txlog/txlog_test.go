@@ -81,9 +81,30 @@ func distinctPairs(tbl *locktable.Table, n int) []*locktable.Pair {
 	return ps
 }
 
+// headEntries installs one entry on each pair of ps, as the head of its
+// chain, and returns them in the same order.
+func headEntries(ps []*locktable.Pair) []*locktable.WEntry {
+	owner := &locktable.OwnerRef{}
+	es := make([]*locktable.WEntry, len(ps))
+	for i, p := range ps {
+		es[i] = locktable.NewEntry(owner, 1, p, 0, 0)
+		p.W.Store(es[i])
+	}
+	return es
+}
+
+// stackLater puts a later transaction's entry on top of p's chain.
+func stackLater(p *locktable.Pair) *locktable.WEntry {
+	e := locktable.NewEntry(&locktable.OwnerRef{}, 2, p, 0, 0)
+	e.Prev.Store(p.W.Load())
+	p.W.Store(e)
+	return e
+}
+
 // TestCommitScratchLockRestorePublish runs the scratch's whole contract
 // on both sides of the scan/map switch: commits of 1, scanMax−1, scanMax,
-// scanMax+1 and 4·scanMax pairs, each pair offered twice.
+// scanMax+1 and 4·scanMax pairs, each pair offered twice, every odd pair
+// stacked on by a later transaction before Release.
 func TestCommitScratchLockRestorePublish(t *testing.T) {
 	tbl := locktable.NewTable(12)
 	for _, n := range []int{1, scanMax - 1, scanMax, scanMax + 1, 4 * scanMax} {
@@ -93,12 +114,13 @@ func TestCommitScratchLockRestorePublish(t *testing.T) {
 			p.R.Store(uint64(100 + i))
 		}
 
+		es := headEntries(ps)
 		var cs CommitScratch
-		for i, p := range ps {
-			if !cs.LockPair(p) {
+		for i, e := range es {
+			if !cs.LockPair(e) {
 				t.Fatalf("n=%d: first LockPair of pair %d must report newly locked", n, i)
 			}
-			if cs.LockPair(ps[i/2]) {
+			if cs.LockPair(es[i/2]) {
 				t.Fatalf("n=%d: duplicate LockPair of pair %d (after %d locked) must report already locked", n, i/2, i+1)
 			}
 		}
@@ -122,13 +144,19 @@ func TestCommitScratchLockRestorePublish(t *testing.T) {
 			t.Fatalf("n=%d: Saved must miss on pairs this commit did not lock", n)
 		}
 
-		for i := 0; i < n; i += 2 {
-			cs.MarkReleased(ps[i])
+		for i := 1; i < n; i += 2 {
+			stackLater(ps[i])
 		}
-		cs.MarkReleased(outside) // not held: no effect
+		cs.Release(7)
 		for i, p := range ps {
 			if cs.Released(p) != (i%2 == 0) {
 				t.Fatalf("n=%d: Released(pair %d) = %v", n, i, !(i%2 == 0))
+			}
+			if p.R.Load() != 7 {
+				t.Fatalf("n=%d: Release left pair %d at version %d, want 7", n, i, p.R.Load())
+			}
+			if head := p.W.Load(); (head == nil) != (i%2 == 0) {
+				t.Fatalf("n=%d: pair %d head %p after Release: only our own heads may be dropped", n, i, head)
 			}
 		}
 		if cs.Released(outside) {
@@ -143,7 +171,7 @@ func TestCommitScratchLockRestorePublish(t *testing.T) {
 		}
 
 		cs.Reset()
-		cs.LockPair(ps[n-1])
+		cs.LockPair(es[n-1])
 		for _, p := range cs.Pairs() {
 			p.R.Store(42)
 		}
@@ -169,18 +197,17 @@ func TestCommitScratchResetDropsStaleIndex(t *testing.T) {
 	for i, p := range big {
 		p.R.Store(uint64(100 + i))
 	}
+	es := headEntries(big)
 	var cs CommitScratch
-	for _, p := range big {
-		cs.LockPair(p)
+	for _, e := range es {
+		cs.LockPair(e)
 	}
-	for _, p := range big {
-		cs.MarkReleased(p)
-	}
+	cs.Release(7)
 	cs.Restore()
 
 	cs.Reset()
-	for _, p := range []*locktable.Pair{big[3], big[0]} {
-		if !cs.LockPair(p) {
+	for _, e := range []*locktable.WEntry{es[3], es[0]} {
+		if !cs.LockPair(e) {
 			t.Fatal("after Reset, a pair of the previous commit must lock anew")
 		}
 	}
@@ -201,15 +228,21 @@ func TestCommitScratchResetDropsStaleIndex(t *testing.T) {
 	// the first commit's and the other half must stay unknown.
 	cs.Reset()
 	half := big[:2*scanMax]
+	hes := headEntries(half)
 	for i := len(half) - 1; i >= 0; i-- {
-		if !cs.LockPair(half[i]) {
+		if !cs.LockPair(hes[i]) {
 			t.Fatalf("LockPair(big[%d]) must report newly locked", i)
 		}
 	}
-	if cs.LockPair(half[0]) {
+	if cs.LockPair(hes[0]) {
 		t.Fatal("duplicate LockPair must hit the rebuilt index")
 	}
-	cs.MarkReleased(half[1])
+	for i, p := range half {
+		if i != 1 {
+			stackLater(p)
+		}
+	}
+	cs.Release(9)
 	for i, p := range half {
 		if v, ok := cs.Saved(p); !ok || v != uint64(100+i) {
 			t.Fatalf("Saved(big[%d]) = %d,%v want %d,true", i, v, ok, 100+i)
@@ -224,6 +257,41 @@ func TestCommitScratchResetDropsStaleIndex(t *testing.T) {
 		}
 	}
 	cs.Restore()
+}
+
+// TestCommitScratchReleaseFollowsNewestEntry: the entries of a
+// multi-task commit are offered in program order, so a pair two tasks
+// wrote is released at the later task's entry — the head of its chain —
+// and a pair whose chain a later transaction stacked on keeps it.
+func TestCommitScratchReleaseFollowsNewestEntry(t *testing.T) {
+	tbl := locktable.NewTable(8)
+	ps := distinctPairs(tbl, 2)
+	shared, stacked := ps[0], ps[1]
+	owner := &locktable.OwnerRef{}
+	first := locktable.NewEntry(owner, 1, shared, 1, 1)
+	second := locktable.NewEntry(owner, 2, shared, 1, 2)
+	second.Prev.Store(first)
+	shared.W.Store(second)
+	mine := headEntries([]*locktable.Pair{stacked})[0]
+	later := stackLater(stacked)
+
+	var cs CommitScratch
+	for _, e := range []*locktable.WEntry{first, mine, second} {
+		cs.LockPair(e)
+	}
+	if cs.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (one lock per pair)", cs.Len())
+	}
+	cs.Release(5)
+	if shared.W.Load() != nil || !cs.Released(shared) {
+		t.Fatal("a pair headed by the commit's newest entry must be dropped and marked released")
+	}
+	if stacked.W.Load() != later || cs.Released(stacked) {
+		t.Fatal("a chain a later transaction stacked on must stay, unmarked")
+	}
+	if shared.R.Load() != 5 || stacked.R.Load() != 5 {
+		t.Fatal("Release must publish the commit version on every locked pair")
+	}
 }
 
 func TestReadLogAppendReset(t *testing.T) {

@@ -6,86 +6,126 @@ import (
 	"tlstm/internal/txtrace"
 )
 
-// Commit is SwissTM's flat commit (paper §3.1) of one attempt over a pair
-// lock table — stm's, and core's for a transaction that does not ship.
-// rl and wl are the attempt's read and write logs, with at most one entry
-// per pair (eager W/W locking admits one writer per pair), each the head
-// of its pair's chain; scr is the committer's r-lock scratch and snap the
-// attempt's snapshot.
+// Logs is one task's read and write log as a commit takes them: a SwissTM
+// transaction (stm, core's solo task) has one pair, a TLSTM transaction
+// one per task.
+type Logs struct {
+	Read  *txlog.ReadLog
+	Write *txlog.WriteLog
+}
+
+// Commit is SwissTM's commit (paper §3.1) over a pair lock table, and so
+// TLSTM's (Alg. 3 lines 79–92): a TLSTM transaction commits like a
+// SwissTM one over every task's logs. logs are the transaction's logs in
+// program order, each write log holding at most one entry per pair
+// (eager W/W locking admits one writer per pair, and a task updates its
+// own entry); scr is the committer's r-lock scratch and snap the
+// snapshot. It returns the commit timestamp — snap for a read-only
+// transaction — and the caller closes the attempt.
 //
-// A read-only attempt is consistent by construction at snap and commits
-// as it is. A writer locks the written pairs' r-locks, remembering the
-// versions it displaces, takes a commit timestamp, validates rl, feeds
-// the version store, publishes the buffered values, releases every pair
-// at the new version, and rings the Retry waiters whose fingerprints
-// intersect the write set. Releasing a pair drops its whole chain: below
-// the attempt's entry lies at most a committed remainder that mirrors
-// memory.
+// A read-only transaction is consistent by construction at snap and
+// commits as it is. A writer locks each written pair's r-lock once,
+// remembering the version it displaces, takes a commit timestamp,
+// validates every read log, feeds the version store, publishes the
+// buffered values in program order — when two tasks wrote a word, the
+// later one's value lands last — releases every pair at the new version
+// (txlog.CommitScratch.Release) and rings the Retry waiters whose
+// fingerprints intersect the write set.
 //
-// On a failed validation the displaced versions are restored, the w-locks
-// stay held and the failing pair is returned: the caller attributes the
-// conflict and aborts. Either way the pool's reclaim counts are taken into
-// Reclaims/Stalls.
-func (d *Desc) Commit(rl *txlog.ReadLog, wl *txlog.WriteLog, scr *txlog.CommitScratch, snap uint64) (failed *locktable.Pair) {
-	reclaims, stalls := wl.TakeReclaimCounts()
-	d.Reclaims += reclaims
-	d.Stalls += stalls
-	if wl.Len() == 0 {
-		d.Committed(snap, 0)
-		return nil
+// On a failed validation, traced like a passing one, the displaced
+// versions are restored, the w-locks stay held and the failing pair is
+// returned: the caller attributes the conflict and aborts. Either way
+// the logs' pool reclaim counts are taken into Reclaims/Stalls.
+func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts uint64, failed *locktable.Pair) {
+	writes := 0
+	for _, l := range logs {
+		reclaims, stalls := l.Write.TakeReclaimCounts()
+		d.Reclaims += reclaims
+		d.Stalls += stalls
+		writes += l.Write.Len()
+	}
+	if writes == 0 {
+		return snap, nil
 	}
 
 	scr.Reset()
-	for _, e := range wl.Entries() {
-		scr.LockPair(e.Pair)
-		d.Work++
+	for _, l := range logs {
+		for _, e := range l.Write.Entries() {
+			if scr.LockPair(e) {
+				d.Work++
+			}
+		}
 	}
 
-	ts := d.env.Clk.Tick(&d.ClkProbe)
+	ts = d.env.Clk.Tick(&d.ClkProbe)
 
 	// Pairs this commit r-locked compare against the version they had
 	// when we locked them.
-	failed = d.ValidateReads(rl, scr)
-	d.TraceValidate(ts, rl.Len(), failed == nil)
+	failed = d.ValidateLogs(logs, scr)
+	d.TraceValidateLogs(ts, logs, failed == nil)
 	if failed != nil {
 		scr.Restore()
-		return failed
+		return ts, failed
 	}
 
 	// Feed the multi-version store while memory still holds the values
 	// this commit is about to overwrite: each written word's old value
-	// was the committed value over [displaced version, ts).
+	// was the committed value over [displaced version, ts). A word two
+	// tasks wrote is fed twice, identically: duplicates cost ring
+	// slots, never correctness.
 	store := d.env.Store
 	if mv := d.env.MV; mv != nil {
-		for _, e := range wl.Entries() {
-			pre, _ := scr.Saved(e.Pair)
-			for _, w := range e.Words {
-				mv.Publish(w.Addr, store.LoadWord(w.Addr), pre, ts)
+		for _, l := range logs {
+			for _, e := range l.Write.Entries() {
+				pre, _ := scr.Saved(e.Pair)
+				for _, w := range e.Words {
+					mv.Publish(w.Addr, store.LoadWord(w.Addr), pre, ts)
+				}
 			}
 		}
 	}
 
-	for _, e := range wl.Entries() {
-		for _, w := range e.Words {
-			store.StoreWord(w.Addr, w.Val)
-			if d.Traced {
-				// Written-word identities, between Validate and Commit:
-				// the opacity checker rebuilds per-slot version
-				// histories from these.
-				d.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
+	for _, l := range logs {
+		for _, e := range l.Write.Entries() {
+			for _, w := range e.Words {
+				store.StoreWord(w.Addr, w.Val)
+				if d.Traced {
+					// Written-word identities, between Validate and
+					// Commit: the opacity checker rebuilds per-slot
+					// version histories from these (same-word repeats
+					// across tasks dedup offline).
+					d.Tr.Record(txtrace.KindCommitWord, ts, uint64(w.Addr), 0)
+				}
+				d.Work++
 			}
-			d.Work++
 		}
 	}
-	for _, e := range wl.Entries() {
-		e.Pair.R.Store(ts)
-		e.Pair.W.CompareAndSwap(e, nil)
-	}
+	scr.Release(ts)
 	// The fast path (no waiters) is one atomic load; the fingerprint is
 	// only computed when someone is parked.
 	if hub := d.env.Hub; hub.Active() {
 		hub.Notify(scr.Fingerprint())
 	}
-	d.Committed(ts, wl.Len())
+	return ts, nil
+}
+
+// ValidateLogs is ValidateReads over every read log of logs.
+func (d *Desc) ValidateLogs(logs []Logs, scr *txlog.CommitScratch) *locktable.Pair {
+	for _, l := range logs {
+		if failed := d.ValidateReads(l.Read, scr); failed != nil {
+			return failed
+		}
+	}
 	return nil
+}
+
+// TraceValidateLogs is TraceValidate over the reads of every log.
+func (d *Desc) TraceValidateLogs(ts uint64, logs []Logs, ok bool) {
+	if d.Traced {
+		n := 0
+		for _, l := range logs {
+			n += l.Read.Len()
+		}
+		d.TraceValidate(ts, n, ok)
+	}
 }

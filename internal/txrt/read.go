@@ -1,6 +1,7 @@
 package txrt
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"tlstm/internal/locktable"
@@ -11,10 +12,72 @@ import (
 
 // The read side every runtime shares: the multi-version probe and exit
 // of a declared read-only transaction (all four runtimes), and SwissTM's
-// snapshot extension and commit-time read validation over a pair read
-// log (stm, core). The callers keep what differs between them: how to
-// wait on a Locked version, how to abort, and core's own-thread chain
-// check.
+// committed read, post-write snapshot check, snapshot extension and
+// commit-time read validation over a pair read log (stm, core). The
+// callers keep what differs between them: how they poll abort signals,
+// how they abort, how they wait on a Locked version on the
+// multi-version path, and core's own-thread chain check.
+
+// ReadCommitted is SwissTM's committed read of word a under pair p
+// (TLSTM Alg. 1 line 16), at snapshot *snap over read log rl: it waits
+// out a committer holding p Locked (the publish window is bounded, and a
+// committer waits on no one), retries a torn read, and when the version
+// is past the snapshot extends it and reads again — the extension
+// validated the logged reads, not this one, and a commit between the
+// read and the extension may have displaced it. The read is logged with
+// firstPast (core's WAR marker, nil for stm) and traced. On a failed
+// extension it notes the conflict at a and returns ok false; the caller
+// aborts. The caller polls its abort signals before the call.
+func (d *Desc) ReadCommitted(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, snap *uint64, firstPast *locktable.WEntry) (val uint64, ok bool) {
+	for {
+		v1 := p.R.Load()
+		if v1 == locktable.Locked {
+			runtime.Gosched()
+			continue
+		}
+		val = d.env.Store.LoadWord(a)
+		if p.R.Load() != v1 {
+			continue // torn read: version moved underneath us
+		}
+		if v1 > *snap {
+			if !d.extendAt(a, rl, snap, v1) {
+				return 0, false
+			}
+			continue
+		}
+		rl.Append(p, v1, firstPast)
+		if d.Traced {
+			d.Tr.Record(txtrace.KindRead, v1, uint64(a), 0)
+		}
+		return val, true
+	}
+}
+
+// CoverWrite is the post-write snapshot check (TLSTM Alg. 2 line 52,
+// SwissTM's alike) after the caller write-locked word a's pair p: if
+// p's version moved past *snap, extend to it. Passing the witnessed
+// version into the extension matters beyond liveness: it guarantees the
+// transaction's eventual commit stamp exceeds every version it
+// displaces, so locations never regress under pre-publishing clocks. On
+// a failed extension it notes the conflict at a and returns false; the
+// caller aborts.
+func (d *Desc) CoverWrite(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, snap *uint64) bool {
+	ver := p.R.Load()
+	return ver <= *snap || d.extendAt(a, rl, snap, ver)
+}
+
+// extendAt extends *snap to cover witness, the version met at word a,
+// noting the conflict at a when the extension fails. A Locked witness
+// (above every snapshot) is not extended to: while the caller holds the
+// pair's w-lock only an earlier commit of its own thread can hold the
+// r-lock, and that commit precedes the caller's.
+func (d *Desc) extendAt(a tm.Addr, rl *txlog.ReadLog, snap *uint64, witness uint64) bool {
+	if witness == locktable.Locked || d.Extend(rl, snap, witness) {
+		return true
+	}
+	d.NoteConflictAt(a)
+	return false
+}
 
 // ReadMV serves word a at snapshot snap on the multi-version wait-free
 // path, logging nothing and never validating. ver is a's version word

@@ -13,9 +13,12 @@
 //     thread's identity, ladder and placement state, and the
 //     flat-transaction driver (driver.go);
 //   - the shared read side: the multi-version probe and exit (ReadMV,
-//     ExitMV), SwissTM's snapshot extension (Extend) and commit-time
-//     read validation (ValidateReads) (read.go);
-//   - SwissTM's flat commit over a pair lock table (Commit, commit.go).
+//     ExitMV), SwissTM's committed read (ReadCommitted), post-write
+//     snapshot check (CoverWrite), snapshot extension (Extend) and
+//     commit-time read validation (ValidateReads) (read.go);
+//   - SwissTM's commit over a pair lock table, taking a transaction's
+//     logs in program order — one pair for stm and core's solo task, one
+//     per task for a TLSTM ring transaction (Commit, commit.go).
 //
 // A flat runtime's *Tx embeds Desc, implements tm.Tx, and supplies:
 //
@@ -35,13 +38,15 @@
 //
 // TLSTM's core is on the kit too: core.Task embeds Desc (counters, the
 // CM front half Contend, conflict sketch, Alloc/Free, ArmPark/ParkRetry,
-// Fold) and core.Thread holds a Thread (identity, ladder feed, placement
-// remap). A transaction that does not ship — one task, or bodies fused
-// into one — runs on the thread's solo task through RunOn and Commit,
-// exactly as stm runs one (TLSTM-1 is SwissTM). A shipped or submitted
-// one keeps core's own attempt loop, abort rendezvous, commit order and
-// cross-goroutine hand-off of its ladder signals, which are TLS-specific;
-// there core drives Reset/StartAttempt/Restarted itself.
+// Fold, the committed read) and core.Thread holds a Thread (identity,
+// ladder feed, placement remap). A transaction that does not ship — one
+// task, or bodies fused into one — runs on the thread's solo task
+// through RunOn and Commit, exactly as stm runs one (TLSTM-1 is
+// SwissTM). A shipped or submitted one commits through the same Commit
+// over every task's logs, but keeps core's own attempt loop, abort
+// rendezvous, wait for the commit order and cross-goroutine hand-off of
+// its ladder signals, which are TLS-specific; there core drives
+// Reset/StartAttempt/Restarted itself.
 package txrt
 
 import (

@@ -59,7 +59,7 @@
 // A transaction that does not ship — one task, or fused bodies — is the
 // paper's TLSTM-1, and runs as SwissTM runs one: on the calling
 // goroutine, on the Thread's one solo task, through the same retry loop
-// and flat commit as the SwissTM baseline (internal/txrt). It waits for
+// and commit as the SwissTM baseline (internal/txrt). It waits for
 // the Thread's earlier Submits to commit first, then pays no serial,
 // ring slot, worker, abort rendezvous or completion latch; it counts one
 // DescriptorReuses.
