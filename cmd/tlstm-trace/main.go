@@ -155,7 +155,7 @@ func describe(e txtrace.Event) string {
 		dec, point := txtrace.CMAuxDecode(e.Aux)
 		return fmt.Sprintf("addr=%#x decision=%s point=%s", e.Arg, cm.Decision(dec), pointName(cm.Point(point)))
 	case txtrace.KindAbort:
-		return fmt.Sprintf("serial=%d reason=%s", e.Arg, txtrace.AbortReasonString(e.Aux))
+		return "reason=" + txtrace.AbortReasonString(e.Aux)
 	case txtrace.KindCommit:
 		return fmt.Sprintf("writeSet=%d", e.Arg)
 	case txtrace.KindReclaim:
@@ -440,7 +440,7 @@ func writePerfetto(w io.Writer, tr *txtrace.Trace) error {
 				args := map[string]any{"clock": e.Clock, "writeSet": e.Arg}
 				if txtrace.Kind(e.Kind) == txtrace.KindAbort {
 					name = "abort:" + txtrace.AbortReasonString(e.Aux)
-					args = map[string]any{"clock": e.Clock, "serial": e.Arg}
+					args = map[string]any{"clock": e.Clock}
 				}
 				if open != nil {
 					out = append(out, perfettoEvent{

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 
-	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
 	"tlstm/internal/txtrace"
 )
@@ -37,7 +36,7 @@ func (t *Task) commitStep() {
 	// log's FirstPast markers are never compared again (commit-time
 	// validation is version-based), so the entry-reclamation audit may
 	// stop charging this task. A transaction abort from here restarts
-	// through begin, which reopens the window.
+	// through Begin, which reopens the window.
 	t.readHorizon.Store(horizonDead)
 
 	if !t.tryCommit {
@@ -66,8 +65,7 @@ func (t *Task) commitStep() {
 					// rendezvous). Exit the wait normally.
 					return
 				}
-				t.traceAbort(txtrace.AbortSignal)
-				panic(restartSignal{})
+				t.Abort(t.validTS, txtrace.AbortSignal)
 			}
 			runtime.Gosched()
 		}
@@ -141,17 +139,16 @@ func (t *Task) abortOwnTx(reason uint32) {
 	t.abortRound(reason)
 }
 
-// abortRound records reason, joins the transaction's abort rendezvous
-// and restarts the attempt. The solo task has no rendezvous to join: its
-// abort is the kit's.
+// abortRound joins the transaction's abort rendezvous, which counts the
+// round, and restarts the attempt for reason. The solo task has no
+// rendezvous to join: it counts its own.
 func (t *Task) abortRound(reason uint32) {
 	if t.solo {
 		t.tx.txAborts.Add(1)
-		t.Abort(t.validTS, reason)
+	} else {
+		t.rendezvous(false)
 	}
-	t.traceAbort(reason)
-	t.rendezvous(false)
-	panic(restartSignal{})
+	t.Abort(t.validTS, reason)
 }
 
 // finishCommit publishes the transaction's completion (Alg. 3 lines
@@ -198,12 +195,11 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		thr.ctlDefeats.Add(1)
 	}
 
-	// Every task is what a SwissTM transaction was (§3.2), so each folds
-	// like one through the kit: set sizes (read before RetireCommitted
-	// empties the write logs below), attempts and latencies are per task.
-	// The policy's commit bookkeeping is per task too — Karma's account
-	// lives in each task's probe, and an intermediate task's lost work
-	// must be settled at its transaction's commit. Deferred frees take
+	// Every task is what a SwissTM transaction was (§3.2), so each closes
+	// like one through the kit (Desc.Close): set sizes (read before
+	// RetireCommitted empties the write logs below), attempts and
+	// latencies are per task, and so is the policy's commit bookkeeping —
+	// Karma's account lives in each task's probe. Deferred frees take
 	// effect here, before the completedTask store below releases the
 	// intermediate tasks' descriptors for re-arming.
 	var txWrites uint64
@@ -215,9 +211,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		reclaims, stalls := task.writeLog.TakeReclaimCounts()
 		task.Reclaims, task.Stalls = task.Reclaims+reclaims, task.Stalls+stalls
 		txWrites += uint64(task.writeLog.Len())
-		task.Fold(&st.Counters, task.readLog.Len(), task.writeLog.Len())
-		thr.kit.Conflicts(&task.Desc)
-		cm.Committed(thr.rt.CM, &task.CMSelf)
+		task.Close(&thr.kit, &st.Counters)
 		task.ApplyFrees()
 	}
 	if t.Traced {

@@ -207,7 +207,7 @@ func (rt *Runtime) NewThread() *Thread {
 		// owner-header fields are wired once for the descriptor's whole
 		// pooled lifetime; the per-transaction slots are re-bound by every
 		// Submit (locktable.OwnerRef.BindTx).
-		t.Init(&rt.Env, nil, fmt.Sprintf("core-thr%d-slot%d", id, i))
+		t.Init(&rt.Env, (*ring)(t), fmt.Sprintf("core-thr%d-slot%d", id, i))
 		t.ownerRef.ThreadID = id
 		t.ownerRef.CompletedTask = &thr.completedTask
 		t.ownerRef.AbortInternal = &t.abortInternal

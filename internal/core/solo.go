@@ -8,11 +8,10 @@ import (
 
 // solo is the txrt.Algorithm of a thread's solo task: TLSTM-1, a
 // transaction that does not ship, run by the kit's driver the way stm
-// runs a SwissTM transaction (Thread.runSolo). The body's Load and Store
-// are the ring tasks' (Task), and so is the commit (commitLogs); only the
-// attempt boundaries differ — a SwissTM begin, no commit order to wait
-// on, and an abort that unwinds through Desc.Abort rather than a
-// rendezvous.
+// runs a SwissTM transaction (Thread.runSolo). Its Load, Store and commit
+// (commitLogs) are the ring tasks' (Task); its attempt boundaries are
+// SwissTM's: no commit order to wait on, no rendezvous, no sandbox, and
+// the driver takes the gate and feeds the ladder.
 type solo Task
 
 var _ txrt.Algorithm = (*solo)(nil)

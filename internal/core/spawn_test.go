@@ -246,7 +246,7 @@ func waitRetryParked(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("txrt.(*Desc).ParkRetry")) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("txrt.(*Desc).parkRetry")) {
 			return
 		}
 		time.Sleep(time.Millisecond)

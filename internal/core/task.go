@@ -24,10 +24,10 @@ import (
 // here is TLS-specific: the serial, the cross-thread owner header and
 // abort signal, the redo-chain logs and the restart waits.
 //
-// A thread's ring tasks run their own attempt loop (run). Its solo task
-// — the one an Atomic that does not ship runs on — is driven by the kit
-// instead (txrt.Desc.RunOn, solo.go): the same Load and Store, but its
-// rollbacks unwind through Desc.Abort to the kit's retry loop (unwind).
+// Every attempt runs on the kit's driver and every rollback unwinds
+// through Desc.Abort: a ring task's inside its transaction (run, over the
+// ring Algorithm), the solo task's — the one an Atomic that does not
+// ship runs on — as a whole SwissTM transaction (Desc.RunOn, solo.go).
 //
 // Task descriptors are recycled: descriptor i of a thread's ring runs
 // every serial congruent to i+1 modulo SPECDEPTH, re-initialized in
@@ -74,7 +74,7 @@ type Task struct {
 
 	txrt.Desc
 
-	// ---- per-incarnation state (reset by Submit and begin) ----
+	// ---- per-incarnation state (reset by Submit and Begin) ----
 
 	validTS    uint64
 	lastWriter int64
@@ -131,10 +131,6 @@ type Task struct {
 // retirement has exited, so no stale FirstPast pointer survives. See
 // reclaim_test.go for the machinery that proves this.
 
-// restartSignal unwinds a task attempt back to its run loop. It never
-// escapes the package.
-type restartSignal struct{}
-
 // txSelfAbortDefeats is the deadlock escape hatch for policies that
 // only ever abort the requester: after this many contention-manager
 // defeats, losing once more aborts the whole user-transaction instead
@@ -146,13 +142,13 @@ const txSelfAbortDefeats = 8
 
 // run executes one task incarnation, on its scheduler slot's worker or
 // — the head of an Atomic — on the submitting goroutine: join the
-// transaction, then execute attempts until the enclosing
+// transaction, then run attempts on the kit's driver until the enclosing
 // user-transaction commits, then retire the descriptor. The final
 // tx.live decrement is this incarnation's last access to the
 // transaction descriptor — Submit recycles it only at zero.
 func (t *Task) run() {
 	tx := t.tx
-	// Retire via defer so a genuine-bug panic propagating out of
+	// Retire via defer so a genuine-bug panic propagating out of an
 	// attempt still leaves the descriptor machinery consistent: on a
 	// worker the panic then crashes the process (as the old
 	// goroutine-per-task spawn did), but a shipped head's surfaces in
@@ -166,8 +162,7 @@ func (t *Task) run() {
 		t.Tr.Record(txtrace.KindTxBegin, t.thr.rt.Clk.Now(), uint64(t.serial.Load()), 0)
 	}
 	t.joinTx()
-	for t.attempt() {
-	}
+	t.Attempts()
 }
 
 // joinTx registers the task with its transaction's abort rendezvous
@@ -183,46 +178,13 @@ func (t *Task) joinTx() {
 	}
 }
 
-// attempt runs the body once; it reports whether the task must restart.
-func (t *Task) attempt() (restart bool) {
-	if t.ParkPending {
-		t.ParkRetry()
-	}
-	t.StartAttempt()
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, is := r.(restartSignal); is {
-			t.undoAttempt()
-			t.Restarted()
-			restart = true
-			return
-		}
-		// A panic out of the body: if our speculative reads were
-		// inconsistent, this is the sandboxing case of §3.2
-		// ("Inconsistent reads") — restart. Otherwise it is a genuine
-		// bug; release our state and propagate.
-		if !t.consistent() {
-			t.undoAttempt()
-			t.noteRestart(restartSandbox)
-			t.traceAbort(restartAbortCode[restartSandbox])
-			t.Restarted()
-			restart = true
-			return
-		}
-		t.undoAttempt()
-		panic(r)
-	}()
+// ring is the txrt.Algorithm of a thread's ring tasks: one task's
+// attempts inside its transaction, which closes at the commit task's
+// finishCommit. It is Speculative: a task reads its past tasks'
+// speculative writes, so a panic may be an inconsistent read's.
+type ring Task
 
-	t.preRestartWait()
-	t.begin()
-	t.fn(t)
-	t.commitStep()
-	t.backoff = 0
-	return false
-}
+var _ txrt.Speculative = (*ring)(nil)
 
 // preRestartWait delays a restart while the condition that rolled us
 // back clears (see waitBeforeRestart and backoff). The wait is charged
@@ -267,8 +229,11 @@ func (t *Task) preRestartWait() {
 	}
 }
 
-// begin is the paper's start() (Alg. 1 lines 1–4) for one incarnation.
-func (t *Task) begin() {
+// Begin implements txrt.Algorithm: the restart waits (preRestartWait),
+// then the paper's start() (Alg. 1 lines 1–4) for one attempt.
+func (r *ring) Begin() uint64 {
+	t := (*Task)(r)
+	t.preRestartWait()
 	// Open the read-log liveness window before anything is read: any
 	// entry retired from here on carries a retirement epoch above this
 	// snapshot, so the reclamation audit knows this attempt may hold it.
@@ -295,29 +260,40 @@ func (t *Task) begin() {
 		t.validTS = tx.sharedSnapshot(t.thr.rt.Clk.Now())
 		t.MVOn = true
 	}
-	t.Work += txrt.TxStartCost
 	t.readLog.Reset()
 	t.writeLog.Reset()
-	if t.Traced {
-		aux := uint32(0)
-		if t.MVOn {
-			aux = 1
-		}
-		t.Tr.Record(txtrace.KindAttemptStart, t.validTS, uint64(t.serial.Load()), aux)
-	}
+	return t.validTS
 }
 
-// undoAttempt releases everything a failed attempt left behind. Chain
-// removal is idempotent, so it is safe whether or not a transaction
-// abort already unwound our entries.
-func (t *Task) undoAttempt() {
-	t.unwindWrites()
-	t.ReleaseAllocs()
-	// The attempt's read log is dead: it will never be validated again
-	// (consistent() runs before undoAttempt in the sandbox path, and a
-	// restart resets the log before reading). Close the liveness window
-	// so the reclamation audit stops charging this attempt.
-	t.readHorizon.Store(horizonDead)
+// Exec implements txrt.Algorithm: the body, then the commit step.
+func (r *ring) Exec() {
+	t := (*Task)(r)
+	t.fn(t)
+	t.commitStep()
+}
+
+// Release implements txrt.Algorithm: unlink and retire the attempt's
+// entries (a transaction abort's sweep may have done it) and close the
+// read log's liveness window: the log is dead (Sandboxed has run), so the
+// reclamation audit stops charging the attempt.
+func (r *ring) Release() {
+	(*Task)(r).unwindWrites()
+	r.readHorizon.Store(horizonDead)
+}
+
+// SetSizes implements txrt.Algorithm (logged reads / locked pairs).
+func (r *ring) SetSizes() (reads, writes int) { return r.readLog.Len(), r.writeLog.Len() }
+
+// Sandboxed implements txrt.Speculative: a panic out of an attempt whose
+// reads are no longer consistent is §3.2's sandboxing case ("Inconsistent
+// reads"), counted and restarted; any other is a genuine bug.
+func (r *ring) Sandboxed() bool {
+	t := (*Task)(r)
+	if t.consistent() {
+		return false
+	}
+	t.noteRestart(restartSandbox)
+	return true
 }
 
 // horizonDead is the readHorizon value of a task holding no live read
@@ -346,46 +322,27 @@ const (
 	numRestartKinds
 )
 
-// restartAbortCode maps single-task restart kinds onto the txtrace
-// abort-reason codes (WAR and sandbox restarts are both
+// restartAbortCode maps single-task rollbacks onto the txtrace
+// abort-reason codes (WAR restarts, like the driver's sandboxed ones, are
 // speculation-specific; the fine-grained breakdown lives in Stats).
 var restartAbortCode = [numRestartKinds]uint32{
-	restartWAR:     txtrace.AbortSpec,
-	restartWAW:     txtrace.AbortConflict,
-	restartExtend:  txtrace.AbortExtend,
-	restartCM:      txtrace.AbortCM,
-	restartSandbox: txtrace.AbortSpec,
-	restartRetry:   txtrace.AbortRetry,
+	restartWAR:    txtrace.AbortSpec,
+	restartWAW:    txtrace.AbortConflict,
+	restartExtend: txtrace.AbortExtend,
+	restartCM:     txtrace.AbortCM,
+	restartRetry:  txtrace.AbortRetry,
 }
 
 // rollbackTask aborts just this task and restarts it, recording why.
 func (t *Task) rollbackTask(kind restartKind) {
 	t.noteRestart(kind)
-	t.unwind(restartAbortCode[kind])
+	t.Abort(t.validTS, restartAbortCode[kind])
 }
 
 // noteRestart counts a single-task rollback of kind.
 func (t *Task) noteRestart(kind restartKind) {
 	t.tx.taskRestarts.Add(1)
 	t.tx.restartKind[kind].Add(1)
-}
-
-// unwind ends the attempt for reason: a ring task's back to its run loop,
-// the solo task's through the kit (Desc.Abort releases its entries and
-// allocations and traces the abort).
-func (t *Task) unwind(reason uint32) {
-	if t.solo {
-		t.Abort(t.validTS, reason)
-	}
-	t.traceAbort(reason)
-	panic(restartSignal{})
-}
-
-// traceAbort records the end of the current attempt for reason.
-func (t *Task) traceAbort(reason uint32) {
-	if t.Traced {
-		t.Tr.Record(txtrace.KindAbort, t.validTS, uint64(t.serial.Load()), reason)
-	}
 }
 
 // checkSignals honours both abort signals at a safe point (every loop in

@@ -451,7 +451,7 @@ func (thr *Thread) Stats() Stats {
 
 // Stats aggregates per-thread execution statistics: the TLS-specific
 // counters below plus the engine kit's shared Counters (txrt), folded
-// per task by txrt.Desc.Fold where the flat runtimes fold per
+// per task by txrt.Desc.Close where the flat runtimes fold per
 // transaction — set sizes, latencies and Attempts (the task's attempts)
 // are per task; a one-task transaction counts exactly as a flat one, and
 // so does a fused one (its Attempts and set sizes are its one task's).

@@ -14,12 +14,13 @@ import (
 	"tlstm/internal/txtrace"
 )
 
-// Algorithm is the part of a flat runtime the driver cannot share: its
-// *Tx implements it. Every method is called once per attempt (SetSizes
-// once per transaction), never per access.
+// Algorithm is the part of a runtime the driver cannot share: its *Tx
+// (core: each task) implements it. Every method is called once per
+// attempt (SetSizes once per transaction), never per access.
 type Algorithm interface {
 	// Begin resets the per-attempt state (logs, held locks), samples
-	// the snapshot from the commit clock and returns it.
+	// the snapshot from the commit clock and returns it. It runs inside
+	// the attempt, so it may abort.
 	Begin() uint64
 	// Exec runs the user body and commits. A conflict unwinds it
 	// through Desc.Abort.
@@ -31,6 +32,18 @@ type Algorithm interface {
 	// SetSizes reports the committed attempt's read- and write-set
 	// sizes.
 	SetSizes() (reads, writes int)
+}
+
+// Speculative is an Algorithm whose attempts may read inconsistent
+// state: core's ring tasks, which read past tasks' speculative writes.
+// After a panic out of an attempt, Sandboxed reports whether the
+// attempt's reads were inconsistent (paper §3.2): the driver then
+// discards the attempt and restarts it instead of surfacing the panic.
+// Such an algorithm waits out its own restarts in Begin, so the driver
+// skips its policy backoff.
+type Speculative interface {
+	Algorithm
+	Sandboxed() bool
 }
 
 // rollback is the panic value that unwinds an aborted attempt back to
@@ -131,8 +144,9 @@ func (t *Thread) Remap(c *Counters, tr txtrace.Tracer) {
 // rest is the kit's. A Desc is reused across attempts and transactions
 // and must be used by one goroutine at a time.
 type Desc struct {
-	env *Env
-	alg Algorithm
+	env  *Env
+	alg  Algorithm
+	spec Speculative // alg, if it is one
 
 	// Work is the current transaction's work units over all attempts.
 	Work uint64
@@ -169,9 +183,9 @@ type Desc struct {
 	// attempt aborted itself to let a gate entrant pass.
 	gateYield bool
 
-	// ParkPending: ArmPark subscribed waiter on parkFP, and the retry
-	// loop parks (ParkRetry) before the next attempt.
-	ParkPending bool
+	// parkPending: ArmPark subscribed waiter on parkFP, and the retry
+	// loop parks (parkRetry) before the next attempt.
+	parkPending bool
 	parkFP      uint64
 	waiter      mode.Waiter
 	retryWakes  uint64
@@ -204,6 +218,7 @@ type Desc struct {
 func (d *Desc) Init(env *Env, alg Algorithm, ring string) {
 	d.env = env
 	d.alg = alg
+	d.spec, _ = alg.(Speculative)
 	d.CMSelf.Timestamp = &d.GreedTS
 	d.CMSelf.Probe = &d.cmProbe
 	d.Tr, d.Traced = env.NewTracer(ring)
@@ -243,33 +258,45 @@ func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
 	if d.Traced {
 		d.Tr.Record(txtrace.KindTxBegin, env.Clk.Now(), 0, 0)
 	}
-	// Ladder: a serialized transaction takes the runtime gate before
-	// its first attempt (announcing itself so speculative wait loops
-	// yield) and runs the unchanged protocol under it — opacity by
-	// construction, serialization only against other fallback entrants.
+	d.attempts(thr, c)
+	d.Close(thr, c)
+	if thr != nil {
+		thr.Feed(1, d.aborts-d.retryAborts, min(uint64(d.CMSelf.Defeats), 1), c, d.Tr)
+		thr.Remap(c, d.Tr)
+	}
+}
+
+// Attempts runs attempts until one commits, for a caller that owns the
+// transaction's boundaries (Reset before, Close after) and its gate:
+// core's ring tasks.
+func (d *Desc) Attempts() { d.attempts(nil, nil) }
+
+// attempts is the retry loop. thr (nil: none) is the ladder: a
+// serialized transaction takes the runtime gate before its first attempt
+// (announcing itself so speculative wait loops yield) and runs the
+// unchanged protocol under it — opacity by construction, serialization
+// only against other fallback entrants.
+func (d *Desc) attempts(thr *Thread, c *Counters) {
 	serial := thr != nil && thr.ctl.Serial()
 	if serial {
 		d.enterGate()
 	}
 	for {
-		if d.ParkPending {
-			d.ParkRetry()
+		if d.parkPending {
+			d.parkRetry()
 		}
-		d.StartAttempt()
-		snap := d.alg.Begin()
-		d.Work += TxStartCost
-		if d.Traced {
-			d.Tr.Record(txtrace.KindAttemptStart, snap, d.aborts+1, 0)
-		}
-		if d.attempt() {
+		if d.attempt(serial) {
 			break
 		}
-		d.Restarted()
-		if d.ParkPending {
+		d.restarted()
+		if d.parkPending {
 			// A Retry unwound this attempt; it parks at the top of the
 			// loop — no contention backoff, no escalation pressure.
 			d.retryAborts++
 			continue
+		}
+		if d.spec != nil {
+			continue // it waits out its own restarts in Begin
 		}
 		if !serial && thr != nil && thr.ctl.Escalate(int(d.aborts-d.retryAborts)) {
 			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
@@ -283,7 +310,7 @@ func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
 			// We aborted to let a gate entrant pass: back off SpinInit
 			// yields so the serialized cohort gets cycles first.
 			d.gateYield = false
-			for i := 0; i < env.ModeCfg.SpinInit; i++ {
+			for i := 0; i < d.env.ModeCfg.SpinInit; i++ {
 				runtime.Gosched()
 			}
 		}
@@ -291,60 +318,85 @@ func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
 		// immediately (and, on a single CPU, so the lock owner we lost
 		// to gets scheduled before we re-acquire).
 		d.CMSelf.Aborts = d.aborts
-		for i, n := 0, cm.AbortBackoff(env.CM, &d.CMSelf); i < n; i++ {
+		for i, n := 0, cm.AbortBackoff(d.env.CM, &d.CMSelf); i < n; i++ {
 			runtime.Gosched()
 		}
 	}
 	if serial {
 		d.exitGate()
 	}
-	cm.Committed(env.CM, &d.CMSelf)
+}
+
+// attempt runs one attempt, begin to commit, and reports success. It
+// turns an abort's unwind into a false return and so does a sandboxed
+// panic (Speculative), whose attempt it discards. After a genuine user
+// panic it releases the attempt's locks and allocations, and the gate if
+// the driver took it (serial), so the rest of the system stays live
+// while the panic propagates.
+func (d *Desc) attempt(serial bool) (ok bool) {
+	var snap uint64
+	defer func() {
+		if r := recover(); r != nil {
+			if _, is := r.(rollback); is {
+				return
+			}
+			if d.spec != nil && d.spec.Sandboxed() {
+				d.discard(snap, txtrace.AbortSpec)
+				return
+			}
+			d.alg.Release()
+			d.releaseAllocs()
+			if serial {
+				d.exitGate()
+			}
+			panic(r)
+		}
+	}()
+	d.startAttempt()
+	snap = d.alg.Begin()
+	d.Work += TxStartCost
+	if d.Traced {
+		d.Tr.Record(txtrace.KindAttemptStart, snap, d.aborts+1, 0)
+	}
+	d.alg.Exec()
+	return true
+}
+
+// Close settles a committed descriptor: the policy's commit bookkeeping,
+// the fold into c (nil folds nothing) and thr's remap window (nil:
+// none). core closes every task of a committed ring transaction.
+func (d *Desc) Close(thr *Thread, c *Counters) {
+	cm.Committed(d.env.CM, &d.CMSelf)
 	if c != nil {
 		reads, writes := d.alg.SetSizes()
-		d.Fold(c, reads, writes)
+		d.fold(c, reads, writes)
 	} else {
 		d.cmProbe.TakeCounts() // nothing records them; clear for the next transaction
 	}
 	if thr != nil {
-		thr.Feed(1, d.aborts-d.retryAborts, min(uint64(d.CMSelf.Defeats), 1), c, d.Tr)
 		thr.Conflicts(d)
-		thr.Remap(c, d.Tr)
 	}
-}
-
-// attempt runs the body and commit once. It reports success, turns an
-// abort's unwind into a false return, and cleans up after a genuine
-// user panic — locks, speculative allocations and the serialized gate —
-// so the rest of the system stays live while the panic propagates.
-func (d *Desc) attempt() (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, is := r.(rollback); !is {
-				d.alg.Release()
-				d.ReleaseAllocs()
-				if d.InSerial {
-					d.exitGate()
-				}
-				panic(r)
-			}
-			ok = false
-		}
-	}()
-	d.alg.Exec()
-	return true
 }
 
 // Abort releases the attempt's locks and speculative allocations,
 // records the reason on the trace (snap is the attempt's current
 // snapshot) and unwinds to the retry loop. The abort event closes the
-// attempt on the trace, so it follows whatever Release records.
+// attempt on the trace, so it follows whatever Release records. Not
+// inlined: its callers' signal polls (stm's checkSignals) must inline.
+//
+//go:noinline
 func (d *Desc) Abort(snap uint64, reason uint32) {
+	d.discard(snap, reason)
+	panic(rollback{})
+}
+
+// discard is Abort without the unwind.
+func (d *Desc) discard(snap uint64, reason uint32) {
 	d.alg.Release()
-	d.ReleaseAllocs()
+	d.releaseAllocs()
 	if d.Traced {
 		d.Tr.Record(txtrace.KindAbort, snap, 0, reason)
 	}
-	panic(rollback{})
 }
 
 // Contend is the contention manager's front half for one round of a
@@ -424,9 +476,9 @@ func (d *Desc) Committed(ts uint64, writes int) {
 	}
 }
 
-// ReleaseAllocs returns the attempt's fresh blocks to the allocator: the
+// releaseAllocs returns the attempt's fresh blocks to the allocator: the
 // attempt is dead.
-func (d *Desc) ReleaseAllocs() {
+func (d *Desc) releaseAllocs() {
 	for _, a := range d.allocs {
 		d.env.Alloc.Free(a)
 	}
@@ -458,20 +510,20 @@ func (d *Desc) ArmPark(fp mode.Fingerprint, valid func() bool) {
 	}
 	d.env.Hub.Subscribe(&d.waiter, fp)
 	if valid() {
-		d.ParkPending = true
+		d.parkPending = true
 		d.parkFP = uint64(fp)
 	} else {
 		d.env.Hub.Unsubscribe(&d.waiter)
 	}
 }
 
-// ParkRetry blocks on the Retry doorbell until a conflicting commit
+// parkRetry blocks on the Retry doorbell until a conflicting commit
 // rings it. A serialized transaction releases the gate across the park
 // (holding it would block every fallback entrant, perhaps the very
 // producer it waits for) and re-enters afterwards; the gate is not
 // owner-tracked, so another goroutine of the transaction may park.
-func (d *Desc) ParkRetry() {
-	d.ParkPending = false
+func (d *Desc) parkRetry() {
+	d.parkPending = false
 	if d.Traced {
 		d.Tr.Record(txtrace.KindRetryPark, d.env.Clk.Now(), d.parkFP, 0)
 	}
@@ -491,7 +543,7 @@ func (d *Desc) ParkRetry() {
 }
 
 // Reset starts a transaction on thr (nil: no placement): it clears
-// what Fold reads and records the thread's home shard.
+// what fold reads and records the thread's home shard.
 func (d *Desc) Reset(thr *Thread) {
 	if d.aborts != 0 {
 		d.crossShard = 0
@@ -509,24 +561,24 @@ func (d *Desc) Reset(thr *Thread) {
 	}
 }
 
-// StartAttempt stamps the start of an attempt and forgets the previous
+// startAttempt stamps the start of an attempt and forgets the previous
 // attempt's allocations and frees (released or dropped by its abort).
-func (d *Desc) StartAttempt() {
+func (d *Desc) startAttempt() {
 	d.attemptStart = time.Now()
 	d.allocs = d.allocs[:0]
 	d.frees = d.frees[:0]
 }
 
-// Restarted records a rolled-back attempt and its latency.
-func (d *Desc) Restarted() {
+// restarted records a rolled-back attempt and its latency.
+func (d *Desc) restarted() {
 	d.restartLat.Observe(int(time.Since(d.attemptStart)))
 	d.aborts++
 }
 
-// Fold adds the committed transaction's descriptor counters to c, with
+// fold adds the committed transaction's descriptor counters to c, with
 // reads/writes its committed set sizes. The flat runtimes fold once per
 // transaction; core folds every task of a committed transaction.
-func (d *Desc) Fold(c *Counters, reads, writes int) {
+func (d *Desc) fold(c *Counters, reads, writes int) {
 	c.Work += d.Work
 	c.SnapshotExtensions += d.Extends
 	c.ClockCASRetries += d.ClkProbe.TakeRetries()

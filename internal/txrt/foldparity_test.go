@@ -22,7 +22,7 @@ import (
 // task, on the kit's driver) and Submit+Wait (the task ring) — must fold
 // the per-transaction counters the runtimes share into the same values:
 // a one-task TLSTM transaction is a SwissTM transaction, and all three
-// fold through txrt.Desc.Fold.
+// fold through txrt.Desc.Close.
 
 type retryTx interface {
 	tm.Tx
@@ -119,12 +119,12 @@ func (p *defeatOnce) OnConflict(*cm.Self, *locktable.OwnerRef) cm.Decision {
 func (p *defeatOnce) OnAbort(*cm.Self) int { return 0 }
 func (p *defeatOnce) OnCommit(*cm.Self)    {}
 
-// waitParked blocks until some goroutine is parked in Desc.ParkRetry.
+// waitParked blocks until some goroutine is parked in Desc.parkRetry.
 func waitParked(t *testing.T) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("txrt.(*Desc).ParkRetry")) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("txrt.(*Desc).parkRetry")) {
 			return
 		}
 		time.Sleep(time.Millisecond)

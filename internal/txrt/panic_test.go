@@ -1,6 +1,9 @@
 package txrt_test
 
 import (
+	"context"
+	"os"
+	"os/exec"
 	"testing"
 	"time"
 
@@ -210,5 +213,61 @@ func TestCoreUserPanicReleasesGate(t *testing.T) {
 			// is left running behind either thread.
 			within(t, "Close", rt.Close)
 		})
+	}
+}
+
+// TestCoreShippedHeadPanicLeavesGateToSubmit: a shipped Atomic's head
+// runs on the caller under the gate its submit took (mode.Serial), and
+// the driver releases only a gate it entered itself, so a genuine panic
+// in the head leaves the gate to submit's own release. The panic reaches
+// the caller, the head's store is undone and another thread's
+// transaction runs. The tail stays wedged on its worker, so the scenario
+// runs in a subprocess (a double gate release is a fatal error there).
+func TestCoreShippedHeadPanicLeavesGateToSubmit(t *testing.T) {
+	if os.Getenv("TXRT_HEAD_PANIC") == "1" {
+		shippedHeadPanic(t)
+		return
+	}
+	if testing.Short() {
+		t.Skip("subprocess check")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCoreShippedHeadPanicLeavesGateToSubmit$")
+	cmd.Env = append(os.Environ(), "TXRT_HEAD_PANIC=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("the shipped-head panic scenario failed (%v):\n%s", err, out)
+	}
+}
+
+func shippedHeadPanic(t *testing.T) {
+	rt := core.New(core.Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Serial}})
+	a := rt.Direct().Alloc(1)
+	first, second := rt.NewThread(), rt.NewThread() // a fresh thread ships
+	if !panics(func() {
+		_ = first.Atomic(func(tk *core.Task) {
+			tk.Store(a, 1)
+			panic("boom")
+		}, func(*core.Task) {})
+	}) {
+		t.Fatal("the head's panic did not reach the caller")
+	}
+	if first.Stats().WorkersSpawned == 0 {
+		t.Fatal("the two-task Atomic did not ship")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := second.Atomic(func(tk *core.Task) { tk.Store(a, tk.Load(a)) }); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a second thread's transaction did not finish: the gate or the head's lock is still held")
+	}
+	if got := rt.Direct().Load(a); got != 0 {
+		t.Fatalf("word = %d, want 0 (the panicked head's store undone)", got)
 	}
 }

@@ -34,19 +34,16 @@
 // Desc.Run calls the first four through the Algorithm interface once
 // per attempt and owns everything else: retry loop, mode ladder and
 // gate, Retry parking, CM backoff, placement remap, user-panic cleanup
-// and the stats fold (Desc.Fold).
+// and the stats fold (Desc.Close).
 //
-// TLSTM's core is on the kit too: core.Task embeds Desc (counters, the
-// CM front half Contend, conflict sketch, Alloc/Free, ArmPark/ParkRetry,
-// Fold, the committed read) and core.Thread holds a Thread (identity,
-// ladder feed, placement remap). A transaction that does not ship — one
-// task, or bodies fused into one — runs on the thread's solo task
-// through RunOn and Commit, exactly as stm runs one (TLSTM-1 is
-// SwissTM). A shipped or submitted one commits through the same Commit
-// over every task's logs, but keeps core's own attempt loop, abort
-// rendezvous, wait for the commit order and cross-goroutine hand-off of
-// its ladder signals, which are TLS-specific; there core drives
-// Reset/StartAttempt/Restarted itself.
+// TLSTM's core is on the kit too: core.Task embeds Desc, and every
+// attempt of a task runs on this driver. A transaction that does not
+// ship runs on the thread's solo task through RunOn and Commit, as stm
+// runs one (TLSTM-1 is SwissTM); each ring task of a shipped or submitted
+// one is a Speculative Algorithm run through Attempts, while core keeps
+// the transaction's boundaries (abort rendezvous, commit order, gate,
+// ladder signals), commits it through Commit over every task's logs and
+// closes each task (Close).
 package txrt
 
 import (
