@@ -13,9 +13,7 @@
 //	tlstm-bench -cm karma       # figures under the Karma contention manager
 //	tlstm-bench -mode adaptive  # figures under the adaptive execution-mode ladder
 //	tlstm-bench -mv 2           # figures with 2 retained versions per word
-//	tlstm-bench -shards 4       # figures with a 4-shard lock table
-//	tlstm-bench -shards 4 -affinity  # ... plus conflict-sketch thread placement
-//	tlstm-bench -sweep cm       # one sweep: clock, cm, mode, mv or shards
+//	tlstm-bench -sweep cm       # one sweep: clock, cm, mode or mv
 //	tlstm-bench -sweep mv -json out.json  # ... also persisted as JSON
 package main
 

@@ -19,10 +19,9 @@
 // and -romix P makes P% of the soak's transactions declared read-only
 // full-array scans, each asserting the exact preserved total at its
 // snapshot — the strongest cheap check of the wait-free multi-version
-// read path. The soak's lock table can be sharded (-shards 4) with
-// optional conflict-sketch thread placement (-affinity).
+// read path.
 //
-// -sweep <axis> (clock, cm, mode, mv or shards) swaps the soak for that
+// -sweep <axis> (clock, cm, mode or mv) swaps the soak for that
 // invariant-checked sweep across all four runtimes (harness.Sweeps);
 // -seconds N runs N times the sweep's quick size per thread.
 package main
@@ -139,7 +138,6 @@ func run() int {
 					"cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
 					"backoffSpins": st.BackoffSpins, "entryReclaims": st.EntryReclaims,
 					"horizonStalls": st.HorizonStalls, "mvReads": st.MVReads, "mvMisses": st.MVMisses,
-					"crossShardConflicts": st.CrossShardConflicts, "remaps": st.Remaps,
 					"modeFallbacks": st.ModeFallbacks, "modeRecoveries": st.ModeRecoveries,
 					"retryWakes": st.RetryWakes,
 				},
@@ -335,7 +333,7 @@ func run() int {
 		sum += d.Load(base + tm.Addr(i))
 	}
 	want := uint64(*accounts) * initial
-	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d clock=%s ext=%d clkRetry=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d shards=%d place=%s xshard=%d remap=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
+	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d clock=%s ext=%d clkRetry=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
 		total.TxCommitted, total.TxFused, total.TxAborted, total.TaskRestarts, total.Work,
 		total.WorkersSpawned, total.DescriptorReuses,
 		rt.ClockName(), total.SnapshotExtensions, total.ClockCASRetries,
@@ -343,7 +341,6 @@ func run() int {
 		rt.ModeName(), total.ModeFallbacks, total.ModeRecoveries, total.RetryWakes,
 		total.EntryReclaims, total.HorizonStalls,
 		rt.MVDepth(), total.MVReads, total.MVMisses,
-		rt.Shards(), rt.PlacementName(), total.CrossShardConflicts, total.Remaps,
 		total.ReadSetSizes, total.WriteSetSizes,
 		total.CommitLatency, total.Attempts, total.RestartLatency)
 	if sum != want {

@@ -160,8 +160,6 @@ func describe(e txtrace.Event) string {
 		return fmt.Sprintf("writeSet=%d", e.Arg)
 	case txtrace.KindReclaim:
 		return fmt.Sprintf("retireSerial=%d epoch=%d", e.Arg, e.Aux)
-	case txtrace.KindRemap:
-		return fmt.Sprintf("homeShard=%d prevShard=%d", e.Arg, e.Aux)
 	case txtrace.KindCommitWord:
 		return fmt.Sprintf("addr=%#x stamp=%d", e.Arg, e.Clock)
 	case txtrace.KindModeShift:
@@ -247,8 +245,6 @@ type ringSummary struct {
 	// CM tallies: resolutions seen, split by verdict. "Defeats" are
 	// AbortSelf verdicts — conflicts this ring lost.
 	cmSeen, cmDefeats, cmWins, cmWaits uint64
-	// remaps counts affinity placement rebinds (KindRemap).
-	remaps uint64
 	// Mode-ladder transitions (KindModeShift): fallbacks are shifts to
 	// the serialized rung, recoveries shifts back to speculative.
 	fallbacks, recoveries uint64
@@ -293,8 +289,6 @@ func summarize(rd txtrace.RingDump) ringSummary {
 			case cm.Wait:
 				s.cmWaits++
 			}
-		case txtrace.KindRemap:
-			s.remaps++
 		case txtrace.KindModeShift:
 			if mode.State(e.Arg) == mode.StateSerial {
 				s.fallbacks++
@@ -329,7 +323,6 @@ func writeSummary(w io.Writer, tr *txtrace.Trace) error {
 		total.cmDefeats += s.cmDefeats
 		total.cmWins += s.cmWins
 		total.cmWaits += s.cmWaits
-		total.remaps += s.remaps
 		total.fallbacks += s.fallbacks
 		total.recoveries += s.recoveries
 		total.parks += s.parks
@@ -339,9 +332,9 @@ func writeSummary(w io.Writer, tr *txtrace.Trace) error {
 		for k, v := range s.byReason {
 			total.byReason[k] += v
 		}
-		if _, err := fmt.Fprintf(w, "ring %3d %-24q events=%-7d drops=%-5d commits=%-6d aborts=%-6d chains=%d maxChain=%d remaps=%d cm[seen=%d defeats=%d wins=%d waits=%d]%s%s\n",
+		if _, err := fmt.Fprintf(w, "ring %3d %-24q events=%-7d drops=%-5d commits=%-6d aborts=%-6d chains=%d maxChain=%d cm[seen=%d defeats=%d wins=%d waits=%d]%s%s\n",
 			rd.ID, rd.Label, len(rd.Events), rd.Drops, s.commits, s.aborts,
-			s.chains, s.chainMax, s.remaps, s.cmSeen, s.cmDefeats, s.cmWins, s.cmWaits,
+			s.chains, s.chainMax, s.cmSeen, s.cmDefeats, s.cmWins, s.cmWaits,
 			modeList(s), reasonList(s.byReason)); err != nil {
 			return err
 		}
@@ -355,9 +348,9 @@ func writeSummary(w io.Writer, tr *txtrace.Trace) error {
 			}
 		}
 	}
-	if _, err := fmt.Fprintf(w, "total: rings=%d commits=%d aborts=%d abortChains=%d maxChain=%d remaps=%d cm[seen=%d defeats=%d wins=%d waits=%d]%s%s\n",
+	if _, err := fmt.Fprintf(w, "total: rings=%d commits=%d aborts=%d abortChains=%d maxChain=%d cm[seen=%d defeats=%d wins=%d waits=%d]%s%s\n",
 		len(tr.Rings), total.commits, total.aborts, total.chains, total.chainMax,
-		total.remaps, total.cmSeen, total.cmDefeats, total.cmWins, total.cmWaits,
+		total.cmSeen, total.cmDefeats, total.cmWins, total.cmWaits,
 		modeList(total), reasonList(total.byReason)); err != nil {
 		return err
 	}
@@ -473,12 +466,6 @@ func writePerfetto(w io.Writer, tr *txtrace.Trace) error {
 					Name: "reclaim", Cat: "reclaim", Ph: "i", Ts: us(e.Time),
 					Pid: 1, Tid: rd.ID, S: "t",
 					Args: map[string]any{"retireSerial": e.Arg, "epoch": e.Aux},
-				})
-			case txtrace.KindRemap:
-				out = append(out, perfettoEvent{
-					Name: "remap", Cat: "placement", Ph: "i", Ts: us(e.Time),
-					Pid: 1, Tid: rd.ID, S: "t",
-					Args: map[string]any{"homeShard": e.Arg, "prevShard": e.Aux},
 				})
 			case txtrace.KindModeShift:
 				out = append(out, perfettoEvent{

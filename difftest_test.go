@@ -447,93 +447,38 @@ func TestDifferentialRuntimes(t *testing.T) {
 // Lock-table geometry leg
 // ---------------------------------------------------------------------------
 
-// TestDifferentialSharding is the lock-table geometry leg: the same
-// deterministic programs, executed with the lock table sharded (and
-// with the affinity placement remapping threads mid-run, and with
-// cache-line padding where the runtime supports it), must be
-// sequentially equivalent to the flat-table SwissTM/gv4 reference.
-// Sharding only relabels pairs for conflict attribution — address→pair
-// resolution is identical at every geometry — so any divergence here
-// means a remap or a padded stride leaked into semantics.
-func TestDifferentialSharding(t *testing.T) {
+// TestDifferentialPadded is the lock-table geometry leg: the same
+// deterministic programs, executed with the lock pairs padded one per
+// cache line, must be sequentially equivalent to the flat-table
+// SwissTM/gv4 reference. Padding only strides the pair storage —
+// address→slot resolution is identical — so any divergence here means
+// the padded stride leaked into semantics. tl2 and wtstm have no padded
+// table.
+func TestDifferentialPadded(t *testing.T) {
 	const seeds = 6
-	type leg struct {
-		name     string
-		shards   int
-		affinity bool
-		padded   bool
-	}
-	legs := []leg{
-		{"s4-static", 4, false, false},
-		{"s4-affinity", 4, true, false},
-		{"s1-padded", 1, false, true},
-		{"s8-affinity-padded", 8, true, true},
-	}
-	for _, l := range legs {
-		l := l
-		t.Run(l.name, func(t *testing.T) {
-			for seed := int64(0); seed < seeds; seed++ {
-				prog := genProgram(seed+400, 30)
-				want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+	for seed := int64(0); seed < seeds; seed++ {
+		prog := genProgram(seed+400, 30)
+		want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
 
-				{
-					rt := stm.New(stm.WithShards(l.shards), stm.WithAffinity(l.affinity),
-						stm.WithPaddedLockTable(l.padded))
-					base := rt.Direct().Alloc(diffWords)
-					for _, ops := range prog {
-						ops := ops
-						rt.Atomic(nil, func(tx *stm.Tx) {
-							for _, op := range ops {
-								applyOp(tx, base, op)
-							}
-						})
-					}
-					if got := snapshot(rt.Direct(), base); got != want {
-						t.Fatalf("seed %d: SwissTM/%s diverges\n got: %v\nwant: %v", seed, l.name, got, want)
-					}
+		rt := stm.New(stm.WithPaddedLockTable(true))
+		base := rt.Direct().Alloc(diffWords)
+		for _, ops := range prog {
+			rt.Atomic(nil, func(tx *stm.Tx) {
+				for _, op := range ops {
+					applyOp(tx, base, op)
 				}
-				{
-					rt := tl2.New(16, tl2.WithShards(l.shards), tl2.WithAffinity(l.affinity))
-					base := rt.Direct().Alloc(diffWords)
-					for _, ops := range prog {
-						ops := ops
-						rt.Atomic(nil, func(tx *tl2.Tx) {
-							for _, op := range ops {
-								applyOp(tx, base, op)
-							}
-						})
-					}
-					if got := snapshot(rt.Direct(), base); got != want {
-						t.Fatalf("seed %d: TL2/%s diverges\n got: %v\nwant: %v", seed, l.name, got, want)
-					}
-				}
-				{
-					rt := wtstm.New(16, wtstm.WithShards(l.shards), wtstm.WithAffinity(l.affinity))
-					base := rt.Direct().Alloc(diffWords)
-					for _, ops := range prog {
-						ops := ops
-						rt.Atomic(nil, func(tx *wtstm.Tx) {
-							for _, op := range ops {
-								applyOp(tx, base, op)
-							}
-						})
-					}
-					if got := snapshot(rt.Direct(), base); got != want {
-						t.Fatalf("seed %d: write-through/%s diverges\n got: %v\nwant: %v", seed, l.name, got, want)
-					}
-				}
-				for _, split := range []bool{false, true} {
-					cfg := core.Config{
-						SpecDepth: 2, LockTableBits: 14,
-						Shards: l.shards, Affinity: l.affinity, PadLockTable: l.padded,
-					}
-					if got := runOnTLSTMCfg(prog, split, cfg); got != want {
-						t.Fatalf("seed %d: TLSTM/%s (split=%v) diverges\n got: %v\nwant: %v",
-							seed, l.name, split, got, want)
-					}
-				}
+			})
+		}
+		if got := snapshot(rt.Direct(), base); got != want {
+			t.Fatalf("seed %d: padded SwissTM diverges\n got: %v\nwant: %v", seed, got, want)
+		}
+		for _, split := range []bool{false, true} {
+			cfg := core.Config{SpecDepth: 2, LockTableBits: 14, PadLockTable: true}
+			if got := runOnTLSTMCfg(prog, split, cfg); got != want {
+				t.Fatalf("seed %d: padded TLSTM (split=%v) diverges\n got: %v\nwant: %v",
+					seed, split, got, want)
 			}
-		})
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 
-	"tlstm/internal/locktable"
 	"tlstm/internal/txtrace"
 )
 
@@ -93,8 +92,8 @@ func (t *Task) commitTransaction() {
 	// "Commit").
 	for _, task := range tx.tasks {
 		if task.validTS != t.validTS {
-			if failed := t.ValidateLogs(tx.logs, nil); failed != nil {
-				t.failTxValidation(failed, t.validTS)
+			if !t.ValidateLogs(tx.logs, nil) {
+				t.failTxValidation(t.validTS)
 			}
 			break
 		}
@@ -111,23 +110,21 @@ func (t *Task) commitTransaction() {
 func (t *Task) commitLogs(writer bool) uint64 {
 	logs := t.tx.logs
 	if writer {
-		if failed := t.ValidateLogs(logs, nil); failed != nil {
-			t.failTxValidation(failed, t.validTS)
+		if !t.ValidateLogs(logs, nil) {
+			t.failTxValidation(t.validTS)
 		}
 	}
-	ts, failed := t.Commit(logs, &t.thr.commitScratch, t.validTS)
-	if failed != nil {
+	ts, ok := t.Commit(logs, &t.thr.commitScratch, t.validTS)
+	if !ok {
 		// Commit traced the failed validation.
-		t.NoteConflict(t.locks.ShardOfPair(failed))
 		t.abortOwnTx(txtrace.AbortValidation)
 	}
 	return ts
 }
 
 // failTxValidation aborts the user-transaction after a failed
-// commit-time validation of pair p at clock.
-func (t *Task) failTxValidation(p *locktable.Pair, clock uint64) {
-	t.NoteConflict(t.locks.ShardOfPair(p))
+// commit-time validation at clock.
+func (t *Task) failTxValidation(clock uint64) {
 	t.TraceValidateLogs(clock, t.tx.logs, false)
 	t.abortOwnTx(txtrace.AbortValidation)
 }
@@ -211,7 +208,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		reclaims, stalls := task.writeLog.TakeReclaimCounts()
 		task.Reclaims, task.Stalls = task.Reclaims+reclaims, task.Stalls+stalls
 		txWrites += uint64(task.writeLog.Len())
-		task.Close(&thr.kit, &st.Counters)
+		task.Close(&st.Counters)
 		task.ApplyFrees()
 	}
 	if t.Traced {
@@ -223,10 +220,6 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	if len(tx.tasks) > 1 {
 		thr.noteOverlap(sum - most)
 	}
-
-	// Affinity remap step (txrt.Thread.Remap): every RemapPeriod commits
-	// the sketched conflicts may re-home the thread.
-	thr.kit.Remap(&st.Counters, t.Tr)
 
 	// Retire the transaction's write-lock entries into their
 	// descriptors' free rings (entry lifecycle: armed → committed →

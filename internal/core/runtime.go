@@ -48,15 +48,6 @@ type Config struct {
 	// LockTableBits sizes the global lock table at 2^bits pairs.
 	// Defaults to 20.
 	LockTableBits int
-	// Shards splits the lock table into that many contiguous shards
-	// (power of two; 0 or 1 means flat). Sharding never changes which
-	// pair an address resolves to — it only labels regions for the
-	// conflict sketch and affinity placement.
-	Shards int
-	// Affinity enables the affinity placement policy: threads whose
-	// conflict sketches concentrate on one shard are re-homed onto it
-	// (sched.Affinity). Off means static round-robin homes.
-	Affinity bool
 	// PadLockTable spreads lock pairs one per cache line
 	// (locktable.PadStride) to trade memory for false-sharing isolation.
 	PadLockTable bool
@@ -109,8 +100,6 @@ type Config struct {
 func (c Config) shared() txrt.Config {
 	return txrt.Config{
 		LockTableBits: c.LockTableBits,
-		Shards:        c.Shards,
-		Affinity:      c.Affinity,
 		Padded:        c.PadLockTable,
 		Clock:         c.Clock,
 		CM:            c.CM,
@@ -122,10 +111,10 @@ func (c Config) shared() txrt.Config {
 
 // Runtime is one TLSTM instance: the engine kit's environment (word
 // store, allocator, commit clock, contention manager, version store,
-// placement, mode gate and Retry hub — the gate serializes fallback
-// entrants while speculative threads keep running, their conflict
-// ride-out loops yielding to it) plus the lock-pair table and the task
-// scheduler's geometry. Independent Runtimes are fully isolated.
+// mode gate and Retry hub — the gate serializes fallback entrants while
+// speculative threads keep running, their conflict ride-out loops
+// yielding to it) plus the lock-pair table and the task scheduler's
+// geometry. Independent Runtimes are fully isolated.
 type Runtime struct {
 	txrt.Env
 	locks *locktable.Table
@@ -155,7 +144,7 @@ func New(cfg Config) *Runtime {
 		reclaimAudit: cfg.ReclaimAudit,
 	}
 	c := rt.Init("core", mem.NewStore(), cfg.shared(), cm.KindTaskAware)
-	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Shards: c.Shards, Padded: c.Padded})
+	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Padded: c.Padded})
 	return rt
 }
 

@@ -19,10 +19,10 @@ import (
 // body. What used to be a SwissTM transaction is a task in TLSTM
 // (§3.2), so the descriptor embeds the engine kit's txrt.Desc as stm.Tx
 // does: work and probe counters, CM identity, multi-version counters,
-// conflict sketch, Alloc/Free, the Retry park and the stats fold, all
-// per incarnation (reset by Submit, folded by finishCommit). What stays
-// here is TLS-specific: the serial, the cross-thread owner header and
-// abort signal, the redo-chain logs and the restart waits.
+// Alloc/Free, the Retry park and the stats fold, all per incarnation
+// (reset by Submit, folded by finishCommit). What stays here is
+// TLS-specific: the serial, the cross-thread owner header and abort
+// signal, the redo-chain logs and the restart waits.
 //
 // Every attempt runs on the kit's driver and every rollback unwinds
 // through Desc.Abort: a ring task's inside its transaction (run, over the
@@ -633,7 +633,6 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			t.CMSelf.Completed = t.thr.completedTask.Load()
 			lost, yield := t.Contend(t.validTS, a, cm.PointEncounter, t.writeLog.Len(), waited, e.Owner)
 			if lost {
-				t.NoteConflictAt(a)
 				defeats := t.tx.cmDefeats.Add(1)
 				if t.solo {
 					// The restart releases every lock the transaction
@@ -668,7 +667,6 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// what the entrant can be stuck behind. Transactions already
 			// under the gate are exempt (Contend does not report them).
 			if yield && gatePendingBreak {
-				t.NoteConflictAt(a)
 				t.abortOwnTx(txtrace.AbortCM)
 			}
 			// AbortOwner and Wait both ride the conflict out for a
@@ -694,7 +692,6 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 		// 44–45). If it completed, we stack a new entry on the
 		// location's redo log (lines 49–51).
 		if t.thr.completedTask.Load() < e.Serial {
-			t.NoteConflictAt(a)
 			t.waitBeforeRestart = e.Serial
 			t.rollbackTask(restartWAW)
 		}
@@ -710,7 +707,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 		t.writeLog.Release(ne) // never published; immediately reusable
 	}
 	// Post-write checks (Alg. 2 lines 52–53).
-	if !t.CoverWrite(p, a, &t.readLog, &t.validTS) {
+	if !t.CoverWrite(p, &t.readLog, &t.validTS) {
 		t.rollbackTask(restartExtend)
 	}
 	t.maybeValidate()

@@ -38,14 +38,9 @@ type Thread struct {
 	rt    *Runtime
 	depth int
 
-	// kit is the thread's identity, ladder and placement state
-	// (txrt.Thread), split by owner: the ladder half (the controller,
-	// fed by pollMode and by the solo driver) is the submitting
-	// goroutine's; the placement half (Conflicts, Remap) is the
-	// committer's — finishCommit's, often on a worker, or the solo
-	// driver's — serialized per thread like stats. Both read the home
-	// shard: Remap rebinds it, every transaction snapshots it into its
-	// tasks (Desc.Reset).
+	// kit is the thread's identity and ladder (txrt.Thread): the
+	// controller, fed by pollMode and by the solo driver, is the
+	// submitting goroutine's.
 	kit txrt.Thread
 
 	// completedTask and completedWriter are the serials of the last
@@ -342,7 +337,7 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		t.tryCommit = i == len(fns)-1
 		t.waitBeforeRestart = -1
 		t.backoff = 0
-		t.Reset(&thr.kit)
+		t.Reset()
 		t.InSerial = gated
 		t.abortInternal.Store(false)
 		t.readLog.Reset()

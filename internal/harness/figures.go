@@ -54,12 +54,6 @@ type Settings struct {
 	// Figure workloads only benefit where they declare transactions
 	// read-only, but building the stores is harmless everywhere.
 	MV int
-	// Shards is the lock-table shard count (a power of two); 0 or 1
-	// keeps the flat single-shard layout.
-	Shards int
-	// Affinity selects the conflict-sketch placement policy instead of
-	// the static round-robin one; it needs Shards > 1.
-	Affinity bool
 	// Trace, when non-nil, arms the flight recorder in every runtime
 	// built from these settings; rings are labeled per runtime thread.
 	Trace *txtrace.Recorder
@@ -70,10 +64,6 @@ func (s Settings) Validate() error {
 	switch {
 	case s.MV < 0:
 		return fmt.Errorf("retained version depth %d cannot be negative", s.MV)
-	case s.Shards < 0 || s.Shards&(s.Shards-1) != 0:
-		return fmt.Errorf("shard count %d must be a power of two", s.Shards)
-	case s.Affinity && s.Shards <= 1:
-		return fmt.Errorf("affinity placement needs more than one shard (a flat lock table has nowhere to place threads)")
 	}
 	return nil
 }
@@ -82,7 +72,7 @@ func (s Settings) Validate() error {
 func (s Settings) Config() txrt.Config {
 	return txrt.Config{
 		Clock: clock.New(s.Clock), CM: cm.New(s.CM), Mode: mode.Config{Policy: s.Mode},
-		MVDepth: s.MV, Shards: s.Shards, Affinity: s.Affinity, Trace: s.Trace,
+		MVDepth: s.MV, Trace: s.Trace,
 	}
 }
 
@@ -93,8 +83,8 @@ func withConfig(c txrt.Config) txrt.Option { return func(o *txrt.Config) { *o = 
 // SpecDepth; the TLSTM-only fields are left at their defaults.
 func CoreConfig(c txrt.Config, depth int) core.Config {
 	return core.Config{
-		SpecDepth: depth, LockTableBits: c.LockTableBits, Shards: c.Shards, Affinity: c.Affinity,
-		PadLockTable: c.Padded, Clock: c.Clock, CM: c.CM, MVDepth: c.MVDepth, Trace: c.Trace, Mode: c.Mode,
+		SpecDepth: depth, LockTableBits: c.LockTableBits, PadLockTable: c.Padded,
+		Clock: c.Clock, CM: c.CM, MVDepth: c.MVDepth, Trace: c.Trace, Mode: c.Mode,
 	}
 }
 

@@ -85,16 +85,13 @@ type Result struct {
 	VirtualUnits uint64 // the slowest thread's virtual time (threads run in parallel)
 	Wall         time.Duration
 
-	// Clock, CM, MV, Shards, Placement and Mode name the configuration
-	// the run used: commit-clock strategy, contention-management policy,
-	// retained version depth (0 = off), lock-table shard count (1 =
-	// flat), thread-placement policy, execution-mode policy.
-	Clock     string
-	CM        string
-	MV        int
-	Shards    int
-	Placement string
-	Mode      string
+	// Clock, CM, MV and Mode name the configuration the run used:
+	// commit-clock strategy, contention-management policy, retained
+	// version depth (0 = off), execution-mode policy.
+	Clock string
+	CM    string
+	MV    int
+	Mode  string
 
 	txrt.Stats
 
@@ -135,10 +132,6 @@ func (r Result) String() string {
 	if r.EntryReclaims > 0 || r.HorizonStalls > 0 {
 		s += fmt.Sprintf(" reclaim=%-6d stall=%d", r.EntryReclaims, r.HorizonStalls)
 	}
-	if r.Shards > 1 || r.CrossShardConflicts > 0 || r.Remaps > 0 {
-		s += fmt.Sprintf(" shards=%-2d place=%-8s xshard=%-6d remap=%d",
-			r.Shards, r.Placement, r.CrossShardConflicts, r.Remaps)
-	}
 	if r.MV > 0 || r.MVReads > 0 || r.MVMisses > 0 {
 		s += fmt.Sprintf(" mv=%d mvRead=%-7d mvMiss=%-4d rset[%s] wset[%s]",
 			r.MV, r.MVReads, r.MVMisses, r.ReadSetSizes, r.WriteSetSizes)
@@ -163,23 +156,19 @@ type configured interface {
 	ClockName() string
 	CMName() string
 	MVDepth() int
-	Shards() int
-	PlacementName() string
 	ModeName() string
 }
 
 // newResult starts a run's Result row.
 func newResult(w Workload, rt configured, start time.Time) Result {
 	return Result{
-		Label:     w.Name,
-		Ops:       uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
-		Wall:      time.Since(start),
-		Clock:     rt.ClockName(),
-		CM:        rt.CMName(),
-		MV:        rt.MVDepth(),
-		Shards:    rt.Shards(),
-		Placement: rt.PlacementName(),
-		Mode:      rt.ModeName(),
+		Label: w.Name,
+		Ops:   uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
+		Wall:  time.Since(start),
+		Clock: rt.ClockName(),
+		CM:    rt.CMName(),
+		MV:    rt.MVDepth(),
+		Mode:  rt.ModeName(),
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
-	"tlstm/internal/txrt"
 	"tlstm/internal/wtstm"
 )
 
@@ -346,27 +345,6 @@ func TestSweepMatrix(t *testing.T) {
 				}
 			},
 		},
-		{
-			axis: "shards",
-			tx:   120,
-			labels: labelsOf("hot/s1/static", "hot/s2/static", "hot/s2/affinity", "hot/s4/static",
-				"hot/s4/affinity", "hot/s8/static", "hot/s8/affinity",
-				"90-10/s1/static", "90-10/s2/static", "90-10/s2/affinity", "90-10/s4/static",
-				"90-10/s4/affinity", "90-10/s8/static", "90-10/s8/affinity"),
-			// At one shard every conflict is by definition in the only (home)
-			// shard, so N=1 rows must report zero cross-shard conflicts and
-			// zero remaps.
-			row: func(t *testing.T, r Result) {
-				if !strings.Contains(r.Label, fmt.Sprintf("/s%d/", r.Shards)) ||
-					!strings.HasSuffix(r.Label, "/"+r.Placement) {
-					t.Errorf("label %q does not carry shards=%d placement=%q", r.Label, r.Shards, r.Placement)
-				}
-				if r.Shards == 1 && (r.CrossShardConflicts != 0 || r.Remaps != 0) {
-					t.Errorf("%s: flat table reports cross-shard activity: xshard=%d remap=%d",
-						r.Label, r.CrossShardConflicts, r.Remaps)
-				}
-			},
-		},
 	} {
 		t.Run(tc.axis, func(t *testing.T) {
 			s, ok := Sweeps[tc.axis]
@@ -391,36 +369,5 @@ func TestSweepMatrix(t *testing.T) {
 				tc.sweep(t, rs)
 			}
 		})
-	}
-}
-
-// On the hot-word mix every conflict lands in one shard, so the
-// affinity placement must (a) actually migrate threads there and (b)
-// cut the cross-shard conflict count against the static twin — the
-// sweep's acceptance trend, asserted here on the SwissTM runtime at a
-// size where each thread sees several remap windows.
-func TestAffinityReducesCrossShardConflictsHotWord(t *testing.T) {
-	const threads, txPerThread, shards = 6, 600, 4
-	m := counterMix("hot", true)
-	leg := func(affinity bool) Result {
-		c := txrt.Config{Shards: shards, Affinity: affinity}
-		rt := stm.New(withConfig(c))
-		w, check := m.build(rt.Direct(), c, threads, txPerThread)
-		w.Threads, w.TxPerThread = threads, txPerThread
-		r := RunSTM(rt, w)
-		check(rt.Direct())
-		return r
-	}
-	static := leg(false)
-	aff := leg(true)
-	if static.CrossShardConflicts == 0 {
-		t.Fatal("static hot-word run reports no cross-shard conflicts; the mix is not contending")
-	}
-	if aff.Remaps == 0 {
-		t.Fatal("affinity run never remapped a thread onto the hot shard")
-	}
-	if aff.CrossShardConflicts >= static.CrossShardConflicts {
-		t.Fatalf("affinity did not reduce cross-shard conflicts: affinity=%d static=%d",
-			aff.CrossShardConflicts, static.CrossShardConflicts)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
 	"tlstm/internal/stm"
@@ -43,12 +42,11 @@ type leg struct {
 
 // mix is one workload a sweep runs under every leg: its label segment
 // ("" in a one-mix sweep) and a builder that allocates and lays the
-// workload out through d under configuration c and returns it (the
-// runner fills in its name and size) with its end-state invariant,
-// which panics on violation.
+// workload out through d and returns it (the runner fills in its name
+// and size) with its end-state invariant, which panics on violation.
 type mix struct {
 	name  string
-	build func(d tm.Tx, c txrt.Config, threads, txPerThread int) (Workload, func(tm.Tx))
+	build func(d tm.Tx, threads, txPerThread int) (Workload, func(tm.Tx))
 }
 
 // Sweeps is the sweep table, one row per axis: the setting its legs
@@ -57,12 +55,12 @@ var Sweeps = map[string]Sweep{
 	"clock": {
 		Title: "Commit-clock strategy sweep, write-heavy", Tx: 50_000, depth: 1,
 		legs:  kindLegs(clock.Kinds(), func(c *txrt.Config, k clock.Kind) { c.Clock = clock.New(k) }),
-		mixes: []mix{counterMix("", false)},
+		mixes: []mix{counterMix(false)},
 	},
 	"cm": {
 		Title: "Contention-management policy sweep, write-contended", Tx: 20_000, depth: 1,
 		legs:  kindLegs(cm.Kinds(), func(c *txrt.Config, k cm.Kind) { c.CM = cm.New(k) }),
-		mixes: []mix{counterMix("", true)},
+		mixes: []mix{counterMix(true)},
 	},
 	"mode": {
 		// The karma conflict storm is exactly the workload the serialized
@@ -72,24 +70,13 @@ var Sweeps = map[string]Sweep{
 			c.CM = cm.New(cm.KindKarma)
 			c.Mode = mode.Config{Policy: p}
 		}),
-		mixes: []mix{counterMix("", true)},
+		mixes: []mix{counterMix(true)},
 	},
 	"mv": {
 		// K = 0 turns multi-versioning off: every scan validates and extends.
 		Title: "Multi-version depth sweep, read-mostly", Tx: 10_000, depth: 2,
 		legs:  mvLegs(3),
 		mixes: []mix{readMostly("90-10", 10), readMostly("99-1", 100)},
-	},
-	"shards": {
-		// The rows to read against each other: at N >= 2 the hot-word
-		// affinity legs should show remaps and materially fewer cross-shard
-		// conflicts than their static twins (threads migrate onto the hot
-		// shard), while the diffuse 90/10 mix's affinity legs should show no
-		// remaps at all (no shard dominates a window); N = 1 is the flat
-		// layout whose throughput bounds the sharding overhead.
-		Title: "Lock-table shard sweep, hot-word and 90/10 mixes", Tx: 5_000, depth: 1,
-		legs:  shardLegs(1, 2, 4, 8),
-		mixes: []mix{counterMix("hot", true), readMostly("90-10", 10)},
 	},
 }
 
@@ -132,7 +119,7 @@ func (s Sweep) Run(threads, txPerThread int) []Result {
 				var c txrt.Config
 				l.set(&c)
 				d, run := e.start(c, s.depth)
-				w, check := m.build(d, c, threads, txPerThread)
+				w, check := m.build(d, threads, txPerThread)
 				w.Name, w.Threads, w.TxPerThread = path.Join(e.name, m.name, l.name), threads, txPerThread
 				out = append(out, run(w))
 				check(d)
@@ -160,45 +147,19 @@ func mvLegs(max int) []leg {
 	return legs
 }
 
-// shardLegs makes a static-placement leg per shard count and, at every
-// sharded count, an affinity-placement twin.
-func shardLegs(counts ...int) []leg {
-	var legs []leg
-	for _, n := range counts {
-		legs = append(legs, leg{fmt.Sprintf("s%d/static", n), func(c *txrt.Config) { c.Shards = n }})
-		if n > 1 {
-			legs = append(legs, leg{fmt.Sprintf("s%d/affinity", n), func(c *txrt.Config) { c.Shards, c.Affinity = n, true }})
-		}
-	}
-	return legs
-}
-
 // hotFill is the number of private filler reads each contended
 // transaction performs after the hot-word store: the work an eager
 // runtime does while holding the hot word's write lock.
 const hotFill = 48
 
-// hotProbeWords sizes the region scanned for a hot word that maps to
-// shard 0. The Fibonacci index spreads any address range about evenly
-// across shards, so a few hundred candidates always contain one.
-const hotProbeWords = 512
+// hotWords is the region that opens a counter mix's layout: the hot
+// word is its first word, the rest keeps the counters and fillers at
+// fixed offsets from it.
+const hotWords = 512
 
-// hotWordFor returns the first address in [base, base+hotProbeWords)
-// the layout maps to shard 0, so contention concentrates in one known
-// shard regardless of the shard count (on a flat table that is base).
-func hotWordFor(base tm.Addr, layout locktable.Layout) tm.Addr {
-	for off := 0; off < hotProbeWords; off++ {
-		if layout.ShardOf(base+tm.Addr(off)) == 0 {
-			return base + tm.Addr(off)
-		}
-	}
-	return base
-}
-
-// counterMix lays out a hot word in shard 0, one private counter per
-// thread and a filler region per thread, and increments the thread's
-// private counter in every transaction, so every transaction is a
-// committer.
+// counterMix lays out a hot word, one private counter per thread and a
+// filler region per thread, and increments the thread's private counter
+// in every transaction, so every transaction is a committer.
 //
 // The write-heavy mix (contended false) reads the hot word in every
 // transaction and increments it in every fourth. The private writes put
@@ -214,20 +175,15 @@ func hotWordFor(base tm.Addr, layout locktable.Layout) tm.Addr {
 // count: an eager runtime holds the hot lock across a scheduler round
 // and every other thread's increment runs into it — the sustained
 // write/write conflict the contention managers exist to resolve — and a
-// lazy one reads the hot word a round before it commits. As the hot word
-// lives in shard 0, under static round-robin placement every thread
-// homed elsewhere counts each conflict as cross-shard, and the affinity
-// policy should migrate every thread's home onto the hot shard and drive
-// that counter down.
+// lazy one reads the hot word a round before it commits.
 //
 // The invariant: the hot word holds exactly its increments and each
 // private counter its thread's transaction count, so a setting that
 // drops, doubles or tears an update is caught by the sweep itself.
-func counterMix(name string, contended bool) mix {
-	return mix{name, func(d tm.Tx, c txrt.Config, threads, txPerThread int) (Workload, func(tm.Tx)) {
-		base := d.Alloc(hotProbeWords + threads + threads*hotFill)
-		hot := hotWordFor(base, locktable.NewLayout(txrt.DefaultLockTableBits, c.Shards))
-		counters := base + hotProbeWords
+func counterMix(contended bool) mix {
+	return mix{"", func(d tm.Tx, threads, txPerThread int) (Workload, func(tm.Tx)) {
+		hot := d.Alloc(hotWords + threads + threads*hotFill)
+		counters := hot + hotWords
 		fillers := counters + tm.Addr(threads)
 		hotWant := uint64(threads * txPerThread)
 		if !contended {
@@ -288,7 +244,7 @@ const readMostlyPasses = 4
 // multi-version read is checked against tearing and too-new values, not
 // just the end state.
 func readMostly(name string, writerEvery int) mix {
-	return mix{name, func(d tm.Tx, _ txrt.Config, threads, txPerThread int) (Workload, func(tm.Tx)) {
+	return mix{name, func(d tm.Tx, threads, txPerThread int) (Workload, func(tm.Tx)) {
 		base := d.Alloc(readMostlyWords)
 		w := Workload{
 			OpsPerTx: 1,

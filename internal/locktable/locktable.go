@@ -20,7 +20,6 @@ package locktable
 
 import (
 	"sync/atomic"
-	"unsafe"
 
 	"tlstm/internal/tm"
 )
@@ -326,49 +325,27 @@ func (r *FreeRing) TakeCounts() (reclaims, stalls uint64) {
 // folded every stride-2^k scan onto a 1/2^k sliver of the pairs.
 const fibMult = 0x9e3779b97f4a7c15
 
-// Layout is the pure address→slot→shard mapping of a sharded lock
-// table, separated from the lock storage so Table (pairs) and
-// VersionLocks (the bare lock words of tl2 and wtstm) share the exact
-// same sharded geometry. A Layout is immutable after construction; the
-// mapping never changes at runtime (affinity remaps move threads, not
-// addresses — see internal/sched.Placement).
+// Layout is the pure address→slot mapping of a lock table, separated
+// from the lock storage so Table (pairs) and VersionLocks (the bare
+// lock words of tl2 and wtstm) share the exact same geometry. A Layout
+// is immutable after construction.
 //
-// Slots are assigned by Fibonacci hashing and shards are the top
-// log2(shards) bits of the slot index, so each shard is one contiguous
-// region of the table — the "two-level" structure is an indexing
-// convention over a single flat allocation, which keeps For at one
-// multiply+shift and the N=1 case bit-identical to an unsharded table.
+// Slots are assigned by Fibonacci hashing over a single flat
+// allocation, which keeps For at one multiply and one shift.
 type Layout struct {
-	bits       int
-	shardShift uint
-	shards     int
+	bits int
 }
 
 // MinBits and MaxBits bound a table's log2 slot count.
 const MinBits, MaxBits = 4, 28
 
-// NewLayout builds the mapping for a table of 2^bits slots split into
-// shards contiguous regions. bits must lie in [MinBits, MaxBits], and
-// shards must be a power of two (0 and 1 both mean unsharded) no larger
-// than the slot count.
-func NewLayout(bits, shards int) Layout {
+// NewLayout builds the mapping for a table of 2^bits slots. bits must
+// lie in [MinBits, MaxBits].
+func NewLayout(bits int) Layout {
 	if bits < MinBits || bits > MaxBits {
 		panic("locktable: bits out of range [MinBits,MaxBits]")
 	}
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards&(shards-1) != 0 {
-		panic("locktable: shard count must be a power of two")
-	}
-	sb := 0
-	for s := shards; s > 1; s >>= 1 {
-		sb++
-	}
-	if sb > bits {
-		panic("locktable: more shards than slots")
-	}
-	return Layout{bits: bits, shardShift: uint(bits - sb), shards: shards}
+	return Layout{bits: bits}
 }
 
 // Index maps an address to its slot in [0, Slots()).
@@ -376,34 +353,19 @@ func (l Layout) Index(a tm.Addr) uint64 {
 	return (uint64(a) * fibMult) >> (64 - uint(l.bits))
 }
 
-// ShardOf maps an address to its shard in [0, Shards()).
-func (l Layout) ShardOf(a tm.Addr) int {
-	return int(l.Index(a) >> l.shardShift)
-}
-
-// ShardOfIndex maps a slot index (as returned by Index) to its shard.
-func (l Layout) ShardOfIndex(idx uint64) int {
-	return int(idx >> l.shardShift)
-}
-
 // Slots reports the number of lock slots.
 func (l Layout) Slots() int { return 1 << l.bits }
-
-// Shards reports the shard count (1 for an unsharded table).
-func (l Layout) Shards() int { return l.shards }
 
 // PadStride is the slot stride of a padded table: Pair is 16 B, so a
 // stride of 4 gives every pair its own 64 B cache line. Adjacent-slot
 // commits then cannot false-share a line at 4× the memory cost.
 const PadStride = 4
 
-// Config selects a table geometry. The zero value of Shards and Padded
-// gives the historical flat, unpadded layout.
+// Config selects a table geometry. The zero value of Padded gives the
+// historical flat, unpadded layout.
 type Config struct {
 	// Bits is the log2 of the slot count, in [MinBits, MaxBits].
 	Bits int
-	// Shards is the power-of-two shard count (0 or 1 = unsharded).
-	Shards int
 	// Padded strides pairs to one per cache line (PadStride slots of
 	// backing array per logical slot).
 	Padded bool
@@ -420,7 +382,7 @@ type Table struct {
 
 // New creates a table with the given geometry.
 func New(cfg Config) *Table {
-	lay := NewLayout(cfg.Bits, cfg.Shards)
+	lay := NewLayout(cfg.Bits)
 	stride := uint64(1)
 	if cfg.Padded {
 		stride = PadStride
@@ -432,8 +394,7 @@ func New(cfg Config) *Table {
 	}
 }
 
-// NewTable creates a flat, unpadded table with 2^bits lock pairs: the
-// Shards=1 degenerate case of New.
+// NewTable creates a flat, unpadded table with 2^bits lock pairs.
 func NewTable(bits int) *Table {
 	return New(Config{Bits: bits})
 }
@@ -441,19 +402,6 @@ func NewTable(bits int) *Table {
 // For returns the lock pair covering address a.
 func (t *Table) For(a tm.Addr) *Pair {
 	return &t.pairs[t.Index(a)*t.stride]
-}
-
-// ShardOfPair reports the shard of a pair previously returned by For.
-// Validation loops hold only the *Pair recorded in a read-log entry, so
-// the reverse mapping recovers the shard by pointer arithmetic within
-// the table's single contiguous allocation.
-func (t *Table) ShardOfPair(p *Pair) int {
-	return t.ShardOfIndex(offsetOf(t.pairs, p) / t.stride)
-}
-
-// offsetOf is the position of *p within s's contiguous backing array.
-func offsetOf[T any](s []T, p *T) uint64 {
-	return uint64((uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(&s[0]))) / unsafe.Sizeof(s[0]))
 }
 
 // VersionLocks is the lock storage of the version-lock runtimes (tl2,
@@ -472,13 +420,6 @@ func NewVersionLocks(lay Layout) VersionLocks {
 
 // For returns the versioned lock covering address a.
 func (v *VersionLocks) For(a tm.Addr) *atomic.Uint64 { return &v.words[v.lay.Index(a)] }
-
-// ShardOf reports the shard of a lock previously returned by For (the
-// VersionLocks counterpart of Table.ShardOfPair: read logs hold only
-// the lock pointer, not the address).
-func (v *VersionLocks) ShardOf(l *atomic.Uint64) int {
-	return v.lay.ShardOfIndex(offsetOf(v.words, l))
-}
 
 // Padded reports whether pairs are strided to one per cache line.
 func (t *Table) Padded() bool { return t.stride > 1 }

@@ -85,54 +85,9 @@ func TestStridedDistribution(t *testing.T) {
 	}
 }
 
-// TestShardMappingInvariants pins the tentpole's semantic-invisibility
-// contract: shards partition the slot space into contiguous equal
-// regions, ShardOf agrees with the slot index, the reverse mapping
-// ShardOfPair agrees with ShardOf, and For's resolution is identical
-// across every shard count — sharding relabels pairs, it never moves
-// an address to different lock state.
-func TestShardMappingInvariants(t *testing.T) {
-	const bits = 8
-	flat := NewTable(bits)
-	for _, shards := range []int{1, 2, 4, 8} {
-		tbl := New(Config{Bits: bits, Shards: shards})
-		if tbl.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", tbl.Shards(), shards)
-		}
-		perShard := tbl.Len() / shards
-		counts := make([]int, shards)
-		for a := tm.Addr(1); a < 50_000; a += 13 {
-			idx := tbl.Index(a)
-			s := tbl.ShardOf(a)
-			if s < 0 || s >= shards {
-				t.Fatalf("shards=%d: ShardOf(%#x) = %d out of range", shards, a, s)
-			}
-			if want := int(idx) / perShard; s != want {
-				t.Fatalf("shards=%d: ShardOf(%#x) = %d, want contiguous region %d",
-					shards, a, s, want)
-			}
-			if got := tbl.ShardOfPair(tbl.For(a)); got != s {
-				t.Fatalf("shards=%d: ShardOfPair = %d, ShardOf = %d", shards, got, s)
-			}
-			if idx != flat.Index(a) {
-				t.Fatalf("shards=%d: Index(%#x) = %d differs from flat %d — sharding must not move addresses",
-					shards, a, idx, flat.Index(a))
-			}
-			counts[s]++
-		}
-		// Fibonacci hashing over a dense address range should touch
-		// every shard.
-		for s, c := range counts {
-			if c == 0 {
-				t.Fatalf("shards=%d: shard %d never hit", shards, s)
-			}
-		}
-	}
-}
-
 func TestPaddedTableResolution(t *testing.T) {
-	plain := New(Config{Bits: 8, Shards: 4})
-	padded := New(Config{Bits: 8, Shards: 4, Padded: true})
+	plain := New(Config{Bits: 8})
+	padded := New(Config{Bits: 8, Padded: true})
 	if !padded.Padded() || plain.Padded() {
 		t.Fatal("Padded() must report the config knob")
 	}
@@ -146,9 +101,6 @@ func TestPaddedTableResolution(t *testing.T) {
 		if padded.For(a) != padded.For(a) {
 			t.Fatalf("padded mapping not stable for %#x", a)
 		}
-		if got, want := padded.ShardOfPair(padded.For(a)), padded.ShardOf(a); got != want {
-			t.Fatalf("padded ShardOfPair = %d, ShardOf = %d", got, want)
-		}
 	}
 	// Distinct slots must not alias through the stride arithmetic.
 	seen := make(map[*Pair]uint64)
@@ -161,16 +113,21 @@ func TestPaddedTableResolution(t *testing.T) {
 	}
 }
 
-func TestNewLayoutRejectsBadShards(t *testing.T) {
-	for _, bad := range []struct{ bits, shards int }{{8, 3}, {8, 6}, {4, 32}} {
+func TestNewLayoutRejectsBadBits(t *testing.T) {
+	for _, bad := range []int{MinBits - 1, MaxBits + 1, 0} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewLayout(%d, %d) did not panic", bad.bits, bad.shards)
+					t.Fatalf("NewLayout(%d) did not panic", bad)
 				}
 			}()
-			NewLayout(bad.bits, bad.shards)
+			NewLayout(bad)
 		}()
+	}
+	for _, good := range []int{MinBits, MaxBits} {
+		if l := NewLayout(good); l.Slots() != 1<<good {
+			t.Fatalf("NewLayout(%d).Slots() = %d, want %d", good, l.Slots(), 1<<good)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package runflags registers the runtime-settings flags that
 // cmd/tlstm-bench and cmd/tlstm-stress share (-clock, -cm, -mode, -mv,
-// -shards, -affinity, -trace and -sweep) and validates them, together
-// with each command's own flags, against one rule table: a flag set for
-// a kind of run that ignores it is an error, not a silent no-op.
+// -trace and -sweep) and validates them, together with each command's
+// own flags, against one rule table: a flag set for a kind of run that
+// ignores it is an error, not a silent no-op.
 package runflags
 
 import (
@@ -48,8 +48,7 @@ type Flags struct {
 	Trace string
 
 	clock, cm, mode string
-	mv, shards      int
-	affinity        bool
+	mv              int
 
 	fs    *flag.FlagSet
 	rules []Rule
@@ -69,14 +68,11 @@ func Register(fs *flag.FlagSet, own ...Rule) *Flags {
 	fs.StringVar(&f.cm, "cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
 	fs.StringVar(&f.mode, "mode", "spec", `execution-mode policy: "spec" (always speculative), "adaptive" (ladder with serialized fallback under sustained conflict) or "serial"`)
 	fs.IntVar(&f.mv, "mv", 0, "retained version depth (0 disables multi-versioning)")
-	fs.IntVar(&f.shards, "shards", 0, "lock-table shard count (a power of two; 0 or 1 keeps the flat table)")
-	fs.BoolVar(&f.affinity, "affinity", false, "replace static round-robin thread placement with the conflict-sketch affinity policy (needs -shards > 1)")
 	fs.StringVar(&f.Trace, "trace", "", "arm the flight recorder in every runtime the run builds and write the binary trace dump here; inspect with tlstm-trace")
 	f.rules = append([]Rule{
 		{Flag: "sweep", Values: axes},
 		{Flag: "clock", Scope: NoSweep}, {Flag: "cm", Scope: NoSweep}, {Flag: "mode", Scope: NoSweep},
-		{Flag: "mv", Scope: NoSweep}, {Flag: "shards", Scope: NoSweep}, {Flag: "affinity", Scope: NoSweep},
-		{Flag: "trace", Scope: NoSweep},
+		{Flag: "mv", Scope: NoSweep}, {Flag: "trace", Scope: NoSweep},
 	}, own...)
 	return f
 }
@@ -100,7 +96,7 @@ func (f *Flags) Settings() (harness.Settings, error) {
 		}
 	}
 	var err error
-	s := harness.Settings{MV: f.mv, Shards: f.shards, Affinity: f.affinity}
+	s := harness.Settings{MV: f.mv}
 	if s.Clock, err = clock.Parse(f.clock); err != nil {
 		return harness.Settings{}, err
 	}

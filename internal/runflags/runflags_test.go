@@ -45,19 +45,13 @@ func TestSettingsRejectsIgnoredOrMalformedFlags(t *testing.T) {
 		{[]string{"-sweep", "bogus"}, `-sweep "bogus"`},
 		{[]string{"-sweep", "cm", "-trace", "f"}, "-trace does not apply to -sweep"},
 		{[]string{"-sweep", "cm", "-mv", "2"}, "-mv does not apply to -sweep"},
-		{[]string{"-sweep", "cm", "-shards", "4"}, "-shards does not apply to -sweep"},
-		{[]string{"-sweep", "cm", "-affinity"}, "-affinity does not apply to -sweep"},
 		{[]string{"-sweep", "clock", "-clock", "deferred"}, "-clock does not apply to -sweep"},
 		{[]string{"-sweep", "mode", "-cm", "karma"}, "-cm does not apply to -sweep"},
 		{[]string{"-sweep", "mode", "-mode", "serial"}, "-mode does not apply to -sweep"},
 		{[]string{"-sweep", "mv", "-fig", "1a"}, "-fig does not apply to -sweep"},
 		{[]string{"-sweep", "mv", "-format", "csv"}, "-format does not apply to -sweep"},
-		{[]string{"-sweep", "shards", "-depth", "2"}, "-depth does not apply to -sweep"},
+		{[]string{"-sweep", "clock", "-depth", "2"}, "-depth does not apply to -sweep"},
 		{[]string{"-json", "out.json"}, "-json requires -sweep"},
-		{[]string{"-shards", "3"}, "shard count 3 must be a power of two"},
-		{[]string{"-shards", "-2"}, "shard count -2 must be a power of two"},
-		{[]string{"-affinity"}, "affinity placement needs more than one shard"},
-		{[]string{"-shards", "1", "-affinity"}, "affinity placement needs more than one shard"},
 		{[]string{"-mv", "-1"}, "retained version depth -1 cannot be negative"},
 		{[]string{"-clock", "gv9"}, "gv9"},
 		{[]string{"-cm", "polite"}, "polite"},
@@ -81,25 +75,25 @@ func TestSettingsAcceptsValidRuns(t *testing.T) {
 	for _, args := range [][]string{
 		{"-quick", "-fig", "1a", "-format", "csv"},
 		{"-sweep", "mv", "-json", "out.json", "-quick"},
-		{"-sweep", "shards"},
-		{"-shards", "4", "-affinity", "-mv", "2"},
+		{"-sweep", "clock"},
+		{"-mv", "2"},
 	} {
 		if _, _, err := parse(t, args...); err != nil {
 			t.Errorf("%v rejected: %v", args, err)
 		}
 	}
 	_, s, err = parse(t, "-clock", "deferred", "-cm", "karma", "-mode", "adaptive", "-mv", "2",
-		"-shards", "4", "-affinity", "-trace", "out.trace")
+		"-trace", "out.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Clock != clock.KindDeferred || s.CM != cm.KindKarma || s.Mode != mode.Adaptive ||
-		s.MV != 2 || s.Shards != 4 || !s.Affinity || s.Trace == nil {
+		s.MV != 2 || s.Trace == nil {
 		t.Fatalf("settings %+v do not carry the flags", s)
 	}
 	c := s.Config()
 	if c.Clock.Name() != "deferred" || c.CM.Name() != "karma" || c.Mode.Policy != mode.Adaptive ||
-		c.MVDepth != 2 || c.Shards != 4 || !c.Affinity || c.Trace != s.Trace {
+		c.MVDepth != 2 || c.Trace != s.Trace {
 		t.Fatalf("Config() = %+v does not carry the settings", c)
 	}
 	if s.Config().Clock == c.Clock {

@@ -20,7 +20,7 @@
 //     manager.
 //
 // Everything that is not the SwissTM protocol — options, statistics,
-// the retry loop, the mode ladder, Retry parking, placement — is the
+// the retry loop, the mode ladder, Retry parking — is the
 // engine kit's (internal/txrt); the logs and the commit clock come from
 // internal/txlog and internal/clock. Hot paths are allocation-free at
 // steady state: a Worker owns a pooled transaction descriptor whose
@@ -51,8 +51,6 @@ var (
 	WithCM           = txrt.WithCM // default: SwissTM's two-phase greedy manager
 	WithMultiVersion = txrt.WithMultiVersion
 	WithTrace        = txrt.WithTrace
-	WithShards       = txrt.WithShards
-	WithAffinity     = txrt.WithAffinity
 	WithMode         = txrt.WithMode
 )
 
@@ -96,7 +94,7 @@ func New(opts ...Option) *Runtime {
 	c.Apply(opts)
 	rt := &Runtime{}
 	c = rt.Init("stm", mem.NewStore(), c, cm.KindGreedy)
-	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Shards: c.Shards, Padded: c.Padded})
+	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Padded: c.Padded})
 	return rt
 }
 
@@ -157,8 +155,8 @@ var completedZero atomic.Int64
 
 // Worker is one execution context — the software analogue of the
 // per-thread transaction descriptor every serious TM implementation
-// keeps. It owns a reusable Tx, the thread's ladder and placement state
-// and an unshared statistics shard, so at steady state Atomic neither
+// keeps. It owns a reusable Tx, the thread's identity and ladder, and
+// an unshared statistics shard, so at steady state Atomic neither
 // allocates nor touches shared stats state. A Worker must be used by
 // one goroutine at a time.
 type Worker struct {
@@ -260,9 +258,8 @@ func (tx *Tx) Exec() {
 	if tx.writeLog.Len() != 0 {
 		tx.checkSignals()
 	}
-	ts, failed := tx.Commit([]txrt.Logs{{Read: &tx.readLog, Write: &tx.writeLog}}, &tx.scratch, tx.validTS)
-	if failed != nil {
-		tx.NoteConflict(tx.rt.locks.ShardOfPair(failed))
+	ts, ok := tx.Commit([]txrt.Logs{{Read: &tx.readLog, Write: &tx.writeLog}}, &tx.scratch, tx.validTS)
+	if !ok {
 		tx.abort(txtrace.AbortValidation)
 	}
 	tx.Committed(ts, tx.writeLog.Len())
@@ -371,7 +368,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 	if tx.Traced {
 		tx.Tr.Record(txtrace.KindWrite, tx.validTS, uint64(a), 0)
 	}
-	if !tx.CoverWrite(p, a, &tx.readLog, &tx.validTS) {
+	if !tx.CoverWrite(p, &tx.readLog, &tx.validTS) {
 		tx.abort(txtrace.AbortExtend)
 	}
 }

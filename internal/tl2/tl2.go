@@ -47,8 +47,6 @@ var (
 	WithCM           = txrt.WithCM // default: cm.Suicide, TL2's historical self-abort-with-grace
 	WithMultiVersion = txrt.WithMultiVersion
 	WithTrace        = txrt.WithTrace
-	WithShards       = txrt.WithShards
-	WithAffinity     = txrt.WithAffinity
 	WithMode         = txrt.WithMode
 )
 
@@ -188,7 +186,6 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// read version covers it (pre-publishing strategies never
 			// advance on their own).
 			tx.rt.Clk.Observe(v1, &tx.ClkProbe)
-			tx.NoteConflictAt(a)
 			tx.abort(txtrace.AbortValidation)
 		}
 		tx.readLog.Append(l)
@@ -283,7 +280,6 @@ func (tx *Tx) commit() {
 			}
 			if v > tx.rv {
 				tx.rt.Clk.Observe(v, &tx.ClkProbe)
-				tx.NoteConflictAt(a)
 				tx.abort(txtrace.AbortConflict)
 			}
 			if l.CompareAndSwap(v, locktable.Locked) {
@@ -313,7 +309,6 @@ func (tx *Tx) commit() {
 				if v != locktable.Locked {
 					tx.rt.Clk.Observe(v, &tx.ClkProbe)
 				}
-				tx.NoteConflict(tx.rt.locks.ShardOf(l))
 				tx.abort(txtrace.AbortValidation)
 			}
 		}

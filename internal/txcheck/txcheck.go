@@ -308,7 +308,7 @@ func Check(t *txtrace.Trace) (*Report, error) {
 			}
 			ns = &namespace{
 				name:      name,
-				layout:    locktable.NewLayout(bits, 1),
+				layout:    locktable.NewLayout(bits),
 				exclusive: t.Meta[name+".exclusive"] == "true",
 				clockName: t.Meta[name+".clock"],
 				dropFree:  true,

@@ -1,7 +1,6 @@
 package txrt
 
 import (
-	"tlstm/internal/locktable"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txtrace"
 )
@@ -33,10 +32,10 @@ type Logs struct {
 // fingerprints intersect the write set.
 //
 // On a failed validation, traced like a passing one, the displaced
-// versions are restored, the w-locks stay held and the failing pair is
-// returned: the caller attributes the conflict and aborts. Either way
-// the logs' pool reclaim counts are taken into Reclaims/Stalls.
-func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts uint64, failed *locktable.Pair) {
+// versions are restored, the w-locks stay held and ok is false: the
+// caller aborts. Either way the logs' pool reclaim counts are taken into
+// Reclaims/Stalls.
+func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts uint64, ok bool) {
 	writes := 0
 	for _, l := range logs {
 		reclaims, stalls := l.Write.TakeReclaimCounts()
@@ -45,7 +44,7 @@ func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts ui
 		writes += l.Write.Len()
 	}
 	if writes == 0 {
-		return snap, nil
+		return snap, true
 	}
 
 	scr.Reset()
@@ -61,11 +60,11 @@ func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts ui
 
 	// Pairs this commit r-locked compare against the version they had
 	// when we locked them.
-	failed = d.ValidateLogs(logs, scr)
-	d.TraceValidateLogs(ts, logs, failed == nil)
-	if failed != nil {
+	ok = d.ValidateLogs(logs, scr)
+	d.TraceValidateLogs(ts, logs, ok)
+	if !ok {
 		scr.Restore()
-		return ts, failed
+		return ts, false
 	}
 
 	// Feed the multi-version store while memory still holds the values
@@ -106,17 +105,17 @@ func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts ui
 	if hub := d.env.Hub; hub.Active() {
 		hub.Notify(scr.Fingerprint())
 	}
-	return ts, nil
+	return ts, true
 }
 
 // ValidateLogs is ValidateReads over every read log of logs.
-func (d *Desc) ValidateLogs(logs []Logs, scr *txlog.CommitScratch) *locktable.Pair {
+func (d *Desc) ValidateLogs(logs []Logs, scr *txlog.CommitScratch) bool {
 	for _, l := range logs {
-		if failed := d.ValidateReads(l.Read, scr); failed != nil {
-			return failed
+		if !d.ValidateReads(l.Read, scr) {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // TraceValidateLogs is TraceValidate over the reads of every log.

@@ -50,36 +50,25 @@ type Speculative interface {
 // the retry loop. It never escapes Run.
 type rollback struct{}
 
-// Thread is one logical thread's identity, ladder and placement state:
-// its placement identity and home shard, the mode controller, and the
-// conflict-sketch window offered to the placement policy every
-// RemapPeriod transactions. stm.Worker and core.Thread own one; for tl2
-// and wtstm it lives in the caller's Stats shard. The ladder half
-// (Serial, Feed) belongs to the goroutine that starts transactions, the
-// placement half (Conflicts, Remap) to the one that commits them,
-// serialized per thread. Only core splits them (a worker commits while
-// the submitter owns the controller), so Home is atomic.
+// Thread is one logical thread's identity and mode ladder: its ID and
+// the mode controller. stm.Worker and core.Thread own one; for tl2 and
+// wtstm it lives in the caller's Stats shard. The ladder (Serial, Feed)
+// belongs to the goroutine that starts transactions.
 type Thread struct {
-	env          *Env
-	id           int32
-	home         int32 // sync/atomic: a Stats shard holding a Thread is copied
-	txSinceRemap int
-	remapWindow  txstats.Sketch
-	ctl          mode.Controller
+	env *Env
+	id  int32
+	ctl mode.Controller
 }
 
-// Bind gives t its placement identity and mode controller.
+// Bind gives t its identity and mode controller.
 func (e *Env) Bind(t *Thread) {
 	t.env = e
 	t.id = e.threadIDs.Add(1) - 1
-	t.home = int32(e.Placement.Home(int(t.id)))
 	t.ctl = mode.NewController(e.ModeCfg)
 }
 
-// ID reports the thread's placement identity; Home its home shard,
-// which any goroutine may read.
-func (t *Thread) ID() int32   { return t.id }
-func (t *Thread) Home() int32 { return atomic.LoadInt32(&t.home) }
+// ID reports the thread's identity.
+func (t *Thread) ID() int32 { return t.id }
 
 // Armed reports whether the adaptive ladder is active; Serial whether
 // the next transaction runs under the gate.
@@ -107,35 +96,6 @@ func (t *Thread) shifted(fell bool, c *Counters, tr txtrace.Tracer) {
 	}
 	to := t.ctl.State()
 	tr.Record(txtrace.KindModeShift, t.env.Clk.Now(), uint64(to), uint32(1-to))
-}
-
-// Conflicts adds a committed descriptor's dead-attempt conflict sketch
-// (empty unless an attempt aborted) to the thread's remap window.
-func (t *Thread) Conflicts(d *Desc) {
-	if d.aborts != 0 {
-		t.remapWindow.Merge(d.sketch)
-	}
-}
-
-// Remap is the placement remap step, once per committed transaction
-// after its descriptors' Conflicts: every RemapPeriod transactions it
-// offers the window to the placement policy and adopts the home it
-// decides, counting a move in c and recording it on tr (KindRemap).
-func (t *Thread) Remap(c *Counters, tr txtrace.Tracer) {
-	t.txSinceRemap++
-	if t.txSinceRemap < RemapPeriod {
-		return
-	}
-	t.txSinceRemap = 0
-	if t.env.Placement.Rebalance(int(t.id), t.remapWindow) {
-		home := int32(t.env.Placement.Home(int(t.id)))
-		old := atomic.SwapInt32(&t.home, home)
-		if c != nil {
-			c.Remaps++
-		}
-		tr.Record(txtrace.KindRemap, t.env.Clk.Now(), uint64(home), uint32(old))
-	}
-	t.remapWindow = txstats.Sketch{}
 }
 
 // Desc is the engine kit's half of a transaction descriptor, embedded
@@ -203,13 +163,8 @@ type Desc struct {
 	aborts       uint64 // rolled-back attempts of this transaction
 	retryAborts  uint64 // Retry unwinds, excluded from the ladder's signals
 
-	// home is the thread's home shard for this transaction. Only a dead
-	// attempt writes crossShard, sketch (its aborts and CM defeats by
-	// shard) and restartLat, so they are folded and cleared only when
-	// aborts is non-zero.
-	home       int32
-	crossShard uint64
-	sketch     txstats.Sketch
+	// Only a dead attempt writes restartLat, so it is folded and cleared
+	// only when aborts is non-zero.
 	restartLat txstats.Hist
 }
 
@@ -225,8 +180,7 @@ func (d *Desc) Init(env *Env, alg Algorithm, ring string) {
 }
 
 // Run executes one transaction to commit: the retry loop around
-// alg.Begin/Exec. thr is the calling thread's ladder and placement
-// state; nil means st's own (tl2, wtstm), and with st nil as well the
+// alg.Begin/Exec. thr is the calling thread's ladder; nil means st's own (tl2, wtstm), and with st nil as well the
 // ladder is disarmed and nothing is recorded. ro declares the
 // transaction read-only.
 func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
@@ -250,7 +204,7 @@ func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
 	if thr != nil && thr.env == nil {
 		env.Bind(thr)
 	}
-	d.Reset(thr)
+	d.Reset()
 	if d.GreedTS.Load() != 0 { // a load is a MOV, a store an XCHG
 		d.GreedTS.Store(0)
 	}
@@ -259,10 +213,9 @@ func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
 		d.Tr.Record(txtrace.KindTxBegin, env.Clk.Now(), 0, 0)
 	}
 	d.attempts(thr, c)
-	d.Close(thr, c)
+	d.Close(c)
 	if thr != nil {
 		thr.Feed(1, d.aborts-d.retryAborts, min(uint64(d.CMSelf.Defeats), 1), c, d.Tr)
-		thr.Remap(c, d.Tr)
 	}
 }
 
@@ -362,19 +315,16 @@ func (d *Desc) attempt(serial bool) (ok bool) {
 	return true
 }
 
-// Close settles a committed descriptor: the policy's commit bookkeeping,
-// the fold into c (nil folds nothing) and thr's remap window (nil:
-// none). core closes every task of a committed ring transaction.
-func (d *Desc) Close(thr *Thread, c *Counters) {
+// Close settles a committed descriptor: the policy's commit bookkeeping
+// and the fold into c (nil folds nothing). core closes every task of a
+// committed ring transaction.
+func (d *Desc) Close(c *Counters) {
 	cm.Committed(d.env.CM, &d.CMSelf)
 	if c != nil {
 		reads, writes := d.alg.SetSizes()
 		d.fold(c, reads, writes)
 	} else {
 		d.cmProbe.TakeCounts() // nothing records them; clear for the next transaction
-	}
-	if thr != nil {
-		thr.Conflicts(d)
 	}
 }
 
@@ -428,22 +378,9 @@ func (d *Desc) ResolveConflict(snap uint64, a tm.Addr, point cm.Point, writes, w
 	if lost, yield := d.Contend(snap, a, point, writes, waited, owner); lost || yield {
 		d.CMSelf.Defeats++
 		d.gateYield = yield
-		d.NoteConflictAt(a)
 		d.Abort(snap, txtrace.AbortCM)
 	}
 }
-
-// NoteConflict attributes one abort or CM defeat to a lock-table shard
-// (cold path: runs only when an attempt dies).
-func (d *Desc) NoteConflict(shard int) {
-	d.sketch.Observe(shard)
-	if int32(shard) != d.home {
-		d.crossShard++
-	}
-}
-
-// NoteConflictAt is NoteConflict for the shard of address a.
-func (d *Desc) NoteConflictAt(a tm.Addr) { d.NoteConflict(d.env.Layout.ShardOf(a)) }
 
 // Tick charges work units to the virtual-time model. It makes no
 // scheduler call: a conflict-free transaction keeps its processor.
@@ -542,12 +479,9 @@ func (d *Desc) parkRetry() {
 	}
 }
 
-// Reset starts a transaction on thr (nil: no placement): it clears
-// what fold reads and records the thread's home shard.
-func (d *Desc) Reset(thr *Thread) {
+// Reset starts a transaction: it clears what fold reads.
+func (d *Desc) Reset() {
 	if d.aborts != 0 {
-		d.crossShard = 0
-		d.sketch = txstats.Sketch{}
 		d.restartLat = txstats.Hist{}
 	}
 	d.Work, d.Extends, d.Reclaims, d.Stalls = 0, 0, 0, 0
@@ -555,10 +489,6 @@ func (d *Desc) Reset(thr *Thread) {
 	d.aborts, d.retryAborts = 0, 0
 	d.gateYield = false
 	d.CMSelf.Defeats = 0
-	d.home = 0
-	if thr != nil {
-		d.home = thr.Home()
-	}
 }
 
 // startAttempt stamps the start of an attempt and forgets the previous
@@ -597,7 +527,5 @@ func (d *Desc) fold(c *Counters, reads, writes int) {
 	c.Attempts.Observe(int(d.aborts) + 1)
 	if d.aborts != 0 {
 		c.RestartLatency.Merge(d.restartLat)
-		c.ConflictSketch.Merge(d.sketch)
-		c.CrossShardConflicts += d.crossShard
 	}
 }

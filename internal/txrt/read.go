@@ -26,8 +26,8 @@ import (
 // validated the logged reads, not this one, and a commit between the
 // read and the extension may have displaced it. The read is logged with
 // firstPast (core's WAR marker, nil for stm) and traced. On a failed
-// extension it notes the conflict at a and returns ok false; the caller
-// aborts. The caller polls its abort signals before the call.
+// extension it returns ok false; the caller aborts. The caller polls its
+// abort signals before the call.
 func (d *Desc) ReadCommitted(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, snap *uint64, firstPast *locktable.WEntry) (val uint64, ok bool) {
 	for {
 		v1 := p.R.Load()
@@ -40,7 +40,7 @@ func (d *Desc) ReadCommitted(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, sn
 			continue // torn read: version moved underneath us
 		}
 		if v1 > *snap {
-			if !d.extendAt(a, rl, snap, v1) {
+			if !d.extendTo(rl, snap, v1) {
 				return 0, false
 			}
 			continue
@@ -54,29 +54,23 @@ func (d *Desc) ReadCommitted(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, sn
 }
 
 // CoverWrite is the post-write snapshot check (TLSTM Alg. 2 line 52,
-// SwissTM's alike) after the caller write-locked word a's pair p: if
-// p's version moved past *snap, extend to it. Passing the witnessed
-// version into the extension matters beyond liveness: it guarantees the
-// transaction's eventual commit stamp exceeds every version it
-// displaces, so locations never regress under pre-publishing clocks. On
-// a failed extension it notes the conflict at a and returns false; the
-// caller aborts.
-func (d *Desc) CoverWrite(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, snap *uint64) bool {
+// SwissTM's alike) after the caller write-locked pair p: if p's version
+// moved past *snap, extend to it. Passing the witnessed version into the
+// extension matters beyond liveness: it guarantees the transaction's
+// eventual commit stamp exceeds every version it displaces, so locations
+// never regress under pre-publishing clocks. On a failed extension it
+// returns false; the caller aborts.
+func (d *Desc) CoverWrite(p *locktable.Pair, rl *txlog.ReadLog, snap *uint64) bool {
 	ver := p.R.Load()
-	return ver <= *snap || d.extendAt(a, rl, snap, ver)
+	return ver <= *snap || d.extendTo(rl, snap, ver)
 }
 
-// extendAt extends *snap to cover witness, the version met at word a,
-// noting the conflict at a when the extension fails. A Locked witness
-// (above every snapshot) is not extended to: while the caller holds the
-// pair's w-lock only an earlier commit of its own thread can hold the
-// r-lock, and that commit precedes the caller's.
-func (d *Desc) extendAt(a tm.Addr, rl *txlog.ReadLog, snap *uint64, witness uint64) bool {
-	if witness == locktable.Locked || d.Extend(rl, snap, witness) {
-		return true
-	}
-	d.NoteConflictAt(a)
-	return false
+// extendTo extends *snap to cover witness. A Locked witness (above
+// every snapshot) is not extended to: while the caller holds the pair's
+// w-lock only an earlier commit of its own thread can hold the r-lock,
+// and that commit precedes the caller's.
+func (d *Desc) extendTo(rl *txlog.ReadLog, snap *uint64, witness uint64) bool {
+	return witness == locktable.Locked || d.Extend(rl, snap, witness)
 }
 
 // ReadMV serves word a at snapshot snap on the multi-version wait-free
@@ -139,7 +133,7 @@ func (d *Desc) ExitMV(snap uint64, reason uint32) {
 // validation — the opacity violation the trace checker flagged under
 // high contention.
 func (d *Desc) Extend(rl *txlog.ReadLog, snap *uint64, witness uint64) bool {
-	return d.ExtendWith(snap, witness, func() bool { return d.ValidateReads(rl, nil) == nil })
+	return d.ExtendWith(snap, witness, func() bool { return d.ValidateReads(rl, nil) })
 }
 
 // ExtendWith is the snapshot-extension protocol around a read-set check:
@@ -166,13 +160,13 @@ func (d *Desc) ExtendWith(snap *uint64, witness uint64, valid func() bool) bool 
 }
 
 // ValidateReads checks every committed read of rl against its pair's
-// current version and returns the first pair that moved (for shard
-// attribution), or nil when the reads still hold. Reads served from a
-// redo chain (txlog.NoVersion) are validated intra-thread, not here.
+// current version and reports whether the reads still hold. Reads
+// served from a redo chain (txlog.NoVersion) are validated
+// intra-thread, not here.
 // scr, when non-nil, is the caller's commit scratch: a pair it r-locked
 // compares against the version the commit displaced from it. The work
 // charge is one unit per ValidationStride entries.
-func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) *locktable.Pair {
+func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) bool {
 	for i, re := range rl.Entries() {
 		if re.Version == txlog.NoVersion {
 			continue
@@ -189,9 +183,9 @@ func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) *lockt
 				continue
 			}
 		}
-		return re.Pair
+		return false
 	}
-	return nil
+	return true
 }
 
 // TraceValidate records a commit-time read validation of n reads at

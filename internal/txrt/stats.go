@@ -51,13 +51,6 @@ type Counters struct {
 	RestartLatency txstats.Hist
 	CommitLatency  txstats.Hist
 	Attempts       txstats.Hist
-	// ConflictSketch counts aborts and CM defeats per lock-table shard —
-	// the signal the affinity placement consumes. CrossShardConflicts
-	// counts the subset outside the thread's home shard at the time;
-	// Remaps counts home-shard rebinds.
-	ConflictSketch      txstats.Sketch
-	CrossShardConflicts uint64
-	Remaps              uint64
 	// ModeFallbacks counts speculative→serialized ladder transitions
 	// (mid-transaction escalations included), ModeRecoveries the returns
 	// to speculation; RetryWakes counts Retry parks woken by a
@@ -84,9 +77,6 @@ func (c *Counters) Add(o Counters) {
 	c.RestartLatency.Merge(o.RestartLatency)
 	c.CommitLatency.Merge(o.CommitLatency)
 	c.Attempts.Merge(o.Attempts)
-	c.ConflictSketch.Merge(o.ConflictSketch)
-	c.CrossShardConflicts += o.CrossShardConflicts
-	c.Remaps += o.Remaps
 	c.ModeFallbacks += o.ModeFallbacks
 	c.ModeRecoveries += o.ModeRecoveries
 	c.RetryWakes += o.RetryWakes
@@ -96,27 +86,24 @@ func (c *Counters) Add(o Counters) {
 // earlier snapshot of c (every counter is monotonic).
 func (c Counters) Minus(o Counters) Counters {
 	return Counters{
-		Work:                c.Work - o.Work,
-		SnapshotExtensions:  c.SnapshotExtensions - o.SnapshotExtensions,
-		ClockCASRetries:     c.ClockCASRetries - o.ClockCASRetries,
-		CMAbortsSelf:        c.CMAbortsSelf - o.CMAbortsSelf,
-		CMAbortsOwner:       c.CMAbortsOwner - o.CMAbortsOwner,
-		BackoffSpins:        c.BackoffSpins - o.BackoffSpins,
-		EntryReclaims:       c.EntryReclaims - o.EntryReclaims,
-		HorizonStalls:       c.HorizonStalls - o.HorizonStalls,
-		MVReads:             c.MVReads - o.MVReads,
-		MVMisses:            c.MVMisses - o.MVMisses,
-		ReadSetSizes:        c.ReadSetSizes.Minus(o.ReadSetSizes),
-		WriteSetSizes:       c.WriteSetSizes.Minus(o.WriteSetSizes),
-		RestartLatency:      c.RestartLatency.Minus(o.RestartLatency),
-		CommitLatency:       c.CommitLatency.Minus(o.CommitLatency),
-		Attempts:            c.Attempts.Minus(o.Attempts),
-		ConflictSketch:      c.ConflictSketch.Minus(o.ConflictSketch),
-		CrossShardConflicts: c.CrossShardConflicts - o.CrossShardConflicts,
-		Remaps:              c.Remaps - o.Remaps,
-		ModeFallbacks:       c.ModeFallbacks - o.ModeFallbacks,
-		ModeRecoveries:      c.ModeRecoveries - o.ModeRecoveries,
-		RetryWakes:          c.RetryWakes - o.RetryWakes,
+		Work:               c.Work - o.Work,
+		SnapshotExtensions: c.SnapshotExtensions - o.SnapshotExtensions,
+		ClockCASRetries:    c.ClockCASRetries - o.ClockCASRetries,
+		CMAbortsSelf:       c.CMAbortsSelf - o.CMAbortsSelf,
+		CMAbortsOwner:      c.CMAbortsOwner - o.CMAbortsOwner,
+		BackoffSpins:       c.BackoffSpins - o.BackoffSpins,
+		EntryReclaims:      c.EntryReclaims - o.EntryReclaims,
+		HorizonStalls:      c.HorizonStalls - o.HorizonStalls,
+		MVReads:            c.MVReads - o.MVReads,
+		MVMisses:           c.MVMisses - o.MVMisses,
+		ReadSetSizes:       c.ReadSetSizes.Minus(o.ReadSetSizes),
+		WriteSetSizes:      c.WriteSetSizes.Minus(o.WriteSetSizes),
+		RestartLatency:     c.RestartLatency.Minus(o.RestartLatency),
+		CommitLatency:      c.CommitLatency.Minus(o.CommitLatency),
+		Attempts:           c.Attempts.Minus(o.Attempts),
+		ModeFallbacks:      c.ModeFallbacks - o.ModeFallbacks,
+		ModeRecoveries:     c.ModeRecoveries - o.ModeRecoveries,
+		RetryWakes:         c.RetryWakes - o.RetryWakes,
 	}
 }
 
@@ -125,7 +112,7 @@ func (c Counters) Minus(o Counters) Counters {
 //
 // TL2 and the write-through STM pool their descriptors per runtime, not
 // per caller, so there the caller-owned shard IS the logical thread: it
-// carries the thread's placement identity and mode controller (thr),
+// carries the thread's identity and mode controller (thr),
 // bound on the shard's first transaction and touched only by the owning
 // goroutine. A shard must therefore stay with one runtime.
 type Stats struct {

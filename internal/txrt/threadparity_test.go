@@ -21,8 +21,8 @@ import (
 	"tlstm/internal/wtstm"
 )
 
-// The thread-kit parity regression: the ladder feed, the placement
-// remap and the contention manager's front half are the engine kit's
+// The thread-kit parity regression: the ladder feed and the contention
+// manager's front half are the engine kit's
 // (txrt.Thread, txrt.Desc.Contend), so on every runtime each counter
 // they fold must equal the trace events they record.
 
@@ -36,25 +36,23 @@ type kitThread struct {
 type kitRuntime struct {
 	rec     *txtrace.Recorder
 	direct  mem.Direct
-	shardOf func(tm.Addr) int
-	shards  int
 	threads [2]kitThread
 	close   func()
 }
 
 // newKitRuntime builds the named runtime (stm, core, tl2 or wtstm) from
-// cfg's Mode, Shards, Affinity, CM and MVDepth, traced on a recorder of
+// cfg's Mode, CM and MVDepth, traced on a recorder of
 // its own.
 func newKitRuntime(name string, cfg txrt.Config) kitRuntime {
 	const bits = 14
 	rec := txtrace.NewRecorder(1 << 15)
-	opts := []txrt.Option{txrt.WithTrace(rec), txrt.WithMode(cfg.Mode), txrt.WithShards(cfg.Shards),
-		txrt.WithAffinity(cfg.Affinity), txrt.WithCM(cfg.CM), txrt.WithMultiVersion(cfg.MVDepth)}
+	opts := []txrt.Option{txrt.WithTrace(rec), txrt.WithMode(cfg.Mode), txrt.WithCM(cfg.CM),
+		txrt.WithMultiVersion(cfg.MVDepth)}
 	k := kitRuntime{rec: rec, close: func() {}}
 	switch name {
 	case "stm":
 		s := stm.New(append(opts, stm.WithLockTableBits(bits))...)
-		k.direct, k.shardOf, k.shards = s.Direct(), s.Layout.ShardOf, s.Shards()
+		k.direct = s.Direct()
 		for i := range k.threads {
 			w := s.NewWorker()
 			k.threads[i] = kitThread{
@@ -64,9 +62,9 @@ func newKitRuntime(name string, cfg txrt.Config) kitRuntime {
 			}
 		}
 	case "core":
-		c := core.New(core.Config{SpecDepth: 2, LockTableBits: bits, Shards: cfg.Shards, Affinity: cfg.Affinity,
-			CM: cfg.CM, MVDepth: cfg.MVDepth, Trace: rec, Mode: cfg.Mode})
-		k.direct, k.shardOf, k.shards, k.close = c.Direct(), c.Layout.ShardOf, c.Shards(), c.Close
+		c := core.New(core.Config{SpecDepth: 2, LockTableBits: bits, CM: cfg.CM, MVDepth: cfg.MVDepth,
+			Trace: rec, Mode: cfg.Mode})
+		k.direct, k.close = c.Direct(), c.Close
 		for i := range k.threads {
 			thr := c.NewThread()
 			k.threads[i] = kitThread{
@@ -77,7 +75,7 @@ func newKitRuntime(name string, cfg txrt.Config) kitRuntime {
 		}
 	case "tl2":
 		l := tl2.New(bits, opts...)
-		k.direct, k.shardOf, k.shards = l.Direct(), l.Layout.ShardOf, l.Shards()
+		k.direct = l.Direct()
 		for i := range k.threads {
 			st := new(tl2.Stats)
 			k.threads[i] = kitThread{
@@ -88,7 +86,7 @@ func newKitRuntime(name string, cfg txrt.Config) kitRuntime {
 		}
 	case "wtstm":
 		w := wtstm.New(bits, opts...)
-		k.direct, k.shardOf, k.shards = w.Direct(), w.Layout.ShardOf, w.Shards()
+		k.direct = w.Direct()
 		for i := range k.threads {
 			st := new(wtstm.Stats)
 			k.threads[i] = kitThread{
@@ -125,43 +123,10 @@ func private(rt kitRuntime) {
 	}
 }
 
-// lastShardWord allocates a word in the table's last shard: under
-// sharding, neither thread's initial home.
-func lastShardWord(rt kitRuntime) tm.Addr {
-	a := rt.direct.Alloc(64)
-	for rt.shardOf(a) != rt.shards-1 {
-		a++
-	}
-	return a
-}
-
-// forcedConflicts runs RemapPeriod transactions on thread 0, each of
-// which loses its first attempt on one word in the last shard: between
-// its read and its write, thread 1 commits to the word.
-func forcedConflicts(rt kitRuntime) {
-	hot := lastShardWord(rt)
-	for i := 0; i < txrt.RemapPeriod; i++ {
-		first := true
-		rt.threads[0].atomic(func(tx tm.Tx) {
-			v := tx.Load(hot)
-			if first {
-				first = false
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					rt.threads[1].atomic(func(tx tm.Tx) { tx.Store(hot, tx.Load(hot)+1) })
-				}()
-				<-done
-			}
-			tx.Store(hot, v+1)
-		})
-	}
-}
-
 // contention runs read-yield-increment transactions on both threads at
 // once, on one word; the yields keep the two threads overlapping.
 func contention(rt kitRuntime) {
-	hot := lastShardWord(rt)
+	hot := rt.direct.Alloc(1)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, thr := range rt.threads {
@@ -169,7 +134,7 @@ func contention(rt kitRuntime) {
 		go func() {
 			defer wg.Done()
 			<-start
-			for i := 0; i < 4*txrt.RemapPeriod; i++ {
+			for i := 0; i < 256; i++ {
 				thr.atomic(func(tx tm.Tx) {
 					v := tx.Load(hot)
 					runtime.Gosched()
@@ -204,15 +169,6 @@ func TestThreadKitParityFourRuntimes(t *testing.T) {
 					return txtrace.Kind(e.Kind) == txtrace.KindModeShift && e.Arg == uint64(mode.StateSpec)
 				}},
 			},
-		},
-		{
-			// Conflicts concentrated on one shard re-home thread 0.
-			name:  "remap",
-			cfg:   txrt.Config{Shards: 4, Affinity: true},
-			batch: forcedConflicts,
-			checks: []kitCheck{{"Remaps", func(c txrt.Counters) uint64 { return c.Remaps }, func(e txtrace.Event) bool {
-				return txtrace.Kind(e.Kind) == txtrace.KindRemap
-			}}},
 		},
 		{
 			// Every conflict is lost.

@@ -7,11 +7,11 @@
 //     way, with one Add/Minus (stats.go);
 //   - Config / Option / Env: the option set, its defaults, and the
 //     runtime-wide state built from it — memory, commit clock,
-//     contention manager, version store, placement, mode gate, Retry hub
-//     (this file);
+//     contention manager, version store, mode gate, Retry hub (this
+//     file);
 //   - Desc / Thread / Algorithm: the transaction descriptor, the
-//     thread's identity, ladder and placement state, and the
-//     flat-transaction driver (driver.go);
+//     thread's identity and ladder state, and the flat-transaction
+//     driver (driver.go);
 //   - the shared read side: the multi-version probe and exit (ReadMV,
 //     ExitMV), SwissTM's committed read (ReadCommitted), post-write
 //     snapshot check (CoverWrite), snapshot extension (Extend) and
@@ -33,8 +33,8 @@
 //
 // Desc.Run calls the first four through the Algorithm interface once
 // per attempt and owns everything else: retry loop, mode ladder and
-// gate, Retry parking, CM backoff, placement remap, user-panic cleanup
-// and the stats fold (Desc.Close).
+// gate, Retry parking, CM backoff, user-panic cleanup and the stats
+// fold (Desc.Close).
 //
 // TLSTM's core is on the kit too: core.Task embeds Desc, and every
 // attempt of a task runs on this driver. A transaction that does not
@@ -55,7 +55,6 @@ import (
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
 	"tlstm/internal/mode"
-	"tlstm/internal/sched"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txtrace"
 )
@@ -78,10 +77,6 @@ const (
 	// log entries checked (a version compare is roughly an order of
 	// magnitude cheaper than an instrumented load).
 	ValidationStride = 8
-	// RemapPeriod is how many transactions a thread commits between
-	// Rebalance offers to the placement policy: enough for a meaningful
-	// sketch window, few enough that a shifted workload re-homes fast.
-	RemapPeriod = 64
 )
 
 // DefaultLockTableBits sizes the lock table (2^bits) when unset.
@@ -91,8 +86,6 @@ const DefaultLockTableBits = 20
 // it through Options; core.Config maps onto it.
 type Config struct {
 	LockTableBits int  // log2 of the lock-table size; <= 0 means the default
-	Shards        int  // power-of-two shard count; 0 and 1 mean flat
-	Affinity      bool // conflict-sketch affinity placement instead of round-robin
 	Padded        bool // one lock pair per cache line (pair-table runtimes)
 	Clock         clock.Source
 	CM            cm.Policy
@@ -132,16 +125,6 @@ func WithMultiVersion(k int) Option { return func(c *Config) { c.MVDepth = k } }
 // nil (the default) keeps the no-op tracer and the zero-alloc hot path.
 func WithTrace(rec *txtrace.Recorder) Option { return func(c *Config) { c.Trace = rec } }
 
-// WithShards splits the lock table into n contiguous shards (a power of
-// two; 0 and 1 both mean flat). Sharding only relabels locks for
-// conflict attribution and placement — address→lock resolution is
-// identical at every shard count.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// WithAffinity replaces the static round-robin thread placement with the
-// conflict-sketch affinity policy (sched.Affinity).
-func WithAffinity(on bool) Option { return func(c *Config) { c.Affinity = on } }
-
 // WithMode configures the execution-mode ladder (internal/mode): under
 // mode.Adaptive a thread falls back from speculation to the runtime's
 // serialized gate under sustained conflict and recovers when the storm
@@ -155,8 +138,8 @@ type Env struct {
 	Store *mem.Store
 	Alloc *mem.Allocator
 
-	// Layout is the address→lock→shard geometry; the runtime allocates
-	// its own lock storage over it.
+	// Layout is the address→lock geometry; the runtime allocates its
+	// own lock storage over it.
 	Layout locktable.Layout
 
 	Clk       clock.Source
@@ -177,9 +160,7 @@ type Env struct {
 	Gate    mode.Gate
 	Hub     *mode.WaitHub
 
-	// Placement maps threads to home lock-table shards; threadIDs hands
-	// each Thread its placement identity.
-	Placement sched.Placement
+	// threadIDs hands each Thread its identity.
 	threadIDs atomic.Int32
 }
 
@@ -208,7 +189,7 @@ func (e *Env) Init(ns string, store *mem.Store, cfg Config, defaultCM cm.Kind) C
 
 	e.Store = store
 	e.Alloc = mem.NewAllocator(e.Store)
-	e.Layout = locktable.NewLayout(cfg.LockTableBits, cfg.Shards)
+	e.Layout = locktable.NewLayout(cfg.LockTableBits)
 	e.Clk = cfg.Clock
 	e.Exclusive = cfg.Clock.Exclusive()
 	e.CM = cfg.CM
@@ -218,11 +199,6 @@ func (e *Env) Init(ns string, store *mem.Store, cfg Config, defaultCM cm.Kind) C
 	e.Trace = cfg.Trace
 	e.ModeCfg = cfg.Mode
 	e.Hub = mode.NewWaitHub()
-	if cfg.Affinity {
-		e.Placement = sched.NewAffinity(e.Layout.Shards())
-	} else {
-		e.Placement = sched.NewRoundRobin(e.Layout.Shards())
-	}
 	if e.Trace != nil {
 		e.Trace.SetMeta(ns+".lockbits", strconv.Itoa(cfg.LockTableBits))
 		e.Trace.SetMeta(ns+".clock", e.Clk.Name())
@@ -240,13 +216,6 @@ func (e *Env) NewTracer(label string) (tr txtrace.Tracer, traced bool) {
 	}
 	return e.Trace.NewRing(label), true
 }
-
-// Shards reports the lock table's shard count (1 when flat).
-func (e *Env) Shards() int { return e.Layout.Shards() }
-
-// PlacementName reports the thread-placement policy ("static" or
-// "affinity").
-func (e *Env) PlacementName() string { return e.Placement.Name() }
 
 // MVDepth reports the retained version depth (0 when multi-versioning
 // is off).

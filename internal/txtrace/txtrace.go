@@ -67,10 +67,11 @@ const (
 	// quiescence ring. Arg: retirement serial; Aux: low bits of the
 	// retirement epoch.
 	KindReclaim
-	// KindRemap records an affinity placement rebind: the recording
-	// thread's home lock-table shard changed. Arg: the new home shard;
-	// Aux: the previous home shard.
-	KindRemap
+	// kindRemap (11) is retired: it recorded a thread-placement rebind,
+	// which no runtime makes any more. The value stays reserved and
+	// named so that older dumps still read and print, and the kinds
+	// after it keep their numbers.
+	kindRemap
 	// KindCommitWord records one word published by a committing
 	// transaction, emitted between a successful KindValidate and the
 	// closing KindCommit. Arg: word address; Clock: the commit
@@ -99,7 +100,7 @@ var kindNames = [...]string{
 	KindAbort:        "Abort",
 	KindCommit:       "Commit",
 	KindReclaim:      "Reclaim",
-	KindRemap:        "Remap",
+	kindRemap:        "Remap",
 	KindCommitWord:   "CommitWord",
 	KindModeShift:    "ModeShift",
 	KindRetryPark:    "RetryPark",

@@ -214,3 +214,44 @@ func TestKindAndAbortStrings(t *testing.T) {
 		t.Fatalf("abort reason names wrong")
 	}
 }
+
+// Kind values are the dump format: a renumbered kind misreads every
+// dump written before the change. The retired slot 11 (a thread-placement
+// rebind) stays reserved and named, so older dumps holding it still read
+// and print.
+func TestKindValuesPinned(t *testing.T) {
+	want := []struct {
+		k    Kind
+		v    uint8
+		name string
+	}{
+		{KindTxBegin, 1, "TxBegin"}, {KindAttemptStart, 2, "AttemptStart"},
+		{KindRead, 3, "Read"}, {KindWrite, 4, "Write"}, {KindValidate, 5, "Validate"},
+		{KindExtend, 6, "Extend"}, {KindCMDecision, 7, "CMDecision"}, {KindAbort, 8, "Abort"},
+		{KindCommit, 9, "Commit"}, {KindReclaim, 10, "Reclaim"}, {kindRemap, 11, "Remap"},
+		{KindCommitWord, 12, "CommitWord"}, {KindModeShift, 13, "ModeShift"},
+		{KindRetryPark, 14, "RetryPark"},
+	}
+	for _, w := range want {
+		if uint8(w.k) != w.v || w.k.String() != w.name {
+			t.Errorf("%s = %d, want %s = %d", w.k, uint8(w.k), w.name, w.v)
+		}
+	}
+	if int(kindMax) != len(want)+1 {
+		t.Errorf("kindMax = %d: a kind was added without pinning its value", kindMax)
+	}
+
+	rec := NewRecorder(4)
+	rec.NewRing("old").Record(Kind(11), 5, 2, 1)
+	var buf bytes.Buffer
+	if err := rec.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("ReadTrace rejected a kind-11 event: %v", err)
+	}
+	if ev := tr.Rings[0].Events; len(ev) != 1 || Kind(ev[0].Kind).String() != "Remap" {
+		t.Fatalf("kind-11 event read back as %+v", ev)
+	}
+}

@@ -30,7 +30,6 @@ package wtstm
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
@@ -58,8 +57,6 @@ var (
 	// straight past it from the version ring.
 	WithMultiVersion = txrt.WithMultiVersion
 	WithTrace        = txrt.WithTrace
-	WithShards       = txrt.WithShards
-	WithAffinity     = txrt.WithAffinity
 	WithMode         = txrt.WithMode
 )
 
@@ -233,7 +230,6 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 			// to this word would lock it at that newer version and exempt
 			// the stale read from commit validation (a lost update).
 			if !tx.extendTo(v1) {
-				tx.NoteConflictAt(a)
 				tx.abort(txtrace.AbortExtend)
 			}
 			continue
@@ -269,22 +265,22 @@ func (tx *Tx) loadMV(a tm.Addr) uint64 {
 // lock log. Unlike SwissTM's it exempts the locks this transaction
 // holds: a held lock reads Locked, not the version read.
 func (tx *Tx) extendTo(witness uint64) bool {
-	return tx.ExtendWith(&tx.rv, witness, func() bool { return tx.staleRead() == nil })
+	return tx.ExtendWith(&tx.rv, witness, func() bool { return !tx.staleRead() })
 }
 
-// staleRead returns the first logged lock whose version moved since the
-// read and that this transaction does not hold, or nil when every read
-// still holds. The work charge is one unit per ValidationStride entries.
-func (tx *Tx) staleRead() *atomic.Uint64 {
+// staleRead reports whether a logged lock's version moved since the
+// read while this transaction does not hold it. The work charge is one
+// unit per ValidationStride entries.
+func (tx *Tx) staleRead() bool {
 	for i, re := range tx.readLog.Entries() {
 		if i%txrt.ValidationStride == 0 {
 			tx.Work++
 		}
 		if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
-			return re.Lock
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // Store implements tm.Tx: eager lock, undo log, in-place update.
@@ -309,7 +305,6 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				continue
 			}
 			if cur > tx.rv && !tx.extendTo(cur) {
-				tx.NoteConflictAt(a)
 				tx.abort(txtrace.AbortExtend)
 			}
 			if cur > tx.rv {
@@ -358,9 +353,8 @@ func (tx *Tx) commit() {
 	// The wv == rv+1 validation skip is sound only on exclusive clocks
 	// (see the TL2 commit for the argument).
 	if !tx.rt.Exclusive || wv != tx.rv+1 {
-		if l := tx.staleRead(); l != nil {
+		if tx.staleRead() {
 			tx.TraceValidate(wv, tx.readLog.Len(), false)
-			tx.NoteConflict(tx.rt.locks.ShardOf(l))
 			tx.abort(txtrace.AbortValidation)
 		}
 		tx.TraceValidate(wv, tx.readLog.Len(), true)

@@ -128,8 +128,7 @@ type (
 	// Runtime is a TLSTM instance.
 	Runtime = core.Runtime
 	// Config configures a Runtime (SpecDepth is the paper's SPECDEPTH;
-	// Shards/Affinity select the sharded lock-table geometry and the
-	// conflict-sketch thread placement policy).
+	// PadLockTable strides the lock pairs one per cache line).
 	Config = core.Config
 	// Thread is a user-thread: a serial stream of user-transactions.
 	Thread = core.Thread
@@ -142,9 +141,8 @@ type (
 	// Wait contract.
 	TxHandle = core.TxHandle
 	// Stats aggregates per-thread execution statistics, including the
-	// scheduler counters WorkersSpawned, DescriptorReuses and TxFused, the
-	// entry-reclamation counters EntryReclaims and HorizonStalls, and
-	// the placement counters CrossShardConflicts and Remaps.
+	// scheduler counters WorkersSpawned, DescriptorReuses and TxFused and
+	// the entry-reclamation counters EntryReclaims and HorizonStalls.
 	Stats = core.Stats
 	// ClockSource is a commit-clock strategy for Config.Clock (and
 	// NewBaselineWithClock): how the global commit timestamp is
