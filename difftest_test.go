@@ -447,39 +447,43 @@ func TestDifferentialRuntimes(t *testing.T) {
 // Lock-table geometry leg
 // ---------------------------------------------------------------------------
 
-// TestDifferentialPadded is the lock-table geometry leg: the same
+// TestDifferentialSharding is the lock-table geometry leg: the same
 // deterministic programs, executed with the lock pairs padded one per
 // cache line, must be sequentially equivalent to the flat-table
 // SwissTM/gv4 reference. Padding only strides the pair storage —
 // address→slot resolution is identical — so any divergence here means
-// the padded stride leaked into semantics. tl2 and wtstm have no padded
+// the padded stride leaked into semantics. The table is one flat region
+// (one shard); padding is the only geometry axis left, so the leg keeps
+// its name and its one case, s1-padded. tl2 and wtstm have no padded
 // table.
-func TestDifferentialPadded(t *testing.T) {
-	const seeds = 6
-	for seed := int64(0); seed < seeds; seed++ {
-		prog := genProgram(seed+400, 30)
-		want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+func TestDifferentialSharding(t *testing.T) {
+	t.Run("s1-padded", func(t *testing.T) {
+		const seeds = 6
+		for seed := int64(0); seed < seeds; seed++ {
+			prog := genProgram(seed+400, 30)
+			want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
 
-		rt := stm.New(stm.WithPaddedLockTable(true))
-		base := rt.Direct().Alloc(diffWords)
-		for _, ops := range prog {
-			rt.Atomic(nil, func(tx *stm.Tx) {
-				for _, op := range ops {
-					applyOp(tx, base, op)
+			rt := stm.New(stm.WithPaddedLockTable(true))
+			base := rt.Direct().Alloc(diffWords)
+			for _, ops := range prog {
+				rt.Atomic(nil, func(tx *stm.Tx) {
+					for _, op := range ops {
+						applyOp(tx, base, op)
+					}
+				})
+			}
+			if got := snapshot(rt.Direct(), base); got != want {
+				t.Fatalf("seed %d: padded SwissTM diverges\n got: %v\nwant: %v", seed, got, want)
+			}
+			for _, split := range []bool{false, true} {
+				cfg := core.Config{SpecDepth: 2, LockTableBits: 14, PadLockTable: true}
+				if got := runOnTLSTMCfg(prog, split, cfg); got != want {
+					t.Fatalf("seed %d: padded TLSTM (split=%v) diverges\n got: %v\nwant: %v",
+						seed, split, got, want)
 				}
-			})
-		}
-		if got := snapshot(rt.Direct(), base); got != want {
-			t.Fatalf("seed %d: padded SwissTM diverges\n got: %v\nwant: %v", seed, got, want)
-		}
-		for _, split := range []bool{false, true} {
-			cfg := core.Config{SpecDepth: 2, LockTableBits: 14, PadLockTable: true}
-			if got := runOnTLSTMCfg(prog, split, cfg); got != want {
-				t.Fatalf("seed %d: padded TLSTM (split=%v) diverges\n got: %v\nwant: %v",
-					seed, split, got, want)
 			}
 		}
-	}
+	})
 }
 
 // ---------------------------------------------------------------------------
