@@ -24,6 +24,11 @@
 // -sweep <axis> (clock, cm, mode or mv) swaps the soak for that
 // invariant-checked sweep across all four runtimes (harness.Sweeps);
 // -seconds N runs N times the sweep's quick size per thread.
+//
+// The report's commitLat[…] and restartLat[…] histograms (and the
+// -metrics commitLat/restartLat rows) are sampled: each descriptor times
+// one attempt in 64, its first included, so their counts are counts of
+// sampled attempts. attempts[…] and every counter are exact.
 package main
 
 import (

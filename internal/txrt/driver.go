@@ -159,14 +159,25 @@ type Desc struct {
 	allocs []tm.Addr // fresh blocks to release on abort
 	frees  []tm.Addr // deferred frees to apply on commit
 
-	attemptStart time.Time
-	aborts       uint64 // rolled-back attempts of this transaction
-	retryAborts  uint64 // Retry unwinds, excluded from the ladder's signals
+	aborts      uint64 // rolled-back attempts of this transaction
+	retryAborts uint64 // Retry unwinds, excluded from the ladder's signals
 
-	// Only a dead attempt writes restartLat, so it is folded and cleared
-	// only when aborts is non-zero.
+	// Latency timing is sampled: of the descriptor's attempts, counted by
+	// attemptN, one in latencySample is timed (sampled), the first one
+	// included. attemptStart is the start of the last sampled attempt.
+	attemptN     uint32
+	attemptStart time.Time
+
+	// Only a sampled dead attempt writes restartLat, so it is folded and
+	// cleared only when aborts is non-zero.
 	restartLat txstats.Hist
 }
+
+// latencySample is the latency sampling period: a descriptor times one
+// attempt in latencySample. A clock read and its time.Since cost more
+// than half of a one-word transaction, so timing every attempt would
+// about double the transaction's fixed cost.
+const latencySample = 64
 
 // Init wires the descriptor to its runtime and algorithm, once, at
 // descriptor creation; ring labels its trace ring.
@@ -180,9 +191,10 @@ func (d *Desc) Init(env *Env, alg Algorithm, ring string) {
 }
 
 // Run executes one transaction to commit: the retry loop around
-// alg.Begin/Exec. thr is the calling thread's ladder; nil means st's own (tl2, wtstm), and with st nil as well the
-// ladder is disarmed and nothing is recorded. ro declares the
-// transaction read-only.
+// alg.Begin/Exec. thr is the calling thread's ladder. A nil thr means
+// the ladder in st (tl2, wtstm); with st nil as well, the ladder is
+// disarmed and nothing is recorded. ro declares the transaction
+// read-only.
 func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 	if st == nil {
 		d.RunOn(thr, nil, ro)
@@ -413,13 +425,14 @@ func (d *Desc) Committed(ts uint64, writes int) {
 	}
 }
 
-// releaseAllocs returns the attempt's fresh blocks to the allocator: the
-// attempt is dead.
+// releaseAllocs returns the attempt's fresh blocks to the allocator and
+// drops its deferred frees: the attempt is dead.
 func (d *Desc) releaseAllocs() {
 	for _, a := range d.allocs {
 		d.env.Alloc.Free(a)
 	}
 	d.allocs = d.allocs[:0]
+	d.frees = d.frees[:0]
 }
 
 // enterGate moves the transaction under the serialized rung. A flat
@@ -479,11 +492,15 @@ func (d *Desc) parkRetry() {
 	}
 }
 
-// Reset starts a transaction: it clears what fold reads.
+// Reset starts a transaction: it clears what fold reads and forgets the
+// previous transaction's allocations and frees. A dead attempt's are
+// dropped by its releaseAllocs.
 func (d *Desc) Reset() {
 	if d.aborts != 0 {
 		d.restartLat = txstats.Hist{}
 	}
+	d.allocs = d.allocs[:0]
+	d.frees = d.frees[:0]
 	d.Work, d.Extends, d.Reclaims, d.Stalls = 0, 0, 0, 0
 	d.MVReads, d.MVMisses, d.retryWakes = 0, 0, 0
 	d.aborts, d.retryAborts = 0, 0
@@ -491,17 +508,29 @@ func (d *Desc) Reset() {
 	d.CMSelf.Defeats = 0
 }
 
-// startAttempt stamps the start of an attempt and forgets the previous
-// attempt's allocations and frees (released or dropped by its abort).
+// startAttempt counts an attempt and stamps a sampled one's start. It
+// inlines into attempt; the clock read stays out of line on the rare
+// branch.
 func (d *Desc) startAttempt() {
-	d.attemptStart = time.Now()
-	d.allocs = d.allocs[:0]
-	d.frees = d.frees[:0]
+	d.attemptN++
+	if d.sampled() {
+		d.stamp()
+	}
 }
 
-// restarted records a rolled-back attempt and its latency.
+// sampled reports whether the current attempt's latency is timed.
+func (d *Desc) sampled() bool { return d.attemptN%latencySample == 1 }
+
+// stamp reads the clock for a sampled attempt.
+//
+//go:noinline
+func (d *Desc) stamp() { d.attemptStart = time.Now() }
+
+// restarted records a rolled-back attempt and, if sampled, its latency.
 func (d *Desc) restarted() {
-	d.restartLat.Observe(int(time.Since(d.attemptStart)))
+	if d.sampled() {
+		d.restartLat.Observe(int(time.Since(d.attemptStart)))
+	}
 	d.aborts++
 }
 
@@ -523,7 +552,9 @@ func (d *Desc) fold(c *Counters, reads, writes int) {
 	c.RetryWakes += d.retryWakes
 	c.ReadSetSizes.Observe(reads)
 	c.WriteSetSizes.Observe(writes)
-	c.CommitLatency.Observe(int(time.Since(d.attemptStart)))
+	if d.sampled() {
+		c.CommitLatency.Observe(int(time.Since(d.attemptStart)))
+	}
 	c.Attempts.Observe(int(d.aborts) + 1)
 	if d.aborts != 0 {
 		c.RestartLatency.Merge(d.restartLat)

@@ -45,9 +45,11 @@ type Counters struct {
 	ReadSetSizes  txstats.Hist
 	WriteSetSizes txstats.Hist
 	// RestartLatency histograms attempt-start → abort deltas in
-	// nanoseconds, one observation per aborted attempt; CommitLatency the
-	// attempt-start → commit delta of each final attempt; Attempts the
-	// attempts per committed transaction (1 = committed first try).
+	// nanoseconds; CommitLatency the attempt-start → commit delta of a
+	// final attempt. Both are sampled: each descriptor times one attempt
+	// in 64 (its first included), so their counts are counts of sampled
+	// attempts. Attempts, exact, histograms the attempts per committed
+	// transaction (1 = committed first try).
 	RestartLatency txstats.Hist
 	CommitLatency  txstats.Hist
 	Attempts       txstats.Hist
