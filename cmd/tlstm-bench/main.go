@@ -9,11 +9,10 @@
 //	tlstm-bench -fig 2a         # one figure
 //	tlstm-bench -quick          # reduced transaction counts
 //	tlstm-bench -headline       # §4 headline numbers (from Fig2b data)
-//	tlstm-bench -clock deferred # figures under the GV5-style clock
 //	tlstm-bench -cm karma       # figures under the Karma contention manager
 //	tlstm-bench -mode adaptive  # figures under the adaptive execution-mode ladder
 //	tlstm-bench -mv 2           # figures with 2 retained versions per word
-//	tlstm-bench -sweep cm       # one sweep: clock, cm, mode or mv
+//	tlstm-bench -sweep cm       # one sweep: cm, mode or mv
 //	tlstm-bench -sweep mv -json out.json  # ... also persisted as JSON
 package main
 

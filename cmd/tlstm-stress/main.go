@@ -8,8 +8,8 @@
 //     transfers over a shared account array preserve the global total.
 //
 // It is meant for long soak runs: tlstm-stress -seconds 60 -threads 4.
-// The soak runs under any commit-clock strategy (-clock deferred),
-// contention-management policy (-cm karma) and execution-mode policy
+// The soak runs under any contention-management policy (-cm karma)
+// and execution-mode policy
 // (-mode adaptive arms the ladder: speculative until sustained
 // conflict, then a serialized global-lock rung, recovering once the
 // storm passes). Entry reclamation can be forced aggressive (-reclaim 1:
@@ -21,7 +21,7 @@
 // snapshot — the strongest cheap check of the wait-free multi-version
 // read path.
 //
-// -sweep <axis> (clock, cm, mode or mv) swaps the soak for that
+// -sweep <axis> (cm, mode or mv) swaps the soak for that
 // invariant-checked sweep across all four runtimes (harness.Sweeps);
 // -seconds N runs N times the sweep's quick size per thread.
 //
@@ -138,8 +138,7 @@ func run() int {
 			return txmetrics.Snapshot{
 				Counters: map[string]uint64{
 					"committed": st.TxCommitted, "txAborts": st.TxAborted,
-					"taskRestarts": st.TaskRestarts, "work": st.Work,
-					"extensions": st.SnapshotExtensions, "clockRetries": st.ClockCASRetries,
+					"taskRestarts": st.TaskRestarts, "work": st.Work, "extensions": st.SnapshotExtensions,
 					"cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
 					"backoffSpins": st.BackoffSpins, "entryReclaims": st.EntryReclaims,
 					"horizonStalls": st.HorizonStalls, "mvReads": st.MVReads, "mvMisses": st.MVMisses,
@@ -338,10 +337,10 @@ func run() int {
 		sum += d.Load(base + tm.Addr(i))
 	}
 	want := uint64(*accounts) * initial
-	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d clock=%s ext=%d clkRetry=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
+	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d ext=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
 		total.TxCommitted, total.TxFused, total.TxAborted, total.TaskRestarts, total.Work,
 		total.WorkersSpawned, total.DescriptorReuses,
-		rt.ClockName(), total.SnapshotExtensions, total.ClockCASRetries,
+		total.SnapshotExtensions,
 		rt.CMName(), total.CMAbortsSelf, total.CMAbortsOwner, total.BackoffSpins,
 		rt.ModeName(), total.ModeFallbacks, total.ModeRecoveries, total.RetryWakes,
 		total.EntryReclaims, total.HorizonStalls,

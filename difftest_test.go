@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/mode"
@@ -20,9 +19,8 @@ import (
 
 // Differential testing: the same deterministic workload executed on the
 // SwissTM baseline, the TL2 baseline and TLSTM (at several speculative
-// depths) — each under every commit-clock strategy — must leave the
-// word store in exactly the same state. A divergence pinpoints a
-// semantics bug in one runtime (or one clock strategy).
+// depths) must leave the word store in exactly the same state. A
+// divergence pinpoints a semantics bug in one runtime.
 
 // diffOp is one step of a deterministic single-thread program.
 type diffOp struct {
@@ -78,8 +76,8 @@ func snapshot(d tm.Tx, base tm.Addr) [diffWords]uint64 {
 	return m
 }
 
-func runOnSTM(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	rt := stm.New(stm.WithClock(clock.New(kind)), stm.WithCM(cm.New(pol)))
+func runOnSTM(prog [][]diffOp, pol cm.Kind) [diffWords]uint64 {
+	rt := stm.New(stm.WithCM(cm.New(pol)))
 	base := rt.Direct().Alloc(diffWords)
 	for _, ops := range prog {
 		ops := ops
@@ -92,8 +90,8 @@ func runOnSTM(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
 	return snapshot(rt.Direct(), base)
 }
 
-func runOnTL2(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	rt := tl2.New(16, tl2.WithClock(clock.New(kind)), tl2.WithCM(cm.New(pol)))
+func runOnTL2(prog [][]diffOp, pol cm.Kind) [diffWords]uint64 {
+	rt := tl2.New(16, tl2.WithCM(cm.New(pol)))
 	base := rt.Direct().Alloc(diffWords)
 	for _, ops := range prog {
 		ops := ops
@@ -106,8 +104,8 @@ func runOnTL2(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
 	return snapshot(rt.Direct(), base)
 }
 
-func runOnWriteThrough(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	rt := wtstm.New(16, wtstm.WithClock(clock.New(kind)), wtstm.WithCM(cm.New(pol)))
+func runOnWriteThrough(prog [][]diffOp, pol cm.Kind) [diffWords]uint64 {
+	rt := wtstm.New(16, wtstm.WithCM(cm.New(pol)))
 	base := rt.Direct().Alloc(diffWords)
 	for _, ops := range prog {
 		ops := ops
@@ -120,8 +118,8 @@ func runOnWriteThrough(prog [][]diffOp, kind clock.Kind, pol cm.Kind) [diffWords
 	return snapshot(rt.Direct(), base)
 }
 
-func runOnTLSTM(prog [][]diffOp, depth int, split bool, kind clock.Kind, pol cm.Kind) [diffWords]uint64 {
-	return runOnTLSTMCfg(prog, split, core.Config{SpecDepth: depth, LockTableBits: 14, Clock: clock.New(kind), CM: cm.New(pol)})
+func runOnTLSTM(prog [][]diffOp, depth int, split bool, pol cm.Kind) [diffWords]uint64 {
+	return runOnTLSTMCfg(prog, split, core.Config{SpecDepth: depth, LockTableBits: 14, CM: cm.New(pol)})
 }
 
 func runOnTLSTMCfg(prog [][]diffOp, split bool, cfg core.Config) [diffWords]uint64 {
@@ -294,7 +292,7 @@ func TestDifferentialMultiVersion(t *testing.T) {
 	const seeds = 6
 	for seed := int64(0); seed < seeds; seed++ {
 		prog := genProgram(seed+200, 30)
-		want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+		want := runOnSTM(prog, cm.KindDefault)
 
 		gotSTM, wantSums := runOnSTMMV(prog)
 		if gotSTM != want {
@@ -337,12 +335,11 @@ func TestDifferentialAggressiveReclamation(t *testing.T) {
 	const seeds = 8
 	for seed := int64(0); seed < seeds; seed++ {
 		prog := genProgram(seed+50, 30)
-		want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+		want := runOnSTM(prog, cm.KindDefault)
 		for _, depth := range []int{2, 4} {
 			for _, split := range []bool{false, true} {
 				cfg := core.Config{
-					SpecDepth: depth, LockTableBits: 14,
-					Clock: clock.New(clock.KindGV4), CM: cm.New(cm.KindDefault),
+					SpecDepth: depth, LockTableBits: 14, CM: cm.New(cm.KindDefault),
 					ReclaimRing: 1, ReclaimAudit: true,
 				}
 				if got := runOnTLSTMCfg(prog, split, cfg); got != want {
@@ -367,24 +364,24 @@ func TestDifferentialCMPolicies(t *testing.T) {
 	wants := make([][diffWords]uint64, seeds)
 	for i := range progs {
 		progs[i] = genProgram(int64(i+100), 30)
-		wants[i] = runOnSTM(progs[i], clock.KindGV4, cm.KindDefault)
+		wants[i] = runOnSTM(progs[i], cm.KindDefault)
 	}
 	for _, pol := range cm.Kinds() {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				prog, want := progs[seed], wants[seed]
-				if got := runOnSTM(prog, clock.KindGV4, pol); got != want {
+				if got := runOnSTM(prog, pol); got != want {
 					t.Fatalf("seed %d: SwissTM/%v diverges\n got: %v\nwant: %v", seed, pol, got, want)
 				}
-				if got := runOnTL2(prog, clock.KindGV4, pol); got != want {
+				if got := runOnTL2(prog, pol); got != want {
 					t.Fatalf("seed %d: TL2/%v diverges\n got: %v\nwant: %v", seed, pol, got, want)
 				}
-				if got := runOnWriteThrough(prog, clock.KindGV4, pol); got != want {
+				if got := runOnWriteThrough(prog, pol); got != want {
 					t.Fatalf("seed %d: write-through/%v diverges\n got: %v\nwant: %v", seed, pol, got, want)
 				}
 				for _, split := range []bool{false, true} {
-					if got := runOnTLSTM(prog, 2, split, clock.KindGV4, pol); got != want {
+					if got := runOnTLSTM(prog, 2, split, pol); got != want {
 						t.Fatalf("seed %d: TLSTM/%v (split=%v) diverges\n got: %v\nwant: %v", seed, pol, split, got, want)
 					}
 				}
@@ -394,53 +391,38 @@ func TestDifferentialCMPolicies(t *testing.T) {
 }
 
 func TestDifferentialRuntimes(t *testing.T) {
-	// The reference state comes from the GV4 baseline run, computed
-	// once per seed and shared by every strategy subtest, so every
-	// strategy is also compared across strategies, not just across
-	// runtimes.
-	const seeds = 12
-	progs := make([][][]diffOp, seeds)
-	wants := make([][diffWords]uint64, seeds)
-	for i := range progs {
-		progs[i] = genProgram(int64(i+1), 30)
-		wants[i] = runOnSTM(progs[i], clock.KindGV4, cm.KindDefault)
-	}
-	for _, kind := range clock.Kinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			for seed := int64(1); seed <= seeds; seed++ {
-				prog, want := progs[seed-1], wants[seed-1]
-
-				if got := runOnSTM(prog, kind, cm.KindDefault); got != want {
-					t.Fatalf("seed %d: SwissTM/%v diverges from SwissTM/gv4\n got: %v\nwant: %v", seed, kind, got, want)
-				}
-				if got := runOnTL2(prog, kind, cm.KindDefault); got != want {
-					t.Fatalf("seed %d: TL2/%v diverges from SwissTM\n tl2: %v\n stm: %v", seed, kind, got, want)
-				}
-				if got := runOnWriteThrough(prog, kind, cm.KindDefault); got != want {
-					t.Fatalf("seed %d: write-through/%v diverges from SwissTM\n  wt: %v\n stm: %v", seed, kind, got, want)
-				}
-				for _, depth := range []int{1, 2, 4} {
-					if got := runOnTLSTM(prog, depth, false, kind, cm.KindDefault); got != want {
-						t.Fatalf("seed %d: TLSTM/%v depth %d (unsplit) diverges\n got: %v\nwant: %v", seed, kind, depth, got, want)
-					}
-				}
-				for _, depth := range []int{2, 4} {
-					if got := runOnTLSTM(prog, depth, true, kind, cm.KindDefault); got != want {
-						t.Fatalf("seed %d: TLSTM/%v depth %d (split) diverges\n got: %v\nwant: %v", seed, kind, depth, got, want)
-					}
-				}
-				// Through Atomic: one-task transactions run solo; split
-				// ones ship once and then run their two bodies fused.
-				for _, split := range []bool{false, true} {
-					cfg := core.Config{SpecDepth: 2, LockTableBits: 14, Clock: clock.New(kind)}
-					if got := runOnTLSTMVia(prog, split, true, cfg); got != want {
-						t.Fatalf("seed %d: TLSTM/%v Atomic (split=%v) diverges\n got: %v\nwant: %v", seed, kind, split, got, want)
-					}
+	// The reference state is the SwissTM baseline's. The subtest
+	// carries the clock's name ("gv4").
+	t.Run("gv4", func(t *testing.T) {
+		for seed := int64(1); seed <= 12; seed++ {
+			prog := genProgram(seed, 30)
+			want := runOnSTM(prog, cm.KindDefault)
+			if got := runOnTL2(prog, cm.KindDefault); got != want {
+				t.Fatalf("seed %d: TL2 diverges from SwissTM\n tl2: %v\n stm: %v", seed, got, want)
+			}
+			if got := runOnWriteThrough(prog, cm.KindDefault); got != want {
+				t.Fatalf("seed %d: write-through diverges from SwissTM\n  wt: %v\n stm: %v", seed, got, want)
+			}
+			for _, depth := range []int{1, 2, 4} {
+				if got := runOnTLSTM(prog, depth, false, cm.KindDefault); got != want {
+					t.Fatalf("seed %d: TLSTM depth %d (unsplit) diverges\n got: %v\nwant: %v", seed, depth, got, want)
 				}
 			}
-		})
-	}
+			for _, depth := range []int{2, 4} {
+				if got := runOnTLSTM(prog, depth, true, cm.KindDefault); got != want {
+					t.Fatalf("seed %d: TLSTM depth %d (split) diverges\n got: %v\nwant: %v", seed, depth, got, want)
+				}
+			}
+			// Through Atomic: one-task transactions run solo; split
+			// ones ship once and then run their two bodies fused.
+			for _, split := range []bool{false, true} {
+				cfg := core.Config{SpecDepth: 2, LockTableBits: 14}
+				if got := runOnTLSTMVia(prog, split, true, cfg); got != want {
+					t.Fatalf("seed %d: TLSTM Atomic (split=%v) diverges\n got: %v\nwant: %v", seed, split, got, want)
+				}
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +443,7 @@ func TestDifferentialSharding(t *testing.T) {
 		const seeds = 6
 		for seed := int64(0); seed < seeds; seed++ {
 			prog := genProgram(seed+400, 30)
-			want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+			want := runOnSTM(prog, cm.KindDefault)
 
 			rt := stm.New(stm.WithPaddedLockTable(true))
 			base := rt.Direct().Alloc(diffWords)
@@ -500,7 +482,7 @@ func TestDifferentialTracing(t *testing.T) {
 	const seeds = 4
 	for seed := int64(0); seed < seeds; seed++ {
 		prog := genProgram(seed+300, 30)
-		want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+		want := runOnSTM(prog, cm.KindDefault)
 
 		check := func(name string, got [diffWords]uint64, rec *txtrace.Recorder) {
 			t.Helper()
@@ -621,7 +603,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 	const seeds = 4
 	for seed := int64(0); seed < seeds; seed++ {
 		prog := genProgram(seed+500, 30)
-		want := runOnSTM(prog, clock.KindGV4, cm.KindDefault)
+		want := runOnSTM(prog, cm.KindDefault)
 
 		check := func(name string, got [diffWords]uint64, rec *txtrace.Recorder) {
 			t.Helper()

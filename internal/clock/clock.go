@@ -1,229 +1,87 @@
-// Package clock abstracts the global commit timestamp shared by every
-// transactional runtime in this repository — and, since it became a
-// strategy layer, lets each runtime choose HOW that timestamp is
-// maintained.
+// Package clock is the global commit timestamp shared by every
+// transactional runtime in this repository.
 //
 // SwissTM (paper §3.1), TLSTM (§3.2), TL2 and the write-through STM all
 // serialize commits through a single monotonically increasing counter:
 // a transaction samples it when it begins (its snapshot / read version)
 // and a writer stamps the published locations with a commit timestamp.
-// That counter is the single most contended word in the whole system —
-// every Begin reads it, every writer commit writes it — so TL2's family
-// of global-version-clock variants (GV4/GV5/GV7) trades a few extra
-// snapshot extensions or aborts for dramatically less cache-line
-// ping-pong. This package implements three of those strategies behind
-// one interface:
+// The counter is TL2's GV4: a padded atomic word ticked with one
+// fetch-and-add per writer commit.
 //
-//   - GV4 (the default): a padded atomic counter ticked with a single
-//     fetch-and-add per writer commit. Timestamps are dense and unique.
-//   - Deferred (GV5-style): writers stamp Now()+1 WITHOUT advancing the
-//     clock; the clock only advances when a reader observes a stamp
-//     ahead of it (Observe). The commit path performs no read-modify-
-//     write on the shared line at all; the price is that concurrent
-//     writers may share a timestamp and readers pay one extra snapshot
-//     extension per fresh stamp they encounter.
-//   - Sharded: per-context shards, each ticked locally; Now is the
-//     minimum over all shards and Observe reconciles lagging shards up
-//     to a witnessed stamp (the slow-path global max). Commits touch
-//     only their own shard's line, and begins read a cached minimum
-//     maintained by Observe instead of scanning the shards.
-//   - GV7: the randomized-increment variant of the deferred clock:
-//     writers stamp Now()+δ for a per-context random δ in [1, width]
-//     without advancing the clock. Like Deferred there is no RMW on the
-//     commit path; unlike Deferred, concurrent writers rarely share a
-//     stamp, which removes most of the shared-stamp aborts/extensions
-//     at the cost of a faster-growing (sparser) clock.
+// # The contract
 //
-// # The safety contract
-//
-// A runtime that accepts a read of version v without validation when
-// v ≤ validTS (its Now sample) is safe if and only if
+// The runtimes rely on two properties of the clock:
 //
 //	every Tick completes strictly above every Now sample
 //	that completed before the Tick was taken,           (T1)
 //
-// provided the runtime takes the Tick only AFTER acquiring the commit
-// locks of everything it is about to publish (all four runtimes do:
-// the lock acquisition makes concurrent readers of those locations spin
-// or abort rather than record a version). All three strategies satisfy
-// (T1):
+//	every Tick value is handed to exactly one caller, and
+//	after Tick returns t, Now() ≥ t.                    (exclusivity)
 //
-//   - GV4: Tick = Add(1) > everything any Load ever returned.
-//   - Deferred: Tick = Now()+1 and the clock is monotonic, so any
-//     sample that completed before the Tick is ≤ Now() < Tick.
-//   - Sharded: Now = a cached past minimum over the (monotonic) shards
-//     ≤ the current minimum ≤ the ticking context's own shard < its
-//     Tick result.
-//   - GV7: Tick = Now()+δ with δ ≥ 1, same argument as Deferred.
+// GV4 satisfies both: Tick = Add(1) is above everything any Load ever
+// returned, each Add result is unique, and the Add itself publishes t.
 //
-// Strategies whose stamps can run ahead of Now (Deferred, Sharded) are
-// called pre-publishing: a reader can meet a version its own snapshot
-// cannot cover yet, and no amount of re-sampling Now would help. The
-// Observe hook is the read-validation escape: Observe(v) folds a
-// witnessed stamp v back into the clock and returns a reading ≥ v, so
-// the caller's snapshot extension can succeed. Runtimes MUST call
-// Observe (directly or via their extend path) whenever they see a
-// version above their snapshot, or pre-publishing strategies livelock.
+// A runtime that accepts a read of version v without validation when
+// v ≤ validTS (its Now sample) is safe by (T1), provided it takes the
+// Tick only AFTER acquiring the commit locks of everything it is about
+// to publish (all four runtimes do: the lock acquisition makes
+// concurrent readers of those locations spin or abort rather than
+// record a version). Exclusivity is what lets TL2-style commits skip
+// read-set validation when their stamp is exactly readVersion+1 ("the
+// clock moved once" means "only we committed"), and what makes each
+// committed writer serialize at its own stamp in the offline opacity
+// checker (internal/txcheck).
 //
-// Equality-based read validation (SwissTM's cur == recorded) stays
-// sound under shared stamps for the same reason (T1) holds: recording
-// (pair, v) requires validTS ≥ v, hence every shard/clock ≥ v at record
-// time, hence any later tick that could re-stamp the pair is > v; and a
-// writer that took stamp v before the record holds the pair's commit
-// lock from before its Tick until publication, so the record cannot
-// have been made in between.
+// Equality-based read validation (SwissTM's cur == recorded) is sound
+// for the same reason (T1) holds: recording (pair, v) requires
+// validTS ≥ v, hence the clock ≥ v at record time, hence any later tick
+// that could re-stamp the pair is > v; and a writer that took stamp v
+// before the record holds the pair's commit lock from before its Tick
+// until publication, so the record cannot have been made in between.
+//
+// Source stays an interface so a runtime's clock can be injected
+// (txrt.WithClock, core.Config.Clock): a decorator that counts the
+// calls a runtime makes wraps the GV4 it is handed.
 package clock
 
-import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
+import "sync/atomic"
 
-	"tlstm/internal/xrand"
-)
+// Probe is the per-context argument of Tick and Observe. GV4 keeps no
+// per-context state, so it carries nothing; callers may pass nil.
+type Probe struct{}
 
-// Probe carries per-context clock-contention feedback: operations that
-// spin on a CAS report their retries here instead of keeping shared
-// counters inside the clock (which would reintroduce exactly the
-// contention the strategies exist to remove). Each worker/thread owns
-// one Probe and folds it into its private stats shard; the shard/Merge
-// plumbing of internal/txstats carries it the rest of the way.
-//
-// A Probe also pins its owner to a shard (Sharded strategy): the
-// assignment is sticky for the Probe's lifetime, which is what makes
-// shard ticks contention-free between contexts.
-type Probe struct {
-	// CASRetries counts failed compare-and-swaps inside clock
-	// operations since the last TakeRetries.
-	CASRetries uint64
-
-	// shard is the 1-based sticky shard assignment (0 = unassigned).
-	shard uint32
-
-	// rng is the per-context xorshift state behind GV7's randomized
-	// increments; seeded lazily, never shared.
-	rng uint64
-}
-
-// rand steps the probe's xorshift64 generator (GV7's increment draw).
-func (p *Probe) rand() uint64 { return xrand.Next(&p.rng) }
-
-// TakeRetries returns and clears the accumulated retry count (the shard
-// pinning survives, so a recycled descriptor keeps its affinity).
-func (p *Probe) TakeRetries() uint64 {
-	n := p.CASRetries
-	p.CASRetries = 0
-	return n
-}
-
-// NoWindow is the Window() value of strategies whose stamps may lead
-// Now() by an unbounded margin.
-const NoWindow = ^uint64(0)
-
-// Source is one commit-clock strategy. All methods are safe for
-// concurrent use. The *Probe arguments may be nil (retries are then
-// dropped and the Sharded strategy falls back to shard 0); hot paths
-// should pass their context's Probe.
+// Source is the commit clock. All methods are safe for concurrent use.
 type Source interface {
-	// Name is the strategy's flag/label name ("gv4", "deferred",
-	// "sharded").
-	Name() string
-
 	// Now returns the current timestamp: a value no greater than any
 	// Tick taken after Now completes (contract T1). Transactions sample
 	// it at begin and during snapshot extension.
 	Now() uint64
 
-	// Tick returns the commit timestamp for one writer commit. The
-	// caller must already hold the commit locks of every location it
-	// will stamp (see the package docs). Unless Exclusive reports true,
-	// concurrent writers may receive equal timestamps.
+	// Tick returns the commit timestamp for one writer commit, unique
+	// to the caller and published by the time Tick returns. The caller
+	// must already hold the commit locks of every location it will
+	// stamp (see the package docs).
 	Tick(p *Probe) uint64
 
-	// Observe is the read-validation hook for pre-published stamps: it
-	// folds a witnessed version v (a value previously returned by Tick,
-	// or 0 for a plain re-sample) into the clock and returns a reading
-	// ≥ v. After Observe(v) returns, Now() ≥ v.
+	// Observe re-samples the clock during snapshot extension, given the
+	// witnessed version v that sent the reader there. It returns a
+	// reading ≥ v for any v a Tick has returned.
 	Observe(v uint64, p *Probe) uint64
-
-	// Exclusive reports whether every Tick value is handed to exactly
-	// one committer. TL2-style runtimes may skip read-set validation
-	// when their commit stamp is exactly readVersion+1 — that shortcut
-	// is sound only on exclusive sources.
-	Exclusive() bool
-
-	// Window bounds how far a stamp returned by Tick may lead Now() at
-	// the moment of publication: 0 (GV4; ticks publish immediately),
-	// a small constant (Deferred: 1), or NoWindow (Sharded; readers
-	// rely on Observe instead of a bound).
-	Window() uint64
 }
 
-// Kind names a built-in strategy; the zero value is the GV4 default.
+// Kind names a clock; GV4 is the only one.
 type Kind int
 
-const (
-	// KindGV4 is the fetch-and-add clock (TL2's GV4; the default).
-	KindGV4 Kind = iota
-	// KindDeferred is the GV5-style deferred-tick clock.
-	KindDeferred
-	// KindSharded is the per-context sharded clock.
-	KindSharded
-	// KindGV7 is the randomized-increment deferred clock.
-	KindGV7
-)
+// KindGV4 is the fetch-and-add clock (TL2's GV4).
+const KindGV4 Kind = 0
 
-// Kinds lists every built-in strategy, in flag order.
-func Kinds() []Kind { return []Kind{KindGV4, KindDeferred, KindSharded, KindGV7} }
-
-// String returns the flag/label name of the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindGV4:
-		return "gv4"
-	case KindDeferred:
-		return "deferred"
-	case KindSharded:
-		return "sharded"
-	case KindGV7:
-		return "gv7"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Parse maps a flag name to its Kind.
-func Parse(name string) (Kind, error) {
-	for _, k := range Kinds() {
-		if name == k.String() {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("clock: unknown strategy %q (want gv4, deferred, sharded or gv7)", name)
-}
-
-// New returns a fresh instance of the kind's strategy.
-func New(k Kind) Source {
-	switch k {
-	case KindDeferred:
-		return &Deferred{}
-	case KindSharded:
-		return NewSharded(0)
-	case KindGV7:
-		return NewGV7(0)
-	default:
-		return &GV4{}
-	}
-}
+// New returns a fresh clock of the kind.
+func New(Kind) Source { return &GV4{} }
 
 // pad keeps a counter on its own cache line: false sharing with
 // adjacent fields would charge the clock's contention to innocent
 // bystanders.
 type pad [56]byte
-
-// ---------------------------------------------------------------------------
-// GV4
-// ---------------------------------------------------------------------------
 
 // GV4 is the classic fetch-and-add commit clock: dense, unique,
 // immediately published timestamps; one atomic Add per writer commit.
@@ -235,317 +93,14 @@ type GV4 struct {
 	_  pad
 }
 
-// Name implements Source.
-func (c *GV4) Name() string { return KindGV4.String() }
-
 // Now implements Source.
 func (c *GV4) Now() uint64 { return c.ts.Load() }
 
-// Tick implements Source: one fetch-and-add, never any retries.
+// Tick implements Source: one fetch-and-add.
 func (c *GV4) Tick(*Probe) uint64 { return c.ts.Add(1) }
 
 // Observe implements Source. GV4 stamps never lead the clock, so this
 // is a plain re-sample.
 func (c *GV4) Observe(uint64, *Probe) uint64 { return c.ts.Load() }
 
-// Exclusive implements Source: Add hands each committer its own stamp.
-func (c *GV4) Exclusive() bool { return true }
-
-// Window implements Source: a stamp is public the instant it exists.
-func (c *GV4) Window() uint64 { return 0 }
-
-// ---------------------------------------------------------------------------
-// Deferred (GV5-style)
-// ---------------------------------------------------------------------------
-
-// Deferred is the GV5-style deferred-tick clock: Tick returns Now()+1
-// without writing, so the writer commit path performs no atomic RMW on
-// the shared line — the CAS storm of a commit-heavy workload simply
-// disappears. The clock advances only when a reader Observes a stamp
-// ahead of it, costing that reader one CAS and one snapshot extension.
-// Concurrent writers may share a stamp (Exclusive is false), which is
-// safe under the package's (T1) argument but forbids the
-// "wv == rv+1 ⇒ skip validation" shortcut.
-// The zero value is a valid clock reading 0.
-type Deferred struct {
-	_  pad
-	ts atomic.Uint64
-	_  pad
-}
-
-// Name implements Source.
-func (c *Deferred) Name() string { return KindDeferred.String() }
-
-// Now implements Source.
-func (c *Deferred) Now() uint64 { return c.ts.Load() }
-
-// Tick implements Source: stamp one past the clock, never advance it.
-func (c *Deferred) Tick(*Probe) uint64 { return c.ts.Load() + 1 }
-
-// Observe implements Source: fold the witnessed stamp into the clock
-// (CAS-max; stamps lead by at most 1, so one step usually suffices).
-func (c *Deferred) Observe(v uint64, p *Probe) uint64 {
-	for {
-		cur := c.ts.Load()
-		if cur >= v {
-			return cur
-		}
-		if c.ts.CompareAndSwap(cur, v) {
-			return v
-		}
-		if p != nil {
-			p.CASRetries++
-		}
-	}
-}
-
-// Exclusive implements Source: concurrent writers may share stamps.
-func (c *Deferred) Exclusive() bool { return false }
-
-// Window implements Source: a stamp leads the clock by at most one.
-func (c *Deferred) Window() uint64 { return 1 }
-
-// ---------------------------------------------------------------------------
-// Sharded
-// ---------------------------------------------------------------------------
-
-type shard struct {
-	_ pad
-	v atomic.Uint64
-	_ pad
-}
-
-// Sharded distributes the clock over per-context shards: Tick is a CAS
-// on the ticking context's own shard (contention-free across contexts)
-// and Observe is the slow-path reconciliation: it raises every lagging
-// shard to a witnessed stamp and recomputes the minimum over all
-// shards, which is also what keeps the clock from stalling behind an
-// idle shard.
-//
-// Now — the begin-path fast sample — returns a cached copy of the last
-// minimum Observe reconciled, one plain load instead of a shard scan.
-// Returning a stale minimum is safe because it is conservative: shards
-// are monotonic, so a past minimum is ≤ the current minimum — the
-// reader just begins on a slightly older snapshot and, on meeting a
-// fresher stamp, lands in Observe, which both extends the snapshot and
-// refreshes the cache. Begin-heavy workloads therefore skip the O(
-// shards) scan entirely.
-//
-// Safety (package docs, T1): Now = cached past min ≤ current min ≤ own
-// shard < own Tick, and every shard is monotonic (the cache is raised
-// by CAS-max only). Stamps from different shards may collide
-// (Exclusive is false) and may lead Now by an unbounded margin
-// (Window is NoWindow) — readers are expected to Observe.
-type Sharded struct {
-	shards []shard
-	mask   uint32
-	assign atomic.Uint32
-
-	// cachedNow is the begin-path fast sample: the last reconciled
-	// minimum, raised only in Observe (and only upward).
-	_         pad
-	cachedNow atomic.Uint64
-	_         pad
-}
-
-// NewSharded creates a sharded clock with n shards (rounded up to a
-// power of two; n ≤ 0 picks a default based on GOMAXPROCS).
-func NewSharded(n int) *Sharded {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	size := 2
-	for size < n {
-		size *= 2
-	}
-	return &Sharded{shards: make([]shard, size), mask: uint32(size - 1)}
-}
-
-// ShardCount reports the number of shards (tests).
-func (c *Sharded) ShardCount() int { return len(c.shards) }
-
-// slot returns the probe's sticky shard, assigning one round-robin on
-// first use. A nil probe shares shard 0.
-func (c *Sharded) slot(p *Probe) *atomic.Uint64 {
-	if p == nil {
-		return &c.shards[0].v
-	}
-	if p.shard == 0 {
-		p.shard = c.assign.Add(1)
-	}
-	return &c.shards[(p.shard-1)&c.mask].v
-}
-
-// Name implements Source.
-func (c *Sharded) Name() string { return KindSharded.String() }
-
-// Now implements Source: the cached reconciled minimum (see the type
-// docs). Monotonic because the cache only moves up.
-func (c *Sharded) Now() uint64 { return c.cachedNow.Load() }
-
-// scanMin computes the current minimum over all shards (the Observe
-// slow path; Now serves the cached copy).
-func (c *Sharded) scanMin() uint64 {
-	m := c.shards[0].v.Load()
-	for i := 1; i < len(c.shards); i++ {
-		if v := c.shards[i].v.Load(); v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Tick implements Source: advance the caller's own shard only.
-func (c *Sharded) Tick(p *Probe) uint64 {
-	s := c.slot(p)
-	for {
-		cur := s.Load()
-		if s.CompareAndSwap(cur, cur+1) {
-			return cur + 1
-		}
-		if p != nil {
-			p.CASRetries++
-		}
-	}
-}
-
-// Observe implements Source: the reconciliation slow path. Every shard
-// below the witnessed stamp is raised to it, so the global minimum —
-// and with it every future Now — covers v; the freshly scanned minimum
-// is then published into the begin-path cache (CAS-max, so concurrent
-// observers never lower it).
-func (c *Sharded) Observe(v uint64, p *Probe) uint64 {
-	for i := range c.shards {
-		s := &c.shards[i].v
-		for {
-			cur := s.Load()
-			if cur >= v {
-				break
-			}
-			if s.CompareAndSwap(cur, v) {
-				break
-			}
-			if p != nil {
-				p.CASRetries++
-			}
-		}
-	}
-	m := c.scanMin()
-	for {
-		cur := c.cachedNow.Load()
-		if cur >= m || c.cachedNow.CompareAndSwap(cur, m) {
-			break
-		}
-		if p != nil {
-			p.CASRetries++
-		}
-	}
-	if m > v {
-		return m
-	}
-	return v
-}
-
-// Exclusive implements Source: shards mint stamps independently.
-func (c *Sharded) Exclusive() bool { return false }
-
-// Window implements Source: an idle reader may lag a busy shard by an
-// unbounded margin; Observe is the recovery path.
-func (c *Sharded) Window() uint64 { return NoWindow }
-
-// ---------------------------------------------------------------------------
-// GV7
-// ---------------------------------------------------------------------------
-
-// GV7 is the randomized-increment deferred clock (the GV7 proposal of
-// TL2's global-version-clock lineage): Tick stamps Now()+δ for a
-// per-context random δ in [1, width] without writing the shared line —
-// the commit path, like Deferred's, performs no atomic RMW at all. The
-// randomization is the difference from Deferred: concurrent writers
-// draw different δ with high probability, so they rarely share a stamp,
-// which removes most of the shared-stamp validation work (extra aborts
-// on TL2, extra extensions elsewhere) that Deferred trades for its free
-// commits. The price is a sparser, faster-growing clock and a slightly
-// larger publication window (Window = width instead of 1).
-//
-// Safety (package docs, T1): Tick = Now()+δ with δ ≥ 1 and the clock is
-// monotonic, so any sample that completed before the Tick is ≤ Now() <
-// Tick — the same argument as Deferred. Stamps may still collide
-// (Exclusive is false): randomization makes sharing rare, not
-// impossible.
-type GV7 struct {
-	_    pad
-	ts   atomic.Uint64
-	_    pad
-	mask uint64        // width−1 (width is a power of two)
-	seed atomic.Uint64 // fallback δ stream for nil-probe callers
-}
-
-// DefaultGV7Width is the default randomized-increment width.
-const DefaultGV7Width = 8
-
-// NewGV7 creates a randomized-increment clock with increments drawn
-// from [1, width] (width rounded up to a power of two; width ≤ 0 picks
-// DefaultGV7Width).
-func NewGV7(width int) *GV7 {
-	if width <= 0 {
-		width = DefaultGV7Width
-	}
-	size := 1
-	for size < width {
-		size *= 2
-	}
-	return &GV7{mask: uint64(size - 1)}
-}
-
-// Width reports the increment width (tests).
-func (c *GV7) Width() int { return int(c.mask + 1) }
-
-// Name implements Source.
-func (c *GV7) Name() string { return KindGV7.String() }
-
-// Now implements Source.
-func (c *GV7) Now() uint64 { return c.ts.Load() }
-
-// Tick implements Source: stamp a random step past the clock, never
-// advance it.
-func (c *GV7) Tick(p *Probe) uint64 {
-	var r uint64
-	if p != nil {
-		r = p.rand()
-	} else {
-		r = c.seed.Add(0x9e3779b97f4a7c15)
-	}
-	return c.ts.Load() + 1 + (r & c.mask)
-}
-
-// Observe implements Source: fold the witnessed stamp into the clock
-// (CAS-max, exactly like Deferred).
-func (c *GV7) Observe(v uint64, p *Probe) uint64 {
-	for {
-		cur := c.ts.Load()
-		if cur >= v {
-			return cur
-		}
-		if c.ts.CompareAndSwap(cur, v) {
-			return v
-		}
-		if p != nil {
-			p.CASRetries++
-		}
-	}
-}
-
-// Exclusive implements Source: concurrent writers may (rarely) share
-// stamps.
-func (c *GV7) Exclusive() bool { return false }
-
-// Window implements Source: a stamp leads the clock by at most width.
-func (c *GV7) Window() uint64 { return c.mask + 1 }
-
-var (
-	_ Source = (*GV4)(nil)
-	_ Source = (*Deferred)(nil)
-	_ Source = (*Sharded)(nil)
-	_ Source = (*GV7)(nil)
-)
+var _ Source = (*GV4)(nil)

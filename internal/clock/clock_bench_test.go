@@ -6,117 +6,61 @@ import (
 	"testing"
 )
 
-// Raw strategy costs. BenchmarkClockCommitPath is the headline number:
+// Raw clock costs. BenchmarkClockCommitPath is the headline number:
 // one begin-sample plus one commit-tick per iteration — the exact clock
 // traffic of a small writer transaction — hammered from an exact number
 // of goroutines (not RunParallel, whose worker count scales with
 // GOMAXPROCS and would make the threads= labels machine-dependent).
-// The deferred strategy replaces GV4's atomic Add with a plain load,
-// which is the whole point of the strategy layer.
-
-func benchSources() []struct {
-	name string
-	mk   func() Source
-} {
-	return []struct {
-		name string
-		mk   func() Source
-	}{
-		{"gv4", func() Source { return &GV4{} }},
-		{"deferred", func() Source { return &Deferred{} }},
-		{"sharded", func() Source { return NewSharded(4) }},
-		{"gv7", func() Source { return NewGV7(8) }},
-	}
-}
 
 // BenchmarkClockBeginPath measures the begin-path sample alone — one
 // Now() per transaction begin, the single hottest clock operation in a
-// begin-heavy (read-dominated) workload. The interesting strategy is
-// Sharded: its Now used to scan every shard per begin; the cached
-// minimum makes it one plain load, like the flat clocks. The clock is
-// pre-warmed with a few observed ticks so the fast path runs against a
-// realistic non-zero state.
+// begin-heavy (read-dominated) workload.
 func BenchmarkClockBeginPath(b *testing.B) {
-	for _, s := range benchSources() {
-		b.Run(s.name, func(b *testing.B) {
-			src := s.mk()
-			var p Probe
-			for i := 0; i < 16; i++ {
-				src.Observe(src.Tick(&p), &p)
-			}
-			var sink uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += src.Now()
-			}
-			_ = sink
-		})
+	var c GV4
+	for i := 0; i < 16; i++ {
+		c.Tick(nil)
 	}
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += c.Now()
+	}
+	_ = sink
 }
 
 func BenchmarkClockCommitPath(b *testing.B) {
-	for _, s := range benchSources() {
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/threads=%d", s.name, par), func(b *testing.B) {
-				src := s.mk()
-				iters := b.N / par
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for g := 0; g < par; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						var p Probe
-						var sink uint64
-						for i := 0; i < iters; i++ {
-							sink += src.Now()    // begin: snapshot sample
-							sink += src.Tick(&p) // commit: stamp
-						}
-						_ = sink
-					}()
-				}
-				wg.Wait()
-			})
-		}
-	}
-}
-
-// BenchmarkShardedNowScan measures the shard scan the cached begin
-// sample replaced: what Sharded.Now used to cost per transaction begin
-// (and what Observe still pays once per reconciliation).
-func BenchmarkShardedNowScan(b *testing.B) {
-	for _, shards := range []int{4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := NewSharded(shards)
-			var p Probe
-			for i := 0; i < 16; i++ {
-				c.Observe(c.Tick(&p), &p)
-			}
-			var sink uint64
+	for _, par := range []int{1, 4} {
+		b.Run(fmt.Sprintf("threads=%d", par), func(b *testing.B) {
+			var c GV4
+			iters := b.N / par
+			var wg sync.WaitGroup
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += c.scanMin()
+			for g := 0; g < par; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var sink uint64
+					for i := 0; i < iters; i++ {
+						sink += c.Now()     // begin: snapshot sample
+						sink += c.Tick(nil) // commit: stamp
+					}
+					_ = sink
+				}()
 			}
-			_ = sink
+			wg.Wait()
 		})
 	}
 }
 
 // BenchmarkClockReadValidation measures the reader side: a Now sample
-// plus an Observe of a fresh stamp (the extension path pre-publishing
-// strategies push work onto).
+// plus an Observe of a fresh stamp (the snapshot-extension path).
 func BenchmarkClockReadValidation(b *testing.B) {
-	for _, s := range benchSources() {
-		b.Run(s.name, func(b *testing.B) {
-			src := s.mk()
-			var p Probe
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				ts := src.Tick(&p)
-				sink += src.Observe(ts, &p)
-				sink += src.Now()
-			}
-			_ = sink
-		})
+	var c GV4
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		ts := c.Tick(nil)
+		sink += c.Observe(ts, nil)
+		sink += c.Now()
 	}
+	_ = sink
 }

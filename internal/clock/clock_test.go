@@ -16,13 +16,10 @@ func TestGV4ZeroValueAndTick(t *testing.T) {
 	if c.Now() != 1 {
 		t.Fatalf("Now after Tick = %d, want 1", c.Now())
 	}
-	if !c.Exclusive() || c.Window() != 0 {
-		t.Fatal("GV4 must be exclusive with window 0")
-	}
 }
 
 // Concurrent GV4 Ticks must hand out unique, dense timestamps — commit
-// serialization under the default strategy depends on it.
+// serialization depends on it.
 func TestGV4ConcurrentTicksUnique(t *testing.T) {
 	const workers = 8
 	const perWorker = 1000
@@ -34,12 +31,8 @@ func TestGV4ConcurrentTicksUnique(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var p Probe
 			for i := 0; i < perWorker; i++ {
-				got[w] = append(got[w], c.Tick(&p))
-			}
-			if p.CASRetries != 0 {
-				t.Errorf("GV4 Tick reported %d CAS retries, want 0 (it is an Add)", p.CASRetries)
+				got[w] = append(got[w], c.Tick(nil))
 			}
 		}(w)
 	}
@@ -67,167 +60,14 @@ func TestGV4ConcurrentTicksUnique(t *testing.T) {
 	}
 }
 
-// The deferred clock's whole point: ticking does not move the clock;
-// observing the resulting stamp does.
-func TestDeferredTickDoesNotAdvance(t *testing.T) {
-	var c Deferred
-	var p Probe
-	if ts := c.Tick(&p); ts != 1 {
-		t.Fatalf("Tick = %d, want 1", ts)
-	}
-	if c.Now() != 0 {
-		t.Fatalf("Now after deferred Tick = %d, want 0 (tick is deferred)", c.Now())
-	}
-	if got := c.Observe(1, &p); got < 1 {
-		t.Fatalf("Observe(1) = %d, want ≥ 1", got)
-	}
-	if c.Now() != 1 {
-		t.Fatalf("Now after Observe = %d, want 1", c.Now())
-	}
-	// The next tick builds on the observed stamp.
-	if ts := c.Tick(&p); ts != 2 {
-		t.Fatalf("Tick after Observe = %d, want 2", ts)
-	}
-	if c.Exclusive() {
-		t.Fatal("deferred clock must not claim exclusive stamps")
-	}
-	if c.Window() != 1 {
-		t.Fatalf("deferred window = %d, want 1", c.Window())
-	}
-}
-
-// The sharded clock: Now is the min over shards, so a tick on one shard
-// is invisible until Observe reconciles the others up to it.
-func TestShardedMinAndReconcile(t *testing.T) {
-	c := NewSharded(4)
-	if c.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d, want 4", c.ShardCount())
-	}
-	var p1, p2 Probe
-	ts := c.Tick(&p1)
-	if ts != 1 {
-		t.Fatalf("first Tick = %d, want 1", ts)
-	}
-	if c.Now() != 0 {
-		t.Fatalf("Now = %d, want 0 (other shards still at 0)", c.Now())
-	}
-	if got := c.Observe(ts, &p2); got < ts {
-		t.Fatalf("Observe(%d) = %d, want ≥ %d", ts, got, ts)
-	}
-	if c.Now() < ts {
-		t.Fatalf("Now after Observe = %d, want ≥ %d", c.Now(), ts)
-	}
-	// Distinct probes stick to distinct shards: their ticks are
-	// independent (both mint min+1 here).
-	a, b := c.Tick(&p1), c.Tick(&p2)
-	if a == 0 || b == 0 {
-		t.Fatal("ticks must be positive")
-	}
-	if c.Exclusive() {
-		t.Fatal("sharded clock must not claim exclusive stamps")
-	}
-	if c.Window() != NoWindow {
-		t.Fatalf("sharded window = %d, want NoWindow", c.Window())
-	}
-}
-
-// The sharded begin-path fast sample: Now is the cached minimum
-// maintained by Observe — stale (conservative) between reconciliations,
-// refreshed by any Observe, including the plain re-sample Observe(0).
-func TestShardedCachedNow(t *testing.T) {
-	c := NewSharded(4)
-	var p Probe
-	ts := c.Tick(&p)
-	// All other shards are still 0, so the true minimum is 0 and the
-	// cache agrees.
-	if c.Now() != 0 {
-		t.Fatalf("Now = %d, want 0", c.Now())
-	}
-	// Raise every shard via Observe: the cache must now cover the stamp.
-	if got := c.Observe(ts, &p); got < ts {
-		t.Fatalf("Observe(%d) = %d", ts, got)
-	}
-	if c.Now() < ts {
-		t.Fatalf("cached Now = %d after Observe(%d)", c.Now(), ts)
-	}
-	// A tick on one shard advances the true minimum only after the
-	// other shards catch up; the cache must never run AHEAD of the true
-	// minimum (conservative), and a plain re-sample Observe(0) must
-	// refresh it to exactly the true minimum.
-	ts2 := c.Tick(&p)
-	if now := c.Now(); now >= ts2 {
-		t.Fatalf("cached Now = %d runs ahead of unreconciled stamp %d", now, ts2)
-	}
-	c.Observe(ts2, &p)
-	if got, want := c.Observe(0, nil), c.Now(); got != want {
-		t.Fatalf("Observe(0) = %d, want reconciled minimum %d", got, want)
-	}
-	if c.Now() < ts2 {
-		t.Fatalf("cached Now = %d after reconciling %d", c.Now(), ts2)
-	}
-}
-
-// GV7: ticking never advances the clock, stamps lead it by a bounded
-// random step in [1, width], and observing folds them back in.
-func TestGV7RandomizedIncrement(t *testing.T) {
-	c := NewGV7(8)
-	if c.Width() != 8 {
-		t.Fatalf("Width = %d, want 8", c.Width())
-	}
-	var p Probe
-	steps := map[uint64]bool{}
-	for i := 0; i < 200; i++ {
-		now := c.Now()
-		ts := c.Tick(&p)
-		if ts <= now || ts > now+uint64(c.Width()) {
-			t.Fatalf("Tick = %d with Now = %d, want in (%d, %d]", ts, now, now, now+uint64(c.Width()))
-		}
-		if c.Now() != now {
-			t.Fatalf("Tick advanced the clock: %d -> %d", now, c.Now())
-		}
-		steps[ts-now] = true
-		c.Observe(ts, &p)
-		if c.Now() < ts {
-			t.Fatalf("Now = %d after Observe(%d)", c.Now(), ts)
-		}
-	}
-	if len(steps) < 2 {
-		t.Fatal("randomized increments produced a constant step; expected a spread")
-	}
-	if c.Exclusive() {
-		t.Fatal("gv7 must not claim exclusive stamps")
-	}
-	if c.Window() != uint64(c.Width()) {
-		t.Fatalf("Window = %d, want %d", c.Window(), c.Width())
-	}
-	// Width rounds up to a power of two; zero picks the default.
-	if NewGV7(5).Width() != 8 || NewGV7(0).Width() != DefaultGV7Width {
-		t.Fatal("width rounding/default broken")
-	}
-}
-
+// New hands out a fresh GV4 per call: two runtimes never share one.
 func TestParseAndNew(t *testing.T) {
-	for _, k := range Kinds() {
-		got, err := Parse(k.String())
-		if err != nil || got != k {
-			t.Fatalf("Parse(%q) = %v, %v", k.String(), got, err)
-		}
-		src := New(k)
-		if src.Name() != k.String() {
-			t.Fatalf("New(%v).Name() = %q, want %q", k, src.Name(), k.String())
-		}
+	a, b := New(KindGV4), New(KindGV4)
+	if _, ok := a.(*GV4); !ok {
+		t.Fatalf("New(KindGV4) = %T, want *GV4", a)
 	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("Parse must reject unknown strategies")
-	}
-}
-
-func TestProbeTakeRetries(t *testing.T) {
-	p := Probe{CASRetries: 7}
-	if p.TakeRetries() != 7 {
-		t.Fatal("TakeRetries must return the accumulated count")
-	}
-	if p.CASRetries != 0 || p.TakeRetries() != 0 {
-		t.Fatal("TakeRetries must clear the count")
+	a.Tick(nil)
+	if a.Now() != 1 || b.Now() != 0 {
+		t.Fatalf("New shares state between instances: %d, %d", a.Now(), b.Now())
 	}
 }

@@ -6,20 +6,13 @@ import (
 	"testing"
 )
 
-// Shared conformance suite: every commit-clock strategy must satisfy
-// the properties the runtimes' safety arguments rest on (package docs,
-// contract T1). Run with -race: the suite doubles as the strategies'
-// concurrency hammering.
+// Conformance suite: the clock must satisfy the properties the
+// runtimes' safety arguments rest on (package docs, contract T1 and
+// exclusivity). Run with -race: the suite doubles as the clock's
+// concurrency hammering. The subtests sit under "gv4", the clock's
+// name in trace metadata.
 
-// conformanceSources builds one fresh instance per strategy.
-func conformanceSources() map[string]func() Source {
-	return map[string]func() Source{
-		"gv4":      func() Source { return &GV4{} },
-		"deferred": func() Source { return &Deferred{} },
-		"sharded":  func() Source { return NewSharded(4) },
-		"gv7":      func() Source { return NewGV7(8) },
-	}
-}
+func newGV4() Source { return &GV4{} }
 
 func casMax(a *atomic.Uint64, v uint64) {
 	for {
@@ -30,18 +23,16 @@ func casMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// TestConformance runs the full property set against all strategies.
+// TestConformance runs the full property set against the clock.
 func TestConformance(t *testing.T) {
-	for name, mk := range conformanceSources() {
-		t.Run(name, func(t *testing.T) {
-			t.Run("ZeroValue", func(t *testing.T) { conformZero(t, mk()) })
-			t.Run("TickAboveCompletedSamples", func(t *testing.T) { conformT1(t, mk()) })
-			t.Run("MonotonicNow", func(t *testing.T) { conformMonotonic(t, mk()) })
-			t.Run("ObserveCatchesUp", func(t *testing.T) { conformObserve(t, mk()) })
-			t.Run("NoLostTicks", func(t *testing.T) { conformNoLostTicks(t, mk()) })
-			t.Run("WindowBound", func(t *testing.T) { conformWindow(t, mk()) })
-		})
-	}
+	t.Run("gv4", func(t *testing.T) {
+		t.Run("ZeroValue", func(t *testing.T) { conformZero(t, newGV4()) })
+		t.Run("TickAboveCompletedSamples", func(t *testing.T) { conformT1(t, newGV4()) })
+		t.Run("MonotonicNow", func(t *testing.T) { conformMonotonic(t, newGV4()) })
+		t.Run("ObserveCatchesUp", func(t *testing.T) { conformObserve(t, newGV4()) })
+		t.Run("NoLostTicks", func(t *testing.T) { conformNoLostTicks(t, newGV4()) })
+		t.Run("WindowBound", func(t *testing.T) { conformPublished(t, newGV4()) })
+	})
 }
 
 // conformZero: the zero/fresh state reads 0 and the first tick is ≥ 1.
@@ -49,8 +40,7 @@ func conformZero(t *testing.T, src Source) {
 	if src.Now() != 0 {
 		t.Fatalf("fresh clock reads %d, want 0", src.Now())
 	}
-	var p Probe
-	if ts := src.Tick(&p); ts < 1 {
+	if ts := src.Tick(nil); ts < 1 {
 		t.Fatalf("first Tick = %d, want ≥ 1", ts)
 	}
 }
@@ -78,16 +68,12 @@ func conformT1(t *testing.T, src Source) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var p Probe
 			for i := 0; i < iters; i++ {
 				m := hi.Load()
-				if ts := src.Tick(&p); ts <= m {
+				if ts := src.Tick(nil); ts <= m {
 					t.Errorf("Tick = %d, but a Now sample of %d had already completed (T1 violated)", ts, m)
 					return
 				}
-				// Publish the stamp back so samplers can advance
-				// (pre-publishing strategies stall otherwise).
-				src.Observe(src.Tick(&p), &p)
 			}
 		}()
 	}
@@ -95,7 +81,7 @@ func conformT1(t *testing.T, src Source) {
 }
 
 // conformMonotonic: per-goroutine Now observations never go backwards,
-// under concurrent ticking and observing.
+// under concurrent ticking.
 func conformMonotonic(t *testing.T, src Source) {
 	const readers, writers, iters = 4, 2, 2000
 
@@ -105,9 +91,8 @@ func conformMonotonic(t *testing.T, src Source) {
 		writerWG.Add(1)
 		go func() {
 			defer writerWG.Done()
-			var p Probe
 			for i := 0; i < iters; i++ {
-				src.Observe(src.Tick(&p), &p)
+				src.Tick(nil)
 			}
 		}()
 	}
@@ -136,11 +121,10 @@ func conformMonotonic(t *testing.T, src Source) {
 	readerWG.Wait()
 }
 
-// conformObserve: after Observe(v) of any previously minted stamp v,
-// Now() must cover v — and no later Tick may ever re-issue v or
-// anything below it (published stamps are retired: this is what keeps
-// location versions from regressing once a runtime has stamped memory
-// and advanced the clock past it).
+// conformObserve: Observe(v) of any previously minted stamp v returns
+// a reading ≥ v, Now() covers v, and no later Tick may ever re-issue v
+// or anything below it (this is what keeps location versions from
+// regressing once a runtime has stamped memory).
 func conformObserve(t *testing.T, src Source) {
 	const workers, iters = 6, 2000
 	var wg sync.WaitGroup
@@ -148,15 +132,14 @@ func conformObserve(t *testing.T, src Source) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var p Probe
 			prev := uint64(0)
 			for i := 0; i < iters; i++ {
-				ts := src.Tick(&p)
+				ts := src.Tick(nil)
 				if ts <= prev {
 					t.Errorf("Tick = %d after this goroutine observed %d: published stamps must be retired", ts, prev)
 					return
 				}
-				if got := src.Observe(ts, &p); got < ts {
+				if got := src.Observe(ts, nil); got < ts {
 					t.Errorf("Observe(%d) = %d, want ≥ %d", ts, got, ts)
 					return
 				}
@@ -171,13 +154,9 @@ func conformObserve(t *testing.T, src Source) {
 	wg.Wait()
 }
 
-// conformNoLostTicks: exclusive sources hand out globally unique,
-// dense, per-goroutine increasing timestamps; for every source the
-// final observed maximum is recoverable through Observe (no tick is
-// lost to the clock). Non-exclusive pre-publishing sources may wobble
-// within their window between Observes (GV7's randomized step does) —
-// their ordering obligation is conformObserve's: never below a
-// published stamp.
+// conformNoLostTicks: concurrent Ticks hand out globally unique,
+// dense, per-goroutine increasing timestamps, and the final clock
+// covers the maximum of them.
 func conformNoLostTicks(t *testing.T, src Source) {
 	const workers, perWorker = 6, 1500
 
@@ -187,67 +166,51 @@ func conformNoLostTicks(t *testing.T, src Source) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var p Probe
 			for i := 0; i < perWorker; i++ {
-				got[w] = append(got[w], src.Tick(&p))
+				got[w] = append(got[w], src.Tick(nil))
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	var max uint64
 	seen := make(map[uint64]bool)
 	for w := range got {
 		prev := uint64(0)
 		for _, ts := range got[w] {
-			if ts == 0 {
-				t.Fatal("Tick returned 0")
+			if ts <= prev {
+				t.Fatalf("ticks not strictly increasing: %d after %d", ts, prev)
 			}
-			if src.Exclusive() {
-				if ts <= prev && prev != 0 {
-					t.Fatalf("exclusive ticks not strictly increasing: %d after %d", ts, prev)
-				}
-				if seen[ts] {
-					t.Fatalf("exclusive source handed out duplicate timestamp %d", ts)
-				}
-				seen[ts] = true
+			if seen[ts] {
+				t.Fatalf("duplicate timestamp %d", ts)
 			}
+			seen[ts] = true
 			prev = ts
-			if ts > max {
-				max = ts
-			}
 		}
 	}
-	if src.Exclusive() {
-		if want := uint64(workers * perWorker); src.Now() != want {
-			t.Fatalf("final exclusive clock = %d, want %d (dense)", src.Now(), want)
-		}
-	}
-	if got := src.Observe(max, nil); got < max {
-		t.Fatalf("Observe(max=%d) = %d: the maximum minted stamp was lost", max, got)
-	}
-	if src.Now() < max {
-		t.Fatalf("Now() = %d after observing max %d", src.Now(), max)
+	if want := uint64(workers * perWorker); src.Now() != want {
+		t.Fatalf("final clock = %d, want %d (dense)", src.Now(), want)
 	}
 }
 
-// conformWindow: when the strategy declares a finite window, a freshly
-// minted stamp leads Now by at most that much.
-func conformWindow(t *testing.T, src Source) {
-	w := src.Window()
-	if w == NoWindow {
-		t.Skip("strategy declares no publication window; readers rely on Observe")
+// conformPublished: a tick is published when Tick returns — Now() ≥ t
+// right after, also while other goroutines tick concurrently.
+func conformPublished(t *testing.T, src Source) {
+	const workers, iters = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				ts := src.Tick(nil)
+				if now := src.Now(); now < ts {
+					t.Errorf("Now() = %d right after Tick returned %d", now, ts)
+					return
+				}
+			}
+		}()
 	}
-	var p Probe
-	for i := 0; i < 100; i++ {
-		ts := src.Tick(&p)
-		if now := src.Now(); ts > now+w {
-			t.Fatalf("stamp %d leads Now %d by more than the declared window %d", ts, now, w)
-		}
-		if i%3 == 0 {
-			src.Observe(ts, &p)
-		}
-	}
+	wg.Wait()
 }
 
 // TestSnapshotValidity is the clock-level form of the runtimes' read
@@ -256,20 +219,13 @@ func conformWindow(t *testing.T, src Source) {
 // is unreadable at snapshot s without an extension. The concurrent
 // version is conformT1; this is the direct sequential statement.
 func TestSnapshotValidity(t *testing.T) {
-	for name, mk := range conformanceSources() {
-		t.Run(name, func(t *testing.T) {
-			src := mk()
-			var p Probe
-			for i := 0; i < 1000; i++ {
-				s := src.Now()
-				ts := src.Tick(&p)
-				if s >= ts {
-					t.Fatalf("snapshot %d covers later stamp %d: a value stamped %d would be readable without extension", s, ts, ts)
-				}
-				if i%2 == 0 {
-					src.Observe(ts, &p)
-				}
+	t.Run("gv4", func(t *testing.T) {
+		src := newGV4()
+		for i := 0; i < 1000; i++ {
+			s := src.Now()
+			if ts := src.Tick(nil); s >= ts {
+				t.Fatalf("snapshot %d covers later stamp %d: a value stamped %d would be readable without extension", s, ts, ts)
 			}
-		})
-	}
+		}
+	})
 }

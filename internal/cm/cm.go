@@ -397,13 +397,12 @@ const PoliteDefeats = 1
 // seniority timestamp and older beats younger. One instance is shared
 // by all transactions of a runtime; the zero value is ready to use.
 //
-// The greedy-phase ordering comes from a clock.GV4 — the same padded
-// fetch-and-add type the commit clock's default strategy uses — so both
-// orderings in the system (commit serialization and conflict seniority)
-// are built from one shared primitive. It stays a GV4 regardless of the
-// runtime's commit-clock strategy: seniority timestamps must be unique
-// (two transactions sharing one would deadlock the tie), which is
-// exactly the Exclusive property only GV4 provides.
+// The greedy-phase ordering comes from its own clock.GV4 — the padded
+// fetch-and-add type the commit clock is — so both orderings in the
+// system (commit serialization and conflict seniority) are built from
+// one primitive. Seniority timestamps must be unique (two transactions
+// sharing one would deadlock the tie), which GV4's fetch-and-add
+// guarantees.
 type Greedy struct {
 	clock clock.GV4
 }

@@ -55,9 +55,9 @@ type Config struct {
 	// resolves inter-thread write/write conflicts. nil means the
 	// paper's task-aware policy over two-phase greedy.
 	CM cm.Policy
-	// Clock selects the commit-clock strategy (internal/clock): the
-	// GV4 fetch-and-add clock (default), the GV5-style deferred clock,
-	// or the sharded clock. nil means GV4.
+	// Clock injects the commit clock (internal/clock); nil means a
+	// fresh GV4. A replacement must keep GV4's contract (see
+	// txrt.WithClock): a decorator counting calls into a GV4 does.
 	Clock clock.Source
 	// ReclaimRing bounds each task descriptor's quiescence ring of
 	// retired write-lock entries (locktable.FreeRing): retirements past

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/mode"
@@ -37,13 +36,11 @@ func DefaultScale() Scale { return Scale{Fig1aTx: 300, Fig1bTx: 60, SB7Tx: 24} }
 func QuickScale() Scale { return Scale{Fig1aTx: 40, Fig1bTx: 8, SB7Tx: 4} }
 
 // Settings selects the runtime configuration of a figure or soak run.
-// It holds kinds, not instances: Config builds fresh clock and
-// contention-manager instances for every runtime, because policies hold
-// per-runtime state and must not be shared (cm.New). The zero value is
-// each runtime's default configuration.
+// It holds kinds, not instances: Config builds a fresh contention
+// manager for every runtime, because policies hold per-runtime state
+// and must not be shared (cm.New). The zero value is each runtime's
+// default configuration.
 type Settings struct {
-	// Clock is the commit-clock strategy; the zero value is GV4.
-	Clock clock.Kind
 	// CM is the contention-management policy; the zero value keeps each
 	// runtime's own default (greedy for SwissTM, task-aware for TLSTM).
 	CM cm.Kind
@@ -71,8 +68,7 @@ func (s Settings) Validate() error {
 // Config returns a fresh runtime configuration for one runtime.
 func (s Settings) Config() txrt.Config {
 	return txrt.Config{
-		Clock: clock.New(s.Clock), CM: cm.New(s.CM), Mode: mode.Config{Policy: s.Mode},
-		MVDepth: s.MV, Trace: s.Trace,
+		CM: cm.New(s.CM), Mode: mode.Config{Policy: s.Mode}, MVDepth: s.MV, Trace: s.Trace,
 	}
 }
 

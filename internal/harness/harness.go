@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/core"
 	"tlstm/internal/mode"
 	"tlstm/internal/stm"
@@ -85,13 +84,12 @@ type Result struct {
 	VirtualUnits uint64 // the slowest thread's virtual time (threads run in parallel)
 	Wall         time.Duration
 
-	// Clock, CM, MV and Mode name the configuration the run used:
-	// commit-clock strategy, contention-management policy, retained
-	// version depth (0 = off), execution-mode policy.
-	Clock string
-	CM    string
-	MV    int
-	Mode  string
+	// CM, MV and Mode name the configuration the run used:
+	// contention-management policy, retained version depth (0 = off),
+	// execution-mode policy.
+	CM   string
+	MV   int
+	Mode string
 
 	txrt.Stats
 
@@ -114,17 +112,15 @@ func (r Result) Throughput() float64 {
 
 // String formats a result row. Scheduler counters appear only when the
 // run produced them (TLSTM runs; the baseline has no task scheduler),
-// and clock columns only when the strategy or its costs are
-// interesting (a non-default strategy, or nonzero extension/retry
-// counts).
+// and the extension count only when nonzero.
 func (r Result) String() string {
 	s := fmt.Sprintf("%-22s ops=%-8d tput=%8.3f vtime=%-10d txAbort=%-5d taskRestart=%-6d wall=%s",
 		r.Label, r.Ops, r.Throughput(), r.VirtualUnits, r.Aborts, r.TaskRestarts, r.Wall.Round(time.Millisecond))
 	if r.WorkersSpawned > 0 || r.DescriptorReuses > 0 {
 		s += fmt.Sprintf(" workers=%-3d descReuse=%d", r.WorkersSpawned, r.DescriptorReuses)
 	}
-	if (r.Clock != "" && r.Clock != clock.KindGV4.String()) || r.SnapshotExtensions > 0 || r.ClockCASRetries > 0 {
-		s += fmt.Sprintf(" clock=%-8s ext=%-5d clkRetry=%d", r.Clock, r.SnapshotExtensions, r.ClockCASRetries)
+	if r.SnapshotExtensions > 0 {
+		s += fmt.Sprintf(" ext=%-5d", r.SnapshotExtensions)
 	}
 	if r.CMAbortsSelf > 0 || r.CMAbortsOwner > 0 || r.BackoffSpins > 0 {
 		s += fmt.Sprintf(" cm=%-9s cmSelf=%-5d cmOwner=%-5d spins=%d", r.CM, r.CMAbortsSelf, r.CMAbortsOwner, r.BackoffSpins)
@@ -153,7 +149,6 @@ func (r Result) String() string {
 // configured is what every runtime reports about its configuration
 // (txrt.Env's accessors).
 type configured interface {
-	ClockName() string
 	CMName() string
 	MVDepth() int
 	ModeName() string
@@ -165,7 +160,6 @@ func newResult(w Workload, rt configured, start time.Time) Result {
 		Label: w.Name,
 		Ops:   uint64(w.Threads * w.TxPerThread * w.OpsPerTx),
 		Wall:  time.Since(start),
-		Clock: rt.ClockName(),
 		CM:    rt.CMName(),
 		MV:    rt.MVDepth(),
 		Mode:  rt.ModeName(),

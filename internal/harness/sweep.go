@@ -5,7 +5,6 @@ import (
 	"path"
 	"runtime"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/mem"
@@ -52,15 +51,10 @@ type mix struct {
 // Sweeps is the sweep table, one row per axis: the setting its legs
 // vary.
 var Sweeps = map[string]Sweep{
-	"clock": {
-		Title: "Commit-clock strategy sweep, write-heavy", Tx: 50_000, depth: 1,
-		legs:  kindLegs(clock.Kinds(), func(c *txrt.Config, k clock.Kind) { c.Clock = clock.New(k) }),
-		mixes: []mix{counterMix(false)},
-	},
 	"cm": {
 		Title: "Contention-management policy sweep, write-contended", Tx: 20_000, depth: 1,
 		legs:  kindLegs(cm.Kinds(), func(c *txrt.Config, k cm.Kind) { c.CM = cm.New(k) }),
-		mixes: []mix{counterMix(true)},
+		mixes: []mix{counterMix()},
 	},
 	"mode": {
 		// The karma conflict storm is exactly the workload the serialized
@@ -70,7 +64,7 @@ var Sweeps = map[string]Sweep{
 			c.CM = cm.New(cm.KindKarma)
 			c.Mode = mode.Config{Policy: p}
 		}),
-		mixes: []mix{counterMix(true)},
+		mixes: []mix{counterMix()},
 	},
 	"mv": {
 		// K = 0 turns multi-versioning off: every scan validates and extends.
@@ -158,19 +152,10 @@ const hotFill = 48
 const hotWords = 512
 
 // counterMix lays out a hot word, one private counter per thread and a
-// filler region per thread, and increments the thread's private counter
-// in every transaction, so every transaction is a committer.
-//
-// The write-heavy mix (contended false) reads the hot word in every
-// transaction and increments it in every fourth. The private writes put
-// pressure on the commit clock; the shared reads force each thread to
-// keep meeting other threads' fresh stamps (snapshot-extension
-// pressure). Both sides of a clock strategy's trade-off are therefore
-// exercised at once.
-//
-// The write-contended mix (contended true) increments the hot word
-// (taking its write lock first) in every transaction, yields, and reads
-// its filler region. The engines never yield on their own, so the yield
+// filler region per thread. Every transaction increments the hot word
+// (taking its write lock first), yields, reads its filler region and
+// increments the thread's private counter, so every transaction is a
+// committer. The engines never yield on their own, so the yield
 // after the hot store is what makes the transactions overlap on any CPU
 // count: an eager runtime holds the hot lock across a scheduler round
 // and every other thread's increment runs into it — the sustained
@@ -180,29 +165,16 @@ const hotWords = 512
 // The invariant: the hot word holds exactly its increments and each
 // private counter its thread's transaction count, so a setting that
 // drops, doubles or tears an update is caught by the sweep itself.
-func counterMix(contended bool) mix {
+func counterMix() mix {
 	return mix{"", func(d tm.Tx, threads, txPerThread int) (Workload, func(tm.Tx)) {
 		hot := d.Alloc(hotWords + threads + threads*hotFill)
 		counters := hot + hotWords
 		fillers := counters + tm.Addr(threads)
 		hotWant := uint64(threads * txPerThread)
-		if !contended {
-			hotWant = uint64(threads * ((txPerThread + 3) / 4))
-		}
 		w := Workload{
 			OpsPerTx: 2,
 			Make: func(thread, idx int) TxSeq {
 				mine := counters + tm.Addr(thread)
-				if !contended {
-					shared := idx%4 == 0
-					return TxSeq{func(tx tm.Tx) {
-						h := tx.Load(hot)
-						tx.Store(mine, tx.Load(mine)+1)
-						if shared {
-							tx.Store(hot, h+1)
-						}
-					}}
-				}
 				fill := fillers + tm.Addr(thread*hotFill)
 				return TxSeq{func(tx tm.Tx) {
 					tx.Store(hot, tx.Load(hot)+1)

@@ -1,5 +1,5 @@
 // Package runflags registers the runtime-settings flags that
-// cmd/tlstm-bench and cmd/tlstm-stress share (-clock, -cm, -mode, -mv,
+// cmd/tlstm-bench and cmd/tlstm-stress share (-cm, -mode, -mv,
 // -trace and -sweep) and validates them, together with each command's
 // own flags, against one rule table: a flag set for a kind of run that
 // ignores it is an error, not a silent no-op.
@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/harness"
 	"tlstm/internal/mode"
@@ -47,8 +46,8 @@ type Flags struct {
 	// Trace is the -trace dump path; "" leaves the recorder disarmed.
 	Trace string
 
-	clock, cm, mode string
-	mv              int
+	cm, mode string
+	mv       int
 
 	fs    *flag.FlagSet
 	rules []Rule
@@ -64,14 +63,13 @@ func Register(fs *flag.FlagSet, own ...Rule) *Flags {
 	}
 	sort.Strings(axes)
 	fs.StringVar(&f.Sweep, "sweep", "", "run the invariant-checked sweep over one runtime setting across all four runtimes instead: "+strings.Join(axes, ", "))
-	fs.StringVar(&f.clock, "clock", "gv4", `commit-clock strategy: "gv4", "deferred", "sharded" or "gv7"`)
 	fs.StringVar(&f.cm, "cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
 	fs.StringVar(&f.mode, "mode", "spec", `execution-mode policy: "spec" (always speculative), "adaptive" (ladder with serialized fallback under sustained conflict) or "serial"`)
 	fs.IntVar(&f.mv, "mv", 0, "retained version depth (0 disables multi-versioning)")
 	fs.StringVar(&f.Trace, "trace", "", "arm the flight recorder in every runtime the run builds and write the binary trace dump here; inspect with tlstm-trace")
 	f.rules = append([]Rule{
 		{Flag: "sweep", Values: axes},
-		{Flag: "clock", Scope: NoSweep}, {Flag: "cm", Scope: NoSweep}, {Flag: "mode", Scope: NoSweep},
+		{Flag: "cm", Scope: NoSweep}, {Flag: "mode", Scope: NoSweep},
 		{Flag: "mv", Scope: NoSweep}, {Flag: "trace", Scope: NoSweep},
 	}, own...)
 	return f
@@ -97,9 +95,6 @@ func (f *Flags) Settings() (harness.Settings, error) {
 	}
 	var err error
 	s := harness.Settings{MV: f.mv}
-	if s.Clock, err = clock.Parse(f.clock); err != nil {
-		return harness.Settings{}, err
-	}
 	if s.CM, err = cm.Parse(f.cm); err != nil {
 		return harness.Settings{}, err
 	}

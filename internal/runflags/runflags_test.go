@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/harness"
 	"tlstm/internal/mode"
 )
 
 // parse registers the shared flags plus a command's own (the shapes
-// tlstm-bench and tlstm-stress use) and validates args.
+// tlstm-bench and tlstm-stress use) and validates args. A flag the set
+// does not define is reported as the error.
 func parse(t *testing.T, args ...string) (*Flags, harness.Settings, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -29,7 +29,7 @@ func parse(t *testing.T, args ...string) (*Flags, harness.Settings, error) {
 		Rule{Flag: "json", Scope: SweepOnly},
 		Rule{Flag: "depth", Scope: NoSweep})
 	if err := fs.Parse(args); err != nil {
-		t.Fatalf("parse %v: %v", args, err)
+		return nil, harness.Settings{}, err
 	}
 	s, err := f.Settings()
 	return f, s, err
@@ -45,15 +45,15 @@ func TestSettingsRejectsIgnoredOrMalformedFlags(t *testing.T) {
 		{[]string{"-sweep", "bogus"}, `-sweep "bogus"`},
 		{[]string{"-sweep", "cm", "-trace", "f"}, "-trace does not apply to -sweep"},
 		{[]string{"-sweep", "cm", "-mv", "2"}, "-mv does not apply to -sweep"},
-		{[]string{"-sweep", "clock", "-clock", "deferred"}, "-clock does not apply to -sweep"},
+		{[]string{"-sweep", "clock"}, `-sweep "clock": want one of cm, mode, mv`},
+		{[]string{"-clock", "gv4"}, "flag provided but not defined: -clock"},
 		{[]string{"-sweep", "mode", "-cm", "karma"}, "-cm does not apply to -sweep"},
 		{[]string{"-sweep", "mode", "-mode", "serial"}, "-mode does not apply to -sweep"},
 		{[]string{"-sweep", "mv", "-fig", "1a"}, "-fig does not apply to -sweep"},
 		{[]string{"-sweep", "mv", "-format", "csv"}, "-format does not apply to -sweep"},
-		{[]string{"-sweep", "clock", "-depth", "2"}, "-depth does not apply to -sweep"},
+		{[]string{"-sweep", "mode", "-depth", "2"}, "-depth does not apply to -sweep"},
 		{[]string{"-json", "out.json"}, "-json requires -sweep"},
 		{[]string{"-mv", "-1"}, "retained version depth -1 cannot be negative"},
-		{[]string{"-clock", "gv9"}, "gv9"},
 		{[]string{"-cm", "polite"}, "polite"},
 		{[]string{"-mode", "eager"}, "eager"},
 	} {
@@ -75,28 +75,27 @@ func TestSettingsAcceptsValidRuns(t *testing.T) {
 	for _, args := range [][]string{
 		{"-quick", "-fig", "1a", "-format", "csv"},
 		{"-sweep", "mv", "-json", "out.json", "-quick"},
-		{"-sweep", "clock"},
+		{"-sweep", "cm"},
 		{"-mv", "2"},
 	} {
 		if _, _, err := parse(t, args...); err != nil {
 			t.Errorf("%v rejected: %v", args, err)
 		}
 	}
-	_, s, err = parse(t, "-clock", "deferred", "-cm", "karma", "-mode", "adaptive", "-mv", "2",
-		"-trace", "out.trace")
+	_, s, err = parse(t, "-cm", "karma", "-mode", "adaptive", "-mv", "2", "-trace", "out.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Clock != clock.KindDeferred || s.CM != cm.KindKarma || s.Mode != mode.Adaptive ||
+	if s.CM != cm.KindKarma || s.Mode != mode.Adaptive ||
 		s.MV != 2 || s.Trace == nil {
 		t.Fatalf("settings %+v do not carry the flags", s)
 	}
 	c := s.Config()
-	if c.Clock.Name() != "deferred" || c.CM.Name() != "karma" || c.Mode.Policy != mode.Adaptive ||
+	if c.CM.Name() != "karma" || c.Mode.Policy != mode.Adaptive ||
 		c.MVDepth != 2 || c.Trace != s.Trace {
 		t.Fatalf("Config() = %+v does not carry the settings", c)
 	}
-	if s.Config().Clock == c.Clock {
-		t.Fatal("Config() shares one clock instance between runtimes")
+	if c.Clock != nil {
+		t.Fatal("Config() sets a clock: each runtime must build its own")
 	}
 }

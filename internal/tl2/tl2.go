@@ -182,10 +182,6 @@ func (tx *Tx) Load(a tm.Addr) uint64 {
 		}
 		if v1 > tx.rv {
 			// Newer than our read version: TL2 aborts (no extension).
-			// Fold the stamp into the clock first so the retry's fresh
-			// read version covers it (pre-publishing strategies never
-			// advance on their own).
-			tx.rt.Clk.Observe(v1, &tx.ClkProbe)
 			tx.abort(txtrace.AbortValidation)
 		}
 		tx.readLog.Append(l)
@@ -279,7 +275,6 @@ func (tx *Tx) commit() {
 				continue
 			}
 			if v > tx.rv {
-				tx.rt.Clk.Observe(v, &tx.ClkProbe)
 				tx.abort(txtrace.AbortConflict)
 			}
 			if l.CompareAndSwap(v, locktable.Locked) {
@@ -290,14 +285,12 @@ func (tx *Tx) commit() {
 		tx.Work++
 	}
 
-	wv := tx.rt.Clk.Tick(&tx.ClkProbe)
+	wv := tx.rt.Clk.Tick(nil)
 
-	// Validate the read set unless nothing could have changed. The
-	// wv == rv+1 shortcut is sound only when timestamps are exclusive:
-	// a non-exclusive strategy (deferred, sharded) can hand the same wv
-	// to a concurrent writer, so "the clock moved once" no longer means
-	// "only we committed".
-	if !tx.rt.Exclusive || wv != tx.rv+1 {
+	// Validate the read set unless nothing could have changed: the
+	// clock hands each committer its own stamp, so wv == rv+1 means
+	// "the clock moved once", and only for us.
+	if wv != tx.rv+1 {
 		for i, l := range tx.readLog.Locks() {
 			if i%txrt.ValidationStride == 0 {
 				tx.Work++
@@ -306,9 +299,6 @@ func (tx *Tx) commit() {
 			// holds is the one exemption.
 			if v := l.Load(); v > tx.rv && (v != locktable.Locked || !tx.held.Holds(l)) {
 				tx.TraceValidate(wv, tx.readLog.Len(), false)
-				if v != locktable.Locked {
-					tx.rt.Clk.Observe(v, &tx.ClkProbe)
-				}
 				tx.abort(txtrace.AbortValidation)
 			}
 		}

@@ -14,8 +14,8 @@
 //     empty intersection means no instant at which all observed values
 //     were simultaneously current: the attempt saw an inconsistent
 //     snapshot. This check applies to aborted and in-flight attempts
-//     too — that is opacity's whole point — and is sound under every
-//     clock strategy: a validated read prefix always admits p = the
+//     too — that is opacity's whole point — and is sound under any
+//     clock satisfying contract T1: a validated read prefix always admits p = the
 //     attempt's final valid timestamp, because any writer that
 //     displaces a validated read both locks and ticks after the last
 //     validation covering it (clock contract T1), stamping strictly
@@ -27,16 +27,17 @@
 //     still be current at ts — next(s, v) < ts is a serialization
 //     cycle (the transaction read a value some earlier-serialized
 //     commit had already displaced, yet committed above it).
-//     next(s, v) == ts is the transaction's own write. Non-exclusive
-//     clocks legitimately break the stamp-order-equals-serialization-
-//     order premise (two serialized writers may share a stamp; sharded
-//     stamps are not globally ordered), so this check is gated on the
-//     trace's clock metadata.
+//     next(s, v) == ts is the transaction's own write. The runtimes'
+//     clock is always exclusive (<ns>.exclusive=true); the check is
+//     still gated on the trace's clock metadata because dumps written
+//     by older versions may record non-exclusive clocks, which
+//     legitimately break the stamp-order-equals-serialization-order
+//     premise (two serialized writers could share a stamp).
 //
 //   - Under an exclusive clock, two distinct committed transactions can
 //     never stamp the same slot with the same timestamp (duplicate-
-//     stamp violation). Shared-stamp clocks allow it (clock package
-//     docs), so the checker merges duplicates silently there.
+//     stamp violation). On an older dump that records a shared-stamp
+//     clock the checker merges duplicates silently.
 //
 //   - On a drop-free trace every observed stamp v > 0 must appear in
 //     its slot's rebuilt history (phantom-version violation: the read

@@ -56,7 +56,7 @@ func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts ui
 		}
 	}
 
-	ts = d.env.Clk.Tick(&d.ClkProbe)
+	ts = d.env.Clk.Tick(nil)
 
 	// Pairs this commit r-locked compare against the version they had
 	// when we locked them.

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
@@ -131,10 +130,6 @@ type Desc struct {
 	CMSelf  cm.Self
 	cmProbe cm.Probe
 	GreedTS atomic.Uint64
-
-	// ClkProbe accumulates clock CAS retries (and pins the descriptor
-	// to a shard under the sharded strategy).
-	ClkProbe clock.Probe
 
 	// InSerial marks a transaction running under the serialized gate:
 	// it IS the entrant, so it is exempt from yielding to one.
@@ -540,7 +535,6 @@ func (d *Desc) restarted() {
 func (d *Desc) fold(c *Counters, reads, writes int) {
 	c.Work += d.Work
 	c.SnapshotExtensions += d.Extends
-	c.ClockCASRetries += d.ClkProbe.TakeRetries()
 	self, owner, spins := d.cmProbe.TakeCounts()
 	c.CMAbortsSelf += self
 	c.CMAbortsOwner += owner

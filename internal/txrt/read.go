@@ -55,11 +55,8 @@ func (d *Desc) ReadCommitted(p *locktable.Pair, a tm.Addr, rl *txlog.ReadLog, sn
 
 // CoverWrite is the post-write snapshot check (TLSTM Alg. 2 line 52,
 // SwissTM's alike) after the caller write-locked pair p: if p's version
-// moved past *snap, extend to it. Passing the witnessed version into the
-// extension matters beyond liveness: it guarantees the transaction's
-// eventual commit stamp exceeds every version it displaces, so locations
-// never regress under pre-publishing clocks. On a failed extension it
-// returns false; the caller aborts.
+// moved past *snap, extend to it. On a failed extension it returns
+// false; the caller aborts.
 func (d *Desc) CoverWrite(p *locktable.Pair, rl *txlog.ReadLog, snap *uint64) bool {
 	ver := p.R.Load()
 	return ver <= *snap || d.extendTo(rl, snap, ver)
@@ -137,12 +134,11 @@ func (d *Desc) Extend(rl *txlog.ReadLog, snap *uint64, witness uint64) bool {
 }
 
 // ExtendWith is the snapshot-extension protocol around a read-set check:
-// ask the clock to cover witness, run valid and, on success, advance
-// *snap to the clock's time. Pre-publishing clocks (deferred, sharded)
-// only advance on Observe; without it the stamp that sent the caller
-// here would stay ahead of *snap forever and the read would livelock.
+// re-sample the clock (Observe, which covers witness: the clock's ticks
+// are published when they return), run valid and, on success, advance
+// *snap to that time.
 func (d *Desc) ExtendWith(snap *uint64, witness uint64, valid func() bool) bool {
-	ts := d.env.Clk.Observe(witness, &d.ClkProbe)
+	ts := d.env.Clk.Observe(witness, nil)
 	if !valid() {
 		if d.Traced {
 			d.Tr.Record(txtrace.KindExtend, ts, witness, 0)

@@ -15,8 +15,10 @@ type Counters struct {
 	// ran past the snapshot and the read log revalidated forward instead
 	// of aborting. Always 0 for TL2, which aborts instead.
 	SnapshotExtensions uint64
-	// ClockCASRetries counts failed CASes inside commit-clock operations
-	// (clock.Probe), the direct measure of clock contention.
+	// ClockCASRetries is always 0: the GV4 clock ticks with one
+	// fetch-and-add and never retries. The field stays only because the
+	// bench schema reads it (clock.cas_retries_per_ktx); both go with
+	// that schema's next bump (ROADMAP item 1(c)).
 	ClockCASRetries uint64
 	// CMAbortsSelf counts lost conflicts (one AbortSelf decision each);
 	// CMAbortsOwner counts AbortOwner decisions, one per round spent

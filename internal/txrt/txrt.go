@@ -104,10 +104,11 @@ func (c *Config) Apply(opts []Option) {
 	}
 }
 
-// WithClock selects the commit-clock strategy (internal/clock); the
-// default is the GV4 fetch-and-add clock. Non-exclusive strategies
-// (deferred, sharded) disable the "wv == rv+1 ⇒ skip validation" commit
-// shortcut of tl2 and wtstm, which is only sound on unique timestamps.
+// WithClock injects the commit clock (internal/clock); the default is a
+// fresh GV4. The source must keep GV4's contract (unique ticks,
+// published on return): tl2 and wtstm skip commit validation when their
+// stamp is exactly their read version + 1. A decorator that counts calls
+// into a GV4 does.
 func WithClock(src clock.Source) Option { return func(c *Config) { c.Clock = src } }
 
 // WithCM selects the contention-management policy (internal/cm); nil
@@ -142,9 +143,8 @@ type Env struct {
 	// own lock storage over it.
 	Layout locktable.Layout
 
-	Clk       clock.Source
-	Exclusive bool // cached Clk.Exclusive()
-	CM        cm.Policy
+	Clk clock.Source
+	CM  cm.Policy
 
 	// MV, when non-nil, is the multi-version word store declared
 	// read-only transactions read from without validating.
@@ -168,7 +168,8 @@ type Env struct {
 // contention manager), builds the environment, and returns the filled
 // Config. ns prefixes the trace metadata the offline opacity checker
 // reads: it recomputes lock-table slots and picks its clock model from
-// <ns>.{lockbits,clock,exclusive,mvdepth}.
+// <ns>.{lockbits,clock,exclusive,mvdepth} (the clock keys are always
+// gv4/true; the checker still reads older dumps that say otherwise).
 //
 // The runtime passes its own word store (mem.NewStore()) rather than
 // Init making one: the compiler inlines (*mem.Store).LoadWord/StoreWord
@@ -191,7 +192,6 @@ func (e *Env) Init(ns string, store *mem.Store, cfg Config, defaultCM cm.Kind) C
 	e.Alloc = mem.NewAllocator(e.Store)
 	e.Layout = locktable.NewLayout(cfg.LockTableBits)
 	e.Clk = cfg.Clock
-	e.Exclusive = cfg.Clock.Exclusive()
 	e.CM = cfg.CM
 	if cfg.MVDepth > 0 {
 		e.MV = txlog.NewVersionedStore(cfg.MVDepth, txlog.DefaultVersionedStoreBits)
@@ -201,8 +201,8 @@ func (e *Env) Init(ns string, store *mem.Store, cfg Config, defaultCM cm.Kind) C
 	e.Hub = mode.NewWaitHub()
 	if e.Trace != nil {
 		e.Trace.SetMeta(ns+".lockbits", strconv.Itoa(cfg.LockTableBits))
-		e.Trace.SetMeta(ns+".clock", e.Clk.Name())
-		e.Trace.SetMeta(ns+".exclusive", strconv.FormatBool(e.Exclusive))
+		e.Trace.SetMeta(ns+".clock", "gv4")
+		e.Trace.SetMeta(ns+".exclusive", "true")
 		e.Trace.SetMeta(ns+".mvdepth", strconv.Itoa(e.MVDepth()))
 	}
 	return cfg
@@ -225,9 +225,6 @@ func (e *Env) MVDepth() int {
 	}
 	return e.MV.K()
 }
-
-// ClockName reports the commit-clock strategy in use.
-func (e *Env) ClockName() string { return e.Clk.Name() }
 
 // CMName reports the contention-management policy in use.
 func (e *Env) CMName() string { return e.CM.Name() }

@@ -319,7 +319,7 @@ func (rec *Recorder) NewRing(label string) *Ring {
 // SetMeta records one key/value pair in the recorder's metadata table,
 // serialized into the dump header (TXTRACE2). Runtimes register the
 // configuration the offline checker needs to reinterpret raw events —
-// lock-table bits, clock strategy — under namespaced keys ("stm.lockbits",
+// lock-table bits, clock — under namespaced keys ("stm.lockbits",
 // "core.clock", ...) so several runtimes can share one recorder.
 // Registration-time only, like NewRing: never called on a hot path.
 func (rec *Recorder) SetMeta(key, value string) {

@@ -181,7 +181,7 @@ func (tx *Tx) Release() {
 		tx.Work++
 	}
 	if tx.held.Len() > 0 {
-		wv := tx.rt.Clk.Tick(&tx.ClkProbe)
+		wv := tx.rt.Clk.Tick(nil)
 		if tx.Traced {
 			// The stamp enters the slots' version histories like a
 			// commit's: a later read may observe it.
@@ -349,10 +349,10 @@ func (tx *Tx) commit() {
 		tx.Committed(tx.rv, 0)
 		return
 	}
-	wv := tx.rt.Clk.Tick(&tx.ClkProbe)
-	// The wv == rv+1 validation skip is sound only on exclusive clocks
-	// (see the TL2 commit for the argument).
-	if !tx.rt.Exclusive || wv != tx.rv+1 {
+	wv := tx.rt.Clk.Tick(nil)
+	// wv == rv+1: no other commit since our snapshot (see the TL2
+	// commit for the argument).
+	if wv != tx.rv+1 {
 		if tx.staleRead() {
 			tx.TraceValidate(wv, tx.readLog.Len(), false)
 			tx.abort(txtrace.AbortValidation)

@@ -1,8 +1,8 @@
-// Package xrand is the tiny PRNG shared by the per-context probes of
-// internal/clock (GV7's randomized increments) and internal/cm
-// (randomized backoff, tie coin flips): a lazily splitmix-seeded
-// xorshift64 whose state lives in the owning probe, so drawing
-// randomness never touches shared state after the first call.
+// Package xrand is the tiny PRNG of the per-context probes of
+// internal/cm (randomized backoff, tie coin flips) and of core's
+// relaunch jitter: a lazily splitmix-seeded xorshift64 whose state lives
+// in its owner, so drawing randomness never touches shared state after
+// the first call.
 package xrand
 
 import "sync/atomic"

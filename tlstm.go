@@ -104,7 +104,6 @@
 package tlstm
 
 import (
-	"tlstm/internal/clock"
 	"tlstm/internal/cm"
 	"tlstm/internal/core"
 	"tlstm/internal/mem"
@@ -144,11 +143,6 @@ type (
 	// scheduler counters WorkersSpawned, DescriptorReuses and TxFused and
 	// the entry-reclamation counters EntryReclaims and HorizonStalls.
 	Stats = core.Stats
-	// ClockSource is a commit-clock strategy for Config.Clock (and
-	// NewBaselineWithClock): how the global commit timestamp is
-	// maintained. See NewClock for the built-in strategies.
-	ClockSource = clock.Source
-
 	// CMPolicy is a contention-management policy for Config.CM (and
 	// NewBaselineWithCM): how write/write conflicts between
 	// transactions are resolved. See NewCM for the built-in policies.
@@ -168,26 +162,6 @@ type (
 	// (*Runtime).Direct and (*BaselineRuntime).Direct; it implements Tx.
 	Direct = mem.Direct
 )
-
-// NewClock builds one of the built-in commit-clock strategies by name:
-//
-//   - "gv4": the default fetch-and-add clock — dense unique timestamps,
-//     one atomic RMW on a shared line per writer commit;
-//   - "deferred": GV5-style — writers stamp without ticking, readers
-//     advance the clock on observation; no commit-path RMW at the cost
-//     of extra snapshot extensions;
-//   - "sharded": per-context shards with read-side reconciliation;
-//     commits touch only their own shard's cache line.
-//
-// Each Runtime needs its own ClockSource instance; do not share one
-// across runtimes.
-func NewClock(name string) (ClockSource, error) {
-	k, err := clock.Parse(name)
-	if err != nil {
-		return nil, err
-	}
-	return clock.New(k), nil
-}
 
 // NewCM builds one of the built-in contention-management policies by
 // name:
@@ -256,12 +230,6 @@ type (
 
 // NewBaseline creates a SwissTM runtime.
 func NewBaseline() *BaselineRuntime { return stm.New() }
-
-// NewBaselineWithClock creates a SwissTM runtime on the given
-// commit-clock strategy (see NewClock).
-func NewBaselineWithClock(src ClockSource) *BaselineRuntime {
-	return stm.New(stm.WithClock(src))
-}
 
 // NewBaselineWithCM creates a SwissTM runtime on the given
 // contention-management policy (see NewCM; nil keeps the two-phase
