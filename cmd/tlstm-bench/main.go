@@ -10,7 +10,7 @@
 //	tlstm-bench -quick          # reduced transaction counts
 //	tlstm-bench -headline       # §4 headline numbers (from Fig2b data)
 //	tlstm-bench -cm karma       # figures under the Karma contention manager
-//	tlstm-bench -mode adaptive  # figures under the adaptive execution-mode ladder
+//	tlstm-bench -mode serial    # figures with every transaction under the gate
 //	tlstm-bench -mv 2           # figures with 2 retained versions per word
 //	tlstm-bench -sweep cm       # one sweep: cm, mode or mv
 //	tlstm-bench -sweep mv -json out.json  # ... also persisted as JSON

@@ -9,10 +9,9 @@
 //
 // It is meant for long soak runs: tlstm-stress -seconds 60 -threads 4.
 // The soak runs under any contention-management policy (-cm karma)
-// and execution-mode policy
-// (-mode adaptive arms the ladder: speculative until sustained
-// conflict, then a serialized global-lock rung, recovering once the
-// storm passes). Entry reclamation can be forced aggressive (-reclaim 1:
+// and either execution rung (-mode serial runs every transaction under
+// the runtime's gate; -mode spec, the default, runs them all
+// speculatively). Entry reclamation can be forced aggressive (-reclaim 1:
 // single-slot quiescence rings, recycling on almost every commit) and
 // audited (-audit: every recycle re-verifies the quiescence invariant
 // and panics on violation). -mv K retains K committed versions per word
@@ -142,7 +141,6 @@ func run() int {
 					"cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
 					"backoffSpins": st.BackoffSpins, "entryReclaims": st.EntryReclaims,
 					"horizonStalls": st.HorizonStalls, "mvReads": st.MVReads, "mvMisses": st.MVMisses,
-					"modeFallbacks": st.ModeFallbacks, "modeRecoveries": st.ModeRecoveries,
 					"retryWakes": st.RetryWakes,
 				},
 				Hists: map[string]txstats.Hist{
@@ -337,12 +335,12 @@ func run() int {
 		sum += d.Load(base + tm.Addr(i))
 	}
 	want := uint64(*accounts) * initial
-	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d ext=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s fallback=%d recover=%d retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
+	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d ext=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
 		total.TxCommitted, total.TxFused, total.TxAborted, total.TaskRestarts, total.Work,
 		total.WorkersSpawned, total.DescriptorReuses,
 		total.SnapshotExtensions,
 		rt.CMName(), total.CMAbortsSelf, total.CMAbortsOwner, total.BackoffSpins,
-		rt.ModeName(), total.ModeFallbacks, total.ModeRecoveries, total.RetryWakes,
+		rt.ModeName(), total.RetryWakes,
 		total.EntryReclaims, total.HorizonStalls,
 		rt.MVDepth(), total.MVReads, total.MVMisses,
 		total.ReadSetSizes, total.WriteSetSizes,

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"tlstm/internal/cm"
-	"tlstm/internal/mode"
 	"tlstm/internal/txcheck"
 	"tlstm/internal/txtrace"
 )
@@ -138,6 +137,20 @@ func pointName(p cm.Point) string {
 	}
 }
 
+// rungName names an execution rung in a KindModeShift event. Dumps
+// written before the adaptive mode ladder was removed still hold such
+// events: 0 is the speculative rung, 1 the serialized one.
+func rungName(r uint64) string {
+	switch r {
+	case 0:
+		return "spec"
+	case 1:
+		return "serial"
+	default:
+		return fmt.Sprintf("rung(%d)", r)
+	}
+}
+
 // describe decodes an event's kind-specific fields for human output.
 func describe(e txtrace.Event) string {
 	switch txtrace.Kind(e.Kind) {
@@ -163,7 +176,7 @@ func describe(e txtrace.Event) string {
 	case txtrace.KindCommitWord:
 		return fmt.Sprintf("addr=%#x stamp=%d", e.Arg, e.Clock)
 	case txtrace.KindModeShift:
-		return fmt.Sprintf("mode=%s from=%s", mode.State(e.Arg), mode.State(e.Aux))
+		return fmt.Sprintf("mode=%s from=%s", rungName(e.Arg), rungName(uint64(e.Aux)))
 	case txtrace.KindRetryPark:
 		what := "park"
 		if e.Aux == 1 {
@@ -245,8 +258,9 @@ type ringSummary struct {
 	// CM tallies: resolutions seen, split by verdict. "Defeats" are
 	// AbortSelf verdicts — conflicts this ring lost.
 	cmSeen, cmDefeats, cmWins, cmWaits uint64
-	// Mode-ladder transitions (KindModeShift): fallbacks are shifts to
-	// the serialized rung, recoveries shifts back to speculative.
+	// Mode shifts (KindModeShift, in dumps from before the ladder was
+	// removed): fallbacks are shifts to the serialized rung, recoveries
+	// shifts back to speculative.
 	fallbacks, recoveries uint64
 	// Retry cond-var activity (KindRetryPark): parks and doorbell wakes.
 	parks, wakes uint64
@@ -290,7 +304,7 @@ func summarize(rd txtrace.RingDump) ringSummary {
 				s.cmWaits++
 			}
 		case txtrace.KindModeShift:
-			if mode.State(e.Arg) == mode.StateSerial {
+			if e.Arg == 1 { // to the serialized rung
 				s.fallbacks++
 			} else {
 				s.recoveries++
@@ -363,7 +377,7 @@ func writeSummary(w io.Writer, tr *txtrace.Trace) error {
 	return nil
 }
 
-// modeList formats mode-ladder and Retry activity, omitted entirely for
+// modeList formats mode-shift and Retry activity, omitted entirely for
 // rings that never shifted or parked.
 func modeList(s ringSummary) string {
 	if s.fallbacks == 0 && s.recoveries == 0 && s.parks == 0 && s.wakes == 0 {
@@ -469,9 +483,9 @@ func writePerfetto(w io.Writer, tr *txtrace.Trace) error {
 				})
 			case txtrace.KindModeShift:
 				out = append(out, perfettoEvent{
-					Name: "mode:" + mode.State(e.Arg).String(), Cat: "mode", Ph: "i",
+					Name: "mode:" + rungName(e.Arg), Cat: "mode", Ph: "i",
 					Ts: us(e.Time), Pid: 1, Tid: rd.ID, S: "t",
-					Args: map[string]any{"from": mode.State(e.Aux).String()},
+					Args: map[string]any{"from": rungName(uint64(e.Aux))},
 				})
 			case txtrace.KindRetryPark:
 				name := "retry:park"

@@ -586,20 +586,16 @@ func TestDifferentialTracing(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Execution-mode ladder leg
+// Serialized-rung leg
 // ---------------------------------------------------------------------------
 
-// TestDifferentialModeLadder is the mode-ladder leg: the same programs
-// under a forced ladder (every full window falls back, every served
-// residency recovers), traced and pushed through the opacity checker on
-// all four runtimes. The runs oscillate speculative↔serialized many
-// times mid-program, so the leg proves the rung transitions are pure
-// scheduling — bit-identical final state, zero opacity violations,
-// complete verdicts — and the trace must actually contain both
-// directions of KindModeShift, or the ladder never engaged and the leg
-// proved nothing.
-func TestDifferentialModeLadder(t *testing.T) {
-	forced := mode.Config{Policy: mode.Adaptive, Window: 2, SerialWindow: 2, FallbackRatio: -1}
+// TestDifferentialSerialRung is the serialized-rung leg: the same
+// programs with every transaction under the runtime's gate (mode.Serial),
+// traced and pushed through the opacity checker on all four runtimes.
+// The gate must be pure scheduling: bit-identical final state, zero
+// opacity violations, complete verdicts.
+func TestDifferentialSerialRung(t *testing.T) {
+	serial := mode.Config{Policy: mode.Serial}
 	const seeds = 4
 	for seed := int64(0); seed < seeds; seed++ {
 		prog := genProgram(seed+500, 30)
@@ -608,7 +604,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 		check := func(name string, got [diffWords]uint64, rec *txtrace.Recorder) {
 			t.Helper()
 			if got != want {
-				t.Fatalf("seed %d: %s ladder run diverges\n got: %v\nwant: %v", seed, name, got, want)
+				t.Fatalf("seed %d: %s serial run diverges\n got: %v\nwant: %v", seed, name, got, want)
 			}
 			var buf bytes.Buffer
 			if err := rec.Dump(&buf); err != nil {
@@ -621,22 +617,6 @@ func TestDifferentialModeLadder(t *testing.T) {
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("seed %d: %s trace invalid: %v", seed, name, err)
 			}
-			var fallbacks, recoveries int
-			for _, rd := range tr.Rings {
-				for _, e := range rd.Events {
-					if txtrace.Kind(e.Kind) == txtrace.KindModeShift {
-						if mode.State(e.Arg) == mode.StateSerial {
-							fallbacks++
-						} else {
-							recoveries++
-						}
-					}
-				}
-			}
-			if fallbacks == 0 || recoveries == 0 {
-				t.Fatalf("seed %d: %s forced ladder never oscillated (fallbacks=%d recoveries=%d)",
-					seed, name, fallbacks, recoveries)
-			}
 			rep, err := txcheck.Check(tr)
 			if err != nil {
 				t.Fatalf("seed %d: %s opacity check: %v", seed, name, err)
@@ -646,7 +626,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 					t.Errorf("seed %d: %s ring %q seq %d: %s: %s",
 						seed, name, v.Ring, v.Seq, v.Code, v.Msg)
 				}
-				t.Fatalf("seed %d: %s opacity violated across rung transitions (%d violations)",
+				t.Fatalf("seed %d: %s opacity violated on the serialized rung (%d violations)",
 					seed, name, len(rep.Violations))
 			}
 			if !rep.Complete() {
@@ -657,10 +637,17 @@ func TestDifferentialModeLadder(t *testing.T) {
 				t.Fatalf("seed %d: %s checker saw no transactions", seed, name)
 			}
 		}
+		serialRung := func(name, got string) {
+			t.Helper()
+			if got != "serial" {
+				t.Fatalf("%s runs the %q rung, want serial", name, got)
+			}
+		}
 
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := stm.New(stm.WithTrace(rec), stm.WithMode(forced))
+			rt := stm.New(stm.WithTrace(rec), stm.WithMode(serial))
+			serialRung("SwissTM", rt.ModeName())
 			base := rt.Direct().Alloc(diffWords)
 			for _, ops := range prog {
 				ops := ops
@@ -674,10 +661,9 @@ func TestDifferentialModeLadder(t *testing.T) {
 		}
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := tl2.New(16, tl2.WithTrace(rec), tl2.WithMode(forced))
+			rt := tl2.New(16, tl2.WithTrace(rec), tl2.WithMode(serial))
+			serialRung("TL2", rt.ModeName())
 			base := rt.Direct().Alloc(diffWords)
-			// TL2/write-through hang the ladder controller off the
-			// caller-owned Stats shard; a nil shard runs modeless.
 			st := &tl2.Stats{}
 			for _, ops := range prog {
 				ops := ops
@@ -691,7 +677,8 @@ func TestDifferentialModeLadder(t *testing.T) {
 		}
 		{
 			rec := txtrace.NewRecorder(1 << 10)
-			rt := wtstm.New(16, wtstm.WithTrace(rec), wtstm.WithMode(forced))
+			rt := wtstm.New(16, wtstm.WithTrace(rec), wtstm.WithMode(serial))
+			serialRung("write-through", rt.ModeName())
 			base := rt.Direct().Alloc(diffWords)
 			st := &wtstm.Stats{}
 			for _, ops := range prog {
@@ -706,7 +693,7 @@ func TestDifferentialModeLadder(t *testing.T) {
 		}
 		for _, split := range []bool{false, true} {
 			rec := txtrace.NewRecorder(1 << 10)
-			cfg := core.Config{SpecDepth: 2, LockTableBits: 14, Trace: rec, Mode: forced}
+			cfg := core.Config{SpecDepth: 2, LockTableBits: 14, Trace: rec, Mode: serial}
 			got := runOnTLSTMCfg(prog, split, cfg)
 			check(fmt.Sprintf("TLSTM(split=%v)", split), got, rec)
 		}

@@ -208,12 +208,6 @@ func (t *Task) cleanupTx() {
 	tx.snapshot.Store(mvSnapUnset)
 
 	tx.txAborts.Add(1)
-
-	// Execution-mode ladder signal, folded per abort round rather than
-	// at commit: a transaction stuck re-aborting under a conflict storm
-	// may not commit for a long time, and the controller needs the
-	// abort pressure while the storm is on, not after it survives it.
-	thr.ctlAborts.Add(1)
 }
 
 // lowerCounter moves c down to v; it never raises it (completions of

@@ -87,13 +87,11 @@ func BenchmarkThreadCommitSmallTx(b *testing.B) {
 	benchSmallTx(b, Config{SpecDepth: 2}, atomicTx)
 }
 
-// BenchmarkThreadCommitSmallTxAdaptive is the same transaction with
-// the execution-mode controller armed (Policy adaptive). The ladder's
-// bookkeeping — attempt escalation checks, the per-commit outcome fold,
-// the window poll — rides the existing counters, so arming it must not
-// cost an allocation: allocs/op stays 0.
-func BenchmarkThreadCommitSmallTxAdaptive(b *testing.B) {
-	benchSmallTx(b, Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Adaptive}}, atomicTx)
+// BenchmarkThreadCommitSmallTxSerial is the same transaction on the
+// serialized rung (Policy serial): the gate taken and released around
+// it must not cost an allocation, so allocs/op stays 0.
+func BenchmarkThreadCommitSmallTxSerial(b *testing.B) {
+	benchSmallTx(b, Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Serial}}, atomicTx)
 }
 
 // BenchmarkThreadCommitSmallTxShipped is Submit+Wait under the default

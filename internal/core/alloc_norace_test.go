@@ -202,12 +202,11 @@ func TestWriterTxZeroAllocAboveScanMax(t *testing.T) {
 	}
 }
 
-// TestWriterTxZeroAllocModeArmed repeats the writer floor with the
-// execution-mode controller armed: the adaptive ladder's escalation
-// checks, outcome folds and window polls must ride the existing
-// counters without adding an allocation to the commit path.
-func TestWriterTxZeroAllocModeArmed(t *testing.T) {
-	rt := New(Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Adaptive}})
+// TestWriterTxZeroAllocSerial repeats the writer floor on the serialized
+// rung: taking and releasing the runtime's gate around every
+// transaction must not add an allocation to the commit path.
+func TestWriterTxZeroAllocSerial(t *testing.T) {
+	rt := New(Config{SpecDepth: 2, Mode: mode.Config{Policy: mode.Serial}})
 	defer rt.Close()
 	thr := rt.NewThread()
 	d := rt.Direct()
@@ -224,10 +223,7 @@ func TestWriterTxZeroAllocModeArmed(t *testing.T) {
 	})
 	thr.Sync()
 	if got != 0 {
-		t.Fatalf("armed-controller single-write Atomic allocates %.1f objects/op, want 0", got)
-	}
-	if st := thr.Stats(); st.ModeFallbacks != 0 {
-		t.Fatalf("uncontended run must not fall back: %+v", st)
+		t.Fatalf("serialized single-write Atomic allocates %.1f objects/op, want 0", got)
 	}
 }
 

@@ -177,21 +177,6 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	tx.foldOutcome(st)
 	st.VirtualTime += finish
 
-	// Execution-mode ladder signals: finishCommit usually runs on a
-	// worker while the controller is submitter-owned, so the outcome
-	// flows through the thread's signal atomics and the submitter folds
-	// the deltas into its controller at the next submission boundary.
-	// Only an armed controller is polled, so only then is the commit
-	// counted.
-	if thr.kit.Armed() {
-		thr.ctlCommits.Add(1)
-	}
-	// Aborts fold at abort time (cleanupTx), so a storm registers while
-	// it is happening; only the commit and defeat outcomes fold here.
-	if tx.cmDefeats.Load() > 0 {
-		thr.ctlDefeats.Add(1)
-	}
-
 	// Every task is what a SwissTM transaction was (§3.2), so each closes
 	// like one through the kit (Desc.Close): set sizes (read before
 	// RetireCommitted empties the write logs below), attempts and

@@ -25,10 +25,10 @@ func goid() string {
 	return string(f[0]) + " " + string(f[1])
 }
 
-// A one-task Atomic never touches a worker, whatever the ladder does;
-// the body observes the caller's goroutine.
+// A one-task Atomic never touches a worker, on either rung; the body
+// observes the caller's goroutine.
 func TestAtomicOneTaskRunsOnCaller(t *testing.T) {
-	for _, mc := range []mode.Config{{}, {Policy: mode.Adaptive}, {Policy: mode.Serial}} {
+	for _, mc := range []mode.Config{{}, {Policy: mode.Serial}} {
 		rt := New(Config{SpecDepth: 2, LockTableBits: 12, Mode: mc})
 		thr := rt.NewThread()
 		d := rt.Direct()

@@ -1,58 +1,16 @@
 package core
 
 import (
-	"context"
-	"os"
-	"os/exec"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"tlstm/internal/cm"
-	"tlstm/internal/locktable"
 	"tlstm/internal/mode"
 	"tlstm/internal/tm"
 )
 
-// forcedLadder is the deterministic ladder config used by the mode
-// tests: the negative ratio makes every full window fall back and every
-// served residency recover, so transitions happen regardless of the
-// actual conflict rate.
-func forcedLadder() mode.Config {
-	return mode.Config{Policy: mode.Adaptive, Window: 2, SerialWindow: 2, FallbackRatio: -1}
-}
-
-func TestAdaptiveLadderFallbackAndRecovery(t *testing.T) {
-	rt := New(Config{SpecDepth: 2, LockTableBits: 12, Mode: forcedLadder()})
-	thr := rt.NewThread()
-	d := rt.Direct()
-	a := d.Alloc(1)
-
-	for i := 0; i < 40; i++ {
-		if err := thr.Atomic(func(tk *Task) { tk.Store(a, tk.Load(a)+1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	thr.Sync()
-	st := thr.Stats()
-	if st.ModeFallbacks == 0 {
-		t.Fatalf("forced ladder never fell back: %+v", st)
-	}
-	if st.ModeRecoveries == 0 {
-		t.Fatalf("forced ladder never recovered: %+v", st)
-	}
-	if got := d.Load(a); got != 40 {
-		t.Fatalf("counter = %d, want 40 (mixed-rung commits must agree)", got)
-	}
-	if st.TxCommitted != 40 {
-		t.Fatalf("TxCommitted = %d, want 40", st.TxCommitted)
-	}
-}
-
-// TestModeConformance runs the same hot-word mix under every rung —
-// always-speculative, forced adaptive oscillation, and always-serial —
-// plus the forced ladder at SpecDepth 1 and requires identical final
-// state.
+// TestModeConformance runs the same hot-word mix under both rungs —
+// always-speculative and always-serial — plus the serial rung at
+// SpecDepth 1 and requires identical final state.
 func TestModeConformance(t *testing.T) {
 	run := func(depth int, mc mode.Config) []uint64 {
 		rt := New(Config{SpecDepth: depth, LockTableBits: 12, Mode: mc})
@@ -89,13 +47,12 @@ func TestModeConformance(t *testing.T) {
 	}
 
 	spec := run(2, mode.Config{Policy: mode.Speculative})
-	adaptive := run(2, forcedLadder())
 	serial := run(2, mode.Config{Policy: mode.Serial})
-	depth1 := run(1, forcedLadder())
+	depth1 := run(1, mode.Config{Policy: mode.Serial})
 	for i := range spec {
-		if adaptive[i] != spec[i] || serial[i] != spec[i] || depth1[i] != spec[i] {
-			t.Fatalf("rung divergence at word %d: spec=%v adaptive=%v serial=%v depth1=%v",
-				i, spec, adaptive, serial, depth1)
+		if serial[i] != spec[i] || depth1[i] != spec[i] {
+			t.Fatalf("rung divergence at word %d: spec=%v serial=%v depth1=%v",
+				i, spec, serial, depth1)
 		}
 	}
 }
@@ -209,104 +166,4 @@ func TestRetryMultiTaskRespins(t *testing.T) {
 		t.Fatalf("multi-task Retry must not park: %+v", st)
 	}
 	producer.Sync()
-}
-
-// waitCM is an always-Wait contention manager: it never aborts either
-// side, so any cross-thread lock standoff it adjudicates persists until
-// something else (the gate-yield break) resolves it.
-type waitCM struct{}
-
-func (waitCM) Name() string                                         { return "wait" }
-func (waitCM) OnConflict(*cm.Self, *locktable.OwnerRef) cm.Decision { return cm.Wait }
-func (waitCM) OnAbort(*cm.Self) int                                 { return 0 }
-func (waitCM) OnCommit(*cm.Self)                                    {}
-
-// runGateStandoff builds the directed cross-thread standoff of the
-// drain-deadlock regression: thread B falls back to the serialized rung
-// and, under the gate, takes Y then wants X; speculative thread A takes
-// X then wants Y, and its CM (always-Wait) would ride the conflict out
-// forever. Only the gate-yield break in the wait loop lets A concede,
-// release X, and unblock the gated entrant. It returns once both
-// threads committed.
-func runGateStandoff() {
-	rt := New(Config{SpecDepth: 1, LockTableBits: 12, CM: waitCM{},
-		Mode: mode.Config{Policy: mode.Adaptive, Window: 1, SerialWindow: 8, FallbackRatio: -1}})
-	d := rt.Direct()
-	x := d.Alloc(1)
-	y := d.Alloc(1)
-
-	var aHasX, bHasY atomic.Bool
-	done := make(chan struct{}, 2)
-
-	go func() { // thread B: trivial commit, then a gated transaction
-		thr := rt.NewThread()
-		_ = thr.Atomic(func(tk *Task) { tk.Load(y) })
-		// Window=1 with the forced ratio: the next submit falls back.
-		_ = thr.Atomic(func(tk *Task) {
-			tk.Store(y, 1)
-			bHasY.Store(true)
-			for !aHasX.Load() {
-				time.Sleep(time.Millisecond)
-			}
-			tk.Store(x, 1) // X is held by A: ride out under the gate
-		})
-		thr.Sync()
-		done <- struct{}{}
-	}()
-
-	go func() { // thread A: speculative, cross-holds against B
-		thr := rt.NewThread()
-		_ = thr.Atomic(func(tk *Task) {
-			tk.Store(x, 2)
-			aHasX.Store(true)
-			for !bHasY.Load() {
-				time.Sleep(time.Millisecond)
-			}
-			tk.Store(y, 2) // Y is held by the gated entrant
-		})
-		thr.Sync()
-		done <- struct{}{}
-	}()
-
-	<-done
-	<-done
-}
-
-// TestGateDrainBreaksWaitStandoff is the satellite regression: a ladder
-// fallback entered while a CM Wait decision is pending must not
-// deadlock against the draining speculative cohort.
-func TestGateDrainBreaksWaitStandoff(t *testing.T) {
-	finished := make(chan struct{})
-	go func() {
-		runGateStandoff()
-		close(finished)
-	}()
-	select {
-	case <-finished:
-	case <-time.After(60 * time.Second):
-		t.Fatal("gate standoff deadlocked despite the wait-loop break")
-	}
-}
-
-// TestGateDrainBreakIsLoadBearing mutation-verifies the regression
-// above: with the break disarmed (gatePendingBreak=false) the same
-// standoff must deadlock. The mutant runs in a subprocess so its
-// wedged goroutines cannot poison this process.
-func TestGateDrainBreakIsLoadBearing(t *testing.T) {
-	if os.Getenv("CORE_GATE_MUTANT") == "1" {
-		gatePendingBreak = false
-		runGateStandoff() // expected to wedge; the parent kills us
-		return
-	}
-	if testing.Short() {
-		t.Skip("subprocess mutant check")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestGateDrainBreakIsLoadBearing$")
-	cmd.Env = append(os.Environ(), "CORE_GATE_MUTANT=1")
-	out, err := cmd.CombinedOutput()
-	if ctx.Err() != context.DeadlineExceeded {
-		t.Fatalf("mutant with the break disarmed did not deadlock (err=%v):\n%s", err, out)
-	}
 }

@@ -86,17 +86,14 @@ type Config struct {
 	// commits, entry reclaims). nil keeps tracing off — the default
 	// no-op tracer compiles to a dead branch on the hot paths.
 	Trace *txtrace.Recorder
-	// Mode configures the execution-mode ladder (internal/mode): under
-	// the adaptive policy each thread runs transactions speculatively
-	// and falls back to a serialized global-lock
-	// rung when its commit window turns abort-heavy, recovering after a
-	// clean serialized window. The zero value keeps the ladder disarmed
-	// (always speculative).
+	// Mode selects the execution rung (internal/mode): mode.Serial runs
+	// every transaction under the runtime's gate. The zero value (and
+	// the former adaptive policy) runs every transaction speculatively.
 	Mode mode.Config
 }
 
 // shared maps the configuration onto the engine kit's option set, which
-// fills the defaults the runtimes share (clock, lock-table size, mode).
+// fills the defaults the runtimes share (clock, lock-table size).
 func (c Config) shared() txrt.Config {
 	return txrt.Config{
 		LockTableBits: c.LockTableBits,
@@ -111,10 +108,8 @@ func (c Config) shared() txrt.Config {
 
 // Runtime is one TLSTM instance: the engine kit's environment (word
 // store, allocator, commit clock, contention manager, version store,
-// mode gate and Retry hub — the gate serializes fallback entrants while
-// speculative threads keep running, their conflict ride-out loops
-// yielding to it) plus the lock-pair table and the task scheduler's
-// geometry. Independent Runtimes are fully isolated.
+// serialized gate and Retry hub) plus the lock-pair table and the task
+// scheduler's geometry. Independent Runtimes are fully isolated.
 type Runtime struct {
 	txrt.Env
 	locks *locktable.Table
@@ -126,6 +121,9 @@ type Runtime struct {
 	specDepth    int
 	reclaimRing  int
 	reclaimAudit bool
+
+	// threadIDs hands each Thread its identity.
+	threadIDs atomic.Int32
 
 	// threadsMu guards the registry of threads whose scheduler pools
 	// Close drains.
@@ -185,11 +183,8 @@ func (rt *Runtime) NewThread() *Thread {
 		ring:   make([]*Task, rt.specDepth),
 		txRing: make([]*txState, rt.specDepth),
 	}
-	rt.Bind(&thr.kit)
-	id := thr.ID()
-	// Mode-ladder transitions happen on the submitting goroutine between
-	// transactions, so they get their own ring.
-	thr.tr, _ = rt.NewTracer(fmt.Sprintf("core-thr%d-mode", id))
+	thr.id = rt.threadIDs.Add(1) - 1
+	id := thr.id
 	for i := range thr.ring {
 		t := &Task{thr: thr, locks: rt.locks, store: rt.Store, waitBeforeRestart: -1}
 		// The kit half (CM probe, flight recorder) and the per-context

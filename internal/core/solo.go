@@ -11,7 +11,7 @@ import (
 // runs a SwissTM transaction (Thread.runSolo). Its Load, Store and commit
 // (commitLogs) are the ring tasks' (Task); its attempt boundaries are
 // SwissTM's: no commit order to wait on, no rendezvous, no sandbox, and
-// the driver takes the gate and feeds the ladder.
+// the driver takes the gate.
 type solo Task
 
 var _ txrt.Algorithm = (*solo)(nil)
@@ -36,7 +36,7 @@ func (thr *Thread) newSolo() *Task {
 
 // runSolo runs a transaction that does not ship on the thread's solo
 // task, through the engine kit's driver (txrt.Desc.RunOn over the
-// Algorithm below): SwissTM's retry loop, ladder, backoff and commit.
+// Algorithm below): SwissTM's retry loop, gate, backoff and commit.
 // It first drains the thread's own pipeline, so no task of an earlier
 // Submit runs beside the solo task: its entries are then the heads of
 // their chains, no sibling can hold one as a FirstPast marker, and they
@@ -47,9 +47,6 @@ func (thr *Thread) newSolo() *Task {
 // one-task (or fused) transaction.
 func (thr *Thread) runSolo(ro bool, fns []TaskFunc) {
 	thr.txDone.Wait(thr.nextSerial)
-	if thr.kit.Armed() {
-		thr.pollMode()
-	}
 	t, tx := thr.solo, &thr.soloTx
 	if len(fns) == 1 {
 		t.fn = fns[0]
@@ -64,7 +61,7 @@ func (thr *Thread) runSolo(ro bool, fns []TaskFunc) {
 	}
 	tx.clearOutcome()
 
-	t.RunOn(&thr.kit, &thr.stats.Counters, ro)
+	t.RunOn(&thr.stats.Counters, ro)
 	t.fn = nil
 
 	st := &thr.stats

@@ -631,8 +631,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 			// the lock to be released.
 			t.CMSelf.Defeats = int(t.tx.cmDefeats.Load())
 			t.CMSelf.Completed = t.thr.completedTask.Load()
-			lost, yield := t.Contend(t.validTS, a, cm.PointEncounter, t.writeLog.Len(), waited, e.Owner)
-			if lost {
+			if t.Contend(t.validTS, a, cm.PointEncounter, t.writeLog.Len(), waited, e.Owner) {
 				defeats := t.tx.cmDefeats.Add(1)
 				if t.solo {
 					// The restart releases every lock the transaction
@@ -656,18 +655,6 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 					t.abortOwnTx(txtrace.AbortCM)
 				}
 				t.rollbackTask(restartCM)
-			}
-			// A serialized-fallback entrant is draining: riding the
-			// conflict out here can deadlock — the entrant waits for
-			// in-flight speculation to finish while this wait loop may
-			// (transitively) depend on a lock the gated transaction will
-			// only take once inside. Abort the whole transaction, not
-			// just the task: a task restart cannot release locks held by
-			// this transaction's sibling tasks, and those are exactly
-			// what the entrant can be stuck behind. Transactions already
-			// under the gate are exempt (Contend does not report them).
-			if yield && gatePendingBreak {
-				t.abortOwnTx(txtrace.AbortCM)
 			}
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting on another thread's lock costs parallel
@@ -725,12 +712,6 @@ func (t *Task) newEntry(p *locktable.Pair, a tm.Addr, v uint64, ser int64) *lock
 	return t.writeLog.NewEntryAt(&t.ownerRef, ser, p, a, v, t.thr.txDone.Seq())
 }
 
-// gatePendingBreak arms the wait-loop break above. It exists as a
-// package variable only so the directed deadlock regression
-// (gate_test.go) can verify the break is load-bearing by disarming it;
-// it is never cleared in production.
-var gatePendingBreak = true
-
 // Retry implements the transactional cond-var wait: the caller's
 // predicate over its reads failed, so abandon the attempt and block
 // until a conflicting commit changes something the attempt read
@@ -748,13 +729,21 @@ func (t *Task) Retry() {
 	}
 	tx := t.tx
 	if tx.startSerial != tx.commitSerial {
-		cfg := &t.thr.rt.ModeCfg
-		t.backoff = min(max(t.backoff*cfg.SpinFactor, cfg.SpinInit), cfg.SpinCell)
+		t.backoff = min(max(t.backoff*retrySpinFactor, retrySpinInit), retrySpinCell)
 		t.rollbackTask(restartRetry)
 	}
 	t.ArmParkReads(&t.readLog)
 	t.rollbackTask(restartRetry)
 }
+
+// A multi-task Retry respins with exponential backoff: the first respin
+// yields retrySpinInit times, each next one retrySpinFactor times more,
+// up to retrySpinCell.
+const (
+	retrySpinInit   = 16
+	retrySpinFactor = 2
+	retrySpinCell   = 1024
+)
 
 // Serial reports the task's program-order serial within its user-thread
 // (tests and instrumentation).

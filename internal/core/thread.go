@@ -8,7 +8,6 @@ import (
 	"tlstm/internal/sched"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
-	"tlstm/internal/txtrace"
 )
 
 // Thread is one user-thread: a serial stream of user-transactions, each
@@ -38,10 +37,8 @@ type Thread struct {
 	rt    *Runtime
 	depth int
 
-	// kit is the thread's identity and ladder (txrt.Thread): the
-	// controller, fed by pollMode and by the solo driver, is the
-	// submitting goroutine's.
-	kit txrt.Thread
+	// id is the thread's identity within its runtime.
+	id int32
 
 	// completedTask and completedWriter are the serials of the last
 	// completed task and last completed writer task (paper §3.3, task
@@ -113,20 +110,6 @@ type Thread struct {
 	// and writer commits allocate nothing at steady state.
 	commitScratch txlog.CommitScratch
 
-	// The ladder's signals: finishCommit and cleanupTx usually run on a
-	// worker, so they bump ctlCommits/ctlAborts/ctlDefeats there, and
-	// pollMode feeds the deltas against the seen* snapshots
-	// (submitter-owned) to kit's controller at each submission boundary.
-	ctlCommits                           atomic.Uint64
-	ctlAborts                            atomic.Uint64
-	ctlDefeats                           atomic.Uint64
-	seenCommits, seenAborts, seenDefeats uint64
-
-	// tr records the thread-level ladder events (KindModeShift) on a
-	// dedicated ring: mode shifts happen on the submitting goroutine
-	// between transactions, so they must not share a task ring.
-	tr txtrace.Tracer
-
 	// Spawn decision (shipOverlap): overlap is the average committed
 	// multi-task and fused transactions fold (noteOverlap) and Atomic
 	// reads; fusedFns are a fused transaction's bodies and fusedOverlap
@@ -161,7 +144,7 @@ func (thr *Thread) noteOverlap(n int) {
 }
 
 // ID reports the thread's identifier within its runtime.
-func (thr *Thread) ID() int32 { return thr.kit.ID() }
+func (thr *Thread) ID() int32 { return thr.id }
 
 // runSlot is the pool's run hook: execute slot i's prepared descriptor.
 func (thr *Thread) runSlot(i int) { thr.ring[i].run() }
@@ -241,23 +224,9 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	tx := thr.txRing[thr.txSeq%depth]
 	thr.txSeq++
 	for tx.live.Load() != 0 {
-		// The previous incarnation is stuck re-aborting under a storm:
-		// keep feeding the controller while we stall, so the fallback
-		// decision below is made on the storm's live signals rather than
-		// whatever was known when the stall started.
-		if thr.kit.Armed() {
-			thr.pollMode()
-		}
 		runtime.Gosched()
 	}
-
-	// Execution-mode ladder (Config.Mode): fold the outcome signals
-	// accumulated by finishCommit/cleanupTx since the last submission
-	// into the controller, then pick this transaction's rung.
-	if thr.kit.Armed() {
-		thr.pollMode()
-	}
-	gated := thr.kit.Serial()
+	gated := thr.rt.Serial
 
 	tx.startSerial = start
 	tx.commitSerial = commit
@@ -297,15 +266,11 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 	}
 
 	if gated {
-		// Serialized-fallback rung: drain this thread's own in-flight
-		// speculation first (no mixed-mode commits — every transaction
-		// of this thread either finished before the gate was taken or
-		// runs entirely under it), then hold the global gate across the
-		// whole transaction. The tasks still run the unchanged
-		// speculative protocol, so opacity is untouched; the gate only
-		// removes the concurrent fallback entrants it would conflict
-		// with, and other threads' optimists yield to Pending() instead
-		// of riding conflicts out against us.
+		// Serialized rung (Config.Mode): drain this thread's own
+		// in-flight speculation first, then hold the runtime's gate
+		// across the whole transaction. The tasks still run the
+		// unchanged speculative protocol, so opacity is untouched; the
+		// gate only keeps every other transaction out.
 		for i := range thr.slots {
 			thr.pool.WaitIdle(i)
 		}
@@ -370,16 +335,6 @@ func (thr *Thread) submit(ro, headHere bool, fns ...TaskFunc) (TxHandle, error) 
 		thr.txDone.Wait(commit)
 	}
 	return TxHandle{thr: thr, commit: commit}, nil
-}
-
-// pollMode feeds the mode controller the commit/abort/defeat deltas
-// since the last submission (the kit's ladder feed folds a transition
-// into ModeFallbacks/ModeRecoveries, submitter-written fields disjoint
-// from finishCommit's — see the Stats contract above).
-func (thr *Thread) pollMode() {
-	c, a, d := thr.ctlCommits.Load(), thr.ctlAborts.Load(), thr.ctlDefeats.Load()
-	thr.kit.Feed(c-thr.seenCommits, a-thr.seenAborts, d-thr.seenDefeats, &thr.stats.Counters, thr.tr)
-	thr.seenCommits, thr.seenAborts, thr.seenDefeats = c, a, d
 }
 
 // Atomic runs one user-transaction decomposed into the given tasks and

@@ -138,10 +138,8 @@ func (r Result) String() string {
 			s += fmt.Sprintf(" restartLat[%s]", r.RestartLatency)
 		}
 	}
-	if (r.Mode != "" && r.Mode != mode.Speculative.String()) ||
-		r.ModeFallbacks > 0 || r.ModeRecoveries > 0 || r.RetryWakes > 0 {
-		s += fmt.Sprintf(" mode=%-8s fallback=%-4d recover=%-4d retryWake=%d",
-			r.Mode, r.ModeFallbacks, r.ModeRecoveries, r.RetryWakes)
+	if (r.Mode != "" && r.Mode != mode.Speculative.String()) || r.RetryWakes > 0 {
+		s += fmt.Sprintf(" mode=%-6s retryWake=%d", r.Mode, r.RetryWakes)
 	}
 	return s
 }

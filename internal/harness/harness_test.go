@@ -268,7 +268,7 @@ func TestSweepMatrix(t *testing.T) {
 		{
 			axis:   "mode",
 			tx:     150,
-			labels: labelsOf("spec", "adaptive", "serial"),
+			labels: labelsOf("spec", "serial"),
 			row: func(t *testing.T, r Result) {
 				if !strings.HasSuffix(r.Label, "/"+r.Mode) {
 					t.Errorf("label %q does not carry its mode %q", r.Label, r.Mode)

@@ -58,7 +58,7 @@ var Sweeps = map[string]Sweep{
 	},
 	"mode": {
 		// The karma conflict storm is exactly the workload the serialized
-		// rung exists for, so the sweep measures what fallback buys.
+		// rung exists for, so the sweep measures what serializing buys.
 		Title: "Execution-mode policy sweep, karma conflict storm", Tx: 20_000, depth: 1,
 		legs: kindLegs(mode.Policies(), func(c *txrt.Config, p mode.Policy) {
 			c.CM = cm.New(cm.KindKarma)

@@ -1,37 +1,15 @@
-// Package mode is the execution-mode ladder of the runtime: a
-// per-thread controller that starts transactions in the cheapest viable
-// mode and moves between modes from live contention signals, plus the
-// serialized-fallback gate and the Retry/Wait registry the runtimes
-// share.
+// Package mode holds the runtimes' two execution rungs and the Retry
+// registry they share.
 //
-// The ladder ports the aahtm exemplar's production answer to
-// pathological conflict storms (SNIPPETS.md 1-2): speculate a bounded
-// number of tries with tuned backoff, then fall to a global lock, and
-// probe back to speculation once the storm passes. "On the Cost of
-// Concurrency in Transactional Memory" formalizes the regime where this
-// wins: under sustained write/write storms an optimistic runtime burns
-// unbounded work on aborted attempts while a single lock makes linear
-// progress.
+//   - Policy: a runtime runs every transaction speculatively (the
+//     default) or every transaction serialized under its Gate. The
+//     policy is per runtime, so gated and speculative transactions
+//     never meet.
 //
-// Three pieces, deliberately decoupled from any one runtime:
-//
-//   - Controller: a single-owner state machine (one per thread/worker,
-//     no atomics) fed commit/abort/CM-defeat outcomes. In Adaptive
-//     policy it trips from speculative to serialized when a window's
-//     aborts-per-commit ratio, its CM-defeat count, or one
-//     transaction's attempt count crosses the configured thresholds,
-//     and probes back after a serial window; rapid re-fallback doubles
-//     the next serial window (SpinFactor, capped by SpinCell), the
-//     exemplar's exponential-backoff idea applied to mode residency.
-//
-//   - Gate: the serialized-fallback lock. Pending() is exported so a
-//     speculative transaction riding out a CM Wait decision can yield
-//     to an entrant instead of deadlocking against it (the entrant
-//     drains its own pipeline first; see the runtimes' wait loops).
-//     Serialized transactions still run the full STM protocol under
-//     the gate — locks, validation, commit clock — so opacity is
-//     preserved by construction and no mixed-mode commit exists: the
-//     gate only serializes the fallback cohort against itself.
+//   - Gate: the serialized rung's lock. Serialized transactions still
+//     run the full STM protocol under it — locks, validation, commit
+//     clock — so opacity is preserved by construction; the gate only
+//     orders the transactions against each other.
 //
 //   - WaitHub: the Retry/Wait (cond-var) registry. A transaction whose
 //     predicate fails subscribes a read-set fingerprint, re-validates
@@ -43,24 +21,24 @@ package mode
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Policy selects how a runtime's threads choose execution modes.
+// Policy selects a runtime's execution rung.
 type Policy int
 
 const (
-	// Speculative always runs optimistically: the controller is
-	// disarmed and the runtime behaves exactly as before the ladder
-	// existed. The default.
+	// Speculative always runs optimistically. The default.
 	Speculative Policy = iota
-	// Adaptive arms the ladder: transactions start in the cheapest
-	// viable mode and fall back to the serialized gate under sustained
-	// contention, recovering when it passes.
+	// Adaptive is a former policy, kept only so the benchmark module
+	// (bench/) still compiles; runtimes run it as Speculative and Parse
+	// rejects it. It goes with the benchmark schema's next bump
+	// (ROADMAP item 1(c)).
 	Adaptive
-	// Serial always serializes transactions through the global gate —
-	// the degenerate bottom rung, useful as a baseline and for tests.
+	// Serial always serializes transactions through the runtime's gate,
+	// a baseline for conflict storms and for tests.
 	Serial
 )
 
@@ -83,321 +61,50 @@ func Parse(s string) (Policy, error) {
 	switch s {
 	case "spec", "speculative", "":
 		return Speculative, nil
-	case "adaptive":
-		return Adaptive, nil
 	case "serial":
 		return Serial, nil
 	default:
-		return 0, fmt.Errorf("unknown execution-mode policy %q (want %v)", s, Names())
+		return 0, fmt.Errorf("unknown execution-mode policy %q (want %s)", s, strings.Join(Names(), ", "))
 	}
 }
 
 // Names lists the policy names accepted by Parse, sweep order.
-func Names() []string { return []string{"spec", "adaptive", "serial"} }
+func Names() []string { return []string{"spec", "serial"} }
 
 // Policies lists the policies in sweep order.
-func Policies() []Policy { return []Policy{Speculative, Adaptive, Serial} }
+func Policies() []Policy { return []Policy{Speculative, Serial} }
 
-// Config tunes the ladder. The zero value (with Policy Speculative)
-// disarms everything; fill picks the aahtm-style defaults for the rest.
+// Config selects a runtime's rung.
 type Config struct {
 	Policy Policy
-
-	// FallbackAttempts is the per-transaction attempt budget before a
-	// mid-transaction escalation to the gate (the aahtm TK_NUM_TRIES
-	// analogue): a single transaction that aborts this many times stops
-	// speculating immediately instead of waiting for the window.
-	FallbackAttempts int
-
-	// FallbackRatio is the windowed aborts-per-commit threshold: when a
-	// window of Window commits accumulates at least
-	// FallbackRatio×Window aborts, the thread falls back. Negative
-	// forces a fallback at every full window regardless of aborts —
-	// a test hook that exercises the full ladder deterministically.
-	FallbackRatio int
-
-	// DefeatStreak is the CM-defeat budget per window: losing this many
-	// contention-manager decisions (AbortSelf verdicts) within one
-	// window trips the fallback without waiting for the ratio.
-	DefeatStreak int
-
-	// Window is the speculative observation window, in commits.
-	Window int
-
-	// SerialWindow is how many serialized commits a fallen-back thread
-	// performs before probing recovery back to speculation.
-	SerialWindow int
-
-	// SpinInit is the backoff, in scheduler yields, charged to a
-	// speculative attempt that aborted itself to let a gate entrant
-	// pass (the Pending() wait-loop break), so the serialized cohort
-	// gets cycles before the optimist relaunches.
-	SpinInit int
-
-	// SpinFactor multiplies the serial window on a rapid re-fallback
-	// (falling back again within one Window of recovering); SpinCell
-	// caps the growth. Together they are the exemplar's exponential
-	// backoff applied to serial-mode residency.
-	SpinFactor int
-	SpinCell   int
 }
 
-// Defaults (aahtm exemplar constants adapted to window units).
-const (
-	DefaultFallbackAttempts = 8
-	DefaultFallbackRatio    = 2
-	DefaultDefeatStreak     = 16
-	DefaultWindow           = 64
-	DefaultSerialWindow     = 16
-	DefaultSpinInit         = 16
-	DefaultSpinFactor       = 2
-	DefaultSpinCell         = 1024
-)
+// Controller and NewController are what is left of the former adaptive
+// mode controller, kept only because the benchmark module (bench/)
+// prices OnOutcome. Both go with the benchmark schema's next bump
+// (ROADMAP item 1(c)).
+type Controller struct{}
 
-// Fill replaces unset fields with defaults. FallbackRatio keeps
-// negative values (the force-fallback test hook). The runtimes call it
-// once at construction so wait loops read tuned constants directly.
-func (c Config) Fill() Config {
-	if c.FallbackAttempts <= 0 {
-		c.FallbackAttempts = DefaultFallbackAttempts
-	}
-	if c.FallbackRatio == 0 {
-		c.FallbackRatio = DefaultFallbackRatio
-	}
-	if c.DefeatStreak <= 0 {
-		c.DefeatStreak = DefaultDefeatStreak
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.SerialWindow <= 0 {
-		c.SerialWindow = DefaultSerialWindow
-	}
-	if c.SpinInit <= 0 {
-		c.SpinInit = DefaultSpinInit
-	}
-	if c.SpinFactor <= 1 {
-		c.SpinFactor = DefaultSpinFactor
-	}
-	if c.SpinCell <= 0 {
-		c.SpinCell = DefaultSpinCell
-	}
-	return c
-}
+// NewController returns the stub controller.
+func NewController(Config) Controller { return Controller{} }
 
-// State is a controller's current rung.
-type State int32
-
-const (
-	// StateSpec: transactions run optimistically.
-	StateSpec State = iota
-	// StateSerial: transactions run serialized under the gate.
-	StateSerial
-)
-
-// String names the state for trace rendering.
-func (s State) String() string {
-	switch s {
-	case StateSpec:
-		return "spec"
-	case StateSerial:
-		return "serial"
-	default:
-		return fmt.Sprintf("State(%d)", int32(s))
-	}
-}
-
-// Controller is one thread's mode state machine. Single-owner: exactly
-// one goroutine (the thread's submitter / the worker) feeds and reads
-// it, so it uses no atomics and embedding it costs no allocation.
-type Controller struct {
-	cfg Config
-
-	state State
-
-	// Speculative observation window.
-	winCommits uint64
-	winAborts  uint64
-	winDefeats uint64
-
-	// Serialized residency.
-	serialLeft int
-	span       int
-
-	// Rapid-refallback detection: commits since the last recovery.
-	sinceRecover uint64
-	recoveredYet bool
-
-	fallbacks  uint64
-	recoveries uint64
-}
-
-// NewController builds a controller for cfg (defaults filled).
-func NewController(cfg Config) Controller {
-	cfg = cfg.Fill()
-	c := Controller{cfg: cfg, span: cfg.SerialWindow}
-	if cfg.Policy == Serial {
-		c.state = StateSerial
-	}
-	return c
-}
-
-// Config reports the filled configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// Armed reports whether the adaptive ladder is active.
-func (c *Controller) Armed() bool { return c.cfg.Policy == Adaptive }
-
-// Serial reports whether the next transaction must run serialized
-// under the gate.
-func (c *Controller) Serial() bool {
-	return c.cfg.Policy == Serial || (c.cfg.Policy == Adaptive && c.state == StateSerial)
-}
-
-// State reports the current rung.
-func (c *Controller) State() State { return c.state }
-
-// Fallbacks reports speculative→serialized transitions so far.
-func (c *Controller) Fallbacks() uint64 { return c.fallbacks }
-
-// Recoveries reports serialized→speculative transitions so far.
-func (c *Controller) Recoveries() uint64 { return c.recoveries }
-
-// Escalate is the mid-transaction hook: called with the running
-// transaction's abort count after each failed attempt, it reports
-// whether the controller just fell back — the caller must then move the
-// in-flight transaction under the gate before retrying.
-func (c *Controller) Escalate(attempts int) bool {
-	if c.cfg.Policy != Adaptive || c.state != StateSpec {
-		return false
-	}
-	if attempts < c.cfg.FallbackAttempts {
-		return false
-	}
-	c.fallBack()
-	return true
-}
-
-// OnOutcome feeds one committed transaction's outcome: its abort count
-// and whether it lost at least one CM decision. It reports whether the
-// call tripped a fallback or a recovery (for the caller's stats).
-func (c *Controller) OnOutcome(aborts uint64, defeated bool) (fellBack, recovered bool) {
-	var d uint64
-	if defeated {
-		d = 1
-	}
-	return c.OnWindow(1, aborts, d)
-}
-
-// OnWindow is the batch form of OnOutcome: commits transactions with
-// aborts total aborts and defeats total CM defeats since the last call.
-// TLSTM's submitter uses it — task outcomes fold in on worker
-// goroutines, so the submitter observes cumulative counter deltas at
-// submit boundaries rather than per-commit callbacks. Abort-only
-// windows (commits == 0) are meaningful and feed the eager ratio
-// check: a transaction stuck re-aborting in a storm may never commit,
-// and waiting for its commit to report the aborts would starve the
-// controller of exactly the signal that should trip the fallback.
-func (c *Controller) OnWindow(commits, aborts, defeats uint64) (fellBack, recovered bool) {
-	if c.cfg.Policy != Adaptive || (commits == 0 && aborts == 0 && defeats == 0) {
-		return false, false
-	}
-	if c.state == StateSerial {
-		c.serialLeft -= int(commits)
-		if c.serialLeft > 0 {
-			return false, false
-		}
-		// Residency served: probe recovery.
-		c.state = StateSpec
-		c.recoveries++
-		c.recoveredYet = true
-		c.sinceRecover = 0
-		c.resetWindow()
-		return false, true
-	}
-	c.winCommits += commits
-	c.winAborts += aborts
-	c.winDefeats += defeats
-	c.sinceRecover += commits
-	w := uint64(c.cfg.Window)
-	switch {
-	case c.winDefeats >= uint64(c.cfg.DefeatStreak):
-		c.fallBack()
-		return true, false
-	case c.cfg.FallbackRatio >= 0 && c.recoveredYet &&
-		c.sinceRecover <= w && c.winAborts > uint64(c.cfg.FallbackRatio):
-		// Recovery probe: this thread was serialized a moment ago, so an
-		// abort burst within one window of recovering means the storm is
-		// still on — refall immediately instead of paying a full window
-		// of storm-priced aborts to rediscover it. (fallBack sees the
-		// short sinceRecover and doubles the next serial residency.)
-		c.fallBack()
-		return true, false
-	case c.cfg.FallbackRatio >= 0 && c.winAborts >= uint64(c.cfg.FallbackRatio)*w:
-		// Already more aborts than a full window tolerates: don't wait
-		// for the window to fill.
-		c.fallBack()
-		return true, false
-	case c.winCommits >= w:
-		if c.cfg.FallbackRatio < 0 || c.winAborts >= uint64(c.cfg.FallbackRatio)*c.winCommits {
-			c.fallBack() // negative ratio: forced-ladder test hook
-			return true, false
-		}
-		c.resetWindow()
-	}
+// OnOutcome reports no mode shift: there is no ladder to shift.
+func (*Controller) OnOutcome(aborts uint64, defeated bool) (fellBack, recovered bool) {
 	return false, false
 }
 
-func (c *Controller) resetWindow() {
-	c.winCommits, c.winAborts, c.winDefeats = 0, 0, 0
-}
-
-func (c *Controller) fallBack() {
-	if c.recoveredYet && c.sinceRecover <= uint64(c.cfg.Window) {
-		// Re-fell within one window of recovering: the storm is still
-		// on — double the residency, capped.
-		if c.span < c.cfg.SpinCell {
-			c.span *= c.cfg.SpinFactor
-			if c.span > c.cfg.SpinCell {
-				c.span = c.cfg.SpinCell
-			}
-		}
-	} else {
-		c.span = c.cfg.SerialWindow
-	}
-	c.state = StateSerial
-	c.serialLeft = c.span
-	c.fallbacks++
-	c.resetWindow()
-}
-
-// Gate is the serialized-fallback lock, one per runtime. Enter raises
-// the pending count before blocking on the mutex, so speculative
-// transactions riding out CM Wait decisions can observe Pending() and
-// yield (abort themselves) instead of deadlocking against a draining
-// entrant; the entrant itself is exempt from that break.
+// Gate is the serialized rung's lock, one per runtime. It is not
+// owner-tracked: a transaction may take it on one goroutine and release
+// it on another (a Retry park releases it wherever the task runs).
 type Gate struct {
-	pending atomic.Int32
-	mu      sync.Mutex
+	mu sync.Mutex
 }
 
-// Enter announces the entrant (Pending becomes true) and acquires the
-// serialization lock. The caller must have drained its own speculative
-// pipeline first: no mixed-mode commits from one thread.
-func (g *Gate) Enter() {
-	g.pending.Add(1)
-	g.mu.Lock()
-}
+// Enter acquires the gate.
+func (g *Gate) Enter() { g.mu.Lock() }
 
-// Exit releases the lock and withdraws the announcement.
-func (g *Gate) Exit() {
-	g.mu.Unlock()
-	g.pending.Add(-1)
-}
-
-// Pending reports whether any thread holds or awaits the gate. Wait
-// loops in the runtimes consult it every round.
-func (g *Gate) Pending() bool { return g.pending.Load() != 0 }
+// Exit releases the gate.
+func (g *Gate) Exit() { g.mu.Unlock() }
 
 // Fingerprint is a 64-bit bloom filter over lock-pair identities: the
 // read set of a parked waiter, the write set of a notifying committer.

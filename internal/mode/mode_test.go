@@ -16,153 +16,26 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Fatalf("Parse(%q) = %v, want %v", p.String(), got, p)
 		}
 	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("Parse accepted a bogus policy")
+	for _, bad := range []string{"bogus", "adaptive"} {
+		if _, err := Parse(bad); err == nil {
+			t.Fatalf("Parse accepted %q", bad)
+		}
 	}
 	if p, err := Parse("speculative"); err != nil || p != Speculative {
 		t.Fatalf("Parse(speculative) = %v, %v", p, err)
 	}
 }
 
+// TestControllerDisarmed: the stub controller the benchmark module
+// prices never reports a mode shift, whatever the policy.
 func TestControllerDisarmed(t *testing.T) {
-	c := NewController(Config{Policy: Speculative})
-	if c.Armed() || c.Serial() {
-		t.Fatal("speculative policy must disarm the ladder")
-	}
-	if c.Escalate(1 << 20) {
-		t.Fatal("disarmed controller escalated")
-	}
-	for i := 0; i < 10_000; i++ {
-		c.OnOutcome(100, true)
-	}
-	if c.Serial() || c.Fallbacks() != 0 {
-		t.Fatal("disarmed controller changed state")
-	}
-
-	s := NewController(Config{Policy: Serial})
-	if !s.Serial() || s.Armed() {
-		t.Fatal("serial policy must pin the gate rung")
-	}
-	s.OnOutcome(0, false)
-	if !s.Serial() {
-		t.Fatal("serial policy recovered")
-	}
-}
-
-func TestControllerRatioFallbackAndRecovery(t *testing.T) {
-	c := NewController(Config{Policy: Adaptive, Window: 8, FallbackRatio: 2, SerialWindow: 4})
-	// Clean commits: no fallback across many windows.
-	for i := 0; i < 100; i++ {
-		if fb, _ := c.OnOutcome(0, false); fb {
-			t.Fatal("fell back on clean commits")
+	for _, p := range []Policy{Speculative, Adaptive, Serial} {
+		c := NewController(Config{Policy: p})
+		for i := 0; i < 1000; i++ {
+			if fell, rec := c.OnOutcome(100, true); fell || rec {
+				t.Fatalf("%v: stub controller reported a shift", p)
+			}
 		}
-	}
-	// A storm of 2 aborts/commit trips it within a couple of windows
-	// regardless of where the clean run left the window cursor.
-	var fell bool
-	for i := 0; i < 24 && !fell; i++ {
-		fell, _ = c.OnOutcome(2, false)
-	}
-	if !fell || !c.Serial() || c.Fallbacks() != 1 {
-		t.Fatalf("ratio fallback did not trip: serial=%v fallbacks=%d", c.Serial(), c.Fallbacks())
-	}
-	// Serve the serial window; the 4th commit recovers.
-	for i := 0; i < 3; i++ {
-		if _, rec := c.OnOutcome(0, false); rec {
-			t.Fatal("recovered early")
-		}
-	}
-	if _, rec := c.OnOutcome(0, false); !rec || c.Serial() || c.Recoveries() != 1 {
-		t.Fatalf("recovery did not trip: serial=%v recoveries=%d", c.Serial(), c.Recoveries())
-	}
-}
-
-func TestControllerDefeatStreakAndEscalate(t *testing.T) {
-	c := NewController(Config{Policy: Adaptive, Window: 64, DefeatStreak: 3})
-	c.OnOutcome(0, true)
-	c.OnOutcome(0, true)
-	if fb, _ := c.OnOutcome(0, true); !fb || !c.Serial() {
-		t.Fatal("defeat streak did not trip the fallback")
-	}
-
-	e := NewController(Config{Policy: Adaptive, FallbackAttempts: 4})
-	if e.Escalate(3) {
-		t.Fatal("escalated under budget")
-	}
-	if !e.Escalate(4) || !e.Serial() || e.Fallbacks() != 1 {
-		t.Fatal("mid-transaction escalation did not trip")
-	}
-	if e.Escalate(100) {
-		t.Fatal("escalated while already serial")
-	}
-}
-
-func TestControllerRapidRefallbackDoublesResidency(t *testing.T) {
-	cfg := Config{Policy: Adaptive, Window: 4, FallbackRatio: -1, SerialWindow: 2, SpinFactor: 2, SpinCell: 8}
-	c := NewController(cfg)
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			c.OnOutcome(0, false)
-		}
-	}
-	// Forced ladder: every full window falls back. First residency = 2.
-	serve(4)
-	if !c.Serial() {
-		t.Fatal("forced fallback did not trip")
-	}
-	serve(2) // recover
-	if c.Serial() {
-		t.Fatal("did not recover after the serial window")
-	}
-	// Refalling within one window of recovery doubles the span: 4, 8, 8 (capped).
-	for _, wantSpan := range []int{4, 8, 8} {
-		serve(4) // forced re-fallback
-		if !c.Serial() {
-			t.Fatal("forced re-fallback did not trip")
-		}
-		if c.span != wantSpan {
-			t.Fatalf("span = %d, want %d", c.span, wantSpan)
-		}
-		serve(wantSpan)
-		if c.Serial() {
-			t.Fatal("did not recover")
-		}
-	}
-}
-
-func TestControllerWindowBatch(t *testing.T) {
-	c := NewController(Config{Policy: Adaptive, Window: 8, FallbackRatio: 2, SerialWindow: 4})
-	if fb, _ := c.OnWindow(4, 16, 0); !fb {
-		t.Fatal("batched aborts did not trip the early ratio check")
-	}
-	if _, rec := c.OnWindow(4, 0, 0); !rec {
-		t.Fatal("batched serial commits did not recover")
-	}
-}
-
-func TestGatePending(t *testing.T) {
-	var g Gate
-	if g.Pending() {
-		t.Fatal("fresh gate pending")
-	}
-	g.Enter()
-	if !g.Pending() {
-		t.Fatal("held gate not pending")
-	}
-	entered := make(chan struct{})
-	go func() {
-		g.Enter()
-		close(entered)
-		g.Exit()
-	}()
-	// The second entrant is blocked but already pending.
-	for !g.Pending() {
-		time.Sleep(time.Millisecond)
-	}
-	g.Exit()
-	<-entered
-	for g.Pending() {
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -64,7 +64,7 @@ func Register(fs *flag.FlagSet, own ...Rule) *Flags {
 	sort.Strings(axes)
 	fs.StringVar(&f.Sweep, "sweep", "", "run the invariant-checked sweep over one runtime setting across all four runtimes instead: "+strings.Join(axes, ", "))
 	fs.StringVar(&f.cm, "cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
-	fs.StringVar(&f.mode, "mode", "spec", `execution-mode policy: "spec" (always speculative), "adaptive" (ladder with serialized fallback under sustained conflict) or "serial"`)
+	fs.StringVar(&f.mode, "mode", "spec", `execution-mode policy: "spec" (every transaction speculative) or "serial" (every transaction under the runtime's gate)`)
 	fs.IntVar(&f.mv, "mv", 0, "retained version depth (0 disables multi-versioning)")
 	fs.StringVar(&f.Trace, "trace", "", "arm the flight recorder in every runtime the run builds and write the binary trace dump here; inspect with tlstm-trace")
 	f.rules = append([]Rule{

@@ -56,6 +56,7 @@ func TestSettingsRejectsIgnoredOrMalformedFlags(t *testing.T) {
 		{[]string{"-mv", "-1"}, "retained version depth -1 cannot be negative"},
 		{[]string{"-cm", "polite"}, "polite"},
 		{[]string{"-mode", "eager"}, "eager"},
+		{[]string{"-mode", "adaptive"}, `"adaptive" (want spec, serial)`},
 	} {
 		_, _, err := parse(t, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -82,16 +83,16 @@ func TestSettingsAcceptsValidRuns(t *testing.T) {
 			t.Errorf("%v rejected: %v", args, err)
 		}
 	}
-	_, s, err = parse(t, "-cm", "karma", "-mode", "adaptive", "-mv", "2", "-trace", "out.trace")
+	_, s, err = parse(t, "-cm", "karma", "-mode", "serial", "-mv", "2", "-trace", "out.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CM != cm.KindKarma || s.Mode != mode.Adaptive ||
+	if s.CM != cm.KindKarma || s.Mode != mode.Serial ||
 		s.MV != 2 || s.Trace == nil {
 		t.Fatalf("settings %+v do not carry the flags", s)
 	}
 	c := s.Config()
-	if c.CM.Name() != "karma" || c.Mode.Policy != mode.Adaptive ||
+	if c.CM.Name() != "karma" || c.Mode.Policy != mode.Serial ||
 		c.MVDepth != 2 || c.Trace != s.Trace {
 		t.Fatalf("Config() = %+v does not carry the settings", c)
 	}

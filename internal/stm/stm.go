@@ -20,7 +20,7 @@
 //     manager.
 //
 // Everything that is not the SwissTM protocol — options, statistics,
-// the retry loop, the mode ladder, Retry parking — is the
+// the retry loop, the serialized gate, Retry parking — is the
 // engine kit's (internal/txrt); the logs and the commit clock come from
 // internal/txlog and internal/clock. Hot paths are allocation-free at
 // steady state: a Worker owns a pooled transaction descriptor whose
@@ -155,21 +155,18 @@ var completedZero atomic.Int64
 
 // Worker is one execution context — the software analogue of the
 // per-thread transaction descriptor every serious TM implementation
-// keeps. It owns a reusable Tx, the thread's identity and ladder, and
-// an unshared statistics shard, so at steady state Atomic neither
+// keeps. It owns a reusable Tx and an unshared statistics shard, so at steady state Atomic neither
 // allocates nor touches shared stats state. A Worker must be used by
 // one goroutine at a time.
 type Worker struct {
 	rt    *Runtime
 	tx    Tx
-	thr   txrt.Thread
 	stats Stats // unshared shard; merged into rt.stats by Close
 }
 
 // NewWorker creates a worker context for this runtime.
 func (rt *Runtime) NewWorker() *Worker {
 	w := &Worker{rt: rt}
-	rt.Bind(&w.thr)
 	w.tx.rt = rt
 	w.tx.Init(&rt.Env, &w.tx, "stm-worker")
 	w.tx.owner = locktable.OwnerRef{
@@ -201,7 +198,7 @@ func (w *Worker) AtomicRO(fn func(tx *Tx)) { w.run(&w.stats, fn, true) }
 
 func (w *Worker) run(st *Stats, fn func(tx *Tx), ro bool) {
 	w.tx.fn = fn
-	w.tx.Run(&w.thr, st, ro)
+	w.tx.Run(st, ro)
 	w.tx.fn = nil
 }
 
@@ -347,8 +344,7 @@ func (tx *Tx) Store(a tm.Addr, v uint64) {
 				e.Update(a, v)
 				return
 			}
-			// Lose, signal the owner, or yield to a serialized gate
-			// entrant (the owner may be parked behind the same gate).
+			// Lose, or signal the owner.
 			tx.ResolveConflict(tx.validTS, a, cm.PointEncounter, tx.writeLog.Len(), waited, e.Owner)
 			// AbortOwner and Wait both ride the conflict out for a
 			// round; waiting costs real parallel time (the owner

@@ -119,7 +119,7 @@ func (rt *Runtime) run(st *Stats, fn func(tx *Tx), ro bool) {
 	// driver has released its locks and the gate by the time the panic
 	// unwinds through here.
 	defer rt.put(tx)
-	tx.Run(nil, st, ro)
+	tx.Run(st, ro)
 }
 
 func (rt *Runtime) put(tx *Tx) {

@@ -49,54 +49,6 @@ type Speculative interface {
 // the retry loop. It never escapes Run.
 type rollback struct{}
 
-// Thread is one logical thread's identity and mode ladder: its ID and
-// the mode controller. stm.Worker and core.Thread own one; for tl2 and
-// wtstm it lives in the caller's Stats shard. The ladder (Serial, Feed)
-// belongs to the goroutine that starts transactions.
-type Thread struct {
-	env *Env
-	id  int32
-	ctl mode.Controller
-}
-
-// Bind gives t its identity and mode controller.
-func (e *Env) Bind(t *Thread) {
-	t.env = e
-	t.id = e.threadIDs.Add(1) - 1
-	t.ctl = mode.NewController(e.ModeCfg)
-}
-
-// ID reports the thread's identity.
-func (t *Thread) ID() int32 { return t.id }
-
-// Armed reports whether the adaptive ladder is active; Serial whether
-// the next transaction runs under the gate.
-func (t *Thread) Armed() bool  { return t.ctl.Armed() }
-func (t *Thread) Serial() bool { return t.ctl.Serial() }
-
-// Feed is the ladder feed: it hands the controller a window of
-// committed transactions, aborts and CM-defeated transactions, and
-// folds a transition into c (nil counts nothing) and onto tr.
-func (t *Thread) Feed(commits, aborts, defeats uint64, c *Counters, tr txtrace.Tracer) {
-	if fell, rec := t.ctl.OnWindow(commits, aborts, defeats); fell || rec {
-		t.shifted(fell, c, tr)
-	}
-}
-
-// shifted counts a ladder transition (a fallback when fell, else a
-// recovery) in c and records it on tr (KindModeShift).
-func (t *Thread) shifted(fell bool, c *Counters, tr txtrace.Tracer) {
-	switch {
-	case c == nil:
-	case fell:
-		c.ModeFallbacks++
-	default:
-		c.ModeRecoveries++
-	}
-	to := t.ctl.State()
-	tr.Record(txtrace.KindModeShift, t.env.Clk.Now(), uint64(to), uint32(1-to))
-}
-
 // Desc is the engine kit's half of a transaction descriptor, embedded
 // by stm.Tx, tl2.Tx, wtstm.Tx and core.Task. Exported fields are the ones
 // algorithm code reads or writes on its access and commit paths; the
@@ -131,12 +83,9 @@ type Desc struct {
 	cmProbe cm.Probe
 	GreedTS atomic.Uint64
 
-	// InSerial marks a transaction running under the serialized gate:
-	// it IS the entrant, so it is exempt from yielding to one.
+	// InSerial marks a transaction that holds the serialized gate: a
+	// Retry park releases it across the park.
 	InSerial bool
-	// gateYield asks the retry loop for one SpinInit backoff: the
-	// attempt aborted itself to let a gate entrant pass.
-	gateYield bool
 
 	// parkPending: ArmPark subscribed waiter on parkFP, and the retry
 	// loop parks (parkRetry) before the next attempt.
@@ -154,8 +103,7 @@ type Desc struct {
 	allocs []tm.Addr // fresh blocks to release on abort
 	frees  []tm.Addr // deferred frees to apply on commit
 
-	aborts      uint64 // rolled-back attempts of this transaction
-	retryAborts uint64 // Retry unwinds, excluded from the ladder's signals
+	aborts uint64 // rolled-back attempts of this transaction
 
 	// Latency timing is sampled: of the descriptor's attempts, counted by
 	// attemptN, one in latencySample is timed (sampled), the first one
@@ -186,19 +134,14 @@ func (d *Desc) Init(env *Env, alg Algorithm, ring string) {
 }
 
 // Run executes one transaction to commit: the retry loop around
-// alg.Begin/Exec. thr is the calling thread's ladder. A nil thr means
-// the ladder in st (tl2, wtstm); with st nil as well, the ladder is
-// disarmed and nothing is recorded. ro declares the transaction
-// read-only.
-func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
+// alg.Begin/Exec, folded into st (nil records nothing). ro declares the
+// transaction read-only.
+func (d *Desc) Run(st *Stats, ro bool) {
 	if st == nil {
-		d.RunOn(thr, nil, ro)
+		d.RunOn(nil, ro)
 		return
 	}
-	if thr == nil {
-		thr = &st.thr
-	}
-	d.RunOn(thr, &st.Counters, ro)
+	d.RunOn(&st.Counters, ro)
 	st.Commits++
 	st.Aborts += d.aborts
 }
@@ -206,11 +149,8 @@ func (d *Desc) Run(thr *Thread, st *Stats, ro bool) {
 // RunOn is Run folding the descriptor into c (nil records nothing) and
 // leaving the outcome counts to the caller: core runs a transaction that
 // does not ship through it and counts commits and aborts its own way.
-func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
+func (d *Desc) RunOn(c *Counters, ro bool) {
 	env := d.env
-	if thr != nil && thr.env == nil {
-		env.Bind(thr)
-	}
 	d.Reset()
 	if d.GreedTS.Load() != 0 { // a load is a MOV, a store an XCHG
 		d.GreedTS.Store(0)
@@ -219,25 +159,20 @@ func (d *Desc) RunOn(thr *Thread, c *Counters, ro bool) {
 	if d.Traced {
 		d.Tr.Record(txtrace.KindTxBegin, env.Clk.Now(), 0, 0)
 	}
-	d.attempts(thr, c)
+	d.attempts(env.Serial)
 	d.Close(c)
-	if thr != nil {
-		thr.Feed(1, d.aborts-d.retryAborts, min(uint64(d.CMSelf.Defeats), 1), c, d.Tr)
-	}
 }
 
 // Attempts runs attempts until one commits, for a caller that owns the
 // transaction's boundaries (Reset before, Close after) and its gate:
 // core's ring tasks.
-func (d *Desc) Attempts() { d.attempts(nil, nil) }
+func (d *Desc) Attempts() { d.attempts(false) }
 
-// attempts is the retry loop. thr (nil: none) is the ladder: a
-// serialized transaction takes the runtime gate before its first attempt
-// (announcing itself so speculative wait loops yield) and runs the
-// unchanged protocol under it — opacity by construction, serialization
-// only against other fallback entrants.
-func (d *Desc) attempts(thr *Thread, c *Counters) {
-	serial := thr != nil && thr.ctl.Serial()
+// attempts is the retry loop. A serial transaction takes the runtime
+// gate before its first attempt and runs the unchanged protocol under
+// it: opacity by construction, serialization against the runtime's
+// other transactions.
+func (d *Desc) attempts(serial bool) {
 	if serial {
 		d.enterGate()
 	}
@@ -251,28 +186,11 @@ func (d *Desc) attempts(thr *Thread, c *Counters) {
 		d.restarted()
 		if d.parkPending {
 			// A Retry unwound this attempt; it parks at the top of the
-			// loop — no contention backoff, no escalation pressure.
-			d.retryAborts++
+			// loop, with no contention backoff.
 			continue
 		}
 		if d.spec != nil {
 			continue // it waits out its own restarts in Begin
-		}
-		if !serial && thr != nil && thr.ctl.Escalate(int(d.aborts-d.retryAborts)) {
-			// Attempt budget exhausted mid-transaction (TK_NUM_TRIES):
-			// move this transaction under the gate and retry there.
-			thr.shifted(true, c, d.Tr)
-			serial = true
-			d.enterGate()
-			continue
-		}
-		if d.gateYield {
-			// We aborted to let a gate entrant pass: back off SpinInit
-			// yields so the serialized cohort gets cycles first.
-			d.gateYield = false
-			for i := 0; i < d.env.ModeCfg.SpinInit; i++ {
-				runtime.Gosched()
-			}
 		}
 		// Back off per policy so the conflict window is not re-entered
 		// immediately (and, on a single CPU, so the lock owner we lost
@@ -360,10 +278,8 @@ func (d *Desc) discard(snap uint64, reason uint32) {
 // lock conflict at address a: resolve it through the policy, trace the
 // verdict (snap is the attempt's snapshot), signal owner (nil for
 // anonymous version locks) on AbortOwner. It reports an AbortSelf
-// verdict (lost) or else whether to yield to a serialized gate entrant
-// rather than ride the conflict out against it (the lock's owner may
-// itself be parked behind the gate). The reaction is the caller's.
-func (d *Desc) Contend(snap uint64, a tm.Addr, point cm.Point, writes, waited int, owner *locktable.OwnerRef) (lost, yield bool) {
+// verdict (lost); the reaction is the caller's.
+func (d *Desc) Contend(snap uint64, a tm.Addr, point cm.Point, writes, waited int, owner *locktable.OwnerRef) (lost bool) {
 	d.CMSelf.Point = point
 	d.CMSelf.Writes = writes
 	d.CMSelf.Waited = waited
@@ -374,17 +290,15 @@ func (d *Desc) Contend(snap uint64, a tm.Addr, point cm.Point, writes, waited in
 	if dec == cm.AbortOwner {
 		owner.AbortTx.Load().Store(true)
 	}
-	lost = dec == cm.AbortSelf
-	return lost, !lost && !d.InSerial && d.env.Gate.Pending()
+	return dec == cm.AbortSelf
 }
 
-// ResolveConflict is Contend plus the flat reaction: a lost conflict or
-// a gate yield aborts the attempt (a yield backs off SpinInit first).
-// When it returns the caller waits one round and looks again.
+// ResolveConflict is Contend plus the flat reaction: a lost conflict
+// aborts the attempt. When it returns the caller waits one round and
+// looks again.
 func (d *Desc) ResolveConflict(snap uint64, a tm.Addr, point cm.Point, writes, waited int, owner *locktable.OwnerRef) {
-	if lost, yield := d.Contend(snap, a, point, writes, waited, owner); lost || yield {
+	if d.Contend(snap, a, point, writes, waited, owner) {
 		d.CMSelf.Defeats++
-		d.gateYield = yield
 		d.Abort(snap, txtrace.AbortCM)
 	}
 }
@@ -430,10 +344,7 @@ func (d *Desc) releaseAllocs() {
 	d.frees = d.frees[:0]
 }
 
-// enterGate moves the transaction under the serialized rung. A flat
-// runtime has no speculative pipeline of its own to drain — the
-// in-flight attempt has already unwound — so announcing and locking is
-// the whole entry protocol.
+// enterGate moves the transaction under the serialized rung.
 func (d *Desc) enterGate() {
 	d.env.Gate.Enter()
 	d.InSerial = true
@@ -464,8 +375,8 @@ func (d *Desc) ArmPark(fp mode.Fingerprint, valid func() bool) {
 
 // parkRetry blocks on the Retry doorbell until a conflicting commit
 // rings it. A serialized transaction releases the gate across the park
-// (holding it would block every fallback entrant, perhaps the very
-// producer it waits for) and re-enters afterwards; the gate is not
+// (holding it would block every other transaction, the producer it
+// waits for among them) and re-enters afterwards; the gate is not
 // owner-tracked, so another goroutine of the transaction may park.
 func (d *Desc) parkRetry() {
 	d.parkPending = false
@@ -498,8 +409,7 @@ func (d *Desc) Reset() {
 	d.frees = d.frees[:0]
 	d.Work, d.Extends, d.Reclaims, d.Stalls = 0, 0, 0, 0
 	d.MVReads, d.MVMisses, d.retryWakes = 0, 0, 0
-	d.aborts, d.retryAborts = 0, 0
-	d.gateYield = false
+	d.aborts = 0
 	d.CMSelf.Defeats = 0
 }
 

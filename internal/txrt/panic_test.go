@@ -92,64 +92,30 @@ func within(t *testing.T, what string, f func()) {
 }
 
 // TestUserPanicReleasesGate: a body that panics while its transaction
-// holds the serialized gate — because the policy is mode.Serial, or
-// because the transaction escalated mid-flight — must not leave the gate
-// held; a second thread's serialized transaction has to commit.
+// holds the serialized gate (mode.Serial) must not leave the gate held;
+// a second thread's serialized transaction has to commit.
 func TestUserPanicReleasesGate(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  mode.Config
-	}{
-		{"serial", mode.Config{Policy: mode.Serial}},
-		// One abort exhausts the attempt budget (mid-transaction
-		// Escalate); a negative ratio over a one-commit window makes
-		// every thread's second transaction serialized.
-		{"escalated", mode.Config{Policy: mode.Adaptive, FallbackAttempts: 1, Window: 1, FallbackRatio: -1}},
-	}
-	for _, m := range modes {
-		for _, rt := range flatRuntimes(txrt.WithMode(m.cfg)) {
-			t.Run(rt.name+"/"+m.name, func(t *testing.T) {
-				a := rt.alloc()
-				first, helper, second := rt.newThread(), rt.newThread(), rt.newThread()
-				attempts := 0
-				if !panics(func() {
-					first.atomic(func(tx tm.Tx) {
-						attempts++
-						if m.cfg.Policy == mode.Serial {
-							tx.Store(a, 1) // hold a lock too
-							panic("boom")
-						}
-						if attempts > 1 {
-							panic("boom") // the retry runs under the gate
-						}
-						// Invalidate our own read so the first attempt
-						// aborts: the second Load sees a newer version
-						// than the logged one.
-						tx.Load(a)
-						done := make(chan struct{})
-						go func() {
-							defer close(done)
-							helper.atomic(func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
-						}()
-						<-done
-						tx.Load(a)
-					})
-				}) {
-					t.Fatal("the body's panic did not reach the caller")
-				}
-				if m.cfg.Policy == mode.Adaptive && attempts != 2 {
-					t.Fatalf("attempts = %d, want 2 (abort, then panic under the gate)", attempts)
-				}
-				within(t, "a second thread's serialized transaction", func() {
-					for i := 0; i < 2; i++ { // the second one is serialized under either config
-						second.atomic(func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
-					}
+	for _, rt := range flatRuntimes(txrt.WithMode(mode.Config{Policy: mode.Serial})) {
+		t.Run(rt.name+"/serial", func(t *testing.T) {
+			a := rt.alloc()
+			first, second := rt.newThread(), rt.newThread()
+			if !panics(func() {
+				first.atomic(func(tx tm.Tx) {
+					tx.Store(a, 1) // hold a lock too
+					panic("boom")
 				})
-				if st := second.stats(); st.Commits != 2 {
-					t.Fatalf("second thread committed %d, want 2", st.Commits)
+			}) {
+				t.Fatal("the body's panic did not reach the caller")
+			}
+			within(t, "a second thread's serialized transaction", func() {
+				for i := 0; i < 2; i++ {
+					second.atomic(func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
 				}
 			})
-		}
+			if st := second.stats(); st.Commits != 2 {
+				t.Fatalf("second thread committed %d, want 2", st.Commits)
+			}
+		})
 	}
 }
 

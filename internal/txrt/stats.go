@@ -55,13 +55,9 @@ type Counters struct {
 	RestartLatency txstats.Hist
 	CommitLatency  txstats.Hist
 	Attempts       txstats.Hist
-	// ModeFallbacks counts speculative→serialized ladder transitions
-	// (mid-transaction escalations included), ModeRecoveries the returns
-	// to speculation; RetryWakes counts Retry parks woken by a
-	// conflicting commit's doorbell.
-	ModeFallbacks  uint64
-	ModeRecoveries uint64
-	RetryWakes     uint64
+	// RetryWakes counts Retry parks woken by a conflicting commit's
+	// doorbell.
+	RetryWakes uint64
 }
 
 // Add folds o into c.
@@ -81,8 +77,6 @@ func (c *Counters) Add(o Counters) {
 	c.RestartLatency.Merge(o.RestartLatency)
 	c.CommitLatency.Merge(o.CommitLatency)
 	c.Attempts.Merge(o.Attempts)
-	c.ModeFallbacks += o.ModeFallbacks
-	c.ModeRecoveries += o.ModeRecoveries
 	c.RetryWakes += o.RetryWakes
 }
 
@@ -105,29 +99,19 @@ func (c Counters) Minus(o Counters) Counters {
 		RestartLatency:     c.RestartLatency.Minus(o.RestartLatency),
 		CommitLatency:      c.CommitLatency.Minus(o.CommitLatency),
 		Attempts:           c.Attempts.Minus(o.Attempts),
-		ModeFallbacks:      c.ModeFallbacks - o.ModeFallbacks,
-		ModeRecoveries:     c.ModeRecoveries - o.ModeRecoveries,
 		RetryWakes:         c.RetryWakes - o.RetryWakes,
 	}
 }
 
 // Stats is a flat runtime's statistics shard: transaction outcomes plus
 // the shared Counters. stm, tl2 and wtstm re-export it by alias.
-//
-// TL2 and the write-through STM pool their descriptors per runtime, not
-// per caller, so there the caller-owned shard IS the logical thread: it
-// carries the thread's identity and mode controller (thr),
-// bound on the shard's first transaction and touched only by the owning
-// goroutine. A shard must therefore stay with one runtime.
 type Stats struct {
 	Commits uint64
 	Aborts  uint64
 	Counters
-
-	thr Thread
 }
 
-// Add folds o's counters into s (o's thread identity is not carried).
+// Add folds o's counters into s.
 func (s *Stats) Add(o Stats) {
 	s.Commits += o.Commits
 	s.Aborts += o.Aborts

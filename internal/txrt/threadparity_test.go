@@ -12,7 +12,6 @@ import (
 	"tlstm/internal/core"
 	"tlstm/internal/locktable"
 	"tlstm/internal/mem"
-	"tlstm/internal/mode"
 	"tlstm/internal/stm"
 	"tlstm/internal/tl2"
 	"tlstm/internal/tm"
@@ -21,10 +20,9 @@ import (
 	"tlstm/internal/wtstm"
 )
 
-// The thread-kit parity regression: the ladder feed and the contention
-// manager's front half are the engine kit's
-// (txrt.Thread, txrt.Desc.Contend), so on every runtime each counter
-// they fold must equal the trace events they record.
+// The thread-kit parity regression: the contention manager's front half
+// is the engine kit's (txrt.Desc.Contend), so on every runtime each
+// counter it folds must equal the trace events it records.
 
 // kitThread is one logical thread of a runtime under test.
 type kitThread struct {
@@ -41,8 +39,7 @@ type kitRuntime struct {
 }
 
 // newKitRuntime builds the named runtime (stm, core, tl2 or wtstm) from
-// cfg's Mode, CM and MVDepth, traced on a recorder of
-// its own.
+// cfg's Mode, CM and MVDepth, traced on a recorder of its own.
 func newKitRuntime(name string, cfg txrt.Config) kitRuntime {
 	const bits = 14
 	rec := txtrace.NewRecorder(1 << 15)
@@ -115,14 +112,6 @@ type kitCheck struct {
 	event   func(txtrace.Event) bool
 }
 
-// private runs single-word transactions on thread 0 alone.
-func private(rt kitRuntime) {
-	w := rt.direct.Alloc(1)
-	for i := 0; i < 8; i++ {
-		rt.threads[0].atomic(func(tx tm.Tx) { tx.Store(w, tx.Load(w)+1) })
-	}
-}
-
 // contention runs read-yield-increment transactions on both threads at
 // once, on one word; the yields keep the two threads overlapping.
 func contention(rt kitRuntime) {
@@ -155,21 +144,6 @@ func TestThreadKitParityFourRuntimes(t *testing.T) {
 		batch  func(kitRuntime)
 		checks []kitCheck
 	}{
-		{
-			// A forced ladder: every window falls back, every serial
-			// window recovers.
-			name:  "ladder",
-			cfg:   txrt.Config{Mode: mode.Config{Policy: mode.Adaptive, Window: 1, SerialWindow: 1, FallbackRatio: -1}},
-			batch: private,
-			checks: []kitCheck{
-				{"ModeFallbacks", func(c txrt.Counters) uint64 { return c.ModeFallbacks }, func(e txtrace.Event) bool {
-					return txtrace.Kind(e.Kind) == txtrace.KindModeShift && e.Arg == uint64(mode.StateSerial)
-				}},
-				{"ModeRecoveries", func(c txrt.Counters) uint64 { return c.ModeRecoveries }, func(e txtrace.Event) bool {
-					return txtrace.Kind(e.Kind) == txtrace.KindModeShift && e.Arg == uint64(mode.StateSpec)
-				}},
-			},
-		},
 		{
 			// Every conflict is lost.
 			name:  "cm",

@@ -7,11 +7,10 @@
 //     way, with one Add/Minus (stats.go);
 //   - Config / Option / Env: the option set, its defaults, and the
 //     runtime-wide state built from it — memory, commit clock,
-//     contention manager, version store, mode gate, Retry hub (this
-//     file);
-//   - Desc / Thread / Algorithm: the transaction descriptor, the
-//     thread's identity and ladder state, and the flat-transaction
-//     driver (driver.go);
+//     contention manager, version store, serialized gate, Retry hub
+//     (this file);
+//   - Desc / Algorithm: the transaction descriptor and the
+//     flat-transaction driver (driver.go);
 //   - the shared read side: the multi-version probe and exit (ReadMV,
 //     ExitMV), SwissTM's committed read (ReadCommitted), post-write
 //     snapshot check (CoverWrite), snapshot extension (Extend) and
@@ -32,23 +31,22 @@
 //	                   and reads multi-versioned through Desc.ReadMV
 //
 // Desc.Run calls the first four through the Algorithm interface once
-// per attempt and owns everything else: retry loop, mode ladder and
-// gate, Retry parking, CM backoff, user-panic cleanup and the stats
-// fold (Desc.Close).
+// per attempt and owns everything else: retry loop, serialized gate,
+// Retry parking, CM backoff, user-panic cleanup and the stats fold
+// (Desc.Close).
 //
 // TLSTM's core is on the kit too: core.Task embeds Desc, and every
 // attempt of a task runs on this driver. A transaction that does not
 // ship runs on the thread's solo task through RunOn and Commit, as stm
 // runs one (TLSTM-1 is SwissTM); each ring task of a shipped or submitted
 // one is a Speculative Algorithm run through Attempts, while core keeps
-// the transaction's boundaries (abort rendezvous, commit order, gate,
-// ladder signals), commits it through Commit over every task's logs and
-// closes each task (Close).
+// the transaction's boundaries (abort rendezvous, commit order, gate),
+// commits it through Commit over every task's logs and closes each task
+// (Close).
 package txrt
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"tlstm/internal/clock"
 	"tlstm/internal/cm"
@@ -126,10 +124,10 @@ func WithMultiVersion(k int) Option { return func(c *Config) { c.MVDepth = k } }
 // nil (the default) keeps the no-op tracer and the zero-alloc hot path.
 func WithTrace(rec *txtrace.Recorder) Option { return func(c *Config) { c.Trace = rec } }
 
-// WithMode configures the execution-mode ladder (internal/mode): under
-// mode.Adaptive a thread falls back from speculation to the runtime's
-// serialized gate under sustained conflict and recovers when the storm
-// passes. The default keeps the ladder disarmed (always speculative).
+// WithMode selects the execution rung (internal/mode): under
+// mode.Serial every transaction runs under the runtime's gate. The
+// default (and the former adaptive policy) runs every transaction
+// speculatively.
 func WithMode(cfg mode.Config) Option { return func(c *Config) { c.Mode = cfg } }
 
 // Env is the runtime-wide state every runtime builds from a Config. A
@@ -154,14 +152,11 @@ type Env struct {
 	// their event rings with.
 	Trace *txtrace.Recorder
 
-	// ModeCfg/Gate/Hub are the execution-mode ladder: the gate
-	// serializes fallback entrants, the hub parks Retry waiters.
-	ModeCfg mode.Config
-	Gate    mode.Gate
-	Hub     *mode.WaitHub
-
-	// threadIDs hands each Thread its identity.
-	threadIDs atomic.Int32
+	// Serial runs every transaction under Gate (mode.Serial); Hub parks
+	// Retry waiters.
+	Serial bool
+	Gate   mode.Gate
+	Hub    *mode.WaitHub
 }
 
 // Init fills cfg's defaults (defaultCM is the runtime's own default
@@ -186,7 +181,6 @@ func (e *Env) Init(ns string, store *mem.Store, cfg Config, defaultCM cm.Kind) C
 	if cfg.CM == nil {
 		cfg.CM = cm.New(defaultCM)
 	}
-	cfg.Mode = cfg.Mode.Fill()
 
 	e.Store = store
 	e.Alloc = mem.NewAllocator(e.Store)
@@ -197,7 +191,7 @@ func (e *Env) Init(ns string, store *mem.Store, cfg Config, defaultCM cm.Kind) C
 		e.MV = txlog.NewVersionedStore(cfg.MVDepth, txlog.DefaultVersionedStoreBits)
 	}
 	e.Trace = cfg.Trace
-	e.ModeCfg = cfg.Mode
+	e.Serial = cfg.Mode.Policy == mode.Serial
 	e.Hub = mode.NewWaitHub()
 	if e.Trace != nil {
 		e.Trace.SetMeta(ns+".lockbits", strconv.Itoa(cfg.LockTableBits))
@@ -229,8 +223,13 @@ func (e *Env) MVDepth() int {
 // CMName reports the contention-management policy in use.
 func (e *Env) CMName() string { return e.CM.Name() }
 
-// ModeName reports the execution-mode policy threads ladder under.
-func (e *Env) ModeName() string { return e.ModeCfg.Policy.String() }
+// ModeName reports the execution rung.
+func (e *Env) ModeName() string {
+	if e.Serial {
+		return mode.Serial.String()
+	}
+	return mode.Speculative.String()
+}
 
 // CommitTS exposes the current global commit timestamp (tests, stats).
 func (e *Env) CommitTS() uint64 { return e.Clk.Now() }

@@ -78,8 +78,10 @@ const (
 	// timestamp. These events give the opacity checker the written-word
 	// identities it needs to rebuild per-slot version histories.
 	KindCommitWord
-	// KindModeShift records an execution-mode ladder transition on the
-	// recording thread. Arg: the new mode.State; Aux: the previous one.
+	// KindModeShift recorded a transition of the former adaptive mode
+	// ladder on the recording thread. Arg: the new rung (0 speculative,
+	// 1 serialized); Aux: the previous one. No runtime records it now;
+	// it keeps its number and name so older dumps still parse.
 	KindModeShift
 	// KindRetryPark records the Retry/Wait cond-var path. Aux: 0 when
 	// the transaction parks on its doorbell, 1 when a conflicting

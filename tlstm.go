@@ -148,14 +148,12 @@ type (
 	// transactions are resolved. See NewCM for the built-in policies.
 	CMPolicy = cm.Policy
 
-	// ModeConfig tunes the execution-mode ladder for Config.Mode: the
-	// zero value keeps transactions always-speculative; Policy
-	// ModeAdaptive arms per-thread fallback to a serialized global-lock
-	// rung under sustained conflict (and recovery once the storm
-	// passes). See ParseMode for the policy names.
+	// ModeConfig selects the execution rung for Config.Mode: the zero
+	// value runs every transaction speculatively; Policy ModeSerial runs
+	// every transaction under the runtime's global gate. See ParseMode
+	// for the policy names.
 	ModeConfig = mode.Config
-	// ModePolicy selects the execution-mode ladder's behavior; see
-	// ModeSpeculative, ModeAdaptive and ModeSerial.
+	// ModePolicy is an execution rung: ModeSpeculative or ModeSerial.
 	ModePolicy = mode.Policy
 
 	// Direct is the non-transactional setup handle returned by
@@ -196,17 +194,13 @@ const (
 	// ModeSpeculative runs every transaction optimistically (the
 	// default; zero value).
 	ModeSpeculative = mode.Speculative
-	// ModeAdaptive starts speculative and falls back to the serialized
-	// global-lock rung when the abort-rate window or a CM-defeat streak
-	// says speculation is losing, recovering after a served residency.
-	ModeAdaptive = mode.Adaptive
-	// ModeSerial runs every transaction under the global gate
-	// (measurement baseline for the ladder).
+	// ModeSerial runs every transaction under the runtime's global gate:
+	// one transaction at a time, a baseline for conflict storms.
 	ModeSerial = mode.Serial
 )
 
-// ParseMode parses an execution-mode policy name: "spec" (or ""),
-// "adaptive" or "serial".
+// ParseMode parses an execution-mode policy name: "spec" (or "") or
+// "serial".
 func ParseMode(name string) (ModePolicy, error) { return mode.Parse(name) }
 
 // New creates a TLSTM runtime.
