@@ -1,10 +1,11 @@
 // Benchmarks regenerating the paper's evaluation (one per figure, §4)
-// plus runtime microbenchmarks and the ablations DESIGN.md calls out.
+// plus runtime microbenchmarks and ablations of single design choices.
 //
 // Figure benches report two metrics: wall ns/op (dominated by the
 // 1-CPU simulator, not meaningful for speedup) and vunits/tx — virtual
-// work units per transaction under the critical-path model of
-// DESIGN.md §3, the quantity behind the figures' throughput axes.
+// work units per transaction under the critical-path model (README,
+// "Reproducing the paper's figures"), the quantity behind the figures'
+// throughput axes.
 // Lower vunits/tx means higher paper-throughput.
 package tlstm_test
 
@@ -347,7 +348,8 @@ func BenchmarkTxCommitWrite(b *testing.B) {
 }
 
 // -----------------------------------------------------------------------------
-// Ablations (DESIGN.md §7).
+// Ablations: one design choice (contention manager, speculation depth,
+// baseline runtime, write handling, lock-table size) varied at a time.
 // -----------------------------------------------------------------------------
 
 // Task-aware CM vs plain two-phase greedy under inter-thread write

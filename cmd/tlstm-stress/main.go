@@ -138,7 +138,7 @@ func run() int {
 				Counters: map[string]uint64{
 					"committed": st.TxCommitted, "txAborts": st.TxAborted,
 					"taskRestarts": st.TaskRestarts, "work": st.Work, "extensions": st.SnapshotExtensions,
-					"cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
+					"validatedEntries": st.ValidatedEntries, "cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
 					"backoffSpins": st.BackoffSpins, "entryReclaims": st.EntryReclaims,
 					"horizonStalls": st.HorizonStalls, "mvReads": st.MVReads, "mvMisses": st.MVMisses,
 					"retryWakes": st.RetryWakes,
@@ -335,10 +335,10 @@ func run() int {
 		sum += d.Load(base + tm.Addr(i))
 	}
 	want := uint64(*accounts) * initial
-	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d ext=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
+	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d ext=%d validated=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
 		total.TxCommitted, total.TxFused, total.TxAborted, total.TaskRestarts, total.Work,
 		total.WorkersSpawned, total.DescriptorReuses,
-		total.SnapshotExtensions,
+		total.SnapshotExtensions, total.ValidatedEntries,
 		rt.CMName(), total.CMAbortsSelf, total.CMAbortsOwner, total.BackoffSpins,
 		rt.ModeName(), total.RetryWakes,
 		total.EntryReclaims, total.HorizonStalls,

@@ -7,7 +7,8 @@ import (
 )
 
 // commitCost is the modeled per-task commit serialization cost in work
-// units, used by the virtual-time model (DESIGN.md §3).
+// units, used by the virtual-time model (README, "Reproducing the
+// paper's figures").
 const commitCost = 2
 
 // commitStep is the task's commit procedure (Alg. 3 lines 65–77): wait
@@ -82,7 +83,7 @@ func (t *Task) commitTransaction() {
 	tx := t.tx
 	for _, task := range tx.tasks {
 		if task.writeLog.Len() > 0 {
-			t.finishCommit(t.commitLogs(true), true)
+			t.finishCommit(t.commitLogs(), true)
 			return
 		}
 	}
@@ -93,7 +94,8 @@ func (t *Task) commitTransaction() {
 	for _, task := range tx.tasks {
 		if task.validTS != t.validTS {
 			if !t.ValidateLogs(tx.logs, nil) {
-				t.failTxValidation(t.validTS)
+				t.TraceValidateLogs(t.validTS, tx.logs, false)
+				t.abortOwnTx(txtrace.AbortValidation)
 			}
 			break
 		}
@@ -104,29 +106,21 @@ func (t *Task) commitTransaction() {
 // commitLogs commits the transaction's logs — a ring transaction's or
 // the solo task's — through the kit's commit, over the thread-owned
 // scratch so steady-state commits do not allocate, and returns the commit
-// timestamp. A writer first runs the optimistic pre-lock validation
-// (Alg. 3 line 78), which finds a doomed transaction before it takes
-// r-locks. Either failed validation aborts the transaction.
-func (t *Task) commitLogs(writer bool) uint64 {
-	logs := t.tx.logs
-	if writer {
-		if !t.ValidateLogs(logs, nil) {
-			t.failTxValidation(t.validTS)
-		}
+// timestamp. The snapshot it passes is the oldest of the tasks' (each
+// task extends its own): only that one proves that nothing committed
+// since, so only a stamp one above it skips validation. A failed
+// validation aborts the transaction.
+func (t *Task) commitLogs() uint64 {
+	snap := t.validTS
+	for _, task := range t.tx.tasks {
+		snap = min(snap, task.validTS)
 	}
-	ts, ok := t.Commit(logs, &t.thr.commitScratch, t.validTS)
+	ts, ok := t.Commit(t.tx.logs, &t.thr.commitScratch, snap)
 	if !ok {
 		// Commit traced the failed validation.
 		t.abortOwnTx(txtrace.AbortValidation)
 	}
 	return ts
-}
-
-// failTxValidation aborts the user-transaction after a failed
-// commit-time validation at clock.
-func (t *Task) failTxValidation(clock uint64) {
-	t.TraceValidateLogs(clock, t.tx.logs, false)
-	t.abortOwnTx(txtrace.AbortValidation)
 }
 
 // abortOwnTx aborts this task's entire user-transaction for reason
@@ -158,7 +152,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 
 	// Virtual-time model: tasks start together; task k finishes at
 	// max(own work, finish of task k−1) + commit cost (serialized
-	// commits). See DESIGN.md §3.
+	// commits). See README, "Reproducing the paper's figures".
 	var finish uint64
 	for _, task := range tx.tasks {
 		finish = max(finish, task.Work) + commitCost

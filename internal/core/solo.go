@@ -109,15 +109,14 @@ func (s *solo) Begin() uint64 {
 }
 
 // Exec implements txrt.Algorithm: the body, then the commit a ring
-// transaction runs (commitLogs, the writer's pre-lock validation
-// included), so a transaction costs the same work — and virtual time —
-// on both paths.
+// transaction runs (commitLogs), so a transaction costs the same work —
+// and virtual time — on both paths.
 func (s *solo) Exec() {
 	t := (*Task)(s)
 	t.fn(t)
 	t.checkSignals()
 	writes := t.writeLog.Len()
-	t.Committed(t.commitLogs(writes != 0), writes)
+	t.Committed(t.commitLogs(), writes)
 }
 
 // Release implements txrt.Algorithm: unlink the attempt's entries. Each

@@ -572,14 +572,17 @@ func (t *Task) mvFallback() {
 // past writer, any unwound writer, and any writer whose transaction
 // committed (chain unlocked) invalidates the read.
 func (t *Task) validateTask() bool {
-	for i, re := range t.readLog.Entries() {
+	entries := t.readLog.Entries()
+	for i, re := range entries {
 		if i%txrt.ValidationStride == 0 {
 			t.Work++
 		}
 		if t.firstPastOf(re.Pair.W.Load()) != re.FirstPast {
+			t.Validated += uint64(i + 1)
 			return false
 		}
 	}
+	t.Validated += uint64(len(entries))
 	return true
 }
 

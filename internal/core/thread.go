@@ -435,7 +435,7 @@ type Stats struct {
 	// VirtualTime is the modeled parallel execution time in work units:
 	// per transaction, tasks start together and task k finishes at
 	// max(own work, finish of task k−1) + commit cost, reflecting the
-	// serialized commit order (DESIGN.md §3, hardware substitution).
+	// serialized commit order (README, "Reproducing the paper's figures").
 	VirtualTime uint64
 	// WorkersSpawned counts scheduler worker goroutines created: at
 	// most SPECDEPTH per thread over its whole lifetime, and zero per

@@ -1,18 +1,19 @@
 // Package harness drives the paper's four evaluation experiments
 // (Figures 1a, 1b, 2a, 2b) over both runtimes and reports throughput.
 //
-// Hardware substitution (DESIGN.md §3): the paper measured wall-clock
-// throughput on 64-hardware-thread machines; this container has one
-// CPU, where speculative parallelism cannot shorten wall time. The
-// runtimes therefore count *work units* for every operation they
-// actually execute — reads, writes, validation steps, commit publishes,
-// including all aborted attempts — and the harness reports *virtual
-// time*: per user-transaction, its tasks start together and task k
-// finishes at max(own work, finish of k−1) plus a commit cost (commits
-// are serialized per thread); threads run in parallel, so a run's
-// virtual duration is the maximum per-thread virtual time. Conflicts
-// and rollbacks lengthen virtual time exactly where they lengthen the
-// paper's wall time. Wall-clock numbers are also recorded.
+// Hardware substitution (README, "Reproducing the paper's figures"):
+// the paper measured wall-clock throughput on 64-hardware-thread
+// machines; this container has one CPU, where speculative parallelism
+// cannot shorten wall time. The runtimes therefore count *work units*
+// for every operation they actually execute — reads, writes, validation
+// steps, commit publishes, including all aborted attempts — and the
+// harness reports *virtual time*: per user-transaction, its tasks start
+// together and task k finishes at max(own work, finish of k−1) plus a
+// commit cost (commits are serialized per thread); threads run in
+// parallel, so a run's virtual duration is the maximum per-thread
+// virtual time. Conflicts and rollbacks lengthen virtual time exactly
+// where they lengthen the paper's wall time. Wall-clock numbers are
+// also recorded.
 //
 // The runtimes only count: their access paths never yield the
 // processor. Transactions overlap when they run on different CPUs; the
@@ -112,7 +113,7 @@ func (r Result) Throughput() float64 {
 
 // String formats a result row. Scheduler counters appear only when the
 // run produced them (TLSTM runs; the baseline has no task scheduler),
-// and the extension count only when nonzero.
+// and the extension and validated-entry counts only when nonzero.
 func (r Result) String() string {
 	s := fmt.Sprintf("%-22s ops=%-8d tput=%8.3f vtime=%-10d txAbort=%-5d taskRestart=%-6d wall=%s",
 		r.Label, r.Ops, r.Throughput(), r.VirtualUnits, r.Aborts, r.TaskRestarts, r.Wall.Round(time.Millisecond))
@@ -121,6 +122,9 @@ func (r Result) String() string {
 	}
 	if r.SnapshotExtensions > 0 {
 		s += fmt.Sprintf(" ext=%-5d", r.SnapshotExtensions)
+	}
+	if r.ValidatedEntries > 0 {
+		s += fmt.Sprintf(" validated=%-8d", r.ValidatedEntries)
 	}
 	if r.CMAbortsSelf > 0 || r.CMAbortsOwner > 0 || r.BackoffSpins > 0 {
 		s += fmt.Sprintf(" cm=%-9s cmSelf=%-5d cmOwner=%-5d spins=%d", r.CM, r.CMAbortsSelf, r.CMAbortsOwner, r.BackoffSpins)

@@ -28,7 +28,7 @@ import (
 
 // Params sizes the structure. The original's CAD model is much larger;
 // these defaults keep simulator runs tractable while preserving shape
-// (documented substitution, DESIGN.md §3).
+// (documented substitution: README, "Reproducing the paper's figures").
 type Params struct {
 	// Levels is the number of complex-assembly levels including the
 	// root (original: 7).

@@ -291,17 +291,20 @@ func (tx *Tx) commit() {
 	// clock hands each committer its own stamp, so wv == rv+1 means
 	// "the clock moved once", and only for us.
 	if wv != tx.rv+1 {
-		for i, l := range tx.readLog.Locks() {
+		locks := tx.readLog.Locks()
+		for i, l := range locks {
 			if i%txrt.ValidationStride == 0 {
 				tx.Work++
 			}
 			// Locked is above every read version; a lock this commit
 			// holds is the one exemption.
 			if v := l.Load(); v > tx.rv && (v != locktable.Locked || !tx.held.Holds(l)) {
+				tx.Validated += uint64(i + 1)
 				tx.TraceValidate(wv, tx.readLog.Len(), false)
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
+		tx.Validated += uint64(len(locks))
 		tx.TraceValidate(wv, tx.readLog.Len(), true)
 	}
 

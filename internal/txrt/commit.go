@@ -25,11 +25,25 @@ type Logs struct {
 // A read-only transaction is consistent by construction at snap and
 // commits as it is. A writer locks each written pair's r-lock once,
 // remembering the version it displaces, takes a commit timestamp,
-// validates every read log, feeds the version store, publishes the
-// buffered values in program order — when two tasks wrote a word, the
-// later one's value lands last — releases every pair at the new version
-// (txlog.CommitScratch.Release) and rings the Retry waiters whose
-// fingerprints intersect the write set.
+// validates every read log unless the stamp is snap+1, feeds the version
+// store, publishes the buffered values in program order — when two tasks
+// wrote a word, the later one's value lands last — releases every pair
+// at the new version (txlog.CommitScratch.Release) and rings the Retry
+// waiters whose fingerprints intersect the write set.
+//
+// snap must be a time at which every read of every log held: the
+// snapshot of a one-pair transaction, the oldest snapshot among a TLSTM
+// transaction's tasks (each task extends its own). The skip at
+// ts == snap+1 is TL2's and rests on the clock's contract
+// (internal/clock). Take a writer W that displaced a version this
+// transaction read: W r-locked the pair after the read and ticked after
+// that. Each read came after its task's snapshot was sampled, or was
+// revalidated by the extension that sampled it, so W ticked after a
+// sample of at least snap and, by (T1), above snap. Tick values are
+// unique (exclusivity), so W's stamp is not ts; when ts == snap+1 it is
+// above ts, and W serializes after this commit. "The clock moved once"
+// thus means that no commit stamped before ts overwrote a read, and
+// validation could not fail.
 //
 // On a failed validation, traced like a passing one, the displaced
 // versions are restored, the w-locks stay held and ok is false: the
@@ -58,13 +72,15 @@ func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts ui
 
 	ts = d.env.Clk.Tick(nil)
 
-	// Pairs this commit r-locked compare against the version they had
-	// when we locked them.
-	ok = d.ValidateLogs(logs, scr)
-	d.TraceValidateLogs(ts, logs, ok)
-	if !ok {
-		scr.Restore()
-		return ts, false
+	if ts != snap+1 {
+		// Pairs this commit r-locked compare against the version they
+		// had when we locked them.
+		ok = d.ValidateLogs(logs, scr)
+		d.TraceValidateLogs(ts, logs, ok)
+		if !ok {
+			scr.Restore()
+			return ts, false
+		}
 	}
 
 	// Feed the multi-version store while memory still holds the values

@@ -67,6 +67,9 @@ type Desc struct {
 	Extends  uint64
 	Reclaims uint64
 	Stalls   uint64
+	// Validated counts the read entries the transaction's validation
+	// passes checked, over all attempts, folded at commit.
+	Validated uint64
 
 	// MVOn is true while a declared read-only transaction runs the
 	// multi-version wait-free read path. A miss clears it for the rest
@@ -407,7 +410,7 @@ func (d *Desc) Reset() {
 	}
 	d.allocs = d.allocs[:0]
 	d.frees = d.frees[:0]
-	d.Work, d.Extends, d.Reclaims, d.Stalls = 0, 0, 0, 0
+	d.Work, d.Extends, d.Reclaims, d.Stalls, d.Validated = 0, 0, 0, 0, 0
 	d.MVReads, d.MVMisses, d.retryWakes = 0, 0, 0
 	d.aborts = 0
 	d.CMSelf.Defeats = 0
@@ -445,6 +448,7 @@ func (d *Desc) restarted() {
 func (d *Desc) fold(c *Counters, reads, writes int) {
 	c.Work += d.Work
 	c.SnapshotExtensions += d.Extends
+	c.ValidatedEntries += d.Validated
 	self, owner, spins := d.cmProbe.TakeCounts()
 	c.CMAbortsSelf += self
 	c.CMAbortsOwner += owner

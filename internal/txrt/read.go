@@ -161,9 +161,11 @@ func (d *Desc) ExtendWith(snap *uint64, witness uint64, valid func() bool) bool 
 // intra-thread, not here.
 // scr, when non-nil, is the caller's commit scratch: a pair it r-locked
 // compares against the version the commit displaced from it. The work
-// charge is one unit per ValidationStride entries.
+// charge is one unit per ValidationStride entries; the entries looked
+// at are added to Validated.
 func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) bool {
-	for i, re := range rl.Entries() {
+	entries := rl.Entries()
+	for i, re := range entries {
 		if re.Version == txlog.NoVersion {
 			continue
 		}
@@ -179,8 +181,10 @@ func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) bool {
 				continue
 			}
 		}
+		d.Validated += uint64(i + 1)
 		return false
 	}
+	d.Validated += uint64(len(entries))
 	return true
 }
 

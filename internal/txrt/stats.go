@@ -15,6 +15,12 @@ type Counters struct {
 	// ran past the snapshot and the read log revalidated forward instead
 	// of aborting. Always 0 for TL2, which aborts instead.
 	SnapshotExtensions uint64
+	// ValidatedEntries counts the read entries that validation passes
+	// checked: commit-time read validation, snapshot extension and
+	// TLSTM's validate-task, each pass adding the entries it looked at.
+	// A writer commit whose stamp shows that nothing committed since its
+	// snapshot adds none.
+	ValidatedEntries uint64
 	// ClockCASRetries is always 0: the GV4 clock ticks with one
 	// fetch-and-add and never retries. The field stays only because the
 	// bench schema reads it (clock.cas_retries_per_ktx); both go with
@@ -64,6 +70,7 @@ type Counters struct {
 func (c *Counters) Add(o Counters) {
 	c.Work += o.Work
 	c.SnapshotExtensions += o.SnapshotExtensions
+	c.ValidatedEntries += o.ValidatedEntries
 	c.ClockCASRetries += o.ClockCASRetries
 	c.CMAbortsSelf += o.CMAbortsSelf
 	c.CMAbortsOwner += o.CMAbortsOwner
@@ -86,6 +93,7 @@ func (c Counters) Minus(o Counters) Counters {
 	return Counters{
 		Work:               c.Work - o.Work,
 		SnapshotExtensions: c.SnapshotExtensions - o.SnapshotExtensions,
+		ValidatedEntries:   c.ValidatedEntries - o.ValidatedEntries,
 		ClockCASRetries:    c.ClockCASRetries - o.ClockCASRetries,
 		CMAbortsSelf:       c.CMAbortsSelf - o.CMAbortsSelf,
 		CMAbortsOwner:      c.CMAbortsOwner - o.CMAbortsOwner,

@@ -272,14 +272,17 @@ func (tx *Tx) extendTo(witness uint64) bool {
 // read while this transaction does not hold it. The work charge is one
 // unit per ValidationStride entries.
 func (tx *Tx) staleRead() bool {
-	for i, re := range tx.readLog.Entries() {
+	entries := tx.readLog.Entries()
+	for i, re := range entries {
 		if i%txrt.ValidationStride == 0 {
 			tx.Work++
 		}
 		if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
+			tx.Validated += uint64(i + 1)
 			return true
 		}
 	}
+	tx.Validated += uint64(len(entries))
 	return false
 }
 
