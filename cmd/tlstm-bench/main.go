@@ -9,15 +9,13 @@
 //	tlstm-bench -fig 2a         # one figure
 //	tlstm-bench -quick          # reduced transaction counts
 //	tlstm-bench -headline       # §4 headline numbers (from Fig2b data)
-//	tlstm-bench -cm karma       # figures under the Karma contention manager
+//	tlstm-bench -cm backoff     # figures under randomized-backoff contention management
 //	tlstm-bench -mode serial    # figures with every transaction under the gate
 //	tlstm-bench -mv 2           # figures with 2 retained versions per word
 //	tlstm-bench -sweep cm       # one sweep: cm, mode or mv
-//	tlstm-bench -sweep mv -json out.json  # ... also persisted as JSON
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,14 +36,12 @@ func run() int {
 	quick := flag.Bool("quick", false, "use reduced transaction counts")
 	headline := flag.Bool("headline", false, "print the paper's §4 headline ratios (computed from Figure 2b)")
 	check := flag.Bool("check", false, "regenerate all figures and verify the paper's qualitative claims; exit non-zero on violation")
-	jsonPath := flag.String("json", "", "with -sweep: also write the sweep results as JSON to this file")
 	format := flag.String("format", "table", `figure output format: "table" or "csv"`)
 	rf := runflags.Register(flag.CommandLine,
 		runflags.Rule{Flag: "fig", Scope: runflags.NoSweep, Values: []string{"1a", "1b", "2a", "2b", "all"}},
 		runflags.Rule{Flag: "headline", Scope: runflags.NoSweep},
 		runflags.Rule{Flag: "check", Scope: runflags.NoSweep},
-		runflags.Rule{Flag: "format", Scope: runflags.NoSweep, Values: []string{"table", "csv"}},
-		runflags.Rule{Flag: "json", Scope: runflags.SweepOnly})
+		runflags.Rule{Flag: "format", Scope: runflags.NoSweep, Values: []string{"table", "csv"}})
 	flag.Parse()
 
 	// Fail fast on malformed flags instead of clamping or misbehaving
@@ -62,15 +58,8 @@ func run() int {
 			txs /= 10
 		}
 		fmt.Printf("## %s (all runtimes, %d threads, %d tx/thread)\n", sw.Title, sweepThreads, txs)
-		results := sw.Run(sweepThreads, txs)
-		for _, r := range results {
+		for _, r := range sw.Run(sweepThreads, txs) {
 			fmt.Println(r)
-		}
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, rf.Sweep, sweepThreads, txs, results); err != nil {
-				fmt.Fprintf(os.Stderr, "tlstm-bench: %v\n", err)
-				return 1
-			}
 		}
 		return 0
 	}
@@ -129,22 +118,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// writeJSON persists a sweep as an indented JSON document (the
-// perf-trajectory format committed as BENCH_<pr>.json).
-func writeJSON(path, sweep string, threads, txPerThread int, results []harness.Result) error {
-	doc := struct {
-		Sweep       string           `json:"sweep"`
-		Threads     int              `json:"threads"`
-		TxPerThread int              `json:"txPerThread"`
-		Results     []harness.Result `json:"results"`
-	}{sweep, threads, txPerThread, results}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // runCheck regenerates every figure and verifies the paper's

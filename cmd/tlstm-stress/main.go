@@ -8,7 +8,7 @@
 //     transfers over a shared account array preserve the global total.
 //
 // It is meant for long soak runs: tlstm-stress -seconds 60 -threads 4.
-// The soak runs under any contention-management policy (-cm karma)
+// The soak runs under any contention-management policy (-cm backoff)
 // and either execution rung (-mode serial runs every transaction under
 // the runtime's gate; -mode spec, the default, runs them all
 // speculatively). Entry reclamation can be forced aggressive (-reclaim 1:
@@ -19,6 +19,9 @@
 // full-array scans, each asserting the exact preserved total at its
 // snapshot — the strongest cheap check of the wait-free multi-version
 // read path.
+//
+// Every soak iteration also runs one transaction of a write-skew mix
+// (skewOp), whose invariant only commit-time read validation keeps.
 //
 // -sweep <axis> (cm, mode or mv) swaps the soak for that
 // invariant-checked sweep across all four runtimes (harness.Sweeps);
@@ -35,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -56,6 +60,37 @@ func main() {
 type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 { return xrand.Splitmix(&r.s) }
+
+// skewPairs pairs (x, y) of signed balances, each side opening at
+// skewStart, keep x + y >= 0.
+const skewPairs, skewStart = 4, 50
+
+// skewOp runs one write-skew transaction on the pair at p: a withdrawal
+// (two in three) reads both sides and takes up to the balance from one,
+// a deposit adds to one side. Balances stay low, so two withdrawals that
+// read the same balance and write different sides overdraw the pair
+// unless commit-time validation aborts one: they write no common word.
+// The yield between read and write makes them overlap on few CPUs. Every
+// attempt reads a committed snapshot, so a negative balance panics.
+func skewOp(thr *core.Thread, r *rng, p tm.Addr) {
+	side, amt, withdraw := p+tm.Addr(r.next()%2), int64(r.next()%100), r.next()%3 != 0
+	if err := thr.Atomic(func(tk *core.Task) {
+		bal := int64(tk.Load(p)) + int64(tk.Load(p+1))
+		if bal < 0 {
+			panic(fmt.Sprintf("tlstm-stress: write-skew pair at %#x saw x+y=%d", p, bal))
+		}
+		if !withdraw {
+			tk.Store(side, uint64(int64(tk.Load(side))+amt))
+			return
+		}
+		runtime.Gosched()
+		if w := min(amt, bal); w > 0 {
+			tk.Store(side, uint64(int64(tk.Load(side))-w))
+		}
+	}); err != nil {
+		panic(err)
+	}
+}
 
 func run() int {
 	seconds := flag.Int("seconds", 10, "soak duration")
@@ -190,6 +225,10 @@ func run() int {
 	for i := 0; i < *accounts; i++ {
 		d.Store(base+tm.Addr(i), initial)
 	}
+	skew := d.Alloc(2 * skewPairs)
+	for i := 0; i < 2*skewPairs; i++ {
+		d.Store(skew+tm.Addr(i), skewStart)
+	}
 
 	deadline := time.Now().Add(time.Duration(*seconds) * time.Second)
 	done := make(chan core.Stats, *threads)
@@ -226,6 +265,7 @@ func run() int {
 						txSinceSync = 0
 					}
 				}
+				skewOp(thr, r, skew+tm.Addr(2*(r.next()%skewPairs)))
 				if *roMix > 0 && r.next()%100 < uint64(*roMix) {
 					// Every task of the declared read-only transaction
 					// scans independently; with SPECDEPTH > 1 this also
@@ -348,6 +388,12 @@ func run() int {
 	if sum != want {
 		fmt.Printf("FAIL: total=%d want=%d (atomicity violated)\n", sum, want)
 		return 1
+	}
+	for i := tm.Addr(0); i < 2*skewPairs; i += 2 {
+		if x, y := int64(d.Load(skew+i)), int64(d.Load(skew+i+1)); x+y < 0 {
+			fmt.Printf("FAIL: write-skew pair at %#x: x=%d y=%d, x+y < 0\n", skew+i, x, y)
+			return 1
+		}
 	}
 	fmt.Println("OK: total preserved")
 	return 0

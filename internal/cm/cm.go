@@ -6,7 +6,8 @@
 //
 // The paper's §3.2 policies (SwissTM's two-phase greedy manager and
 // TLSTM's task-aware cm-should-abort rule, Alg. 2) are two of the
-// implementations; the others come from the wider STM literature:
+// implementations; the other two are the fixed self-abort rules of the
+// TL2 and write-through baselines:
 //
 //   - Suicide: pure self-abort with a short grace wait — the fixed
 //     behavior TL2 and the write-through STM inlined before this
@@ -15,12 +16,9 @@
 //     between retries, replacing the deterministic aborts*8 spin loops.
 //   - Greedy: SwissTM's two-phase greedy manager (polite phase, then a
 //     seniority timestamp; older transactions win).
-//   - Karma: work-based priority accumulated across restarts (Scherer &
-//     Scott); a transaction that has invested more work claims the lock,
-//     one that has invested less defers in proportion to its deficit.
 //   - TaskAware: the paper's Alg. 2 rule — abort the more speculative
-//     user-transaction (fewer completed predecessor tasks) — expressed
-//     as a decorator over any base policy for the progress tie.
+//     user-transaction (fewer completed predecessor tasks) — with Greedy
+//     breaking progress ties.
 //
 // # The decision model
 //
@@ -57,10 +55,9 @@
 //
 // Each execution context owns a Probe, the per-thread side of the
 // subsystem: decision counters (AbortsSelf/AbortsOwner/BackoffSpins)
-// folded into the runtime's stats shards, the PRNG state behind
-// randomized backoff, and the karma carried across restarts. Probes are
-// never shared, so the hot path touches no shared contention-manager
-// state except the decisions themselves.
+// folded into the runtime's stats shards and the PRNG state behind
+// randomized backoff. Probes are never shared, so the hot path touches
+// no shared contention-manager state except the decisions themselves.
 package cm
 
 import (
@@ -121,7 +118,7 @@ const (
 
 // Probe is the per-context contention-management state: decision
 // counters the runtimes fold into their stats shards, plus the private
-// backoff/karma state that persists across transactions. Each
+// backoff state that persists across transactions. Each
 // worker/task descriptor owns one Probe; it is never shared.
 type Probe struct {
 	// AbortsSelf counts AbortSelf decisions since the last TakeCounts —
@@ -140,13 +137,10 @@ type Probe struct {
 	// rng is the xorshift state behind randomized backoff; seeded
 	// lazily, private to the owning context.
 	rng uint64
-	// karma is the work carried across restarts by the Karma policy.
-	karma uint64
 }
 
 // TakeCounts returns and clears the accumulated decision counters (the
-// backoff and karma state survives, so a recycled descriptor keeps its
-// priority).
+// backoff state survives).
 func (p *Probe) TakeCounts() (abortsSelf, abortsOwner, backoffSpins uint64) {
 	abortsSelf, abortsOwner, backoffSpins = p.AbortsSelf, p.AbortsOwner, p.BackoffSpins
 	p.AbortsSelf, p.AbortsOwner, p.BackoffSpins = 0, 0, 0
@@ -164,8 +158,8 @@ func (p *Probe) rand() uint64 { return xrand.Next(&p.rng) }
 type Self struct {
 	// Timestamp is the transaction's cross-thread priority slot — the
 	// locktable.OwnerRef.Timestamp word other threads' policies read.
-	// Greedy keeps its seniority stamp here, Karma its published
-	// priority. nil on runtimes without per-transaction slots.
+	// Greedy keeps its seniority stamp here. nil on runtimes without
+	// per-transaction slots.
 	Timestamp *atomic.Uint64
 	// Probe is the owning context's probe (stats and backoff state).
 	Probe *Probe
@@ -173,7 +167,7 @@ type Self struct {
 	// Point classifies the conflict site (see Point).
 	Point Point
 	// Writes is how many writes the transaction has buffered or locked
-	// so far (two-phase greedy's polite threshold, Karma's work input).
+	// so far (two-phase greedy's polite threshold).
 	Writes int
 	// Defeats counts conflicts this transaction has lost so far
 	// (two-phase greedy's escalation input).
@@ -200,12 +194,11 @@ func (s *Self) Progress() int64 { return s.Completed - s.Start }
 // safe for concurrent use by all transactions of a runtime; per-context
 // mutable state belongs in the Probe, reached through Self.
 //
-// Call policies through the Resolve / AbortBackoff / Committed wrappers
-// so decision accounting and nil-owner degradation stay uniform across
-// runtimes.
+// Call policies through the Resolve / AbortBackoff wrappers so decision
+// accounting and nil-owner degradation stay uniform across runtimes.
 type Policy interface {
 	// Name is the policy's flag/label name ("suicide", "backoff",
-	// "greedy", "karma", "taskaware").
+	// "greedy", "taskaware").
 	Name() string
 
 	// OnConflict resolves a write/write conflict between the requester
@@ -221,9 +214,10 @@ type Policy interface {
 	// should back off before re-entering the conflict window.
 	OnAbort(self *Self) int
 
-	// OnCommit is the bookkeeping hook for a successful commit of the
-	// requester's transaction (Karma resets its accumulated priority
-	// here; stateless policies do nothing).
+	// OnCommit is the hook for a successful commit. No runtime calls
+	// it, since no built-in policy keeps per-commit state; it stays in
+	// the interface only because the benchmark's call-counting
+	// decorator wraps it (ROADMAP item 1(c)).
 	OnCommit(self *Self)
 }
 
@@ -269,9 +263,6 @@ func AbortBackoff(pol Policy, self *Self) int {
 	}
 	return n
 }
-
-// Committed runs the policy's commit bookkeeping.
-func Committed(pol Policy, self *Self) { pol.OnCommit(self) }
 
 // classicBackoff is the deterministic progressive backoff every runtime
 // inlined before this subsystem existed: min(aborts·8, 256) yields, so
@@ -351,19 +342,8 @@ func (Backoff) OnConflict(self *Self, owner *locktable.OwnerRef) Decision {
 
 // OnAbort implements Policy: a uniform draw from [0, min(8·2^aborts,
 // backoffCap)).
-func (Backoff) OnAbort(self *Self) int { return randomizedBackoff(self) }
-
-// randomizedBackoff draws a uniform yield count from a window that
-// doubles with every abort. Shared by Backoff and Karma: any policy
-// whose conflicts can kill BOTH sides of a cycle needs randomized
-// restart spacing, or the two victims relaunch in lockstep and re-kill
-// each other forever.
-func randomizedBackoff(self *Self) int {
-	shift := self.Aborts
-	if shift > 7 {
-		shift = 7
-	}
-	window := min(uint64(8)<<shift, backoffCap)
+func (Backoff) OnAbort(self *Self) int {
+	window := min(uint64(8)<<min(self.Aborts, 7), backoffCap)
 	if self.Probe == nil {
 		return int(window / 2)
 	}
@@ -466,109 +446,17 @@ func (g *Greedy) OnAbort(self *Self) int { return classicBackoff(self.Aborts) }
 func (g *Greedy) OnCommit(*Self) {}
 
 // ---------------------------------------------------------------------------
-// Karma
-// ---------------------------------------------------------------------------
-
-// karmaMaxDeference bounds how many rounds a low-karma transaction
-// defers to a higher-karma owner before claiming the lock anyway —
-// Karma's "pay your dues, then push through" rule (Scherer & Scott).
-const karmaMaxDeference = 64
-
-// Karma is work-based priority: a transaction's karma is the work it
-// has invested (writes buffered this attempt plus writes lost to every
-// earlier aborted attempt, carried in the probe). Higher karma claims
-// the lock; lower karma defers one round per point of deficit, then
-// claims anyway (Scherer & Scott's push-through rule); commit resets
-// the account. Ties are broken by coin flip — both sides see identical
-// priorities, so only randomness can break the symmetry.
-//
-// The push-through rule means a lock CYCLE can kill both of its
-// members in the same round (each eventually claims the other's lock),
-// so Karma's liveness rests on its randomized restart backoff
-// (OnAbort): the victims relaunch at different times and the earlier
-// one commits uncontended. A deterministic backoff would replay the
-// mutual kill in lockstep forever. The zero value is ready to use.
-type Karma struct{}
-
-// Name implements Policy.
-func (*Karma) Name() string { return KindKarma.String() }
-
-// karmaOf computes the requester's current priority (always ≥ 1 so a
-// published priority is distinguishable from an empty slot).
-func karmaOf(self *Self) uint64 {
-	k := uint64(self.Writes) + 1
-	if self.Probe != nil {
-		k += self.Probe.karma
-	}
-	return k
-}
-
-// OnConflict implements Policy.
-func (*Karma) OnConflict(self *Self, owner *locktable.OwnerRef) Decision {
-	my := karmaOf(self)
-	if self.Timestamp != nil {
-		// Publish our priority so the owner's own conflicts see it.
-		self.Timestamp.Store(my)
-	}
-	var their uint64
-	if owner != nil {
-		if slot := owner.Timestamp.Load(); slot != nil {
-			their = slot.Load()
-		}
-	}
-	switch {
-	case my > their:
-		return AbortOwner
-	case my < their:
-		// In deficit: defer one round per karma point we are short,
-		// then claim the lock anyway.
-		if uint64(self.Waited) < min(their-my, karmaMaxDeference) {
-			return Wait
-		}
-		return AbortOwner
-	default:
-		if self.Probe == nil {
-			return AbortSelf
-		}
-		if self.Probe.rand()&1 == 0 {
-			return AbortSelf
-		}
-		return AbortOwner
-	}
-}
-
-// OnAbort implements Policy: carry the lost work forward as karma, then
-// back off by a randomized window (see the type docs: liveness).
-func (*Karma) OnAbort(self *Self) int {
-	if self.Probe != nil {
-		self.Probe.karma += uint64(self.Writes) + 1
-	}
-	return randomizedBackoff(self)
-}
-
-// OnCommit implements Policy: the account is settled.
-func (*Karma) OnCommit(self *Self) {
-	if self.Probe != nil {
-		self.Probe.karma = 0
-	}
-}
-
-// ---------------------------------------------------------------------------
 // TaskAware
 // ---------------------------------------------------------------------------
 
 // TaskAware is TLSTM's inter-thread policy (paper Alg. 2,
-// cm-should-abort) as a decorator: on a conflict between transactions
-// with task progress information, abort the more speculative one — the
+// cm-should-abort): on a conflict between transactions with task
+// progress information, abort the more speculative one — the
 // transaction whose thread has completed fewer of its tasks. Progress
 // ties (and conflicts with runtimes that expose no progress) fall
-// through to the wrapped base policy, so the paper's rule composes with
-// any of the flat policies above.
-type TaskAware struct {
-	// Base resolves progress ties. New(KindTaskAware) wires a Greedy,
-	// reproducing the paper's configuration.
-	Base Policy
-}
+// through to the embedded Greedy, the paper's configuration, which also
+// supplies OnAbort and OnCommit. The zero value is ready to use.
+type TaskAware struct{ Greedy }
 
 // Name implements Policy.
 func (t *TaskAware) Name() string { return KindTaskAware.String() }
@@ -585,14 +473,8 @@ func (t *TaskAware) OnConflict(self *Self, owner *locktable.OwnerRef) Decision {
 			return AbortSelf
 		}
 	}
-	return t.Base.OnConflict(self, owner)
+	return t.Greedy.OnConflict(self, owner)
 }
-
-// OnAbort implements Policy (delegated).
-func (t *TaskAware) OnAbort(self *Self) int { return t.Base.OnAbort(self) }
-
-// OnCommit implements Policy (delegated).
-func (t *TaskAware) OnCommit(self *Self) { t.Base.OnCommit(self) }
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -614,8 +496,6 @@ const (
 	KindBackoff
 	// KindGreedy is SwissTM's two-phase greedy manager.
 	KindGreedy
-	// KindKarma is work-based priority accumulated across restarts.
-	KindKarma
 	// KindTaskAware is the paper's Alg. 2 rule over a greedy base.
 	KindTaskAware
 )
@@ -623,7 +503,7 @@ const (
 // Kinds lists every concrete built-in policy, in flag order (the
 // sweepable set; KindDefault is deliberately absent).
 func Kinds() []Kind {
-	return []Kind{KindSuicide, KindBackoff, KindGreedy, KindKarma, KindTaskAware}
+	return []Kind{KindSuicide, KindBackoff, KindGreedy, KindTaskAware}
 }
 
 // String returns the flag/label name of the kind.
@@ -637,8 +517,6 @@ func (k Kind) String() string {
 		return "backoff"
 	case KindGreedy:
 		return "greedy"
-	case KindKarma:
-		return "karma"
 	case KindTaskAware:
 		return "taskaware"
 	default:
@@ -657,7 +535,7 @@ func Parse(name string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("cm: unknown policy %q (want suicide, backoff, greedy, karma, taskaware or default)", name)
+	return 0, fmt.Errorf("cm: unknown policy %q (want suicide, backoff, greedy, taskaware or default)", name)
 }
 
 // New returns a fresh instance of the kind's policy. KindDefault
@@ -672,10 +550,8 @@ func New(k Kind) Policy {
 		return Backoff{}
 	case KindGreedy:
 		return &Greedy{}
-	case KindKarma:
-		return &Karma{}
 	case KindTaskAware:
-		return &TaskAware{Base: &Greedy{}}
+		return &TaskAware{}
 	default:
 		return nil
 	}
@@ -685,6 +561,5 @@ var (
 	_ Policy = Suicide{}
 	_ Policy = Backoff{}
 	_ Policy = (*Greedy)(nil)
-	_ Policy = (*Karma)(nil)
 	_ Policy = (*TaskAware)(nil)
 )

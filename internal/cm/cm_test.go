@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -159,53 +160,6 @@ func TestMakeGreedyIdempotent(t *testing.T) {
 	}
 }
 
-func TestKarmaHigherPriorityWins(t *testing.T) {
-	var k Karma
-	self := newSelf()
-	self.Writes = 5
-	owner := newOwner(0, 0, 2) // owner published karma 2
-	if d := k.OnConflict(self, owner); d != AbortOwner {
-		t.Fatalf("higher-karma requester must win, got %v", d)
-	}
-	if got := self.Timestamp.Load(); got != 6 {
-		t.Fatalf("requester must publish its karma; slot = %d, want 6", got)
-	}
-}
-
-func TestKarmaDeficitDefersThenClaims(t *testing.T) {
-	var k Karma
-	self := newSelf()
-	self.Writes = 0 // karma 1
-	owner := newOwner(0, 0, 5)
-	self.Waited = 0
-	if d := k.OnConflict(self, owner); d != Wait {
-		t.Fatalf("low-karma requester must defer first, got %v", d)
-	}
-	self.Waited = 4 // deficit paid
-	if d := k.OnConflict(self, owner); d != AbortOwner {
-		t.Fatalf("requester that paid its deficit claims the lock, got %v", d)
-	}
-}
-
-func TestKarmaCarriesAcrossRestartsAndResetsOnCommit(t *testing.T) {
-	var k Karma
-	self := newSelf()
-	self.Writes = 7
-	k.OnAbort(self)
-	if self.Probe.karma != 8 {
-		t.Fatalf("carry after abort = %d, want 8 (writes+1)", self.Probe.karma)
-	}
-	self.Writes = 0
-	owner := newOwner(0, 0, 5)
-	if d := k.OnConflict(self, owner); d != AbortOwner {
-		t.Fatalf("carried karma must beat the owner, got %v", d)
-	}
-	k.OnCommit(self)
-	if self.Probe.karma != 0 {
-		t.Fatal("commit must settle the karma account")
-	}
-}
-
 // The paper's rule: abort the more speculative transaction — the one
 // with fewer completed predecessor tasks (Alg. 2, cm-should-abort).
 func TestTaskAwareProgressWins(t *testing.T) {
@@ -229,7 +183,7 @@ func TestTaskAwareProgressWins(t *testing.T) {
 
 func TestTaskAwareTieFallsBackToBase(t *testing.T) {
 	ta := New(KindTaskAware).(*TaskAware)
-	g := ta.Base.(*Greedy)
+	g := &ta.Greedy
 
 	self := newSelf()
 	g.MakeGreedy(self.Timestamp)
@@ -309,7 +263,12 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if New(KindDefault) != nil {
 		t.Fatal("New(KindDefault) must be nil (runtime's own default)")
 	}
-	if _, err := Parse("nope"); err == nil {
-		t.Fatal("Parse must reject unknown policies")
+	// Karma is not a policy any more: its name is refused like any
+	// unknown one, and the error names the four that are.
+	for _, name := range []string{"nope", "karma"} {
+		if _, err := Parse(name); err == nil ||
+			!strings.Contains(err.Error(), "want suicide, backoff, greedy, taskaware or default") {
+			t.Fatalf("Parse(%q) error = %v, want one naming the four policies", name, err)
+		}
 	}
 }

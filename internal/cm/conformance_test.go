@@ -112,7 +112,7 @@ func conformBoundedWait(t *testing.T, pol Policy) {
 // conflict, restarting with an incremented defeat count whenever it
 // loses. The pair must terminate — one side commits — within a bounded
 // number of rounds for EVERY policy: politeness escalates, seniority or
-// karma orders the pair, coin flips break perfect symmetry.
+// task progress orders the pair, the self-abort policies yield.
 func conformCircularWait(t *testing.T, pol Policy) {
 	const maxRounds = 100_000
 

@@ -174,10 +174,9 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 	// Every task is what a SwissTM transaction was (§3.2), so each closes
 	// like one through the kit (Desc.Close): set sizes (read before
 	// RetireCommitted empties the write logs below), attempts and
-	// latencies are per task, and so is the policy's commit bookkeeping —
-	// Karma's account lives in each task's probe. Deferred frees take
-	// effect here, before the completedTask store below releases the
-	// intermediate tasks' descriptors for re-arming.
+	// latencies are per task. Deferred frees take effect here, before the
+	// completedTask store below releases the intermediate tasks'
+	// descriptors for re-arming.
 	var txWrites uint64
 	var sum, most int
 	for _, task := range tx.tasks {

@@ -48,9 +48,6 @@ type Config struct {
 	// LockTableBits sizes the global lock table at 2^bits pairs.
 	// Defaults to 20.
 	LockTableBits int
-	// PadLockTable spreads lock pairs one per cache line
-	// (locktable.PadStride) to trade memory for false-sharing isolation.
-	PadLockTable bool
 	// CM selects the contention-management policy (internal/cm) that
 	// resolves inter-thread write/write conflicts. nil means the
 	// paper's task-aware policy over two-phase greedy.
@@ -97,7 +94,6 @@ type Config struct {
 func (c Config) shared() txrt.Config {
 	return txrt.Config{
 		LockTableBits: c.LockTableBits,
-		Padded:        c.PadLockTable,
 		Clock:         c.Clock,
 		CM:            c.CM,
 		MVDepth:       c.MVDepth,
@@ -142,7 +138,7 @@ func New(cfg Config) *Runtime {
 		reclaimAudit: cfg.ReclaimAudit,
 	}
 	c := rt.Init("core", mem.NewStore(), cfg.shared(), cm.KindTaskAware)
-	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Padded: c.Padded})
+	rt.locks = locktable.NewTable(c.LockTableBits)
 	return rt
 }
 

@@ -208,10 +208,10 @@ func (t *Task) preRestartWait() {
 	// Whole-transaction aborts back off per policy: repeated
 	// inter-thread defeats or failed commit validations mean the
 	// conflict window is being re-entered too eagerly. Routing this
-	// through OnAbort matters beyond style — policies whose conflicts
-	// can kill both sides of a lock cycle (Karma's push-through rule)
-	// depend on randomized spacing here, or the mutually-killed
-	// transactions relaunch in lockstep and livelock.
+	// through OnAbort matters beyond style — a policy whose conflicts
+	// can kill both sides of a lock cycle depends on randomized spacing
+	// here, or the mutually-killed transactions relaunch in lockstep and
+	// livelock.
 	if n := t.tx.txAborts.Load(); n > 0 {
 		t.CMSelf.Aborts = n
 		y := cm.AbortBackoff(t.thr.rt.CM, &t.CMSelf)
@@ -652,7 +652,7 @@ func (t *Task) Store(a tm.Addr, v uint64) {
 				// defeat therefore escalates to a whole-transaction
 				// self-abort, releasing everything the transaction
 				// holds; policies that escalate to AbortOwner (greedy,
-				// task-aware, karma) break cycles long before this
+				// task-aware) break cycles long before this
 				// bound is reached.
 				if defeats%txSelfAbortDefeats == 0 {
 					t.abortOwnTx(txtrace.AbortCM)

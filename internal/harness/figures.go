@@ -79,7 +79,7 @@ func withConfig(c txrt.Config) txrt.Option { return func(o *txrt.Config) { *o = 
 // SpecDepth; the TLSTM-only fields are left at their defaults.
 func CoreConfig(c txrt.Config, depth int) core.Config {
 	return core.Config{
-		SpecDepth: depth, LockTableBits: c.LockTableBits, PadLockTable: c.Padded,
+		SpecDepth: depth, LockTableBits: c.LockTableBits,
 		Clock: c.Clock, CM: c.CM, MVDepth: c.MVDepth, Trace: c.Trace, Mode: c.Mode,
 	}
 }

@@ -247,7 +247,7 @@ func TestSweepMatrix(t *testing.T) {
 		{
 			axis:   "cm",
 			tx:     150,
-			labels: labelsOf("suicide", "backoff", "greedy", "karma", "taskaware"),
+			labels: labelsOf("suicide", "backoff", "greedy", "taskaware"),
 			row: func(t *testing.T, r Result) {
 				if !strings.HasSuffix(r.Label, "/"+r.CM) {
 					t.Errorf("label %q does not carry its policy %q", r.Label, r.CM)

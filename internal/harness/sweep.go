@@ -57,11 +57,11 @@ var Sweeps = map[string]Sweep{
 		mixes: []mix{counterMix()},
 	},
 	"mode": {
-		// The karma conflict storm is exactly the workload the serialized
-		// rung exists for, so the sweep measures what serializing buys.
-		Title: "Execution-mode policy sweep, karma conflict storm", Tx: 20_000, depth: 1,
+		// The write-contended counter is the conflict storm the serialized
+		// rung exists for, so the sweep measures what serializing buys
+		// under each runtime's default policy.
+		Title: "Execution-mode policy sweep, write-contended", Tx: 20_000, depth: 1,
 		legs: kindLegs(mode.Policies(), func(c *txrt.Config, p mode.Policy) {
-			c.CM = cm.New(cm.KindKarma)
 			c.Mode = mode.Config{Policy: p}
 		}),
 		mixes: []mix{counterMix()},

@@ -356,52 +356,23 @@ func (l Layout) Index(a tm.Addr) uint64 {
 // Slots reports the number of lock slots.
 func (l Layout) Slots() int { return 1 << l.bits }
 
-// PadStride is the slot stride of a padded table: Pair is 16 B, so a
-// stride of 4 gives every pair its own 64 B cache line. Adjacent-slot
-// commits then cannot false-share a line at 4× the memory cost.
-const PadStride = 4
-
-// Config selects a table geometry. The zero value of Padded gives the
-// historical flat, unpadded layout.
-type Config struct {
-	// Bits is the log2 of the slot count, in [MinBits, MaxBits].
-	Bits int
-	// Padded strides pairs to one per cache line (PadStride slots of
-	// backing array per logical slot).
-	Padded bool
-}
-
 // Table is the global lock table: a Layout plus the Pair storage it
 // indexes. Distinct addresses may share a pair, which yields false
 // conflicts but never missed ones (SwissTM's lock granularity).
 type Table struct {
 	Layout
-	pairs  []Pair
-	stride uint64
+	pairs []Pair
 }
 
-// New creates a table with the given geometry.
-func New(cfg Config) *Table {
-	lay := NewLayout(cfg.Bits)
-	stride := uint64(1)
-	if cfg.Padded {
-		stride = PadStride
-	}
-	return &Table{
-		Layout: lay,
-		pairs:  make([]Pair, uint64(lay.Slots())*stride),
-		stride: stride,
-	}
-}
-
-// NewTable creates a flat, unpadded table with 2^bits lock pairs.
+// NewTable creates a table with 2^bits lock pairs.
 func NewTable(bits int) *Table {
-	return New(Config{Bits: bits})
+	lay := NewLayout(bits)
+	return &Table{Layout: lay, pairs: make([]Pair, lay.Slots())}
 }
 
 // For returns the lock pair covering address a.
 func (t *Table) For(a tm.Addr) *Pair {
-	return &t.pairs[t.Index(a)*t.stride]
+	return &t.pairs[t.Index(a)]
 }
 
 // VersionLocks is the lock storage of the version-lock runtimes (tl2,
@@ -420,9 +391,6 @@ func NewVersionLocks(lay Layout) VersionLocks {
 
 // For returns the versioned lock covering address a.
 func (v *VersionLocks) For(a tm.Addr) *atomic.Uint64 { return &v.words[v.lay.Index(a)] }
-
-// Padded reports whether pairs are strided to one per cache line.
-func (t *Table) Padded() bool { return t.stride > 1 }
 
 // Len reports the number of logical lock pairs (used by tests).
 func (t *Table) Len() int { return t.Slots() }

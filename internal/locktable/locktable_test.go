@@ -1,7 +1,6 @@
 package locktable
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"tlstm/internal/tm"
@@ -82,34 +81,6 @@ func TestStridedDistribution(t *testing.T) {
 			t.Fatalf("stride %d: fib hash piles %d addresses on one slot (mask baseline: %d)",
 				stride, maxHashed, stride)
 		}
-	}
-}
-
-func TestPaddedTableResolution(t *testing.T) {
-	plain := New(Config{Bits: 8})
-	padded := New(Config{Bits: 8, Padded: true})
-	if !padded.Padded() || plain.Padded() {
-		t.Fatal("Padded() must report the config knob")
-	}
-	if plain.Len() != padded.Len() {
-		t.Fatalf("padding changed the logical slot count: %d vs %d", plain.Len(), padded.Len())
-	}
-	for a := tm.Addr(1); a < 20_000; a += 7 {
-		if plain.Index(a) != padded.Index(a) {
-			t.Fatalf("padding changed slot resolution for %#x", a)
-		}
-		if padded.For(a) != padded.For(a) {
-			t.Fatalf("padded mapping not stable for %#x", a)
-		}
-	}
-	// Distinct slots must not alias through the stride arithmetic.
-	seen := make(map[*Pair]uint64)
-	for a := tm.Addr(1); a < 5_000; a++ {
-		p := padded.For(a)
-		if idx, ok := seen[p]; ok && idx != padded.Index(a) {
-			t.Fatalf("pair aliased by slots %d and %d", idx, padded.Index(a))
-		}
-		seen[p] = padded.Index(a)
 	}
 }
 
@@ -297,41 +268,5 @@ func TestFreeRingOnReclaimHook(t *testing.T) {
 	}
 	if calls != 1 || gotAt != 5 || gotEpoch != 7 {
 		t.Fatalf("hook saw (calls=%d at=%d epoch=%d), want (1, 5, 7)", calls, gotAt, gotEpoch)
-	}
-}
-
-// BenchmarkAdjacentPairContention hammers two adjacent slots' r-locks
-// from parallel goroutines: a flat table packs four 16 B pairs per
-// 64 B cache line, so this is the false-sharing worst case the Padded
-// mode eliminates (each pair gets its own line at PadStride spacing).
-// On the repo's 1-CPU CI container goroutines interleave instead of
-// truly contending, so read the flat-vs-padded legs as a trend to be
-// confirmed on multi-core hardware, not a wall-clock verdict.
-func BenchmarkAdjacentPairContention(b *testing.B) {
-	for _, padded := range []bool{false, true} {
-		name := "flat"
-		if padded {
-			name = "padded"
-		}
-		b.Run(name, func(b *testing.B) {
-			tbl := New(Config{Bits: 8, Padded: padded})
-			// Two addresses resolving to adjacent slots: same cache
-			// line when flat, distinct lines when padded.
-			var addrs [2]tm.Addr
-			found := 0
-			for a := tm.Addr(1); found < 2; a++ {
-				if int(tbl.Index(a)) == found {
-					addrs[found] = a
-					found++
-				}
-			}
-			var next atomic.Uint64
-			b.RunParallel(func(pb *testing.PB) {
-				p := tbl.For(addrs[next.Add(1)&1])
-				for pb.Next() {
-					p.R.Add(1)
-				}
-			})
-		})
 	}
 }

@@ -27,8 +27,6 @@ const (
 	// NoSweep flags configure a figure or soak run; a -sweep run
 	// ignores them, since every sweep row builds its own runtime.
 	NoSweep
-	// SweepOnly flags apply to -sweep runs only.
-	SweepOnly
 )
 
 // Rule constrains one flag: the runs it applies to and, when Values is
@@ -63,7 +61,7 @@ func Register(fs *flag.FlagSet, own ...Rule) *Flags {
 	}
 	sort.Strings(axes)
 	fs.StringVar(&f.Sweep, "sweep", "", "run the invariant-checked sweep over one runtime setting across all four runtimes instead: "+strings.Join(axes, ", "))
-	fs.StringVar(&f.cm, "cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "karma", "taskaware" or "default" (each runtime's own)`)
+	fs.StringVar(&f.cm, "cm", "default", `contention-management policy: "suicide", "backoff", "greedy", "taskaware" or "default" (each runtime's own)`)
 	fs.StringVar(&f.mode, "mode", "spec", `execution-mode policy: "spec" (every transaction speculative) or "serial" (every transaction under the runtime's gate)`)
 	fs.IntVar(&f.mv, "mv", 0, "retained version depth (0 disables multi-versioning)")
 	fs.StringVar(&f.Trace, "trace", "", "arm the flight recorder in every runtime the run builds and write the binary trace dump here; inspect with tlstm-trace")
@@ -87,8 +85,6 @@ func (f *Flags) Settings() (harness.Settings, error) {
 		case !ok:
 		case r.Scope == NoSweep && f.Sweep != "":
 			return harness.Settings{}, fmt.Errorf("-%s does not apply to -sweep runs: every sweep row builds its own runtime", r.Flag)
-		case r.Scope == SweepOnly && f.Sweep == "":
-			return harness.Settings{}, fmt.Errorf("-%s requires -sweep", r.Flag)
 		case len(r.Values) > 0 && !slices.Contains(r.Values, v):
 			return harness.Settings{}, fmt.Errorf("-%s %q: want one of %s", r.Flag, v, strings.Join(r.Values, ", "))
 		}

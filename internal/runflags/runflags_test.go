@@ -20,13 +20,11 @@ func parse(t *testing.T, args ...string) (*Flags, harness.Settings, error) {
 	fs.SetOutput(io.Discard)
 	fs.String("fig", "all", "")
 	fs.String("format", "table", "")
-	fs.String("json", "", "")
 	fs.Bool("quick", false, "")
 	fs.Int("depth", 3, "")
 	f := Register(fs,
 		Rule{Flag: "fig", Scope: NoSweep, Values: []string{"1a", "all"}},
 		Rule{Flag: "format", Scope: NoSweep, Values: []string{"table", "csv"}},
-		Rule{Flag: "json", Scope: SweepOnly},
 		Rule{Flag: "depth", Scope: NoSweep})
 	if err := fs.Parse(args); err != nil {
 		return nil, harness.Settings{}, err
@@ -47,14 +45,14 @@ func TestSettingsRejectsIgnoredOrMalformedFlags(t *testing.T) {
 		{[]string{"-sweep", "cm", "-mv", "2"}, "-mv does not apply to -sweep"},
 		{[]string{"-sweep", "clock"}, `-sweep "clock": want one of cm, mode, mv`},
 		{[]string{"-clock", "gv4"}, "flag provided but not defined: -clock"},
-		{[]string{"-sweep", "mode", "-cm", "karma"}, "-cm does not apply to -sweep"},
+		{[]string{"-sweep", "mode", "-cm", "backoff"}, "-cm does not apply to -sweep"},
 		{[]string{"-sweep", "mode", "-mode", "serial"}, "-mode does not apply to -sweep"},
 		{[]string{"-sweep", "mv", "-fig", "1a"}, "-fig does not apply to -sweep"},
 		{[]string{"-sweep", "mv", "-format", "csv"}, "-format does not apply to -sweep"},
 		{[]string{"-sweep", "mode", "-depth", "2"}, "-depth does not apply to -sweep"},
-		{[]string{"-json", "out.json"}, "-json requires -sweep"},
 		{[]string{"-mv", "-1"}, "retained version depth -1 cannot be negative"},
 		{[]string{"-cm", "polite"}, "polite"},
+		{[]string{"-cm", "karma"}, `"karma" (want suicide, backoff, greedy, taskaware or default)`},
 		{[]string{"-mode", "eager"}, "eager"},
 		{[]string{"-mode", "adaptive"}, `"adaptive" (want spec, serial)`},
 	} {
@@ -75,7 +73,7 @@ func TestSettingsAcceptsValidRuns(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-quick", "-fig", "1a", "-format", "csv"},
-		{"-sweep", "mv", "-json", "out.json", "-quick"},
+		{"-sweep", "mv", "-quick"},
 		{"-sweep", "cm"},
 		{"-mv", "2"},
 	} {
@@ -83,16 +81,16 @@ func TestSettingsAcceptsValidRuns(t *testing.T) {
 			t.Errorf("%v rejected: %v", args, err)
 		}
 	}
-	_, s, err = parse(t, "-cm", "karma", "-mode", "serial", "-mv", "2", "-trace", "out.trace")
+	_, s, err = parse(t, "-cm", "backoff", "-mode", "serial", "-mv", "2", "-trace", "out.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CM != cm.KindKarma || s.Mode != mode.Serial ||
+	if s.CM != cm.KindBackoff || s.Mode != mode.Serial ||
 		s.MV != 2 || s.Trace == nil {
 		t.Fatalf("settings %+v do not carry the flags", s)
 	}
 	c := s.Config()
-	if c.CM.Name() != "karma" || c.Mode.Policy != mode.Serial ||
+	if c.CM.Name() != "backoff" || c.Mode.Policy != mode.Serial ||
 		c.MVDepth != 2 || c.Trace != s.Trace {
 		t.Fatalf("Config() = %+v does not carry the settings", c)
 	}

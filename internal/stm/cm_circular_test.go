@@ -16,8 +16,8 @@ import (
 // other — the paper's §3.2 deadlock scenario and the reason for the
 // PoliteDefeats escalation in the two-phase greedy design. Every policy
 // must drive the pair to completion (no deadlock, no livelock): polite
-// phases escalate, seniority/karma orders the pair, randomized backoff
-// breaks symmetry. The final counter values double as the atomicity
+// phases escalate, seniority or task progress orders the pair,
+// randomized backoff breaks symmetry. The final counter values double as the atomicity
 // check.
 func TestCircularWaitTerminatesPerPolicy(t *testing.T) {
 	const txPerWorker = 150

@@ -64,13 +64,6 @@ func WithLockTableBits(bits int) Option {
 	return func(c *txrt.Config) { c.LockTableBits = bits }
 }
 
-// WithPaddedLockTable strides lock pairs to one per cache line
-// (locktable.Config.Padded): 4x the table memory for zero false
-// sharing between adjacent pairs.
-func WithPaddedLockTable(on bool) Option {
-	return func(c *txrt.Config) { c.Padded = on }
-}
-
 // Runtime is one SwissTM instance: the engine kit's environment (word
 // store, allocator, commit clock, contention manager, ...) plus the
 // lock-pair table. Independent Runtimes are fully isolated from each
@@ -94,7 +87,7 @@ func New(opts ...Option) *Runtime {
 	c.Apply(opts)
 	rt := &Runtime{}
 	c = rt.Init("stm", mem.NewStore(), c, cm.KindGreedy)
-	rt.locks = locktable.New(locktable.Config{Bits: c.LockTableBits, Padded: c.Padded})
+	rt.locks = locktable.NewTable(c.LockTableBits)
 	return rt
 }
 

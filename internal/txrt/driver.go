@@ -243,11 +243,9 @@ func (d *Desc) attempt(serial bool) (ok bool) {
 	return true
 }
 
-// Close settles a committed descriptor: the policy's commit bookkeeping
-// and the fold into c (nil folds nothing). core closes every task of a
-// committed ring transaction.
+// Close settles a committed descriptor: the fold into c (nil folds
+// nothing). core closes every task of a committed ring transaction.
 func (d *Desc) Close(c *Counters) {
-	cm.Committed(d.env.CM, &d.CMSelf)
 	if c != nil {
 		reads, writes := d.alg.SetSizes()
 		d.fold(c, reads, writes)

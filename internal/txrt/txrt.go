@@ -83,8 +83,7 @@ const DefaultLockTableBits = 20
 // Config is the option set the runtimes share. The flat runtimes fill
 // it through Options; core.Config maps onto it.
 type Config struct {
-	LockTableBits int  // log2 of the lock-table size; <= 0 means the default
-	Padded        bool // one lock pair per cache line (pair-table runtimes)
+	LockTableBits int // log2 of the lock-table size; <= 0 means the default
 	Clock         clock.Source
 	CM            cm.Policy
 	MVDepth       int // retained versions per word; <= 0 disables

@@ -127,7 +127,7 @@ type (
 	// Runtime is a TLSTM instance.
 	Runtime = core.Runtime
 	// Config configures a Runtime (SpecDepth is the paper's SPECDEPTH;
-	// PadLockTable strides the lock pairs one per cache line).
+	// LockTableBits sizes the one flat lock-pair table).
 	Config = core.Config
 	// Thread is a user-thread: a serial stream of user-transactions.
 	Thread = core.Thread
@@ -170,9 +170,8 @@ type (
 //     retries;
 //   - "greedy": SwissTM's two-phase greedy manager (polite phase, then
 //     seniority timestamps — older wins);
-//   - "karma": work-based priority accumulated across restarts;
 //   - "taskaware": the paper's Alg. 2 rule (abort the more speculative
-//     transaction) over a greedy base — TLSTM's default;
+//     transaction) with greedy breaking ties — TLSTM's default;
 //   - "default": each runtime's own default policy (returns nil).
 //
 // Each Runtime needs its own CMPolicy instance; do not share one

@@ -1,6 +1,7 @@
 package tlstm_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestBaselineFacade(t *testing.T) {
 }
 
 func TestCMFacade(t *testing.T) {
-	for _, name := range []string{"suicide", "backoff", "greedy", "karma", "taskaware"} {
+	for _, name := range []string{"suicide", "backoff", "greedy", "taskaware"} {
 		pol, err := tlstm.NewCM(name)
 		if err != nil {
 			t.Fatalf("NewCM(%q): %v", name, err)
@@ -58,18 +59,23 @@ func TestCMFacade(t *testing.T) {
 	if _, err := tlstm.NewCM("bogus"); err == nil {
 		t.Fatal("NewCM must reject unknown policies")
 	}
+	// Karma is gone; asking for it names what is left.
+	if _, err := tlstm.NewCM("karma"); err == nil ||
+		!strings.Contains(err.Error(), "want suicide, backoff, greedy, taskaware or default") {
+		t.Fatalf(`NewCM("karma") error = %v, want one naming the four remaining policies`, err)
+	}
 
 	// A runtime built on a named policy works end to end: baseline on
-	// karma, TLSTM on backoff via Config.CM.
-	karma, _ := tlstm.NewCM("karma")
-	base := tlstm.NewBaselineWithCM(karma)
+	// suicide, TLSTM on backoff via Config.CM.
+	suicide, _ := tlstm.NewCM("suicide")
+	base := tlstm.NewBaselineWithCM(suicide)
 	var a tlstm.Addr
 	base.Atomic(nil, func(tx *tlstm.BaselineTx) {
 		a = tx.Alloc(1)
 		tx.Store(a, 7)
 	})
 	if base.LoadWordRaw(a) != 7 {
-		t.Fatal("karma baseline round trip failed")
+		t.Fatal("suicide baseline round trip failed")
 	}
 
 	backoff, _ := tlstm.NewCM("backoff")
