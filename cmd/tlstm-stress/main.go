@@ -21,16 +21,19 @@
 // read path.
 //
 // Every soak iteration also runs one transaction of a write-skew mix
-// (skewOp), whose invariant only commit-time read validation keeps.
+// (skewOp) and, at -depth 2 or more, its two-task form (ringSkewOp),
+// whose invariant only commit-time read validation keeps.
 //
 // -sweep <axis> (cm, mode or mv) swaps the soak for that
 // invariant-checked sweep across all four runtimes (harness.Sweeps);
 // -seconds N runs N times the sweep's quick size per thread.
 //
-// The report's commitLat[…] and restartLat[…] histograms (and the
-// -metrics commitLat/restartLat rows) are sampled: each descriptor times
-// one attempt in 64, its first included, so their counts are counts of
-// sampled attempts. attempts[…] and every counter are exact.
+// The exit line and the -metrics feed list every field of core.Stats
+// once, under one name (txstats.Each: txCommitted, restartWAR,
+// virtualTime, …). Their commitLatency and restartLatency histograms are
+// sampled: each descriptor times one attempt in 64, its first included,
+// so their counts are counts of sampled attempts. attempts and every
+// counter are exact.
 package main
 
 import (
@@ -39,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -90,6 +94,55 @@ func skewOp(thr *core.Thread, r *rng, p tm.Addr) {
 	}); err != nil {
 		panic(err)
 	}
+}
+
+// statsSnapshot is the live-metrics view of st: every counter and
+// histogram under its txstats.Each name.
+func statsSnapshot(st core.Stats) txmetrics.Snapshot {
+	snap := txmetrics.Snapshot{Counters: map[string]uint64{}, Hists: map[string]txstats.Hist{}}
+	txstats.Each(st, func(name string, n uint64) { snap.Counters[name] = n },
+		func(name string, h txstats.Hist) { snap.Hists[name] = h })
+	return snap
+}
+
+// exitLine is the soak's report: the runtime's settings, then every
+// counter of st as name=n and every histogram as name[summary], under
+// the names of the live metrics.
+func exitLine(rt *core.Runtime, st core.Stats) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cm=%s mode=%s mv=%d", rt.CMName(), rt.ModeName(), rt.MVDepth())
+	txstats.Each(st, func(name string, n uint64) { fmt.Fprintf(&b, " %s=%d", name, n) },
+		func(name string, h txstats.Hist) { fmt.Fprintf(&b, " %s[%s]", name, h) })
+	return b.String()
+}
+
+// ringSkewOp is skewOp's withdrawal split over two shipped tasks (depth
+// >= 2): task 1 reads one side of the pair at p and forwards it through
+// the thread-private word priv; task 2 yields, bumps the word every
+// thread bumps (so its snapshot extends past commits made since task 1
+// read), reads the other side and withdraws from it. Only the oldest
+// task's snapshot proves that task 1's read is still current at commit,
+// so a commit that skips validation on task 2's extended snapshot
+// overdraws the pair. Task 2 cannot check x+y itself: its reads are
+// consistent with each other but not with task 1's, which the sandbox
+// does not see, so only an aborting attempt may read x+y < 0 here.
+func ringSkewOp(thr *core.Thread, r *rng, p, priv, bump tm.Addr) {
+	s := tm.Addr(r.next() % 2)
+	read, side, amt := p+s, p+1-s, int64(r.next()%100)
+	h, err := thr.Submit(
+		func(tk *core.Task) { tk.Store(priv, tk.Load(read)) },
+		func(tk *core.Task) {
+			runtime.Gosched()
+			tk.Store(bump, tk.Load(bump)+1)
+			bal := int64(tk.Load(priv)) + int64(tk.Load(side))
+			if w := min(amt, bal); w > 0 {
+				tk.Store(side, uint64(int64(tk.Load(side))-w))
+			}
+		})
+	if err != nil {
+		panic(err)
+	}
+	h.Wait()
 }
 
 func run() int {
@@ -167,23 +220,7 @@ func run() int {
 	if *metricsAddr != "" {
 		syncEvery = 512
 		pub := txmetrics.New()
-		pub.AddSource("tlstm", func() txmetrics.Snapshot {
-			st := rt.Stats()
-			return txmetrics.Snapshot{
-				Counters: map[string]uint64{
-					"committed": st.TxCommitted, "txAborts": st.TxAborted,
-					"taskRestarts": st.TaskRestarts, "work": st.Work, "extensions": st.SnapshotExtensions,
-					"validatedEntries": st.ValidatedEntries, "cmAbortsSelf": st.CMAbortsSelf, "cmAbortsOwner": st.CMAbortsOwner,
-					"backoffSpins": st.BackoffSpins, "entryReclaims": st.EntryReclaims,
-					"horizonStalls": st.HorizonStalls, "mvReads": st.MVReads, "mvMisses": st.MVMisses,
-					"retryWakes": st.RetryWakes,
-				},
-				Hists: map[string]txstats.Hist{
-					"commitLat": st.CommitLatency, "restartLat": st.RestartLatency,
-					"attempts": st.Attempts,
-				},
-			}
-		})
+		pub.AddSource("tlstm", func() txmetrics.Snapshot { return statsSnapshot(rt.Stats()) })
 		if rec != nil {
 			pub.SetTrace(rec)
 		}
@@ -229,12 +266,14 @@ func run() int {
 	for i := 0; i < 2*skewPairs; i++ {
 		d.Store(skew+tm.Addr(i), skewStart)
 	}
+	bump := d.Alloc(1)
 
 	deadline := time.Now().Add(time.Duration(*seconds) * time.Second)
 	done := make(chan core.Stats, *threads)
 
 	for w := 0; w < *threads; w++ {
 		thr := rt.NewThread()
+		priv := d.Alloc(1)
 		go func(seed uint64) {
 			r := &rng{s: seed}
 			nAcct := *accounts
@@ -266,6 +305,9 @@ func run() int {
 					}
 				}
 				skewOp(thr, r, skew+tm.Addr(2*(r.next()%skewPairs)))
+				if *depth >= 2 {
+					ringSkewOp(thr, r, skew+tm.Addr(2*(r.next()%skewPairs)), priv, bump)
+				}
 				if *roMix > 0 && r.next()%100 < uint64(*roMix) {
 					// Every task of the declared read-only transaction
 					// scans independently; with SPECDEPTH > 1 this also
@@ -375,16 +417,7 @@ func run() int {
 		sum += d.Load(base + tm.Addr(i))
 	}
 	want := uint64(*accounts) * initial
-	fmt.Printf("committed=%d fused=%d txAborts=%d taskRestarts=%d work=%d workers=%d descReuse=%d ext=%d validated=%d cm=%s cmSelf=%d cmOwner=%d spins=%d mode=%s retryWake=%d reclaim=%d stall=%d mv=%d mvRead=%d mvMiss=%d rset[%s] wset[%s] commitLat[%s] attempts[%s] restartLat[%s]\n",
-		total.TxCommitted, total.TxFused, total.TxAborted, total.TaskRestarts, total.Work,
-		total.WorkersSpawned, total.DescriptorReuses,
-		total.SnapshotExtensions, total.ValidatedEntries,
-		rt.CMName(), total.CMAbortsSelf, total.CMAbortsOwner, total.BackoffSpins,
-		rt.ModeName(), total.RetryWakes,
-		total.EntryReclaims, total.HorizonStalls,
-		rt.MVDepth(), total.MVReads, total.MVMisses,
-		total.ReadSetSizes, total.WriteSetSizes,
-		total.CommitLatency, total.Attempts, total.RestartLatency)
+	fmt.Println(exitLine(rt, total))
 	if sum != want {
 		fmt.Printf("FAIL: total=%d want=%d (atomicity violated)\n", sum, want)
 		return 1

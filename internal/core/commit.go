@@ -184,7 +184,7 @@ func (t *Task) finishCommit(ts uint64, writeTx bool) {
 		sum, most = sum+n, max(most, n)
 		// A writer commit took the pools' counts; a read-only one did not.
 		reclaims, stalls := task.writeLog.TakeReclaimCounts()
-		task.Reclaims, task.Stalls = task.Reclaims+reclaims, task.Stalls+stalls
+		task.EntryReclaims, task.HorizonStalls = task.EntryReclaims+reclaims, task.HorizonStalls+stalls
 		txWrites += uint64(task.writeLog.Len())
 		task.Close(&st.Counters)
 		task.ApplyFrees()

@@ -112,7 +112,7 @@ type Runtime struct {
 
 	// stats aggregates per-thread shards, merged at Sync boundaries
 	// (see Thread.Sync); the hot path never touches it.
-	stats txstats.Aggregate[Stats, *Stats]
+	stats txstats.Aggregate[Stats]
 
 	specDepth    int
 	reclaimRing  int

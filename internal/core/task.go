@@ -578,11 +578,11 @@ func (t *Task) validateTask() bool {
 			t.Work++
 		}
 		if t.firstPastOf(re.Pair.W.Load()) != re.FirstPast {
-			t.Validated += uint64(i + 1)
+			t.ValidatedEntries += uint64(i + 1)
 			return false
 		}
 	}
-	t.Validated += uint64(len(entries))
+	t.ValidatedEntries += uint64(len(entries))
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"tlstm/internal/sched"
 	"tlstm/internal/txlog"
 	"tlstm/internal/txrt"
+	"tlstm/internal/txstats"
 )
 
 // Thread is one user-thread: a serial stream of user-transactions, each
@@ -456,44 +457,12 @@ type Stats struct {
 }
 
 // Add folds o into s.
-func (s *Stats) Add(o Stats) {
-	s.TxCommitted += o.TxCommitted
-	s.TxFused += o.TxFused
-	s.TxAborted += o.TxAborted
-	s.TaskRestarts += o.TaskRestarts
-	s.RestartWAR += o.RestartWAR
-	s.RestartWAW += o.RestartWAW
-	s.RestartExtend += o.RestartExtend
-	s.RestartCM += o.RestartCM
-	s.RestartSandbox += o.RestartSandbox
-	s.RestartRetry += o.RestartRetry
-	s.VirtualTime += o.VirtualTime
-	s.WorkersSpawned += o.WorkersSpawned
-	s.DescriptorReuses += o.DescriptorReuses
-	s.Counters.Add(o.Counters)
-}
+func (s *Stats) Add(o Stats) { txstats.Add(s, o) }
 
 // Minus returns the fieldwise difference s−o. It is only meaningful
 // when o is an earlier snapshot of s (counters are monotonic), which is
 // how Sync computes the not-yet-merged part of a thread's shard.
-func (s Stats) Minus(o Stats) Stats {
-	return Stats{
-		TxCommitted:      s.TxCommitted - o.TxCommitted,
-		TxFused:          s.TxFused - o.TxFused,
-		TxAborted:        s.TxAborted - o.TxAborted,
-		TaskRestarts:     s.TaskRestarts - o.TaskRestarts,
-		RestartWAR:       s.RestartWAR - o.RestartWAR,
-		RestartWAW:       s.RestartWAW - o.RestartWAW,
-		RestartExtend:    s.RestartExtend - o.RestartExtend,
-		RestartCM:        s.RestartCM - o.RestartCM,
-		RestartSandbox:   s.RestartSandbox - o.RestartSandbox,
-		RestartRetry:     s.RestartRetry - o.RestartRetry,
-		VirtualTime:      s.VirtualTime - o.VirtualTime,
-		WorkersSpawned:   s.WorkersSpawned - o.WorkersSpawned,
-		DescriptorReuses: s.DescriptorReuses - o.DescriptorReuses,
-		Counters:         s.Counters.Minus(o.Counters),
-	}
-}
+func (s Stats) Minus(o Stats) Stats { return txstats.Sub(s, o) }
 
 // txState is the shared state of one user-transaction. Descriptors are
 // recycled through the thread's txRing: all plain fields are reset by

@@ -105,7 +105,3 @@ func (s *Store) grow(pageIdx uint64) {
 	}
 	s.dir.Store(&nd)
 }
-
-// MappedWords reports how many words have been reserved so far (an upper
-// bound on live data; used by tests and stats).
-func (s *Store) MappedWords() uint64 { return s.next.Load() }

@@ -415,24 +415,6 @@ func (t Tree) rangeNode(tx tm.Tx, n tm.Addr, lo, hi int64, fn func(k int64, v ui
 	return true
 }
 
-// Successor returns the smallest key strictly greater than k.
-func (t Tree) Successor(tx tm.Tx, k int64) (int64, uint64, bool) {
-	var bestK int64
-	var bestV uint64
-	found := false
-	n := t.root(tx)
-	for n != tm.NilAddr {
-		nk := key(tx, n)
-		if nk > k {
-			bestK, bestV, found = nk, val(tx, n), true
-			n = left(tx, n)
-		} else {
-			n = right(tx, n)
-		}
-	}
-	return bestK, bestV, found
-}
-
 // CheckInvariants walks the tree verifying the red-black properties and
 // BST ordering; it returns a descriptive string for the first violation
 // found, or "" when the tree is valid. Intended for tests (run it inside

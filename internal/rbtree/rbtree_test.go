@@ -131,7 +131,7 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestMinAndSuccessor(t *testing.T) {
+func TestMin(t *testing.T) {
 	d := direct()
 	tr := New(d)
 	if _, _, ok := tr.Min(d); ok {
@@ -142,12 +142,6 @@ func TestMinAndSuccessor(t *testing.T) {
 	}
 	if k, _, ok := tr.Min(d); !ok || k != 10 {
 		t.Fatalf("Min = %d,%v; want 10,true", k, ok)
-	}
-	if k, _, ok := tr.Successor(d, 10); !ok || k != 20 {
-		t.Fatalf("Successor(10) = %d,%v; want 20,true", k, ok)
-	}
-	if _, _, ok := tr.Successor(d, 30); ok {
-		t.Fatal("Successor(30) should be not-ok")
 	}
 }
 

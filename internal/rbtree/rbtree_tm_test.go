@@ -153,3 +153,43 @@ func TestConcurrentDisjointRangesSTM(t *testing.T) {
 }
 
 var _ tm.Tx = (*core.Task)(nil)
+
+// A node task 1 allocates and links is visible to task 2 of the same
+// transaction: Submit ships both tasks, so task 2 reaches task 1's fresh
+// allocation only through intra-thread forwarding. Task 2 then unlinks
+// it, so every transaction leaves the tree as it found it.
+func TestFreshNodeForwardedToNextTask(t *testing.T) {
+	rt := core.New(core.Config{SpecDepth: 2, LockTableBits: 14})
+	defer rt.Close()
+	thr := rt.NewThread()
+	d := rt.Direct()
+	tr := New(d)
+	tr.Insert(d, -1, 0) // a root for the fresh nodes to hang from
+	for k := int64(0); k < 30; k++ {
+		var got uint64
+		var found bool
+		h, err := thr.Submit(
+			func(tk *core.Task) { tr.Insert(tk, k, uint64(k)+7) },
+			func(tk *core.Task) {
+				got, found = tr.Lookup(tk, k)
+				tr.Delete(tk, k)
+			},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Wait()
+		if !found || got != uint64(k)+7 {
+			t.Fatalf("tx %d: task 2 read %d,%v; want task 1's fresh node %d,true", k, got, found, k+7)
+		}
+	}
+	thr.Sync()
+	for k := int64(0); k < 30; k++ {
+		if _, ok := tr.Lookup(d, k); ok {
+			t.Fatalf("key %d left in the tree", k)
+		}
+	}
+	if msg := tr.CheckInvariants(d); msg != "" {
+		t.Fatal(msg)
+	}
+}

@@ -3,9 +3,9 @@ package sb7
 import "tlstm/internal/tm"
 
 // Documents: every composite part owns a documentation object (title +
-// text) stored *in transactional memory*, as in the original STMBench7,
-// where text operations (T3 family) search and replace inside it. Text
-// is packed 8 bytes per word.
+// text) stored *in transactional memory*, as in the original STMBench7.
+// The long traversals the paper runs (§4) never read it, but it is part
+// of the built structure's footprint. Text is packed 8 bytes per word.
 
 // Document block layout.
 const (
@@ -37,19 +37,6 @@ func packText(tx tm.Tx, s string) (tm.Addr, int) {
 	return blk, len(s)
 }
 
-// unpackText reads length bytes of packed text starting at blk.
-func unpackText(tx tm.Tx, blk tm.Addr, length int) string {
-	buf := make([]byte, 0, length)
-	words := (length + 7) / 8
-	for w := 0; w < words; w++ {
-		word := tx.Load(blk + tm.Addr(w))
-		for b := 0; b < 8 && len(buf) < length; b++ {
-			buf = append(buf, byte(word>>(8*b)))
-		}
-	}
-	return string(buf)
-}
-
 // newDocument allocates a document for composite part id.
 func newDocument(tx tm.Tx, id int64, text string) tm.Addr {
 	d := tx.Alloc(docWords)
@@ -58,59 +45,4 @@ func newDocument(tx tm.Tx, id int64, text string) tm.Addr {
 	tm.StoreInt64(tx, d+docTextLen, int64(n))
 	tm.StoreAddr(tx, d+docTextAddr, blk)
 	return d
-}
-
-// DocumentText reads the full text of the document attached to the
-// composite part at cp.
-func (b *Bench) DocumentText(tx tm.Tx, cp tm.Addr) string {
-	doc := tm.LoadAddr(tx, cp+cpDoc)
-	n := int(tm.LoadInt64(tx, doc+docTextLen))
-	return unpackText(tx, tm.LoadAddr(tx, doc+docTextAddr), n)
-}
-
-// DocumentContains is T3a's core: scan the composite part's document
-// for a byte pattern, transactionally (reads every text word).
-func (b *Bench) DocumentContains(tx tm.Tx, cp tm.Addr, pattern string) bool {
-	text := b.DocumentText(tx, cp)
-	if len(pattern) == 0 {
-		return true
-	}
-	for i := 0; i+len(pattern) <= len(text); i++ {
-		if text[i:i+len(pattern)] == pattern {
-			return true
-		}
-	}
-	return false
-}
-
-// DocumentReplace is T3b/T3c's core: replace the first occurrence of
-// old with new (same length, as the original swaps fixed tokens),
-// returning whether a replacement happened.
-func (b *Bench) DocumentReplace(tx tm.Tx, cp tm.Addr, oldPat, newPat string) bool {
-	if len(oldPat) != len(newPat) || len(oldPat) == 0 {
-		return false
-	}
-	doc := tm.LoadAddr(tx, cp+cpDoc)
-	n := int(tm.LoadInt64(tx, doc+docTextLen))
-	blk := tm.LoadAddr(tx, doc+docTextAddr)
-	text := unpackText(tx, blk, n)
-	idx := -1
-	for i := 0; i+len(oldPat) <= len(text); i++ {
-		if text[i:i+len(oldPat)] == oldPat {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false
-	}
-	// Rewrite only the affected words.
-	for i := idx; i < idx+len(newPat); i++ {
-		w := i / 8
-		bshift := uint(8 * (i % 8))
-		word := tx.Load(blk + tm.Addr(w))
-		word = (word &^ (0xff << bshift)) | uint64(newPat[i-idx])<<bshift
-		tx.Store(blk+tm.Addr(w), word)
-	}
-	return true
 }

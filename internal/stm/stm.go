@@ -74,7 +74,7 @@ type Runtime struct {
 
 	// stats aggregates the shards merged by Worker.Close (SNIPPETS-style
 	// per-thread stats: workers accumulate unshared, merge at exit).
-	stats txstats.Aggregate[Stats, *Stats]
+	stats txstats.Aggregate[Stats]
 
 	// workerPool backs the descriptor-per-call compatibility entry point
 	// (*Runtime).Atomic with reusable Workers.
@@ -90,10 +90,6 @@ func New(opts ...Option) *Runtime {
 	rt.locks = locktable.NewTable(c.LockTableBits)
 	return rt
 }
-
-// StoreWordRaw writes a word non-transactionally. It must only be used
-// during single-threaded setup, before transactions run.
-func (rt *Runtime) StoreWordRaw(a tm.Addr, v uint64) { rt.Store.StoreWord(a, v) }
 
 // LoadWordRaw reads a word non-transactionally (setup/verification only).
 func (rt *Runtime) LoadWordRaw(a tm.Addr) uint64 { return rt.Store.LoadWord(a) }

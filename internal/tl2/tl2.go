@@ -299,12 +299,12 @@ func (tx *Tx) commit() {
 			// Locked is above every read version; a lock this commit
 			// holds is the one exemption.
 			if v := l.Load(); v > tx.rv && (v != locktable.Locked || !tx.held.Holds(l)) {
-				tx.Validated += uint64(i + 1)
+				tx.ValidatedEntries += uint64(i + 1)
 				tx.TraceValidate(wv, tx.readLog.Len(), false)
 				tx.abort(txtrace.AbortValidation)
 			}
 		}
-		tx.Validated += uint64(len(locks))
+		tx.ValidatedEntries += uint64(len(locks))
 		tx.TraceValidate(wv, tx.readLog.Len(), true)
 	}
 

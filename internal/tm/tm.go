@@ -57,18 +57,6 @@ func LoadAddr(t Tx, a Addr) Addr { return Addr(t.Load(a)) }
 // StoreAddr writes the word-encoded pointer p to the word at a.
 func StoreAddr(t Tx, a Addr, p Addr) { t.Store(a, uint64(p)) }
 
-// LoadBool reads the word at a as a boolean (non-zero is true).
-func LoadBool(t Tx, a Addr) bool { return t.Load(a) != 0 }
-
-// StoreBool writes b to the word at a (1 for true, 0 for false).
-func StoreBool(t Tx, a Addr, b bool) {
-	if b {
-		t.Store(a, 1)
-	} else {
-		t.Store(a, 0)
-	}
-}
-
 // SumWords loads the n consecutive words starting at base and returns
 // their wrapping sum: the plain committed-read scan the harness's
 // read-mostly audit and the runtimes' per-access benchmarks share.

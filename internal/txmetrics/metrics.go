@@ -40,8 +40,9 @@ import (
 // Snapshot is one source's point-in-time contribution: named counters
 // and named histograms. Histograms are flattened into .p50/.p90/.p99/
 // .max/.count rows by the publisher. .count is the histogram's number of
-// observations: for the runtimes' commitLat and restartLat, which time
-// one attempt in 64 per descriptor, the number of sampled attempts.
+// observations: for the runtimes' commitLatency and restartLatency,
+// which time one attempt in 64 per descriptor, the number of sampled
+// attempts.
 type Snapshot struct {
 	Counters map[string]uint64
 	Hists    map[string]txstats.Hist

@@ -48,13 +48,13 @@ type Logs struct {
 // On a failed validation, traced like a passing one, the displaced
 // versions are restored, the w-locks stay held and ok is false: the
 // caller aborts. Either way the logs' pool reclaim counts are taken into
-// Reclaims/Stalls.
+// EntryReclaims/HorizonStalls.
 func (d *Desc) Commit(logs []Logs, scr *txlog.CommitScratch, snap uint64) (ts uint64, ok bool) {
 	writes := 0
 	for _, l := range logs {
 		reclaims, stalls := l.Write.TakeReclaimCounts()
-		d.Reclaims += reclaims
-		d.Stalls += stalls
+		d.EntryReclaims += reclaims
+		d.HorizonStalls += stalls
 		writes += l.Write.Len()
 	}
 	if writes == 0 {

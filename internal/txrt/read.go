@@ -146,7 +146,7 @@ func (d *Desc) ExtendWith(snap *uint64, witness uint64, valid func() bool) bool 
 		return false
 	}
 	if ts > *snap {
-		d.Extends++
+		d.SnapshotExtensions++
 		if d.Traced {
 			d.Tr.Record(txtrace.KindExtend, ts, witness, 1)
 		}
@@ -162,7 +162,7 @@ func (d *Desc) ExtendWith(snap *uint64, witness uint64, valid func() bool) bool 
 // scr, when non-nil, is the caller's commit scratch: a pair it r-locked
 // compares against the version the commit displaced from it. The work
 // charge is one unit per ValidationStride entries; the entries looked
-// at are added to Validated.
+// at are added to ValidatedEntries.
 func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) bool {
 	entries := rl.Entries()
 	for i, re := range entries {
@@ -181,10 +181,10 @@ func (d *Desc) ValidateReads(rl *txlog.ReadLog, scr *txlog.CommitScratch) bool {
 				continue
 			}
 		}
-		d.Validated += uint64(i + 1)
+		d.ValidatedEntries += uint64(i + 1)
 		return false
 	}
-	d.Validated += uint64(len(entries))
+	d.ValidatedEntries += uint64(len(entries))
 	return true
 }
 

@@ -2,11 +2,11 @@ package txrt
 
 import "tlstm/internal/txstats"
 
-// Counters is what all four runtimes count the same way. The flat
-// runtimes' Stats and core.Stats both embed it, so a counter added here
-// is folded, differenced and reported everywhere by the one Add/Minus
-// below (stats_test.go fails when a field is left out of either).
-type Counters struct {
+// Tally is what a transaction counts on its descriptor: Desc embeds it
+// per transaction, fold adds it into the Counters shard at commit
+// (Desc.fold), and Reset zeroes it. A counter a runtime charges per
+// transaction is a field here, its charge site and its fold line.
+type Tally struct {
 	// Work is in abstract work units (one unit ≈ one TM operation or one
 	// validation step, aborted attempts included); the harness feeds it
 	// into its virtual-time model.
@@ -21,18 +21,6 @@ type Counters struct {
 	// A writer commit whose stamp shows that nothing committed since its
 	// snapshot adds none.
 	ValidatedEntries uint64
-	// ClockCASRetries is always 0: the GV4 clock ticks with one
-	// fetch-and-add and never retries. The field stays only because the
-	// bench schema reads it (clock.cas_retries_per_ktx); both go with
-	// that schema's next bump (ROADMAP item 1(c)).
-	ClockCASRetries uint64
-	// CMAbortsSelf counts lost conflicts (one AbortSelf decision each);
-	// CMAbortsOwner counts AbortOwner decisions, one per round spent
-	// waiting for a signalled owner to concede; BackoffSpins counts the
-	// scheduler yields the policy charged between retries (cm.Probe).
-	CMAbortsSelf  uint64
-	CMAbortsOwner uint64
-	BackoffSpins  uint64
 	// EntryReclaims counts write-lock entries served from a descriptor's
 	// pool instead of the heap; HorizonStalls counts requests TLSTM's
 	// reclamation horizon forced to allocate fresh. TL2 and the
@@ -47,6 +35,29 @@ type Counters struct {
 	// mvFallback).
 	MVReads  uint64
 	MVMisses uint64
+	// RetryWakes counts Retry parks woken by a conflicting commit's
+	// doorbell.
+	RetryWakes uint64
+}
+
+// Counters is what all four runtimes count the same way. The flat
+// runtimes' Stats and core.Stats both embed it, so a counter added here
+// is folded, differenced and reported everywhere (txstats walks the
+// struct; stats_test.go checks that every field is reached).
+type Counters struct {
+	Tally
+	// ClockCASRetries is always 0: the GV4 clock ticks with one
+	// fetch-and-add and never retries. The field stays only because the
+	// bench schema reads it (clock.cas_retries_per_ktx); both go with
+	// that schema's next bump (ROADMAP item 1(c)).
+	ClockCASRetries uint64
+	// CMAbortsSelf counts lost conflicts (one AbortSelf decision each);
+	// CMAbortsOwner counts AbortOwner decisions, one per round spent
+	// waiting for a signalled owner to concede; BackoffSpins counts the
+	// scheduler yields the policy charged between retries (cm.Probe).
+	CMAbortsSelf  uint64
+	CMAbortsOwner uint64
+	BackoffSpins  uint64
 	// ReadSetSizes and WriteSetSizes histogram the set sizes at commit
 	// (per transaction; per task for TLSTM). Multi-version reads are
 	// unlogged, so they land in bucket 0.
@@ -61,55 +72,14 @@ type Counters struct {
 	RestartLatency txstats.Hist
 	CommitLatency  txstats.Hist
 	Attempts       txstats.Hist
-	// RetryWakes counts Retry parks woken by a conflicting commit's
-	// doorbell.
-	RetryWakes uint64
 }
 
 // Add folds o into c.
-func (c *Counters) Add(o Counters) {
-	c.Work += o.Work
-	c.SnapshotExtensions += o.SnapshotExtensions
-	c.ValidatedEntries += o.ValidatedEntries
-	c.ClockCASRetries += o.ClockCASRetries
-	c.CMAbortsSelf += o.CMAbortsSelf
-	c.CMAbortsOwner += o.CMAbortsOwner
-	c.BackoffSpins += o.BackoffSpins
-	c.EntryReclaims += o.EntryReclaims
-	c.HorizonStalls += o.HorizonStalls
-	c.MVReads += o.MVReads
-	c.MVMisses += o.MVMisses
-	c.ReadSetSizes.Merge(o.ReadSetSizes)
-	c.WriteSetSizes.Merge(o.WriteSetSizes)
-	c.RestartLatency.Merge(o.RestartLatency)
-	c.CommitLatency.Merge(o.CommitLatency)
-	c.Attempts.Merge(o.Attempts)
-	c.RetryWakes += o.RetryWakes
-}
+func (c *Counters) Add(o Counters) { txstats.Add(c, o) }
 
 // Minus returns the fieldwise difference c−o, meaningful when o is an
 // earlier snapshot of c (every counter is monotonic).
-func (c Counters) Minus(o Counters) Counters {
-	return Counters{
-		Work:               c.Work - o.Work,
-		SnapshotExtensions: c.SnapshotExtensions - o.SnapshotExtensions,
-		ValidatedEntries:   c.ValidatedEntries - o.ValidatedEntries,
-		ClockCASRetries:    c.ClockCASRetries - o.ClockCASRetries,
-		CMAbortsSelf:       c.CMAbortsSelf - o.CMAbortsSelf,
-		CMAbortsOwner:      c.CMAbortsOwner - o.CMAbortsOwner,
-		BackoffSpins:       c.BackoffSpins - o.BackoffSpins,
-		EntryReclaims:      c.EntryReclaims - o.EntryReclaims,
-		HorizonStalls:      c.HorizonStalls - o.HorizonStalls,
-		MVReads:            c.MVReads - o.MVReads,
-		MVMisses:           c.MVMisses - o.MVMisses,
-		ReadSetSizes:       c.ReadSetSizes.Minus(o.ReadSetSizes),
-		WriteSetSizes:      c.WriteSetSizes.Minus(o.WriteSetSizes),
-		RestartLatency:     c.RestartLatency.Minus(o.RestartLatency),
-		CommitLatency:      c.CommitLatency.Minus(o.CommitLatency),
-		Attempts:           c.Attempts.Minus(o.Attempts),
-		RetryWakes:         c.RetryWakes - o.RetryWakes,
-	}
-}
+func (c Counters) Minus(o Counters) Counters { return txstats.Sub(c, o) }
 
 // Stats is a flat runtime's statistics shard: transaction outcomes plus
 // the shared Counters. stm, tl2 and wtstm re-export it by alias.
@@ -120,18 +90,8 @@ type Stats struct {
 }
 
 // Add folds o's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Counters.Add(o.Counters)
-}
+func (s *Stats) Add(o Stats) { txstats.Add(s, o) }
 
 // Minus returns the counter difference s−o; see Counters.Minus (which
 // this shadows, so a shard is never differenced without its outcomes).
-func (s Stats) Minus(o Stats) Stats {
-	return Stats{
-		Commits:  s.Commits - o.Commits,
-		Aborts:   s.Aborts - o.Aborts,
-		Counters: s.Counters.Minus(o.Counters),
-	}
-}
+func (s Stats) Minus(o Stats) Stats { return txstats.Sub(s, o) }

@@ -3,10 +3,12 @@ package txrt_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tlstm/internal/core"
 	"tlstm/internal/txrt"
+	"tlstm/internal/txstats"
 )
 
 // fill sets every exported uint64 leaf under v (through embedded and
@@ -51,8 +53,8 @@ func leaves(v reflect.Value, path string, out map[string]uint64) {
 
 // TestStatsFoldIsComplete is the guard against adding a counter and
 // forgetting to fold it: for every stats struct, Add must carry every
-// exported field and Minus must undo it. A field missing from either
-// hand-written list reads 0 here instead of in a sweep column.
+// exported field and Minus must undo it. A field either walk missed
+// would read 0 here instead of in a sweep column.
 func TestStatsFoldIsComplete(t *testing.T) {
 	for _, zero := range []any{txrt.Counters{}, txrt.Stats{}, core.Stats{}} {
 		typ := reflect.TypeOf(zero)
@@ -85,6 +87,54 @@ func TestStatsFoldIsComplete(t *testing.T) {
 				if got[k] != w {
 					t.Errorf("after Minus, %s = %d, want %d (field not differenced?)", k, got[k], w)
 				}
+			}
+		})
+	}
+}
+
+// firstWords appends, for every counter and histogram under v (through
+// embedded structs), its first word: the counter, or a Hist's bucket 0.
+// After fill those words are distinct, so each names its field.
+func firstWords(v reflect.Value, out *[]uint64) {
+	switch {
+	case v.Type() == reflect.TypeOf(txstats.Hist{}):
+		*out = append(*out, v.Index(0).Uint())
+	case v.Kind() == reflect.Uint64:
+		*out = append(*out, v.Uint())
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				firstWords(v.Field(i), out)
+			}
+		}
+	}
+}
+
+// TestEachNamesEveryFieldOnce: txstats.Each, which the live metrics and
+// the stress report are built from, reaches every exported counter and
+// histogram of each stats struct exactly once, under a distinct name.
+func TestEachNamesEveryFieldOnce(t *testing.T) {
+	for _, zero := range []any{txrt.Counters{}, txrt.Stats{}, core.Stats{}} {
+		typ := reflect.TypeOf(zero)
+		t.Run(typ.String(), func(t *testing.T) {
+			v := reflect.New(typ)
+			var n uint64
+			fill(v.Elem(), &n)
+			var want []uint64
+			firstWords(v.Elem(), &want)
+
+			var got []uint64
+			names := map[string]bool{}
+			see := func(name string, w uint64) {
+				if names[name] {
+					t.Errorf("name %q reported twice", name)
+				}
+				names[name] = true
+				got = append(got, w)
+			}
+			txstats.Each(v.Interface(), see, func(name string, h txstats.Hist) { see(name, h[0]) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("Each reported %d fields %v, want %d %v", len(got), got, len(want), want)
 			}
 		})
 	}

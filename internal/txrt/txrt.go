@@ -3,8 +3,9 @@
 // (core) share outside their algorithms, so that they differ only where
 // the algorithms differ and a cross-cutting feature is wired once.
 //
-//   - Counters / Stats: the statistics every runtime counts the same
-//     way, with one Add/Minus (stats.go);
+//   - Tally / Counters / Stats: the statistics every runtime counts the
+//     same way, each struct its own counter table (txstats folds,
+//     differences and names its fields; stats.go);
 //   - Config / Option / Env: the option set, its defaults, and the
 //     runtime-wide state built from it — memory, commit clock,
 //     contention manager, version store, serialized gate, Retry hub

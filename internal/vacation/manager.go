@@ -169,27 +169,6 @@ func (m *Manager) Reserve(tx tm.Tx, customer int64, kind ResourceKind, id int64)
 	return true
 }
 
-// Cancel releases the customer's booking of (kind,id).
-func (m *Manager) Cancel(tx tm.Tx, customer int64, kind ResourceKind, id int64) bool {
-	cBlk, ok := m.customers.Lookup(tx, customer)
-	if !ok {
-		return false
-	}
-	list := tmlist.Handle(tm.LoadAddr(tx, tm.Addr(cBlk)+cList))
-	key := reservationKey(kind, id)
-	if !list.Delete(tx, key) {
-		return false
-	}
-	blk, ok := m.table(kind).Lookup(tx, id)
-	if !ok {
-		return false
-	}
-	b := tm.Addr(blk)
-	tm.StoreInt64(tx, b+rNumFree, tm.LoadInt64(tx, b+rNumFree)+1)
-	tm.StoreInt64(tx, b+rNumUsed, tm.LoadInt64(tx, b+rNumUsed)-1)
-	return true
-}
-
 // DeleteCustomer removes the customer, releasing every booking and
 // returning the total bill (STAMP manager_deleteCustomer), or -1 if the
 // customer does not exist.

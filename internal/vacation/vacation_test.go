@@ -42,15 +42,6 @@ func TestManagerBasics(t *testing.T) {
 	if msg := m.CheckInvariants(d); msg != "" {
 		t.Fatal(msg)
 	}
-	if !m.Cancel(d, 7, Car, 1) {
-		t.Fatal("Cancel failed")
-	}
-	if m.QueryFree(d, Car, 1) != 10 {
-		t.Fatal("free count not restored")
-	}
-	if msg := m.CheckInvariants(d); msg != "" {
-		t.Fatal(msg)
-	}
 }
 
 func TestDeleteCustomerReleasesAll(t *testing.T) {

@@ -278,11 +278,11 @@ func (tx *Tx) staleRead() bool {
 			tx.Work++
 		}
 		if re.Lock.Load() != re.Version && !tx.held.Holds(re.Lock) {
-			tx.Validated += uint64(i + 1)
+			tx.ValidatedEntries += uint64(i + 1)
 			return true
 		}
 	}
-	tx.Validated += uint64(len(entries))
+	tx.ValidatedEntries += uint64(len(entries))
 	return false
 }
 
